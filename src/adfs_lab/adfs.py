@@ -2,9 +2,10 @@
 
 Three entry points: the reference recursion (`run_adfs`), the rescaled
 sparse-update form (`run_adfs_efficient`, same trajectories under a shared
-stream), and the sublinear non-smooth variant (`run_ns_adfs`).  All of them
-report progress on an idealized clock: one time unit per computation round,
-tau per gossip round.
+stream), and the sublinear non-smooth variant (`run_ns_adfs`).  The reference
+and non-smooth forms share one in-place block step and differ only in their
+momentum schedule.  All of them report progress on an idealized clock: one
+time unit per computation round, tau per gossip round.
 """
 
 from dataclasses import dataclass, field
@@ -57,6 +58,62 @@ def _log_smooth(problem, rows, t, now, y_state, f_star, kind):
     return sub
 
 
+def _conjugate_prox(problem, idx, c_in, eta_tilde, warm):
+    """Coefficients of prox_{eta~ f*_ij}(c_in X_ij) at the sampled virtual
+    nodes `idx`, refreshing their warm starts in `warm`.
+
+    The smooth build goes through the conjugate-side identity of the primal
+    prox, the non-smooth build through the Moreau identity.
+    """
+    xnorm2, labels = problem.xnorm2[idx], problem.labels[idx]
+    if problem.smooth:
+        c_out, warm[idx] = _tilde_coeff_batch(
+            problem.loss, c_in, xnorm2, labels, problem.smooth_virtual[idx], eta_tilde,
+            warm[idx],
+        )
+        return c_out
+    # prox of eta~ f* via Moreau: x - eta~ prox_(1/eta~) f (x / eta~)
+    p_star = _prox_1d_array(
+        problem.loss, c_in * xnorm2 / eta_tilde, labels, xnorm2 / eta_tilde, warm[idx],
+    )
+    warm[idx] = p_star
+    return c_in - eta_tilde * p_star / xnorm2
+
+
+def _block_step(problem, draw, y, w, eta, beta, warm):
+    """One block of the dual recursion, written in place.
+
+    On entry y and w hold the momentum combinations of the iterates x and v;
+    on return w holds the next v = w + delta and y the next
+    x = y + beta * W~ delta.  Only the n center rows and, for a computation
+    block, the n sampled virtual rows are written.  Returns the idealized
+    duration of the block.
+    """
+    n = problem.n
+    if draw.kind == "communication":
+        delta = -eta * aug.apply_comm_step(problem, y[:n])
+        w[:n] += delta
+        y[:n] += beta * aug.apply_wtilde(problem, draw, delta)
+        return problem.tau
+    idx = problem.vstart[:-1] + draw.chosen
+    vrows = n + idx
+    xs = problem.features[idx]
+    w_virt = w[vrows]
+    gvec = aug.virtual_gradient(problem, idx, y[:n], y[vrows])[:, None] * xs
+    z_center = w[:n] - eta * gvec
+    z_virt = w_virt + eta * gvec
+    c_z = np.einsum("ij,ij->i", xs, z_virt) / problem.xnorm2[idx]
+    eta_tilde = eta * problem.mu2_virtual[idx] / problem.sampling.p_marginal[idx]
+    v_virt = _conjugate_prox(problem, idx, c_z, eta_tilde, warm)[:, None] * xs
+    v_center = z_center + (z_virt - v_virt)
+    step = beta * (1.0 / problem.sampling.p_marginal[idx])[:, None]
+    y[:n] += step * (v_center - w[:n])
+    y[vrows] += step * (v_virt - w_virt)
+    w[:n] = v_center
+    w[vrows] = v_virt
+    return 1.0
+
+
 def run_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=(),
              stop_at_subopt=None):
     """Reference recursion of the smooth solver.
@@ -69,54 +126,31 @@ def run_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=(),
         raise ValueError("run_adfs needs the smooth build; see run_ns_adfs")
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    n, d = problem.n, problem.d
-    rho, eta, tau = problem.rho, problem.eta, problem.tau
-    x = np.zeros((problem.n_rows, d))
+    n = problem.n
+    rho, eta = problem.rho, problem.eta
+    x = np.zeros((problem.n_rows, problem.d))
     v = np.zeros_like(x)
+    y = np.empty_like(x)
     warm = np.zeros(problem.n_virtual)
     stream = BlockStream("adfs", seed)
     capture_iters = set(capture_iters)
     captures = {}
 
     rows = []
-    _log_smooth(problem, rows, 0, 0.0, np.zeros_like(x), f_star, "")
+    _log_smooth(problem, rows, 0, 0.0, x, f_star, "")
     now = 0.0
     for t in range(iters):
-        y = (x + rho * v) / (1.0 + rho)
+        # y = (x + rho v) / (1 + rho), then w = (1 - rho) v + rho y into v's
+        # buffer, with x's buffer as scratch; the step turns y into the next x
+        np.multiply(v, rho, out=y)
+        np.add(x, y, out=y)
+        np.divide(y, 1.0 + rho, out=y)
+        np.multiply(v, 1.0 - rho, out=v)
+        np.multiply(y, rho, out=x)
+        np.add(v, x, out=v)
         draw = aug.draw_block(problem, stream)
-        w = (1.0 - rho) * v + rho * y
-        if draw.kind == "communication":
-            delta = -eta * aug.apply_comm_step(problem, y)
-            v = w + delta
-            x = y + rho * aug.apply_wtilde(problem, draw, delta)
-            now += tau
-        else:
-            idx = problem.vstart[:-1] + draw.chosen
-            vrows = n + idx
-            xs = problem.features[idx]
-            _, coef = aug.virtual_gradient(problem, draw, y)
-            gvec = coef[:, None] * xs
-            z_center = w[:n] - eta * gvec
-            z_virt = w[vrows] + eta * gvec
-            c_z = np.einsum("ij,ij->i", xs, z_virt) / problem.xnorm2[idx]
-            eta_tilde = eta * problem.mu2_virtual[idx] / problem.sampling.p_marginal[idx]
-            c_v, inner = _tilde_coeff_batch(
-                problem.loss, c_z, problem.xnorm2[idx], problem.labels[idx],
-                problem.smooth_virtual[idx], eta_tilde, warm[idx],
-            )
-            warm[idx] = inner
-            v_virt = c_v[:, None] * xs
-            v_center = z_center + (z_virt - v_virt)
-            delta_virt = v_virt - w[vrows]
-            delta_center = v_center - w[:n]
-            v = w
-            v[:n] = v_center
-            v[vrows] = v_virt
-            inv_p = 1.0 / problem.sampling.p_marginal[idx]
-            x = y
-            x[:n] = x[:n] + rho * inv_p[:, None] * delta_center
-            x[vrows] = x[vrows] + rho * inv_p[:, None] * delta_virt
-            now += 1.0
+        now += _block_step(problem, draw, y, v, eta, rho, warm)
+        x, y = y, x
         if not np.isfinite(v).all():
             raise FloatingPointError(f"non-finite state at iteration {t}")
         t1 = t + 1
@@ -127,14 +161,14 @@ def run_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=(),
                 "y": (x + rho * v) / (1.0 + rho),
             }
         if t1 % log_every == 0:
-            y_log = (x + rho * v) / (1.0 + rho)
+            y_log = (x[:n] + rho * v[:n]) / (1.0 + rho)
             sub = _log_smooth(problem, rows, t1, now, y_log, f_star, draw.kind)
             if stop_at_subopt is not None and sub is not None and sub <= stop_at_subopt:
                 break
 
     record = RunRecord("adfs", seed, rows, _meta(problem, "adfs", seed))
     final = _sigma_dagger_rows(problem, v)
-    theta = primal_estimate(problem, (x + rho * v) / (1.0 + rho))
+    theta = primal_estimate(problem, (x[:n] + rho * v[:n]) / (1.0 + rho))
     return AdfsResult(record, theta, final, captures)
 
 
@@ -163,17 +197,13 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
     max_touched = 0
 
     rows = []
-    _log_smooth(problem, rows, 0, 0.0, np.zeros_like(big_u), f_star, "")
+    _log_smooth(problem, rows, 0, 0.0, z, f_star, "")
     now = 0.0
     for t in range(iters):
         draw = aug.draw_block(problem, stream)
         if draw.kind == "communication":
-            y_comm = c * big_u[:n] + z[:n]
-            g = (eta / problem.sampling.p_comm) * (
-                problem.laplacian_comm @ (y_comm / problem.sigma[:, None])
-            )
-            h = -g
-            wt = h / problem.sampling.p_comm
+            h = -eta * aug.apply_comm_step(problem, c * big_u[:n] + z[:n])
+            wt = aug.apply_wtilde(problem, draw, h)
             big_u[:n] -= (h - rho * wt) / (2.0 * c)
             z[:n] += 0.5 * (h + rho * wt)
             now += tau
@@ -181,23 +211,14 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
             idx = problem.vstart[:-1] + draw.chosen
             vrows = n + idx
             xs = problem.features[idx]
-            y_c = c * big_u[:n] + z[:n]
-            y_v = c * big_u[vrows] + z[vrows]
-            center_part = np.einsum("ij,ij->i", xs, y_c) / problem.sigma
-            virt_part = np.einsum("ij,ij->i", xs, y_v) / problem.smooth_virtual[idx]
-            coef = (problem.mu2_virtual[idx] / problem.sampling.p_marginal[idx]) * (
-                (center_part - virt_part) / problem.xnorm2[idx]
+            coef = aug.virtual_gradient(
+                problem, idx, c * big_u[:n] + z[:n], c * big_u[vrows] + z[vrows]
             )
             w_v = -c * big_u[vrows] + z[vrows]
             c_w = np.einsum("ij,ij->i", xs, w_v) / problem.xnorm2[idx]
             c_in = c_w + eta * coef  # w - g along the feature direction
             eta_tilde = eta * problem.mu2_virtual[idx] / problem.sampling.p_marginal[idx]
-            c_prox, inner = _tilde_coeff_batch(
-                problem.loss, c_in, problem.xnorm2[idx], problem.labels[idx],
-                problem.smooth_virtual[idx], eta_tilde, warm[idx],
-            )
-            warm[idx] = inner
-            c_h = c_prox - c_w
+            c_h = _conjugate_prox(problem, idx, c_in, eta_tilde, warm) - c_w
             h_v = c_h[:, None] * xs
             inv_p = (1.0 / problem.sampling.p_marginal[idx])[:, None]
             big_u[vrows] -= (h_v - rho * inv_p * h_v) / (2.0 * c)
@@ -217,7 +238,7 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
             ut = c * big_u
             captures[t1] = {"x": ut / phi + z, "v": -ut / phi + z, "y": ut + z}
         if t1 % log_every == 0:
-            y_log = c * big_u + z
+            y_log = c * big_u[:n] + z[:n]
             sub = _log_smooth(problem, rows, t1, now, y_log, f_star, draw.kind)
             if stop_at_subopt is not None and sub is not None and sub <= stop_at_subopt:
                 break
@@ -237,12 +258,12 @@ def run_ns_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=
         raise ValueError("run_ns_adfs needs the non-smooth build; see run_adfs")
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    n, d = problem.n, problem.d
-    tau = problem.tau
+    n = problem.n
     s_sq = problem.s_squared
     alpha = float(problem.sampling.p_marginal.min())
-    x = np.zeros((problem.n_rows, d))
+    x = np.zeros((problem.n_rows, problem.d))
     v = np.zeros_like(x)
+    y = np.empty_like(x)
     warm = np.zeros(problem.n_virtual)
     stream = BlockStream("ns-adfs", seed)
     capture_iters = set(capture_iters)
@@ -260,43 +281,14 @@ def run_ns_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=
     alphas = [alpha]
     for t in range(iters):
         eta = 1.0 / (alpha * s_sq)
-        y = (1.0 - alpha) * x + alpha * v
+        # y = (1 - alpha) x + alpha v with x's buffer as scratch; the step
+        # updates v in place and turns y into the next x
+        np.multiply(x, 1.0 - alpha, out=y)
+        np.multiply(v, alpha, out=x)
+        np.add(y, x, out=y)
         draw = aug.draw_block(problem, stream)
-        if draw.kind == "communication":
-            delta = -eta * aug.apply_comm_step(problem, y)
-            v = v + delta
-            x = y + alpha * aug.apply_wtilde(problem, draw, delta)
-            now += tau
-        else:
-            idx = problem.vstart[:-1] + draw.chosen
-            vrows = n + idx
-            xs = problem.features[idx]
-            _, coef = aug.virtual_gradient(problem, draw, y)
-            gvec = coef[:, None] * xs
-            z_center = v[:n] - eta * gvec
-            z_virt = v[vrows] + eta * gvec
-            c_z = np.einsum("ij,ij->i", xs, z_virt) / problem.xnorm2[idx]
-            eta_tilde = eta * problem.mu2_virtual[idx] / problem.sampling.p_marginal[idx]
-            # prox of eta~ f* via Moreau: x - eta~ prox_(1/eta~) f (x / eta~)
-            z1d = c_z * problem.xnorm2[idx] / eta_tilde
-            p_star = _prox_1d_array(
-                problem.loss, z1d, problem.labels[idx],
-                problem.xnorm2[idx] / eta_tilde, warm[idx],
-            )
-            warm[idx] = p_star
-            c_v = c_z - eta_tilde * p_star / problem.xnorm2[idx]
-            v_virt = c_v[:, None] * xs
-            v_center = z_center + (z_virt - v_virt)
-            delta_virt = v_virt - v[vrows]
-            delta_center = v_center - v[:n]
-            v = v.copy()
-            v[:n] = v_center
-            v[vrows] = v_virt
-            inv_p = 1.0 / problem.sampling.p_marginal[idx]
-            x = y
-            x[:n] = x[:n] + alpha * inv_p[:, None] * delta_center
-            x[vrows] = x[vrows] + alpha * inv_p[:, None] * delta_virt
-            now += 1.0
+        now += _block_step(problem, draw, y, v, eta, alpha, warm)
+        x, y = y, x
         if not np.isfinite(v).all():
             raise FloatingPointError(f"non-finite state at iteration {t}")
         alpha = (np.sqrt(alpha**4 + 4.0 * alpha**2) - alpha**2) / 2.0

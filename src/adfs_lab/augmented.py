@@ -442,7 +442,8 @@ def apply_comm_step(problem, state):
 
     Only communication rows are touched: each edge (k, l) moves weight
     mu_kl^2 ((Sigma^-1 y)_k - (Sigma^-1 y)_l) between its endpoints, and the
-    whole block is scaled by 1 / p_comm.
+    whole block is scaled by 1 / p_comm.  `state` may therefore be the (n, d)
+    center block alone; the result has its shape.
     """
     p_comm = problem.sampling.p_comm
     if p_comm <= 0.0:
@@ -453,42 +454,32 @@ def apply_comm_step(problem, state):
     return out
 
 
-def virtual_gradient(problem, draw, state):
-    """Gradient coefficients of the sampled virtual edges.
+def virtual_gradient(problem, idx, center, virt):
+    """Gradient coefficients of the sampled virtual edges `idx` (one per node).
 
-    Returns (virtual_rows, coefs): the gradient term of W_b Sigma^dagger state
-    is +coef_i * X on center row i and -coef_i * X at virtual_rows[i].
+    `center` holds the n center rows of the state and `virt` its rows at the
+    sampled virtual nodes.  The gradient term of W_b Sigma^dagger state is
+    +coef_i * X on center row i and -coef_i * X on the sampled virtual row.
     """
-    if draw.kind != "computation":
-        raise ValueError("expected a computation draw")
-    idx = problem.vstart[:-1] + draw.chosen
-    rows = problem.n + idx
     x = problem.features[idx]
-    center_part = np.einsum("ij,ij->i", x, state[: problem.n]) / problem.sigma
+    center_part = np.einsum("ij,ij->i", x, center) / problem.sigma
     if problem.smooth:
-        virt_part = np.einsum("ij,ij->i", x, state[rows]) / problem.smooth_virtual[idx]
+        virt_part = np.einsum("ij,ij->i", x, virt) / problem.smooth_virtual[idx]
     else:
         virt_part = 0.0
-    coef = (problem.mu2_virtual[idx] / problem.sampling.p_marginal[idx]) * (
+    return (problem.mu2_virtual[idx] / problem.sampling.p_marginal[idx]) * (
         (center_part - virt_part) / problem.xnorm2[idx]
     )
-    return rows, coef
 
 
-def apply_wtilde(problem, draw, delta, debug=False):
+def apply_wtilde(problem, draw, delta):
     """A P_b^dagger A^dagger applied to an update known to lie in range(A U_b).
 
     For the gossip block this is a 1/p_comm rescaling of the communication
     rows; for a computation block, virtual row (i, j) and its center row are
-    both rescaled by 1/p_ij.  With debug=True the range precondition is
-    verified and the result is computed through the dense pseudo-inverse
-    instead of the scaling shortcut (small instances only).
+    both rescaled by 1/p_ij.  On a communication draw only the n center rows
+    are read, so `delta` may be that (n, d) block alone.
     """
-    if debug:
-        _check_wtilde_range(problem, draw, delta)
-        a = dense_A(problem)
-        pb = np.diag(dense_pb_dagger_diag(problem, draw))
-        return (a @ pb @ dense_pinv(a) @ delta.ravel()).reshape(delta.shape)
     out = np.zeros_like(delta)
     if draw.kind == "communication":
         out[: problem.n] = delta[: problem.n] / problem.sampling.p_comm
@@ -499,27 +490,6 @@ def apply_wtilde(problem, draw, delta, debug=False):
     out[rows] = delta[rows] * inv_p[:, None]
     out[: problem.n] = delta[: problem.n] * inv_p[:, None]
     return out
-
-
-def _check_wtilde_range(problem, draw, delta, tol=1e-6):
-    """Verify delta lies in range(A U_b) by projecting onto the block columns."""
-    a = dense_A(problem)
-    d = problem.d
-    cols = []
-    if draw.kind == "communication":
-        cols = list(range(problem.graph.n_edges * d))
-    else:
-        for g in problem.vstart[:-1] + draw.chosen:
-            cols.extend(range((problem.graph.n_edges + g) * d,
-                              (problem.graph.n_edges + g + 1) * d))
-    sub = a[:, cols]
-    proj = sub @ dense_pinv(sub)
-    vec = delta.ravel()
-    resid = float(np.linalg.norm(vec - proj @ vec))
-    if resid > tol * max(1.0, float(np.linalg.norm(vec))):
-        raise ValueError(
-            f"update lies outside range(A U_b): residual norm {resid:.3e}"
-        )
 
 
 def dual_objective(problem, state, domain_tol=1e-6):

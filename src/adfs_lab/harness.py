@@ -7,9 +7,9 @@ with every derived constant, and is byte-deterministic for a fixed config.
 """
 
 import argparse
-import concurrent.futures
 import json
 import os
+import re
 import sys
 from dataclasses import dataclass, field
 
@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 ALGORITHMS = ("adfs", "adfs_efficient", "ns_adfs", "point_saga")
+# required integer parameters of each topology kind ("custom" needs "edges")
+TOPOLOGY_PARAMS = {"line": ("n",), "complete": ("n",), "grid2d": ("rows", "cols"),
+                   "custom": ()}
 LOSSES = {"logistic": LossKind.LOGISTIC, "squared": LossKind.SQUARED,
           "absolute": LossKind.ABSOLUTE}
 
@@ -70,12 +73,7 @@ def parse_libsvm(path):
             line = raw.split("#", 1)[0]
             if not line.strip():
                 continue
-            tokens = []
-            col = 1
-            for piece in line.split(" "):
-                if piece.strip():
-                    tokens.append((piece.strip(), col))
-                col += len(piece) + 1
+            tokens = [(tok.group(), tok.start() + 1) for tok in re.finditer(r"\S+", line)]
             label_tok, label_col = tokens[0]
             try:
                 label = float(label_tok)
@@ -231,6 +229,18 @@ def load_config(data) -> ExperimentConfig:
     topo = data.get("topology")
     _expect(isinstance(topo, dict) and "kind" in topo, "topology",
             'expected an object with a "kind" field')
+    kind = topo["kind"]
+    _expect(isinstance(kind, str) and kind in TOPOLOGY_PARAMS, "topology.kind",
+            f"expected one of {sorted(TOPOLOGY_PARAMS)}, got {kind!r}")
+    for name in TOPOLOGY_PARAMS[kind]:
+        _expect(isinstance(topo.get(name), int) and topo[name] >= 1, f"topology.{name}",
+                "expected an integer >= 1")
+    if kind == "custom":
+        edges = topo.get("edges")
+        pairs_ok = isinstance(edges, list) and all(
+            isinstance(e, (list, tuple)) and len(e) == 2 and all(isinstance(k, int) for k in e)
+            for e in edges)
+        _expect(pairs_ok, "topology.edges", "expected a list of [k, l] integer pairs")
     loss = data.get("loss")
     _expect(loss in LOSSES, "loss", f"expected one of {sorted(LOSSES)}, got {loss!r}")
     m = data.get("m")
@@ -317,7 +327,7 @@ def load_config(data) -> ExperimentConfig:
 
 def _build_graph(topo):
     params = {k: v for k, v in topo.items() if k != "kind"}
-    if topo["kind"] == "custom" and "edges" in params:
+    if topo["kind"] == "custom":
         params["edges"] = [tuple(e) for e in params["edges"]]
     return build_topology(topo["kind"], **params)
 
@@ -426,8 +436,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     """Execute all (algorithm, seed) cells and write results.csv + metadata.json.
 
     Returns (exit_code, csv_path): 0 when every cell succeeded.  Cells run
-    independently (optionally in parallel, capped by ADFS_LAB_THREADS) and a
-    failing cell aborts only itself.
+    one after another and a failing cell aborts only itself.
     """
     out_dir = out_dir or cfg.out
     os.makedirs(out_dir, exist_ok=True)
@@ -449,27 +458,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     cells = [(a, s) for a in cfg.algorithms for s in cfg.seeds if cfg.iters[a] > 0]
     records = {}
     failures = []
-    workers = max(int(os.environ.get("ADFS_LAB_THREADS", "1")), 1)
-
-    def runner(cell):
-        algo, seed = cell
-        return _run_cell(algo, seed, cfg, problem, flat, f_star, dataset_id)
-
-    if workers == 1:
-        for cell in cells:
-            try:
-                records[cell] = runner(cell)
-            except Exception as exc:  # cell failure must not sink the batch
-                failures.append({"algo": cell[0], "seed": cell[1], "error": str(exc)})
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {pool.submit(runner, cell): cell for cell in cells}
-            for fut in concurrent.futures.as_completed(futs):
-                cell = futs[fut]
-                try:
-                    records[cell] = fut.result()
-                except Exception as exc:
-                    failures.append({"algo": cell[0], "seed": cell[1], "error": str(exc)})
+    for algo, seed in cells:
+        try:
+            records[(algo, seed)] = _run_cell(algo, seed, cfg, problem, flat, f_star,
+                                              dataset_id)
+        except Exception as exc:  # cell failure must not sink the batch
+            failures.append({"algo": algo, "seed": seed, "error": str(exc)})
 
     csv_path = os.path.join(out_dir, "results.csv")
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:

@@ -2,8 +2,9 @@
 
 Everything downstream (virtual-edge weights, convergence rates, sampling
 probabilities) is driven by the spectrum of the weighted graph Laplacian, so
-this module also hosts the cyclic-Jacobi eigensolver used throughout the
-package.  Graphs are immutable after construction and must be connected.
+this module also hosts the symmetric eigensolve (LAPACK through numpy) used
+throughout the package.  Graphs are immutable after construction and must be
+connected.
 """
 
 from dataclasses import dataclass, field
@@ -108,15 +109,6 @@ class CommunicationGraph:
     def n_edges(self):
         return len(self.edges)
 
-    def neighbors(self, k):
-        out = []
-        for a, b in self.edges:
-            if a == k:
-                out.append(b)
-            elif b == k:
-                out.append(a)
-        return sorted(out)
-
 
 def build_topology(kind, **params) -> CommunicationGraph:
     """Construct one of the named graph families (or a custom edge list).
@@ -187,6 +179,7 @@ class SymmetricSpectrum:
     eigenvalues: np.ndarray
     kernel_dim: int
     eigenvectors: np.ndarray = None  # columns follow eigenvalue order
+    zero_tol: float = DEFAULT_ZERO_TOL
 
     @property
     def lambda_max(self) -> float:
@@ -196,103 +189,38 @@ class SymmetricSpectrum:
     def lambda_min_pos(self) -> float:
         """Smallest eigenvalue above the zero threshold."""
         scale = float(np.max(np.abs(self.eigenvalues))) if self.eigenvalues.size else 0.0
-        pos = self.eigenvalues[self.eigenvalues > self._threshold(scale)]
+        pos = self.eigenvalues[self.eigenvalues > self.zero_tol * scale]
         if pos.size == 0:
             raise EigensolveError("matrix has no eigenvalue above the zero threshold")
         return float(pos[0])
-
-    def _threshold(self, scale):
-        return self._zero_tol * scale
-
-    @property
-    def _zero_tol(self):
-        return getattr(self, "__zero_tol", DEFAULT_ZERO_TOL)
 
 
 def symmetric_eigensolve(
     mat,
     zero_tol: float = DEFAULT_ZERO_TOL,
     eigenvectors: bool = False,
-    max_sweeps: int = 64,
 ) -> SymmetricSpectrum:
-    """Cyclic Jacobi diagonalization of a dense symmetric matrix.
+    """LAPACK diagonalization (`eigvalsh` / `eigh`) of a dense symmetric matrix.
 
     Eigenvalues come back sorted ascending; those with |lam| <= zero_tol * max|lam|
-    count toward kernel_dim.  Raises on asymmetric input (beyond 1e-10 relative)
-    and on failure to converge within `max_sweeps` sweeps.
+    count toward kernel_dim.  Raises on non-square input and on asymmetric
+    input (beyond 1e-10 relative).
     """
-    a = np.array(mat, dtype=float)
+    a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise EigensolveError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    scale = float(np.max(np.abs(a))) if n else 0.0
+    scale = float(np.max(np.abs(a))) if a.size else 0.0
     if scale > 0 and float(np.max(np.abs(a - a.T))) > 1e-10 * scale:
         raise EigensolveError("matrix is not symmetric within 1e-10 relative tolerance")
     a = 0.5 * (a + a.T)
-    vecs = np.eye(n) if eigenvectors else None
-
-    if n <= 1 or scale == 0.0:
-        vals = np.diag(a).copy() if n else np.zeros(0)
-        return _finish_spectrum(vals, vecs, zero_tol)
-
-    def offdiag_norm(mat):
-        stripped = mat.copy()
-        np.fill_diagonal(stripped, 0.0)
-        return float(np.sqrt((stripped * stripped).sum()))
-
-    frob = float(np.sqrt((a * a).sum()))
-    stop = 1e-14 * frob
-    # skipping only entries below stop/n keeps the sweep productive: a sweep
-    # with no rotation implies off-diagonal Frobenius <= stop
-    thresh = stop / n
-    for _ in range(max_sweeps):
-        off = offdiag_norm(a)
-        if off <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < thresh:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.hypot(theta, 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.hypot(t, 1.0)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                if vecs is not None:
-                    vp = vecs[:, p].copy()
-                    vq = vecs[:, q].copy()
-                    vecs[:, p] = c * vp - s * vq
-                    vecs[:, q] = s * vp + c * vq
+    if eigenvectors:
+        vals, vecs = np.linalg.eigh(a)
     else:
-        raise EigensolveError(
-            f"Jacobi sweeps did not converge: off-diagonal residual "
-            f"{offdiag_norm(a):.3e} after {max_sweeps} sweeps"
-        )
-    return _finish_spectrum(np.diag(a).copy(), vecs, zero_tol)
-
-
-def _finish_spectrum(vals, vecs, zero_tol):
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    if vecs is not None:
-        vecs = vecs[:, order]
+        vals, vecs = np.linalg.eigvalsh(a), None
     scale = float(np.max(np.abs(vals))) if vals.size else 0.0
     kernel = int(np.sum(np.abs(vals) <= zero_tol * scale)) if scale > 0 else vals.size
-    spec = SymmetricSpectrum(eigenvalues=vals, kernel_dim=kernel, eigenvectors=vecs)
-    object.__setattr__(spec, "__zero_tol", zero_tol)
-    return spec
+    return SymmetricSpectrum(eigenvalues=vals, kernel_dim=kernel, eigenvectors=vecs,
+                             zero_tol=zero_tol)
 
 
 def spectral_gap(g: CommunicationGraph, zero_tol: float = DEFAULT_ZERO_TOL) -> float:

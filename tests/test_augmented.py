@@ -287,21 +287,6 @@ class TestOperatorShortcuts:
         z = np.zeros((prob.n_rows, prob.d))
         assert np.max(np.abs(apply_wtilde(prob, BlockDraw(kind="communication"), z))) == 0.0
 
-    def test_wtilde_debug_range_check(self, rng):
-        prob = random_problem(rng, n=3, m=2, d=2)
-        draw = BlockDraw(kind="communication")
-        y = rng.normal(size=(prob.n_rows, prob.d))
-        good = -prob.eta * apply_comm_step(prob, y)
-        # the debug path computes through the dense pseudo-inverse; it must
-        # agree with the scaling shortcut on in-range inputs
-        dense = apply_wtilde(prob, draw, good, debug=True)
-        fast = apply_wtilde(prob, draw, good)
-        assert np.max(np.abs(dense - fast)) <= 1e-8
-        bad = good.copy()
-        bad[prob.n] += 1.0  # virtual row content is outside range(A U_comm)
-        with pytest.raises(ValueError, match="residual norm"):
-            apply_wtilde(prob, draw, bad, debug=True)
-
     def test_exact_sigma_a_dominates_bound(self, rng):
         from adfs_lab.augmented import with_exact_sigma_a
 

@@ -64,6 +64,9 @@ class TestParseLibsvm:
     def test_malformed_token_reports_position(self, tmp_path):
         with pytest.raises(LibsvmParseError, match=r"line 2, column 3"):
             self._parse_text(tmp_path, "1 1:1.0\n1 nope\n")
+        # any whitespace separates tokens; columns still count characters
+        with pytest.raises(LibsvmParseError, match=r"line 2, column 5: .*'nope'"):
+            self._parse_text(tmp_path, "1.0\t1:0.5\t2:1.0\n1\t \tnope\n")
 
     def test_non_increasing_index_rejected(self, tmp_path):
         with pytest.raises(LibsvmParseError, match="not increasing"):
@@ -217,13 +220,6 @@ class TestRunExperiment:
         m2 = open(tmp_path / "b" / "metadata.json", "rb").read()
         assert m1 == m2
 
-    def test_thread_pool_matches_serial(self, tmp_path, monkeypatch):
-        cfg = load_config(base_config(algorithms=["adfs", "point_saga"]))
-        _, p1 = run_experiment(cfg, out_dir=str(tmp_path / "serial"))
-        monkeypatch.setenv("ADFS_LAB_THREADS", "3")
-        _, p2 = run_experiment(cfg, out_dir=str(tmp_path / "pool"))
-        assert open(p1, "rb").read() == open(p2, "rb").read()
-
     def test_failed_cell_reported_not_fatal(self, tmp_path, monkeypatch):
         import adfs_lab.harness as hz
 
@@ -291,6 +287,20 @@ class TestCli:
         path = self._write_config(tmp_path, base_config(loss="hinge"))
         assert cli(["run", path]) == 1
         assert "loss" in capsys.readouterr().err
+
+    def test_bad_topology_exits_one_naming_field(self, tmp_path, capsys):
+        cases = [
+            ({"kind": "grid2d", "rows": 3}, "topology.cols"),
+            ({"kind": "line"}, "topology.n"),
+            ({"kind": "complete", "n": "4"}, "topology.n"),
+            ({"kind": "custom", "edges": [[0, 1, 2]]}, "topology.edges"),
+            ({"kind": "ring", "n": 4}, "topology.kind"),
+        ]
+        for topology, field in cases:
+            path = self._write_config(tmp_path, base_config(topology=topology))
+            assert cli(["spectrum", path]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {field}:") and err.count("\n") == 1
 
     def test_missing_config_exits_one(self, capsys):
         assert cli(["run", "/nonexistent/config.json"]) == 1
