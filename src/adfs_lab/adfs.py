@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import augmented as aug
-from .objective import _prox_1d_array, _tilde_coeff_batch, primal_value
+from .objective import _prox_1d_array, _stacked_value, _tilde_coeff_batch
 from .records import LogRow, RunRecord
 from .rng import BlockStream
 
@@ -52,7 +52,8 @@ def _sigma_dagger_rows(problem, state):
 
 def _log_smooth(problem, rows, t, now, y_state, f_star, kind):
     theta = primal_estimate(problem, y_state)
-    obj = primal_value(problem.objectives, theta)
+    obj = _stacked_value(problem.loss, problem.features, problem.labels,
+                         float(problem.sigma.sum()), theta)
     sub = None if f_star is None else obj - f_star
     rows.append(LogRow(t, now, obj, sub, None, kind))
     return sub
@@ -206,6 +207,7 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
             wt = aug.apply_wtilde(problem, draw, h)
             big_u[:n] -= (h - rho * wt) / (2.0 * c)
             z[:n] += 0.5 * (h + rho * wt)
+            written = slice(n)
             now += tau
         else:
             idx = problem.vstart[:-1] + draw.chosen
@@ -225,13 +227,15 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
             z[vrows] += 0.5 * (h_v + rho * inv_p * h_v)
             big_u[:n] -= (-h_v + rho * inv_p * h_v) / (2.0 * c)
             z[:n] += 0.5 * (-h_v - rho * inv_p * h_v)
-            max_touched = max(max_touched, 2 * n)
+            written = np.concatenate((np.arange(n), vrows))
+            max_touched = max(max_touched, len(set(written.tolist())))
             now += 1.0
         c *= phi
         if c < RENORM_FLOOR:
             big_u *= c
             c = 1.0
-        if not np.isfinite(z).all():
+        # z changes only on the rows written this iteration
+        if not np.isfinite(z[written]).all():
             raise FloatingPointError(f"non-finite state at iteration {t}")
         t1 = t + 1
         if t1 in capture_iters:

@@ -9,7 +9,7 @@ dense matrices used as test oracles.
 """
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,6 +54,16 @@ class SamplingScheme:
     p_virtual: tuple  # per node, probabilities over its samples (each sums to 1)
     p_marginal: np.ndarray  # flattened absolute probabilities p_ij
     s_norms: np.ndarray  # per-node normalizers S_i
+    # (n, m_max) draw table: row i is cumsum(p_virtual[i]) with its last entry and
+    # the padding +inf, so counting entries < u gives min(searchsorted, m_i - 1)
+    cum_table: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        table = np.full((len(self.p_virtual), max(len(pv) for pv in self.p_virtual)), np.inf)
+        for i, pv in enumerate(self.p_virtual):
+            table[i, : len(pv) - 1] = np.cumsum(pv)[:-1]
+        table.flags.writeable = False
+        object.__setattr__(self, "cum_table", table)
 
     @property
     def p_comp(self):
@@ -431,9 +441,7 @@ def draw_block(problem, stream) -> BlockDraw:
     if scheme.p_comm > 0.0 and stream.kind_rng.random() < scheme.p_comm:
         return BlockDraw(kind="communication")
     u = stream.pick_rng.random(problem.n)
-    chosen = np.empty(problem.n, dtype=int)
-    for i, pv in enumerate(scheme.p_virtual):
-        chosen[i] = min(int(np.searchsorted(np.cumsum(pv), u[i])), len(pv) - 1)
+    chosen = (scheme.cum_table < u[:, None]).sum(axis=1)
     return BlockDraw(kind="computation", chosen=chosen)
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adfs import run_ns_adfs
-from .objective import LossKind, loss_grad, loss_value, prox_sample
+from .objective import LossKind, _stacked_grad, _stacked_value, prox_sample
 from .records import LogRow, RunRecord
 from .rng import generator
 from .topology import symmetric_eigensolve
@@ -49,20 +49,13 @@ def pool_objectives(objectives) -> FlatProblem:
 
 
 def flat_value(problem: FlatProblem, theta) -> float:
-    theta = np.asarray(theta, dtype=float)
-    z = problem.feature_matrix @ theta
-    return float(np.sum(loss_value(problem.loss, z, problem.labels))) + (
-        0.5 * problem.sigma_total * float(theta @ theta)
-    )
+    return _stacked_value(problem.loss, problem.feature_matrix, problem.labels,
+                          problem.sigma_total, np.asarray(theta, dtype=float))
 
 
 def flat_grad(problem: FlatProblem, theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    feats = problem.feature_matrix
-    z = feats @ theta
-    return feats.T @ np.asarray(loss_grad(problem.loss, z, problem.labels)) + (
-        problem.sigma_total * theta
-    )
+    return _stacked_grad(problem.loss, problem.feature_matrix, problem.labels,
+                         problem.sigma_total, np.asarray(theta, dtype=float))
 
 
 def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
@@ -95,9 +88,10 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
     table = np.zeros((n_samp, d))
     gbar = np.zeros(d)
     warm = np.zeros(n_samp)
+    feats, labels = problem.feature_matrix, problem.labels
 
     def log_row(rows, t):
-        obj = flat_value(problem, x)
+        obj = _stacked_value(problem.loss, feats, labels, problem.sigma_total, x)
         sub = None if f_star is None else obj - f_star
         rows.append(LogRow(t, float(t), obj, sub, None, "computation"))
         return sub
@@ -137,33 +131,6 @@ def reference_optimum(problem: FlatProblem, tol=3e-6, max_iters=2_000_000,
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    if problem.loss is LossKind.SQUARED:
-        feats = problem.feature_matrix
-        d = feats.shape[1]
-        mat = feats.T @ feats + problem.sigma_total * np.eye(d)
-        rhs = feats.T @ problem.labels
-        theta = np.linalg.solve(mat, rhs)
-        return theta, flat_value(problem, theta)
-    if problem.loss is LossKind.LOGISTIC:
-        feats = problem.feature_matrix
-        d = feats.shape[1]
-        lip = symmetric_eigensolve(0.25 * (feats.T @ feats)).lambda_max + problem.sigma_total
-        kappa = lip / problem.sigma_total
-        momentum = (np.sqrt(kappa) - 1.0) / (np.sqrt(kappa) + 1.0)
-        x = np.zeros(d)
-        y = x.copy()
-        target = tol * problem.sigma_total
-        for _ in range(max_iters):
-            g = flat_grad(problem, y)
-            if np.linalg.norm(flat_grad(problem, x)) <= target:
-                return x, flat_value(problem, x)
-            x_new = y - g / lip
-            y = x_new + momentum * (x_new - x)
-            x = x_new
-        raise RuntimeError(
-            f"reference solver did not converge: ||grad|| = "
-            f"{np.linalg.norm(flat_grad(problem, x)):.3e} > {target:.3e}"
-        )
     if problem.loss is LossKind.ABSOLUTE:
         if ns_problem is None:
             raise ValueError("absolute loss: pass the non-smooth augmented problem")
@@ -176,4 +143,27 @@ def reference_optimum(problem: FlatProblem, tol=3e-6, max_iters=2_000_000,
                 best_val = run_best
                 best_theta = res.theta
         return best_theta, best_val
-    raise ValueError(problem.loss)
+    # stacked once per call: the Nesterov loop evaluates two gradients per step
+    feats = problem.feature_matrix
+    args = (problem.loss, feats, problem.labels, problem.sigma_total)
+    if problem.loss is LossKind.SQUARED:
+        mat = feats.T @ feats + problem.sigma_total * np.eye(feats.shape[1])
+        theta = np.linalg.solve(mat, feats.T @ problem.labels)
+        return theta, _stacked_value(*args, theta)
+    lip = symmetric_eigensolve(0.25 * (feats.T @ feats)).lambda_max + problem.sigma_total
+    kappa = lip / problem.sigma_total
+    momentum = (np.sqrt(kappa) - 1.0) / (np.sqrt(kappa) + 1.0)
+    x = np.zeros(feats.shape[1])
+    y = x.copy()
+    target = tol * problem.sigma_total
+    for _ in range(max_iters):
+        g = _stacked_grad(*args, y)
+        if np.linalg.norm(_stacked_grad(*args, x)) <= target:
+            return x, _stacked_value(*args, x)
+        x_new = y - g / lip
+        y = x_new + momentum * (x_new - x)
+        x = x_new
+    raise RuntimeError(
+        f"reference solver did not converge: ||grad|| = "
+        f"{np.linalg.norm(_stacked_grad(*args, x)):.3e} > {target:.3e}"
+    )

@@ -8,6 +8,7 @@ boundary case when the step hits the smoothness limit.
 """
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,21 +51,15 @@ class LossKind(enum.Enum):
         return self.scalar_smoothness is not None
 
 
-def _check_finite(name, *values):
-    for v in values:
-        if not np.all(np.isfinite(v)):
-            raise ValueError(f"non-finite {name}")
+def _check_finite(name, value):
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"non-finite {name}")
 
 
 def _inv_one_plus_exp(u):
     """1 / (1 + exp(u)) without overflow for large |u|."""
-    u = np.asarray(u, dtype=float)
-    out = np.empty_like(u)
-    pos = u > 0
-    eu = np.exp(-np.abs(u))
-    out[pos] = eu[pos] / (1.0 + eu[pos])
-    out[~pos] = 1.0 / (1.0 + eu[~pos])
-    return out
+    e = np.exp(-np.abs(u))
+    return np.where(u > 0, e, 1.0) / (1.0 + e)
 
 
 def loss_value(kind, z, label):
@@ -115,69 +110,69 @@ def loss_conjugate(kind, s, label):
     return out if out.ndim else float(out)
 
 
-def _prox_1d_array(kind, z, label, step, warm):
-    """Vectorized argmin_p (p-z)^2/(2 step) + loss(p, label)."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    label = np.broadcast_to(np.asarray(label, dtype=float), z.shape)
-    step = np.broadcast_to(np.asarray(step, dtype=float), z.shape).astype(float)
-    warm = np.broadcast_to(np.asarray(warm, dtype=float), z.shape).astype(float)
-    if np.any(step <= 0):
-        raise ValueError("prox step must be > 0")
-    _check_finite("prox input", z, label, step)
+def _logistic_prox(z, label, step, warm):
+    """argmin_p (p - z)^2 / (2 step) + log(1 + exp(-label p)) for floats.
 
+    Newton from `warm`, guarded to [min(z, warm) - 10 step,
+    max(z, warm) + 10 step].  A step leaving the guard, or no convergence
+    within NEWTON_ITERS, falls back to bisection on z +- step (|loss'| <= 1
+    puts the root there) and 4 Newton polish steps inside that bracket.
+    """
+    def newton_delta(p):
+        u = label * p  # sig = 1 / (1 + exp(u)); math.exp would overflow on u >> 0
+        e = math.exp(-abs(u))
+        sig = e / (1.0 + e) if u > 0.0 else 1.0 / (1.0 + e)
+        return -((p - z) / step - label * sig) / (1.0 / step + sig * (1.0 - sig))
+
+    lo_guard = min(z, warm) - 10.0 * step
+    hi_guard = max(z, warm) + 10.0 * step
+    p = warm
+    for _ in range(NEWTON_ITERS):
+        delta = newton_delta(p)
+        p = p + delta
+        if p < lo_guard or p > hi_guard:
+            break
+        if abs(delta) <= NEWTON_TOL:
+            return p
+
+    lo, hi = z - step, z + step
+    for _ in range(BISECTION_STEPS):
+        mid = 0.5 * (lo + hi)
+        if newton_delta(mid) > 0:  # slope < 0 at mid: the minimizer lies above
+            lo = mid
+        else:
+            hi = mid
+    p = 0.5 * (lo + hi)
+    for _ in range(4):
+        p = p + newton_delta(p)
+    return p
+
+
+def _prox_1d_array(kind, z, label, step, warm):
+    """Elementwise argmin_p (p-z)^2/(2 step) + loss(p, label) over validated
+    (finite, step > 0) equal-length float arrays: closed forms for the squared
+    and absolute losses, the scalar kernel per element for the logistic one."""
     if kind is LossKind.SQUARED:
         return (z + step * label) / (1.0 + step)
     if kind is LossKind.ABSOLUTE:
         shifted = z - label
         return label + np.sign(shifted) * np.maximum(np.abs(shifted) - step, 0.0)
-    if kind is not LossKind.LOGISTIC:  # pragma: no cover
-        raise ValueError(kind)
-
-    def dphi(p, zz, ll, ss):
-        return (p - zz) / ss - ll * _inv_one_plus_exp(ll * p)
-
-    lo_guard = np.minimum(z, warm) - 10.0 * step
-    hi_guard = np.maximum(z, warm) + 10.0 * step
-    p = warm.copy()
-    active = np.ones(z.shape, dtype=bool)
-    failed = np.zeros(z.shape, dtype=bool)
-    for _ in range(NEWTON_ITERS):
-        if not active.any():
-            break
-        pa, za, la, sa = p[active], z[active], label[active], step[active]
-        sig = _inv_one_plus_exp(la * pa)
-        step_newton = -dphi(pa, za, la, sa) / (1.0 / sa + sig * (1.0 - sig))
-        delta = np.zeros_like(p)
-        delta[active] = step_newton
-        p = p + delta
-        out_of_guard = active & ((p < lo_guard) | (p > hi_guard))
-        failed |= out_of_guard
-        active &= ~out_of_guard
-        active &= np.abs(delta) > NEWTON_TOL
-    failed |= active  # never met the tolerance inside the iteration budget
-
-    if failed.any():
-        # |loss'| <= 1 for the logistic loss, so the root is inside z +- step
-        lo = (z - step)[failed]
-        hi = (z + step)[failed]
-        zl, ll, sl = z[failed], label[failed], step[failed]
-        for _ in range(BISECTION_STEPS):
-            mid = 0.5 * (lo + hi)
-            val = dphi(mid, zl, ll, sl)
-            neg = val < 0
-            lo = np.where(neg, mid, lo)
-            hi = np.where(neg, hi, mid)
-        pf = 0.5 * (lo + hi)
-        for _ in range(4):  # polish inside the certified bracket
-            sig = _inv_one_plus_exp(ll * pf)
-            pf = pf - dphi(pf, zl, ll, sl) / (1.0 / sl + sig * (1.0 - sig))
-        p[failed] = pf
-    return p
+    return np.array([
+        _logistic_prox(*args)
+        for args in zip(z.tolist(), label.tolist(), step.tolist(), warm.tolist())
+    ])
 
 
 def loss_prox_1d(kind, z, label, step, warm=0.0):
     """argmin_p (1/(2 step))(p - z)^2 + loss(p, label), warm-startable."""
-    return float(_prox_1d_array(kind, z, label, step, warm)[0])
+    z, label, step = float(z), float(label), float(step)
+    if step <= 0:
+        raise ValueError("prox step must be > 0")
+    if not (math.isfinite(z) and math.isfinite(label) and math.isfinite(step)):
+        raise ValueError("non-finite prox input")
+    if kind is LossKind.LOGISTIC:
+        return _logistic_prox(z, label, step, float(warm))
+    return float(_prox_1d_array(kind, z, label, step, warm))
 
 
 @dataclass(frozen=True)
@@ -350,22 +345,25 @@ def condition_numbers(objectives) -> ConditionReport:
     )
 
 
+def _stacked_value(kind, features, labels, sigma_total, theta) -> float:
+    """sum_k loss(features[k] @ theta, labels[k]) + (sigma_total / 2) ||theta||^2."""
+    losses = loss_value(kind, features @ theta, labels)
+    return float(np.sum(losses)) + 0.5 * sigma_total * float(theta @ theta)
+
+
+def _stacked_grad(kind, features, labels, sigma_total, theta) -> np.ndarray:
+    """Gradient of `_stacked_value` in theta."""
+    slopes = np.asarray(loss_grad(kind, features @ theta, labels))
+    return features.T @ slopes + sigma_total * theta
+
+
 def primal_value(objectives, theta) -> float:
     theta = np.asarray(theta, dtype=float)
-    total = 0.0
-    for obj in objectives:
-        z = obj.feature_matrix @ theta
-        total += float(np.sum(loss_value(obj.loss, z, obj.labels)))
-        total += 0.5 * obj.sigma * float(theta @ theta)
-    return total
+    return sum(_stacked_value(o.loss, o.feature_matrix, o.labels, o.sigma, theta)
+               for o in objectives)
 
 
 def primal_grad(objectives, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
-    grad = np.zeros_like(theta)
-    for obj in objectives:
-        feats = obj.feature_matrix
-        z = feats @ theta
-        grad += feats.T @ np.asarray(loss_grad(obj.loss, z, obj.labels))
-        grad += obj.sigma * theta
-    return grad
+    return sum(_stacked_grad(o.loss, o.feature_matrix, o.labels, o.sigma, theta)
+               for o in objectives)

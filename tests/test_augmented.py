@@ -381,6 +381,27 @@ class TestSampling:
             se = np.sqrt(pv * (1 - pv) / comp)
             assert np.all(np.abs(got - pv) <= 3 * se + 1e-12)
 
+    @pytest.mark.parametrize("loss", [LossKind.LOGISTIC, LossKind.ABSOLUTE])
+    def test_draws_match_per_node_searchsorted(self, loss):
+        # the build-time table replays the per-node cumsum/searchsorted draw,
+        # read from a second stream with the same tokens
+        prob = random_problem(generator("draw-table", 0), n=5, m=6, d=2, loss=loss,
+                              weighted=True, ragged=True)
+        assert len(set(prob.m_per_node)) > 1
+        stream, replay = BlockStream("draw-table"), BlockStream("draw-table")
+        comp = 0
+        while comp < 2000:
+            draw = draw_block(prob, stream)
+            if replay.kind_rng.random() < prob.sampling.p_comm:
+                assert draw.kind == "communication"
+                continue
+            u = replay.pick_rng.random(prob.n)
+            expected = [min(int(np.searchsorted(np.cumsum(pv), u[i])), len(pv) - 1)
+                        for i, pv in enumerate(prob.sampling.p_virtual)]
+            assert draw.kind == "computation"
+            np.testing.assert_array_equal(draw.chosen, expected)
+            comp += 1
+
 
 class TestDualObjective:
     def test_lifted_optimum_minimizes_dual(self, rng):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adfs_lab.objective as objective
 from adfs_lab.objective import (
     LocalObjective,
     LossKind,
@@ -68,6 +69,25 @@ class TestProx1d:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             loss_prox_1d(LossKind.SQUARED, np.nan, 0.0, 1.0)
+
+    @pytest.mark.parametrize("z, label, step, warm", [
+        (0.0, 1.0, 1e3, 50.0),
+        (3.0, -1.0, 200.0, -40.0),
+        (0.5, 1.0, 1e4, 0.0),
+    ])
+    def test_logistic_bisection_fallback(self, monkeypatch, z, label, step, warm):
+        # Newton exhausts its budget on these inputs, so the bisection sets the
+        # result: with its steps removed the kernel misses the minimizer
+        ref = logistic_prox_oracle(z, label, step)
+        assert abs(loss_prox_1d(LossKind.LOGISTIC, z, label, step, warm=warm) - ref) <= 1e-8
+        monkeypatch.setattr(objective, "BISECTION_STEPS", 0)
+        assert abs(loss_prox_1d(LossKind.LOGISTIC, z, label, step, warm=warm) - ref) > 1e-3
+
+    @pytest.mark.parametrize("z", [800.0, -800.0])
+    @pytest.mark.parametrize("label", [1.0, -1.0])
+    def test_logistic_extreme_input_does_not_overflow(self, z, label):
+        got = loss_prox_1d(LossKind.LOGISTIC, z, label, 1.0)
+        assert abs(got - logistic_prox_oracle(z, label, 1.0)) <= 1e-8
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
