@@ -16,7 +16,7 @@ from adfs_lab.adfs import run_adfs
 from adfs_lab.augmented import build_augmented, rate_rho
 from adfs_lab.baselines import pool_objectives, reference_optimum
 from adfs_lab.harness import synth_dataset
-from adfs_lab.objective import LocalObjective, LossKind, Sample
+from adfs_lab.objective import LocalObjective, LossKind
 from adfs_lab.topology import build_topology
 
 
@@ -34,11 +34,7 @@ def main():
 
     graph = build_topology("grid2d", rows=args.rows, cols=args.cols)
     per_node = synth_dataset(graph.n, args.m, args.d, seed=7, correlation=0.3)
-    objectives = [
-        LocalObjective(tuple(Sample(f, l) for f, l in zip(fm, lb)), 1.0,
-                       LossKind.LOGISTIC)
-        for fm, lb in per_node
-    ]
+    objectives = [LocalObjective(fm, lb, 1.0, LossKind.LOGISTIC) for fm, lb in per_node]
     base = build_augmented(graph, objectives, tau=args.tau)
     flat = pool_objectives(objectives)
     _, f_star = reference_optimum(flat)

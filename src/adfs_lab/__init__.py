@@ -16,7 +16,6 @@ from .objective import (
     ConditionReport,
     LocalObjective,
     LossKind,
-    Sample,
     condition_numbers,
     primal_grad,
     primal_value,

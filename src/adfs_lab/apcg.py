@@ -161,7 +161,7 @@ def run_apcg_efficient(problem, mode, iters, rng_seed, alpha0=None):
 
     The strongly convex form maintains the rescaled pair (phi^(t+1) u_t, z_t);
     the convex form keeps (u_t, z_t) with x_t = alpha_(t-1)^2 u_t + z_t.
-    Reconststructed (x, v) trajectories match run_apcg under a shared stream.
+    Reconstructed (x, v) trajectories match run_apcg under a shared stream.
     """
     if mode not in ("strongly_convex", "convex"):
         raise ValueError(f"unknown mode {mode!r}")

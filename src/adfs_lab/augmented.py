@@ -162,22 +162,14 @@ class AugmentedProblem:
 
 
 def _stack_objectives(objectives):
-    d = objectives[0].samples[0].features.shape[0]
-    feats, labels, xnorm2 = [], [], []
-    vstart = [0]
-    for obj in objectives:
-        for s in obj.samples:
-            if s.features.shape[0] != d:
-                raise ValueError("all samples must share the feature dimension")
-            feats.append(s.features)
-            labels.append(s.label)
-            xnorm2.append(s.squared_norm)
-        vstart.append(vstart[-1] + obj.m)
+    d = objectives[0].feature_matrix.shape[1]
+    if any(o.feature_matrix.shape[1] != d for o in objectives):
+        raise ValueError("all samples must share the feature dimension")
     out = (
-        np.stack(feats),
-        np.array(labels),
-        np.array(xnorm2),
-        np.array(vstart, dtype=int),
+        np.concatenate([o.feature_matrix for o in objectives]),
+        np.concatenate([o.labels for o in objectives]),
+        np.concatenate([o.xnorm2 for o in objectives]),
+        np.cumsum([0] + [o.m for o in objectives]),
     )
     for arr in out:
         arr.flags.writeable = False

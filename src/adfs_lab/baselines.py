@@ -5,12 +5,11 @@ suboptimality column is measured against; Point-SAGA is the comparison
 algorithm for the idealized-time experiments (one time unit per prox).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .adfs import run_ns_adfs
-from .objective import LossKind, _stacked_grad, _stacked_value, prox_sample
+from .objective import (LocalObjective, LossKind, _stacked_grad, _stacked_value, primal_grad,
+                        primal_value, prox_sample)
 from .records import LogRow, RunRecord
 from .rng import generator
 from .topology import symmetric_eigensolve
@@ -19,43 +18,31 @@ __all__ = ["FlatProblem", "pool_objectives", "flat_value", "flat_grad",
            "point_saga", "reference_optimum"]
 
 
-@dataclass(frozen=True)
-class FlatProblem:
-    """All samples pooled on one machine; sigma_total = sum_i sigma_i keeps the
-    pooled objective equal to the distributed one."""
+class FlatProblem(LocalObjective):
+    """All samples pooled on one machine: a single local objective whose
+    regularizer is sigma_total = sum_i sigma_i, so it equals the distributed one."""
 
-    samples: tuple
-    sigma_total: float
-    loss: LossKind
+    @property
+    def sigma_total(self):
+        return self.sigma
 
     @property
     def n_samples(self):
-        return len(self.samples)
-
-    @property
-    def feature_matrix(self):
-        return np.stack([s.features for s in self.samples])
-
-    @property
-    def labels(self):
-        return np.array([s.label for s in self.samples])
+        return self.m
 
 
 def pool_objectives(objectives) -> FlatProblem:
-    loss = objectives[0].loss
-    samples = tuple(s for obj in objectives for s in obj.samples)
-    sigma_total = float(sum(obj.sigma for obj in objectives))
-    return FlatProblem(samples=samples, sigma_total=sigma_total, loss=loss)
+    return FlatProblem(np.concatenate([o.feature_matrix for o in objectives]),
+                       np.concatenate([o.labels for o in objectives]),
+                       float(sum(o.sigma for o in objectives)), objectives[0].loss)
 
 
 def flat_value(problem: FlatProblem, theta) -> float:
-    return _stacked_value(problem.loss, problem.feature_matrix, problem.labels,
-                          problem.sigma_total, np.asarray(theta, dtype=float))
+    return primal_value((problem,), theta)
 
 
 def flat_grad(problem: FlatProblem, theta) -> np.ndarray:
-    return _stacked_grad(problem.loss, problem.feature_matrix, problem.labels,
-                         problem.sigma_total, np.asarray(theta, dtype=float))
+    return primal_grad((problem,), theta)
 
 
 def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
@@ -71,10 +58,10 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
         raise ValueError("Point-SAGA needs a smooth loss")
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    n_samp = problem.n_samples
-    d = problem.samples[0].features.shape[0]
+    feats, labels = problem.feature_matrix, problem.labels
+    n_samp, d = feats.shape
     lg = problem.loss.scalar_smoothness
-    l_each = np.array([n_samp * lg * s.squared_norm for s in problem.samples])
+    l_each = n_samp * lg * problem.xnorm2
     big_l = float(l_each.max()) + problem.sigma_total
     mu = problem.sigma_total
     gamma = (np.sqrt((n_samp - 1.0) ** 2 + 4.0 * n_samp * big_l / mu) - (n_samp - 1.0)) / (
@@ -88,7 +75,6 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
     table = np.zeros((n_samp, d))
     gbar = np.zeros(d)
     warm = np.zeros(n_samp)
-    feats, labels = problem.feature_matrix, problem.labels
 
     def log_row(rows, t):
         obj = _stacked_value(problem.loss, feats, labels, problem.sigma_total, x)
@@ -101,9 +87,8 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
     for t in range(iters):
         j = int(rng.integers(n_samp))
         w = x + gamma * (table[j] - gbar)
-        s = problem.samples[j]
-        x = prox_sample(s, problem.loss, w / shrink, eta_inner, warm[j])
-        warm[j] = float(s.features @ x)
+        x = prox_sample(feats[j], labels[j], problem.loss, w / shrink, eta_inner, warm[j])
+        warm[j] = float(feats[j] @ x)
         g_new = (w - x) / gamma
         gbar = gbar + (g_new - table[j]) / n_samp
         table[j] = g_new

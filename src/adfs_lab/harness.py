@@ -19,7 +19,7 @@ from . import selfcheck
 from .adfs import run_adfs, run_adfs_efficient, run_ns_adfs
 from .augmented import balanced_p_comm, build_augmented, build_augmented_ns, rate_branches
 from .baselines import point_saga, pool_objectives, reference_optimum
-from .objective import LocalObjective, LossKind, Sample
+from .objective import LocalObjective, LossKind
 from .rng import generator
 from .topology import GraphConstructionError, build_topology
 
@@ -43,6 +43,9 @@ TOPOLOGY_PARAMS = {"line": ("n",), "complete": ("n",), "grid2d": ("rows", "cols"
                    "custom": ()}
 LOSSES = {"logistic": LossKind.LOGISTIC, "squared": LossKind.SQUARED,
           "absolute": LossKind.ABSOLUTE}
+DATASET_FIELDS = {"synthetic": ("kind", "d", "correlation", "seed", "noise", "pool",
+                                "feature_scale"),
+                  "libsvm": ("kind", "path", "seed")}
 
 
 class ConfigError(ValueError):
@@ -214,17 +217,33 @@ def _expect(cond, path, message):
         raise ConfigError(path, message)
 
 
+def _is_int(value):  # JSON true/false load as bools, which are ints in Python
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _expect_fields(obj, prefix, known, checks=()):
+    """Reject keys of `obj` outside `known`; check each (key, predicate,
+    message) of `checks` whose key is present."""
+    for key in obj:
+        _expect(key in known, prefix + key, "unknown config field")
+    for key, ok, message in checks:
+        if key in obj:
+            _expect(ok(obj[key]), prefix + key, message)
+
+
 def load_config(data) -> ExperimentConfig:
     """Validate a raw dict (parsed JSON) into an ExperimentConfig.
 
     Every error names the offending field path.
     """
     _expect(isinstance(data, dict), "<root>", "config must be an object")
-    known = {"topology", "loss", "m", "dataset", "algorithms", "seeds", "iters",
-             "log_every", "sigma", "tau", "p_comm", "stop_at_subopt", "out",
-             "reference"}
-    for key in data:
-        _expect(key in known, key, "unknown config field")
+    _expect_fields(data, "", ("topology", "loss", "m", "dataset", "algorithms", "seeds",
+                              "iters", "log_every", "sigma", "tau", "p_comm",
+                              "stop_at_subopt", "out", "reference"))
 
     topo = data.get("topology")
     _expect(isinstance(topo, dict) and "kind" in topo, "topology",
@@ -233,31 +252,36 @@ def load_config(data) -> ExperimentConfig:
     _expect(isinstance(kind, str) and kind in TOPOLOGY_PARAMS, "topology.kind",
             f"expected one of {sorted(TOPOLOGY_PARAMS)}, got {kind!r}")
     for name in TOPOLOGY_PARAMS[kind]:
-        _expect(isinstance(topo.get(name), int) and topo[name] >= 1, f"topology.{name}",
+        _expect(_is_int(topo.get(name)) and topo[name] >= 1, f"topology.{name}",
                 "expected an integer >= 1")
     if kind == "custom":
         edges = topo.get("edges")
         pairs_ok = isinstance(edges, list) and all(
-            isinstance(e, (list, tuple)) and len(e) == 2 and all(isinstance(k, int) for k in e)
+            isinstance(e, (list, tuple)) and len(e) == 2 and all(_is_int(k) for k in e)
             for e in edges)
         _expect(pairs_ok, "topology.edges", "expected a list of [k, l] integer pairs")
     loss = data.get("loss")
     _expect(loss in LOSSES, "loss", f"expected one of {sorted(LOSSES)}, got {loss!r}")
     m = data.get("m")
-    _expect(isinstance(m, int) and m >= 1, "m", "expected an integer >= 1")
+    _expect(_is_int(m) and m >= 1, "m", "expected an integer >= 1")
 
     ds = data.get("dataset")
     _expect(isinstance(ds, dict) and ds.get("kind") in ("synthetic", "libsvm"),
             "dataset.kind", 'expected "synthetic" or "libsvm"')
+    _expect_fields(ds, "dataset.", DATASET_FIELDS[ds["kind"]], (
+        ("noise", lambda v: _is_number(v) and v >= 0, "expected a number >= 0"),
+        ("pool", lambda v: v is None or _is_int(v) and v >= 1, "expected an integer >= 1"),
+        ("feature_scale", lambda v: _is_number(v) and v > 0, "expected a positive number"),
+    ))
     if ds["kind"] == "synthetic":
-        _expect(isinstance(ds.get("d"), int) and ds["d"] >= 1, "dataset.d",
+        _expect(_is_int(ds.get("d")) and ds["d"] >= 1, "dataset.d",
                 "expected an integer >= 1")
         corr = ds.get("correlation", 0.0)
-        _expect(isinstance(corr, (int, float)) and 0.0 <= corr < 1.0,
+        _expect(_is_number(corr) and 0.0 <= corr < 1.0,
                 "dataset.correlation", "expected a number in [0, 1)")
     else:
         _expect(isinstance(ds.get("path"), str), "dataset.path", "expected a file path")
-    _expect(isinstance(ds.get("seed", 0), int), "dataset.seed", "expected an integer")
+    _expect(_is_int(ds.get("seed", 0)), "dataset.seed", "expected an integer")
 
     algos = data.get("algorithms")
     _expect(isinstance(algos, list) and algos, "algorithms", "expected a non-empty list")
@@ -272,22 +296,22 @@ def load_config(data) -> ExperimentConfig:
                               f"{a} needs a smooth loss, config says absolute")
 
     seeds = data.get("seeds")
-    _expect(isinstance(seeds, list) and seeds and all(isinstance(s, int) for s in seeds),
+    _expect(isinstance(seeds, list) and seeds and all(_is_int(s) for s in seeds),
             "seeds", "expected a non-empty list of integers")
 
     log_every = data.get("log_every", 100)
-    _expect(isinstance(log_every, int) and log_every >= 1, "log_every",
+    _expect(_is_int(log_every) and log_every >= 1, "log_every",
             "expected an integer >= 1")
 
     raw_iters = data.get("iters")
     iters = {}
-    if isinstance(raw_iters, int):
+    if _is_int(raw_iters):
         _expect(raw_iters >= 0, "iters", "expected >= 0")
         iters = {a: raw_iters for a in algos}
     elif isinstance(raw_iters, dict):
         for a in algos:
             _expect(a in raw_iters, f"iters.{a}", "missing per-algorithm budget")
-            _expect(isinstance(raw_iters[a], int) and raw_iters[a] >= 0,
+            _expect(_is_int(raw_iters[a]) and raw_iters[a] >= 0,
                     f"iters.{a}", "expected an integer >= 0")
             iters[a] = raw_iters[a]
     else:
@@ -298,24 +322,31 @@ def load_config(data) -> ExperimentConfig:
 
     sigma = data.get("sigma", 1.0)
     if isinstance(sigma, list):
-        _expect(all(isinstance(s, (int, float)) and s > 0 for s in sigma), "sigma",
+        _expect(all(_is_number(s) and s > 0 for s in sigma), "sigma",
                 "expected positive numbers")
     else:
-        _expect(isinstance(sigma, (int, float)) and sigma > 0, "sigma",
+        _expect(_is_number(sigma) and sigma > 0, "sigma",
                 "expected a positive number")
 
     tau = data.get("tau", 1.0)
-    _expect(isinstance(tau, (int, float)) and tau >= 0, "tau", "expected a number >= 0")
+    _expect(_is_number(tau) and tau >= 0, "tau", "expected a number >= 0")
     p_comm = data.get("p_comm")
     if p_comm is not None:
-        _expect(isinstance(p_comm, (int, float)) and 0 <= p_comm < 1, "p_comm",
+        _expect(_is_number(p_comm) and 0 <= p_comm < 1, "p_comm",
                 "expected a number in [0, 1)")
     stop = data.get("stop_at_subopt")
     if stop is not None:
-        _expect(isinstance(stop, (int, float)) and stop > 0, "stop_at_subopt",
+        _expect(_is_number(stop) and stop > 0, "stop_at_subopt",
                 "expected a positive number")
+    _expect(isinstance(data.get("out", ""), str), "out", "expected a directory path")
     ref = data.get("reference", {})
     _expect(isinstance(ref, dict), "reference", "expected an object")
+    _expect_fields(ref, "reference.", ("tol", "ns_iters", "ns_seeds"), (
+        ("tol", lambda v: _is_number(v) and v > 0, "expected a positive number"),
+        ("ns_iters", lambda v: _is_int(v) and v >= 1, "expected an integer >= 1"),
+        ("ns_seeds", lambda v: isinstance(v, list) and v and all(map(_is_int, v)),
+         "expected a non-empty list of integers"),
+    ))
 
     return ExperimentConfig(
         topology=topo, loss=loss, m=m, dataset=ds, algorithms=list(algos),
@@ -345,7 +376,10 @@ def build_instance(cfg: ExperimentConfig):
         )
         dataset_id = f"synthetic(d={ds['d']},corr={ds.get('correlation', 0.0)},seed={seed})"
     else:
-        raw, dim = parse_libsvm(ds["path"])
+        try:
+            raw, dim = parse_libsvm(ds["path"])
+        except FileNotFoundError:
+            raise ConfigError("dataset.path", f"no such file: {ds['path']}") from None
         feats, labels = _dense_from_pairs(raw, dim)
         if cfg.loss == "logistic":
             labels = np.where(labels > 0, 1.0, -1.0)
@@ -356,10 +390,8 @@ def build_instance(cfg: ExperimentConfig):
     if len(sigmas) != graph.n:
         raise ConfigError("sigma", f"expected {graph.n} entries, got {len(sigmas)}")
     kind = cfg.loss_kind
-    objectives = []
-    for (feats_i, labels_i), s in zip(per_node, sigmas):
-        samples = tuple(Sample(f, l) for f, l in zip(feats_i, labels_i))
-        objectives.append(LocalObjective(samples, float(s), kind))
+    objectives = [LocalObjective(feats_i, labels_i, float(s), kind)
+                  for (feats_i, labels_i), s in zip(per_node, sigmas)]
 
     if kind.is_smooth:
         problem = build_augmented(graph, objectives, cfg.tau, p_comm_override=cfg.p_comm)

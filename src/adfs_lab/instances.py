@@ -3,7 +3,7 @@
 import numpy as np
 
 from .augmented import build_augmented, build_augmented_ns
-from .objective import LocalObjective, LossKind, Sample
+from .objective import LocalObjective, LossKind
 from .topology import CommunicationGraph
 
 __all__ = ["random_connected_graph", "random_objectives", "random_problem"]
@@ -34,18 +34,17 @@ def random_objectives(rng, n, m, d, loss=LossKind.LOGISTIC, sigma_range=(0.5, 2.
     for _ in range(n):
         m_i = int(rng.integers(1, m + 1)) if ragged else m
         sigma = float(rng.uniform(*sigma_range))
-        samples = []
-        for _ in range(m_i):
-            x = rng.normal(size=d)
-            nrm = np.linalg.norm(x)
+        feats, labels = np.empty((m_i, d)), np.empty(m_i)
+        for j in range(m_i):  # row by row: the features and label draws interleave
+            feats[j] = rng.normal(size=d)
+            nrm = np.linalg.norm(feats[j])
             if min_feature_norm is not None and nrm < min_feature_norm:
-                x *= min_feature_norm / nrm
+                feats[j] *= min_feature_norm / nrm
             if loss is LossKind.LOGISTIC:
-                label = 1.0 if rng.random() < 0.5 else -1.0
+                labels[j] = 1.0 if rng.random() < 0.5 else -1.0
             else:
-                label = float(rng.normal())
-            samples.append(Sample(x, label))
-        objectives.append(LocalObjective(tuple(samples), sigma, loss))
+                labels[j] = rng.normal()
+        objectives.append(LocalObjective(feats, labels, sigma, loss))
     return objectives
 
 

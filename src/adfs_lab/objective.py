@@ -9,7 +9,7 @@ boundary case when the step hits the smoothness limit.
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .topology import symmetric_eigensolve
 
 __all__ = [
     "LossKind",
-    "Sample",
     "LocalObjective",
     "ConditionReport",
     "loss_value",
@@ -176,47 +175,43 @@ def loss_prox_1d(kind, z, label, step, warm=0.0):
 
 
 @dataclass(frozen=True)
-class Sample:
-    """One training example of a linear model; zero feature vectors are rejected."""
-
-    features: np.ndarray
-    label: float
-    squared_norm: float = None
-
-    def __post_init__(self):
-        x = np.asarray(self.features, dtype=float)
-        if x.ndim != 1:
-            raise ValueError(f"features must be a vector, got shape {x.shape}")
-        if not np.all(np.isfinite(x)) or not np.isfinite(self.label):
-            raise ValueError("non-finite sample")
-        sq = float(x @ x)
-        if sq <= 0.0:
-            raise ValueError("zero feature vector: its projector is undefined")
-        x = x.copy()
-        x.flags.writeable = False
-        object.__setattr__(self, "features", x)
-        object.__setattr__(self, "label", float(self.label))
-        object.__setattr__(self, "squared_norm", sq)
-
-
-@dataclass(frozen=True)
 class LocalObjective:
-    """f_i(theta) = sum_j loss(X_ij^T theta, label_ij) + (sigma/2) ||theta||^2."""
+    """f_i(theta) = sum_j loss(X_ij^T theta, label_ij) + (sigma/2) ||theta||^2.
 
-    samples: tuple
+    The data are stored as read-only float copies: an (m, d) feature matrix
+    whose rows X_ij must be finite and nonzero (a zero row has no projector),
+    the m labels, and the row norms ||X_ij||^2.
+    """
+
+    feature_matrix: np.ndarray  # (m, d)
+    labels: np.ndarray  # (m,)
     sigma: float
     loss: LossKind
+    xnorm2: np.ndarray = field(init=False, repr=False, compare=False)  # (m,)
 
     def __post_init__(self):
         if self.sigma <= 0 or not np.isfinite(self.sigma):
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
-        if len(self.samples) == 0:
-            raise ValueError("a node needs at least one sample")
-        object.__setattr__(self, "samples", tuple(self.samples))
+        x = np.array(self.feature_matrix, dtype=float)
+        y = np.array(self.labels, dtype=float)
+        if x.ndim != 2 or x.shape[0] < 1:
+            raise ValueError(f"features must be an (m, d) matrix with m >= 1, got shape {x.shape}")
+        if y.shape != (x.shape[0],):
+            raise ValueError(f"need one label per feature row: {x.shape[0]} rows, "
+                             f"labels of shape {y.shape}")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("non-finite sample")
+        xnorm2 = np.vecdot(x, x)  # bit-identical to the per-row x @ x
+        zero = np.flatnonzero(xnorm2 <= 0.0)
+        if zero.size:
+            raise ValueError(f"zero feature vector in row {zero[0]}: its projector is undefined")
+        for name, arr in (("feature_matrix", x), ("labels", y), ("xnorm2", xnorm2)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def m(self):
-        return len(self.samples)
+        return self.feature_matrix.shape[0]
 
     @property
     def smoothness(self):
@@ -224,19 +219,12 @@ class LocalObjective:
         lg = self.loss.scalar_smoothness
         if lg is None:
             raise ValueError("smoothness undefined for non-smooth loss")
-        return np.array([lg * s.squared_norm for s in self.samples])
-
-    @property
-    def feature_matrix(self):
-        return np.stack([s.features for s in self.samples])
-
-    @property
-    def labels(self):
-        return np.array([s.label for s in self.samples])
+        return lg * self.xnorm2
 
 
-def prox_sample(sample, kind, v, eta, warm=0.0):
-    """Exact d-dimensional prox of eta * loss(X^T ., label) at v.
+def prox_sample(feature, label, kind, v, eta, warm=0.0):
+    """Exact d-dimensional prox of eta * loss(X^T ., label) at v, X = `feature`
+    (a nonzero row, as LocalObjective validates).
 
     The minimizer moves only along the feature direction, so it reduces to
     the 1D prox with step eta * ||X||^2.
@@ -245,10 +233,10 @@ def prox_sample(sample, kind, v, eta, warm=0.0):
         raise ValueError("eta must be > 0")
     v = np.asarray(v, dtype=float)
     _check_finite("prox input", v)
-    x = sample.features
-    zz = float(x @ v)
-    p_star = loss_prox_1d(kind, zz, sample.label, eta * sample.squared_norm, warm)
-    return v + ((p_star - zz) / sample.squared_norm) * x
+    xnorm2 = float(feature @ feature)
+    zz = float(feature @ v)
+    p_star = loss_prox_1d(kind, zz, label, eta * xnorm2, warm)
+    return v + ((p_star - zz) / xnorm2) * feature
 
 
 def _tilde_coeff_batch(kind, c_x, xnorm2, labels, smooth, eta_tilde, warm):
@@ -281,8 +269,8 @@ def _tilde_coeff_batch(kind, c_x, xnorm2, labels, smooth, eta_tilde, warm):
     return c_out, inner
 
 
-def prox_tilde_fstar(sample, kind, x, eta_tilde, warm=0.0):
-    """prox of ftilde* = f* - (1/(2L)) ||.||^2 at x (x in span of the feature).
+def prox_tilde_fstar(feature, label, kind, x, eta_tilde, warm=0.0):
+    """prox of ftilde* = f* - (1/(2L)) ||.||^2 at x (x in span of `feature`).
 
     Computed through the primal prox only; requires eta_tilde <= L and x to
     have no feature-orthogonal component beyond 1e-8 relative.
@@ -293,26 +281,27 @@ def prox_tilde_fstar(sample, kind, x, eta_tilde, warm=0.0):
         raise ValueError("eta_tilde must be > 0")
     x = np.asarray(x, dtype=float)
     _check_finite("prox input", x)
-    smooth = kind.scalar_smoothness * sample.squared_norm
+    xnorm2 = float(feature @ feature)
+    smooth = kind.scalar_smoothness * xnorm2
     if eta_tilde > smooth * (1.0 + 1e-9):
         raise ValueError(
             f"eta_tilde={eta_tilde:.3e} >= smoothness {smooth:.3e}: prox identity breaks"
         )
-    c_x = float(sample.features @ x) / sample.squared_norm
-    resid = x - c_x * sample.features
+    c_x = float(feature @ x) / xnorm2
+    resid = x - c_x * feature
     nrm = float(np.linalg.norm(x))
     if float(np.linalg.norm(resid)) > 1e-8 * max(nrm, 1e-300):
         raise ValueError("input has a component outside the span of the sample feature")
     c_out, _ = _tilde_coeff_batch(
         kind,
         np.array([c_x]),
-        np.array([sample.squared_norm]),
-        np.array([sample.label]),
+        np.array([xnorm2]),
+        np.array([float(label)]),
         np.array([smooth]),
         np.array([float(eta_tilde)]),
         np.array([float(warm)]),
     )
-    return c_out[0] * sample.features
+    return c_out[0] * feature
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from adfs_lab.augmented import (
 from adfs_lab.baselines import flat_value, point_saga, pool_objectives, reference_optimum
 from adfs_lab.harness import parse_libsvm, synth_dataset, write_libsvm
 from adfs_lab.instances import random_objectives, random_problem
-from adfs_lab.objective import LocalObjective, LossKind, Sample, condition_numbers
+from adfs_lab.objective import LocalObjective, LossKind, condition_numbers
 from adfs_lab.rng import BlockStream, generator
 from adfs_lab.topology import build_topology, symmetric_eigensolve
 from test_adfs import dual_coeffs_to_rows, dual_composite_for, single_node_problem
@@ -216,11 +216,7 @@ def test_criterion_06_linear_rate():
     g = build_topology("grid2d", rows=2, cols=2)
     per_node = synth_dataset(4, 10, 5, seed=11, correlation=0.2, loss="logistic",
                              feature_scale=1.4)
-    objs = [
-        LocalObjective(tuple(Sample(f, l) for f, l in zip(fm, lb)), 1.0,
-                       LossKind.LOGISTIC)
-        for fm, lb in per_node
-    ]
+    objs = [LocalObjective(fm, lb, 1.0, LossKind.LOGISTIC) for fm, lb in per_node]
     prob = build_augmented(g, objs, tau=5.0)
     flat = pool_objectives(objs)
     theta_star, _ = reference_optimum(flat, tol=1e-8)
@@ -351,11 +347,7 @@ def test_criterion_10_figure_analogue():
     g = build_topology("grid2d", rows=4, cols=4)
     per_node = synth_dataset(16, 200, 20, seed=2026, correlation=0.3,
                              loss="logistic")
-    objs = [
-        LocalObjective(tuple(Sample(f, l) for f, l in zip(fm, lb)), 1.0,
-                       LossKind.LOGISTIC)
-        for fm, lb in per_node
-    ]
+    objs = [LocalObjective(fm, lb, 1.0, LossKind.LOGISTIC) for fm, lb in per_node]
     prob = build_augmented(g, objs, tau=5.0)
     flat = pool_objectives(objs)
     theta_star, f_star = reference_optimum(flat, tol=3e-6)
@@ -370,7 +362,7 @@ def test_criterion_10_figure_analogue():
         for s in range(5)
     ]
     n_samp = flat.n_samples
-    kappa = 1 + sum(0.25 * s.squared_norm for s in flat.samples)
+    kappa = 1 + sum(0.25 * float(x @ x) for x in flat.feature_matrix)
     budget_saga = int(3 * (n_samp + np.sqrt(n_samp * kappa)) * np.log(gap0 / target))
     budget_saga -= budget_saga % 200
     saga_times = [

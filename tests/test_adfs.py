@@ -13,7 +13,7 @@ from adfs_lab.apcg import CompositeProblem, run_apcg
 from adfs_lab.augmented import build_augmented, dense_A
 from adfs_lab.baselines import pool_objectives, reference_optimum
 from adfs_lab.instances import random_objectives, random_problem
-from adfs_lab.objective import LocalObjective, LossKind, Sample, prox_tilde_fstar
+from adfs_lab.objective import LocalObjective, LossKind, prox_tilde_fstar
 from adfs_lab.rng import BlockStream, generator
 from adfs_lab.topology import build_topology
 
@@ -21,11 +21,9 @@ from adfs_lab.topology import build_topology
 def single_node_problem(seed=3, m=3, d=2):
     rng = generator("n1", seed)
     g = build_topology("complete", n=1)
-    samples = tuple(
-        Sample(rng.normal(size=d) * 2.5, 1.0 if rng.random() < 0.5 else -1.0)
-        for _ in range(m)
-    )
-    obj = LocalObjective(samples, 1.0, LossKind.LOGISTIC)
+    feats, labels = zip(*[(rng.normal(size=d) * 2.5, 1.0 if rng.random() < 0.5 else -1.0)
+                          for _ in range(m)])
+    obj = LocalObjective(np.array(feats), np.array(labels), 1.0, LossKind.LOGISTIC)
     return build_augmented(g, [obj], tau=1.0)
 
 
@@ -41,11 +39,11 @@ def dual_composite_for(problem, stream):
     for j in range(m):
         basis[j * d : (j + 1) * d, j] = units[j]
     quad = basis.T @ a.T @ sd @ a @ basis
-    samples = problem.objectives[0].samples
+    obj = problem.objectives[0]
 
     def prox_coord(j, xval, step):
         out = prox_tilde_fstar(
-            samples[j], problem.loss, -mu[j] * xval * units[j],
+            obj.feature_matrix[j], obj.labels[j], problem.loss, -mu[j] * xval * units[j],
             step * problem.mu2_virtual[j],
         )
         return -(units[j] @ out) / mu[j]
@@ -109,7 +107,7 @@ class TestReferenceSolver:
         g = build_topology("complete", n=2)
         objs = [
             LocalObjective(
-                tuple(Sample(rng.normal(size=2), 0.0) for _ in range(3)),
+                np.array([rng.normal(size=2) for _ in range(3)]), np.zeros(3),
                 1.0, LossKind.SQUARED,
             )
             for _ in range(2)
@@ -195,11 +193,11 @@ class TestReferenceSolver:
         g = build_topology("complete", n=2)
         objs = []
         for _ in range(2):
-            samples = []
-            for _ in range(12):
+            feats = np.empty((12, 2))
+            for j in range(12):
                 v = rng.normal(size=2)
-                samples.append(Sample(0.2 * v / np.linalg.norm(v), 1.0))
-            objs.append(LocalObjective(tuple(samples), 1.0, LossKind.LOGISTIC))
+                feats[j] = 0.2 * v / np.linalg.norm(v)
+            objs.append(LocalObjective(feats, np.ones(12), 1.0, LossKind.LOGISTIC))
         prob = build_augmented(g, objs, tau=1.0)
         assert prob.rho < prob.rho_unclamped
         flat = pool_objectives(objs)

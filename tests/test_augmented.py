@@ -18,7 +18,7 @@ from adfs_lab.augmented import (
     rate_rho,
 )
 from adfs_lab.instances import random_connected_graph, random_objectives, random_problem
-from adfs_lab.objective import LocalObjective, LossKind, Sample
+from adfs_lab.objective import LocalObjective, LossKind
 from adfs_lab.rng import BlockStream, generator
 from adfs_lab.topology import build_topology, laplacian
 
@@ -39,8 +39,8 @@ class TestBuildAugmented:
     def test_kappa_comm_homogeneous_exact(self, rng):
         # identical data and sigma at every node makes D~ scalar, so
         # kappa_comm = max_i (D~)_ii / sigma holds with equality
-        samples = tuple(Sample(rng.normal(size=3) * 2, 1.0) for _ in range(3))
-        objs = [LocalObjective(samples, 1.5, LossKind.LOGISTIC) for _ in range(4)]
+        feats = np.array([rng.normal(size=3) * 2 for _ in range(3)])
+        objs = [LocalObjective(feats, np.ones(3), 1.5, LossKind.LOGISTIC) for _ in range(4)]
         prob = build_augmented(build_topology("grid2d", rows=2, cols=2), objs, tau=1.0)
         assert prob.kappa_comm == pytest.approx(float(prob.dm_tilde.max()) / 1.5, rel=1e-9)
 
@@ -119,11 +119,11 @@ class TestRate:
         g = build_topology("complete", n=2)
         objs = []
         for _ in range(2):
-            samples = []
-            for _ in range(12):
+            feats = np.empty((12, 2))
+            for j in range(12):
                 v = rng.normal(size=2)
-                samples.append(Sample(0.2 * v / np.linalg.norm(v), 1.0))
-            objs.append(LocalObjective(tuple(samples), 1.0, LossKind.LOGISTIC))
+                feats[j] = 0.2 * v / np.linalg.norm(v)
+            objs.append(LocalObjective(feats, np.ones(12), 1.0, LossKind.LOGISTIC))
         with caplog.at_level(logging.WARNING, logger="adfs_lab"):
             prob = build_augmented(g, objs, tau=1.0)
         assert prob.rho < prob.rho_unclamped
@@ -163,8 +163,8 @@ class TestDenseOperator:
         # 4-node augmented graph (one gossip edge, two virtual edges)
         g = build_topology("complete", n=2)
         objs = [
-            LocalObjective((Sample(np.array([2.0]), 1.0),), 1.0, LossKind.SQUARED),
-            LocalObjective((Sample(np.array([3.0]), -1.0),), 1.0, LossKind.SQUARED),
+            LocalObjective(np.array([[2.0]]), [1.0], 1.0, LossKind.SQUARED),
+            LocalObjective(np.array([[3.0]]), [-1.0], 1.0, LossKind.SQUARED),
         ]
         prob = build_augmented(g, objs, tau=1.0)
         a = aug.dense_A(prob)

@@ -10,7 +10,7 @@ from adfs_lab.baselines import (
     reference_optimum,
 )
 from adfs_lab.instances import random_objectives
-from adfs_lab.objective import LossKind, Sample, primal_value
+from adfs_lab.objective import LossKind, primal_value
 from adfs_lab.rng import generator
 
 
@@ -32,8 +32,7 @@ class TestFlatProblem:
 
 class TestPointSaga:
     def test_quadratic_single_sample(self):
-        s = Sample(np.array([1.0, 0.0]), 2.0)
-        flat = FlatProblem((s,), 1.0, LossKind.SQUARED)
+        flat = FlatProblem(np.array([[1.0, 0.0]]), [2.0], 1.0, LossKind.SQUARED)
         theta_star, f_star = reference_optimum(flat)
         record, theta = point_saga(flat, 200, seed=0, f_star=f_star, log_every=200)
         assert np.max(np.abs(theta - theta_star)) <= 1e-10
@@ -50,12 +49,12 @@ class TestPointSaga:
         n_samp, d = 100, 5
         target_kappa = 50.0
         scale = np.sqrt((target_kappa - 1.0) * 4.0 / (n_samp * d))
-        samples = tuple(
-            Sample(scale * rng.normal(size=d), 1.0 if rng.random() < 0.5 else -1.0)
+        feats, labels = zip(*[
+            (scale * rng.normal(size=d), 1.0 if rng.random() < 0.5 else -1.0)
             for _ in range(n_samp)
-        )
-        flat = FlatProblem(samples, 1.0, LossKind.LOGISTIC)
-        kappa_s = 1.0 + sum(0.25 * s.squared_norm for s in samples)
+        ])
+        flat = FlatProblem(np.array(feats), np.array(labels), 1.0, LossKind.LOGISTIC)
+        kappa_s = 1.0 + sum(0.25 * float(x @ x) for x in flat.feature_matrix)
         assert 25 <= kappa_s <= 100  # sanity: the regime the bound targets
         theta_star, f_star = reference_optimum(flat, tol=1e-7)
         gap0 = flat_value(flat, np.zeros(d)) - f_star

@@ -17,7 +17,7 @@ from adfs_lab.harness import (
     synth_pool,
     write_libsvm,
 )
-from adfs_lab.objective import LocalObjective, LossKind, Sample, condition_numbers
+from adfs_lab.objective import LocalObjective, LossKind, condition_numbers
 from adfs_lab.rng import generator
 
 
@@ -51,9 +51,9 @@ class TestParseLibsvm:
     def test_bare_label_line(self, tmp_path):
         samples, dim = self._parse_text(tmp_path, "-1\n")
         assert samples == [(-1.0, [])]
-        # empty feature vectors are rejected at sample construction
+        # empty feature vectors are rejected when a node's data is built
         with pytest.raises(ValueError, match="zero feature"):
-            Sample(np.zeros(2), -1.0)
+            LocalObjective(np.zeros((1, 2)), [-1.0], 1.0, LossKind.LOGISTIC)
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         samples, _ = self._parse_text(
@@ -111,9 +111,7 @@ class TestSyntheticData:
         per_node = synth_dataset(1, 50, 5, seed=3, correlation=correlation,
                                  loss="squared")
         feats, labels = per_node[0]
-        obj = LocalObjective(
-            tuple(Sample(f, l) for f, l in zip(feats, labels)), 1e-3, LossKind.SQUARED
-        )
+        obj = LocalObjective(feats, labels, 1e-3, LossKind.SQUARED)
         rep = condition_numbers([obj])
         return float(rep.kappa_i[0] / rep.kappa_b[0])
 
@@ -304,6 +302,33 @@ class TestCli:
 
     def test_missing_config_exits_one(self, capsys):
         assert cli(["run", "/nonexistent/config.json"]) == 1
+
+    @pytest.mark.parametrize("over,field", [
+        ({"reference": {"tol": "x"}}, "reference.tol"),
+        ({"reference": {"ns_iters": "x"}}, "reference.ns_iters"),
+        ({"reference": {"ns_seeds": 3}}, "reference.ns_seeds"),
+        ({"reference": {"toll": 1e-3}}, "reference.toll"),
+        ({"dataset": {"kind": "synthetic", "d": 2, "pool": "x"}}, "dataset.pool"),
+        ({"dataset": {"kind": "synthetic", "d": 2, "noise": "x"}}, "dataset.noise"),
+        ({"dataset": {"kind": "synthetic", "d": 2, "corelation": 0.1}},
+         "dataset.corelation"),
+        ({"m": True}, "m"),
+        ({"out": 5}, "out"),
+    ])
+    def test_bad_field_exits_one_naming_field(self, tmp_path, capsys, over, field):
+        path = self._write_config(tmp_path, base_config(**over))
+        assert cli(["run", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field}:") and err.count("\n") == 1
+
+    def test_missing_libsvm_file_exits_one(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.svm")
+        path = self._write_config(tmp_path, base_config(
+            dataset={"kind": "libsvm", "path": missing, "seed": 0}))
+        for argv in (["spectrum", path], ["run", path, "--out", str(tmp_path / "out")]):
+            assert cli(argv) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: dataset.path: no such file: {missing}\n"
 
     def test_gen_data_roundtrips(self, tmp_path):
         out = str(tmp_path / "gen.svm")

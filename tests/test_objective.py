@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adfs_lab.objective as objective
+from adfs_lab.augmented import build_augmented
 from adfs_lab.objective import (
     LocalObjective,
     LossKind,
-    Sample,
     condition_numbers,
     loss_conjugate,
     loss_grad,
@@ -19,6 +19,7 @@ from adfs_lab.objective import (
     prox_tilde_fstar,
 )
 from adfs_lab.rng import generator
+from adfs_lab.topology import build_topology
 from oracles import (
     conjugate_by_maximization,
     coordinate_search,
@@ -129,67 +130,85 @@ class TestMoreauIdentity:
 
 class TestProxSample:
     def test_hand_example(self):
-        s = Sample(np.array([1.0, 0.0]), 0.0)
-        out = prox_sample(s, LossKind.SQUARED, np.array([2.0, 3.0]), 1.0)
+        out = prox_sample(np.array([1.0, 0.0]), 0.0, LossKind.SQUARED, np.array([2.0, 3.0]), 1.0)
         np.testing.assert_allclose(out, [1.0, 3.0], atol=1e-12)
 
     def test_tiny_eta_identity(self, rng):
-        s = Sample(rng.normal(size=3), 1.0)
+        x = rng.normal(size=3)
         v = rng.normal(size=3)
-        out = prox_sample(s, LossKind.LOGISTIC, v, 1e-12)
+        out = prox_sample(x, 1.0, LossKind.LOGISTIC, v, 1e-12)
         assert np.max(np.abs(out - v)) <= 1e-6
 
     @pytest.mark.parametrize("eta", [0.1, 1.0, 10.0])
     @pytest.mark.parametrize("kind", SMOOTH_KINDS)
     def test_matches_coordinate_search(self, kind, eta):
         rng = generator("prox-brute", hash((str(kind), eta)) % 2**31)
-        s = Sample(rng.normal(size=2), 1.0 if kind is LossKind.LOGISTIC else 0.3)
+        x, label = rng.normal(size=2), 1.0 if kind is LossKind.LOGISTIC else 0.3
         v = rng.normal(size=2)
 
         def objective(u):
             return float(np.sum((u - v) ** 2)) / (2 * eta) + float(
-                loss_value(kind, float(s.features @ u), s.label)
+                loss_value(kind, float(x @ u), label)
             )
 
         ref = coordinate_search(objective, v, radius=3.0, passes=220, min_step=1e-10)
-        got = prox_sample(s, kind, v, eta)
+        got = prox_sample(x, label, kind, v, eta)
         assert np.max(np.abs(got - ref)) <= 1e-6
 
     def test_move_parallel_to_feature(self, rng):
         for _ in range(20):
-            s = Sample(rng.normal(size=4), 1.0)
+            x = rng.normal(size=4)
             v = rng.normal(size=4)
-            move = prox_sample(s, LossKind.LOGISTIC, v, 1.0) - v
+            move = prox_sample(x, 1.0, LossKind.LOGISTIC, v, 1.0) - v
             if np.linalg.norm(move) < 1e-14:
                 continue
-            cos = abs(move @ s.features) / (np.linalg.norm(move) * np.linalg.norm(s.features))
+            cos = abs(move @ x) / (np.linalg.norm(move) * np.linalg.norm(x))
             assert 1.0 - cos <= 1e-10
 
     def test_zero_feature_rejected(self):
+        def local(feats, labels):
+            return LocalObjective(feats, labels, 1.0, LossKind.LOGISTIC)
+
         with pytest.raises(ValueError, match="zero feature"):
-            Sample(np.zeros(3), 1.0)
+            local(np.zeros((1, 3)), [1.0])
+        with pytest.raises(ValueError, match="zero feature vector in row 2"):
+            local(np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]]), [1.0, -1.0, 1.0])
+        with pytest.raises(ValueError, match="one label per feature row"):
+            local(np.ones((3, 2)), [1.0, -1.0])
+        with pytest.raises(ValueError, match=r"\(m, d\) matrix"):
+            local(np.ones(3), [1.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match=r"\(m, d\) matrix"):
+            local(np.ones((0, 3)), [])
+        with pytest.raises(ValueError, match="non-finite"):
+            local(np.array([[1.0, np.nan]]), [1.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            local(np.ones((1, 2)), [np.inf])
+        with pytest.raises(ValueError, match="share the feature dimension"):
+            build_augmented(build_topology("complete", n=2),
+                            [local(np.ones((2, 2)), [1.0, -1.0]),
+                             local(np.ones((2, 3)), [1.0, -1.0])], tau=1.0)
 
 
 class TestProxTildeFstar:
     def test_tiny_step_identity(self, rng):
         # x must lie inside the conjugate domain (slope coefficients -label*c
         # in [0,1] for the logistic loss), else the prox projects instead
-        s = Sample(rng.normal(size=3), 1.0)
-        x = -0.3 * s.label * s.features
-        out = prox_tilde_fstar(s, LossKind.LOGISTIC, x, 1e-12)
+        feat, label = rng.normal(size=3), 1.0
+        x = -0.3 * label * feat
+        out = prox_tilde_fstar(feat, label, LossKind.LOGISTIC, x, 1e-12)
         assert np.max(np.abs(out - x)) <= 1e-6
 
     def test_squared_loss_analytic(self, rng):
         # for squared loss ftilde*(s X) = label * s, so the prox shifts the
         # coefficient by eta~ * label / ||X||^2
         for _ in range(10):
-            s = Sample(rng.normal(size=3), float(rng.normal()))
-            smooth = s.squared_norm  # L_g = 1
+            feat, label = rng.normal(size=3), float(rng.normal())
+            smooth = float(feat @ feat)  # L_g = 1
             c = float(rng.normal())
-            x = c * s.features
+            x = c * feat
             eta_t = float(rng.uniform(0.05, 0.95)) * smooth
-            got = prox_tilde_fstar(s, LossKind.SQUARED, x, eta_t)
-            expected = (c - eta_t * s.label / s.squared_norm) * s.features
+            got = prox_tilde_fstar(feat, label, LossKind.SQUARED, x, eta_t)
+            expected = (c - eta_t * label / smooth) * feat
             assert np.max(np.abs(got - expected)) <= 1e-10 * max(1.0, np.max(np.abs(expected)))
 
     def test_logistic_vs_nested_oracle(self):
@@ -197,51 +216,52 @@ class TestProxTildeFstar:
         # span coefficient c, with f*(cX) = sup_z (c z - g(z)) found numerically
         rng = generator("tilde-oracle", 7)
         for _ in range(5):
-            s = Sample(rng.normal(size=2) * 2, 1.0 if rng.random() < 0.5 else -1.0)
-            smooth = 0.25 * s.squared_norm
+            feat, label = rng.normal(size=2) * 2, 1.0 if rng.random() < 0.5 else -1.0
+            xnorm2 = float(feat @ feat)
+            smooth = 0.25 * xnorm2
             c = float(rng.normal() * 0.1)
-            x = c * s.features
+            x = c * feat
             eta_t = smooth / 4.0
-            got = prox_tilde_fstar(s, LossKind.LOGISTIC, x, eta_t)
+            got = prox_tilde_fstar(feat, label, LossKind.LOGISTIC, x, eta_t)
 
             def g(z):
-                return float(loss_value(LossKind.LOGISTIC, z, s.label))
+                return float(loss_value(LossKind.LOGISTIC, z, label))
 
             def objective(coef):
                 fstar = conjugate_by_maximization(g, coef, lo=-200.0, hi=200.0)
                 return (
-                    (coef - c) ** 2 * s.squared_norm / (2 * eta_t)
+                    (coef - c) ** 2 * xnorm2 / (2 * eta_t)
                     + fstar
-                    - coef**2 * s.squared_norm / (2 * smooth)
+                    - coef**2 * xnorm2 / (2 * smooth)
                 )
 
             # conjugate domain: -label * coef in [0, 1]
-            lo, hi = sorted((0.0, -s.label))
+            lo, hi = sorted((0.0, -label))
             width = hi - lo
             best = golden_section(
                 objective, lo + 1e-6 * width, hi - 1e-6 * width, tol=1e-11
             )
-            assert abs(float(s.features @ got) / s.squared_norm - best) <= 1e-6
+            assert abs(float(feat @ got) / xnorm2 - best) <= 1e-6
 
     def test_step_above_smoothness_rejected(self, rng):
-        s = Sample(rng.normal(size=2), 1.0)
-        smooth = 0.25 * s.squared_norm
+        feat = rng.normal(size=2)
+        smooth = 0.25 * float(feat @ feat)
         with pytest.raises(ValueError, match="identity breaks"):
-            prox_tilde_fstar(s, LossKind.LOGISTIC, 0.1 * s.features, 1.5 * smooth)
+            prox_tilde_fstar(feat, 1.0, LossKind.LOGISTIC, 0.1 * feat, 1.5 * smooth)
 
     def test_off_span_rejected(self, rng):
-        s = Sample(np.array([1.0, 0.0]), 1.0)
         with pytest.raises(ValueError, match="outside the span"):
-            prox_tilde_fstar(s, LossKind.LOGISTIC, np.array([0.5, 0.3]), 0.1)
+            prox_tilde_fstar(np.array([1.0, 0.0]), 1.0, LossKind.LOGISTIC,
+                             np.array([0.5, 0.3]), 0.1)
 
     def test_boundary_step_uses_gradient_form(self, rng):
         # at eta~ = L the prox limit equals grad f at x / L
-        s = Sample(rng.normal(size=3), 1.0)
-        smooth = 0.25 * s.squared_norm
-        x = 0.2 * s.features
-        got = prox_tilde_fstar(s, LossKind.LOGISTIC, x, smooth)
-        z = float(s.features @ x) / smooth
-        expected = float(loss_grad(LossKind.LOGISTIC, z, s.label)) * s.features
+        feat, label = rng.normal(size=3), 1.0
+        smooth = 0.25 * float(feat @ feat)
+        x = 0.2 * feat
+        got = prox_tilde_fstar(feat, label, LossKind.LOGISTIC, x, smooth)
+        z = float(feat @ x) / smooth
+        expected = float(loss_grad(LossKind.LOGISTIC, z, label)) * feat
         assert np.max(np.abs(got - expected)) <= 1e-10
 
 
@@ -271,10 +291,10 @@ class TestConjugates:
 
 class TestConditionNumbers:
     def test_single_sample_equality(self, rng):
-        s = Sample(rng.normal(size=3), 1.0)
-        obj = LocalObjective((s,), 2.0, LossKind.LOGISTIC)
+        feat = rng.normal(size=3)
+        obj = LocalObjective(feat[None, :], [1.0], 2.0, LossKind.LOGISTIC)
         rep = condition_numbers([obj])
-        smooth = 0.25 * s.squared_norm
+        smooth = 0.25 * float(feat @ feat)
         assert rep.kappa_i[0] == pytest.approx(1 + smooth / 2.0)
         assert rep.kappa_b[0] == pytest.approx(rep.kappa_i[0])
 
@@ -282,8 +302,7 @@ class TestConditionNumbers:
         # orthonormal features with equal smoothness: kappa_i = 1 + m L / sigma
         # while kappa_b = 1 + L / sigma (sum of projectors has lambda_max = L)
         m, sigma = 4, 0.5
-        samples = tuple(Sample(2.0 * np.eye(m)[j], 1.0) for j in range(m))
-        obj = LocalObjective(samples, sigma, LossKind.SQUARED)
+        obj = LocalObjective(2.0 * np.eye(m), np.ones(m), sigma, LossKind.SQUARED)
         rep = condition_numbers([obj])
         smooth = 4.0
         assert rep.kappa_i[0] == pytest.approx(1 + m * smooth / sigma)
@@ -293,14 +312,17 @@ class TestConditionNumbers:
         for seed in range(20):
             rng = generator("cond", seed)
             m = int(rng.integers(1, 6))
-            samples = tuple(Sample(rng.normal(size=3), 1.0) for _ in range(m))
-            obj = LocalObjective(samples, float(rng.uniform(0.2, 3.0)), LossKind.LOGISTIC)
+            feats = np.array([rng.normal(size=3) for _ in range(m)])
+            obj = LocalObjective(feats, np.ones(m), float(rng.uniform(0.2, 3.0)),
+                                 LossKind.LOGISTIC)
+            # the stored row norms equal the per-row dot product bit for bit
+            assert obj.xnorm2.tolist() == [float(x @ x) for x in feats]
             rep = condition_numbers([obj])
             assert (m + 1) * rep.kappa_b[0] >= rep.kappa_i[0] - 1e-9
             assert rep.kappa_i[0] >= rep.kappa_b[0] - 1e-9
 
     def test_nonsmooth_rejected(self, rng):
-        obj = LocalObjective((Sample(rng.normal(size=2), 0.0),), 1.0, LossKind.ABSOLUTE)
+        obj = LocalObjective(rng.normal(size=2)[None, :], [0.0], 1.0, LossKind.ABSOLUTE)
         with pytest.raises(ValueError, match="undefined"):
             condition_numbers([obj])
 
@@ -309,10 +331,9 @@ class TestPrimalOracles:
     def _objectives(self, rng, n=2, m=3, d=3, kind=LossKind.LOGISTIC):
         out = []
         for _ in range(n):
-            samples = tuple(
-                Sample(rng.normal(size=d), _label_for(kind, rng)) for _ in range(m)
-            )
-            out.append(LocalObjective(samples, 1.0, kind))
+            feats, labels = zip(*[(rng.normal(size=d), _label_for(kind, rng))
+                                  for _ in range(m)])
+            out.append(LocalObjective(np.array(feats), np.array(labels), 1.0, kind))
         return out
 
     def test_logistic_value_at_zero(self, rng):
