@@ -4,8 +4,10 @@ Three entry points: the reference recursion (`run_adfs`), the rescaled
 sparse-update form (`run_adfs_efficient`, same trajectories under a shared
 stream), and the sublinear non-smooth variant (`run_ns_adfs`).  The reference
 and non-smooth forms share one in-place block step and differ only in their
-momentum schedule.  All of them report progress on an idealized clock: one
-time unit per computation round, tau per gossip round.
+momentum schedule.  Every state is one vector in the layout of
+`augmented.split_state`: n center rows, then one coefficient per virtual
+node.  All of them report progress on an idealized clock: one time unit per
+computation round, tau per gossip round.
 """
 
 from dataclasses import dataclass, field
@@ -26,28 +28,30 @@ RENORM_FLOOR = 1e-140
 class AdfsResult:
     record: RunRecord
     theta: np.ndarray  # final primal estimate (d,)
-    # per-node primal rows of the solver's return convention: Sigma^+ v_K for
-    # the reference and non-smooth forms, Sigma^-1 y_K for the rescaled form
+    # (n_rows, d) primal rows of the return convention: Sigma^+ v_K for the
+    # reference and non-smooth forms, Sigma^+ y_K for the rescaled form
     final_primal_rows: np.ndarray
-    captures: dict = field(default_factory=dict)  # t -> {"x": ..., "v": ..., "y": ...}
+    captures: dict = field(default_factory=dict)  # t -> {"x": ..., "v": ..., "y": ...} states
     max_comp_rows_touched: int = 0
 
 
 def primal_estimate(problem, y_state):
-    """Average of the rescaled communication rows (Sigma_comm^-1 y)."""
-    return np.mean(y_state[: problem.n] / problem.sigma[:, None], axis=0)
+    """Average of the rescaled centers (Sigma_comm^-1 y)."""
+    center = aug.split_state(problem, y_state)[0]
+    return np.mean(center / problem.sigma[:, None], axis=0)
 
 
 def _sigma_dagger_rows(problem, state):
-    out = np.empty_like(state)
-    out[: problem.n] = state[: problem.n] / problem.sigma[:, None]
-    coef = np.einsum("ij,ij->i", problem.features, state[problem.n :]) / problem.xnorm2
+    """Node-space rows of Sigma^+ state; the conjugate curvature of the
+    non-smooth build is zero, so its virtual rows vanish."""
+    out = state.copy()
+    center, coef = aug.split_state(problem, out)
+    center /= problem.sigma[:, None]
     if problem.smooth:
-        coef = coef / problem.smooth_virtual
+        coef /= problem.smooth_virtual
     else:
-        coef = np.zeros_like(coef)
-    out[problem.n :] = coef[:, None] * problem.features
-    return out
+        coef[:] = 0.0
+    return aug.state_rows(problem, out)
 
 
 def _log_smooth(problem, rows, t, now, y_state, f_star, kind):
@@ -81,38 +85,38 @@ def _conjugate_prox(problem, idx, c_in, eta_tilde, warm):
     return c_in - eta_tilde * p_star / xnorm2
 
 
+def _virtual_step(problem, idx, y_center, y_coef, w_coef, eta, warm):
+    """Coefficient change h of the sampled virtual nodes `idx`: the conjugate
+    prox of w - eta * (gradient at y), minus w.  A computation round adds h
+    to those coefficients and -h * X to their centers."""
+    grad = aug.virtual_gradient(problem, idx, y_center, y_coef)
+    eta_tilde = eta * problem.mu2_virtual[idx] / problem.sampling.p_marginal[idx]
+    return _conjugate_prox(problem, idx, w_coef + eta * grad, eta_tilde, warm) - w_coef
+
+
 def _block_step(problem, draw, y, w, eta, beta, warm):
     """One block of the dual recursion, written in place.
 
-    On entry y and w hold the momentum combinations of the iterates x and v;
-    on return w holds the next v = w + delta and y the next
-    x = y + beta * W~ delta.  Only the n center rows and, for a computation
-    block, the n sampled virtual rows are written.  Returns the idealized
-    duration of the block.
+    On entry the states y and w hold the momentum combinations of the
+    iterates x and v; on return w holds the next v = w + delta and y the next
+    x = y + beta * W~ delta.  Returns the idealized duration of the block.
     """
-    n = problem.n
     if draw.kind == "communication":
-        delta = -eta * aug.apply_comm_step(problem, y[:n])
-        w[:n] += delta
-        y[:n] += beta * aug.apply_wtilde(problem, draw, delta)
-        return problem.tau
-    idx = problem.vstart[:-1] + draw.chosen
-    vrows = n + idx
-    xs = problem.features[idx]
-    w_virt = w[vrows]
-    gvec = aug.virtual_gradient(problem, idx, y[:n], y[vrows])[:, None] * xs
-    z_center = w[:n] - eta * gvec
-    z_virt = w_virt + eta * gvec
-    c_z = np.einsum("ij,ij->i", xs, z_virt) / problem.xnorm2[idx]
-    eta_tilde = eta * problem.mu2_virtual[idx] / problem.sampling.p_marginal[idx]
-    v_virt = _conjugate_prox(problem, idx, c_z, eta_tilde, warm)[:, None] * xs
-    v_center = z_center + (z_virt - v_virt)
-    step = beta * (1.0 / problem.sampling.p_marginal[idx])[:, None]
-    y[:n] += step * (v_center - w[:n])
-    y[vrows] += step * (v_virt - w_virt)
-    w[:n] = v_center
-    w[vrows] = v_virt
-    return 1.0
+        delta = -eta * aug.apply_comm_step(problem, y)
+        duration = problem.tau
+    else:
+        idx = problem.vstart[:-1] + draw.chosen
+        y_center, y_coef = aug.split_state(problem, y)
+        w_coef = aug.split_state(problem, w)[1]
+        h = _virtual_step(problem, idx, y_center, y_coef[idx], w_coef[idx], eta, warm)
+        delta = aug.zero_state(problem)
+        d_center, d_coef = aug.split_state(problem, delta)
+        np.multiply(problem.features[idx], -h[:, None], out=d_center)
+        d_coef[idx] = h
+        duration = 1.0
+    w += delta
+    y += beta * aug.apply_wtilde(problem, draw, delta)
+    return duration
 
 
 def run_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=(),
@@ -127,9 +131,8 @@ def run_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=(),
         raise ValueError("run_adfs needs the smooth build; see run_ns_adfs")
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    n = problem.n
     rho, eta = problem.rho, problem.eta
-    x = np.zeros((problem.n_rows, problem.d))
+    x = aug.zero_state(problem)
     v = np.zeros_like(x)
     y = np.empty_like(x)
     warm = np.zeros(problem.n_virtual)
@@ -156,20 +159,16 @@ def run_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=(),
             raise FloatingPointError(f"non-finite state at iteration {t}")
         t1 = t + 1
         if t1 in capture_iters:
-            captures[t1] = {
-                "x": x.copy(),
-                "v": v.copy(),
-                "y": (x + rho * v) / (1.0 + rho),
-            }
+            captures[t1] = {"x": x.copy(), "v": v.copy(), "y": (x + rho * v) / (1.0 + rho)}
         if t1 % log_every == 0:
-            y_log = (x[:n] + rho * v[:n]) / (1.0 + rho)
+            y_log = (x + rho * v) / (1.0 + rho)
             sub = _log_smooth(problem, rows, t1, now, y_log, f_star, draw.kind)
             if stop_at_subopt is not None and sub is not None and sub <= stop_at_subopt:
                 break
 
     record = RunRecord("adfs", seed, rows, _meta(problem, "adfs", seed))
     final = _sigma_dagger_rows(problem, v)
-    theta = primal_estimate(problem, (x[:n] + rho * v[:n]) / (1.0 + rho))
+    theta = primal_estimate(problem, (x + rho * v) / (1.0 + rho))
     return AdfsResult(record, theta, final, captures)
 
 
@@ -178,18 +177,20 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
     """Rescaled two-sequence form with sparse per-iteration updates.
 
     Keeps (c, U, z) with the momentum component c * U, so a computation round
-    rewrites only the n sampled virtual rows and their n centers; c shrinks
+    rewrites only the n centers and the n sampled coefficients; c shrinks
     geometrically and is folded into U when it underflows toward 1e-140.
     """
     if not problem.smooth:
         raise ValueError("run_adfs_efficient needs the smooth build")
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    n, d = problem.n, problem.d
+    n, k = problem.n, problem.n * problem.d
     rho, eta, tau = problem.rho, problem.eta, problem.tau
     phi = (1.0 - rho) / (1.0 + rho)
-    big_u = np.zeros((problem.n_rows, d))
+    big_u = aug.zero_state(problem)
     z = np.zeros_like(big_u)
+    u_center, u_coef = aug.split_state(problem, big_u)
+    z_center, z_coef = aug.split_state(problem, z)
     c = 1.0
     warm = np.zeros(problem.n_virtual)
     stream = BlockStream("adfs", seed)
@@ -203,46 +204,43 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
     for t in range(iters):
         draw = aug.draw_block(problem, stream)
         if draw.kind == "communication":
-            h = -eta * aug.apply_comm_step(problem, c * big_u[:n] + z[:n])
+            h = -eta * aug.apply_comm_step(problem, c * big_u[:k] + z[:k])
             wt = aug.apply_wtilde(problem, draw, h)
-            big_u[:n] -= (h - rho * wt) / (2.0 * c)
-            z[:n] += 0.5 * (h + rho * wt)
-            written = slice(n)
+            big_u[:k] -= (h - rho * wt) / (2.0 * c)
+            z[:k] += 0.5 * (h + rho * wt)
+            written = []  # coefficients written this round
             now += tau
         else:
             idx = problem.vstart[:-1] + draw.chosen
-            vrows = n + idx
+            h = _virtual_step(problem, idx, c * u_center + z_center,
+                              c * u_coef[idx] + z_coef[idx], -c * u_coef[idx] + z_coef[idx],
+                              eta, warm)
+            # the pair update of -h * X on the centers and +h on the
+            # coefficients, whose W~ image is the same rescaled by 1/p_ij
+            rho_wt = rho / problem.sampling.p_marginal[idx]
+            du = (h - rho_wt * h) / (2.0 * c)
+            dz = 0.5 * (h + rho_wt * h)
             xs = problem.features[idx]
-            coef = aug.virtual_gradient(
-                problem, idx, c * big_u[:n] + z[:n], c * big_u[vrows] + z[vrows]
-            )
-            w_v = -c * big_u[vrows] + z[vrows]
-            c_w = np.einsum("ij,ij->i", xs, w_v) / problem.xnorm2[idx]
-            c_in = c_w + eta * coef  # w - g along the feature direction
-            eta_tilde = eta * problem.mu2_virtual[idx] / problem.sampling.p_marginal[idx]
-            c_h = _conjugate_prox(problem, idx, c_in, eta_tilde, warm) - c_w
-            h_v = c_h[:, None] * xs
-            inv_p = (1.0 / problem.sampling.p_marginal[idx])[:, None]
-            big_u[vrows] -= (h_v - rho * inv_p * h_v) / (2.0 * c)
-            z[vrows] += 0.5 * (h_v + rho * inv_p * h_v)
-            big_u[:n] -= (-h_v + rho * inv_p * h_v) / (2.0 * c)
-            z[:n] += 0.5 * (-h_v - rho * inv_p * h_v)
-            written = np.concatenate((np.arange(n), vrows))
-            max_touched = max(max_touched, len(set(written.tolist())))
+            u_coef[idx] -= du
+            z_coef[idx] += dz
+            u_center += du[:, None] * xs
+            z_center -= dz[:, None] * xs
+            written = idx
+            max_touched = max(max_touched, n + len(set(idx.tolist())))
             now += 1.0
         c *= phi
         if c < RENORM_FLOOR:
             big_u *= c
             c = 1.0
-        # z changes only on the rows written this iteration
-        if not np.isfinite(z[written]).all():
+        # z changes only on the centers and the coefficients written here
+        if not (np.isfinite(z_center).all() and np.isfinite(z_coef[written]).all()):
             raise FloatingPointError(f"non-finite state at iteration {t}")
         t1 = t + 1
         if t1 in capture_iters:
             ut = c * big_u
             captures[t1] = {"x": ut / phi + z, "v": -ut / phi + z, "y": ut + z}
         if t1 % log_every == 0:
-            y_log = c * big_u[:n] + z[:n]
+            y_log = c * big_u[:k] + z[:k]
             sub = _log_smooth(problem, rows, t1, now, y_log, f_star, draw.kind)
             if stop_at_subopt is not None and sub is not None and sub <= stop_at_subopt:
                 break
@@ -262,10 +260,9 @@ def run_ns_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=
         raise ValueError("run_ns_adfs needs the non-smooth build; see run_adfs")
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    n = problem.n
     s_sq = problem.s_squared
     alpha = float(problem.sampling.p_marginal.min())
-    x = np.zeros((problem.n_rows, problem.d))
+    x = aug.zero_state(problem)
     v = np.zeros_like(x)
     y = np.empty_like(x)
     warm = np.zeros(problem.n_virtual)
@@ -308,11 +305,8 @@ def run_ns_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=
     meta = _meta(problem, "ns_adfs", seed)
     meta["alphas_head"] = [float(a) for a in alphas[:4]]
     record = RunRecord("ns_adfs", seed, rows, meta)
-    final = np.empty_like(v)
-    final[:n] = v[:n] / problem.sigma[:, None]
-    final[n:] = 0.0  # conjugate curvature is zero on virtual rows
-    theta = np.mean(final[:n], axis=0)
-    return AdfsResult(record, theta, final, captures)
+    return AdfsResult(record, primal_estimate(problem, v), _sigma_dagger_rows(problem, v),
+                      captures)
 
 
 def _meta(problem, algorithm, seed):

@@ -4,8 +4,8 @@ Each physical node is replaced by a star: a center carrying the quadratic
 regularizer plus one virtual node per local sample.  Dual coordinates live on
 the edges of this augmented graph.  This module builds the problem object with
 the derived constants (virtual-edge weights, sampling probabilities, rate),
-provides the fast edge-wise operator applications used by the solvers, and the
-dense matrices used as test oracles.
+fixes the layout of a solver state, provides the fast edge-wise operator
+applications used by the solvers, and the dense matrices used as test oracles.
 """
 
 import logging
@@ -26,6 +26,9 @@ __all__ = [
     "rate_rho",
     "balanced_p_comm",
     "expected_time",
+    "split_state",
+    "zero_state",
+    "state_rows",
     "draw_block",
     "apply_comm_step",
     "virtual_gradient",
@@ -33,7 +36,6 @@ __all__ = [
     "dual_objective",
     "lift_primal_point",
     "dense_A",
-    "dense_sigma_diag",
     "dense_sigma_dagger_diag",
     "dense_sigma_dagger_sq_diag",
     "dense_pb_dagger_diag",
@@ -80,8 +82,9 @@ class BlockDraw:
 class AugmentedProblem:
     """Solver input: graph, losses, and every derived constant of the method.
 
-    State matrices have one row per augmented-graph node: rows 0..n-1 are the
-    centers, row n + vstart[i] + j is virtual node (i, j).
+    Dense node-space matrices have one row per augmented-graph node: rows
+    0..n-1 are the centers, row n + vstart[i] + j is virtual node (i, j).  A
+    solver state stores the virtual rows as coefficients; see split_state.
     """
 
     graph: CommunicationGraph
@@ -90,7 +93,7 @@ class AugmentedProblem:
     smooth: bool
     tau: float
     sigma: np.ndarray  # (n,)
-    vstart: np.ndarray  # (n+1,) virtual row offsets
+    vstart: np.ndarray  # (n+1,) per-node offsets into the virtual nodes
     features: np.ndarray  # (V, d) stacked virtual features
     labels: np.ndarray  # (V,)
     xnorm2: np.ndarray  # (V,)
@@ -136,9 +139,6 @@ class AugmentedProblem:
     @property
     def m_max(self):
         return int(self.m_per_node.max())
-
-    def virtual_row(self, i, j):
-        return self.n + int(self.vstart[i]) + j
 
     @property
     def owner(self):
@@ -427,6 +427,25 @@ def with_exact_sigma_a(problem) -> AugmentedProblem:
     return replace(problem, sigma_a_exact=float(exact))
 
 
+def split_state(problem, state):
+    """(center, coef) views of a state: one vector holding the n center rows
+    (n x d, row-major), then coef[vstart[i] + j] for virtual node (i, j),
+    which stands for coef[vstart[i] + j] * X_ij.  A center prefix alone has
+    an empty coef view."""
+    k = problem.n * problem.d
+    return state[:k].reshape(problem.n, problem.d), state[k:]
+
+
+def zero_state(problem):
+    return np.zeros(problem.n * problem.d + problem.n_virtual)
+
+
+def state_rows(problem, state):
+    """The (n_rows, d) node-space matrix of a state, for dense checks."""
+    center, coef = split_state(problem, state)
+    return np.concatenate((center, coef[:, None] * problem.features))
+
+
 def draw_block(problem, stream) -> BlockDraw:
     """One synchronous block draw from the two substreams of `stream`."""
     scheme = problem.sampling
@@ -438,70 +457,65 @@ def draw_block(problem, stream) -> BlockDraw:
 
 
 def apply_comm_step(problem, state):
-    """W_comm Sigma^dagger applied to a state matrix (gossip gradient term).
+    """W_comm Sigma^dagger applied to a state (gossip gradient term).
 
-    Only communication rows are touched: each edge (k, l) moves weight
+    Only the centers are touched: each edge (k, l) moves weight
     mu_kl^2 ((Sigma^-1 y)_k - (Sigma^-1 y)_l) between its endpoints, and the
-    whole block is scaled by 1 / p_comm.  `state` may therefore be the (n, d)
-    center block alone; the result has its shape.
+    whole block is scaled by 1 / p_comm.  `state` may therefore be the center
+    prefix alone; the result has its shape.
     """
     p_comm = problem.sampling.p_comm
     if p_comm <= 0.0:
         raise ValueError("no communication block exists (p_comm = 0)")
     out = np.zeros_like(state)
-    scaled = state[: problem.n] / problem.sigma[:, None]
-    out[: problem.n] = (problem.laplacian_comm @ scaled) / p_comm
+    scaled = split_state(problem, state)[0] / problem.sigma[:, None]
+    split_state(problem, out)[0][:] = (problem.laplacian_comm @ scaled) / p_comm
     return out
 
 
-def virtual_gradient(problem, idx, center, virt):
+def virtual_gradient(problem, idx, center, coef):
     """Gradient coefficients of the sampled virtual edges `idx` (one per node).
 
-    `center` holds the n center rows of the state and `virt` its rows at the
-    sampled virtual nodes.  The gradient term of W_b Sigma^dagger state is
-    +coef_i * X on center row i and -coef_i * X on the sampled virtual row.
+    `center` holds the n center rows of the state and `coef` its coefficients
+    at the sampled virtual nodes.  The gradient term of W_b Sigma^dagger state
+    is +g_i * X on center row i and -g_i on the sampled coefficient.
     """
-    x = problem.features[idx]
-    center_part = np.einsum("ij,ij->i", x, center) / problem.sigma
+    grad = np.einsum("ij,ij->i", problem.features[idx], center) / problem.sigma
+    grad /= problem.xnorm2[idx]
     if problem.smooth:
-        virt_part = np.einsum("ij,ij->i", x, virt) / problem.smooth_virtual[idx]
-    else:
-        virt_part = 0.0
-    return (problem.mu2_virtual[idx] / problem.sampling.p_marginal[idx]) * (
-        (center_part - virt_part) / problem.xnorm2[idx]
-    )
+        grad -= coef / problem.smooth_virtual[idx]
+    return (problem.mu2_virtual[idx] / problem.sampling.p_marginal[idx]) * grad
 
 
 def apply_wtilde(problem, draw, delta):
     """A P_b^dagger A^dagger applied to an update known to lie in range(A U_b).
 
-    For the gossip block this is a 1/p_comm rescaling of the communication
-    rows; for a computation block, virtual row (i, j) and its center row are
-    both rescaled by 1/p_ij.  On a communication draw only the n center rows
-    are read, so `delta` may be that (n, d) block alone.
+    For the gossip block this is a 1/p_comm rescaling of the centers; for a
+    computation block, the coefficient of virtual node (i, j) and its center
+    are both rescaled by 1/p_ij.  On a communication draw only the centers
+    are read, so `delta` may be the center prefix alone.
     """
     out = np.zeros_like(delta)
+    center, coef = split_state(problem, delta)
+    out_center, out_coef = split_state(problem, out)
     if draw.kind == "communication":
-        out[: problem.n] = delta[: problem.n] / problem.sampling.p_comm
+        out_center[:] = center / problem.sampling.p_comm
         return out
     idx = problem.vstart[:-1] + draw.chosen
-    rows = problem.n + idx
     inv_p = 1.0 / problem.sampling.p_marginal[idx]
-    out[rows] = delta[rows] * inv_p[:, None]
-    out[: problem.n] = delta[: problem.n] * inv_p[:, None]
+    out_coef[idx] = coef[idx] * inv_p
+    out_center[:] = center * inv_p[:, None]
     return out
 
 
 def dual_objective(problem, state, domain_tol=1e-6):
-    """Dual objective in node coordinates: sum ||v_i||^2/(2 sigma_i) + sum f*_ij.
+    """Dual objective of a state: sum ||v_i||^2/(2 sigma_i) + sum f*_ij(coef_ij).
 
-    Virtual rows are read as coefficients along their feature; coefficients
-    outside the conjugate domain by more than `domain_tol` give +inf.
+    Coefficients outside the conjugate domain by more than `domain_tol`
+    give +inf.
     """
-    total = 0.5 * float(
-        np.sum(np.sum(state[: problem.n] ** 2, axis=1) / problem.sigma)
-    )
-    coef = np.einsum("ij,ij->i", problem.features, state[problem.n :]) / problem.xnorm2
+    center, coef = split_state(problem, state)
+    total = 0.5 * float(np.sum(np.sum(center**2, axis=1) / problem.sigma))
     if problem.loss is LossKind.ABSOLUTE:
         if np.any(np.abs(coef) > 1.0 + domain_tol):
             return np.inf
@@ -516,16 +530,16 @@ def dual_objective(problem, state, domain_tol=1e-6):
 
 
 def lift_primal_point(problem, theta):
-    """Node-space image of a primal point: sigma_i theta on centers,
-    grad f_ij(theta) on virtual rows.  At theta* this is the dual optimum
-    mapped through the constraint operator."""
+    """State of a primal point: sigma_i theta on centers, grad f_ij(theta)
+    (the coefficient l'(X_ij . theta)) on virtual nodes.  At theta* this is
+    the dual optimum mapped through the constraint operator."""
     if not problem.smooth:
         raise ValueError("lift needs sample gradients; non-smooth losses have none")
     theta = np.asarray(theta, dtype=float)
-    out = np.empty((problem.n_rows, theta.shape[0]))
-    out[: problem.n] = problem.sigma[:, None] * theta[None, :]
-    slope = loss_grad(problem.loss, problem.features @ theta, problem.labels)
-    out[problem.n :] = np.asarray(slope)[:, None] * problem.features
+    out = zero_state(problem)
+    center, coef = split_state(problem, out)
+    center[:] = problem.sigma[:, None] * theta[None, :]
+    coef[:] = loss_grad(problem.loss, problem.features @ theta, problem.labels)
     return out
 
 
@@ -564,21 +578,6 @@ def dense_A(problem):
         a[i * d : (i + 1) * d, (off + g) * d : (off + g + 1) * d] = blk
         a[r * d : (r + 1) * d, (off + g) * d : (off + g + 1) * d] = -blk
     return a
-
-
-def dense_sigma_diag(problem):
-    """Dense Sigma as a (n_rows d) x (n_rows d) block-diagonal matrix."""
-    d = problem.d
-    out = np.zeros((problem.n_rows * d, problem.n_rows * d))
-    for i in range(problem.n):
-        out[i * d : (i + 1) * d, i * d : (i + 1) * d] = problem.sigma[i] * np.eye(d)
-    for g in range(problem.n_virtual):
-        r = problem.n + g
-        if problem.smooth:
-            out[r * d : (r + 1) * d, r * d : (r + 1) * d] = (
-                problem.smooth_virtual[g] * _projector(problem, g)
-            )
-    return out
 
 
 def _sigma_dagger_blocks(problem, power):
@@ -643,6 +642,6 @@ def dense_c0_constant(problem, theta_star):
     sigma_a = symmetric_eigensolve(quad).lambda_min_pos
     lam = symmetric_eigensolve(a.T @ dense_sigma_dagger_sq_diag(problem) @ a).lambda_max
     v_star = lift_primal_point(problem, theta_star)
-    proj_dual = dense_pinv(a) @ v_star.ravel()
-    gap = dual_objective(problem, np.zeros_like(v_star)) - dual_objective(problem, v_star)
+    proj_dual = dense_pinv(a) @ state_rows(problem, v_star).ravel()
+    gap = dual_objective(problem, zero_state(problem)) - dual_objective(problem, v_star)
     return float(lam * (proj_dual @ proj_dual + 2.0 / sigma_a * gap))

@@ -8,6 +8,7 @@ with every derived constant, and is byte-deterministic for a fixed config.
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -221,8 +222,8 @@ def _is_int(value):  # JSON true/false load as bools, which are ints in Python
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_number(value):  # finite: JSON 1e400 and Infinity load as inf
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _expect_fields(obj, prefix, known, checks=()):
@@ -593,13 +594,19 @@ def _cmd_validate(args):
 
 
 def _cmd_gen_data(args):
+    _expect(args.samples >= 1, "--samples", "expected an integer >= 1")
+    _expect(args.d >= 1, "--d", "expected an integer >= 1")
+    _expect(0.0 <= args.correlation < 1.0, "--correlation", "expected a number in [0, 1)")
     feats, labels = synth_pool(args.samples, args.d, args.seed, args.correlation,
                                loss=args.loss)
     rows = []
     for f, l in zip(feats, labels):
         pairs = [(i, v) for i, v in enumerate(f) if v != 0.0]
         rows.append((l, pairs))
-    write_libsvm(args.out, rows)
+    try:
+        write_libsvm(args.out, rows)
+    except OSError as exc:
+        raise ConfigError("--out", f"cannot write {args.out}: {exc.strerror}") from None
     print(f"wrote {len(rows)} samples to {args.out}")
     return 0
 

@@ -24,12 +24,6 @@ class RunRecord:
     rows: list = field(default_factory=list)
     meta: dict = field(default_factory=dict)
 
-    def times(self):
-        return np.array([r.time for r in self.rows])
-
-    def subopts(self):
-        return np.array([np.nan if r.subopt is None else r.subopt for r in self.rows])
-
     def time_to(self, target):
         """First logged time at which subopt <= target (inf if never)."""
         for r in self.rows:

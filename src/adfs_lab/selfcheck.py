@@ -57,15 +57,17 @@ def _check_operator_shortcuts():
     shape = (prob.n_rows, prob.d)
     worst = 0.0
     for _ in range(10):
-        y = rng.normal(size=shape)
+        y = rng.normal(size=aug.zero_state(prob).shape)
         draw = aug.BlockDraw(kind="communication")
         dense = (a @ np.diag(aug.dense_pb_dagger_diag(prob, draw)) @ a.T @ sd
-                 @ y.ravel()).reshape(shape)
-        worst = max(worst, float(np.max(np.abs(dense - aug.apply_comm_step(prob, y)))))
+                 @ aug.state_rows(prob, y).ravel()).reshape(shape)
+        got = aug.state_rows(prob, aug.apply_comm_step(prob, y))
+        worst = max(worst, float(np.max(np.abs(dense - got))))
         delta = -(prob.eta if prob.smooth else 1.0) * aug.apply_comm_step(prob, y)
         wt = (a @ np.diag(aug.dense_pb_dagger_diag(prob, draw)) @ aug.dense_pinv(a)
-              @ delta.ravel()).reshape(shape)
-        worst = max(worst, float(np.max(np.abs(wt - aug.apply_wtilde(prob, draw, delta)))))
+              @ aug.state_rows(prob, delta).ravel()).reshape(shape)
+        got = aug.state_rows(prob, aug.apply_wtilde(prob, draw, delta))
+        worst = max(worst, float(np.max(np.abs(wt - got))))
     return worst <= 1e-8, f"max deviation {worst:.3e}"
 
 

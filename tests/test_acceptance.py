@@ -22,6 +22,8 @@ from adfs_lab.augmented import (
     expected_time,
     lift_primal_point,
     rate_branches,
+    state_rows,
+    zero_state,
 )
 from adfs_lab.baselines import flat_value, point_saga, pool_objectives, reference_optimum
 from adfs_lab.harness import parse_libsvm, synth_dataset, write_libsvm
@@ -31,6 +33,7 @@ from adfs_lab.rng import BlockStream, generator
 from adfs_lab.topology import build_topology, symmetric_eigensolve
 from test_adfs import dual_coeffs_to_rows, dual_composite_for, single_node_problem
 from test_apcg import prox_grad_oracle, quad_l1_problem
+from test_augmented import state_of_rows
 
 
 def _report(criterion, detail):
@@ -115,11 +118,11 @@ def test_criterion_03_operator_shortcuts(instance_set):
         for _ in range(9):
             draw = draw_block(prob, stream)
             pb = np.diag(aug.dense_pb_dagger_diag(prob, draw))
-            y = state_rng.normal(size=shape)
+            y = state_rng.normal(size=zero_state(prob).shape)
             if draw.kind == "communication":
-                dense_grad = (a @ pb @ a.T @ sig_dag @ y.ravel()).reshape(shape)
+                dense_grad = (a @ pb @ a.T @ sig_dag @ state_rows(prob, y).ravel()).reshape(shape)
                 worst = max(worst, float(np.max(np.abs(
-                    dense_grad - apply_comm_step(prob, y)
+                    dense_grad - state_rows(prob, apply_comm_step(prob, y))
                 ))))
                 delta = -prob.eta * apply_comm_step(prob, y)
             else:
@@ -127,10 +130,11 @@ def test_criterion_03_operator_shortcuts(instance_set):
                 for g in prob.vstart[:-1] + draw.chosen:
                     c = (prob.graph.n_edges + g) * prob.d
                     dual[c : c + prob.d] = state_rng.normal(size=prob.d)
-                delta = (a @ dual).reshape(shape)
-            dense_wt = (a @ pb @ pinv_a @ delta.ravel()).reshape(shape)
+                delta = state_of_rows(prob, (a @ dual).reshape(shape))
+            delta_rows = state_rows(prob, delta)
+            dense_wt = (a @ pb @ pinv_a @ delta_rows.ravel()).reshape(shape)
             worst = max(worst, float(np.max(np.abs(
-                dense_wt - apply_wtilde(prob, draw, delta)
+                dense_wt - state_rows(prob, apply_wtilde(prob, draw, delta))
             ))))
             checked += 1
     assert checked >= 50
@@ -199,7 +203,8 @@ def test_criterion_05_single_node_reduction():
     worst = 0.0
     for t in range(1, iters + 1):
         mapped = dual_coeffs_to_rows(problem, traj[t].v, mu, units)
-        worst = max(worst, float(np.max(np.abs(res.captures[t]["v"] - mapped))))
+        v_rows = state_rows(problem, res.captures[t]["v"])
+        worst = max(worst, float(np.max(np.abs(v_rows - mapped))))
     assert worst <= 1e-8
     inv = 1.0 / problem.rho
     smax = problem.s_max_bound
@@ -257,7 +262,8 @@ def test_criterion_07_efficient_equivalence():
     worst = 0.0
     for t in marks:
         for key in ("x", "v", "y"):
-            a, b = r1.captures[t][key], r2.captures[t][key]
+            a = state_rows(prob, r1.captures[t][key])
+            b = state_rows(prob, r2.captures[t][key])
             worst = max(worst, float(np.max(np.abs(a - b))) / (1 + float(np.max(np.abs(a)))))
     assert worst <= 1e-6
     assert r2.max_comp_rows_touched <= 2 * prob.n
@@ -317,7 +323,7 @@ def test_criterion_09_ns_adfs():
     lam_min_pos = symmetric_eigensolve(a.T @ a).lambda_min_pos
     long2 = run_ns_adfs(prob2, 100_000, seed=5, log_every=5000,
                         capture_iters=(100_000,))
-    v_star = long2.captures[100_000]["v"]
+    v_star = state_rows(prob2, long2.captures[100_000]["v"])
     f_opt2 = min(r.objective for r in long2.record.rows)
     p_min = float(prob2.sampling.p_marginal.min())
     slack = []
@@ -327,7 +333,7 @@ def test_criterion_09_ns_adfs():
             res = run_ns_adfs(prob2, t, seed=seed, log_every=t, capture_iters=(t,))
             lhs.append(res.record.rows[-1].objective - f_opt2)
             r_t2 = float(np.sum(v_star**2)) - float(
-                np.sum((res.captures[t]["v"] - v_star) ** 2)
+                np.sum((state_rows(prob2, res.captures[t]["v"]) - v_star) ** 2)
             )
             rhs.append(
                 2.0 / t**2 * (prob2.s_squared / lam_min_pos * r_t2

@@ -10,7 +10,7 @@ from adfs_lab.adfs import (
     run_ns_adfs,
 )
 from adfs_lab.apcg import CompositeProblem, run_apcg
-from adfs_lab.augmented import build_augmented, dense_A
+from adfs_lab.augmented import build_augmented, dense_A, split_state, state_rows, zero_state
 from adfs_lab.baselines import pool_objectives, reference_optimum
 from adfs_lab.instances import random_objectives, random_problem
 from adfs_lab.objective import LocalObjective, LossKind, prox_tilde_fstar
@@ -85,9 +85,11 @@ class TestSingleNodeReduction:
         worst = 0.0
         for t in range(1, iters + 1):
             mapped = dual_coeffs_to_rows(problem, traj[t].v, mu, units)
-            worst = max(worst, float(np.max(np.abs(res.captures[t]["v"] - mapped))))
+            v_rows = state_rows(problem, res.captures[t]["v"])
+            worst = max(worst, float(np.max(np.abs(v_rows - mapped))))
             mapped_x = dual_coeffs_to_rows(problem, traj[t].x, mu, units)
-            worst = max(worst, float(np.max(np.abs(res.captures[t]["x"] - mapped_x))))
+            x_rows = state_rows(problem, res.captures[t]["x"])
+            worst = max(worst, float(np.max(np.abs(x_rows - mapped_x))))
         assert worst <= 1e-8
 
     def test_rate_reduces_to_computation_branch(self):
@@ -178,7 +180,7 @@ class TestReferenceSolver:
         res = run_adfs(prob, 150, seed=4, log_every=150,
                        capture_iters=(10, 75, 150))
         for cap in res.captures.values():
-            virt = cap["v"][prob.n :]
+            virt = state_rows(prob, cap["v"])[prob.n :]
             coef = np.einsum("ij,ij->i", prob.features, virt) / prob.xnorm2
             resid = virt - coef[:, None] * prob.features
             norms = np.linalg.norm(virt, axis=1)
@@ -241,7 +243,8 @@ class TestEfficientSolver:
         r2 = run_adfs_efficient(prob, 500, seed=3, log_every=100, capture_iters=marks)
         for t in marks:
             for key in ("x", "v", "y"):
-                a, b = r1.captures[t][key], r2.captures[t][key]
+                a = state_rows(prob, r1.captures[t][key])
+                b = state_rows(prob, r2.captures[t][key])
                 assert np.max(np.abs(a - b)) <= 1e-6 * (1 + np.max(np.abs(a)))
         s1 = [r.objective for r in r1.record.rows]
         s2 = [r.objective for r in r2.record.rows]
@@ -268,7 +271,8 @@ class TestEfficientSolver:
                                 capture_iters=marks)
         for t in marks:
             for key in ("x", "v", "y"):
-                a, b = r1.captures[t][key], r2.captures[t][key]
+                a = state_rows(prob, r1.captures[t][key])
+                b = state_rows(prob, r2.captures[t][key])
                 assert np.max(np.abs(a - b)) <= 1e-6 * (1 + np.max(np.abs(a)))
 
     def test_return_convention_agrees_at_convergence(self, rng):
@@ -278,7 +282,8 @@ class TestEfficientSolver:
         r2 = run_adfs_efficient(prob, iters, seed=6, log_every=iters,
                                 capture_iters=(iters,))
         # exact structural equality of the reconstructed v-iterate
-        assert np.max(np.abs(r1.captures[iters]["v"] - r2.captures[iters]["v"])) <= 1e-8
+        v1, v2 = (state_rows(prob, r.captures[iters]["v"]) for r in (r1, r2))
+        assert np.max(np.abs(v1 - v2)) <= 1e-8
         # the y-based return of the rescaled form equals Sigma^+ v_K once converged
         ref_rows = _sigma_dagger_rows(prob, r1.captures[iters]["v"])
         scale = 1.0 + np.max(np.abs(ref_rows))
@@ -332,7 +337,7 @@ class TestPredictedTime:
 class TestPrimalEstimate:
     def test_zero_state(self, rng):
         prob = random_problem(rng, n=3, m=2, d=2)
-        assert np.max(np.abs(primal_estimate(prob, np.zeros((prob.n_rows, 2))))) == 0.0
+        assert np.max(np.abs(primal_estimate(prob, zero_state(prob)))) == 0.0
 
     def test_converges_to_reference_optimum(self, rng):
         prob = random_problem(rng, n=3, m=3, d=2)
@@ -347,7 +352,7 @@ class TestPrimalEstimate:
         theta_star, _ = reference_optimum(flat)
         res = run_adfs(prob, 4000, seed=1, log_every=4000, capture_iters=(4000,))
         y = res.captures[4000]["y"]
-        centers = y[: prob.n] / prob.sigma[:, None]
+        centers = split_state(prob, y)[0] / prob.sigma[:, None]
         worst = max(
             np.linalg.norm(centers[i] - centers[j])
             for i in range(prob.n)

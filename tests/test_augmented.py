@@ -16,9 +16,12 @@ from adfs_lab.augmented import (
     lift_primal_point,
     rate_branches,
     rate_rho,
+    split_state,
+    state_rows,
+    zero_state,
 )
 from adfs_lab.instances import random_connected_graph, random_objectives, random_problem
-from adfs_lab.objective import LocalObjective, LossKind
+from adfs_lab.objective import LocalObjective, LossKind, loss_conjugate, loss_grad
 from adfs_lab.rng import BlockStream, generator
 from adfs_lab.topology import build_topology, laplacian
 
@@ -26,6 +29,15 @@ from adfs_lab.topology import build_topology, laplacian
 def _dense_quad(problem):
     a = aug.dense_A(problem)
     return a, a.T @ aug.dense_sigma_dagger_diag(problem) @ a
+
+
+def state_of_rows(problem, rows):
+    """State of node-space rows whose virtual rows lie on their feature lines."""
+    state = zero_state(problem)
+    center, coef = split_state(problem, state)
+    center[:] = rows[: problem.n]
+    coef[:] = np.einsum("ij,ij->i", problem.features, rows[problem.n :]) / problem.xnorm2
+    return state
 
 
 def _lam_min_pos(mat, tol=1e-9):
@@ -225,8 +237,8 @@ class TestOperatorShortcuts:
 
     def test_consensus_state_is_killed(self, rng):
         prob = random_problem(rng, n=4, m=2, d=3)
-        y = np.zeros((prob.n_rows, prob.d))
-        y[: prob.n] = prob.sigma[:, None] * rng.normal(size=prob.d)[None, :]
+        y = zero_state(prob)
+        split_state(prob, y)[0][:] = prob.sigma[:, None] * rng.normal(size=prob.d)[None, :]
         out = apply_comm_step(prob, y)
         assert np.max(np.abs(out)) <= 1e-12
 
@@ -235,15 +247,15 @@ class TestOperatorShortcuts:
         dense = self._dense_wb(prob, BlockDraw(kind="communication"))
         shape = (prob.n_rows, prob.d)
         for _ in range(10):
-            y = generator("comm-oracle", _).normal(size=shape)
-            got = apply_comm_step(prob, y)
-            ref = (dense @ y.ravel()).reshape(shape)
+            y = generator("comm-oracle", _).normal(size=zero_state(prob).shape)
+            got = state_rows(prob, apply_comm_step(prob, y))
+            ref = (dense @ state_rows(prob, y).ravel()).reshape(shape)
             assert np.max(np.abs(got - ref)) <= 1e-10
 
     def test_comm_step_columns_sum_to_zero(self, rng):
         prob = random_problem(rng, n=5, m=2, d=3)
-        y = rng.normal(size=(prob.n_rows, prob.d))
-        out = apply_comm_step(prob, y)
+        y = rng.normal(size=zero_state(prob).shape)
+        out = state_rows(prob, apply_comm_step(prob, y))
         assert np.max(np.abs(out.sum(axis=0))) <= 1e-10
 
     def test_wtilde_comm_matches_dense(self, rng):
@@ -252,10 +264,10 @@ class TestOperatorShortcuts:
         dense = self._dense_wtilde(prob, draw)
         shape = (prob.n_rows, prob.d)
         for seed in range(10):
-            y = generator("wt-comm", seed).normal(size=shape)
+            y = generator("wt-comm", seed).normal(size=zero_state(prob).shape)
             delta = -prob.eta * apply_comm_step(prob, y)
-            got = apply_wtilde(prob, draw, delta)
-            ref = (dense @ delta.ravel()).reshape(shape)
+            got = state_rows(prob, apply_wtilde(prob, draw, delta))
+            ref = (dense @ state_rows(prob, delta).ravel()).reshape(shape)
             assert np.max(np.abs(got - ref)) <= 1e-8
 
     def test_wtilde_computation_matches_dense(self, rng):
@@ -278,13 +290,13 @@ class TestOperatorShortcuts:
                     size=prob.d
                 )
             delta = (a @ dual).reshape(shape)
-            got = apply_wtilde(prob, draw, delta)
+            got = state_rows(prob, apply_wtilde(prob, draw, state_of_rows(prob, delta)))
             ref = (self._dense_wtilde(prob, draw) @ delta.ravel()).reshape(shape)
             assert np.max(np.abs(got - ref)) <= 1e-8
 
     def test_wtilde_zero_maps_to_zero(self, rng):
         prob = random_problem(rng, n=3, m=2, d=2)
-        z = np.zeros((prob.n_rows, prob.d))
+        z = zero_state(prob)
         assert np.max(np.abs(apply_wtilde(prob, BlockDraw(kind="communication"), z))) == 0.0
 
     def test_exact_sigma_a_dominates_bound(self, rng):
@@ -417,3 +429,50 @@ class TestDualObjective:
         # any other lifted point does worse
         other = lift_primal_point(prob, theta_star + 0.5 * rng.normal(size=prob.d))
         assert dual_objective(prob, other) >= val - 1e-9
+
+
+class TestStateLayout:
+    def test_split_views_write_through(self, rng):
+        prob = random_problem(rng, n=3, m=2, d=2, ragged=True)
+        state = zero_state(prob)
+        assert state.shape == (prob.n * prob.d + prob.n_virtual,)
+        center, coef = split_state(prob, state)
+        center[1] = [2.0, -3.0]
+        coef[prob.vstart[2]] = 5.0
+        expected = np.zeros_like(state)
+        expected[prob.d : 2 * prob.d] = [2.0, -3.0]
+        expected[prob.n * prob.d + prob.vstart[2]] = 5.0
+        np.testing.assert_array_equal(state, expected)
+        rows = state_rows(prob, state)
+        assert rows.shape == (prob.n_rows, prob.d)
+        np.testing.assert_array_equal(rows[1], [2.0, -3.0])
+        np.testing.assert_array_equal(rows[prob.n + prob.vstart[2]],
+                                      5.0 * prob.features[prob.vstart[2]])
+
+    @pytest.mark.parametrize("loss", [LossKind.LOGISTIC, LossKind.SQUARED])
+    def test_lift_expands_to_dense_rows(self, loss):
+        rng = generator("lift-rows", 0)
+        prob = random_problem(rng, n=3, m=3, d=2, loss=loss, ragged=True)
+        theta = rng.normal(size=prob.d)
+        dense = [prob.sigma[i] * theta for i in range(prob.n)]
+        for obj in prob.objectives:
+            for x, label in zip(obj.feature_matrix, obj.labels):
+                dense.append(float(loss_grad(loss, x @ theta, label)) * x)
+        np.testing.assert_allclose(state_rows(prob, lift_primal_point(prob, theta)),
+                                   np.array(dense), rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("loss", [LossKind.LOGISTIC, LossKind.SQUARED])
+    def test_dual_objective_matches_node_space_formula(self, loss):
+        rng = generator("dual-rows", 0)
+        prob = random_problem(rng, n=4, m=3, d=3, loss=loss, weighted=True)
+        state = rng.normal(size=zero_state(prob).shape)
+        coef = split_state(prob, state)[1]
+        if loss is LossKind.LOGISTIC:  # inside the conjugate domain
+            coef[:] = -prob.labels * rng.uniform(0.05, 0.95, size=prob.n_virtual)
+        rows = state_rows(prob, state)
+        value = sum(rows[i] @ rows[i] / (2.0 * prob.sigma[i]) for i in range(prob.n))
+        for k in range(prob.n_virtual):
+            x = prob.features[k]
+            s = float(x @ rows[prob.n + k]) / float(x @ x)
+            value += loss_conjugate(loss, s, prob.labels[k])
+        assert dual_objective(prob, state) == pytest.approx(value, rel=1e-12)

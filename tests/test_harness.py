@@ -314,6 +314,10 @@ class TestCli:
          "dataset.corelation"),
         ({"m": True}, "m"),
         ({"out": 5}, "out"),
+        ({"tau": 1e400}, "tau"),
+        ({"stop_at_subopt": 1e400}, "stop_at_subopt"),
+        ({"sigma": 1e400}, "sigma"),
+        ({"reference": {"tol": 1e400}}, "reference.tol"),
     ])
     def test_bad_field_exits_one_naming_field(self, tmp_path, capsys, over, field):
         path = self._write_config(tmp_path, base_config(**over))
@@ -336,6 +340,18 @@ class TestCli:
                     "--out", out]) == 0
         samples, dim = parse_libsvm(out)
         assert len(samples) == 15 and dim == 3
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--samples", "0"), ("--samples", "-5"), ("--d", "0"), ("--correlation", "1.0"),
+        ("--correlation", "-0.1"), ("--out", "missing/gen.svm"),
+    ])
+    def test_gen_data_bad_flag_exits_one_naming_flag(self, tmp_path, capsys, flag, value):
+        flags = {"--samples": "15", "--d": "3", "--out": "gen.svm", flag: value}
+        flags["--out"] = str(tmp_path / flags["--out"])
+        assert cli(["gen-data", *(tok for pair in flags.items() for tok in pair)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}:") and err.count("\n") == 1
+        assert not os.listdir(tmp_path)
 
     def test_validate_green(self):
         assert cli(["validate"]) == 0
