@@ -55,7 +55,6 @@ class SamplingScheme:
     p_comm: float
     p_virtual: tuple  # per node, probabilities over its samples (each sums to 1)
     p_marginal: np.ndarray  # flattened absolute probabilities p_ij
-    s_norms: np.ndarray  # per-node normalizers S_i
     # (n, m_max) draw table: row i is cumsum(p_virtual[i]) with its last entry and
     # the padding +inf, so counting entries < u gives min(searchsorted, m_i - 1)
     cum_table: np.ndarray = field(init=False, repr=False, compare=False)
@@ -99,15 +98,12 @@ class AugmentedProblem:
     xnorm2: np.ndarray  # (V,)
     smooth_virtual: np.ndarray  # (V,) L_ij; None for the non-smooth build
     mu2_virtual: np.ndarray  # (V,) virtual edge weights squared
-    mu2_comm: np.ndarray  # (E,)
     laplacian_comm: np.ndarray  # (n, n) weighted
     alpha: float
     gamma: float  # None when the graph has no edges
     kappa_comm: float  # None when the graph has no edges
     kappa_s: float
     kappa_b: np.ndarray
-    kappa_i: np.ndarray
-    dm: np.ndarray
     dm_tilde: np.ndarray
     sampling: SamplingScheme
     rho: float
@@ -217,15 +213,14 @@ def rate_branches(problem, p_comm):
 
 
 def _marginals(objectives, p_comp):
-    """Assumption-style virtual-edge probabilities p_ij and normalizers S_i."""
-    p_virtual, s_norms, marg = [], [], []
+    """Assumption-style virtual-edge probabilities p_ij: per node, and marginal."""
+    p_virtual, marg = [], []
     for obj in objectives:
         w = np.sqrt(1.0 + obj.smoothness / obj.sigma)
         s_i = float(w.sum())
         p_virtual.append(w / s_i)
-        s_norms.append(s_i)
         marg.append(p_comp * w / s_i)
-    return tuple(p_virtual), np.array(s_norms), np.concatenate(marg)
+    return tuple(p_virtual), np.concatenate(marg)
 
 
 def rate_rho(problem, p_comm):
@@ -233,7 +228,7 @@ def rate_rho(problem, p_comm):
     rho_comm, rho_comp = rate_branches(problem, p_comm)
     rho = min(rho_comm, rho_comp)
     if problem.smooth:
-        _, _, marg = _marginals(problem.objectives, 1.0 - p_comm)
+        _, marg = _marginals(problem.objectives, 1.0 - p_comm)
         cap = 0.5 * float(marg.min())
         if rho > cap:
             log.warning(
@@ -275,7 +270,6 @@ def build_augmented(graph, objectives, tau, p_comm_override=None):
     feats, labels, xnorm2, vstart, d = _stack_objectives(objectives)
     sigma = np.array([o.sigma for o in objectives])
     report = condition_numbers(objectives)
-    dm = sigma + report.lam_sum_max
     dm_tilde = sigma + 2.0 * report.lam_sum_max
 
     lap, gamma, kappa_comm, alpha = _graph_spectra(graph, dm_tilde, sigma)
@@ -285,7 +279,6 @@ def build_augmented(graph, objectives, tau, p_comm_override=None):
     lg = loss.scalar_smoothness
     smooth_virtual = lg * xnorm2
     mu2_virtual = alpha * smooth_virtual
-    mu2_comm = graph.edge_weights**2
 
     m_max = int(max(o.m for o in objectives))
     s_max = m_max + np.sqrt(m_max * report.kappa_s)
@@ -301,10 +294,8 @@ def build_augmented(graph, objectives, tau, p_comm_override=None):
     if graph.n_edges == 0 and p_comm != 0.0:
         raise ValueError("p_comm must be 0 for a graph with no edges")
 
-    p_virtual, s_norms, marg = _marginals(objectives, 1.0 - p_comm)
-    sampling = SamplingScheme(
-        p_comm=p_comm, p_virtual=p_virtual, p_marginal=marg, s_norms=s_norms
-    )
+    p_virtual, marg = _marginals(objectives, 1.0 - p_comm)
+    sampling = SamplingScheme(p_comm=p_comm, p_virtual=p_virtual, p_marginal=marg)
 
     problem = AugmentedProblem(
         graph=graph,
@@ -319,15 +310,12 @@ def build_augmented(graph, objectives, tau, p_comm_override=None):
         xnorm2=xnorm2,
         smooth_virtual=smooth_virtual,
         mu2_virtual=mu2_virtual,
-        mu2_comm=mu2_comm,
         laplacian_comm=lap,
         alpha=float(alpha),
         gamma=gamma,
         kappa_comm=kappa_comm,
         kappa_s=report.kappa_s,
         kappa_b=report.kappa_b,
-        kappa_i=report.kappa_i,
-        dm=dm,
         dm_tilde=dm_tilde,
         sampling=sampling,
         rho=0.0,
@@ -382,12 +370,7 @@ def build_augmented_ns(graph, objectives, tau=1.0, p_comm_override=None):
         lam_min * m_max**2 / ((m_max + 1.0) * p_comp**2),
     )
 
-    sampling = SamplingScheme(
-        p_comm=p_comm,
-        p_virtual=p_virtual,
-        p_marginal=marg,
-        s_norms=np.array([float(o.m) for o in objectives]),
-    )
+    sampling = SamplingScheme(p_comm=p_comm, p_virtual=p_virtual, p_marginal=marg)
     return AugmentedProblem(
         graph=graph,
         objectives=objectives,
@@ -401,15 +384,12 @@ def build_augmented_ns(graph, objectives, tau=1.0, p_comm_override=None):
         xnorm2=xnorm2,
         smooth_virtual=None,
         mu2_virtual=mu2_virtual,
-        mu2_comm=graph.edge_weights**2,
         laplacian_comm=lap,
         alpha=float(lam_min / (1.0 + m_max)),
         gamma=gamma,
         kappa_comm=None,
         kappa_s=None,
         kappa_b=None,
-        kappa_i=None,
-        dm=None,
         dm_tilde=None,
         sampling=sampling,
         rho=None,

@@ -5,11 +5,12 @@ suboptimality column is measured against; Point-SAGA is the comparison
 algorithm for the idealized-time experiments (one time unit per prox).
 """
 
+import math
+
 import numpy as np
 
-from .adfs import run_ns_adfs
-from .objective import (LocalObjective, LossKind, _stacked_grad, _stacked_value, primal_grad,
-                        primal_value, prox_sample)
+from .objective import (LocalObjective, LossKind, _logistic_prox, _prox_1d_array, _stacked_grad,
+                        _stacked_value, primal_grad, primal_value)
 from .records import LogRow, RunRecord
 from .rng import generator
 from .topology import symmetric_eigensolve
@@ -68,13 +69,16 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
         2.0 * big_l * n_samp
     )
     shrink = 1.0 + gamma * problem.sigma_total
-    eta_inner = gamma * n_samp / shrink
+    eta_inner = float(gamma * n_samp / shrink)
+    # the prox works on Python floats: numpy scalar arithmetic costs more
+    label_f, xnorm2_f = labels.tolist(), problem.xnorm2.tolist()
+    logistic = problem.loss is LossKind.LOGISTIC
 
     rng = generator("point-saga", seed)
     x = np.zeros(d)
     table = np.zeros((n_samp, d))
     gbar = np.zeros(d)
-    warm = np.zeros(n_samp)
+    warm = [0.0] * n_samp
 
     def log_row(rows, t):
         obj = _stacked_value(problem.loss, feats, labels, problem.sigma_total, x)
@@ -87,7 +91,16 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
     for t in range(iters):
         j = int(rng.integers(n_samp))
         w = x + gamma * (table[j] - gbar)
-        x = prox_sample(feats[j], labels[j], problem.loss, w / shrink, eta_inner, warm[j])
+        v = w / shrink  # prox_sample's arithmetic on the validated pooled rows
+        zz = float(feats[j] @ v)
+        if not math.isfinite(zz):  # a nan or inf anywhere in v reaches zz
+            raise ValueError("non-finite prox input")
+        step = eta_inner * xnorm2_f[j]
+        if logistic:
+            p = _logistic_prox(zz, label_f[j], step, warm[j])
+        else:
+            p = float(_prox_1d_array(problem.loss, zz, label_f[j], step, warm[j]))
+        x = v + ((p - zz) / xnorm2_f[j]) * feats[j]
         warm[j] = float(feats[j] @ x)
         g_new = (w - x) / gamma
         gbar = gbar + (g_new - table[j]) / n_samp
@@ -103,34 +116,47 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
     return record, x
 
 
-def reference_optimum(problem: FlatProblem, tol=3e-6, max_iters=2_000_000,
-                      ns_problem=None, ns_iters=20_000, ns_seeds=(0, 1, 2)):
-    """High-accuracy optimum used as the suboptimality yardstick.
+def reference_optimum(problem: FlatProblem, tol=3e-6, max_iters=2_000_000, ns_problem=None):
+    """High-accuracy optimum used as the suboptimality yardstick; every branch
+    certifies a value gap of at most tol^2 sigma_total / 2.
 
     Squared loss: exact normal-equation solve.  Logistic: deterministic
-    Nesterov iteration until ||grad F|| <= tol * sigma_total (so the value gap
-    is at most tol^2 sigma_total / 2).  Absolute loss: the *dual* optimum,
-    estimated from long fixed-seed runs of the non-smooth solver on
-    `ns_problem` (best value over several restarts); the returned vector is
-    then the best primal estimate, and the value is the dual minimum.
+    Nesterov iteration until ||grad F|| <= tol * sigma_total.  Absolute loss:
+    the pooled dual D(a) = a . y + ||X^T a||^2 / (2 sigma_total) over |a| <= 1,
+    by projected FISTA (Beck & Teboulle 2009) with the gradient restart of
+    O'Donoghue & Candes (2015), until the duality gap P(theta) + D(a) at
+    theta = -X^T a / sigma_total, checked every 20 steps, meets that bound;
+    the value returned is D(a), the yardstick of the non-smooth solver's dual
+    logs.  `ns_problem` is ignored: the benchmark's set-up (perfbench/run.py)
+    still passes it.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    if problem.loss is LossKind.ABSOLUTE:
-        if ns_problem is None:
-            raise ValueError("absolute loss: pass the non-smooth augmented problem")
-        best_val = np.inf
-        best_theta = None
-        for sd in ns_seeds:
-            res = run_ns_adfs(ns_problem, ns_iters, seed=sd, log_every=max(ns_iters // 200, 1))
-            run_best = float(np.min([r.objective for r in res.record.rows]))
-            if run_best < best_val:
-                best_val = run_best
-                best_theta = res.theta
-        return best_theta, best_val
     # stacked once per call: the Nesterov loop evaluates two gradients per step
     feats = problem.feature_matrix
     args = (problem.loss, feats, problem.labels, problem.sigma_total)
+    if problem.loss is LossKind.ABSOLUTE:
+        labels, sigma = problem.labels, problem.sigma_total
+        lip = symmetric_eigensolve(feats.T @ feats).lambda_max / sigma
+        target = tol**2 * sigma / 2.0
+        a = y = np.zeros(problem.m)
+        t, gap = 1.0, np.inf
+        for it in range(max_iters):
+            a_new = np.clip(y - (labels + feats @ (feats.T @ y) / sigma) / lip, -1.0, 1.0)
+            if (y - a_new) @ (a_new - a) > 0.0:  # momentum points uphill: restart
+                t_new, y = 1.0, a_new
+            else:
+                t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+                y = a_new + ((t - 1.0) / t_new) * (a_new - a)
+            a, t = a_new, t_new
+            if it % 20 == 0:
+                theta = -(feats.T @ a) / sigma
+                dual = float(a @ labels) + 0.5 * sigma * float(theta @ theta)
+                gap = _stacked_value(*args, theta) + dual
+                if gap <= target:
+                    return theta, dual
+        raise RuntimeError(
+            f"reference solver did not converge: duality gap = {gap:.3e} > {target:.3e}")
     if problem.loss is LossKind.SQUARED:
         mat = feats.T @ feats + problem.sigma_total * np.eye(feats.shape[1])
         theta = np.linalg.solve(mat, feats.T @ problem.labels)

@@ -19,7 +19,7 @@ import numpy as np
 from . import selfcheck
 from .adfs import run_adfs, run_adfs_efficient, run_ns_adfs
 from .augmented import balanced_p_comm, build_augmented, build_augmented_ns, rate_branches
-from .baselines import point_saga, pool_objectives, reference_optimum
+from .baselines import flat_grad, flat_value, point_saga, pool_objectives, reference_optimum
 from .objective import LocalObjective, LossKind
 from .rng import generator
 from .topology import GraphConstructionError, build_topology
@@ -342,11 +342,8 @@ def load_config(data) -> ExperimentConfig:
     _expect(isinstance(data.get("out", ""), str), "out", "expected a directory path")
     ref = data.get("reference", {})
     _expect(isinstance(ref, dict), "reference", "expected an object")
-    _expect_fields(ref, "reference.", ("tol", "ns_iters", "ns_seeds"), (
+    _expect_fields(ref, "reference.", ("tol",), (
         ("tol", lambda v: _is_number(v) and v > 0, "expected a positive number"),
-        ("ns_iters", lambda v: _is_int(v) and v >= 1, "expected an integer >= 1"),
-        ("ns_seeds", lambda v: isinstance(v, list) and v and all(map(_is_int, v)),
-         "expected a non-empty list of integers"),
     ))
 
     return ExperimentConfig(
@@ -475,18 +472,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     os.makedirs(out_dir, exist_ok=True)
     graph, objectives, problem, flat, dataset_id = build_instance(cfg)
 
-    any_iters = any(cfg.iters[a] > 0 for a in cfg.algorithms)
-    f_star = None
-    if any_iters:
-        if cfg.loss_kind.is_smooth:
-            _, f_star = reference_optimum(flat, tol=cfg.reference.get("tol", 3e-6))
-        else:
-            _, f_star = reference_optimum(
-                flat,
-                ns_problem=problem,
-                ns_iters=cfg.reference.get("ns_iters", 20_000),
-                ns_seeds=tuple(cfg.reference.get("ns_seeds", (0, 1, 2))),
-            )
+    f_star = gap = None
+    if any(cfg.iters[a] > 0 for a in cfg.algorithms):
+        theta, f_star = reference_optimum(flat, tol=cfg.reference.get("tol", 3e-6))
+        # certified |f_star - F*|: the duality gap for the absolute loss, whose
+        # f_star is a dual value; ||grad F||^2 / (2 sigma_total) for smooth losses
+        gap = (f_star + flat_value(flat, theta) if flat.loss is LossKind.ABSOLUTE else
+               float(np.linalg.norm(flat_grad(flat, theta))) ** 2 / (2.0 * flat.sigma_total))
 
     cells = [(a, s) for a in cfg.algorithms for s in cfg.seeds if cfg.iters[a] > 0]
     records = {}
@@ -519,7 +511,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
             "reference": cfg.reference,
         },
         "dataset_id": dataset_id,
-        "derived": derived_constants(cfg, problem, flat, f_star),
+        "derived": dict(derived_constants(cfg, problem, flat, f_star), reference_gap=gap),
         "failures": failures,
     }
     meta_path = os.path.join(out_dir, "metadata.json")

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adfs_lab.adfs import run_ns_adfs
+from adfs_lab.augmented import build_augmented_ns
 from adfs_lab.baselines import (
     FlatProblem,
     flat_grad,
@@ -12,6 +16,7 @@ from adfs_lab.baselines import (
 from adfs_lab.instances import random_objectives
 from adfs_lab.objective import LossKind, primal_value
 from adfs_lab.rng import generator
+from adfs_lab.topology import build_topology
 
 
 class TestFlatProblem:
@@ -102,11 +107,37 @@ class TestReferenceOptimum:
         theta, _ = reference_optimum(flat, tol=tol)
         assert np.linalg.norm(flat_grad(flat, theta)) <= tol * flat.sigma_total
 
-    def test_absolute_requires_ns_problem(self, rng):
-        objs = random_objectives(rng, 2, 2, 2, loss=LossKind.ABSOLUTE)
+    def test_absolute_dual_gap_certified(self, rng):
+        objs = random_objectives(rng, 4, 6, 3, loss=LossKind.ABSOLUTE)
         flat = pool_objectives(objs)
-        with pytest.raises(ValueError, match="non-smooth augmented problem"):
-            reference_optimum(flat)
+        for tol in (3e-6, 1e-4):
+            theta, f_ref = reference_optimum(flat, tol=tol)
+            gap = f_ref + flat_value(flat, theta)
+            assert 0.0 <= gap <= tol**2 * flat.sigma_total / 2.0
+        # the non-smooth problem some callers pass is ignored
+        prob = build_augmented_ns(build_topology("line", n=4), objs)
+        theta2, f_ref2 = reference_optimum(flat, tol=tol, ns_problem=prob)
+        assert f_ref2 == f_ref and np.array_equal(theta2, theta)
+
+    def test_absolute_budget_exhausted_names_gap(self, rng):
+        objs = random_objectives(rng, 4, 6, 3, loss=LossKind.ABSOLUTE)
+        with pytest.raises(RuntimeError, match="duality gap"):
+            reference_optimum(pool_objectives(objs), tol=1e-12, max_iters=50)
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**16))
+    def test_absolute_reference_bounds_solver_logs(self, seed):
+        rng = generator("abs-reference", seed)
+        objs = random_objectives(rng, 3, 4, 2, loss=LossKind.ABSOLUTE)
+        flat = pool_objectives(objs)
+        tol = 3e-6
+        theta, f_ref = reference_optimum(flat, tol=tol)
+        gap = f_ref + flat_value(flat, theta)
+        assert gap <= tol**2 * flat.sigma_total / 2.0
+        prob = build_augmented_ns(build_topology("line", n=3), objs)
+        res = run_ns_adfs(prob, 3000, seed=seed, log_every=100)
+        lowest = min(r.objective for r in res.record.rows)
+        assert lowest >= f_ref - gap - 1e-9 * (1.0 + abs(f_ref))
 
     def test_lower_envelope_for_solver_logs(self, rng):
         from adfs_lab.adfs import run_adfs

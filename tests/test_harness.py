@@ -173,6 +173,7 @@ class TestRunExperiment:
         assert lines == ["algo,seed,iter,time,subopt"]
         meta = json.load(open(tmp_path / "metadata.json"))
         assert "alpha" in meta["derived"]
+        assert meta["derived"]["f_star"] is None and meta["derived"]["reference_gap"] is None
 
     def test_row_accounting(self, tmp_path):
         cfg = load_config(base_config())
@@ -248,12 +249,22 @@ class TestRunExperiment:
     def test_ns_experiment_runs(self, tmp_path):
         cfg = load_config(base_config(
             loss="absolute", algorithms=["ns_adfs"], iters=200, log_every=50,
-            seeds=[0], reference={"ns_iters": 2000, "ns_seeds": [0]},
+            seeds=[0],
         ))
         code, csv_path = run_experiment(cfg, out_dir=str(tmp_path))
         assert code == 0
         rows = open(csv_path).read().splitlines()[1:]
         assert len(rows) == 200 // 50 + 1
+
+    @pytest.mark.parametrize("loss,algo", [
+        ("absolute", "ns_adfs"), ("logistic", "adfs"), ("squared", "adfs")])
+    def test_reference_gap_recorded(self, tmp_path, loss, algo):
+        tol = 1e-4
+        cfg = load_config(base_config(loss=loss, algorithms=[algo], seeds=[0],
+                                      reference={"tol": tol}))
+        run_experiment(cfg, out_dir=str(tmp_path))
+        derived = json.load(open(tmp_path / "metadata.json"))["derived"]
+        assert -1e-12 <= derived["reference_gap"] <= tol**2 * derived["sigma_total"] / 2.0
 
 
 class TestCli:
