@@ -63,38 +63,52 @@ def _log_smooth(problem, rows, t, now, y_state, f_star, kind):
     return sub
 
 
-def _conjugate_prox(problem, idx, c_in, eta_tilde, warm):
-    """Coefficients of prox_{eta~ f*_ij}(c_in X_ij) at the sampled virtual
-    nodes `idx`, refreshing their warm starts in `warm`.
+class _Rounds:
+    """What the computation rounds of one run share: the round table and its
+    boundary set (augmented.round_table), the first virtual index of each
+    node, and one warm start of the smooth build's scalar prox per virtual
+    node."""
 
-    The smooth build goes through the conjugate-side identity of the primal
-    prox, the non-smooth build through the Moreau identity.
-    """
-    xnorm2, labels = problem.xnorm2[idx], problem.labels[idx]
-    if problem.smooth:
-        c_out, warm[idx] = _tilde_coeff_batch(
-            problem.loss, c_in, xnorm2, labels, problem.smooth_virtual[idx], eta_tilde,
-            warm[idx],
-        )
-        return c_out
-    # prox of eta~ f* via Moreau: x - eta~ prox_(1/eta~) f (x / eta~)
-    p_star = _prox_1d_array(
-        problem.loss, c_in * xnorm2 / eta_tilde, labels, xnorm2 / eta_tilde, warm[idx],
-    )
-    warm[idx] = p_star
-    return c_in - eta_tilde * p_star / xnorm2
+    def __init__(self, problem, eta=None):
+        self.table, self.boundary = aug.round_table(problem, eta)
+        self.first = problem.vstart[:-1]
+        self.warm = np.zeros(problem.n_virtual) if problem.smooth else None
+
+    def sample(self, problem, draw):
+        """(idx, consts, rows) of a computation draw: the sampled virtual
+        nodes, their round-table columns (consts[col] holds one entry per
+        node) and their features."""
+        idx = self.first + draw.chosen
+        # ndarray.take gathers 2-D rows about 3x faster than fancy indexing
+        return idx, self.table.take(idx, axis=0).T, problem.features.take(idx, axis=0)
+
+    def step(self, problem, idx, consts, rows, y_center, y_coef, w_coef, eta):
+        """Coefficient change h of the sampled virtual nodes `idx`: the
+        conjugate prox of w - eta * (gradient at y), minus w.  A computation
+        round adds h to those coefficients and -h * X to their centers."""
+        grad = aug.virtual_gradient(problem, consts, rows, y_center, y_coef)
+        c_in = w_coef + eta * grad
+        if problem.smooth:
+            # prox of eta~ ftilde* through the conjugate-side identity,
+            # refreshing the warm starts of the sampled nodes
+            warm = self.warm
+            boundary = None if self.boundary is None else self.boundary[idx]
+            c_out, warm[idx] = _tilde_coeff_batch(
+                problem.loss, c_in, consts[aug.XNORM2], consts[aug.LABEL],
+                consts[aug.SMOOTH], consts[aug.ETA_TILDE], consts[aug.STEP],
+                consts[aug.SCALE], warm[idx], boundary,
+            )
+            return c_out - w_coef
+        # prox of eta~ f* via Moreau: x - eta~ prox_(1/eta~) f (x / eta~); the
+        # non-smooth (absolute) prox is closed-form and takes no warm start
+        xnorm2 = consts[aug.XNORM2]
+        eta_tilde = eta * consts[aug.MU2] / consts[aug.PROB]
+        p_star = _prox_1d_array(problem.loss, c_in * xnorm2 / eta_tilde, consts[aug.LABEL],
+                                xnorm2 / eta_tilde, None)
+        return c_in - eta_tilde * p_star / xnorm2 - w_coef
 
 
-def _virtual_step(problem, idx, y_center, y_coef, w_coef, eta, warm):
-    """Coefficient change h of the sampled virtual nodes `idx`: the conjugate
-    prox of w - eta * (gradient at y), minus w.  A computation round adds h
-    to those coefficients and -h * X to their centers."""
-    grad = aug.virtual_gradient(problem, idx, y_center, y_coef)
-    eta_tilde = eta * problem.mu2_virtual[idx] / problem.sampling.p_marginal[idx]
-    return _conjugate_prox(problem, idx, w_coef + eta * grad, eta_tilde, warm) - w_coef
-
-
-def _block_step(problem, draw, y, w, eta, beta, warm):
+def _block_step(problem, rounds, draw, y, w, eta, beta):
     """One block of the dual recursion, written in place.
 
     On entry the states y and w hold the momentum combinations of the
@@ -102,21 +116,25 @@ def _block_step(problem, draw, y, w, eta, beta, warm):
     x = y + beta * W~ delta.  Returns the idealized duration of the block.
     """
     if draw.kind == "communication":
-        delta = -eta * aug.apply_comm_step(problem, y)
-        duration = problem.tau
-    else:
-        idx = problem.vstart[:-1] + draw.chosen
-        y_center, y_coef = aug.split_state(problem, y)
-        w_coef = aug.split_state(problem, w)[1]
-        h = _virtual_step(problem, idx, y_center, y_coef[idx], w_coef[idx], eta, warm)
-        delta = aug.zero_state(problem)
-        d_center, d_coef = aug.split_state(problem, delta)
-        np.multiply(problem.features[idx], -h[:, None], out=d_center)
-        d_coef[idx] = h
-        duration = 1.0
-    w += delta
-    y += beta * aug.apply_wtilde(problem, draw, delta)
-    return duration
+        k = problem.n * problem.d  # gossip moves only the centers
+        delta = -eta * aug.apply_comm_step(problem, y[:k])
+        w[:k] += delta
+        y[:k] += beta * aug.apply_wtilde(problem, draw, delta)
+        return problem.tau
+    # delta is -h * X on the centers and +h on the sampled coefficients, and
+    # W~ rescales both by 1 / p_ij (apply_wtilde): only those entries move
+    idx, consts, rows = rounds.sample(problem, draw)
+    y_center, y_coef = aug.split_state(problem, y)
+    w_center, w_coef = aug.split_state(problem, w)
+    w_idx = w_coef[idx]
+    h = rounds.step(problem, idx, consts, rows, y_center, y_coef[idx], w_idx, eta)
+    d_center = rows * -h[:, None]
+    inv_p = 1.0 / consts[aug.PROB]
+    w_center += d_center
+    w_coef[idx] = w_idx + h
+    y_center += beta * (d_center * inv_p[:, None])
+    y_coef[idx] += beta * (h * inv_p)
+    return 1.0
 
 
 def run_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=(),
@@ -135,7 +153,7 @@ def run_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=(),
     x = aug.zero_state(problem)
     v = np.zeros_like(x)
     y = np.empty_like(x)
-    warm = np.zeros(problem.n_virtual)
+    rounds = _Rounds(problem, eta)
     stream = BlockStream("adfs", seed)
     capture_iters = set(capture_iters)
     captures = {}
@@ -153,7 +171,7 @@ def run_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=(),
         np.multiply(y, rho, out=x)
         np.add(v, x, out=v)
         draw = aug.draw_block(problem, stream)
-        now += _block_step(problem, draw, y, v, eta, rho, warm)
+        now += _block_step(problem, rounds, draw, y, v, eta, rho)
         x, y = y, x
         if not np.isfinite(v).all():
             raise FloatingPointError(f"non-finite state at iteration {t}")
@@ -192,7 +210,7 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
     u_center, u_coef = aug.split_state(problem, big_u)
     z_center, z_coef = aug.split_state(problem, z)
     c = 1.0
-    warm = np.zeros(problem.n_virtual)
+    rounds = _Rounds(problem, eta)
     stream = BlockStream("adfs", seed)
     capture_iters = set(capture_iters)
     captures = {}
@@ -208,24 +226,23 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
             wt = aug.apply_wtilde(problem, draw, h)
             big_u[:k] -= (h - rho * wt) / (2.0 * c)
             z[:k] += 0.5 * (h + rho * wt)
-            written = []  # coefficients written this round
+            z_written = None  # no coefficient written this round
             now += tau
         else:
-            idx = problem.vstart[:-1] + draw.chosen
-            h = _virtual_step(problem, idx, c * u_center + z_center,
-                              c * u_coef[idx] + z_coef[idx], -c * u_coef[idx] + z_coef[idx],
-                              eta, warm)
+            idx, consts, xs = rounds.sample(problem, draw)
+            u_idx, z_idx = u_coef[idx], z_coef[idx]
+            cu = c * u_idx
+            h = rounds.step(problem, idx, consts, xs, c * u_center + z_center, cu + z_idx,
+                            z_idx - cu, eta)
             # the pair update of -h * X on the centers and +h on the
             # coefficients, whose W~ image is the same rescaled by 1/p_ij
-            rho_wt = rho / problem.sampling.p_marginal[idx]
-            du = (h - rho_wt * h) / (2.0 * c)
-            dz = 0.5 * (h + rho_wt * h)
-            xs = problem.features[idx]
-            u_coef[idx] -= du
-            z_coef[idx] += dz
+            rho_wt_h = rho / consts[aug.PROB] * h
+            du = (h - rho_wt_h) / (2.0 * c)
+            dz = 0.5 * (h + rho_wt_h)
+            u_coef[idx] = u_idx - du
+            z_coef[idx] = z_written = z_idx + dz
             u_center += du[:, None] * xs
             z_center -= dz[:, None] * xs
-            written = idx
             max_touched = max(max_touched, n + len(set(idx.tolist())))
             now += 1.0
         c *= phi
@@ -233,7 +250,8 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
             big_u *= c
             c = 1.0
         # z changes only on the centers and the coefficients written here
-        if not (np.isfinite(z_center).all() and np.isfinite(z_coef[written]).all()):
+        if not (np.isfinite(z_center).all()
+                and (z_written is None or np.isfinite(z_written).all())):
             raise FloatingPointError(f"non-finite state at iteration {t}")
         t1 = t + 1
         if t1 in capture_iters:
@@ -265,7 +283,7 @@ def run_ns_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=
     x = aug.zero_state(problem)
     v = np.zeros_like(x)
     y = np.empty_like(x)
-    warm = np.zeros(problem.n_virtual)
+    rounds = _Rounds(problem)
     stream = BlockStream("ns-adfs", seed)
     capture_iters = set(capture_iters)
     captures = {}
@@ -288,7 +306,7 @@ def run_ns_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=
         np.multiply(v, alpha, out=x)
         np.add(y, x, out=y)
         draw = aug.draw_block(problem, stream)
-        now += _block_step(problem, draw, y, v, eta, alpha, warm)
+        now += _block_step(problem, rounds, draw, y, v, eta, alpha)
         x, y = y, x
         if not np.isfinite(v).all():
             raise FloatingPointError(f"non-finite state at iteration {t}")

@@ -29,6 +29,7 @@ __all__ = [
     "split_state",
     "zero_state",
     "state_rows",
+    "round_table",
     "draw_block",
     "apply_comm_step",
     "virtual_gradient",
@@ -56,7 +57,8 @@ class SamplingScheme:
     p_virtual: tuple  # per node, probabilities over its samples (each sums to 1)
     p_marginal: np.ndarray  # flattened absolute probabilities p_ij
     # (n, m_max) draw table: row i is cumsum(p_virtual[i]) with its last entry and
-    # the padding +inf, so counting entries < u gives min(searchsorted, m_i - 1)
+    # the padding +inf.  Rows are nondecreasing, so the index of the first entry
+    # not below u (the count of entries < u) gives min(searchsorted, m_i - 1)
     cum_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -426,13 +428,52 @@ def state_rows(problem, state):
     return np.concatenate((center, coef[:, None] * problem.features))
 
 
+# Columns of a round table.  Both builds: the gradient weight mu_ij^2 / p_ij,
+# ||X_ij||^2, the label and p_ij.
+WEIGHT, XNORM2, LABEL, PROB = range(4)
+# Smooth build, whose conjugate-prox step is fixed for a run: L_ij,
+# eta~_ij = eta mu_ij^2 / p_ij, the 1D prox step gamma ||X_ij||^2 with
+# gamma = (L_ij - eta~_ij) / (eta~_ij L_ij), and 1 - eta~_ij / L_ij.
+SMOOTH, ETA_TILDE, STEP, SCALE = range(4, 8)
+# Non-smooth build, whose step changes every round: mu_ij^2.
+MU2 = 4
+
+
+def round_table(problem, eta=None):
+    """The constants a computation round reads, one row per virtual node.
+
+    Returns (table, boundary).  `table` is a (V, k) array with the columns
+    named above; a round reads the rows of its sampled nodes through one
+    gather.  For the smooth build, `eta` is the run's dual step, the
+    conjugate-prox identity is checked once for every virtual node
+    (eta~_ij <= L_ij up to 1e-9 relative, else ValueError), and `boundary`
+    marks the nodes at its limit eta~_ij = L_ij, or is None when there are
+    none.  The non-smooth build has no boundary.
+    """
+    p = problem.sampling.p_marginal
+    mu2 = problem.mu2_virtual
+    cols = [mu2 / p, problem.xnorm2, problem.labels, p]
+    if not problem.smooth:
+        return np.column_stack(cols + [mu2]), None
+    smooth = problem.smooth_virtual
+    eta_tilde = eta * mu2 / p
+    ratio = eta_tilde / smooth
+    if np.any(ratio > 1.0 + 1e-9):
+        raise ValueError("eta_tilde exceeds the sample smoothness: prox identity breaks")
+    boundary = ratio >= 1.0 - 1e-9
+    gamma = (smooth - eta_tilde) / (eta_tilde * smooth)
+    table = np.column_stack(
+        cols + [smooth, eta_tilde, gamma * problem.xnorm2, 1.0 - eta_tilde / smooth])
+    return table, (boundary if boundary.any() else None)
+
+
 def draw_block(problem, stream) -> BlockDraw:
     """One synchronous block draw from the two substreams of `stream`."""
     scheme = problem.sampling
     if scheme.p_comm > 0.0 and stream.kind_rng.random() < scheme.p_comm:
         return BlockDraw(kind="communication")
     u = stream.pick_rng.random(problem.n)
-    chosen = (scheme.cum_table < u[:, None]).sum(axis=1)
+    chosen = (scheme.cum_table < u[:, None]).argmin(axis=1)  # first False: faster than a sum
     return BlockDraw(kind="computation", chosen=chosen)
 
 
@@ -453,18 +494,20 @@ def apply_comm_step(problem, state):
     return out
 
 
-def virtual_gradient(problem, idx, center, coef):
-    """Gradient coefficients of the sampled virtual edges `idx` (one per node).
+def virtual_gradient(problem, consts, rows, center, coef):
+    """Gradient coefficients of the sampled virtual edges (one per node).
 
-    `center` holds the n center rows of the state and `coef` its coefficients
-    at the sampled virtual nodes.  The gradient term of W_b Sigma^dagger state
-    is +g_i * X on center row i and -g_i on the sampled coefficient.
+    `consts` holds the round-table columns (see round_table) of the sampled
+    virtual nodes, `rows` their features, `center` the n center rows of the
+    state and `coef` its coefficients at the sampled virtual nodes.  The
+    gradient term of W_b Sigma^dagger state is +g_i * X on center row i and
+    -g_i on the sampled coefficient.
     """
-    grad = np.einsum("ij,ij->i", problem.features[idx], center) / problem.sigma
-    grad /= problem.xnorm2[idx]
+    grad = np.einsum("ij,ij->i", rows, center) / problem.sigma
+    grad /= consts[XNORM2]
     if problem.smooth:
-        grad -= coef / problem.smooth_virtual[idx]
-    return (problem.mu2_virtual[idx] / problem.sampling.p_marginal[idx]) * grad
+        grad -= coef / consts[SMOOTH]
+    return consts[WEIGHT] * grad
 
 
 def apply_wtilde(problem, draw, delta):

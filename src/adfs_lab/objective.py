@@ -24,7 +24,6 @@ __all__ = [
     "loss_conjugate",
     "loss_prox_1d",
     "prox_sample",
-    "prox_tilde_fstar",
     "condition_numbers",
     "primal_value",
     "primal_grad",
@@ -109,6 +108,14 @@ def loss_conjugate(kind, s, label):
     return out if out.ndim else float(out)
 
 
+def _logistic_newton_delta(p, z, label, step):
+    """Newton step at p for argmin_p (p - z)^2 / (2 step) + log(1 + exp(-label p))."""
+    u = label * p  # sig = 1 / (1 + exp(u)); math.exp would overflow on u >> 0
+    e = math.exp(-abs(u))
+    sig = e / (1.0 + e) if u > 0.0 else 1.0 / (1.0 + e)
+    return -((p - z) / step - label * sig) / (1.0 / step + sig * (1.0 - sig))
+
+
 def _logistic_prox(z, label, step, warm):
     """argmin_p (p - z)^2 / (2 step) + log(1 + exp(-label p)) for floats.
 
@@ -116,34 +123,37 @@ def _logistic_prox(z, label, step, warm):
     max(z, warm) + 10 step].  A step leaving the guard, or no convergence
     within NEWTON_ITERS, falls back to bisection on z +- step (|loss'| <= 1
     puts the root there) and 4 Newton polish steps inside that bracket.
+    The Newton loop is `_logistic_newton_delta` written out, since it is the
+    innermost loop of every logistic run; the fallback calls it.
     """
-    def newton_delta(p):
-        u = label * p  # sig = 1 / (1 + exp(u)); math.exp would overflow on u >> 0
-        e = math.exp(-abs(u))
-        sig = e / (1.0 + e) if u > 0.0 else 1.0 / (1.0 + e)
-        return -((p - z) / step - label * sig) / (1.0 / step + sig * (1.0 - sig))
-
-    lo_guard = min(z, warm) - 10.0 * step
-    hi_guard = max(z, warm) + 10.0 * step
+    inv_step = 1.0 / step
+    lo_guard = (warm if warm < z else z) - 10.0 * step
+    hi_guard = (warm if warm > z else z) + 10.0 * step
     p = warm
     for _ in range(NEWTON_ITERS):
-        delta = newton_delta(p)
+        u = label * p
+        if u > 0.0:
+            e = math.exp(-u)
+            sig = e / (1.0 + e)
+        else:
+            sig = 1.0 / (1.0 + math.exp(u))
+        delta = -((p - z) / step - label * sig) / (inv_step + sig * (1.0 - sig))
         p = p + delta
         if p < lo_guard or p > hi_guard:
             break
-        if abs(delta) <= NEWTON_TOL:
+        if -NEWTON_TOL <= delta <= NEWTON_TOL:
             return p
 
     lo, hi = z - step, z + step
     for _ in range(BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
-        if newton_delta(mid) > 0:  # slope < 0 at mid: the minimizer lies above
+        if _logistic_newton_delta(mid, z, label, step) > 0:  # slope < 0: the minimizer lies above
             lo = mid
         else:
             hi = mid
     p = 0.5 * (lo + hi)
     for _ in range(4):
-        p = p + newton_delta(p)
+        p = p + _logistic_newton_delta(p, z, label, step)
     return p
 
 
@@ -157,8 +167,8 @@ def _prox_1d_array(kind, z, label, step, warm):
         shifted = z - label
         return label + np.sign(shifted) * np.maximum(np.abs(shifted) - step, 0.0)
     return np.array([
-        _logistic_prox(*args)
-        for args in zip(z.tolist(), label.tolist(), step.tolist(), warm.tolist())
+        _logistic_prox(zk, lk, sk, wk)
+        for zk, lk, sk, wk in zip(z.tolist(), label.tolist(), step.tolist(), warm.tolist())
     ])
 
 
@@ -239,69 +249,34 @@ def prox_sample(feature, label, kind, v, eta, warm=0.0):
     return v + ((p_star - zz) / xnorm2) * feature
 
 
-def _tilde_coeff_batch(kind, c_x, xnorm2, labels, smooth, eta_tilde, warm):
-    """Coefficient form of prox_{eta_tilde * ftilde*} along each feature.
+def _tilde_coeff_batch(kind, c_x, xnorm2, labels, smooth, eta_tilde, step, scale, warm,
+                       boundary=None):
+    """Coefficient form of prox_{eta_tilde * ftilde*} along each feature,
+    ftilde* = f* - ||.||^2 / (2L), for validated equal-length float arrays.
 
-    Inputs/outputs are coefficients c such that the vector is c * X.  Returns
+    Inputs/outputs are coefficients c such that the vector is c * X.  The
+    conjugate-side identity reduces it to the 1D primal prox at
+    z = c ||X||^2 / eta_tilde with step gamma ||X||^2, gamma =
+    (L - eta_tilde) / (eta_tilde L); `step` holds gamma ||X||^2 and `scale`
+    1 - eta_tilde / L, precomputed by the caller with eta_tilde <= L.
+    `boundary` marks the samples at the limit eta_tilde -> L, where the prox
+    is the primal gradient at x / L; None means there are none.  Returns
     (c_out, inner) with `inner` the 1D primal prox solution for warm caching
-    (unchanged where the boundary branch was taken).
+    (the warm start itself where the boundary branch was taken).
     """
-    c_x = np.atleast_1d(np.asarray(c_x, dtype=float))
-    ratio = eta_tilde / smooth
-    if np.any(ratio > 1.0 + 1e-9):
-        raise ValueError("eta_tilde exceeds the sample smoothness: prox identity breaks")
-    boundary = ratio >= 1.0 - 1e-9
+    if boundary is None:
+        p_star = _prox_1d_array(kind, c_x * xnorm2 / eta_tilde, labels, step, warm)
+        return (c_x - eta_tilde * p_star / xnorm2) / scale, p_star
     c_out = np.empty_like(c_x)
-    inner = np.array(warm, dtype=float, copy=True)
-    if boundary.any():
-        # limit eta_tilde -> L: prox equals the primal gradient at x / L
-        zb = c_x[boundary] * xnorm2[boundary] / smooth[boundary]
-        c_out[boundary] = loss_grad(kind, zb, labels[boundary])
+    inner = warm.copy()
+    c_out[boundary] = loss_grad(kind, c_x[boundary] * xnorm2[boundary] / smooth[boundary],
+                                labels[boundary])
     reg = ~boundary
-    if reg.any():
-        et = eta_tilde[reg]
-        ll = smooth[reg]
-        gamma = (ll - et) / (et * ll)
-        z1d = c_x[reg] * xnorm2[reg] / et
-        p_star = _prox_1d_array(kind, z1d, labels[reg], gamma * xnorm2[reg], warm[reg])
-        c_out[reg] = (c_x[reg] - et * p_star / xnorm2[reg]) / (1.0 - et / ll)
-        inner[reg] = p_star
+    et, xn2 = eta_tilde[reg], xnorm2[reg]
+    p_star = _prox_1d_array(kind, c_x[reg] * xn2 / et, labels[reg], step[reg], warm[reg])
+    c_out[reg] = (c_x[reg] - et * p_star / xn2) / scale[reg]
+    inner[reg] = p_star
     return c_out, inner
-
-
-def prox_tilde_fstar(feature, label, kind, x, eta_tilde, warm=0.0):
-    """prox of ftilde* = f* - (1/(2L)) ||.||^2 at x (x in span of `feature`).
-
-    Computed through the primal prox only; requires eta_tilde <= L and x to
-    have no feature-orthogonal component beyond 1e-8 relative.
-    """
-    if not kind.is_smooth:
-        raise ValueError("conjugate-side prox needs a smooth loss")
-    if eta_tilde <= 0:
-        raise ValueError("eta_tilde must be > 0")
-    x = np.asarray(x, dtype=float)
-    _check_finite("prox input", x)
-    xnorm2 = float(feature @ feature)
-    smooth = kind.scalar_smoothness * xnorm2
-    if eta_tilde > smooth * (1.0 + 1e-9):
-        raise ValueError(
-            f"eta_tilde={eta_tilde:.3e} >= smoothness {smooth:.3e}: prox identity breaks"
-        )
-    c_x = float(feature @ x) / xnorm2
-    resid = x - c_x * feature
-    nrm = float(np.linalg.norm(x))
-    if float(np.linalg.norm(resid)) > 1e-8 * max(nrm, 1e-300):
-        raise ValueError("input has a component outside the span of the sample feature")
-    c_out, _ = _tilde_coeff_batch(
-        kind,
-        np.array([c_x]),
-        np.array([xnorm2]),
-        np.array([float(label)]),
-        np.array([smooth]),
-        np.array([float(eta_tilde)]),
-        np.array([float(warm)]),
-    )
-    return c_out[0] * feature
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,15 @@
 These deliberately avoid the library's own code paths: eigenvalues come from
 Sturm-sequence bisection on a Householder tridiagonalization, minimizers from
 golden-section / cyclic coordinate search, conjugates from direct 1D maximization.
+The one exception is `prox_tilde_fstar`, which reuses the library's scalar
+primal prox and gradient, one sample at a time, to check the solvers' batched
+conjugate prox.
 """
 
 import mpmath
 import numpy as np
+
+from adfs_lab.objective import loss_grad, loss_prox_1d
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -145,3 +150,39 @@ def sturm_eigenvalues(mat, tol=1e-12):
                 lo = mid
         eigs.append(0.5 * (lo + hi))
     return np.array(eigs)
+
+
+def prox_tilde_fstar(feature, label, kind, x, eta_tilde, warm=0.0):
+    """prox of ftilde* = f* - (1/(2L)) ||.||^2 at x, x in the span of `feature`.
+
+    One sample through the conjugate-side identity: with c = <X, x> / ||X||^2,
+    the coefficient of the prox is (c - eta~ p / ||X||^2) / (1 - eta~ / L),
+    p the 1D primal prox at c ||X||^2 / eta~ with step gamma ||X||^2,
+    gamma = (L - eta~) / (eta~ L).  At the limit eta~ -> L (within 1e-9
+    relative) it is the primal gradient at x / L.  Requires eta~ <= L and x
+    to have no feature-orthogonal component beyond 1e-8 relative.
+    """
+    if not kind.is_smooth:
+        raise ValueError("conjugate-side prox needs a smooth loss")
+    if eta_tilde <= 0:
+        raise ValueError("eta_tilde must be > 0")
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("non-finite prox input")
+    xnorm2 = float(feature @ feature)
+    smooth = kind.scalar_smoothness * xnorm2
+    if eta_tilde > smooth * (1.0 + 1e-9):
+        raise ValueError(
+            f"eta_tilde={eta_tilde:.3e} >= smoothness {smooth:.3e}: prox identity breaks"
+        )
+    c_x = float(feature @ x) / xnorm2
+    resid = x - c_x * feature
+    if float(np.linalg.norm(resid)) > 1e-8 * max(float(np.linalg.norm(x)), 1e-300):
+        raise ValueError("input has a component outside the span of the sample feature")
+    if eta_tilde / smooth >= 1.0 - 1e-9:
+        c_out = loss_grad(kind, c_x * xnorm2 / smooth, label)
+    else:
+        gamma = (smooth - eta_tilde) / (eta_tilde * smooth)
+        p_star = loss_prox_1d(kind, c_x * xnorm2 / eta_tilde, label, gamma * xnorm2, warm)
+        c_out = (c_x - eta_tilde * p_star / xnorm2) / (1.0 - eta_tilde / smooth)
+    return c_out * feature

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import adfs_lab.augmented as aug
 from adfs_lab.adfs import (
+    _Rounds,
     _sigma_dagger_rows,
     primal_estimate,
     run_adfs,
@@ -13,9 +16,10 @@ from adfs_lab.apcg import CompositeProblem, run_apcg
 from adfs_lab.augmented import build_augmented, dense_A, split_state, state_rows, zero_state
 from adfs_lab.baselines import pool_objectives, reference_optimum
 from adfs_lab.instances import random_objectives, random_problem
-from adfs_lab.objective import LocalObjective, LossKind, prox_tilde_fstar
+from adfs_lab.objective import LocalObjective, LossKind
 from adfs_lab.rng import BlockStream, generator
 from adfs_lab.topology import build_topology
+from oracles import prox_tilde_fstar
 
 
 def single_node_problem(seed=3, m=3, d=2):
@@ -25,6 +29,24 @@ def single_node_problem(seed=3, m=3, d=2):
                           for _ in range(m)])
     obj = LocalObjective(np.array(feats), np.array(labels), 1.0, LossKind.LOGISTIC)
     return build_augmented(g, [obj], tau=1.0)
+
+
+def clamped_problem(wide=0):
+    """Two nodes of 12 flat logistic samples (norm 0.2), which force the rate
+    clamp and put every virtual node at the boundary eta~ = L of the
+    conjugate prox.  The first `wide` samples of each node get norm 0.4, so
+    a larger p_ij keeps them off the boundary."""
+    rng = generator("clamp-run", 0)
+    g = build_topology("complete", n=2)
+    objs = []
+    for _ in range(2):
+        feats = np.empty((12, 2))
+        for j in range(12):
+            v = rng.normal(size=2)
+            feats[j] = 0.2 * v / np.linalg.norm(v)
+        feats[:wide] *= 2.0
+        objs.append(LocalObjective(feats, np.ones(12), 1.0, LossKind.LOGISTIC))
+    return build_augmented(g, objs, tau=1.0)
 
 
 def dual_composite_for(problem, stream):
@@ -191,18 +213,9 @@ class TestReferenceSolver:
 
     def test_clamped_instance_still_converges(self):
         # flat samples force the rate clamp; the boundary conjugate prox runs
-        rng = generator("clamp-run", 0)
-        g = build_topology("complete", n=2)
-        objs = []
-        for _ in range(2):
-            feats = np.empty((12, 2))
-            for j in range(12):
-                v = rng.normal(size=2)
-                feats[j] = 0.2 * v / np.linalg.norm(v)
-            objs.append(LocalObjective(feats, np.ones(12), 1.0, LossKind.LOGISTIC))
-        prob = build_augmented(g, objs, tau=1.0)
+        prob = clamped_problem()
         assert prob.rho < prob.rho_unclamped
-        flat = pool_objectives(objs)
+        flat = pool_objectives(prob.objectives)
         _, f_star = reference_optimum(flat)
         res = run_adfs(prob, 3000, seed=0, log_every=1000, f_star=f_star)
         assert res.record.rows[-1].subopt <= 1e-6
@@ -288,6 +301,61 @@ class TestEfficientSolver:
         ref_rows = _sigma_dagger_rows(prob, r1.captures[iters]["v"])
         scale = 1.0 + np.max(np.abs(ref_rows))
         assert np.max(np.abs(r2.final_primal_rows - ref_rows)) <= 1e-6 * scale
+
+
+class TestRoundTable:
+    def test_mixed_round_matches_oracle(self):
+        prob = clamped_problem(wide=6)
+        assert prob.rho < prob.rho_unclamped
+        rounds = _Rounds(prob, prob.eta)
+        stream = BlockStream("adfs", 0)
+        for _ in range(100):
+            draw = aug.draw_block(prob, stream)
+            if draw.kind == "computation":
+                boundary = rounds.boundary[prob.vstart[:-1] + draw.chosen]
+                if boundary.any() and not boundary.all():
+                    break
+        else:
+            pytest.fail("no computation round mixing boundary and regular nodes")
+        rng = generator("mixed-round", 0)
+        y, w = (rng.normal(size=zero_state(prob).size) for _ in range(2))
+        idx, consts, rows = rounds.sample(prob, draw)
+        y_center, y_coef = split_state(prob, y)
+        w_coef = split_state(prob, w)[1][idx]
+        h = rounds.step(prob, idx, consts, rows, y_center, y_coef[idx], w_coef, prob.eta)
+        grad = aug.virtual_gradient(prob, consts, rows, y_center, y_coef[idx])
+        c_in = w_coef + prob.eta * grad
+        for k, g in enumerate(idx):
+            feat = prob.features[g]
+            eta_t = prob.eta * prob.mu2_virtual[g] / prob.sampling.p_marginal[g]
+            out = prox_tilde_fstar(feat, prob.labels[g], prob.loss, c_in[k] * feat, eta_t)
+            expected = float(feat @ out) / prob.xnorm2[g]
+            assert abs(w_coef[k] + h[k] - expected) <= 1e-12 * (1.0 + abs(w_coef[k]))
+        # the boundary branch leaves its warm starts alone
+        assert np.all(rounds.warm[idx[boundary]] == 0.0)
+        assert np.all(rounds.warm[idx[~boundary]] != 0.0)
+
+    def test_forms_agree_on_mixed_clamped_instance(self):
+        prob = clamped_problem(wide=6)
+        r1 = run_adfs(prob, 2000, seed=0, log_every=100)
+        r2 = run_adfs_efficient(prob, 2000, seed=0, log_every=100)
+        assert ([(r.iteration, r.time) for r in r1.record.rows]
+                == [(r.iteration, r.time) for r in r2.record.rows])
+        np.testing.assert_allclose([r.objective for r in r1.record.rows],
+                                   [r.objective for r in r2.record.rows], rtol=1e-9)
+
+    def test_rate_above_clamp_cap_rejected_before_first_iteration(self, monkeypatch):
+        prob = clamped_problem()
+        cap = 0.5 * float(prob.sampling.p_marginal.min())
+        bad = replace(prob, rho=2.0 * cap)
+
+        def no_draw(*args):
+            raise AssertionError("a block was drawn")
+
+        monkeypatch.setattr(aug, "draw_block", no_draw)
+        for run in (run_adfs, run_adfs_efficient):
+            with pytest.raises(ValueError, match="identity breaks"):
+                run(bad, 10, seed=0)
 
 
 class TestRaggedDatasets:

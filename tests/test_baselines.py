@@ -119,6 +119,17 @@ class TestReferenceOptimum:
         theta2, f_ref2 = reference_optimum(flat, tol=tol, ns_problem=prob)
         assert f_ref2 == f_ref and np.array_equal(theta2, theta)
 
+    def test_absolute_exact_reference_gap_is_rounding(self):
+        # the FISTA iterate is exact here, so the recorded gap is pure rounding
+        # and reads a few ulps below zero; it is not clamped
+        objs = random_objectives(generator("abs-reference", 4), 3, 4, 2, loss=LossKind.ABSOLUTE)
+        flat = pool_objectives(objs)
+        tol = 3e-6
+        theta, f_ref = reference_optimum(flat, tol=tol)
+        primal = flat_value(flat, theta)
+        allowance = 64 * np.finfo(float).eps * (abs(f_ref) + abs(primal))
+        assert -allowance <= f_ref + primal <= tol**2 * flat.sigma_total / 2.0
+
     def test_absolute_budget_exhausted_names_gap(self, rng):
         objs = random_objectives(rng, 4, 6, 3, loss=LossKind.ABSOLUTE)
         with pytest.raises(RuntimeError, match="duality gap"):

@@ -16,7 +16,6 @@ from adfs_lab.objective import (
     primal_grad,
     primal_value,
     prox_sample,
-    prox_tilde_fstar,
 )
 from adfs_lab.rng import generator
 from adfs_lab.topology import build_topology
@@ -25,6 +24,7 @@ from oracles import (
     coordinate_search,
     golden_section,
     logistic_prox_oracle,
+    prox_tilde_fstar,
 )
 
 ALL_KINDS = [LossKind.LOGISTIC, LossKind.SQUARED, LossKind.ABSOLUTE]
