@@ -151,7 +151,7 @@ class TestProxSample:
                 loss_value(kind, float(x @ u), label)
             )
 
-        ref = coordinate_search(objective, v, radius=3.0, passes=220, min_step=1e-10)
+        ref = coordinate_search(objective, v, radius=3.0, passes=2000, min_step=1e-10)
         got = prox_sample(x, label, kind, v, eta)
         assert np.max(np.abs(got - ref)) <= 1e-6
 
