@@ -69,8 +69,8 @@ class _Rounds:
     node, and one warm start of the smooth build's scalar prox per virtual
     node."""
 
-    def __init__(self, problem, eta=None):
-        self.table, self.boundary = aug.round_table(problem, eta)
+    def __init__(self, problem):
+        self.table, self.boundary = aug.round_table(problem)
         self.first = problem.vstart[:-1]
         self.warm = np.zeros(problem.n_virtual) if problem.smooth else None
 
@@ -122,18 +122,18 @@ def _block_step(problem, rounds, draw, y, w, eta, beta):
         y[:k] += beta * aug.apply_wtilde(problem, draw, delta)
         return problem.tau
     # delta is -h * X on the centers and +h on the sampled coefficients, and
-    # W~ rescales both by 1 / p_ij (apply_wtilde): only those entries move
+    # so is its W~ image (wtilde_sampled): only those entries move
     idx, consts, rows = rounds.sample(problem, draw)
     y_center, y_coef = aug.split_state(problem, y)
     w_center, w_coef = aug.split_state(problem, w)
     w_idx = w_coef[idx]
     h = rounds.step(problem, idx, consts, rows, y_center, y_coef[idx], w_idx, eta)
     d_center = rows * -h[:, None]
-    inv_p = 1.0 / consts[aug.PROB]
+    wt_center, wt_h = aug.wtilde_sampled(consts[aug.PROB], h, d_center)
     w_center += d_center
     w_coef[idx] = w_idx + h
-    y_center += beta * (d_center * inv_p[:, None])
-    y_coef[idx] += beta * (h * inv_p)
+    y_center += beta * wt_center
+    y_coef[idx] += beta * wt_h
     return 1.0
 
 
@@ -153,7 +153,7 @@ def run_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=(),
     x = aug.zero_state(problem)
     v = np.zeros_like(x)
     y = np.empty_like(x)
-    rounds = _Rounds(problem, eta)
+    rounds = _Rounds(problem)
     stream = BlockStream("adfs", seed)
     capture_iters = set(capture_iters)
     captures = {}
@@ -210,7 +210,7 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
     u_center, u_coef = aug.split_state(problem, big_u)
     z_center, z_coef = aug.split_state(problem, z)
     c = 1.0
-    rounds = _Rounds(problem, eta)
+    rounds = _Rounds(problem)
     stream = BlockStream("adfs", seed)
     capture_iters = set(capture_iters)
     captures = {}
@@ -235,8 +235,9 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
             h = rounds.step(problem, idx, consts, xs, c * u_center + z_center, cu + z_idx,
                             z_idx - cu, eta)
             # the pair update of -h * X on the centers and +h on the
-            # coefficients, whose W~ image is the same rescaled by 1/p_ij
-            rho_wt_h = rho / consts[aug.PROB] * h
+            # coefficients, whose rho * W~ image is the same rescaled by
+            # rho / p_ij (so only its coefficients are needed)
+            rho_wt_h = aug.wtilde_sampled(consts[aug.PROB], h, weight=rho)[1]
             du = (h - rho_wt_h) / (2.0 * c)
             dz = 0.5 * (h + rho_wt_h)
             u_coef[idx] = u_idx - du

@@ -34,6 +34,7 @@ __all__ = [
     "apply_comm_step",
     "virtual_gradient",
     "apply_wtilde",
+    "wtilde_sampled",
     "dual_objective",
     "lift_primal_point",
     "dense_A",
@@ -439,12 +440,12 @@ SMOOTH, ETA_TILDE, STEP, SCALE = range(4, 8)
 MU2 = 4
 
 
-def round_table(problem, eta=None):
+def round_table(problem):
     """The constants a computation round reads, one row per virtual node.
 
     Returns (table, boundary).  `table` is a (V, k) array with the columns
     named above; a round reads the rows of its sampled nodes through one
-    gather.  For the smooth build, `eta` is the run's dual step, the
+    gather.  For the smooth build, whose dual step is `problem.eta`, the
     conjugate-prox identity is checked once for every virtual node
     (eta~_ij <= L_ij up to 1e-9 relative, else ValueError), and `boundary`
     marks the nodes at its limit eta~_ij = L_ij, or is None when there are
@@ -456,7 +457,7 @@ def round_table(problem, eta=None):
     if not problem.smooth:
         return np.column_stack(cols + [mu2]), None
     smooth = problem.smooth_virtual
-    eta_tilde = eta * mu2 / p
+    eta_tilde = problem.eta * mu2 / p
     ratio = eta_tilde / smooth
     if np.any(ratio > 1.0 + 1e-9):
         raise ValueError("eta_tilde exceeds the sample smoothness: prox identity breaks")
@@ -514,9 +515,9 @@ def apply_wtilde(problem, draw, delta):
     """A P_b^dagger A^dagger applied to an update known to lie in range(A U_b).
 
     For the gossip block this is a 1/p_comm rescaling of the centers; for a
-    computation block, the coefficient of virtual node (i, j) and its center
-    are both rescaled by 1/p_ij.  On a communication draw only the centers
-    are read, so `delta` may be the center prefix alone.
+    computation block it is `wtilde_sampled` on the state's centers and
+    sampled coefficients.  On a communication draw only the centers are
+    read, so `delta` may be the center prefix alone.
     """
     out = np.zeros_like(delta)
     center, coef = split_state(problem, delta)
@@ -525,10 +526,22 @@ def apply_wtilde(problem, draw, delta):
         out_center[:] = center / problem.sampling.p_comm
         return out
     idx = problem.vstart[:-1] + draw.chosen
-    inv_p = 1.0 / problem.sampling.p_marginal[idx]
-    out_coef[idx] = coef[idx] * inv_p
-    out_center[:] = center * inv_p[:, None]
+    out_center[:], out_coef[idx] = wtilde_sampled(
+        problem.sampling.p_marginal[idx], coef[idx], center)
     return out
+
+
+def wtilde_sampled(p, h, center=None, weight=1.0):
+    """weight * W~ of a computation-round update, in sparse form.
+
+    The update is `h` on the sampled coefficients (one per node, with
+    probabilities `p` = p_ij) and `center` on the n centers (-h_i X_ij on
+    center i in the solvers); W~ rescales the coefficient of virtual node
+    (i, j) and center i by 1/p_ij.  Returns (scaled center, or None when
+    `center` is None, and scaled coefficients).
+    """
+    scale = weight / p
+    return (None if center is None else center * scale[:, None]), scale * h
 
 
 def dual_objective(problem, state, domain_tol=1e-6):

@@ -307,7 +307,7 @@ class TestRoundTable:
     def test_mixed_round_matches_oracle(self):
         prob = clamped_problem(wide=6)
         assert prob.rho < prob.rho_unclamped
-        rounds = _Rounds(prob, prob.eta)
+        rounds = _Rounds(prob)
         stream = BlockStream("adfs", 0)
         for _ in range(100):
             draw = aug.draw_block(prob, stream)

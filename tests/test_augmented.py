@@ -18,6 +18,7 @@ from adfs_lab.augmented import (
     rate_rho,
     split_state,
     state_rows,
+    wtilde_sampled,
     zero_state,
 )
 from adfs_lab.instances import random_connected_graph, random_objectives, random_problem
@@ -290,9 +291,17 @@ class TestOperatorShortcuts:
                     size=prob.d
                 )
             delta = (a @ dual).reshape(shape)
-            got = state_rows(prob, apply_wtilde(prob, draw, state_of_rows(prob, delta)))
+            state = state_of_rows(prob, delta)
+            got = state_rows(prob, apply_wtilde(prob, draw, state))
             ref = (self._dense_wtilde(prob, draw) @ delta.ravel()).reshape(shape)
             assert np.max(np.abs(got - ref)) <= 1e-8
+            # the sparse form the solvers call, with a momentum weight
+            center, coef = split_state(prob, state)
+            wt_center, wt_coef = wtilde_sampled(prob.sampling.p_marginal[idx], coef[idx],
+                                                center, weight=0.5)
+            assert np.max(np.abs(wt_center - 0.5 * ref[: prob.n])) <= 1e-8
+            wt_virtual = wt_coef[:, None] * prob.features[idx]
+            assert np.max(np.abs(wt_virtual - 0.5 * ref[prob.n + idx])) <= 1e-8
 
     def test_wtilde_zero_maps_to_zero(self, rng):
         prob = random_problem(rng, n=3, m=2, d=2)
