@@ -1,7 +1,7 @@
 """Desk-scale simulator for accelerated decentralized finite-sum optimization."""
 
 from .adfs import AdfsResult, primal_estimate, run_adfs, run_adfs_efficient, run_ns_adfs
-from .apcg import CompositeProblem, lyapunov_value, run_apcg, run_apcg_efficient
+from .apcg import CompositeProblem, run_apcg, run_apcg_efficient
 from .augmented import (
     AugmentedProblem,
     BlockDraw,

@@ -28,30 +28,14 @@ RENORM_FLOOR = 1e-140
 class AdfsResult:
     record: RunRecord
     theta: np.ndarray  # final primal estimate (d,)
-    # (n_rows, d) primal rows of the return convention: Sigma^+ v_K for the
-    # reference and non-smooth forms, Sigma^+ y_K for the rescaled form
-    final_primal_rows: np.ndarray
-    captures: dict = field(default_factory=dict)  # t -> {"x": ..., "v": ..., "y": ...} states
-    max_comp_rows_touched: int = 0
+    # t -> {"x": ..., "v": ..., "y": ...} states; the rescaled form adds its raw "z"
+    captures: dict = field(default_factory=dict)
 
 
 def primal_estimate(problem, y_state):
     """Average of the rescaled centers (Sigma_comm^-1 y)."""
     center = aug.split_state(problem, y_state)[0]
     return np.mean(center / problem.sigma[:, None], axis=0)
-
-
-def _sigma_dagger_rows(problem, state):
-    """Node-space rows of Sigma^+ state; the conjugate curvature of the
-    non-smooth build is zero, so its virtual rows vanish."""
-    out = state.copy()
-    center, coef = aug.split_state(problem, out)
-    center /= problem.sigma[:, None]
-    if problem.smooth:
-        coef /= problem.smooth_virtual
-    else:
-        coef[:] = 0.0
-    return aug.state_rows(problem, out)
 
 
 def _log_smooth(problem, rows, t, now, y_state, f_star, kind):
@@ -185,9 +169,8 @@ def run_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=(),
                 break
 
     record = RunRecord("adfs", seed, rows, _meta(problem, "adfs", seed))
-    final = _sigma_dagger_rows(problem, v)
     theta = primal_estimate(problem, (x + rho * v) / (1.0 + rho))
-    return AdfsResult(record, theta, final, captures)
+    return AdfsResult(record, theta, captures)
 
 
 def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
@@ -202,7 +185,7 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
         raise ValueError("run_adfs_efficient needs the smooth build")
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    n, k = problem.n, problem.n * problem.d
+    k = problem.n * problem.d
     rho, eta, tau = problem.rho, problem.eta, problem.tau
     phi = (1.0 - rho) / (1.0 + rho)
     big_u = aug.zero_state(problem)
@@ -214,7 +197,6 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
     stream = BlockStream("adfs", seed)
     capture_iters = set(capture_iters)
     captures = {}
-    max_touched = 0
 
     rows = []
     _log_smooth(problem, rows, 0, 0.0, z, f_star, "")
@@ -244,7 +226,6 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
             z_coef[idx] = z_written = z_idx + dz
             u_center += du[:, None] * xs
             z_center -= dz[:, None] * xs
-            max_touched = max(max_touched, n + len(set(idx.tolist())))
             now += 1.0
         c *= phi
         if c < RENORM_FLOOR:
@@ -257,7 +238,7 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
         t1 = t + 1
         if t1 in capture_iters:
             ut = c * big_u
-            captures[t1] = {"x": ut / phi + z, "v": -ut / phi + z, "y": ut + z}
+            captures[t1] = {"x": ut / phi + z, "v": -ut / phi + z, "y": ut + z, "z": z.copy()}
         if t1 % log_every == 0:
             y_log = c * big_u[:k] + z[:k]
             sub = _log_smooth(problem, rows, t1, now, y_log, f_star, draw.kind)
@@ -265,10 +246,9 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
                 break
 
     record = RunRecord("adfs_efficient", seed, rows, _meta(problem, "adfs_efficient", seed))
-    y_final = c * big_u + z  # phi^(K+1) u_K + z_K, the return convention of this form
-    final = _sigma_dagger_rows(problem, y_final)
-    theta = primal_estimate(problem, y_final)
-    return AdfsResult(record, theta, final, captures, max_comp_rows_touched=max_touched)
+    # the centers of y_K = phi^(K+1) u_K + z_K, the return convention of this form
+    theta = primal_estimate(problem, c * big_u[:k] + z[:k])
+    return AdfsResult(record, theta, captures)
 
 
 def run_ns_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=(),
@@ -324,8 +304,7 @@ def run_ns_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=
     meta = _meta(problem, "ns_adfs", seed)
     meta["alphas_head"] = [float(a) for a in alphas[:4]]
     record = RunRecord("ns_adfs", seed, rows, meta)
-    return AdfsResult(record, primal_estimate(problem, v), _sigma_dagger_rows(problem, v),
-                      captures)
+    return AdfsResult(record, primal_estimate(problem, v), captures)
 
 
 def _meta(problem, algorithm, seed):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .rng import generator
 
-__all__ = ["CompositeProblem", "ApcgState", "run_apcg", "run_apcg_efficient", "lyapunov_value"]
+__all__ = ["CompositeProblem", "ApcgState", "run_apcg", "run_apcg_efficient"]
 
 
 @dataclass
@@ -36,8 +36,9 @@ class CompositeProblem:
     sample_block: callable
     prox_coord: callable = None  # (i, x, step) -> argmin (v-x)^2/(2 step) + psi_i(v)
     has_psi: np.ndarray = None  # bool mask; default: no proximal terms
-    smooth_value: callable = None  # optional, for Lyapunov evaluation
-    psi_value: callable = None  # optional, (i, x_i) -> psi_i(x_i)
+    # optional value oracles, read by the test-suite's Lyapunov oracle
+    smooth_value: callable = None
+    psi_value: callable = None  # (i, x_i) -> psi_i(x_i)
 
     def __post_init__(self):
         if self.has_psi is None:
@@ -239,16 +240,3 @@ def run_apcg_efficient(problem, mode, iters, rng_seed, alpha0=None):
         out.append(ApcgState(x_rec, z.copy(), t + 1, alpha, 0.0,
                              1.0 / (alpha * s_const**2), a_big, b_big, u=u.copy(), z=z.copy()))
     return out
-
-
-def lyapunov_value(problem, state, theta_star, f_star):
-    """B_t ||v_t - theta*||^2 in the projector seminorm + 2 A_t (F(x_t) - F*)."""
-    if problem.smooth_value is None:
-        raise ValueError("problem lacks value oracles (smooth_value / psi_value)")
-    diff = state.v - theta_star
-    sq = float(diff @ problem.projector_apply(diff))
-    fx = problem.smooth_value(state.x)
-    if problem.psi_value is not None:
-        for i in np.nonzero(problem.has_psi)[0]:
-            fx += problem.psi_value(i, state.x[i])
-    return state.b_big * sq + 2.0 * state.a_big * (fx - f_star)

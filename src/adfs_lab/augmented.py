@@ -5,7 +5,8 @@ regularizer plus one virtual node per local sample.  Dual coordinates live on
 the edges of this augmented graph.  This module builds the problem object with
 the derived constants (virtual-edge weights, sampling probabilities, rate),
 fixes the layout of a solver state, provides the fast edge-wise operator
-applications used by the solvers, and the dense matrices used as test oracles.
+applications used by the solvers.  The dense matrices of the same operators,
+for checks at small scale, live in `dense`.
 """
 
 import logging
@@ -37,17 +38,9 @@ __all__ = [
     "wtilde_sampled",
     "dual_objective",
     "lift_primal_point",
-    "dense_A",
-    "dense_sigma_dagger_diag",
-    "dense_sigma_dagger_sq_diag",
-    "dense_pb_dagger_diag",
-    "dense_pinv",
-    "dense_c0_constant",
 ]
 
 log = logging.getLogger("adfs_lab")
-
-DENSE_ROW_GUARD = 5000
 
 
 @dataclass(frozen=True)
@@ -113,7 +106,7 @@ class AugmentedProblem:
     rho_unclamped: float
     s_squared: float = None  # non-smooth ESO bound
     s_max_bound: float = None  # m + sqrt(m kappa_s)
-    sigma_a_exact: float = None  # dense value, filled by with_exact_sigma_a
+    sigma_a_exact: float = None  # dense value, filled by dense.with_exact_sigma_a
 
     @property
     def n(self):
@@ -140,11 +133,6 @@ class AugmentedProblem:
         return int(self.m_per_node.max())
 
     @property
-    def owner(self):
-        """Center node of each virtual index."""
-        return np.repeat(np.arange(self.n), self.m_per_node)
-
-    @property
     def sigma_a_bound(self):
         """Certified lower bound alpha/2 on the dual strong convexity."""
         return 0.5 * self.alpha
@@ -154,7 +142,7 @@ class AugmentedProblem:
         """Dual step size rho / sigma_A.
 
         Uses the certified bound alpha/2 unless the exact dense value was
-        substituted through with_exact_sigma_a (validation runs only).
+        substituted through dense.with_exact_sigma_a (validation runs only).
         """
         sigma_a = self.sigma_a_exact if self.sigma_a_exact is not None else self.sigma_a_bound
         return self.rho / sigma_a
@@ -401,15 +389,6 @@ def build_augmented_ns(graph, objectives, tau=1.0, p_comm_override=None):
     )
 
 
-def with_exact_sigma_a(problem) -> AugmentedProblem:
-    """Copy of the problem whose step size uses the dense exact dual strong
-    convexity instead of the certified alpha/2 bound (small instances only)."""
-    a = dense_A(problem)
-    quad = a.T @ dense_sigma_dagger_diag(problem) @ a
-    exact = symmetric_eigensolve(quad).lambda_min_pos
-    return replace(problem, sigma_a_exact=float(exact))
-
-
 def split_state(problem, state):
     """(center, coef) views of a state: one vector holding the n center rows
     (n x d, row-major), then coef[vstart[i] + j] for virtual node (i, j),
@@ -577,107 +556,3 @@ def lift_primal_point(problem, theta):
     center[:] = problem.sigma[:, None] * theta[None, :]
     coef[:] = loss_grad(problem.loss, problem.features @ theta, problem.labels)
     return out
-
-
-# ---------------------------------------------------------------------------
-# dense oracles (small instances only)
-
-
-def _projector(problem, idx):
-    x = problem.features[idx]
-    return np.outer(x, x) / problem.xnorm2[idx]
-
-
-def dense_A(problem):
-    """Dense constraint operator, shape (n_rows * d, (E + V) * d).
-
-    Communication-edge columns are mu_kl (e_k - e_l) (x) I_d; virtual-edge
-    columns are mu_ij (e_i - e_(i,j)) (x) P_ij with the rank-one feature
-    projector P_ij.  Guarded to small instances.
-    """
-    d = problem.d
-    rows = problem.n_rows * d
-    if rows > DENSE_ROW_GUARD:
-        raise ValueError(f"dense operator would have {rows} rows (> {DENSE_ROW_GUARD})")
-    cols = (problem.graph.n_edges + problem.n_virtual) * d
-    a = np.zeros((rows, cols))
-    eye = np.eye(d)
-    for e, ((k, l), mu) in enumerate(zip(problem.graph.edges, problem.graph.edge_weights)):
-        blk = mu * eye
-        a[k * d : (k + 1) * d, e * d : (e + 1) * d] = blk
-        a[l * d : (l + 1) * d, e * d : (e + 1) * d] = -blk
-    off = problem.graph.n_edges
-    for g in range(problem.n_virtual):
-        i = problem.owner[g]
-        r = problem.n + g
-        blk = np.sqrt(problem.mu2_virtual[g]) * _projector(problem, g)
-        a[i * d : (i + 1) * d, (off + g) * d : (off + g + 1) * d] = blk
-        a[r * d : (r + 1) * d, (off + g) * d : (off + g + 1) * d] = -blk
-    return a
-
-
-def _sigma_dagger_blocks(problem, power):
-    d = problem.d
-    out = np.zeros((problem.n_rows * d, problem.n_rows * d))
-    for i in range(problem.n):
-        out[i * d : (i + 1) * d, i * d : (i + 1) * d] = problem.sigma[i] ** (-power) * np.eye(d)
-    if problem.smooth:
-        for g in range(problem.n_virtual):
-            r = problem.n + g
-            out[r * d : (r + 1) * d, r * d : (r + 1) * d] = (
-                problem.smooth_virtual[g] ** (-power) * _projector(problem, g)
-            )
-    return out
-
-
-def dense_sigma_dagger_diag(problem):
-    return _sigma_dagger_blocks(problem, 1)
-
-
-def dense_sigma_dagger_sq_diag(problem):
-    return _sigma_dagger_blocks(problem, 2)
-
-
-def dense_pb_dagger_diag(problem, draw):
-    """Diagonal of P_b^dagger over edge coordinates (zero off the block)."""
-    d = problem.d
-    n_edges = problem.graph.n_edges
-    diag = np.zeros((n_edges + problem.n_virtual) * d)
-    if draw.kind == "communication":
-        diag[: n_edges * d] = 1.0 / problem.sampling.p_comm
-    else:
-        idx = problem.vstart[:-1] + draw.chosen
-        for g in idx:
-            c = (n_edges + g) * d
-            diag[c : c + d] = 1.0 / problem.sampling.p_marginal[g]
-    return diag
-
-
-def dense_pinv(mat, zero_tol=1e-9):
-    """Moore-Penrose pseudo-inverse through the symmetric eigensolver."""
-    mat = np.asarray(mat, dtype=float)
-    gram = mat.T @ mat
-    spec = symmetric_eigensolve(gram, zero_tol=zero_tol, eigenvectors=True)
-    vals, vecs = spec.eigenvalues, spec.eigenvectors
-    scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    inv = np.where(np.abs(vals) > zero_tol * scale, 1.0 / np.where(vals != 0, vals, 1.0), 0.0)
-    return (vecs * inv[None, :]) @ vecs.T @ mat.T
-
-
-def dense_c0_constant(problem, theta_star):
-    """Dense Lyapunov constant of the linear-rate guarantee.
-
-    C0 = lambda_max(A^T Sigma^-2 A) [ ||A^dagger v*||^2
-         + 2 sigma_A^-1 (F*(0) - F*(v*)) ]
-    with v* the lifted primal optimum and sigma_A the exact dual strong
-    convexity (dense eigensolve).  Small instances only.
-    """
-    a = dense_A(problem)
-    sig_dag = dense_sigma_dagger_diag(problem)
-    quad = a.T @ sig_dag @ a
-    sigma_a = symmetric_eigensolve(quad).lambda_min_pos
-    lam = symmetric_eigensolve(a.T @ dense_sigma_dagger_sq_diag(problem) @ a).lambda_max
-    v_star = lift_primal_point(problem, theta_star)
-    proj_dual = dense_pinv(a) @ state_rows(problem, v_star).ravel()
-    gap = dual_objective(problem, zero_state(problem)) - dual_objective(problem, v_star)
-    return float(lam * (proj_dual @ proj_dual + 2.0 / sigma_a * gap))

@@ -1,0 +1,125 @@
+"""Dense matrices of the augmented-graph dual problem, for small-scale checks.
+
+The solvers never form these: they apply the operators edge-wise through
+`augmented`.  The constraint operator A, the blocks of Sigma^dagger and
+P_b^dagger, and the exact dual strong convexity sigma_A built from them
+check those shortcuts and the method's constants on small instances.  Only
+`selfcheck` (`adfs-lab validate`) and the test-suite import this module.
+Node-space rows follow `AugmentedProblem`; each spans d coordinates.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+
+from .augmented import dual_objective, lift_primal_point, state_rows, zero_state
+from .topology import symmetric_eigensolve
+
+__all__ = [
+    "DENSE_ROW_GUARD",
+    "dense_A",
+    "dense_sigma_dagger",
+    "dense_pb_dagger_diag",
+    "exact_sigma_a",
+    "with_exact_sigma_a",
+    "dense_c0_constant",
+]
+
+DENSE_ROW_GUARD = 5000
+
+
+def _projector(problem, idx):
+    x = problem.features[idx]
+    return np.outer(x, x) / problem.xnorm2[idx]
+
+
+def dense_A(problem):
+    """Dense constraint operator, shape (n_rows * d, (E + V) * d).
+
+    Communication-edge columns are mu_kl (e_k - e_l) (x) I_d; virtual-edge
+    columns are mu_ij (e_i - e_(i,j)) (x) P_ij with the rank-one feature
+    projector P_ij.  Guarded to small instances.
+    """
+    d = problem.d
+    rows = problem.n_rows * d
+    if rows > DENSE_ROW_GUARD:
+        raise ValueError(f"dense operator would have {rows} rows (> {DENSE_ROW_GUARD})")
+    cols = (problem.graph.n_edges + problem.n_virtual) * d
+    a = np.zeros((rows, cols))
+    eye = np.eye(d)
+    for e, ((k, l), mu) in enumerate(zip(problem.graph.edges, problem.graph.edge_weights)):
+        blk = mu * eye
+        a[k * d : (k + 1) * d, e * d : (e + 1) * d] = blk
+        a[l * d : (l + 1) * d, e * d : (e + 1) * d] = -blk
+    off = problem.graph.n_edges
+    owner = np.repeat(np.arange(problem.n), problem.m_per_node)
+    for g in range(problem.n_virtual):
+        i = owner[g]
+        r = problem.n + g
+        blk = np.sqrt(problem.mu2_virtual[g]) * _projector(problem, g)
+        a[i * d : (i + 1) * d, (off + g) * d : (off + g + 1) * d] = blk
+        a[r * d : (r + 1) * d, (off + g) * d : (off + g + 1) * d] = -blk
+    return a
+
+
+def dense_sigma_dagger(problem, power=1):
+    """(Sigma^dagger)^power, block diagonal over node-space rows.
+
+    Center i carries sigma_i^-power I_d; virtual node (i, j) carries
+    L_ij^-power P_ij for the smooth build and zero for the non-smooth one,
+    whose conjugate curvature vanishes.
+    """
+    d = problem.d
+    out = np.zeros((problem.n_rows * d, problem.n_rows * d))
+    for i in range(problem.n):
+        out[i * d : (i + 1) * d, i * d : (i + 1) * d] = problem.sigma[i] ** (-power) * np.eye(d)
+    if problem.smooth:
+        for g in range(problem.n_virtual):
+            r = problem.n + g
+            out[r * d : (r + 1) * d, r * d : (r + 1) * d] = (
+                problem.smooth_virtual[g] ** (-power) * _projector(problem, g)
+            )
+    return out
+
+
+def dense_pb_dagger_diag(problem, draw):
+    """Diagonal of P_b^dagger over edge coordinates (zero off the block)."""
+    d = problem.d
+    n_edges = problem.graph.n_edges
+    diag = np.zeros((n_edges + problem.n_virtual) * d)
+    if draw.kind == "communication":
+        diag[: n_edges * d] = 1.0 / problem.sampling.p_comm
+    else:
+        idx = problem.vstart[:-1] + draw.chosen
+        for g in idx:
+            c = (n_edges + g) * d
+            diag[c : c + d] = 1.0 / problem.sampling.p_marginal[g]
+    return diag
+
+
+def exact_sigma_a(problem):
+    """Exact dual strong convexity lambda_min_pos(A^T Sigma^dagger A)."""
+    a = dense_A(problem)
+    return symmetric_eigensolve(a.T @ dense_sigma_dagger(problem) @ a).lambda_min_pos
+
+
+def with_exact_sigma_a(problem):
+    """Copy of the problem whose step size uses the exact dual strong
+    convexity instead of the certified alpha/2 bound."""
+    return replace(problem, sigma_a_exact=float(exact_sigma_a(problem)))
+
+
+def dense_c0_constant(problem, theta_star):
+    """Dense Lyapunov constant of the linear-rate guarantee.
+
+    C0 = lambda_max(A^T Sigma^-2 A) [ ||A^dagger v*||^2
+         + 2 sigma_A^-1 (F*(0) - F*(v*)) ]
+    with v* the lifted primal optimum and sigma_A the exact dual strong
+    convexity.
+    """
+    a = dense_A(problem)
+    lam = symmetric_eigensolve(a.T @ dense_sigma_dagger(problem, power=2) @ a).lambda_max
+    v_star = lift_primal_point(problem, theta_star)
+    proj_dual = np.linalg.pinv(a) @ state_rows(problem, v_star).ravel()
+    gap = dual_objective(problem, zero_state(problem)) - dual_objective(problem, v_star)
+    return float(lam * (proj_dual @ proj_dual + 2.0 / exact_sigma_a(problem) * gap))

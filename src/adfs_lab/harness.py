@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import selfcheck
 from .adfs import run_adfs, run_adfs_efficient, run_ns_adfs
 from .augmented import balanced_p_comm, build_augmented, build_augmented_ns, rate_branches
 from .baselines import flat_grad, flat_value, point_saga, pool_objectives, reference_optimum
@@ -581,6 +580,8 @@ def _cmd_spectrum(args):
 
 
 def _cmd_validate(args):
+    from . import selfcheck  # loads the dense oracles only for validation
+
     results = selfcheck.run_all(verbose=True)
     return 0 if all(ok for _, ok, _ in results) else 1
 

@@ -11,6 +11,7 @@ import tempfile
 import numpy as np
 
 from . import augmented as aug
+from . import dense
 from .adfs import run_adfs, run_adfs_efficient
 from .instances import random_connected_graph, random_objectives, random_problem
 from .objective import condition_numbers
@@ -26,18 +27,15 @@ def _check_spectral_bound():
     for _ in range(5):
         prob = random_problem(rng, n=int(rng.integers(2, 5)), m=int(rng.integers(1, 4)),
                               d=int(rng.integers(1, 4)))
-        a = aug.dense_A(prob)
-        quad = a.T @ aug.dense_sigma_dagger_diag(prob) @ a
-        lam = symmetric_eigensolve(quad).lambda_min_pos
-        worst = min(worst, lam - 0.5 * prob.alpha)
+        worst = min(worst, dense.exact_sigma_a(prob) - 0.5 * prob.alpha)
     return worst >= -1e-8, f"min margin {worst:.3e}"
 
 
 def _check_projector_identity():
     rng = generator("selfcheck", 2)
     prob = random_problem(rng, n=3, m=3, d=3)
-    a = aug.dense_A(prob)
-    proj = aug.dense_pinv(a) @ a
+    a = dense.dense_A(prob)
+    proj = np.linalg.pinv(a) @ a
     d = prob.d
     worst = 0.0
     for g in range(prob.n_virtual):
@@ -52,20 +50,20 @@ def _check_projector_identity():
 def _check_operator_shortcuts():
     rng = generator("selfcheck", 3)
     prob = random_problem(rng, n=3, m=2, d=2)
-    a = aug.dense_A(prob)
-    sd = aug.dense_sigma_dagger_diag(prob)
+    draw = aug.BlockDraw(kind="communication")
+    a = dense.dense_A(prob)
+    pb = np.diag(dense.dense_pb_dagger_diag(prob, draw))
+    grad_op = a @ pb @ a.T @ dense.dense_sigma_dagger(prob)
+    wt_op = a @ pb @ np.linalg.pinv(a)
     shape = (prob.n_rows, prob.d)
     worst = 0.0
     for _ in range(10):
         y = rng.normal(size=aug.zero_state(prob).shape)
-        draw = aug.BlockDraw(kind="communication")
-        dense = (a @ np.diag(aug.dense_pb_dagger_diag(prob, draw)) @ a.T @ sd
-                 @ aug.state_rows(prob, y).ravel()).reshape(shape)
+        grad = (grad_op @ aug.state_rows(prob, y).ravel()).reshape(shape)
         got = aug.state_rows(prob, aug.apply_comm_step(prob, y))
-        worst = max(worst, float(np.max(np.abs(dense - got))))
+        worst = max(worst, float(np.max(np.abs(grad - got))))
         delta = -(prob.eta if prob.smooth else 1.0) * aug.apply_comm_step(prob, y)
-        wt = (a @ np.diag(aug.dense_pb_dagger_diag(prob, draw)) @ aug.dense_pinv(a)
-              @ aug.state_rows(prob, delta).ravel()).reshape(shape)
+        wt = (wt_op @ aug.state_rows(prob, delta).ravel()).reshape(shape)
         got = aug.state_rows(prob, aug.apply_wtilde(prob, draw, delta))
         worst = max(worst, float(np.max(np.abs(wt - got))))
     return worst <= 1e-8, f"max deviation {worst:.3e}"

@@ -178,7 +178,6 @@ class SymmetricSpectrum:
 
     eigenvalues: np.ndarray
     kernel_dim: int
-    eigenvectors: np.ndarray = None  # columns follow eigenvalue order
     zero_tol: float = DEFAULT_ZERO_TOL
 
     @property
@@ -195,12 +194,8 @@ class SymmetricSpectrum:
         return float(pos[0])
 
 
-def symmetric_eigensolve(
-    mat,
-    zero_tol: float = DEFAULT_ZERO_TOL,
-    eigenvectors: bool = False,
-) -> SymmetricSpectrum:
-    """LAPACK diagonalization (`eigvalsh` / `eigh`) of a dense symmetric matrix.
+def symmetric_eigensolve(mat, zero_tol: float = DEFAULT_ZERO_TOL) -> SymmetricSpectrum:
+    """LAPACK eigenvalues (`eigvalsh`) of a dense symmetric matrix.
 
     Eigenvalues come back sorted ascending; those with |lam| <= zero_tol * max|lam|
     count toward kernel_dim.  Raises on non-square input and on asymmetric
@@ -213,14 +208,10 @@ def symmetric_eigensolve(
     if scale > 0 and float(np.max(np.abs(a - a.T))) > 1e-10 * scale:
         raise EigensolveError("matrix is not symmetric within 1e-10 relative tolerance")
     a = 0.5 * (a + a.T)
-    if eigenvectors:
-        vals, vecs = np.linalg.eigh(a)
-    else:
-        vals, vecs = np.linalg.eigvalsh(a), None
+    vals = np.linalg.eigvalsh(a)
     scale = float(np.max(np.abs(vals))) if vals.size else 0.0
     kernel = int(np.sum(np.abs(vals) <= zero_tol * scale)) if scale > 0 else vals.size
-    return SymmetricSpectrum(eigenvalues=vals, kernel_dim=kernel, eigenvectors=vecs,
-                             zero_tol=zero_tol)
+    return SymmetricSpectrum(eigenvalues=vals, kernel_dim=kernel, zero_tol=zero_tol)
 
 
 def spectral_gap(g: CommunicationGraph, zero_tol: float = DEFAULT_ZERO_TOL) -> float:

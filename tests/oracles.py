@@ -3,14 +3,16 @@
 These deliberately avoid the library's own code paths: eigenvalues come from
 Sturm-sequence bisection on a Householder tridiagonalization, minimizers from
 golden-section / cyclic coordinate search, conjugates from direct 1D maximization.
-The one exception is `prox_tilde_fstar`, which reuses the library's scalar
+The exceptions are `prox_tilde_fstar`, which reuses the library's scalar
 primal prox and gradient, one sample at a time, to check the solvers' batched
-conjugate prox.
+conjugate prox, and two measuring helpers that read solver states and APCG
+iterates: `sigma_dagger_rows` and `lyapunov_value`.
 """
 
 import mpmath
 import numpy as np
 
+from adfs_lab.augmented import split_state, state_rows
 from adfs_lab.objective import loss_grad, loss_prox_1d
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
@@ -186,3 +188,30 @@ def prox_tilde_fstar(feature, label, kind, x, eta_tilde, warm=0.0):
         p_star = loss_prox_1d(kind, c_x * xnorm2 / eta_tilde, label, gamma * xnorm2, warm)
         c_out = (c_x - eta_tilde * p_star / xnorm2) / (1.0 - eta_tilde / smooth)
     return c_out * feature
+
+
+def sigma_dagger_rows(problem, state):
+    """Node-space rows of Sigma^+ state; the conjugate curvature of the
+    non-smooth build is zero, so its virtual rows vanish."""
+    out = state.copy()
+    center, coef = split_state(problem, out)
+    center /= problem.sigma[:, None]
+    if problem.smooth:
+        coef /= problem.smooth_virtual
+    else:
+        coef[:] = 0.0
+    return state_rows(problem, out)
+
+
+def lyapunov_value(problem, state, theta_star, f_star):
+    """B_t ||v_t - theta*||^2 in the projector seminorm + 2 A_t (F(x_t) - F*)
+    of an APCG iterate, from the value oracles of a CompositeProblem."""
+    if problem.smooth_value is None:
+        raise ValueError("problem lacks value oracles (smooth_value / psi_value)")
+    diff = state.v - theta_star
+    sq = float(diff @ problem.projector_apply(diff))
+    fx = problem.smooth_value(state.x)
+    if problem.psi_value is not None:
+        for i in np.nonzero(problem.has_psi)[0]:
+            fx += problem.psi_value(i, state.x[i])
+    return state.b_big * sq + 2.0 * state.a_big * (fx - f_star)

@@ -9,15 +9,13 @@ import time
 import numpy as np
 import pytest
 
-import adfs_lab.augmented as aug
-from adfs_lab.adfs import _sigma_dagger_rows, run_adfs, run_adfs_efficient, run_ns_adfs
+from adfs_lab.adfs import run_adfs, run_adfs_efficient, run_ns_adfs
 from adfs_lab.apcg import run_apcg, run_apcg_efficient
 from adfs_lab.augmented import (
     apply_comm_step,
     apply_wtilde,
     build_augmented,
     build_augmented_ns,
-    dense_c0_constant,
     draw_block,
     expected_time,
     lift_primal_point,
@@ -26,12 +24,19 @@ from adfs_lab.augmented import (
     zero_state,
 )
 from adfs_lab.baselines import flat_value, point_saga, pool_objectives, reference_optimum
+from adfs_lab.dense import dense_A, dense_c0_constant, dense_pb_dagger_diag, dense_sigma_dagger
 from adfs_lab.harness import parse_libsvm, synth_dataset, write_libsvm
 from adfs_lab.instances import random_objectives, random_problem
 from adfs_lab.objective import LocalObjective, LossKind, condition_numbers
 from adfs_lab.rng import BlockStream, generator
 from adfs_lab.topology import build_topology, symmetric_eigensolve
-from test_adfs import dual_coeffs_to_rows, dual_composite_for, single_node_problem
+from oracles import lyapunov_value, sigma_dagger_rows
+from test_adfs import (
+    comp_rows_touched,
+    dual_coeffs_to_rows,
+    dual_composite_for,
+    single_node_problem,
+)
 from test_apcg import prox_grad_oracle, quad_l1_problem
 from test_augmented import state_of_rows
 
@@ -42,8 +47,8 @@ def _report(criterion, detail):
 
 def _lam_min_pos_dual_quad(problem):
     """lambda_min_pos(A^T Sigma^+ A) through the smaller Gram side."""
-    a = aug.dense_A(problem)
-    half = aug._sigma_dagger_blocks(problem, 0.5)
+    a = dense_A(problem)
+    half = dense_sigma_dagger(problem, 0.5)
     q = half @ a
     gram = q @ q.T if q.shape[0] <= q.shape[1] else q.T @ q
     return symmetric_eigensolve(gram).lambda_min_pos
@@ -89,8 +94,8 @@ def test_criterion_01_spectral_lower_bound(instance_set):
 def test_criterion_02_projector_identity(instance_set):
     worst = 0.0
     for prob in instance_set:
-        a = aug.dense_A(prob)
-        proj = aug.dense_pinv(a) @ a
+        a = dense_A(prob)
+        proj = np.linalg.pinv(a) @ a
         d = prob.d
         rng = generator("acceptance-proj", prob.n_virtual)
         for g in range(prob.n_virtual):
@@ -109,15 +114,15 @@ def test_criterion_03_operator_shortcuts(instance_set):
     checked = 0
     worst = 0.0
     for prob in instance_set[:6]:
-        a = aug.dense_A(prob)
-        pinv_a = aug.dense_pinv(a)
-        sig_dag = aug.dense_sigma_dagger_diag(prob)
+        a = dense_A(prob)
+        pinv_a = np.linalg.pinv(a)
+        sig_dag = dense_sigma_dagger(prob)
         stream = BlockStream("acceptance-ops", prob.n)
         state_rng = generator("acceptance-state", prob.n)
         shape = (prob.n_rows, prob.d)
         for _ in range(9):
             draw = draw_block(prob, stream)
-            pb = np.diag(aug.dense_pb_dagger_diag(prob, draw))
+            pb = np.diag(dense_pb_dagger_diag(prob, draw))
             y = state_rng.normal(size=zero_state(prob).shape)
             if draw.kind == "communication":
                 dense_grad = (a @ pb @ a.T @ sig_dag @ state_rows(prob, y).ravel()).reshape(shape)
@@ -152,8 +157,6 @@ def test_criterion_04_apcg():
     assert dev_a <= 1e-8
 
     # (b) Lyapunov bound: pointwise under deterministic full-block sampling
-    from adfs_lab.apcg import lyapunov_value
-
     problem_b, qb, bb, l1b, _ = quad_l1_problem(seed=2, dim=4)
     theta = prox_grad_oracle(qb, bb, l1b)
     f_star = problem_b.smooth_value(theta) + sum(
@@ -230,13 +233,13 @@ def test_criterion_06_linear_rate():
     k_total = int(np.ceil(np.log(c0 / eps) / prob.rho))
     k_total += (-k_total) % 4
     checkpoints = (k_total // 4, k_total // 2, k_total)
-    target = _sigma_dagger_rows(prob, lift_primal_point(prob, theta_star))
+    target = sigma_dagger_rows(prob, lift_primal_point(prob, theta_star))
     sq = {t: [] for t in checkpoints}
     for seed in range(20):
         res = run_adfs(prob, k_total, seed=seed, log_every=k_total,
                        capture_iters=checkpoints)
         for t in checkpoints:
-            cur = _sigma_dagger_rows(prob, res.captures[t]["v"])
+            cur = sigma_dagger_rows(prob, res.captures[t]["v"])
             sq[t].append(float(np.sum((cur - target) ** 2)))
     margins = {}
     for t in checkpoints:
@@ -258,7 +261,8 @@ def test_criterion_07_efficient_equivalence():
     prob = random_problem(rng, n=4, m=3, d=3)
     marks = tuple(range(25, 501, 25))
     r1 = run_adfs(prob, 500, seed=3, log_every=100, capture_iters=marks)
-    r2 = run_adfs_efficient(prob, 500, seed=3, log_every=100, capture_iters=marks)
+    # every iteration captured and logged, to see the write set of each round
+    r2 = run_adfs_efficient(prob, 500, seed=3, log_every=1, capture_iters=range(1, 501))
     worst = 0.0
     for t in marks:
         for key in ("x", "v", "y"):
@@ -266,11 +270,12 @@ def test_criterion_07_efficient_equivalence():
             b = state_rows(prob, r2.captures[t][key])
             worst = max(worst, float(np.max(np.abs(a - b))) / (1 + float(np.max(np.abs(a)))))
     assert worst <= 1e-6
-    assert r2.max_comp_rows_touched <= 2 * prob.n
+    touched = comp_rows_touched(prob, r2, 500)
+    assert touched <= 2 * prob.n
     _report(
         "7 efficient-adfs",
         f"500-iteration trajectory dev {worst:.2e}, "
-        f"{r2.max_comp_rows_touched} rows touched per computation block (2n = {2 * prob.n})",
+        f"{touched} rows touched per computation block (2n = {2 * prob.n})",
     )
 
 
@@ -318,7 +323,7 @@ def test_criterion_09_ns_adfs():
     objs2 = random_objectives(rng2, 2, 2, 2, loss=LossKind.ABSOLUTE,
                               sigma_range=(1.0, 1.0))
     prob2 = build_augmented_ns(g2, objs2, tau=1.0)
-    a = aug.dense_A(prob2)
+    a = dense_A(prob2)
     lam_min_pos = symmetric_eigensolve(a.T @ a).lambda_min_pos
     long2 = run_ns_adfs(prob2, 100_000, seed=5, log_every=5000,
                         capture_iters=(100_000,))

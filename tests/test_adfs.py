@@ -6,20 +6,20 @@ import pytest
 import adfs_lab.augmented as aug
 from adfs_lab.adfs import (
     _Rounds,
-    _sigma_dagger_rows,
     primal_estimate,
     run_adfs,
     run_adfs_efficient,
     run_ns_adfs,
 )
 from adfs_lab.apcg import CompositeProblem, run_apcg
-from adfs_lab.augmented import build_augmented, dense_A, split_state, state_rows, zero_state
+from adfs_lab.augmented import build_augmented, split_state, state_rows, zero_state
 from adfs_lab.baselines import pool_objectives, reference_optimum
+from adfs_lab.dense import dense_A, dense_c0_constant, dense_sigma_dagger, with_exact_sigma_a
 from adfs_lab.instances import random_objectives, random_problem
 from adfs_lab.objective import LocalObjective, LossKind
 from adfs_lab.rng import BlockStream, generator
 from adfs_lab.topology import build_topology
-from oracles import prox_tilde_fstar
+from oracles import prox_tilde_fstar, sigma_dagger_rows
 
 
 def single_node_problem(seed=3, m=3, d=2):
@@ -49,11 +49,40 @@ def clamped_problem(wide=0):
     return build_augmented(g, objs, tau=1.0)
 
 
+def z_coef_writes(problem, res, iters):
+    """(block kind, written virtual indices) of each round t = 1..iters of a
+    `run_adfs_efficient` result logged and captured at every iteration: the
+    z coefficients that round changed."""
+    kinds = {row.iteration: row.block_kind for row in res.record.rows}
+    prev = split_state(problem, zero_state(problem))[1]
+    out = []
+    for t in range(1, iters + 1):
+        coef = split_state(problem, res.captures[t]["z"])[1]
+        out.append((kinds[t], np.flatnonzero(coef != prev)))
+        prev = coef
+    return out
+
+
+def comp_rows_touched(problem, res, iters):
+    """Largest number of node rows (n centers plus the written coefficients)
+    a computation round of the efficient form wrote, after checking that no
+    round wrote two coefficients of one node and gossip wrote none."""
+    touched = 0
+    for kind, written in z_coef_writes(problem, res, iters):
+        if kind == "communication":
+            assert written.size == 0
+            continue
+        nodes = np.searchsorted(problem.vstart, written, side="right") - 1
+        assert np.unique(nodes).size == written.size, f"two coefficients of one node: {written}"
+        touched = max(touched, problem.n + written.size)
+    return touched
+
+
 def dual_composite_for(problem, stream):
     """The local dual problem of a single-node instance, in span coefficients."""
     m = problem.n_virtual
     a = dense_A(problem)
-    sd = aug.dense_sigma_dagger_diag(problem)
+    sd = dense_sigma_dagger(problem)
     mu = np.sqrt(problem.mu2_virtual)
     units = problem.features / np.sqrt(problem.xnorm2)[:, None]
     basis = np.zeros((a.shape[1], m))
@@ -161,8 +190,8 @@ class TestReferenceSolver:
             prob = build_augmented(g, objs, tau=3.0)
         flat = pool_objectives(prob.objectives)
         theta_star, f_star = reference_optimum(flat, tol=1e-8)
-        c0 = aug.dense_c0_constant(prob, theta_star)
-        target = _sigma_dagger_rows(prob, aug.lift_primal_point(prob, theta_star))
+        c0 = dense_c0_constant(prob, theta_star)
+        target = sigma_dagger_rows(prob, aug.lift_primal_point(prob, theta_star))
         k_total = int(np.ceil(np.log(c0 / 1e-4) / prob.rho))
         k_total += (-k_total) % 2
         checkpoints = (k_total // 2, k_total)
@@ -171,7 +200,7 @@ class TestReferenceSolver:
             res = run_adfs(prob, k_total, seed=seed, log_every=k_total,
                            capture_iters=checkpoints)
             for t in checkpoints:
-                cur = _sigma_dagger_rows(prob, res.captures[t]["v"])
+                cur = sigma_dagger_rows(prob, res.captures[t]["v"])
                 sq[t].append(float(np.sum((cur - target) ** 2)))
         for t in checkpoints:
             assert np.median(sq[t]) <= c0 * (1 - prob.rho) ** t
@@ -223,8 +252,6 @@ class TestReferenceSolver:
     def test_exact_sigma_a_run_converges(self, rng):
         # validation mode: the dense exact dual strong convexity gives a
         # larger (still valid) step; the solver must still converge
-        from adfs_lab.augmented import with_exact_sigma_a
-
         prob = with_exact_sigma_a(random_problem(rng, n=3, m=2, d=2))
         flat = pool_objectives(prob.objectives)
         _, f_star = reference_optimum(flat)
@@ -265,8 +292,10 @@ class TestEfficientSolver:
 
     def test_computation_blocks_touch_two_n_rows(self, rng):
         prob = random_problem(rng, n=4, m=3, d=2)
-        res = run_adfs_efficient(prob, 300, seed=1, log_every=300)
-        assert res.max_comp_rows_touched == 2 * prob.n
+        iters = 300
+        res = run_adfs_efficient(prob, iters, seed=1, log_every=1,
+                                 capture_iters=range(1, iters + 1))
+        assert comp_rows_touched(prob, res, iters) == 2 * prob.n
 
     def test_equivalence_across_renormalization(self, rng):
         # run long enough for the lazily rescaled momentum scalar to underflow
@@ -298,9 +327,10 @@ class TestEfficientSolver:
         v1, v2 = (state_rows(prob, r.captures[iters]["v"]) for r in (r1, r2))
         assert np.max(np.abs(v1 - v2)) <= 1e-8
         # the y-based return of the rescaled form equals Sigma^+ v_K once converged
-        ref_rows = _sigma_dagger_rows(prob, r1.captures[iters]["v"])
+        ref_rows = sigma_dagger_rows(prob, r1.captures[iters]["v"])
         scale = 1.0 + np.max(np.abs(ref_rows))
-        assert np.max(np.abs(r2.final_primal_rows - ref_rows)) <= 1e-6 * scale
+        got = sigma_dagger_rows(prob, r2.captures[iters]["y"])
+        assert np.max(np.abs(got - ref_rows)) <= 1e-6 * scale
 
 
 class TestRoundTable:
@@ -382,19 +412,19 @@ class TestPredictedTime:
         prob = random_problem(rng, n=2, m=3, d=2, tau=4.0)
         flat = pool_objectives(prob.objectives)
         theta_star, _ = reference_optimum(flat, tol=1e-8)
-        c0 = aug.dense_c0_constant(prob, theta_star)
+        c0 = dense_c0_constant(prob, theta_star)
         eps = 1e-4
         k_eps = int(np.ceil(np.log(c0 / eps) / prob.rho))
         p = prob.sampling.p_comm
         predicted = (1 - p + prob.tau * p) * k_eps
-        target = _sigma_dagger_rows(prob, aug.lift_primal_point(prob, theta_star))
+        target = sigma_dagger_rows(prob, aug.lift_primal_point(prob, theta_star))
         observed = []
         for seed in range(5):
             res = run_adfs(prob, k_eps, seed=seed, log_every=1,
                            capture_iters=range(50, k_eps + 1, 50))
             hit = np.inf
             for t in sorted(res.captures):
-                cur = _sigma_dagger_rows(prob, res.captures[t]["v"])
+                cur = sigma_dagger_rows(prob, res.captures[t]["v"])
                 if float(np.sum((cur - target) ** 2)) <= eps:
                     hit = res.record.rows[t].time
                     break

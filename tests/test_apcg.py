@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from adfs_lab.apcg import CompositeProblem, lyapunov_value, run_apcg, run_apcg_efficient
+from adfs_lab.apcg import CompositeProblem, run_apcg, run_apcg_efficient
 from adfs_lab.rng import generator
 from adfs_lab.topology import symmetric_eigensolve
+from oracles import lyapunov_value
 
 
 def quad_l1_problem(seed=0, dim=5, l1=0.3, sigma_shift=0.5, marginals=None):

@@ -3,7 +3,6 @@ import logging
 import numpy as np
 import pytest
 
-import adfs_lab.augmented as aug
 from adfs_lab.augmented import (
     BlockDraw,
     apply_comm_step,
@@ -21,6 +20,7 @@ from adfs_lab.augmented import (
     wtilde_sampled,
     zero_state,
 )
+from adfs_lab.dense import dense_A, dense_pb_dagger_diag, dense_sigma_dagger, with_exact_sigma_a
 from adfs_lab.instances import random_connected_graph, random_objectives, random_problem
 from adfs_lab.objective import LocalObjective, LossKind, loss_conjugate, loss_grad
 from adfs_lab.rng import BlockStream, generator
@@ -28,8 +28,8 @@ from adfs_lab.topology import build_topology, laplacian
 
 
 def _dense_quad(problem):
-    a = aug.dense_A(problem)
-    return a, a.T @ aug.dense_sigma_dagger_diag(problem) @ a
+    a = dense_A(problem)
+    return a, a.T @ dense_sigma_dagger(problem) @ a
 
 
 def state_of_rows(problem, rows):
@@ -180,7 +180,7 @@ class TestDenseOperator:
             LocalObjective(np.array([[3.0]]), [-1.0], 1.0, LossKind.SQUARED),
         ]
         prob = build_augmented(g, objs, tau=1.0)
-        a = aug.dense_A(prob)
+        a = dense_A(prob)
         assert a.shape == (4, 3)
         m0, m1 = prob.mu2_virtual
         expected = np.array([
@@ -195,7 +195,7 @@ class TestDenseOperator:
         # A^+ A fixes e_ij (x) theta for theta in the span of the feature
         for seed in range(5):
             prob = random_problem(generator("proj", seed), n=3, m=2, d=3)
-            a = aug.dense_A(prob)
+            a = dense_A(prob)
             proj = np.linalg.pinv(a) @ a
             d = prob.d
             for gidx in range(prob.n_virtual):
@@ -222,18 +222,18 @@ class TestDenseOperator:
         prob = random_problem(rng, n=4, m=3, d=2)
         object.__setattr__(prob, "features", np.zeros((prob.n_virtual, 2000)))
         with pytest.raises(ValueError, match="rows"):
-            aug.dense_A(prob)
+            dense_A(prob)
 
 
 class TestOperatorShortcuts:
     def _dense_wb(self, prob, draw):
-        a = aug.dense_A(prob)
-        pb = np.diag(aug.dense_pb_dagger_diag(prob, draw))
-        return a @ pb @ a.T @ aug.dense_sigma_dagger_diag(prob)
+        a = dense_A(prob)
+        pb = np.diag(dense_pb_dagger_diag(prob, draw))
+        return a @ pb @ a.T @ dense_sigma_dagger(prob)
 
     def _dense_wtilde(self, prob, draw):
-        a = aug.dense_A(prob)
-        pb = np.diag(aug.dense_pb_dagger_diag(prob, draw))
+        a = dense_A(prob)
+        pb = np.diag(dense_pb_dagger_diag(prob, draw))
         return a @ pb @ np.linalg.pinv(a)
 
     def test_consensus_state_is_killed(self, rng):
@@ -282,7 +282,7 @@ class TestOperatorShortcuts:
                 continue
             checked += 1
             # delta in range(A U_b): image of a random dual vector on the block
-            a = aug.dense_A(prob)
+            a = dense_A(prob)
             dual = np.zeros(a.shape[1])
             idx = prob.vstart[:-1] + draw.chosen
             for g in idx:
@@ -309,8 +309,6 @@ class TestOperatorShortcuts:
         assert np.max(np.abs(apply_wtilde(prob, BlockDraw(kind="communication"), z))) == 0.0
 
     def test_exact_sigma_a_dominates_bound(self, rng):
-        from adfs_lab.augmented import with_exact_sigma_a
-
         prob = random_problem(rng, n=3, m=2, d=2)
         exact = with_exact_sigma_a(prob)
         assert exact.sigma_a_exact >= prob.sigma_a_bound - 1e-10
@@ -324,13 +322,13 @@ class TestDenseRateBound:
         for seed in range(3):
             rng = generator("rate-dense", seed)
             prob = random_problem(rng, n=2, m=2, d=2)
-            a = aug.dense_A(prob)
-            quad = a.T @ aug.dense_sigma_dagger_diag(prob) @ a
+            a = dense_A(prob)
+            quad = a.T @ dense_sigma_dagger(prob) @ a
             proj = np.linalg.pinv(a) @ a
             lam_min = _lam_min_pos(quad)
 
             def block_lambda(draw):
-                pb = np.diag(aug.dense_pb_dagger_diag(prob, draw))
+                pb = np.diag(dense_pb_dagger_diag(prob, draw))
                 mat = proj @ pb @ quad @ pb @ proj
                 return np.linalg.eigvalsh(mat).max()
 
@@ -365,7 +363,7 @@ class TestNonSmoothBuild:
         # lambda_min_pos(A^T A) >= lambda_min_pos(L) / (2 (m + 1))
         for seed in range(4):
             prob = self._problem(seed)
-            a = aug.dense_A(prob)
+            a = dense_A(prob)
             lam = _lam_min_pos(a.T @ a)
             lam_l = _lam_min_pos(prob.laplacian_comm)
             assert lam >= lam_l / (2 * (prob.m_max + 1)) - 1e-10

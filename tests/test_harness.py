@@ -1,9 +1,13 @@
+import ast
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import adfs_lab
 from adfs_lab.harness import (
     ConfigError,
     LibsvmParseError,
@@ -366,3 +370,36 @@ class TestCli:
 
     def test_validate_green(self):
         assert cli(["validate"]) == 0
+
+
+def _imports_dense(path):
+    """Whether a module of the package imports `adfs_lab.dense`, absolutely
+    or relatively."""
+    for node in ast.walk(ast.parse(open(path, encoding="utf-8").read())):
+        if isinstance(node, ast.Import):
+            if any(alias.name == "adfs_lab.dense" for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module
+            if node.level:  # relative to the package
+                module = f"adfs_lab.{module}" if module else "adfs_lab"
+            if module == "adfs_lab.dense":
+                return True
+            if module == "adfs_lab" and any(alias.name == "dense" for alias in node.names):
+                return True
+    return False
+
+
+class TestPackageBoundary:
+    def test_dense_oracles_stay_off_the_run_path(self):
+        # importing the package and its CLI loads no dense oracle ...
+        src = os.path.dirname(os.path.dirname(adfs_lab.__file__))
+        probe = "import sys, adfs_lab, adfs_lab.harness; print('adfs_lab.dense' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
+        # ... and of the package's modules only the validation suite imports them
+        pkg = os.path.dirname(adfs_lab.__file__)
+        importers = sorted(name for name in os.listdir(pkg)
+                           if name.endswith(".py") and _imports_dense(os.path.join(pkg, name)))
+        assert importers == ["selfcheck.py"]

@@ -142,7 +142,7 @@ class TestProxSample:
     @pytest.mark.parametrize("eta", [0.1, 1.0, 10.0])
     @pytest.mark.parametrize("kind", SMOOTH_KINDS)
     def test_matches_coordinate_search(self, kind, eta):
-        rng = generator("prox-brute", hash((str(kind), eta)) % 2**31)
+        rng = generator("prox-brute", kind.value, eta)
         x, label = rng.normal(size=2), 1.0 if kind is LossKind.LOGISTIC else 0.3
         v = rng.normal(size=2)
 
