@@ -43,7 +43,7 @@ def _log_smooth(problem, rows, t, now, y_state, f_star, kind):
     obj = _stacked_value(problem.loss, problem.features, problem.labels,
                          float(problem.sigma.sum()), theta)
     sub = None if f_star is None else obj - f_star
-    rows.append(LogRow(t, now, obj, sub, None, kind))
+    rows.append(LogRow(t, now, obj, sub, kind))
     return sub
 
 
@@ -272,7 +272,7 @@ def run_ns_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=
     def log_row(rows, t, now, kind):
         dual = aug.dual_objective(problem, x)
         sub = None if f_star is None else dual - f_star
-        rows.append(LogRow(t, now, dual, sub, dual, kind))
+        rows.append(LogRow(t, now, dual, sub, kind))
         return sub
 
     rows = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .objective import LossKind, condition_numbers, loss_conjugate, loss_grad
+from .objective import LossKind, condition_numbers, loss_conjugate
 from .topology import CommunicationGraph, laplacian, symmetric_eigensolve
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "expected_time",
     "split_state",
     "zero_state",
-    "state_rows",
     "round_table",
     "draw_block",
     "apply_comm_step",
@@ -37,7 +36,6 @@ __all__ = [
     "apply_wtilde",
     "wtilde_sampled",
     "dual_objective",
-    "lift_primal_point",
 ]
 
 log = logging.getLogger("adfs_lab")
@@ -92,21 +90,23 @@ class AugmentedProblem:
     features: np.ndarray  # (V, d) stacked virtual features
     labels: np.ndarray  # (V,)
     xnorm2: np.ndarray  # (V,)
-    smooth_virtual: np.ndarray  # (V,) L_ij; None for the non-smooth build
-    mu2_virtual: np.ndarray  # (V,) virtual edge weights squared
     laplacian_comm: np.ndarray  # (n, n) weighted
+    mu2_virtual: np.ndarray  # (V,) virtual edge weights squared
     alpha: float
     gamma: float  # None when the graph has no edges
-    kappa_comm: float  # None when the graph has no edges
-    kappa_s: float
-    kappa_b: np.ndarray
-    dm_tilde: np.ndarray
     sampling: SamplingScheme
-    rho: float
-    rho_unclamped: float
-    s_squared: float = None  # non-smooth ESO bound
-    s_max_bound: float = None  # m + sqrt(m kappa_s)
     sigma_a_exact: float = None  # dense value, filled by dense.with_exact_sigma_a
+    # smooth build only, None for the non-smooth one
+    smooth_virtual: np.ndarray = None  # (V,) L_ij
+    kappa_comm: float = None  # also None when the graph has no edges
+    kappa_s: float = None
+    kappa_b: np.ndarray = None
+    dm_tilde: np.ndarray = None
+    rho: float = None
+    rho_unclamped: float = None
+    s_max_bound: float = None  # m + sqrt(m kappa_s)
+    # non-smooth build only
+    s_squared: float = None  # ESO bound
 
     @property
     def n(self):
@@ -148,36 +148,54 @@ class AugmentedProblem:
         return self.rho / sigma_a
 
 
-def _stack_objectives(objectives):
+def _assemble(graph, objectives, tau):
+    """Checks and fields shared by both builds, as AugmentedProblem keywords.
+
+    Needs one objective per node, one loss kind, one feature dimension and a
+    finite tau >= 0.  The per-sample arrays are stacked read-only.
+    """
+    objectives = tuple(objectives)
+    if len(objectives) != graph.n:
+        raise ValueError(f"need one local objective per node ({graph.n}), got {len(objectives)}")
+    loss = objectives[0].loss
+    if any(o.loss is not loss for o in objectives):
+        raise ValueError("all nodes must share the loss kind")
     d = objectives[0].feature_matrix.shape[1]
     if any(o.feature_matrix.shape[1] != d for o in objectives):
         raise ValueError("all samples must share the feature dimension")
-    out = (
-        np.concatenate([o.feature_matrix for o in objectives]),
-        np.concatenate([o.labels for o in objectives]),
-        np.concatenate([o.xnorm2 for o in objectives]),
-        np.cumsum([0] + [o.m for o in objectives]),
+    if not 0.0 <= tau < np.inf:
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
+    stacked = dict(
+        features=np.concatenate([o.feature_matrix for o in objectives]),
+        labels=np.concatenate([o.labels for o in objectives]),
+        xnorm2=np.concatenate([o.xnorm2 for o in objectives]),
+        vstart=np.cumsum([0] + [o.m for o in objectives]),
     )
-    for arr in out:
+    for arr in stacked.values():
         arr.flags.writeable = False
-    return (*out, d)
+    return dict(stacked, graph=graph, objectives=objectives, loss=loss, smooth=loss.is_smooth,
+                tau=float(tau), sigma=np.array([o.sigma for o in objectives]),
+                laplacian_comm=laplacian(graph))
 
 
-def _graph_spectra(graph, dm_tilde, sigma):
+def _connected_spectrum(matrix, name):
+    """Eigen-summary of a gossip matrix, whose kernel must be 1-dimensional."""
+    spec = symmetric_eigensolve(matrix)
+    if spec.kernel_dim != 1:
+        raise ValueError(f"{name} kernel is not 1-dimensional")
+    return spec
+
+
+def _graph_spectra(graph, lap, dm_tilde, sigma):
     """(gamma, kappa_comm, alpha) from the n x n congruences of the Laplacian."""
-    lap = laplacian(graph)
     if graph.n_edges == 0:
         # single node (or edgeless): no gossip, alpha only rescales mu and cancels
-        return lap, None, None, 1.0
-    spec = symmetric_eigensolve(lap)
-    if spec.kernel_dim != 1:
-        raise ValueError("communication Laplacian kernel is not 1-dimensional")
+        return None, None, 1.0
+    spec = _connected_spectrum(lap, "communication Laplacian")
     gamma = spec.lambda_min_pos / spec.lambda_max
 
     dt_isqrt = 1.0 / np.sqrt(dm_tilde)
-    spec_dt = symmetric_eigensolve(dt_isqrt[:, None] * lap * dt_isqrt[None, :])
-    if spec_dt.kernel_dim != 1:
-        raise ValueError("scaled Laplacian kernel is not 1-dimensional")
+    spec_dt = _connected_spectrum(dt_isqrt[:, None] * lap * dt_isqrt[None, :], "scaled Laplacian")
     alpha = 2.0 * spec_dt.lambda_min_pos
 
     s_isqrt = 1.0 / np.sqrt(sigma)
@@ -185,7 +203,7 @@ def _graph_spectra(graph, dm_tilde, sigma):
     kappa_comm = (spec_s.lambda_max / spec.lambda_max) / (
         spec_dt.lambda_min_pos / spec.lambda_min_pos
     )
-    return lap, gamma, kappa_comm, alpha
+    return gamma, kappa_comm, alpha
 
 
 def balanced_p_comm(gamma, kappa_comm, s_max_bound):
@@ -214,6 +232,16 @@ def _marginals(objectives, p_comp):
     return tuple(p_virtual), np.concatenate(marg)
 
 
+def _sampling(graph, p_comm, p_virtual, p_marginal):
+    """The sampling scheme, once p_comm is checked against the graph."""
+    if graph.n_edges == 0:
+        if p_comm != 0.0:
+            raise ValueError("p_comm must be 0 for a graph with no edges")
+    elif not (0.0 < p_comm < 1.0):
+        raise ValueError(f"p_comm must lie in (0, 1), got {p_comm}")
+    return SamplingScheme(p_comm=p_comm, p_virtual=p_virtual, p_marginal=p_marginal)
+
+
 def rate_rho(problem, p_comm):
     """min of the two branch rates, clamped so 2 rho <= min_ij p_ij."""
     rho_comm, rho_comp = rate_branches(problem, p_comm)
@@ -240,77 +268,44 @@ def expected_time(problem, iters):
 
 
 def build_augmented(graph, objectives, tau, p_comm_override=None):
-    """Assemble the smooth dual problem with the default parameter choices.
+    """Assemble the dual problem with the default parameter choices; the loss
+    picks the build.
 
-    Virtual-edge weights are mu_ij^2 = alpha * L_ij with alpha twice the
+    A non-smooth loss gets the build of build_augmented_ns.  For a smooth one,
+    virtual-edge weights are mu_ij^2 = alpha * L_ij with alpha twice the
     smallest positive eigenvalue of the tilde-scaled gossip matrix, sampling
     probabilities are proportional to sqrt(1 + L_ij / sigma_i), and p_comm
     defaults to the value balancing the communication / computation rates.
     """
-    objectives = tuple(objectives)
-    if len(objectives) != graph.n:
-        raise ValueError(f"need one local objective per node ({graph.n}), got {len(objectives)}")
-    loss = objectives[0].loss
-    if any(o.loss is not loss for o in objectives):
-        raise ValueError("all nodes must share the loss kind")
-    if not loss.is_smooth:
-        raise ValueError("non-smooth loss: use build_augmented_ns")
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-
-    feats, labels, xnorm2, vstart, d = _stack_objectives(objectives)
-    sigma = np.array([o.sigma for o in objectives])
+    shared = _assemble(graph, objectives, tau)
+    if not shared["smooth"]:
+        return _build_ns(shared, p_comm_override)
+    objectives, sigma = shared["objectives"], shared["sigma"]
     report = condition_numbers(objectives)
     dm_tilde = sigma + 2.0 * report.lam_sum_max
-
-    lap, gamma, kappa_comm, alpha = _graph_spectra(graph, dm_tilde, sigma)
-    if alpha <= 0:
-        raise ValueError("alpha <= 0: spectral computation failed")
-
-    lg = loss.scalar_smoothness
-    smooth_virtual = lg * xnorm2
-    mu2_virtual = alpha * smooth_virtual
+    gamma, kappa_comm, alpha = _graph_spectra(graph, shared["laplacian_comm"], dm_tilde, sigma)
+    smooth_virtual = shared["loss"].scalar_smoothness * shared["xnorm2"]
 
     m_max = int(max(o.m for o in objectives))
     s_max = m_max + np.sqrt(m_max * report.kappa_s)
-
     if p_comm_override is not None:
         p_comm = float(p_comm_override)
     elif gamma is None:
         p_comm = 0.0
     else:
         p_comm = float(balanced_p_comm(gamma, kappa_comm, s_max))
-    if graph.n_edges > 0 and not (0.0 < p_comm < 1.0):
-        raise ValueError(f"p_comm must lie in (0, 1), got {p_comm}")
-    if graph.n_edges == 0 and p_comm != 0.0:
-        raise ValueError("p_comm must be 0 for a graph with no edges")
-
-    p_virtual, marg = _marginals(objectives, 1.0 - p_comm)
-    sampling = SamplingScheme(p_comm=p_comm, p_virtual=p_virtual, p_marginal=marg)
 
     problem = AugmentedProblem(
-        graph=graph,
-        objectives=objectives,
-        loss=loss,
-        smooth=True,
-        tau=float(tau),
-        sigma=sigma,
-        vstart=vstart,
-        features=feats,
-        labels=labels,
-        xnorm2=xnorm2,
-        smooth_virtual=smooth_virtual,
-        mu2_virtual=mu2_virtual,
-        laplacian_comm=lap,
+        **shared,
+        mu2_virtual=alpha * smooth_virtual,
         alpha=float(alpha),
         gamma=gamma,
+        sampling=_sampling(graph, p_comm, *_marginals(objectives, 1.0 - p_comm)),
+        smooth_virtual=smooth_virtual,
         kappa_comm=kappa_comm,
         kappa_s=report.kappa_s,
         kappa_b=report.kappa_b,
         dm_tilde=dm_tilde,
-        sampling=sampling,
-        rho=0.0,
-        rho_unclamped=0.0,
         s_max_bound=float(s_max),
     )
     rho_comm, rho_comp = rate_branches(problem, p_comm)
@@ -326,21 +321,17 @@ def build_augmented_ns(graph, objectives, tau=1.0, p_comm_override=None):
     p_ij = p_comp / m_i, and the schedule is driven by the explicit bound on
     the sampling-smoothness constant S^2.
     """
-    objectives = tuple(objectives)
-    if len(objectives) != graph.n:
-        raise ValueError(f"need one local objective per node ({graph.n}), got {len(objectives)}")
-    loss = objectives[0].loss
-    if loss.is_smooth:
+    shared = _assemble(graph, objectives, tau)
+    if shared["smooth"]:
         raise ValueError("smooth loss: use build_augmented for the linearly convergent solver")
+    return _build_ns(shared, p_comm_override)
+
+
+def _build_ns(shared, p_comm_override):
+    graph, objectives, sigma = shared["graph"], shared["objectives"], shared["sigma"]
     if graph.n_edges == 0:
         raise ValueError("the non-smooth build needs a graph with at least one edge")
-
-    feats, labels, xnorm2, vstart, d = _stack_objectives(objectives)
-    sigma = np.array([o.sigma for o in objectives])
-    lap = laplacian(graph)
-    spec = symmetric_eigensolve(lap)
-    if spec.kernel_dim != 1:
-        raise ValueError("communication Laplacian kernel is not 1-dimensional")
+    spec = _connected_spectrum(shared["laplacian_comm"], "communication Laplacian")
     lam_min, lam_max = spec.lambda_min_pos, spec.lambda_max
     gamma = lam_min / lam_max
 
@@ -349,42 +340,21 @@ def build_augmented_ns(graph, objectives, tau=1.0, p_comm_override=None):
         p_comm = float(p_comm_override)
     else:
         p_comm = 1.0 / (1.0 + np.sqrt(gamma * m_max))
-    if not (0.0 < p_comm < 1.0):
-        raise ValueError(f"p_comm must lie in (0, 1), got {p_comm}")
     p_comp = 1.0 - p_comm
-
-    mu2_virtual = np.full(feats.shape[0], lam_min / (1.0 + m_max))
     p_virtual = tuple(np.full(o.m, 1.0 / o.m) for o in objectives)
-    marg = np.concatenate([p_comp * pv for pv in p_virtual])
+    sampling = _sampling(graph, p_comm, p_virtual,
+                         np.concatenate([p_comp * pv for pv in p_virtual]))
     s_squared = (1.0 / sigma.min()) * max(
         lam_max / p_comm**2,
         lam_min * m_max**2 / ((m_max + 1.0) * p_comp**2),
     )
-
-    sampling = SamplingScheme(p_comm=p_comm, p_virtual=p_virtual, p_marginal=marg)
+    mu2 = lam_min / (1.0 + m_max)
     return AugmentedProblem(
-        graph=graph,
-        objectives=objectives,
-        loss=loss,
-        smooth=False,
-        tau=float(tau),
-        sigma=sigma,
-        vstart=vstart,
-        features=feats,
-        labels=labels,
-        xnorm2=xnorm2,
-        smooth_virtual=None,
-        mu2_virtual=mu2_virtual,
-        laplacian_comm=lap,
-        alpha=float(lam_min / (1.0 + m_max)),
+        **shared,
+        mu2_virtual=np.full(shared["features"].shape[0], mu2),
+        alpha=float(mu2),
         gamma=gamma,
-        kappa_comm=None,
-        kappa_s=None,
-        kappa_b=None,
-        dm_tilde=None,
         sampling=sampling,
-        rho=None,
-        rho_unclamped=None,
         s_squared=float(s_squared),
     )
 
@@ -400,12 +370,6 @@ def split_state(problem, state):
 
 def zero_state(problem):
     return np.zeros(problem.n * problem.d + problem.n_virtual)
-
-
-def state_rows(problem, state):
-    """The (n_rows, d) node-space matrix of a state, for dense checks."""
-    center, coef = split_state(problem, state)
-    return np.concatenate((center, coef[:, None] * problem.features))
 
 
 # Columns of a round table.  Both builds: the gradient weight mu_ij^2 / p_ij,
@@ -542,17 +506,3 @@ def dual_objective(problem, state, domain_tol=1e-6):
         coef = -problem.labels * np.clip(u, 0.0, 1.0)
     vals = loss_conjugate(problem.loss, coef, problem.labels)
     return total + float(np.sum(vals))
-
-
-def lift_primal_point(problem, theta):
-    """State of a primal point: sigma_i theta on centers, grad f_ij(theta)
-    (the coefficient l'(X_ij . theta)) on virtual nodes.  At theta* this is
-    the dual optimum mapped through the constraint operator."""
-    if not problem.smooth:
-        raise ValueError("lift needs sample gradients; non-smooth losses have none")
-    theta = np.asarray(theta, dtype=float)
-    out = zero_state(problem)
-    center, coef = split_state(problem, out)
-    center[:] = problem.sigma[:, None] * theta[None, :]
-    coef[:] = loss_grad(problem.loss, problem.features @ theta, problem.labels)
-    return out

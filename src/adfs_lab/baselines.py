@@ -83,7 +83,7 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
     def log_row(rows, t):
         obj = _stacked_value(problem.loss, feats, labels, problem.sigma_total, x)
         sub = None if f_star is None else obj - f_star
-        rows.append(LogRow(t, float(t), obj, sub, None, "computation"))
+        rows.append(LogRow(t, float(t), obj, sub, "computation"))
         return sub
 
     rows = []

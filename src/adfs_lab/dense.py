@@ -6,13 +6,16 @@ P_b^dagger, and the exact dual strong convexity sigma_A built from them
 check those shortcuts and the method's constants on small instances.  Only
 `selfcheck` (`adfs-lab validate`) and the test-suite import this module.
 Node-space rows follow `AugmentedProblem`; each spans d coordinates.
+`state_rows` expands a solver state into them, and `lift_primal_point`
+maps a primal point to a state.
 """
 
 from dataclasses import replace
 
 import numpy as np
 
-from .augmented import dual_objective, lift_primal_point, state_rows, zero_state
+from .augmented import dual_objective, split_state, zero_state
+from .objective import loss_grad
 from .topology import symmetric_eigensolve
 
 __all__ = [
@@ -23,9 +26,31 @@ __all__ = [
     "exact_sigma_a",
     "with_exact_sigma_a",
     "dense_c0_constant",
+    "state_rows",
+    "lift_primal_point",
 ]
 
 DENSE_ROW_GUARD = 5000
+
+
+def state_rows(problem, state):
+    """The (n_rows, d) node-space matrix of a state, for dense checks."""
+    center, coef = split_state(problem, state)
+    return np.concatenate((center, coef[:, None] * problem.features))
+
+
+def lift_primal_point(problem, theta):
+    """State of a primal point: sigma_i theta on centers, grad f_ij(theta)
+    (the coefficient l'(X_ij . theta)) on virtual nodes.  At theta* this is
+    the dual optimum mapped through the constraint operator."""
+    if not problem.smooth:
+        raise ValueError("lift needs sample gradients; non-smooth losses have none")
+    theta = np.asarray(theta, dtype=float)
+    out = zero_state(problem)
+    center, coef = split_state(problem, out)
+    center[:] = problem.sigma[:, None] * theta[None, :]
+    coef[:] = loss_grad(problem.loss, problem.features @ theta, problem.labels)
+    return out
 
 
 def _projector(problem, idx):

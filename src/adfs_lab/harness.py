@@ -12,12 +12,12 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .adfs import run_adfs, run_adfs_efficient, run_ns_adfs
-from .augmented import balanced_p_comm, build_augmented, build_augmented_ns, rate_branches
+from .augmented import balanced_p_comm, build_augmented, rate_branches
 from .baselines import flat_grad, flat_value, point_saga, pool_objectives, reference_optimum
 from .objective import LocalObjective, LossKind
 from .rng import generator
@@ -386,14 +386,10 @@ def build_instance(cfg: ExperimentConfig):
     sigmas = cfg.sigma if isinstance(cfg.sigma, list) else [cfg.sigma] * graph.n
     if len(sigmas) != graph.n:
         raise ConfigError("sigma", f"expected {graph.n} entries, got {len(sigmas)}")
-    kind = cfg.loss_kind
-    objectives = [LocalObjective(feats_i, labels_i, float(s), kind)
+    objectives = [LocalObjective(feats_i, labels_i, float(s), cfg.loss_kind)
                   for (feats_i, labels_i), s in zip(per_node, sigmas)]
 
-    if kind.is_smooth:
-        problem = build_augmented(graph, objectives, cfg.tau, p_comm_override=cfg.p_comm)
-    else:
-        problem = build_augmented_ns(graph, objectives, cfg.tau, p_comm_override=cfg.p_comm)
+    problem = build_augmented(graph, objectives, cfg.tau, p_comm_override=cfg.p_comm)
     flat = pool_objectives(objectives)
     return graph, objectives, problem, flat, dataset_id
 
@@ -501,14 +497,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
                     )
 
     meta = {
-        "config": {
-            "topology": cfg.topology, "loss": cfg.loss, "m": cfg.m,
-            "dataset": cfg.dataset, "algorithms": cfg.algorithms,
-            "seeds": cfg.seeds, "iters": cfg.iters, "log_every": cfg.log_every,
-            "sigma": cfg.sigma, "tau": cfg.tau, "p_comm": cfg.p_comm,
-            "stop_at_subopt": cfg.stop_at_subopt, "out": cfg.out,
-            "reference": cfg.reference,
-        },
+        "config": asdict(cfg),
         "dataset_id": dataset_id,
         "derived": dict(derived_constants(cfg, problem, flat, f_star), reference_gap=gap),
         "failures": failures,

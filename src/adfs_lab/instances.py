@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .augmented import build_augmented, build_augmented_ns
+from .augmented import build_augmented
 from .objective import LocalObjective, LossKind
 from .topology import CommunicationGraph
 
@@ -58,6 +58,4 @@ def random_problem(rng, n=4, m=3, d=2, loss=LossKind.LOGISTIC, tau=3.0,
         floor = float(np.sqrt(2.0 / loss.scalar_smoothness))
     objectives = random_objectives(rng, n, m, d, loss=loss, min_feature_norm=floor,
                                    ragged=ragged)
-    if loss.is_smooth:
-        return build_augmented(graph, objectives, tau=tau, p_comm_override=p_comm)
-    return build_augmented_ns(graph, objectives, tau=tau, p_comm_override=p_comm)
+    return build_augmented(graph, objectives, tau=tau, p_comm_override=p_comm)

@@ -13,7 +13,6 @@ class LogRow:
     time: float  # idealized clock: 1 per computation round, tau per gossip round
     objective: float  # primal value (smooth runs) or dual value (non-smooth runs)
     subopt: float = None  # objective minus the cached optimum, when one was given
-    dual_value: float = None
     block_kind: str = ""
 
 

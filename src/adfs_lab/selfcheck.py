@@ -59,12 +59,12 @@ def _check_operator_shortcuts():
     worst = 0.0
     for _ in range(10):
         y = rng.normal(size=aug.zero_state(prob).shape)
-        grad = (grad_op @ aug.state_rows(prob, y).ravel()).reshape(shape)
-        got = aug.state_rows(prob, aug.apply_comm_step(prob, y))
+        grad = (grad_op @ dense.state_rows(prob, y).ravel()).reshape(shape)
+        got = dense.state_rows(prob, aug.apply_comm_step(prob, y))
         worst = max(worst, float(np.max(np.abs(grad - got))))
         delta = -(prob.eta if prob.smooth else 1.0) * aug.apply_comm_step(prob, y)
-        wt = (wt_op @ aug.state_rows(prob, delta).ravel()).reshape(shape)
-        got = aug.state_rows(prob, aug.apply_wtilde(prob, draw, delta))
+        wt = (wt_op @ dense.state_rows(prob, delta).ravel()).reshape(shape)
+        got = dense.state_rows(prob, aug.apply_wtilde(prob, draw, delta))
         worst = max(worst, float(np.max(np.abs(wt - got))))
     return worst <= 1e-8, f"max deviation {worst:.3e}"
 

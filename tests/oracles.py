@@ -12,7 +12,8 @@ iterates: `sigma_dagger_rows` and `lyapunov_value`.
 import mpmath
 import numpy as np
 
-from adfs_lab.augmented import split_state, state_rows
+from adfs_lab.augmented import split_state
+from adfs_lab.dense import state_rows
 from adfs_lab.objective import loss_grad, loss_prox_1d
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0

@@ -18,13 +18,18 @@ from adfs_lab.augmented import (
     build_augmented_ns,
     draw_block,
     expected_time,
-    lift_primal_point,
     rate_branches,
-    state_rows,
     zero_state,
 )
 from adfs_lab.baselines import flat_value, point_saga, pool_objectives, reference_optimum
-from adfs_lab.dense import dense_A, dense_c0_constant, dense_pb_dagger_diag, dense_sigma_dagger
+from adfs_lab.dense import (
+    dense_A,
+    dense_c0_constant,
+    dense_pb_dagger_diag,
+    dense_sigma_dagger,
+    lift_primal_point,
+    state_rows,
+)
 from adfs_lab.harness import parse_libsvm, synth_dataset, write_libsvm
 from adfs_lab.instances import random_objectives, random_problem
 from adfs_lab.objective import LocalObjective, LossKind, condition_numbers

@@ -12,9 +12,16 @@ from adfs_lab.adfs import (
     run_ns_adfs,
 )
 from adfs_lab.apcg import CompositeProblem, run_apcg
-from adfs_lab.augmented import build_augmented, split_state, state_rows, zero_state
+from adfs_lab.augmented import build_augmented, split_state, zero_state
 from adfs_lab.baselines import pool_objectives, reference_optimum
-from adfs_lab.dense import dense_A, dense_c0_constant, dense_sigma_dagger, with_exact_sigma_a
+from adfs_lab.dense import (
+    dense_A,
+    dense_c0_constant,
+    dense_sigma_dagger,
+    lift_primal_point,
+    state_rows,
+    with_exact_sigma_a,
+)
 from adfs_lab.instances import random_objectives, random_problem
 from adfs_lab.objective import LocalObjective, LossKind
 from adfs_lab.rng import BlockStream, generator
@@ -191,7 +198,7 @@ class TestReferenceSolver:
         flat = pool_objectives(prob.objectives)
         theta_star, f_star = reference_optimum(flat, tol=1e-8)
         c0 = dense_c0_constant(prob, theta_star)
-        target = sigma_dagger_rows(prob, aug.lift_primal_point(prob, theta_star))
+        target = sigma_dagger_rows(prob, lift_primal_point(prob, theta_star))
         k_total = int(np.ceil(np.log(c0 / 1e-4) / prob.rho))
         k_total += (-k_total) % 2
         checkpoints = (k_total // 2, k_total)
@@ -417,7 +424,7 @@ class TestPredictedTime:
         k_eps = int(np.ceil(np.log(c0 / eps) / prob.rho))
         p = prob.sampling.p_comm
         predicted = (1 - p + prob.tau * p) * k_eps
-        target = sigma_dagger_rows(prob, aug.lift_primal_point(prob, theta_star))
+        target = sigma_dagger_rows(prob, lift_primal_point(prob, theta_star))
         observed = []
         for seed in range(5):
             res = run_adfs(prob, k_eps, seed=seed, log_every=1,
@@ -496,7 +503,8 @@ class TestNonSmoothSolver:
 
     def test_dual_value_logged(self):
         prob = self._problem()
-        res = run_ns_adfs(prob, 100, seed=1, log_every=50)
+        res = run_ns_adfs(prob, 100, seed=1, log_every=50, capture_iters=(50, 100))
+        states = {0: zero_state(prob), **{t: cap["x"] for t, cap in res.captures.items()}}
+        assert [row.iteration for row in res.record.rows] == [0, 50, 100]
         for row in res.record.rows:
-            assert row.dual_value is not None
-            assert row.dual_value == row.objective
+            assert row.objective == aug.dual_objective(prob, states[row.iteration])

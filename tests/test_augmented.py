@@ -12,15 +12,20 @@ from adfs_lab.augmented import (
     draw_block,
     dual_objective,
     expected_time,
-    lift_primal_point,
     rate_branches,
     rate_rho,
     split_state,
-    state_rows,
     wtilde_sampled,
     zero_state,
 )
-from adfs_lab.dense import dense_A, dense_pb_dagger_diag, dense_sigma_dagger, with_exact_sigma_a
+from adfs_lab.dense import (
+    dense_A,
+    dense_pb_dagger_diag,
+    dense_sigma_dagger,
+    lift_primal_point,
+    state_rows,
+    with_exact_sigma_a,
+)
 from adfs_lab.instances import random_connected_graph, random_objectives, random_problem
 from adfs_lab.objective import LocalObjective, LossKind, loss_conjugate, loss_grad
 from adfs_lab.rng import BlockStream, generator
@@ -102,10 +107,25 @@ class TestBuildAugmented:
         np.testing.assert_allclose(prob.mu2_virtual, prob.alpha * prob.smooth_virtual,
                                    rtol=1e-12)
 
-    def test_nonsmooth_loss_rejected(self, rng):
-        objs = random_objectives(rng, 2, 2, 2, loss=LossKind.ABSOLUTE)
-        with pytest.raises(ValueError, match="build_augmented_ns"):
-            build_augmented(build_topology("complete", n=2), objs, tau=1.0)
+    def test_nonsmooth_loss_routed_to_nonsmooth_build(self, rng):
+        g = random_connected_graph(rng, 4, extra_edges=2)
+        objs = random_objectives(rng, 4, 3, 2, loss=LossKind.ABSOLUTE, ragged=True)
+        routed = build_augmented(g, objs, tau=2.0)
+        direct = build_augmented_ns(g, objs, tau=2.0)
+        assert not routed.smooth
+        np.testing.assert_array_equal(routed.sampling.p_marginal, direct.sampling.p_marginal)
+        np.testing.assert_array_equal(routed.mu2_virtual, direct.mu2_virtual)
+        assert routed.s_squared == direct.s_squared
+        assert routed.alpha == direct.alpha
+        assert routed.sampling.p_comm == direct.sampling.p_comm
+
+    @pytest.mark.parametrize("build, loss", [(build_augmented, LossKind.LOGISTIC),
+                                             (build_augmented_ns, LossKind.ABSOLUTE)])
+    @pytest.mark.parametrize("tau", [-2.0, np.nan, np.inf])
+    def test_tau_must_be_finite_and_nonnegative(self, rng, build, loss, tau):
+        objs = random_objectives(rng, 2, 2, 2, loss=loss)
+        with pytest.raises(ValueError, match="tau must be finite and >= 0"):
+            build(build_topology("complete", n=2), objs, tau=tau)
 
     def test_marginals_sum_to_p_comp(self, rng):
         prob = random_problem(rng, n=4, m=4, d=2, ragged=True)
@@ -371,6 +391,12 @@ class TestNonSmoothBuild:
     def test_smooth_loss_rejected(self, rng):
         objs = random_objectives(rng, 2, 2, 2, loss=LossKind.LOGISTIC)
         with pytest.raises(ValueError, match="build_augmented"):
+            build_augmented_ns(build_topology("complete", n=2), objs, tau=1.0)
+
+    def test_mixed_loss_kinds_rejected(self, rng):
+        objs = (random_objectives(rng, 1, 2, 2, loss=LossKind.ABSOLUTE)
+                + random_objectives(rng, 1, 2, 2, loss=LossKind.LOGISTIC))
+        with pytest.raises(ValueError, match="share the loss kind"):
             build_augmented_ns(build_topology("complete", n=2), objs, tau=1.0)
 
     def test_default_p_comm(self):

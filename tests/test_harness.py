@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -403,3 +405,16 @@ class TestPackageBoundary:
         importers = sorted(name for name in os.listdir(pkg)
                            if name.endswith(".py") and _imports_dense(os.path.join(pkg, name)))
         assert importers == ["selfcheck.py"]
+
+
+def test_traced_functions_exist():
+    # perfbench/tracer.py names the functions it wraps; a renamed one would
+    # leave its span silently empty
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", os.path.join(root, "perfbench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{module}.{name}" for module, name, _ in tracer.SPANS
+               if not callable(getattr(importlib.import_module(f"adfs_lab.{module}"), name, None))]
+    assert missing == []
