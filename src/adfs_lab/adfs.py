@@ -6,8 +6,8 @@ stream), and the sublinear non-smooth variant (`run_ns_adfs`).  The reference
 and non-smooth forms share one in-place block step and differ only in their
 momentum schedule.  Every state is one vector in the layout of
 `augmented.split_state`: n center rows, then one coefficient per virtual
-node.  All of them report progress on an idealized clock: one time unit per
-computation round, tau per gossip round.
+node.  All of them run and log through `records.run_loop`, on an idealized
+clock: one time unit per computation round, tau per gossip round.
 """
 
 from dataclasses import dataclass, field
@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import augmented as aug
+from .apcg import _alpha_next
 from .objective import _prox_1d_array, _stacked_value, _tilde_coeff_batch
-from .records import LogRow, RunRecord
+from .records import RunRecord, run_loop
 from .rng import BlockStream
 
 __all__ = ["AdfsResult", "run_adfs", "run_adfs_efficient", "run_ns_adfs", "primal_estimate"]
@@ -38,13 +39,10 @@ def primal_estimate(problem, y_state):
     return np.mean(center / problem.sigma[:, None], axis=0)
 
 
-def _log_smooth(problem, rows, t, now, y_state, f_star, kind):
-    theta = primal_estimate(problem, y_state)
-    obj = _stacked_value(problem.loss, problem.features, problem.labels,
-                         float(problem.sigma.sum()), theta)
-    sub = None if f_star is None else obj - f_star
-    rows.append(LogRow(t, now, obj, sub, kind))
-    return sub
+def _primal_value(problem, y_state):
+    """The smooth solvers' logged value: F at the primal estimate of y."""
+    return _stacked_value(problem.loss, problem.features, problem.labels,
+                          float(problem.sigma.sum()), primal_estimate(problem, y_state))
 
 
 class _Rounds:
@@ -131,21 +129,15 @@ def run_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=(),
     """
     if not problem.smooth:
         raise ValueError("run_adfs needs the smooth build; see run_ns_adfs")
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
     rho, eta = problem.rho, problem.eta
     x = aug.zero_state(problem)
     v = np.zeros_like(x)
     y = np.empty_like(x)
     rounds = _Rounds(problem)
     stream = BlockStream("adfs", seed)
-    capture_iters = set(capture_iters)
-    captures = {}
 
-    rows = []
-    _log_smooth(problem, rows, 0, 0.0, x, f_star, "")
-    now = 0.0
-    for t in range(iters):
+    def step(t):
+        nonlocal x, y
         # y = (x + rho v) / (1 + rho), then w = (1 - rho) v + rho y into v's
         # buffer, with x's buffer as scratch; the step turns y into the next x
         np.multiply(v, rho, out=y)
@@ -155,22 +147,20 @@ def run_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=(),
         np.multiply(y, rho, out=x)
         np.add(v, x, out=v)
         draw = aug.draw_block(problem, stream)
-        now += _block_step(problem, rounds, draw, y, v, eta, rho)
+        duration = _block_step(problem, rounds, draw, y, v, eta, rho)
         x, y = y, x
         if not np.isfinite(v).all():
             raise FloatingPointError(f"non-finite state at iteration {t}")
-        t1 = t + 1
-        if t1 in capture_iters:
-            captures[t1] = {"x": x.copy(), "v": v.copy(), "y": (x + rho * v) / (1.0 + rho)}
-        if t1 % log_every == 0:
-            y_log = (x + rho * v) / (1.0 + rho)
-            sub = _log_smooth(problem, rows, t1, now, y_log, f_star, draw.kind)
-            if stop_at_subopt is not None and sub is not None and sub <= stop_at_subopt:
-                break
+        return draw.kind, duration
 
-    record = RunRecord("adfs", seed, rows, _meta(problem, "adfs", seed))
-    theta = primal_estimate(problem, (x + rho * v) / (1.0 + rho))
-    return AdfsResult(record, theta, captures)
+    def y_state():
+        return (x + rho * v) / (1.0 + rho)
+
+    record, captures = run_loop(
+        iters, step, lambda: _primal_value(problem, y_state()),
+        lambda: {"x": x.copy(), "v": v.copy(), "y": y_state()},
+        log_every, f_star, capture_iters, stop_at_subopt)
+    return AdfsResult(record, primal_estimate(problem, y_state()), captures)
 
 
 def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
@@ -183,8 +173,6 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
     """
     if not problem.smooth:
         raise ValueError("run_adfs_efficient needs the smooth build")
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
     k = problem.n * problem.d
     rho, eta, tau = problem.rho, problem.eta, problem.tau
     phi = (1.0 - rho) / (1.0 + rho)
@@ -195,13 +183,9 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
     c = 1.0
     rounds = _Rounds(problem)
     stream = BlockStream("adfs", seed)
-    capture_iters = set(capture_iters)
-    captures = {}
 
-    rows = []
-    _log_smooth(problem, rows, 0, 0.0, z, f_star, "")
-    now = 0.0
-    for t in range(iters):
+    def step(t):
+        nonlocal c, big_u, u_center, z_center  # "a += b" rebinds a (to the same array)
         draw = aug.draw_block(problem, stream)
         if draw.kind == "communication":
             h = -eta * aug.apply_comm_step(problem, c * big_u[:k] + z[:k])
@@ -209,7 +193,7 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
             big_u[:k] -= (h - rho * wt) / (2.0 * c)
             z[:k] += 0.5 * (h + rho * wt)
             z_written = None  # no coefficient written this round
-            now += tau
+            duration = tau
         else:
             idx, consts, xs = rounds.sample(problem, draw)
             u_idx, z_idx = u_coef[idx], z_coef[idx]
@@ -226,7 +210,7 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
             z_coef[idx] = z_written = z_idx + dz
             u_center += du[:, None] * xs
             z_center -= dz[:, None] * xs
-            now += 1.0
+            duration = 1.0
         c *= phi
         if c < RENORM_FLOOR:
             big_u *= c
@@ -235,30 +219,28 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
         if not (np.isfinite(z_center).all()
                 and (z_written is None or np.isfinite(z_written).all())):
             raise FloatingPointError(f"non-finite state at iteration {t}")
-        t1 = t + 1
-        if t1 in capture_iters:
-            ut = c * big_u
-            captures[t1] = {"x": ut / phi + z, "v": -ut / phi + z, "y": ut + z, "z": z.copy()}
-        if t1 % log_every == 0:
-            y_log = c * big_u[:k] + z[:k]
-            sub = _log_smooth(problem, rows, t1, now, y_log, f_star, draw.kind)
-            if stop_at_subopt is not None and sub is not None and sub <= stop_at_subopt:
-                break
+        return draw.kind, duration
 
-    record = RunRecord("adfs_efficient", seed, rows, _meta(problem, "adfs_efficient", seed))
+    def capture():
+        ut = c * big_u
+        return {"x": ut / phi + z, "v": -ut / phi + z, "y": ut + z, "z": z.copy()}
+
     # the centers of y_K = phi^(K+1) u_K + z_K, the return convention of this form
-    theta = primal_estimate(problem, c * big_u[:k] + z[:k])
-    return AdfsResult(record, theta, captures)
+    def y_center():
+        return c * big_u[:k] + z[:k]
+
+    record, captures = run_loop(iters, step, lambda: _primal_value(problem, y_center()),
+                                capture, log_every, f_star, capture_iters, stop_at_subopt)
+    return AdfsResult(record, primal_estimate(problem, y_center()), captures)
 
 
 def run_ns_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=(),
                 stop_at_subopt=None):
-    """Non-smooth solver: decreasing-momentum schedule, conjugate prox via the
-    Moreau identity, dual objective logged (the controlled quantity)."""
+    """Non-smooth solver: APCG's convex momentum schedule from alpha_0 = min
+    p_ij, conjugate prox via the Moreau identity, dual objective logged (the
+    controlled quantity)."""
     if problem.smooth:
         raise ValueError("run_ns_adfs needs the non-smooth build; see run_adfs")
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
     s_sq = problem.s_squared
     alpha = float(problem.sampling.p_marginal.min())
     x = aug.zero_state(problem)
@@ -266,20 +248,9 @@ def run_ns_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=
     y = np.empty_like(x)
     rounds = _Rounds(problem)
     stream = BlockStream("ns-adfs", seed)
-    capture_iters = set(capture_iters)
-    captures = {}
 
-    def log_row(rows, t, now, kind):
-        dual = aug.dual_objective(problem, x)
-        sub = None if f_star is None else dual - f_star
-        rows.append(LogRow(t, now, dual, sub, kind))
-        return sub
-
-    rows = []
-    log_row(rows, 0, 0.0, "")
-    now = 0.0
-    alphas = [alpha]
-    for t in range(iters):
+    def step(t):
+        nonlocal x, y, alpha
         eta = 1.0 / (alpha * s_sq)
         # y = (1 - alpha) x + alpha v with x's buffer as scratch; the step
         # updates v in place and turns y into the next x
@@ -287,34 +258,14 @@ def run_ns_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=
         np.multiply(v, alpha, out=x)
         np.add(y, x, out=y)
         draw = aug.draw_block(problem, stream)
-        now += _block_step(problem, rounds, draw, y, v, eta, alpha)
+        duration = _block_step(problem, rounds, draw, y, v, eta, alpha)
         x, y = y, x
         if not np.isfinite(v).all():
             raise FloatingPointError(f"non-finite state at iteration {t}")
-        alpha = (np.sqrt(alpha**4 + 4.0 * alpha**2) - alpha**2) / 2.0
-        alphas.append(alpha)
-        t1 = t + 1
-        if t1 in capture_iters:
-            captures[t1] = {"x": x.copy(), "v": v.copy(), "y": None}
-        if t1 % log_every == 0:
-            sub = log_row(rows, t1, now, draw.kind)
-            if stop_at_subopt is not None and sub is not None and sub <= stop_at_subopt:
-                break
+        alpha = _alpha_next(alpha)
+        return draw.kind, duration
 
-    meta = _meta(problem, "ns_adfs", seed)
-    meta["alphas_head"] = [float(a) for a in alphas[:4]]
-    record = RunRecord("ns_adfs", seed, rows, meta)
+    record, captures = run_loop(iters, step, lambda: aug.dual_objective(problem, x),
+                                lambda: {"x": x.copy(), "v": v.copy(), "y": None},
+                                log_every, f_star, capture_iters, stop_at_subopt)
     return AdfsResult(record, primal_estimate(problem, v), captures)
-
-
-def _meta(problem, algorithm, seed):
-    return {
-        "algorithm": algorithm,
-        "seed": seed,
-        "rho": problem.rho,
-        "p_comm": problem.sampling.p_comm,
-        "tau": problem.tau,
-        "n": problem.n,
-        "m": problem.m_max,
-        "d": problem.d,
-    }

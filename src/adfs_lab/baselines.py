@@ -11,7 +11,7 @@ import numpy as np
 
 from .objective import (LocalObjective, LossKind, _logistic_prox, _prox_1d_array, _stacked_grad,
                         _stacked_value, primal_grad, primal_value)
-from .records import LogRow, RunRecord
+from .records import run_loop
 from .rng import generator
 from .topology import symmetric_eigensolve
 
@@ -57,8 +57,6 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
     """
     if not problem.loss.is_smooth:
         raise ValueError("Point-SAGA needs a smooth loss")
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
     feats, labels = problem.feature_matrix, problem.labels
     n_samp, d = feats.shape
     lg = problem.loss.scalar_smoothness
@@ -80,39 +78,29 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
     gbar = np.zeros(d)
     warm = [0.0] * n_samp
 
-    def log_row(rows, t):
-        obj = _stacked_value(problem.loss, feats, labels, problem.sigma_total, x)
-        sub = None if f_star is None else obj - f_star
-        rows.append(LogRow(t, float(t), obj, sub, "computation"))
-        return sub
-
-    rows = []
-    log_row(rows, 0)
-    for t in range(iters):
+    def step(t):
+        nonlocal x, gbar
         j = int(rng.integers(n_samp))
         w = x + gamma * (table[j] - gbar)
         v = w / shrink  # prox_sample's arithmetic on the validated pooled rows
         zz = float(feats[j] @ v)
         if not math.isfinite(zz):  # a nan or inf anywhere in v reaches zz
             raise ValueError("non-finite prox input")
-        step = eta_inner * xnorm2_f[j]
+        prox_step = eta_inner * xnorm2_f[j]
         if logistic:
-            p = _logistic_prox(zz, label_f[j], step, warm[j])
+            p = _logistic_prox(zz, label_f[j], prox_step, warm[j])
         else:
-            p = float(_prox_1d_array(problem.loss, zz, label_f[j], step, warm[j]))
+            p = float(_prox_1d_array(problem.loss, zz, label_f[j], prox_step, warm[j]))
         x = v + ((p - zz) / xnorm2_f[j]) * feats[j]
         warm[j] = float(feats[j] @ x)
         g_new = (w - x) / gamma
         gbar = gbar + (g_new - table[j]) / n_samp
         table[j] = g_new
-        t1 = t + 1
-        if t1 % log_every == 0:
-            sub = log_row(rows, t1)
-            if stop_at_subopt is not None and sub is not None and sub <= stop_at_subopt:
-                break
-    record = RunRecord("point_saga", seed, rows,
-                       {"algorithm": "point_saga", "seed": seed, "gamma": float(gamma),
-                        "n_samples": n_samp})
+        return "computation", 1.0
+
+    record, _ = run_loop(
+        iters, step, lambda: _stacked_value(problem.loss, feats, labels, problem.sigma_total, x),
+        None, log_every, f_star, (), stop_at_subopt)
     return record, x
 
 

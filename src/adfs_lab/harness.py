@@ -439,7 +439,7 @@ def derived_constants(cfg, problem, flat, f_star):
     return meta
 
 
-def _run_cell(algo, seed, cfg, problem, flat, f_star, dataset_id):
+def _run_cell(algo, seed, cfg, problem, flat, f_star):
     iters = cfg.iters[algo]
     common = dict(log_every=cfg.log_every, f_star=f_star,
                   stop_at_subopt=cfg.stop_at_subopt)
@@ -453,7 +453,6 @@ def _run_cell(algo, seed, cfg, problem, flat, f_star, dataset_id):
         record, _ = point_saga(flat, iters, seed, **common)
     else:
         raise ValueError(algo)
-    record.meta["dataset_id"] = dataset_id
     return record
 
 
@@ -480,8 +479,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     failures = []
     for algo, seed in cells:
         try:
-            records[(algo, seed)] = _run_cell(algo, seed, cfg, problem, flat, f_star,
-                                              dataset_id)
+            records[(algo, seed)] = _run_cell(algo, seed, cfg, problem, flat, f_star)
         except Exception as exc:  # cell failure must not sink the batch
             failures.append({"algo": algo, "seed": seed, "error": str(exc)})
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import adfs_lab.adfs as solver_module
 import adfs_lab.augmented as aug
 from adfs_lab.adfs import (
     _Rounds,
@@ -13,7 +14,7 @@ from adfs_lab.adfs import (
 )
 from adfs_lab.apcg import CompositeProblem, run_apcg
 from adfs_lab.augmented import build_augmented, split_state, zero_state
-from adfs_lab.baselines import pool_objectives, reference_optimum
+from adfs_lab.baselines import point_saga, pool_objectives, reference_optimum
 from adfs_lab.dense import (
     dense_A,
     dense_c0_constant,
@@ -54,6 +55,22 @@ def clamped_problem(wide=0):
         feats[:wide] *= 2.0
         objs.append(LocalObjective(feats, np.ones(12), 1.0, LossKind.LOGISTIC))
     return build_augmented(g, objs, tau=1.0)
+
+
+def solver_run(name, rng):
+    """run(iters, **kw) -> RunRecord of solver `name` (seed 0) on a small
+    instance of its kind, logged against that instance's reference optimum."""
+    if name == "ns_adfs":
+        objs = random_objectives(rng, 3, 4, 2, loss=LossKind.ABSOLUTE)
+        prob = aug.build_augmented_ns(build_topology("line", n=3), objs, tau=1.0)
+    else:
+        prob = random_problem(rng, n=3, m=2, d=2)
+    flat = pool_objectives(prob.objectives)
+    f_star = reference_optimum(flat)[1]
+    if name == "point_saga":
+        return lambda iters, **kw: point_saga(flat, iters, 0, f_star=f_star, **kw)[0]
+    solver = {"adfs": run_adfs, "adfs_efficient": run_adfs_efficient, "ns_adfs": run_ns_adfs}
+    return lambda iters, **kw: solver[name](prob, iters, 0, f_star=f_star, **kw).record
 
 
 def z_coef_writes(problem, res, iters):
@@ -265,15 +282,16 @@ class TestReferenceSolver:
         res = run_adfs(prob, 3000, seed=0, log_every=1000, f_star=f_star)
         assert res.record.rows[-1].subopt <= 1e-6
 
-    def test_stop_at_subopt_truncates_rows(self, rng):
-        prob = random_problem(rng, n=3, m=2, d=2)
-        flat = pool_objectives(prob.objectives)
-        _, f_star = reference_optimum(flat)
-        res = run_adfs(prob, 100_000, seed=0, log_every=100, f_star=f_star,
-                       stop_at_subopt=1e-4)
-        assert res.record.rows[-1].subopt <= 1e-4
-        assert res.record.rows[-1].iteration < 100_000
-        assert res.record.rows[-2].subopt > 1e-4
+    @pytest.mark.parametrize("solver", ["adfs", "adfs_efficient", "ns_adfs", "point_saga"])
+    def test_stop_at_subopt_truncates_rows(self, rng, solver):
+        run = solver_run(solver, rng)
+        target = 1e-3 if solver == "ns_adfs" else 1e-9  # O(1/t^2) vs linear rate
+        with pytest.raises(ValueError, match="iters must be >= 1"):
+            run(0)
+        rows = run(100_000, log_every=10, stop_at_subopt=target).rows
+        assert [r.iteration for r in rows] == list(range(0, rows[-1].iteration + 1, 10))
+        assert rows[-1].iteration < 100_000
+        assert rows[-1].subopt <= target < rows[-2].subopt
 
     def test_rejects_nonsmooth_problem(self, rng):
         objs = random_objectives(rng, 2, 2, 2, loss=LossKind.ABSOLUTE)
@@ -474,13 +492,23 @@ class TestNonSmoothSolver:
                                  sigma_range=(1.0, 1.0))
         return aug.build_augmented_ns(g, objs, tau=1.0)
 
-    def test_schedule_monotone(self):
+    def test_schedule_monotone(self, monkeypatch):
+        # the (eta, alpha) each block of the run is given
         prob = self._problem()
-        res = run_ns_adfs(prob, 300, seed=0, log_every=300)
-        alphas = res.record.meta["alphas_head"]
+        schedule = []
+        block_step = solver_module._block_step
+
+        def recording_step(problem, rounds, draw, y, w, eta, beta):
+            schedule.append((eta, beta))
+            return block_step(problem, rounds, draw, y, w, eta, beta)
+
+        monkeypatch.setattr(solver_module, "_block_step", recording_step)
+        run_ns_adfs(prob, 300, seed=0, log_every=300)
+        etas, alphas = zip(*schedule)
+        assert len(alphas) == 300
+        assert alphas[0] == prob.sampling.p_marginal.min()
         assert all(b < a for a, b in zip(alphas, alphas[1:]))
-        s2 = prob.s_squared
-        etas = [1.0 / (a * s2) for a in alphas]
+        assert etas == tuple(1.0 / (a * prob.s_squared) for a in alphas)
         assert all(b > a for a, b in zip(etas, etas[1:]))
 
     def test_dual_objective_decreases_like_t_squared(self):

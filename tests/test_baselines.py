@@ -42,12 +42,6 @@ class TestPointSaga:
         record, theta = point_saga(flat, 200, seed=0, f_star=f_star, log_every=200)
         assert np.max(np.abs(theta - theta_star)) <= 1e-10
 
-    def test_gradient_table_size(self, rng):
-        objs = random_objectives(rng, 2, 3, 2)
-        flat = pool_objectives(objs)
-        record, _ = point_saga(flat, 10, seed=0, log_every=10)
-        assert record.meta["n_samples"] == 6
-
     def test_reaches_target_within_budget(self):
         # nm = 100, kappa_s ~ 50: time to 1e-6 within 8 (nm + sqrt(nm kappa_s)) log(1/eps)
         rng = generator("saga-budget", 0)

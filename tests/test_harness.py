@@ -407,6 +407,36 @@ class TestPackageBoundary:
         assert importers == ["selfcheck.py"]
 
 
+def run_script(name, *args, cwd):
+    """stdout of scripts/<name> run on the source tree; fails on a non-zero exit."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run([sys.executable, os.path.join(root, "scripts", name), *args],
+                         capture_output=True, text=True, cwd=cwd,
+                         env={**os.environ, "PYTHONPATH": os.path.join(root, "src")})
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+class TestScripts:
+    def test_fig_analogue_reaches_target(self, tmp_path):
+        out = run_script("fig_analogue.py", "--rows", "2", "--cols", "2", "--m", "10",
+                         "--d", "3", "--seeds", "1", "--out", str(tmp_path), cwd=tmp_path)
+        medians = {line.split(":")[0].strip(): float(line.split("=")[1].split()[0])
+                   for line in out.splitlines()}
+        assert sorted(medians) == ["adfs", "point_saga"]
+        assert all(np.isfinite(t) and t > 0 for t in medians.values())
+        assert sorted(os.listdir(tmp_path)) == ["metadata.json", "results.csv"]
+
+    def test_pcomm_sweep_measures_every_p(self, tmp_path):
+        out = run_script("pcomm_sweep.py", "--rows", "2", "--cols", "2", "--m", "5",
+                         "--d", "2", "--drop", "1e-2", cwd=tmp_path)
+        table = [[float(v) for v in line.split()] for line in out.splitlines()[2:]]
+        assert len(table) >= 8
+        # p_comm, rho, predicted time, measured time to cut subopt by --drop
+        assert all(0 < p < 1 and rho > 0 and np.isfinite(measured)
+                   for p, rho, _, measured in table)
+
+
 def test_traced_functions_exist():
     # perfbench/tracer.py names the functions it wraps; a renamed one would
     # leave its span silently empty
