@@ -38,7 +38,8 @@ __all__ = [
 ]
 
 ALGORITHMS = ("adfs", "adfs_efficient", "ns_adfs", "point_saga")
-# required integer parameters of each topology kind ("custom" needs "edges")
+# required integer parameters of each topology kind ("custom" needs "edges"
+# and takes an optional "n"); every kind takes optional "weights"
 TOPOLOGY_PARAMS = {"line": ("n",), "complete": ("n",), "grid2d": ("rows", "cols"),
                    "custom": ()}
 LOSSES = {"logistic": LossKind.LOGISTIC, "squared": LossKind.SQUARED,
@@ -251,6 +252,12 @@ def load_config(data) -> ExperimentConfig:
     kind = topo["kind"]
     _expect(isinstance(kind, str) and kind in TOPOLOGY_PARAMS, "topology.kind",
             f"expected one of {sorted(TOPOLOGY_PARAMS)}, got {kind!r}")
+    params = TOPOLOGY_PARAMS[kind] + (("edges", "n") if kind == "custom" else ())
+    _expect_fields(topo, "topology.", ("kind", "weights", *params), (
+        ("n", lambda v: _is_int(v) and v >= 1, "expected an integer >= 1"),
+        ("weights", lambda v: isinstance(v, list) and all(_is_number(w) and w > 0 for w in v),
+         "expected a list of finite positive numbers"),
+    ))
     for name in TOPOLOGY_PARAMS[kind]:
         _expect(_is_int(topo.get(name)) and topo[name] >= 1, f"topology.{name}",
                 "expected an integer >= 1")
@@ -261,7 +268,8 @@ def load_config(data) -> ExperimentConfig:
             for e in edges)
         _expect(pairs_ok, "topology.edges", "expected a list of [k, l] integer pairs")
     loss = data.get("loss")
-    _expect(loss in LOSSES, "loss", f"expected one of {sorted(LOSSES)}, got {loss!r}")
+    _expect(isinstance(loss, str) and loss in LOSSES, "loss",
+            f"expected one of {sorted(LOSSES)}, got {loss!r}")
     m = data.get("m")
     _expect(_is_int(m) and m >= 1, "m", "expected an integer >= 1")
 

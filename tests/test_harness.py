@@ -8,10 +8,14 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adfs_lab
+from adfs_lab import selfcheck
 from adfs_lab.harness import (
     ConfigError,
+    ExperimentConfig,
     LibsvmParseError,
     assign_node_datasets,
     build_instance,
@@ -21,10 +25,15 @@ from adfs_lab.harness import (
     run_experiment,
     synth_dataset,
     synth_pool,
-    write_libsvm,
 )
 from adfs_lab.objective import LocalObjective, LossKind, condition_numbers
 from adfs_lab.rng import generator
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=8)
 
 
 def base_config(**over):
@@ -82,20 +91,9 @@ class TestParseLibsvm:
         with pytest.raises(LibsvmParseError, match=">= 1"):
             self._parse_text(tmp_path, "1 0:1.0\n")
 
-    def test_roundtrip_is_bit_exact(self, tmp_path):
-        rng = generator("roundtrip", 0)
-        rows = []
-        for _ in range(1000):
-            idx = 0
-            pairs = []
-            for _ in range(int(rng.integers(1, 8))):
-                idx += int(rng.integers(1, 5))
-                pairs.append((idx - 1, float(rng.normal() * 10.0 ** int(rng.integers(-3, 4)))))
-            rows.append((float(rng.normal()), pairs))
-        path = tmp_path / "rt.svm"
-        write_libsvm(str(path), rows)
-        parsed, _ = parse_libsvm(str(path))
-        assert parsed == rows
+    def test_roundtrip_is_bit_exact(self):
+        ok, detail = selfcheck.libsvm_roundtrip(generator("roundtrip", 0), 1000)
+        assert ok, detail
 
 
 class TestSyntheticData:
@@ -164,6 +162,15 @@ class TestConfig:
                                       iters={"adfs": 40, "point_saga": 80}))
         assert cfg.iters == {"adfs": 40, "point_saga": 80}
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(base_config())), JSON_VALUES)
+    def test_random_field_gives_config_or_config_error(self, field, value):
+        try:
+            cfg = load_config(base_config(**{field: value}))
+        except ConfigError:
+            return
+        assert isinstance(cfg, ExperimentConfig)
+
     def test_sigma_length_checked_at_build(self):
         cfg = load_config(base_config(sigma=[1.0, 2.0, 3.0]))
         with pytest.raises(ConfigError, match="sigma"):
@@ -216,14 +223,9 @@ class TestRunExperiment:
         for r in rows:
             assert "e" in r[3] and "e" in r[4]  # %.12e formatting
 
-    def test_byte_identical_reruns(self, tmp_path):
-        cfg = load_config(base_config())
-        _, p1 = run_experiment(cfg, out_dir=str(tmp_path / "a"))
-        _, p2 = run_experiment(cfg, out_dir=str(tmp_path / "b"))
-        assert open(p1, "rb").read() == open(p2, "rb").read()
-        m1 = open(tmp_path / "a" / "metadata.json", "rb").read()
-        m2 = open(tmp_path / "b" / "metadata.json", "rb").read()
-        assert m1 == m2
+    def test_byte_identical_reruns(self):
+        ok, detail = selfcheck.experiment_determinism(base_config())
+        assert ok, detail
 
     def test_failed_cell_reported_not_fatal(self, tmp_path, monkeypatch):
         import adfs_lab.harness as hz
@@ -310,6 +312,11 @@ class TestCli:
             ({"kind": "complete", "n": "4"}, "topology.n"),
             ({"kind": "custom", "edges": [[0, 1, 2]]}, "topology.edges"),
             ({"kind": "ring", "n": 4}, "topology.kind"),
+            ({"kind": "custom", "edges": [[0, 1]], "n": [2]}, "topology.n"),
+            ({"kind": "line", "n": 3, "weights": {"a": 1}}, "topology.weights"),
+            ({"kind": "line", "n": 3, "weights": "ab"}, "topology.weights"),
+            ({"kind": "line", "n": 3, "weights": [1.0, -1.0]}, "topology.weights"),
+            ({"kind": "line", "n": 3, "foo": 1}, "topology.foo"),
         ]
         for topology, field in cases:
             path = self._write_config(tmp_path, base_config(topology=topology))
@@ -335,6 +342,8 @@ class TestCli:
         ({"stop_at_subopt": 1e400}, "stop_at_subopt"),
         ({"sigma": 1e400}, "sigma"),
         ({"reference": {"tol": 1e400}}, "reference.tol"),
+        ({"loss": ["logistic"]}, "loss"),
+        ({"loss": {"kind": "logistic"}}, "loss"),
     ])
     def test_bad_field_exits_one_naming_field(self, tmp_path, capsys, over, field):
         path = self._write_config(tmp_path, base_config(**over))
@@ -370,8 +379,19 @@ class TestCli:
         assert err.startswith(f"error: {flag}:") and err.count("\n") == 1
         assert not os.listdir(tmp_path)
 
-    def test_validate_green(self):
-        assert cli(["validate"]) == 0
+    def test_validate_green(self, capsys):
+        # two runs: all ten checks pass, in this order, with identical output
+        names = ("spectral-lower-bound virtual-edge-projector operator-shortcuts "
+                 "solver-equivalence sampling-frequencies condition-inequality "
+                 "incidence-identity libsvm-roundtrip experiment-determinism "
+                 "eigensolver-invariants").split()
+        outputs = []
+        for _ in range(2):
+            assert cli(["validate"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert [line.split(":")[0] for line in outputs[0].splitlines()] == [
+            f"PASS {name}" for name in names]
+        assert outputs[1] == outputs[0]
 
 
 def _imports_dense(path):

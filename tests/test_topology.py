@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adfs_lab import selfcheck
 from adfs_lab.instances import random_connected_graph
 from adfs_lab.rng import generator
 from adfs_lab.topology import (
@@ -95,13 +96,11 @@ class TestIncidence:
         np.testing.assert_allclose(incidence(g) @ incidence(g).T, laplacian(g))
 
     def test_random_weighted_identity(self):
-        for seed in range(20):
-            rng = generator("incidence", seed)
-            g = random_connected_graph(rng, int(rng.integers(2, 9)),
-                                       extra_edges=int(rng.integers(0, 5)), weighted=True)
-            lap = laplacian(g)
-            scale = max(np.max(np.abs(lap)), 1e-30)
-            assert np.max(np.abs(incidence(g) @ incidence(g).T - lap)) <= 1e-12 * scale
+        rngs = [generator("incidence", seed) for seed in range(20)]
+        ok, detail = selfcheck.incidence_identity([
+            random_connected_graph(r, int(r.integers(2, 9)), extra_edges=int(r.integers(0, 5)),
+                                   weighted=True) for r in rngs])
+        assert ok, detail
 
 
 class TestEigensolve:
@@ -128,13 +127,8 @@ class TestEigensolve:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=10_000))
     def test_trace_and_frobenius_invariants(self, n, seed):
-        m = generator("eig-prop", seed).normal(size=(n, n))
-        m = m + m.T
-        spec = symmetric_eigensolve(m)
-        tr = np.trace(m)
-        assert abs(spec.eigenvalues.sum() - tr) <= 1e-10 * max(abs(tr), 1.0)
-        fro2 = float((m * m).sum())
-        assert abs((spec.eigenvalues**2).sum() - fro2) <= 1e-10 * max(fro2, 1.0)
+        ok, detail = selfcheck.eigensolver_invariants(generator("eig-prop", seed), [n])
+        assert ok, detail
 
 
 class TestSpectralGap:
