@@ -365,7 +365,11 @@ def _build_graph(topo):
     params = {k: v for k, v in topo.items() if k != "kind"}
     if topo["kind"] == "custom":
         params["edges"] = [tuple(e) for e in params["edges"]]
-    return build_topology(topo["kind"], **params)
+    try:
+        return build_topology(topo["kind"], **params)
+    except GraphConstructionError as exc:  # only weight errors mention weights
+        field = "topology.weights" if "weight" in str(exc) else "topology.edges"
+        raise ConfigError(field, str(exc)) from None
 
 
 def build_instance(cfg: ExperimentConfig):
@@ -636,7 +640,7 @@ def cli(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ConfigError, GraphConstructionError, LibsvmParseError, ValueError) as exc:
+    except (ConfigError, LibsvmParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -21,6 +21,7 @@ __all__ = [
     "ConditionReport",
     "loss_value",
     "loss_grad",
+    "loss_curvature",
     "loss_conjugate",
     "loss_prox_1d",
     "prox_sample",
@@ -86,6 +87,16 @@ def loss_grad(kind, z, label):
     else:
         raise ValueError(f"{kind} loss has no gradient (non-smooth)")
     return out if out.ndim else float(out)
+
+
+def loss_curvature(kind, z, label):
+    """Second derivative of the scalar loss in z, for arrays (smooth losses only)."""
+    if kind is LossKind.LOGISTIC:
+        sig = _inv_one_plus_exp(label * z)
+        return label * label * sig * (1.0 - sig)
+    if kind is LossKind.SQUARED:
+        return np.ones_like(z)
+    raise ValueError(f"{kind} loss has no curvature (non-smooth)")
 
 
 def loss_conjugate(kind, s, label):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adfs_lab import baselines
 from adfs_lab.adfs import run_ns_adfs
 from adfs_lab.augmented import build_augmented_ns
 from adfs_lab.baselines import (
@@ -100,6 +101,42 @@ class TestReferenceOptimum:
         tol = 3e-6
         theta, _ = reference_optimum(flat, tol=tol)
         assert np.linalg.norm(flat_grad(flat, theta)) <= tol * flat.sigma_total
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**16),
+           st.sampled_from([LossKind.LOGISTIC, LossKind.SQUARED]),
+           st.sampled_from([1e-7, 1e-9, 1e-11]), st.booleans())
+    # an F-decrease line search stops short of tol 1e-9 here: Newton's
+    # decrease falls below the rounding error of F before ||grad|| is small
+    @example(101, LossKind.LOGISTIC, 1e-9, False)
+    def test_smooth_gradient_certified(self, seed, loss, tol, ragged):
+        objs = random_objectives(generator("newton-probe", seed), 3, 5, 3, loss=loss,
+                                 ragged=ragged)
+        flat = pool_objectives(objs)
+        theta, f_ref = reference_optimum(flat, tol=tol)
+        assert np.linalg.norm(flat_grad(flat, theta)) <= tol * flat.sigma_total
+        assert f_ref == flat_value(flat, theta)
+
+    def test_smooth_budget_exhausted_names_grad(self, rng):
+        objs = random_objectives(rng, 4, 6, 3)
+        with pytest.raises(RuntimeError, match=r"\|\|grad\|\|"):
+            reference_optimum(pool_objectives(objs), tol=1e-12, max_iters=1)
+
+    def test_unreachable_tol_raises_without_running_on(self, rng, monkeypatch):
+        # ||grad|| cannot reach 1e-16 sigma_total in floating point; the stalled
+        # line search must raise, not spend the default max_iters
+        flat = pool_objectives(random_objectives(rng, 4, 50, 5))
+        calls = []
+        grad = baselines._stacked_grad
+
+        def counted(*args):
+            calls.append(1)
+            assert len(calls) <= 200, "the reference ran on past the stall"
+            return grad(*args)
+
+        monkeypatch.setattr(baselines, "_stacked_grad", counted)
+        with pytest.raises(RuntimeError, match=r"\|\|grad\|\|"):
+            reference_optimum(flat, tol=1e-16)
 
     def test_absolute_dual_gap_certified(self, rng):
         objs = random_objectives(rng, 4, 6, 3, loss=LossKind.ABSOLUTE)

@@ -317,6 +317,11 @@ class TestCli:
             ({"kind": "line", "n": 3, "weights": "ab"}, "topology.weights"),
             ({"kind": "line", "n": 3, "weights": [1.0, -1.0]}, "topology.weights"),
             ({"kind": "line", "n": 3, "foo": 1}, "topology.foo"),
+            ({"kind": "line", "n": 3, "weights": [1.0]}, "topology.weights"),
+            ({"kind": "custom", "edges": [[0, 1]], "n": 1}, "topology.edges"),
+            ({"kind": "custom", "edges": [[0, 1], [1, 0]]}, "topology.edges"),
+            ({"kind": "custom", "edges": [[0, 0]]}, "topology.edges"),
+            ({"kind": "custom", "edges": [[0, 1]], "n": 3}, "topology.edges"),
         ]
         for topology, field in cases:
             path = self._write_config(tmp_path, base_config(topology=topology))

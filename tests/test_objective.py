@@ -10,6 +10,7 @@ from adfs_lab.objective import (
     LossKind,
     condition_numbers,
     loss_conjugate,
+    loss_curvature,
     loss_grad,
     loss_prox_1d,
     loss_value,
@@ -350,6 +351,14 @@ class TestPrimalOracles:
             e[i] = h
             fd = (primal_value(objs, theta + e) - primal_value(objs, theta - e)) / (2 * h)
             assert abs(fd - g[i]) <= 1e-5 * max(1.0, abs(g[i]))
+
+    @pytest.mark.parametrize("kind", [LossKind.LOGISTIC, LossKind.SQUARED])
+    def test_curvature_matches_finite_differences(self, kind, rng):
+        z = 3.0 * rng.normal(size=20)
+        labels = np.array([_label_for(kind, rng) for _ in range(20)])
+        h = 1e-6
+        fd = (loss_grad(kind, z + h, labels) - loss_grad(kind, z - h, labels)) / (2 * h)
+        assert np.max(np.abs(loss_curvature(kind, z, labels) - fd)) <= 1e-8
 
     def test_squared_minimizer_matches_normal_equations(self, rng):
         objs = self._objectives(rng, n=1, m=5, kind=LossKind.SQUARED)
