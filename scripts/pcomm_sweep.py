@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from adfs_lab.adfs import run_adfs
-from adfs_lab.augmented import build_augmented, rate_rho
+from adfs_lab.augmented import build_augmented, expected_time
 from adfs_lab.baselines import pool_objectives, reference_optimum
 from adfs_lab.harness import synth_dataset
 from adfs_lab.objective import LocalObjective, LossKind
@@ -47,8 +47,8 @@ def main():
     ))
     for p in grid:
         prob = build_augmented(graph, objectives, tau=args.tau, p_comm_override=p)
-        rho = rate_rho(prob, p)
-        pred = (1 - p + args.tau * p) / rho
+        rho = prob.rho
+        pred = expected_time(prob, 1) / rho
         budget = int(np.ceil(4 * np.log(1 / args.drop) / rho))
         budget -= budget % 50
         res = run_adfs(prob, budget, seed=args.seed, log_every=50, f_star=f_star)

@@ -1,7 +1,7 @@
 """Desk-scale simulator for accelerated decentralized finite-sum optimization."""
 
 from .adfs import AdfsResult, primal_estimate, run_adfs, run_adfs_efficient, run_ns_adfs
-from .apcg import CompositeProblem, run_apcg, run_apcg_efficient
+from .apcg import CompositeProblem, run_apcg
 from .augmented import (
     AugmentedProblem,
     BlockDraw,
@@ -9,7 +9,6 @@ from .augmented import (
     build_augmented,
     build_augmented_ns,
     expected_time,
-    rate_rho,
 )
 from .baselines import FlatProblem, point_saga, pool_objectives, reference_optimum
 from .objective import (

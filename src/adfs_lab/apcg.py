@@ -2,18 +2,17 @@
 
 Works with arbitrary sampling of blocks of coordinates, strong convexity
 restricted to the orthogonal complement of a constraint kernel, and separable
-proximal terms.  The didactic recursion and the rescaled efficient forms are
-both provided; the efficient forms are validated against the didactic one in
-the test-suite.
+proximal terms.  Provides the didactic recursion in both regimes, strongly
+convex and convex; the test-suite checks single-node ADFS runs against it.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .rng import generator
 
-__all__ = ["CompositeProblem", "ApcgState", "run_apcg", "run_apcg_efficient"]
+__all__ = ["CompositeProblem", "ApcgState", "run_apcg"]
 
 
 @dataclass
@@ -67,8 +66,6 @@ class ApcgState:
     eta: float
     a_big: float  # A_t
     b_big: float  # B_t
-    u: np.ndarray = field(default=None)  # efficient-form components, if any
-    z: np.ndarray = field(default=None)
 
 
 def _check_schedule(problem, mode, alpha0, beta0):
@@ -154,89 +151,4 @@ def run_apcg(problem, mode, iters, rng_seed, alpha0=None):
             alpha = _alpha_next(alpha)
             eta = 1.0 / (alpha * s_const**2)
         out.append(ApcgState(x.copy(), v.copy(), t + 1, alpha, beta, eta, a_big, b_big))
-    return out
-
-
-def run_apcg_efficient(problem, mode, iters, rng_seed, alpha0=None):
-    """Efficient forms avoiding dense convex combinations.
-
-    The strongly convex form maintains the rescaled pair (phi^(t+1) u_t, z_t);
-    the convex form keeps (u_t, z_t) with x_t = alpha_(t-1)^2 u_t + z_t.
-    Reconstructed (x, v) trajectories match run_apcg under a shared stream.
-    """
-    if mode not in ("strongly_convex", "convex"):
-        raise ValueError(f"unknown mode {mode!r}")
-    rng = _resolve_rng(rng_seed)
-    dim = problem.dim
-    s_const = problem.ess_bound
-
-    if mode == "strongly_convex":
-        if problem.sigma_a <= 0:
-            raise ValueError("strongly_convex mode needs sigma_a > 0")
-        rho = np.sqrt(problem.sigma_a) / s_const
-        phi = (1.0 - rho) / (1.0 + rho)
-        eta = rho / problem.sigma_a
-        _check_schedule(problem, mode, rho, rho)
-        ut = np.zeros(dim)  # rescaled: phi^(t+1) u_t
-        z = np.zeros(dim)
-        a_big, b_big = 1.0, problem.sigma_a
-        out = [ApcgState(np.zeros(dim), np.zeros(dim), 0, rho, rho, eta, a_big, b_big,
-                         u=ut.copy(), z=z.copy())]
-        for t in range(iters):
-            y = ut + z
-            w = -ut + z
-            block = tuple(problem.sample_block(rng))
-            grad = problem.smooth_grad(y)
-            h = np.zeros(dim)
-            for i in block:
-                step = eta / problem.marginals[i]
-                gi = w[i] - step * grad[i]
-                h[i] = (problem.prox_coord(i, gi, step) if problem.has_psi[i] else gi) - w[i]
-            scaled = np.zeros(dim)
-            for i in block:
-                scaled[i] = h[i] / problem.marginals[i]
-            proj = problem.projector_apply(scaled)
-            ut = phi * (ut - 0.5 * (h - rho * proj))
-            z = z + 0.5 * (h + rho * proj)
-            if not (np.all(np.isfinite(ut)) and np.all(np.isfinite(z))):
-                raise FloatingPointError(f"non-finite iterate at iteration {t}")
-            a_big /= 1.0 - rho
-            b_big = problem.sigma_a * a_big
-            x_rec = ut / phi + z
-            v_rec = -ut / phi + z
-            out.append(ApcgState(x_rec, v_rec, t + 1, rho, rho, eta, a_big, b_big,
-                                 u=ut.copy(), z=z.copy()))
-        return out
-
-    alpha = problem.p_min if alpha0 is None else float(alpha0)
-    _check_schedule(problem, mode, alpha, 0.0)
-    u = np.zeros(dim)
-    z = np.zeros(dim)
-    b_big = 1.0
-    a_big = ((2.0 / alpha - 1.0) ** 2 - 1.0) * b_big / (4.0 * s_const**2)
-    out = [ApcgState(np.zeros(dim), np.zeros(dim), 0, alpha, 0.0,
-                     1.0 / (alpha * s_const**2), a_big, b_big, u=u.copy(), z=z.copy())]
-    for t in range(iters):
-        eta = 1.0 / (alpha * s_const**2)
-        y = alpha**2 * u + z
-        block = tuple(problem.sample_block(rng))
-        grad = problem.smooth_grad(y)
-        h = np.zeros(dim)
-        for i in block:
-            step = eta / problem.marginals[i]
-            gi = z[i] - step * grad[i]
-            h[i] = (problem.prox_coord(i, gi, step) if problem.has_psi[i] else gi) - z[i]
-        scaled = np.zeros(dim)
-        for i in block:
-            scaled[i] = h[i] / problem.marginals[i]
-        proj = problem.projector_apply(scaled)
-        u = u - (h - alpha * proj) / alpha**2
-        z = z + h
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(z))):
-            raise FloatingPointError(f"non-finite iterate at iteration {t}")
-        x_rec = alpha**2 * u + z
-        a_big += b_big / (alpha * s_const**2)
-        alpha = _alpha_next(alpha)
-        out.append(ApcgState(x_rec, z.copy(), t + 1, alpha, 0.0,
-                             1.0 / (alpha * s_const**2), a_big, b_big, u=u.copy(), z=z.copy()))
     return out

@@ -24,7 +24,6 @@ __all__ = [
     "build_augmented",
     "build_augmented_ns",
     "rate_branches",
-    "rate_rho",
     "balanced_p_comm",
     "expected_time",
     "split_state",
@@ -95,7 +94,6 @@ class AugmentedProblem:
     alpha: float
     gamma: float  # None when the graph has no edges
     sampling: SamplingScheme
-    sigma_a_exact: float = None  # dense value, filled by dense.with_exact_sigma_a
     # smooth build only, None for the non-smooth one
     smooth_virtual: np.ndarray = None  # (V,) L_ij
     kappa_comm: float = None  # also None when the graph has no edges
@@ -139,13 +137,9 @@ class AugmentedProblem:
 
     @property
     def eta(self):
-        """Dual step size rho / sigma_A.
-
-        Uses the certified bound alpha/2 unless the exact dense value was
-        substituted through dense.with_exact_sigma_a (validation runs only).
-        """
-        sigma_a = self.sigma_a_exact if self.sigma_a_exact is not None else self.sigma_a_bound
-        return self.rho / sigma_a
+        """Dual step size rho / sigma_A, with sigma_A the certified bound
+        alpha/2 (dense.exact_sigma_a gives the exact value, for checks)."""
+        return self.rho / self.sigma_a_bound
 
 
 def _assemble(graph, objectives, tau):
@@ -242,23 +236,6 @@ def _sampling(graph, p_comm, p_virtual, p_marginal):
     return SamplingScheme(p_comm=p_comm, p_virtual=p_virtual, p_marginal=p_marginal)
 
 
-def rate_rho(problem, p_comm):
-    """min of the two branch rates, clamped so 2 rho <= min_ij p_ij."""
-    rho_comm, rho_comp = rate_branches(problem, p_comm)
-    rho = min(rho_comm, rho_comp)
-    if problem.smooth:
-        _, marg = _marginals(problem.objectives, 1.0 - p_comm)
-        cap = 0.5 * float(marg.min())
-        if rho > cap:
-            log.warning(
-                "rate clamped from %.3e to %.3e to keep the conjugate prox valid",
-                rho,
-                cap,
-            )
-            rho = cap
-    return float(rho)
-
-
 def expected_time(problem, iters):
     """Idealized time of `iters` iterations: 1 per computation, tau per gossip."""
     if iters < 0:
@@ -308,10 +285,13 @@ def build_augmented(graph, objectives, tau, p_comm_override=None):
         dm_tilde=dm_tilde,
         s_max_bound=float(s_max),
     )
-    rho_comm, rho_comp = rate_branches(problem, p_comm)
-    rho_unclamped = min(rho_comm, rho_comp)
-    rho = rate_rho(problem, p_comm)
-    return replace(problem, rho=float(rho), rho_unclamped=float(rho_unclamped))
+    # the min of the two branch rates, clamped so that 2 rho <= min_ij p_ij
+    rho_unclamped = float(min(rate_branches(problem, p_comm)))
+    cap = 0.5 * float(problem.sampling.p_marginal.min())
+    if rho_unclamped > cap:
+        log.warning("rate clamped from %.3e to %.3e to keep the conjugate prox valid",
+                    rho_unclamped, cap)
+    return replace(problem, rho=min(rho_unclamped, cap), rho_unclamped=rho_unclamped)
 
 
 def build_augmented_ns(graph, objectives, tau=1.0, p_comm_override=None):

@@ -10,8 +10,6 @@ Node-space rows follow `AugmentedProblem`; each spans d coordinates.
 maps a primal point to a state.
 """
 
-from dataclasses import replace
-
 import numpy as np
 
 from .augmented import dual_objective, split_state, zero_state
@@ -24,7 +22,6 @@ __all__ = [
     "dense_sigma_dagger",
     "dense_pb_dagger_diag",
     "exact_sigma_a",
-    "with_exact_sigma_a",
     "dense_c0_constant",
     "state_rows",
     "lift_primal_point",
@@ -126,12 +123,6 @@ def exact_sigma_a(problem):
     """Exact dual strong convexity lambda_min_pos(A^T Sigma^dagger A)."""
     a = dense_A(problem)
     return symmetric_eigensolve(a.T @ dense_sigma_dagger(problem) @ a).lambda_min_pos
-
-
-def with_exact_sigma_a(problem):
-    """Copy of the problem whose step size uses the exact dual strong
-    convexity instead of the certified alpha/2 bound."""
-    return replace(problem, sigma_a_exact=float(exact_sigma_a(problem)))
 
 
 def dense_c0_constant(problem, theta_star):

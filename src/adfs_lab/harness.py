@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .adfs import run_adfs, run_adfs_efficient, run_ns_adfs
-from .augmented import balanced_p_comm, build_augmented, rate_branches
+from .augmented import balanced_p_comm, build_augmented, expected_time, rate_branches
 from .baselines import flat_grad, flat_value, point_saga, pool_objectives, reference_optimum
 from .objective import LocalObjective, LossKind
 from .rng import generator
@@ -284,6 +284,8 @@ def load_config(data) -> ExperimentConfig:
     if ds["kind"] == "synthetic":
         _expect(_is_int(ds.get("d")) and ds["d"] >= 1, "dataset.d",
                 "expected an integer >= 1")
+        _expect(ds.get("pool") is None or m <= ds["pool"], "m",
+                f"expected at most the pool size {ds.get('pool')}, got {m}")
         corr = ds.get("correlation", 0.0)
         _expect(_is_number(corr) and 0.0 <= corr < 1.0,
                 "dataset.correlation", "expected a number in [0, 1)")
@@ -302,10 +304,13 @@ def load_config(data) -> ExperimentConfig:
         elif loss == "absolute":
             raise ConfigError(f"algorithms[{i}]",
                               f"{a} needs a smooth loss, config says absolute")
+        _expect(a not in algos[:i], f"algorithms[{i}]", f"repeats {a!r}")
 
     seeds = data.get("seeds")
     _expect(isinstance(seeds, list) and seeds and all(_is_int(s) for s in seeds),
             "seeds", "expected a non-empty list of integers")
+    for i, s in enumerate(seeds):
+        _expect(s not in seeds[:i], f"seeds[{i}]", f"repeats {s}")
 
     log_every = data.get("log_every", 100)
     _expect(_is_int(log_every) and log_every >= 1, "log_every",
@@ -375,6 +380,12 @@ def _build_graph(topo):
 def build_instance(cfg: ExperimentConfig):
     """Materialize (graph, objectives, problem, flat, dataset_id) from a config."""
     graph = _build_graph(cfg.topology)
+    if graph.n_edges == 0:
+        _expect(cfg.loss_kind.is_smooth, "topology",
+                "the absolute loss needs a graph with at least one edge")
+        _expect(not cfg.p_comm, "p_comm", "expected 0 for a graph with no edges")
+    else:
+        _expect(cfg.p_comm != 0, "p_comm", "expected a number in (0, 1) for a graph with edges")
     ds = cfg.dataset
     seed = ds.get("seed", 0)
     if ds["kind"] == "synthetic":
@@ -390,6 +401,8 @@ def build_instance(cfg: ExperimentConfig):
         except FileNotFoundError:
             raise ConfigError("dataset.path", f"no such file: {ds['path']}") from None
         feats, labels = _dense_from_pairs(raw, dim)
+        _expect(cfg.m <= len(labels), "m",
+                f"expected at most the {len(labels)} samples of {ds['path']}, got {cfg.m}")
         if cfg.loss == "logistic":
             labels = np.where(labels > 0, 1.0, -1.0)
         per_node = assign_node_datasets(feats, labels, graph.n, cfg.m, seed)
@@ -421,7 +434,6 @@ def derived_constants(cfg, problem, flat, f_star):
         "loss": cfg.loss,
     }
     if problem.smooth:
-        p_comm = problem.sampling.p_comm
         meta.update({
             "kappa_s": problem.kappa_s,
             "kappa_b_max": float(problem.kappa_b.max()),
@@ -431,7 +443,7 @@ def derived_constants(cfg, problem, flat, f_star):
             "s_max_bound": problem.s_max_bound,
             "predicted_time_per_log_eps": (
                 None if problem.rho == 0 else
-                (1.0 - p_comm + problem.tau * p_comm) / problem.rho
+                expected_time(problem, 1) / problem.rho
             ),
         })
         if problem.gamma is not None:
@@ -442,7 +454,7 @@ def derived_constants(cfg, problem, flat, f_star):
                 np.sqrt(2.0) * problem.s_max_bound
                 + problem.tau * np.sqrt(problem.kappa_comm / problem.gamma)
             )
-            rc, rp = rate_branches(problem, p_comm)
+            rc, rp = rate_branches(problem, problem.sampling.p_comm)
             meta["rho_comm_branch"] = float(rc)
             meta["rho_comp_branch"] = float(rp)
     else:

@@ -2,9 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adfs_lab.adfs as solver_module
 import adfs_lab.augmented as aug
+from adfs_lab import selfcheck
 from adfs_lab.adfs import (
     _Rounds,
     primal_estimate,
@@ -21,9 +24,8 @@ from adfs_lab.dense import (
     dense_sigma_dagger,
     lift_primal_point,
     state_rows,
-    with_exact_sigma_a,
 )
-from adfs_lab.instances import random_objectives, random_problem
+from adfs_lab.instances import random_connected_graph, random_objectives, random_problem
 from adfs_lab.objective import LocalObjective, LossKind
 from adfs_lab.rng import BlockStream, generator
 from adfs_lab.topology import build_topology
@@ -273,15 +275,6 @@ class TestReferenceSolver:
         res = run_adfs(prob, 3000, seed=0, log_every=1000, f_star=f_star)
         assert res.record.rows[-1].subopt <= 1e-6
 
-    def test_exact_sigma_a_run_converges(self, rng):
-        # validation mode: the dense exact dual strong convexity gives a
-        # larger (still valid) step; the solver must still converge
-        prob = with_exact_sigma_a(random_problem(rng, n=3, m=2, d=2))
-        flat = pool_objectives(prob.objectives)
-        _, f_star = reference_optimum(flat)
-        res = run_adfs(prob, 3000, seed=0, log_every=1000, f_star=f_star)
-        assert res.record.rows[-1].subopt <= 1e-6
-
     @pytest.mark.parametrize("solver", ["adfs", "adfs_efficient", "ns_adfs", "point_saga"])
     def test_stop_at_subopt_truncates_rows(self, rng, solver):
         run = solver_run(solver, rng)
@@ -356,6 +349,23 @@ class TestEfficientSolver:
         scale = 1.0 + np.max(np.abs(ref_rows))
         got = sigma_dagger_rows(prob, r2.captures[iters]["y"])
         assert np.max(np.abs(got - ref_rows)) <= 1e-6 * scale
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), d=st.integers(1, 4),
+           loss=st.sampled_from([LossKind.LOGISTIC, LossKind.SQUARED]),
+           log_scale=st.floats(-2.0, 0.5),
+           tau=st.floats(0.5, 6.0, exclude_min=True, exclude_max=True))
+    def test_matches_reference_on_random_weighted_instances(self, seed, n, d, loss,
+                                                            log_scale, tau):
+        # small feature scales put L_ij below sigma_i, so some instances are
+        # rate-clamped and run the boundary conjugate prox in both forms
+        rng = generator("equivalence-property", seed)
+        graph = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, n)),
+                                       weighted=True)
+        objs = [LocalObjective(o.feature_matrix * 10.0**log_scale, o.labels, o.sigma, o.loss)
+                for o in random_objectives(rng, n, 12, d, loss=loss, ragged=True)]
+        ok, detail = selfcheck.solver_equivalence([build_augmented(graph, objs, tau)], 200)
+        assert ok, detail
 
 
 class TestRoundTable:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adfs_lab.apcg import CompositeProblem, run_apcg, run_apcg_efficient
+from adfs_lab.apcg import CompositeProblem, run_apcg
 from adfs_lab.rng import generator
 from adfs_lab.topology import symmetric_eigensolve
 from oracles import lyapunov_value
@@ -218,54 +218,3 @@ class TestConvexMode:
                 lhs.append(full_value(traj[-1].x) - f_star)
                 rhs.append((2.0 / t_check**2) * (s2 * r2 + (2.0 / pmin2) * (f0 - f_star)))
             assert np.mean(lhs) <= np.mean(rhs) * 1.02
-
-
-class TestEfficientForms:
-    @pytest.mark.parametrize("mode", ["strongly_convex", "convex"])
-    def test_matches_naive_over_500_iterations(self, mode):
-        problem, *_ = quad_l1_problem(seed=7)
-        naive = run_apcg(problem, mode, 500, 123)
-        eff = run_apcg_efficient(problem, mode, 500, 123)
-        worst = 0.0
-        for a, b in zip(naive, eff):
-            scale = 1.0 + float(np.max(np.abs(a.x)))
-            worst = max(worst, float(np.max(np.abs(a.x - b.x))) / scale)
-            worst = max(worst, float(np.max(np.abs(a.v - b.v))) / scale)
-        assert worst <= 1e-6
-
-    def test_phi_definition(self):
-        problem, *_ = quad_l1_problem()
-        rho = np.sqrt(problem.sigma_a) / problem.ess_bound
-        phi = (1 - rho) / (1 + rho)
-        eff = run_apcg_efficient(problem, "strongly_convex", 3, 0)
-        # after one iteration the rescaled momentum pair satisfies
-        # x_1 - v_1 = 2 u~_1 / phi
-        diff = eff[1].x - eff[1].v
-        np.testing.assert_allclose(diff, 2 * eff[1].u / phi, atol=1e-12)
-
-    def test_scaled_pair_matches_literal_recursion(self):
-        # the rescaled implementation equals the textbook u_t, z_t recursion
-        problem, *_ = quad_l1_problem(seed=9, dim=3)
-        rho = np.sqrt(problem.sigma_a) / problem.ess_bound
-        phi = (1 - rho) / (1 + rho)
-        eta = rho / problem.sigma_a
-        rng_literal = generator("apcg", 77)
-        u = np.zeros(3)
-        z = np.zeros(3)
-        eff = run_apcg_efficient(problem, "strongly_convex", 40, 77)
-        for t in range(40):
-            y = phi ** (t + 1) * u + z
-            w = -phi ** (t + 1) * u + z
-            block = problem.sample_block(rng_literal)
-            grad = problem.smooth_grad(y)
-            h = np.zeros(3)
-            for i in block:
-                step = eta / problem.marginals[i]
-                h[i] = problem.prox_coord(i, w[i] - step * grad[i], step) - w[i]
-            scaled = np.zeros(3)
-            for i in block:
-                scaled[i] = h[i] / problem.marginals[i]
-            u = u - (h - rho * scaled) / (2 * phi ** (t + 1))
-            z = z + (h + rho * scaled) / 2
-            np.testing.assert_allclose(phi ** (t + 2) * u, eff[t + 1].u, atol=1e-10)
-            np.testing.assert_allclose(z, eff[t + 1].z, atol=1e-10)

@@ -14,7 +14,6 @@ from adfs_lab.augmented import (
     dual_objective,
     expected_time,
     rate_branches,
-    rate_rho,
     split_state,
     wtilde_sampled,
     zero_state,
@@ -23,9 +22,9 @@ from adfs_lab.dense import (
     dense_A,
     dense_pb_dagger_diag,
     dense_sigma_dagger,
+    exact_sigma_a,
     lift_primal_point,
     state_rows,
-    with_exact_sigma_a,
 )
 from adfs_lab.instances import random_connected_graph, random_objectives, random_problem
 from adfs_lab.objective import LocalObjective, LossKind, loss_conjugate, loss_grad
@@ -139,8 +138,9 @@ class TestRate:
 
     def test_rate_vanishes_at_extremes(self, rng):
         prob = random_problem(rng, n=3, m=2, d=2)
-        assert rate_rho(prob, 1e-12) <= 1e-11
-        assert rate_rho(prob, 1.0 - 1e-12) <= 1e-11
+        for p_comm in (1e-12, 1.0 - 1e-12):
+            built = build_augmented(prob.graph, prob.objectives, prob.tau, p_comm_override=p_comm)
+            assert built.rho <= 1e-11
 
     def test_clamp_activates_on_flat_samples(self, caplog):
         # many nearly useless samples (L << sigma) force 2 rho <= min p_ij
@@ -272,9 +272,7 @@ class TestOperatorShortcuts:
 
     def test_exact_sigma_a_dominates_bound(self, rng):
         prob = random_problem(rng, n=3, m=2, d=2)
-        exact = with_exact_sigma_a(prob)
-        assert exact.sigma_a_exact >= prob.sigma_a_bound - 1e-10
-        assert exact.eta <= prob.eta + 1e-12
+        assert exact_sigma_a(prob) >= prob.sigma_a_bound - 1e-10
 
 
 class TestDenseRateBound:

@@ -3,6 +3,7 @@ import importlib
 import importlib.util
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -349,8 +350,18 @@ class TestCli:
         ({"reference": {"tol": 1e400}}, "reference.tol"),
         ({"loss": ["logistic"]}, "loss"),
         ({"loss": {"kind": "logistic"}}, "loss"),
+        ({"m": 5, "dataset": {"kind": "synthetic", "d": 2, "pool": 3}}, "m"),
+        ({"m": 5, "dataset": {"kind": "libsvm", "path": "three.svm"}}, "m"),
+        ({"topology": {"kind": "line", "n": 3}, "p_comm": 0}, "p_comm"),
+        ({"topology": {"kind": "complete", "n": 1}, "p_comm": 0.5}, "p_comm"),
+        ({"topology": {"kind": "complete", "n": 1}, "loss": "absolute",
+          "algorithms": ["ns_adfs"]}, "topology"),
+        ({"algorithms": ["adfs", "adfs"]}, "algorithms[1]"),
+        ({"seeds": [0, 1, 0]}, "seeds[2]"),
     ])
-    def test_bad_field_exits_one_naming_field(self, tmp_path, capsys, over, field):
+    def test_bad_field_exits_one_naming_field(self, tmp_path, monkeypatch, capsys, over, field):
+        monkeypatch.chdir(tmp_path)  # the LibSVM case reads three.svm from here
+        (tmp_path / "three.svm").write_text("1 1:0.5\n-1 2:1.0\n1 1:2.0\n")
         path = self._write_config(tmp_path, base_config(**over))
         assert cli(["run", path, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
@@ -473,3 +484,13 @@ def test_traced_functions_exist():
     missing = [f"{module}.{name}" for module, name, _ in tracer.SPANS
                if not callable(getattr(importlib.import_module(f"adfs_lab.{module}"), name, None))]
     assert missing == []
+
+
+def test_export_lists_resolve():
+    # a deletion that leaves a stale name in a module's __all__ breaks
+    # `import *`; the package itself imports its names, so it fails on import
+    stale = []
+    for info in pkgutil.iter_modules(adfs_lab.__path__):
+        module = importlib.import_module(f"adfs_lab.{info.name}")
+        stale += [f"{info.name}.{name}" for name in module.__all__ if not hasattr(module, name)]
+    assert stale == []
