@@ -11,12 +11,13 @@ clock: one time unit per computation round, tau per gossip round.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import augmented as aug
 from .apcg import _alpha_next
-from .objective import _prox_1d_array, _stacked_value, _tilde_coeff_batch
+from .objective import _stacked_value, _tilde_coeff_batch
 from .records import RunRecord, run_loop
 from .rng import BlockStream
 
@@ -43,6 +44,26 @@ def _primal_value(problem, y_state):
     """The smooth solvers' logged value: F at the primal estimate of y."""
     return _stacked_value(problem.loss, problem.features, problem.labels,
                           float(problem.sigma.sum()), primal_estimate(problem, y_state))
+
+
+class _Buffer(NamedTuple):
+    """A state buffer with the views a round writes, made once per run: its
+    n*d center prefix, and the (center, coef) views of augmented.split_state."""
+
+    full: np.ndarray
+    prefix: np.ndarray
+    center: np.ndarray
+    coef: np.ndarray
+
+
+def _buffers(problem, count):
+    """`count` zero states, each with its views."""
+    out = []
+    for _ in range(count):
+        state = aug.zero_state(problem)
+        center, coef = aug.split_state(problem, state)
+        out.append(_Buffer(state, state[:center.size], center, coef))
+    return out
 
 
 class _Rounds:
@@ -81,33 +102,33 @@ class _Rounds:
                 consts[aug.SCALE], warm[idx], boundary,
             )
             return c_out - w_coef
-        # prox of eta~ f* via Moreau: x - eta~ prox_(1/eta~) f (x / eta~); the
-        # non-smooth (absolute) prox is closed-form and takes no warm start
-        xnorm2 = consts[aug.XNORM2]
-        eta_tilde = eta * consts[aug.MU2] / consts[aug.PROB]
-        p_star = _prox_1d_array(problem.loss, c_in * xnorm2 / eta_tilde, consts[aug.LABEL],
-                                xnorm2 / eta_tilde, None)
-        return c_in - eta_tilde * p_star / xnorm2 - w_coef
+        # the absolute loss's conjugate is s * label on |s| <= 1, so its prox
+        # with step eta~ / ||X||^2 = eta * T is a clip
+        c_out = c_in - eta * consts[aug.T_STEP] * consts[aug.LABEL]
+        np.maximum(c_out, -1.0, out=c_out)
+        np.minimum(c_out, 1.0, out=c_out)
+        return c_out - w_coef
 
 
 def _block_step(problem, rounds, draw, y, w, eta, beta):
-    """One block of the dual recursion, written in place.
+    """One block of the dual recursion, written in place on two _Buffers.
 
     On entry the states y and w hold the momentum combinations of the
     iterates x and v; on return w holds the next v = w + delta and y the next
     x = y + beta * W~ delta.  Returns the idealized duration of the block.
     """
     if draw.kind == "communication":
-        k = problem.n * problem.d  # gossip moves only the centers
-        delta = -eta * aug.apply_comm_step(problem, y[:k])
-        w[:k] += delta
-        y[:k] += beta * aug.apply_wtilde(problem, draw, delta)
+        # gossip moves only the centers
+        y_prefix, w_prefix = y.prefix, w.prefix
+        delta = -eta * aug.apply_comm_step(problem, y_prefix)
+        w_prefix += delta
+        y_prefix += beta * aug.apply_wtilde(problem, draw, delta)
         return problem.tau
     # delta is -h * X on the centers and +h on the sampled coefficients, and
     # so is its W~ image (wtilde_sampled): only those entries move
     idx, consts, rows = rounds.sample(problem, draw)
-    y_center, y_coef = aug.split_state(problem, y)
-    w_center, w_coef = aug.split_state(problem, w)
+    _, _, w_center, w_coef = w
+    _, _, y_center, y_coef = y
     w_idx = w_coef[idx]
     h = rounds.step(problem, idx, consts, rows, y_center, y_coef[idx], w_idx, eta)
     d_center = rows * -h[:, None]
@@ -130,14 +151,14 @@ def run_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=(),
     if not problem.smooth:
         raise ValueError("run_adfs needs the smooth build; see run_ns_adfs")
     rho, eta = problem.rho, problem.eta
-    x = aug.zero_state(problem)
-    v = np.zeros_like(x)
-    y = np.empty_like(x)
+    xb, vb, yb = _buffers(problem, 3)
+    v = vb.full
     rounds = _Rounds(problem)
     stream = BlockStream("adfs", seed)
 
     def step(t):
-        nonlocal x, y
+        nonlocal xb, yb
+        x, y = xb.full, yb.full
         # y = (x + rho v) / (1 + rho), then w = (1 - rho) v + rho y into v's
         # buffer, with x's buffer as scratch; the step turns y into the next x
         np.multiply(v, rho, out=y)
@@ -147,18 +168,18 @@ def run_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=(),
         np.multiply(y, rho, out=x)
         np.add(v, x, out=v)
         draw = aug.draw_block(problem, stream)
-        duration = _block_step(problem, rounds, draw, y, v, eta, rho)
-        x, y = y, x
+        duration = _block_step(problem, rounds, draw, yb, vb, eta, rho)
+        xb, yb = yb, xb
         if not np.isfinite(v).all():
             raise FloatingPointError(f"non-finite state at iteration {t}")
         return draw.kind, duration
 
     def y_state():
-        return (x + rho * v) / (1.0 + rho)
+        return (xb.full + rho * v) / (1.0 + rho)
 
     record, captures = run_loop(
         iters, step, lambda: _primal_value(problem, y_state()),
-        lambda: {"x": x.copy(), "v": v.copy(), "y": y_state()},
+        lambda: {"x": xb.full.copy(), "v": v.copy(), "y": y_state()},
         log_every, f_star, capture_iters, stop_at_subopt)
     return AdfsResult(record, primal_estimate(problem, y_state()), captures)
 
@@ -173,25 +194,24 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
     """
     if not problem.smooth:
         raise ValueError("run_adfs_efficient needs the smooth build")
-    k = problem.n * problem.d
     rho, eta, tau = problem.rho, problem.eta, problem.tau
     phi = (1.0 - rho) / (1.0 + rho)
-    big_u = aug.zero_state(problem)
-    z = np.zeros_like(big_u)
-    u_center, u_coef = aug.split_state(problem, big_u)
-    z_center, z_coef = aug.split_state(problem, z)
+    ub, zb = _buffers(problem, 2)
+    big_u, u_prefix, u_center, u_coef = ub
+    z, z_prefix, z_center, z_coef = zb
     c = 1.0
     rounds = _Rounds(problem)
     stream = BlockStream("adfs", seed)
 
     def step(t):
-        nonlocal c, big_u, u_center, z_center  # "a += b" rebinds a (to the same array)
+        # "a += b" rebinds a (to the same array)
+        nonlocal c, big_u, u_prefix, u_center, z_prefix, z_center
         draw = aug.draw_block(problem, stream)
         if draw.kind == "communication":
-            h = -eta * aug.apply_comm_step(problem, c * big_u[:k] + z[:k])
+            h = -eta * aug.apply_comm_step(problem, c * u_prefix + z_prefix)
             wt = aug.apply_wtilde(problem, draw, h)
-            big_u[:k] -= (h - rho * wt) / (2.0 * c)
-            z[:k] += 0.5 * (h + rho * wt)
+            u_prefix -= (h - rho * wt) / (2.0 * c)
+            z_prefix += 0.5 * (h + rho * wt)
             z_written = None  # no coefficient written this round
             duration = tau
         else:
@@ -227,7 +247,7 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
 
     # the centers of y_K = phi^(K+1) u_K + z_K, the return convention of this form
     def y_center():
-        return c * big_u[:k] + z[:k]
+        return c * u_prefix + z_prefix
 
     record, captures = run_loop(iters, step, lambda: _primal_value(problem, y_center()),
                                 capture, log_every, f_star, capture_iters, stop_at_subopt)
@@ -237,20 +257,20 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
 def run_ns_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=(),
                 stop_at_subopt=None):
     """Non-smooth solver: APCG's convex momentum schedule from alpha_0 = min
-    p_ij, conjugate prox via the Moreau identity, dual objective logged (the
-    controlled quantity)."""
+    p_ij, the absolute loss's conjugate prox in closed form (a clip to
+    [-1, 1]), dual objective logged (the controlled quantity)."""
     if problem.smooth:
         raise ValueError("run_ns_adfs needs the non-smooth build; see run_adfs")
     s_sq = problem.s_squared
     alpha = float(problem.sampling.p_marginal.min())
-    x = aug.zero_state(problem)
-    v = np.zeros_like(x)
-    y = np.empty_like(x)
+    xb, vb, yb = _buffers(problem, 3)
+    v = vb.full
     rounds = _Rounds(problem)
     stream = BlockStream("ns-adfs", seed)
 
     def step(t):
-        nonlocal x, y, alpha
+        nonlocal xb, yb, alpha
+        x, y = xb.full, yb.full
         eta = 1.0 / (alpha * s_sq)
         # y = (1 - alpha) x + alpha v with x's buffer as scratch; the step
         # updates v in place and turns y into the next x
@@ -258,14 +278,14 @@ def run_ns_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=
         np.multiply(v, alpha, out=x)
         np.add(y, x, out=y)
         draw = aug.draw_block(problem, stream)
-        duration = _block_step(problem, rounds, draw, y, v, eta, alpha)
-        x, y = y, x
+        duration = _block_step(problem, rounds, draw, yb, vb, eta, alpha)
+        xb, yb = yb, xb
         if not np.isfinite(v).all():
             raise FloatingPointError(f"non-finite state at iteration {t}")
         alpha = _alpha_next(alpha)
         return draw.kind, duration
 
-    record, captures = run_loop(iters, step, lambda: aug.dual_objective(problem, x),
-                                lambda: {"x": x.copy(), "v": v.copy(), "y": None},
+    record, captures = run_loop(iters, step, lambda: aug.dual_objective(problem, xb.full),
+                                lambda: {"x": xb.full.copy(), "v": v.copy(), "y": None},
                                 log_every, f_star, capture_iters, stop_at_subopt)
     return AdfsResult(record, primal_estimate(problem, v), captures)

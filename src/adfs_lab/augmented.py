@@ -11,6 +11,7 @@ for checks at small scale, live in `dense`.
 
 import logging
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,27 +48,35 @@ class SamplingScheme:
     p_comm: float
     p_virtual: tuple  # per node, probabilities over its samples (each sums to 1)
     p_marginal: np.ndarray  # flattened absolute probabilities p_ij
-    # (n, m_max) draw table: row i is cumsum(p_virtual[i]) with its last entry and
-    # the padding +inf.  Rows are nondecreasing, so the index of the first entry
-    # not below u (the count of entries < u) gives min(searchsorted, m_i - 1)
-    cum_table: np.ndarray = field(init=False, repr=False, compare=False)
+    # per node, cumsum(p_virtual[i]) without its last entry: the local index of
+    # a uniform u is the count of entries below u, capped at m_i - 1
+    cum_virtual: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        table = np.full((len(self.p_virtual), max(len(pv) for pv in self.p_virtual)), np.inf)
-        for i, pv in enumerate(self.p_virtual):
-            table[i, : len(pv) - 1] = np.cumsum(pv)[:-1]
-        table.flags.writeable = False
-        object.__setattr__(self, "cum_table", table)
+        cums = tuple(np.cumsum(pv)[:-1] for pv in self.p_virtual)
+        for cum in cums:
+            cum.flags.writeable = False
+        object.__setattr__(self, "cum_virtual", cums)
 
     @property
     def p_comp(self):
         return 1.0 - self.p_comm
 
+    def local_indices(self, u):
+        """Local sample index per node for each row of uniforms `u` (k, n):
+        one searchsorted per node over the whole column."""
+        out = np.empty(u.shape, dtype=np.intp)
+        for i, cum in enumerate(self.cum_virtual):
+            out[:, i] = np.searchsorted(cum, u[:, i], side="left")
+        return out
 
-@dataclass(frozen=True)
-class BlockDraw:
+
+class BlockDraw(NamedTuple):
     kind: str  # "communication" | "computation"
     chosen: np.ndarray = None  # local sample index per node (computation only)
+
+
+_COMMUNICATION = BlockDraw("communication")  # every gossip round's draw
 
 
 @dataclass(frozen=True)
@@ -359,8 +368,9 @@ WEIGHT, XNORM2, LABEL, PROB = range(4)
 # eta~_ij = eta mu_ij^2 / p_ij, the 1D prox step gamma ||X_ij||^2 with
 # gamma = (L_ij - eta~_ij) / (eta~_ij L_ij), and 1 - eta~_ij / L_ij.
 SMOOTH, ETA_TILDE, STEP, SCALE = range(4, 8)
-# Non-smooth build, whose step changes every round: mu_ij^2.
-MU2 = 4
+# Non-smooth build, whose step changes every round: T = mu_ij^2 / (p_ij ||X_ij||^2),
+# so that a round with dual step eta takes the conjugate prox step eta * T.
+T_STEP = 4
 
 
 def round_table(problem):
@@ -378,7 +388,7 @@ def round_table(problem):
     mu2 = problem.mu2_virtual
     cols = [mu2 / p, problem.xnorm2, problem.labels, p]
     if not problem.smooth:
-        return np.column_stack(cols + [mu2]), None
+        return np.column_stack(cols + [mu2 / (p * problem.xnorm2)]), None
     smooth = problem.smooth_virtual
     eta_tilde = problem.eta * mu2 / p
     ratio = eta_tilde / smooth
@@ -392,13 +402,12 @@ def round_table(problem):
 
 
 def draw_block(problem, stream) -> BlockDraw:
-    """One synchronous block draw from the two substreams of `stream`."""
+    """One synchronous block draw from the two substreams of `stream`; a
+    graph without edges (p_comm = 0) draws no kind uniform."""
     scheme = problem.sampling
-    if scheme.p_comm > 0.0 and stream.kind_rng.random() < scheme.p_comm:
-        return BlockDraw(kind="communication")
-    u = stream.pick_rng.random(problem.n)
-    chosen = (scheme.cum_table < u[:, None]).argmin(axis=1)  # first False: faster than a sum
-    return BlockDraw(kind="computation", chosen=chosen)
+    if scheme.p_comm > 0.0 and next(stream.kinds) < scheme.p_comm:
+        return _COMMUNICATION
+    return BlockDraw("computation", stream.chosen(scheme))
 
 
 def apply_comm_step(problem, state):
@@ -412,10 +421,10 @@ def apply_comm_step(problem, state):
     p_comm = problem.sampling.p_comm
     if p_comm <= 0.0:
         raise ValueError("no communication block exists (p_comm = 0)")
-    out = np.zeros_like(state)
-    scaled = split_state(problem, state)[0] / problem.sigma[:, None]
-    split_state(problem, out)[0][:] = (problem.laplacian_comm @ scaled) / p_comm
-    return out
+    k = problem.n * problem.d
+    scaled = state[:k].reshape(problem.n, -1) / problem.sigma[:, None]
+    step = ((problem.laplacian_comm @ scaled) / p_comm).reshape(k)
+    return step if state.size == k else np.concatenate((step, np.zeros(state.size - k)))
 
 
 def virtual_gradient(problem, consts, rows, center, coef):
@@ -442,12 +451,13 @@ def apply_wtilde(problem, draw, delta):
     sampled coefficients.  On a communication draw only the centers are
     read, so `delta` may be the center prefix alone.
     """
+    if draw.kind == "communication":
+        out = delta / problem.sampling.p_comm
+        out[problem.n * problem.d:] = 0.0
+        return out
     out = np.zeros_like(delta)
     center, coef = split_state(problem, delta)
     out_center, out_coef = split_state(problem, out)
-    if draw.kind == "communication":
-        out_center[:] = center / problem.sampling.p_comm
-        return out
     idx = problem.vstart[:-1] + draw.chosen
     out_center[:], out_coef[idx] = wtilde_sampled(
         problem.sampling.p_marginal[idx], coef[idx], center)

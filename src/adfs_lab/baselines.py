@@ -12,7 +12,7 @@ import numpy as np
 from .objective import (LocalObjective, LossKind, _logistic_prox, _prox_1d_array, _stacked_grad,
                         _stacked_value, loss_curvature, primal_grad, primal_value)
 from .records import run_loop
-from .rng import generator
+from .rng import chunked, generator
 from .topology import symmetric_eigensolve
 
 __all__ = ["FlatProblem", "pool_objectives", "flat_value", "flat_grad",
@@ -73,6 +73,7 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
     logistic = problem.loss is LossKind.LOGISTIC
 
     rng = generator("point-saga", seed)
+    picks = chunked(lambda k: rng.integers(n_samp, size=k).tolist())  # = per-call integers(N)
     x = np.zeros(d)
     table = np.zeros((n_samp, d))
     gbar = np.zeros(d)
@@ -80,7 +81,7 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
 
     def step(t):
         nonlocal x, gbar
-        j = int(rng.integers(n_samp))
+        j = next(picks)
         w = x + gamma * (table[j] - gbar)
         v = w / shrink  # prox_sample's arithmetic on the validated pooled rows
         zz = float(feats[j] @ v)

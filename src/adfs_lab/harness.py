@@ -659,3 +659,7 @@ def cli(argv=None) -> int:
 
 def main():  # console entry point
     raise SystemExit(cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -2,9 +2,9 @@
 
 Losses are generalized linear models loss(X^T theta, label); every proximal
 step therefore reduces to a one-dimensional problem along the sample's feature
-direction.  The conjugate-side prox (used by the dual solvers) is evaluated
-through the primal prox via the Moreau-identity reduction, with a closed-form
-boundary case when the step hits the smoothness limit.
+direction.  The conjugate-side prox (used by the smooth dual solvers) is
+evaluated through the primal prox via the Moreau-identity reduction, with a
+closed-form boundary case when the step hits the smoothness limit.
 """
 
 import enum

@@ -10,7 +10,12 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["stable_key", "generator", "BlockStream"]
+__all__ = ["stable_key", "generator", "chunked", "BlockStream"]
+
+# Draws per refill of a chunked stream.  Philox's random(k), random((k, n))
+# and integers(N, size=k) return exactly the values of k single calls, in the
+# same order, so the chunk size changes no value, only the per-call overhead.
+CHUNK = 256
 
 
 def stable_key(token) -> int:
@@ -27,12 +32,20 @@ def generator(*tokens) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
+def chunked(draw):
+    """Endless iterator over the items of draw(CHUNK), draw(CHUNK), ..."""
+    while True:
+        yield from draw(CHUNK)
+
+
 class BlockStream:
     """Pair of substreams used to draw sampling blocks.
 
     `kind` decides communication vs computation; `pick` selects one virtual
     edge per node.  Keeping them disjoint lets two solver implementations
-    replay exactly the same block sequence from the same seed.
+    replay exactly the same block sequence from the same seed.  Both are
+    drawn in chunks (`kinds` and `chosen`), with the values of per-call
+    draws.
     """
 
     def __init__(self, *tokens):
@@ -40,3 +53,18 @@ class BlockStream:
         kind_seq, pick_seq = seq.spawn(2)
         self.kind_rng = np.random.Generator(np.random.Philox(kind_seq))
         self.pick_rng = np.random.Generator(np.random.Philox(pick_seq))
+        # uniforms deciding the kind of each block; none is drawn before use
+        self.kinds = chunked(lambda k: self.kind_rng.random(k).tolist())
+        self._scheme = self._picks = None
+
+    def chosen(self, scheme):
+        """The next local sample index per node under `scheme`, the one
+        sampling scheme this stream serves: each chunk of uniform rows (one
+        column per node) goes through `scheme.local_indices` at once."""
+        if scheme is not self._scheme:
+            if self._scheme is not None:
+                raise ValueError("a block stream serves one sampling scheme")
+            width = len(scheme.p_virtual)
+            self._scheme = scheme
+            self._picks = chunked(lambda k: scheme.local_indices(self.pick_rng.random((k, width))))
+        return next(self._picks)

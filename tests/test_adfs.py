@@ -26,7 +26,7 @@ from adfs_lab.dense import (
     state_rows,
 )
 from adfs_lab.instances import random_connected_graph, random_objectives, random_problem
-from adfs_lab.objective import LocalObjective, LossKind
+from adfs_lab.objective import LocalObjective, LossKind, loss_prox_1d
 from adfs_lab.rng import BlockStream, generator
 from adfs_lab.topology import build_topology
 from oracles import prox_tilde_fstar, sigma_dagger_rows
@@ -533,6 +533,42 @@ class TestNonSmoothSolver:
             gaps[t] = float(np.median(vals))
         assert gaps[400] / gaps[200] <= 0.45
         assert gaps[800] / gaps[400] <= 0.45
+
+    def test_round_matches_moreau_oracle(self):
+        # the clip of a computation round equals the Moreau route through
+        # the primal absolute-loss prox, node by node
+        prob = self._problem()
+        rounds = _Rounds(prob)
+        stream = BlockStream("ns-adfs", 0)
+        draw = aug.draw_block(prob, stream)
+        while draw.kind != "computation":
+            draw = aug.draw_block(prob, stream)
+        rng = generator("ns-round", 0)
+        y, w = (rng.normal(size=zero_state(prob).size) for _ in range(2))
+        eta = 1.0 / (prob.sampling.p_marginal.min() * prob.s_squared)
+        idx, consts, rows = rounds.sample(prob, draw)
+        y_center, y_coef = split_state(prob, y)
+        w_coef = split_state(prob, w)[1][idx]
+        h = rounds.step(prob, idx, consts, rows, y_center, y_coef[idx], w_coef, eta)
+        grad = aug.virtual_gradient(prob, consts, rows, y_center, y_coef[idx])
+        c_in = w_coef + eta * grad
+        clipped = 0
+        for k, g in enumerate(idx):
+            xnorm2 = prob.xnorm2[g]
+            eta_t = eta * prob.mu2_virtual[g] / prob.sampling.p_marginal[g]
+            p_star = loss_prox_1d(LossKind.ABSOLUTE, c_in[k] * xnorm2 / eta_t, prob.labels[g],
+                                  xnorm2 / eta_t)
+            expected = c_in[k] - eta_t * p_star / xnorm2
+            assert abs(w_coef[k] + h[k] - expected) <= 1e-12 * (1.0 + abs(w_coef[k]))
+            clipped += abs(expected) >= 1.0 - 1e-12
+        assert 0 < clipped < prob.n  # both branches of the clip are taken
+
+    def test_coefficients_stay_in_the_dual_domain(self):
+        prob = self._problem()
+        res = run_ns_adfs(prob, 2000, seed=0, log_every=2000, capture_iters=(2000,))
+        for key in ("x", "v"):
+            coef = split_state(prob, res.captures[2000][key])[1]
+            assert np.all((coef >= -1.0) & (coef <= 1.0)), key
 
     def test_rejects_smooth_problem(self, rng):
         prob = random_problem(rng, n=2, m=2, d=2)

@@ -28,7 +28,7 @@ from adfs_lab.dense import (
 )
 from adfs_lab.instances import random_connected_graph, random_objectives, random_problem
 from adfs_lab.objective import LocalObjective, LossKind, loss_conjugate, loss_grad
-from adfs_lab.rng import BlockStream, generator
+from adfs_lab.rng import CHUNK, BlockStream, generator
 from adfs_lab.topology import build_topology, laplacian
 
 
@@ -351,26 +351,51 @@ class TestSampling:
                                                     100_000)
         assert ok, detail
 
-    @pytest.mark.parametrize("loss", [LossKind.LOGISTIC, LossKind.ABSOLUTE])
+    @pytest.mark.parametrize("loss", [LossKind.LOGISTIC, LossKind.ABSOLUTE,
+                                      pytest.param(None, id="single-node")])
     def test_draws_match_per_node_searchsorted(self, loss):
-        # the build-time table replays the per-node cumsum/searchsorted draw,
-        # read from a second stream with the same tokens
-        prob = random_problem(generator("draw-table", 0), n=5, m=6, d=2, loss=loss,
-                              weighted=True, ragged=True)
-        assert len(set(prob.m_per_node)) > 1
+        # the chunked draws replay the per-call, per-node cumsum/searchsorted
+        # draw, read from a second stream with the same tokens, across
+        # several chunk refills of both substreams
+        rng = generator("draw-table", 0)
+        if loss is None:  # no edges: p_comm = 0 and no kind uniform is drawn
+            prob = random_problem(rng, n=1, m=6, d=2, ragged=True)
+            assert prob.sampling.p_comm == 0.0
+        else:
+            prob = random_problem(rng, n=5, m=6, d=2, loss=loss, weighted=True, ragged=True)
+            assert len(set(prob.m_per_node)) > 1
         stream, replay = BlockStream("draw-table"), BlockStream("draw-table")
-        comp = 0
-        while comp < 2000:
+        comp = kinds = 0
+        while comp < max(2000, 3 * CHUNK + 1):
             draw = draw_block(prob, stream)
-            if replay.kind_rng.random() < prob.sampling.p_comm:
-                assert draw.kind == "communication"
-                continue
+            p_comm = prob.sampling.p_comm
+            if p_comm > 0.0:
+                kinds += 1
+                if replay.kind_rng.random() < p_comm:
+                    assert draw.kind == "communication"
+                    continue
             u = replay.pick_rng.random(prob.n)
             expected = [min(int(np.searchsorted(np.cumsum(pv), u[i])), len(pv) - 1)
                         for i, pv in enumerate(prob.sampling.p_virtual)]
             assert draw.kind == "computation"
             np.testing.assert_array_equal(draw.chosen, expected)
             comp += 1
+        if loss is None:
+            assert kinds == 0
+            # the kind substream is untouched: its next uniform is its first
+            assert stream.kind_rng.random() == replay.kind_rng.random()
+        else:
+            assert kinds > 3 * CHUNK
+
+    def test_stream_serves_one_scheme(self):
+        rng = generator("one-scheme", 0)
+        a, b = (random_problem(rng, n=3, m=3, d=2) for _ in range(2))
+        stream = BlockStream("one-scheme")
+        while draw_block(a, stream).kind != "computation":
+            pass
+        with pytest.raises(ValueError, match="one sampling scheme"):
+            while True:
+                draw_block(b, stream)
 
 
 class TestDualObjective:

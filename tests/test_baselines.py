@@ -16,7 +16,7 @@ from adfs_lab.baselines import (
 )
 from adfs_lab.instances import random_objectives
 from adfs_lab.objective import LossKind, primal_value
-from adfs_lab.rng import generator
+from adfs_lab.rng import CHUNK, chunked, generator
 from adfs_lab.topology import build_topology
 
 
@@ -82,6 +82,23 @@ class TestPointSaga:
         record, _ = point_saga(flat, 300, seed=0, log_every=100)
         times = [r.time for r in record.rows]
         assert times == [0.0, 100.0, 200.0, 300.0]
+
+    def test_indices_match_per_call_draws(self, rng, monkeypatch):
+        # the chunked sample indices are those of one integers(N) call per
+        # iteration, across more than two chunk refills
+        seen = []
+
+        def recording(draw):
+            for j in chunked(draw):
+                seen.append(j)
+                yield j
+
+        monkeypatch.setattr(baselines, "chunked", recording)
+        flat = pool_objectives(random_objectives(rng, 2, 7, 2))
+        iters = 2 * CHUNK + 50
+        point_saga(flat, iters, seed=4, log_every=iters)
+        per_call = generator("point-saga", 4)
+        assert seen == [int(per_call.integers(flat.n_samples)) for _ in range(iters)]
 
 
 class TestReferenceOptimum:

@@ -6,10 +6,11 @@ import os
 import pkgutil
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import adfs_lab
@@ -26,6 +27,7 @@ from adfs_lab.harness import (
     run_experiment,
     synth_dataset,
     synth_pool,
+    write_libsvm,
 )
 from adfs_lab.objective import LocalObjective, LossKind, condition_numbers
 from adfs_lab.rng import generator
@@ -35,6 +37,24 @@ JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
     max_leaves=8)
+
+
+def _increasing(steps):
+    """(index step >= 1, value) pairs -> 0-based pairs with increasing indices."""
+    pairs, idx = [], -1
+    for step, value in steps:
+        idx += step
+        pairs.append((idx, value))
+    return pairs
+
+
+# LibSVM rows of 0-8 pairs; labels and values are finite doubles over the
+# whole exponent range, subnormals and -0.0 included
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+LIBSVM_ROWS = st.lists(
+    st.tuples(FINITE,
+              st.lists(st.tuples(st.integers(1, 1000), FINITE), max_size=8).map(_increasing)),
+    min_size=1, max_size=10)
 
 
 def base_config(**over):
@@ -95,6 +115,22 @@ class TestParseLibsvm:
     def test_roundtrip_is_bit_exact(self):
         ok, detail = selfcheck.libsvm_roundtrip(generator("roundtrip", 0), 1000)
         assert ok, detail
+
+    @given(LIBSVM_ROWS)
+    @example([(-0.0, [(0, 5e-324), (3, -0.0), (4, 1.7976931348623157e308)]),
+              (2.2250738585072014e-308, []),
+              (-2.225073858507201e-308, [(999, 0.0)])])
+    def test_roundtrip_keeps_every_bit(self, rows):
+        # float.hex tells -0.0 from 0.0, which == does not
+        def hexed(samples):
+            return [(label.hex(), [(i, v.hex()) for i, v in pairs]) for label, pairs in samples]
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "rows.svm")
+            write_libsvm(path, rows)
+            parsed, dim = parse_libsvm(path)
+        assert hexed(parsed) == hexed(rows)
+        assert dim == max((i + 1 for _, pairs in rows for i, _ in pairs), default=0)
 
 
 class TestSyntheticData:
@@ -332,6 +368,17 @@ class TestCli:
 
     def test_missing_config_exits_one(self, capsys):
         assert cli(["run", "/nonexistent/config.json"]) == 1
+
+    @pytest.mark.parametrize("module", ["adfs_lab", "adfs_lab.harness"])
+    def test_module_entry_point_exits_one_on_missing_config(self, tmp_path, module):
+        config = str(tmp_path / "absent.json")
+        src = os.path.dirname(os.path.dirname(adfs_lab.__file__))
+        out = subprocess.run([sys.executable, "-m", module, "spectrum", config],
+                             capture_output=True, text=True, cwd=tmp_path,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr == f"error: <config>: no such file: {config}\n"
 
     @pytest.mark.parametrize("over,field", [
         ({"reference": {"tol": "x"}}, "reference.tol"),
