@@ -6,6 +6,7 @@ proximal terms.  Provides the didactic recursion in both regimes, strongly
 convex and convex; the test-suite checks single-node ADFS runs against it.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +90,8 @@ def _resolve_rng(rng_seed):
 
 
 def _alpha_next(alpha):
-    return (np.sqrt(alpha**4 + 4.0 * alpha**2) - alpha**2) / 2.0
+    # math.sqrt keeps alpha a Python float (np.sqrt would return np.float64)
+    return (math.sqrt(alpha**4 + 4.0 * alpha**2) - alpha**2) / 2.0
 
 
 def run_apcg(problem, mode, iters, rng_seed, alpha0=None):

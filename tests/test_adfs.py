@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import adfs_lab.adfs as solver_module
 import adfs_lab.augmented as aug
+import adfs_lab.objective as objective
 from adfs_lab import selfcheck
 from adfs_lab.adfs import (
     _Rounds,
@@ -41,15 +42,15 @@ def single_node_problem(seed=3, m=3, d=2):
     return build_augmented(g, [obj], tau=1.0)
 
 
-def clamped_problem(wide=0):
-    """Two nodes of 12 flat logistic samples (norm 0.2), which force the rate
-    clamp and put every virtual node at the boundary eta~ = L of the
-    conjugate prox.  The first `wide` samples of each node get norm 0.4, so
-    a larger p_ij keeps them off the boundary."""
+def clamped_problem(wide=0, n=2):
+    """`n` fully connected nodes of 12 flat logistic samples (norm 0.2), which
+    force the rate clamp and put every virtual node at the boundary eta~ = L
+    of the conjugate prox.  The first `wide` samples of each node get norm
+    0.4, so a larger p_ij keeps them off the boundary."""
     rng = generator("clamp-run", 0)
-    g = build_topology("complete", n=2)
+    g = build_topology("complete", n=n)
     objs = []
-    for _ in range(2):
+    for _ in range(n):
         feats = np.empty((12, 2))
         for j in range(12):
             v = rng.normal(size=2)
@@ -366,6 +367,53 @@ class TestEfficientSolver:
                 for o in random_objectives(rng, n, 12, d, loss=loss, ragged=True)]
         ok, detail = selfcheck.solver_equivalence([build_augmented(graph, objs, tau)], 200)
         assert ok, detail
+
+
+class TestBatchProxRounds:
+    """Networks of at least objective.BATCH_MIN nodes: their computation rounds
+    take the vectorized logistic prox."""
+
+    @staticmethod
+    def _checked_batch_sizes(monkeypatch, prob):
+        """Sizes of the batch-kernel calls of selfcheck.solver_equivalence and
+        one efficient run on `prob`, after checking that equivalence and that
+        run's logged objectives against a run kept on the scalar kernel."""
+        def objectives():
+            run = run_adfs_efficient(prob, 400, seed=0, log_every=100)
+            return [r.objective for r in run.record.rows]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(objective, "BATCH_MIN", prob.n + 1)
+            scalar_path = objectives()
+        sizes = []
+        kernel = objective._logistic_prox_batch
+
+        def spy(z, label, step, warm):
+            sizes.append(z.size)
+            return kernel(z, label, step, warm)
+
+        monkeypatch.setattr(objective, "_logistic_prox_batch", spy)
+        ok, detail = selfcheck.solver_equivalence([prob], 200)
+        assert ok, detail
+        np.testing.assert_allclose(objectives(), scalar_path, rtol=1e-12)
+        return sizes
+
+    def test_forms_agree_and_match_the_scalar_path(self, monkeypatch, rng):
+        n = objective.BATCH_MIN + 2
+        prob = build_augmented(build_topology("line", n=n),
+                               random_objectives(rng, n, 3, 2, min_feature_norm=2.0), tau=2.0)
+        assert prob.rho == prob.rho_unclamped
+        sizes = self._checked_batch_sizes(monkeypatch, prob)
+        assert sizes and set(sizes) == {n}
+
+    def test_clamped_rounds_reach_the_kernel_through_the_boundary_mask(self, monkeypatch):
+        n = objective.BATCH_MIN + 4
+        prob = clamped_problem(wide=10, n=n)
+        assert prob.rho < prob.rho_unclamped
+        sizes = self._checked_batch_sizes(monkeypatch, prob)
+        # fewer than n elements: the boundary nodes of the round were masked out
+        assert any(size < n for size in sizes)
+        assert min(sizes) >= objective.BATCH_MIN
 
 
 class TestRoundTable:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from adfs_lab.apcg import CompositeProblem, run_apcg
+from adfs_lab.apcg import CompositeProblem, _alpha_next, run_apcg
 from adfs_lab.rng import generator
 from adfs_lab.topology import symmetric_eigensolve
 from oracles import lyapunov_value
@@ -218,3 +218,16 @@ class TestConvexMode:
                 lhs.append(full_value(traj[-1].x) - f_star)
                 rhs.append((2.0 / t_check**2) * (s2 * r2 + (2.0 / pmin2) * (f0 - f_star)))
             assert np.mean(lhs) <= np.mean(rhs) * 1.02
+
+    @pytest.mark.parametrize("alpha0", [1.0 / 18.0, 0.3, 1e-3])
+    def test_alpha_next_is_float_and_matches_numpy_sqrt(self, alpha0):
+        # the recursion as it was written with np.sqrt, whose result is a
+        # numpy scalar from the first step on
+        def numpy_next(a):
+            return (np.sqrt(a**4 + 4.0 * a**2) - a**2) / 2.0
+
+        a, ref = alpha0, alpha0
+        for _ in range(20_000):
+            a, ref = _alpha_next(a), numpy_next(ref)
+            assert type(a) is float
+            assert a == float(ref)

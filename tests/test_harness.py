@@ -519,6 +519,16 @@ class TestScripts:
         assert all(0 < p < 1 and rho > 0 and np.isfinite(measured)
                    for p, rho, _, measured in table)
 
+    def test_prox_crossover_times_both_kernels(self, tmp_path):
+        out = run_script("prox_crossover.py", "--grids", "2x2,5x5", "--m", "5", "--d", "2",
+                         "--iters", "100", "--reps", "1", cwd=tmp_path)
+        table = [line.split() for line in out.splitlines()[2:]]
+        assert [int(row[0]) for row in table] == [4, 25]
+        # n, rounds, scalar us, batch us, max difference, redone/elements
+        assert all(int(rounds) > 0 and float(s) > 0 and float(b) > 0 and float(diff) <= 1e-12
+                   and int(redone.split("/")[1]) >= int(rounds)
+                   for _, rounds, s, b, diff, redone in table)
+
 
 def test_traced_functions_exist():
     # perfbench/tracer.py names the functions it wraps; a renamed one would

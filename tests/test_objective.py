@@ -104,6 +104,89 @@ class TestProx1d:
         assert abs(pa - pb) <= abs(a - b) + 1e-9
 
 
+def _scalar_prox(z, label, step, warm):
+    return np.array([objective._logistic_prox(*args) for args in
+                     zip(z.tolist(), label.tolist(), step.tolist(), warm.tolist())])
+
+
+class TestLogisticProxBatch:
+    """The vectorized logistic prox against the scalar kernel and the
+    high-precision oracle, within 1e-12 (1 + |p|)."""
+
+    @staticmethod
+    def _spy(monkeypatch, name):
+        calls = []
+        fn = getattr(objective, name)
+
+        def spy(*args):
+            calls.append(args)
+            return fn(*args)
+
+        monkeypatch.setattr(objective, name, spy)
+        return calls
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_matches_scalar_and_oracle(self, seed):
+        rng = generator("prox-batch", seed)
+        size = objective.BATCH_MIN
+        z = rng.normal(size=size) * 5.0
+        label = np.where(rng.random(size) < 0.5, 1.0, -1.0)
+        step = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), size))
+        ref = np.array([logistic_prox_oracle(*args)
+                        for args in zip(z.tolist(), label.tolist(), step.tolist())])
+        # warm starts at the solution, near it and far from it
+        far = rng.uniform(5.0, 50.0, size) * (1.0 + step) * np.sign(rng.normal(size=size))
+        offset = np.choose(rng.integers(3, size=size),
+                           [np.zeros(size), 1e-3 * rng.normal(size=size), far])
+        warm = ref + offset
+        got = objective._logistic_prox_batch(z, label, step, warm)
+        tol = 1e-12 * (1.0 + np.abs(ref))
+        assert np.all(np.abs(got - ref) <= tol)
+        assert np.all(np.abs(got - _scalar_prox(z, label, step, warm)) <= tol)
+
+    def test_unconverged_elements_are_redone(self, monkeypatch):
+        # large steps and warm starts far from the solution: six Newton steps
+        # leave some elements short of NEWTON_TOL
+        size = objective.BATCH_MIN
+        z = np.linspace(-2.0, 2.0, size)
+        label = np.where(np.arange(size) % 2 == 0, 1.0, -1.0)
+        step = np.geomspace(1e-3, 1e2, size)
+        warm = z + 40.0 * (1.0 + step) * label
+        redone = self._spy(monkeypatch, "_logistic_prox")
+        got = objective._logistic_prox_batch(z, label, step, warm)
+        assert 0 < len(redone) < size
+        ref = np.array([logistic_prox_oracle(*args)
+                        for args in zip(z.tolist(), label.tolist(), step.tolist())])
+        assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+
+    def test_guard_break_is_redone(self, monkeypatch):
+        # z and warm at opposite ends of the float range: p - z overflows, the
+        # batch iterate is not finite, and the scalar kernel that redoes it
+        # leaves its guard interval and falls back to bisection
+        size = objective.BATCH_MIN
+        z, label, step = np.full(size, 0.5), np.ones(size), np.ones(size)
+        warm = np.zeros(size)
+        z[3], warm[3] = 1e307, -1.7e308
+        redone = self._spy(monkeypatch, "_logistic_prox")
+        fallback = self._spy(monkeypatch, "_logistic_newton_delta")
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = objective._logistic_prox_batch(z, label, step, warm)
+        assert redone == [(1e307, 1.0, 1.0, -1.7e308)]
+        assert fallback
+        assert got[3] == 1e307  # z + step sig with sig = 0 in float
+        ref = logistic_prox_oracle(0.5, 1.0, 1.0)
+        assert np.all(np.abs(np.delete(got, 3) - ref) <= 1e-12 * (1.0 + abs(ref)))
+
+    def test_small_batches_keep_the_scalar_kernel(self, monkeypatch):
+        batch = self._spy(monkeypatch, "_logistic_prox_batch")
+        for size in (objective.BATCH_MIN - 1, objective.BATCH_MIN):
+            z = np.linspace(-1.0, 1.0, size)
+            objective._prox_1d_array(LossKind.LOGISTIC, z, np.ones(size), np.ones(size),
+                                     np.zeros(size))
+        assert [args[0].size for args in batch] == [objective.BATCH_MIN]
+
+
 class TestMoreauIdentity:
     @pytest.mark.parametrize("kind", SMOOTH_KINDS)
     def test_prox_pair_reconstructs_input(self, kind):
@@ -165,6 +248,17 @@ class TestProxSample:
                 continue
             cos = abs(move @ x) / (np.linalg.norm(move) * np.linalg.norm(x))
             assert 1.0 - cos <= 1e-10
+
+    @pytest.mark.parametrize("labels, row", [([1.0, 2.0, -1.0], 1), ([0.0, 1.0, 1.0], 0),
+                                             ([1.0, -1.0, -0.5], 2)])
+    def test_logistic_label_other_than_unit_rejected(self, labels, row):
+        with pytest.raises(ValueError, match=rf"logistic label in row {row} is "):
+            LocalObjective(np.ones((3, 2)), labels, 1.0, LossKind.LOGISTIC)
+
+    def test_non_unit_labels_accepted_for_other_losses(self):
+        for kind in (LossKind.SQUARED, LossKind.ABSOLUTE):
+            obj = LocalObjective(np.ones((2, 2)), [2.0, -0.5], 1.0, kind)
+            assert obj.labels.tolist() == [2.0, -0.5]
 
     def test_zero_feature_rejected(self):
         def local(feats, labels):
