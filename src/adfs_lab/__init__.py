@@ -1,7 +1,6 @@
 """Desk-scale simulator for accelerated decentralized finite-sum optimization."""
 
 from .adfs import AdfsResult, primal_estimate, run_adfs, run_adfs_efficient, run_ns_adfs
-from .apcg import CompositeProblem, run_apcg
 from .augmented import (
     AugmentedProblem,
     BlockDraw,
@@ -26,7 +25,6 @@ from .topology import (
     build_topology,
     incidence,
     laplacian,
-    spectral_gap,
     symmetric_eigensolve,
 )
 

@@ -10,13 +10,13 @@ node.  All of them run and log through `records.run_loop`, on an idealized
 clock: one time unit per computation round, tau per gossip round.
 """
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from . import augmented as aug
-from .apcg import _alpha_next
 from .objective import _stacked_value, _tilde_coeff_batch
 from .records import RunRecord, run_loop
 from .rng import BlockStream
@@ -24,6 +24,12 @@ from .rng import BlockStream
 __all__ = ["AdfsResult", "run_adfs", "run_adfs_efficient", "run_ns_adfs", "primal_estimate"]
 
 RENORM_FLOOR = 1e-140
+
+
+def _alpha_next(alpha):
+    """APCG's convex momentum recursion, alpha_{t+1}^2 = (1 - alpha_{t+1}) alpha_t^2."""
+    # math.sqrt keeps alpha a Python float (np.sqrt would return np.float64)
+    return (math.sqrt(alpha**4 + 4.0 * alpha**2) - alpha**2) / 2.0
 
 
 @dataclass

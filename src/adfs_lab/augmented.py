@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .objective import LossKind, condition_numbers, loss_conjugate
-from .topology import CommunicationGraph, laplacian, symmetric_eigensolve
+from .topology import CommunicationGraph, GraphConstructionError, laplacian, symmetric_eigensolve
 
 __all__ = [
     "SamplingScheme",
@@ -39,6 +39,7 @@ __all__ = [
 ]
 
 log = logging.getLogger("adfs_lab")
+DOMAIN_TOL = 1e-6  # dual_objective's slack on the conjugate domain
 
 
 @dataclass(frozen=True)
@@ -181,11 +182,12 @@ def _assemble(graph, objectives, tau):
                 laplacian_comm=laplacian(graph))
 
 
-def _connected_spectrum(matrix, name):
-    """Eigen-summary of a gossip matrix, whose kernel must be 1-dimensional."""
-    spec = symmetric_eigensolve(matrix)
+def _laplacian_spectrum(lap):
+    """Eigen-summary of the communication Laplacian; the graph is connected, so
+    a kernel of more than one dimension means edge weights too far apart."""
+    spec = symmetric_eigensolve(lap)
     if spec.kernel_dim != 1:
-        raise ValueError(f"{name} kernel is not 1-dimensional")
+        raise GraphConstructionError("communication Laplacian kernel is not 1-dimensional")
     return spec
 
 
@@ -194,11 +196,13 @@ def _graph_spectra(graph, lap, dm_tilde, sigma):
     if graph.n_edges == 0:
         # single node (or edgeless): no gossip, alpha only rescales mu and cancels
         return None, None, 1.0
-    spec = _connected_spectrum(lap, "communication Laplacian")
+    spec = _laplacian_spectrum(lap)
     gamma = spec.lambda_min_pos / spec.lambda_max
 
     dt_isqrt = 1.0 / np.sqrt(dm_tilde)
-    spec_dt = _connected_spectrum(dt_isqrt[:, None] * lap * dt_isqrt[None, :], "scaled Laplacian")
+    spec_dt = symmetric_eigensolve(dt_isqrt[:, None] * lap * dt_isqrt[None, :])
+    if spec_dt.kernel_dim != 1:
+        raise ValueError("scaled Laplacian kernel is not 1-dimensional")
     alpha = 2.0 * spec_dt.lambda_min_pos
 
     s_isqrt = 1.0 / np.sqrt(sigma)
@@ -320,7 +324,7 @@ def _build_ns(shared, p_comm_override):
     graph, objectives, sigma = shared["graph"], shared["objectives"], shared["sigma"]
     if graph.n_edges == 0:
         raise ValueError("the non-smooth build needs a graph with at least one edge")
-    spec = _connected_spectrum(shared["laplacian_comm"], "communication Laplacian")
+    spec = _laplacian_spectrum(shared["laplacian_comm"])
     lam_min, lam_max = spec.lambda_min_pos, spec.lambda_max
     gamma = lam_min / lam_max
 
@@ -477,21 +481,21 @@ def wtilde_sampled(p, h, center=None, weight=1.0):
     return (None if center is None else center * scale[:, None]), scale * h
 
 
-def dual_objective(problem, state, domain_tol=1e-6):
+def dual_objective(problem, state):
     """Dual objective of a state: sum ||v_i||^2/(2 sigma_i) + sum f*_ij(coef_ij).
 
-    Coefficients outside the conjugate domain by more than `domain_tol`
+    Coefficients outside the conjugate domain by more than DOMAIN_TOL
     give +inf.
     """
     center, coef = split_state(problem, state)
     total = 0.5 * float(np.sum(np.sum(center**2, axis=1) / problem.sigma))
     if problem.loss is LossKind.ABSOLUTE:
-        if np.any(np.abs(coef) > 1.0 + domain_tol):
+        if np.any(np.abs(coef) > 1.0 + DOMAIN_TOL):
             return np.inf
         coef = np.clip(coef, -1.0, 1.0)
     elif problem.loss is LossKind.LOGISTIC:
         u = -problem.labels * coef
-        if np.any(u < -domain_tol) or np.any(u > 1.0 + domain_tol):
+        if np.any(u < -DOMAIN_TOL) or np.any(u > 1.0 + DOMAIN_TOL):
             return np.inf
         coef = -problem.labels * np.clip(u, 0.0, 1.0)
     vals = loss_conjugate(problem.loss, coef, problem.labels)

@@ -5,15 +5,13 @@ The solvers never form these: they apply the operators edge-wise through
 P_b^dagger, and the exact dual strong convexity sigma_A built from them
 check those shortcuts and the method's constants on small instances.  Only
 `selfcheck` (`adfs-lab validate`) and the test-suite import this module.
-Node-space rows follow `AugmentedProblem`; each spans d coordinates.
-`state_rows` expands a solver state into them, and `lift_primal_point`
-maps a primal point to a state.
+Node-space rows follow `AugmentedProblem`; each spans d coordinates, and
+`state_rows` expands a solver state into them.
 """
 
 import numpy as np
 
-from .augmented import dual_objective, split_state, zero_state
-from .objective import loss_grad
+from .augmented import split_state
 from .topology import symmetric_eigensolve
 
 __all__ = [
@@ -22,9 +20,7 @@ __all__ = [
     "dense_sigma_dagger",
     "dense_pb_dagger_diag",
     "exact_sigma_a",
-    "dense_c0_constant",
     "state_rows",
-    "lift_primal_point",
 ]
 
 DENSE_ROW_GUARD = 5000
@@ -34,20 +30,6 @@ def state_rows(problem, state):
     """The (n_rows, d) node-space matrix of a state, for dense checks."""
     center, coef = split_state(problem, state)
     return np.concatenate((center, coef[:, None] * problem.features))
-
-
-def lift_primal_point(problem, theta):
-    """State of a primal point: sigma_i theta on centers, grad f_ij(theta)
-    (the coefficient l'(X_ij . theta)) on virtual nodes.  At theta* this is
-    the dual optimum mapped through the constraint operator."""
-    if not problem.smooth:
-        raise ValueError("lift needs sample gradients; non-smooth losses have none")
-    theta = np.asarray(theta, dtype=float)
-    out = zero_state(problem)
-    center, coef = split_state(problem, out)
-    center[:] = problem.sigma[:, None] * theta[None, :]
-    coef[:] = loss_grad(problem.loss, problem.features @ theta, problem.labels)
-    return out
 
 
 def _projector(problem, idx):
@@ -123,19 +105,3 @@ def exact_sigma_a(problem):
     """Exact dual strong convexity lambda_min_pos(A^T Sigma^dagger A)."""
     a = dense_A(problem)
     return symmetric_eigensolve(a.T @ dense_sigma_dagger(problem) @ a).lambda_min_pos
-
-
-def dense_c0_constant(problem, theta_star):
-    """Dense Lyapunov constant of the linear-rate guarantee.
-
-    C0 = lambda_max(A^T Sigma^-2 A) [ ||A^dagger v*||^2
-         + 2 sigma_A^-1 (F*(0) - F*(v*)) ]
-    with v* the lifted primal optimum and sigma_A the exact dual strong
-    convexity.
-    """
-    a = dense_A(problem)
-    lam = symmetric_eigensolve(a.T @ dense_sigma_dagger(problem, power=2) @ a).lambda_max
-    v_star = lift_primal_point(problem, theta_star)
-    proj_dual = np.linalg.pinv(a) @ state_rows(problem, v_star).ravel()
-    gap = dual_objective(problem, zero_state(problem)) - dual_objective(problem, v_star)
-    return float(lam * (proj_dual @ proj_dual + 2.0 / exact_sigma_a(problem) * gap))

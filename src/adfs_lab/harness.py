@@ -411,10 +411,17 @@ def build_instance(cfg: ExperimentConfig):
     sigmas = cfg.sigma if isinstance(cfg.sigma, list) else [cfg.sigma] * graph.n
     if len(sigmas) != graph.n:
         raise ConfigError("sigma", f"expected {graph.n} entries, got {len(sigmas)}")
-    objectives = [LocalObjective(feats_i, labels_i, float(s), cfg.loss_kind)
-                  for (feats_i, labels_i), s in zip(per_node, sigmas)]
-
-    problem = build_augmented(graph, objectives, cfg.tau, p_comm_override=cfg.p_comm)
+    objectives = []
+    for i, ((feats_i, labels_i), s) in enumerate(zip(per_node, sigmas)):
+        try:
+            objectives.append(LocalObjective(feats_i, labels_i, float(s), cfg.loss_kind))
+        except ValueError as exc:  # sigma passed load_config: the samples are at fault
+            field = "dataset.feature_scale" if ds["kind"] == "synthetic" else "dataset.path"
+            raise ConfigError(field, f"node {i}: {exc}") from None
+    try:
+        problem = build_augmented(graph, objectives, cfg.tau, p_comm_override=cfg.p_comm)
+    except GraphConstructionError as exc:
+        raise ConfigError("topology.weights", str(exc)) from None
     flat = pool_objectives(objectives)
     return graph, objectives, problem, flat, dataset_id
 

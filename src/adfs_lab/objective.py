@@ -162,12 +162,12 @@ def _logistic_prox(z, label, step, warm):
 
     lo, hi = z - step, z + step
     for _ in range(BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi  # = 0.5 * (lo + hi), which overflows near the float max
         if _logistic_newton_delta(mid, z, label, step) > 0:  # slope < 0: the minimizer lies above
             lo = mid
         else:
             hi = mid
-    p = 0.5 * (lo + hi)
+    p = 0.5 * lo + 0.5 * hi
     for _ in range(4):
         p = p + _logistic_newton_delta(p, z, label, step)
     return p
@@ -180,9 +180,8 @@ def _logistic_prox_batch(z, label, step, warm):
     convergence test inside the loop, in the tanh form: with hl = label / 2
     and t = tanh(hl p), label sig = hl - hl t and, for label = +-1,
     sig (1 - sig) = 1/4 - (hl t)^2.  An element whose last |delta| exceeds
-    NEWTON_TOL, or which is not finite or outside the scalar kernel's guard
-    interval (each comparison below is False on NaN), is redone by
-    `_logistic_prox` from the same warm start.
+    NEWTON_TOL (or is NaN) is redone by `_logistic_prox` from the same warm
+    start.
     """
     hl = 0.5 * label
     inv_step = 1.0 / step
@@ -203,10 +202,9 @@ def _logistic_prox_batch(z, label, step, warm):
         np.subtract(curv0, hess, out=hess)  # 1 / step + sig (1 - sig)
         delta /= hess
         p -= delta
-    reach = 10.0 * step
+    # no guard test: NaN and +-inf fail this one, and an element that passes it
+    # has converged to the minimizer, which lies in [z - step, z + step]
     ok = np.abs(delta) <= NEWTON_TOL
-    ok &= p >= np.minimum(z, warm) - reach
-    ok &= p <= np.maximum(z, warm) + reach
     if not ok.all():
         for k in np.flatnonzero(~ok).tolist():
             p[k] = _logistic_prox(float(z[k]), float(label[k]), float(step[k]), float(warm[k]))

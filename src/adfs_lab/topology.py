@@ -19,10 +19,9 @@ __all__ = [
     "laplacian",
     "incidence",
     "symmetric_eigensolve",
-    "spectral_gap",
 ]
 
-DEFAULT_ZERO_TOL = 1e-9
+ZERO_TOL = 1e-9
 
 
 class GraphConstructionError(ValueError):
@@ -178,7 +177,6 @@ class SymmetricSpectrum:
 
     eigenvalues: np.ndarray
     kernel_dim: int
-    zero_tol: float = DEFAULT_ZERO_TOL
 
     @property
     def lambda_max(self) -> float:
@@ -188,16 +186,16 @@ class SymmetricSpectrum:
     def lambda_min_pos(self) -> float:
         """Smallest eigenvalue above the zero threshold."""
         scale = float(np.max(np.abs(self.eigenvalues))) if self.eigenvalues.size else 0.0
-        pos = self.eigenvalues[self.eigenvalues > self.zero_tol * scale]
+        pos = self.eigenvalues[self.eigenvalues > ZERO_TOL * scale]
         if pos.size == 0:
             raise EigensolveError("matrix has no eigenvalue above the zero threshold")
         return float(pos[0])
 
 
-def symmetric_eigensolve(mat, zero_tol: float = DEFAULT_ZERO_TOL) -> SymmetricSpectrum:
+def symmetric_eigensolve(mat) -> SymmetricSpectrum:
     """LAPACK eigenvalues (`eigvalsh`) of a dense symmetric matrix.
 
-    Eigenvalues come back sorted ascending; those with |lam| <= zero_tol * max|lam|
+    Eigenvalues come back sorted ascending; those with |lam| <= ZERO_TOL * max|lam|
     count toward kernel_dim.  Raises on non-square input and on asymmetric
     input (beyond 1e-10 relative).
     """
@@ -210,17 +208,6 @@ def symmetric_eigensolve(mat, zero_tol: float = DEFAULT_ZERO_TOL) -> SymmetricSp
     a = 0.5 * (a + a.T)
     vals = np.linalg.eigvalsh(a)
     scale = float(np.max(np.abs(vals))) if vals.size else 0.0
-    kernel = int(np.sum(np.abs(vals) <= zero_tol * scale)) if scale > 0 else vals.size
-    return SymmetricSpectrum(eigenvalues=vals, kernel_dim=kernel, zero_tol=zero_tol)
+    kernel = int(np.sum(np.abs(vals) <= ZERO_TOL * scale)) if scale > 0 else vals.size
+    return SymmetricSpectrum(eigenvalues=vals, kernel_dim=kernel)
 
-
-def spectral_gap(g: CommunicationGraph, zero_tol: float = DEFAULT_ZERO_TOL) -> float:
-    """gamma = lambda_min_pos(L) / lambda_max(L) of the weighted Laplacian."""
-    if g.n_edges == 0:
-        raise EigensolveError("spectral gap undefined for a graph with no edges")
-    spec = symmetric_eigensolve(laplacian(g), zero_tol=zero_tol)
-    if spec.kernel_dim != 1:
-        raise EigensolveError(
-            f"Laplacian kernel dimension {spec.kernel_dim} != 1; graph looks disconnected"
-        )
-    return spec.lambda_min_pos / spec.lambda_max

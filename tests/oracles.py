@@ -3,18 +3,27 @@
 These deliberately avoid the library's own code paths: eigenvalues come from
 Sturm-sequence bisection on a Householder tridiagonalization, minimizers from
 golden-section / cyclic coordinate search, conjugates from direct 1D maximization.
+`run_apcg` is the generalized block APCG recursion (arbitrary sampling, both
+convexity regimes) that single-node ADFS must reproduce on its dual; it reads
+no solver path, only the oracles of a `CompositeProblem`.
 The exceptions are `prox_tilde_fstar`, which reuses the library's scalar
 primal prox and gradient, one sample at a time, to check the solvers' batched
-conjugate prox, and two measuring helpers that read solver states and APCG
-iterates: `sigma_dagger_rows` and `lyapunov_value`.
+conjugate prox; `lift_primal_point` and `dense_c0_constant`, the dual point of
+a primal one and the Lyapunov constant of the linear rate, built from the
+library's dense operators; and two measuring helpers that read solver states
+and APCG iterates: `sigma_dagger_rows` and `lyapunov_value`.
 """
+
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
 
-from adfs_lab.augmented import split_state
-from adfs_lab.dense import state_rows
+from adfs_lab.augmented import dual_objective, split_state, zero_state
+from adfs_lab.dense import dense_A, dense_sigma_dagger, exact_sigma_a, state_rows
 from adfs_lab.objective import loss_grad, loss_prox_1d
+from adfs_lab.rng import generator
+from adfs_lab.topology import symmetric_eigensolve
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -191,6 +200,36 @@ def prox_tilde_fstar(feature, label, kind, x, eta_tilde, warm=0.0):
     return c_out * feature
 
 
+def lift_primal_point(problem, theta):
+    """State of a primal point: sigma_i theta on centers, grad f_ij(theta)
+    (the coefficient l'(X_ij . theta)) on virtual nodes.  At theta* this is
+    the dual optimum mapped through the constraint operator."""
+    if not problem.smooth:
+        raise ValueError("lift needs sample gradients; non-smooth losses have none")
+    theta = np.asarray(theta, dtype=float)
+    out = zero_state(problem)
+    center, coef = split_state(problem, out)
+    center[:] = problem.sigma[:, None] * theta[None, :]
+    coef[:] = loss_grad(problem.loss, problem.features @ theta, problem.labels)
+    return out
+
+
+def dense_c0_constant(problem, theta_star):
+    """Dense Lyapunov constant of the linear-rate guarantee.
+
+    C0 = lambda_max(A^T Sigma^-2 A) [ ||A^dagger v*||^2
+         + 2 sigma_A^-1 (F*(0) - F*(v*)) ]
+    with v* the lifted primal optimum and sigma_A the exact dual strong
+    convexity.
+    """
+    a = dense_A(problem)
+    lam = symmetric_eigensolve(a.T @ dense_sigma_dagger(problem, power=2) @ a).lambda_max
+    v_star = lift_primal_point(problem, theta_star)
+    proj_dual = np.linalg.pinv(a) @ state_rows(problem, v_star).ravel()
+    gap = dual_objective(problem, zero_state(problem)) - dual_objective(problem, v_star)
+    return float(lam * (proj_dual @ proj_dual + 2.0 / exact_sigma_a(problem) * gap))
+
+
 def sigma_dagger_rows(problem, state):
     """Node-space rows of Sigma^+ state; the conjugate curvature of the
     non-smooth build is zero, so its virtual rows vanish."""
@@ -216,3 +255,131 @@ def lyapunov_value(problem, state, theta_star, f_star):
         for i in np.nonzero(problem.has_psi)[0]:
             fx += problem.psi_value(i, state.x[i])
     return state.b_big * sq + 2.0 * state.a_big * (fx - f_star)
+
+
+@dataclass
+class CompositeProblem:
+    """Oracle bundle for min q_A(x) + sum_i psi_i(x_i).
+
+    `projector_apply` applies the projector onto Ker(A)^perp; coordinates with
+    a proximal term must be fixed points of it.  `ess_bound` is any S with
+    S^2 >= lambda_max(proj P_b^+ M P_b^+ proj) over all blocks; `marginals`
+    are the per-coordinate inclusion probabilities and `sample_block(rng)`
+    returns the coordinate indices of one drawn block.
+    """
+
+    dim: int
+    smooth_grad: callable
+    projector_apply: callable
+    sigma_a: float
+    ess_bound: float
+    marginals: np.ndarray
+    sample_block: callable
+    prox_coord: callable = None  # (i, x, step) -> argmin (v-x)^2/(2 step) + psi_i(v)
+    has_psi: np.ndarray = None  # bool mask; default: no proximal terms
+    # optional value oracles, read by lyapunov_value
+    smooth_value: callable = None
+    psi_value: callable = None  # (i, x_i) -> psi_i(x_i)
+
+    def __post_init__(self):
+        if self.has_psi is None:
+            self.has_psi = np.zeros(self.dim, dtype=bool)
+        self.marginals = np.asarray(self.marginals, dtype=float)
+        if self.marginals.shape != (self.dim,):
+            raise ValueError("marginals must have one entry per coordinate")
+        if np.any(self.has_psi) and self.prox_coord is None:
+            raise ValueError("prox_coord required when some psi_i != 0")
+
+    @property
+    def p_min(self):
+        """Smallest inclusion probability over proximal coordinates."""
+        if np.any(self.has_psi):
+            return float(self.marginals[self.has_psi].min())
+        return float(self.marginals.min())
+
+
+@dataclass
+class ApcgState:
+    x: np.ndarray
+    v: np.ndarray
+    t: int
+    alpha: float
+    beta: float
+    eta: float
+    a_big: float  # A_t
+    b_big: float  # B_t
+
+
+def _check_schedule(problem, mode, alpha0, beta0):
+    for i in np.nonzero(problem.has_psi)[0]:
+        p = problem.marginals[i]
+        slack = 1.0 - alpha0 / p if mode == "strongly_convex" else 1.0 - beta0 - alpha0 / p
+        if not slack >= -1e-12:
+            raise ValueError(
+                f"schedule condition violated at coordinate {i}: "
+                f"alpha={alpha0:.3e} exceeds probability {p:.3e}"
+            )
+
+
+def run_apcg(problem, mode, iters, rng_seed, alpha0=None):
+    """Didactic recursion; returns the trajectory of states (t = 0 .. iters).
+
+    strongly_convex mode keeps alpha_t = beta_t = sqrt(sigma_A)/S constant;
+    convex mode runs beta_t = 0 with the decreasing alpha_t recursion started
+    at the smallest proximal-coordinate probability.  `rng_seed` is an int
+    seed or a stream object handed to `sample_block`.
+    """
+    if mode not in ("strongly_convex", "convex"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if isinstance(rng_seed, (int, np.integer)):
+        rng_seed = generator("apcg", int(rng_seed))
+    dim = problem.dim
+    x = np.zeros(dim)
+    v = np.zeros(dim)
+    s_const = problem.ess_bound
+
+    if mode == "strongly_convex":
+        if problem.sigma_a <= 0:
+            raise ValueError("strongly_convex mode needs sigma_a > 0")
+        rho = np.sqrt(problem.sigma_a) / s_const
+        alpha = beta = rho
+        eta = rho / problem.sigma_a
+        a_big, b_big = 1.0, problem.sigma_a
+    else:
+        alpha = problem.p_min if alpha0 is None else float(alpha0)
+        beta = 0.0
+        b_big = 1.0
+        a_big = ((2.0 / alpha - 1.0) ** 2 - 1.0) * b_big / (4.0 * s_const**2)
+        eta = 1.0 / (alpha * s_const**2)
+    _check_schedule(problem, mode, alpha, beta)
+
+    out = [ApcgState(x.copy(), v.copy(), 0, alpha, beta, eta, a_big, b_big)]
+    for t in range(iters):
+        if mode == "strongly_convex":
+            y = (x + alpha * v) / (1.0 + alpha)
+        else:
+            y = (1.0 - alpha) * x + alpha * v
+        block = tuple(problem.sample_block(rng_seed))
+        grad = problem.smooth_grad(y)
+        w = (1.0 - beta) * v + beta * y
+        v_next = w.copy()
+        for i in block:
+            step = eta / problem.marginals[i]
+            gi = w[i] - step * grad[i]
+            v_next[i] = problem.prox_coord(i, gi, step) if problem.has_psi[i] else gi
+        if not np.all(np.isfinite(v_next)):
+            raise FloatingPointError(f"non-finite iterate at iteration {t}")
+        scaled = np.zeros(dim)
+        for i in block:
+            scaled[i] = (v_next[i] - w[i]) / problem.marginals[i]
+        x = y + alpha * problem.projector_apply(scaled)
+        v = v_next
+        if mode == "strongly_convex":
+            a_big = a_big / (1.0 - alpha) if alpha < 1.0 else np.inf
+            b_big = problem.sigma_a * a_big
+        else:
+            a_big += b_big / (alpha * s_const**2)
+            alpha = (np.sqrt(alpha**4 + 4.0 * alpha**2) - alpha**2) / 2.0
+            eta = 1.0 / (alpha * s_const**2)
+        out.append(ApcgState(x.copy(), v.copy(), t + 1, alpha, beta, eta, a_big, b_big))
+    return out

@@ -11,16 +11,16 @@ import pytest
 
 from adfs_lab import selfcheck
 from adfs_lab.adfs import run_adfs, run_adfs_efficient, run_ns_adfs
-from adfs_lab.apcg import run_apcg
 from adfs_lab.augmented import build_augmented, build_augmented_ns, expected_time, rate_branches
 from adfs_lab.baselines import flat_value, point_saga, pool_objectives, reference_optimum
-from adfs_lab.dense import dense_A, dense_c0_constant, lift_primal_point, state_rows
+from adfs_lab.dense import dense_A, state_rows
 from adfs_lab.harness import synth_dataset
 from adfs_lab.instances import random_objectives, random_problem
 from adfs_lab.objective import LocalObjective, LossKind
 from adfs_lab.rng import BlockStream, generator
 from adfs_lab.topology import build_topology, symmetric_eigensolve
-from oracles import lyapunov_value, sigma_dagger_rows
+from oracles import (dense_c0_constant, lift_primal_point, lyapunov_value, run_apcg,
+                     sigma_dagger_rows)
 from test_adfs import (
     comp_rows_touched,
     dual_coeffs_to_rows,

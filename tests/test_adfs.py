@@ -16,21 +16,15 @@ from adfs_lab.adfs import (
     run_adfs_efficient,
     run_ns_adfs,
 )
-from adfs_lab.apcg import CompositeProblem, run_apcg
 from adfs_lab.augmented import build_augmented, split_state, zero_state
 from adfs_lab.baselines import point_saga, pool_objectives, reference_optimum
-from adfs_lab.dense import (
-    dense_A,
-    dense_c0_constant,
-    dense_sigma_dagger,
-    lift_primal_point,
-    state_rows,
-)
+from adfs_lab.dense import dense_A, dense_sigma_dagger, state_rows
 from adfs_lab.instances import random_connected_graph, random_objectives, random_problem
 from adfs_lab.objective import LocalObjective, LossKind, loss_prox_1d
 from adfs_lab.rng import BlockStream, generator
 from adfs_lab.topology import build_topology
-from oracles import prox_tilde_fstar, sigma_dagger_rows
+from oracles import (CompositeProblem, dense_c0_constant, lift_primal_point, prox_tilde_fstar,
+                     run_apcg, sigma_dagger_rows)
 
 
 def single_node_problem(seed=3, m=3, d=2):

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from adfs_lab.apcg import CompositeProblem, _alpha_next, run_apcg
+from adfs_lab.adfs import _alpha_next
 from adfs_lab.rng import generator
 from adfs_lab.topology import symmetric_eigensolve
-from oracles import lyapunov_value
+from oracles import CompositeProblem, lyapunov_value, run_apcg
 
 
 def quad_l1_problem(seed=0, dim=5, l1=0.3, sigma_shift=0.5, marginals=None):

@@ -23,13 +23,13 @@ from adfs_lab.dense import (
     dense_pb_dagger_diag,
     dense_sigma_dagger,
     exact_sigma_a,
-    lift_primal_point,
     state_rows,
 )
 from adfs_lab.instances import random_connected_graph, random_objectives, random_problem
 from adfs_lab.objective import LocalObjective, LossKind, loss_conjugate, loss_grad
 from adfs_lab.rng import CHUNK, BlockStream, generator
 from adfs_lab.topology import build_topology, laplacian
+from oracles import lift_primal_point
 
 
 def state_of_rows(problem, rows):

@@ -405,10 +405,16 @@ class TestCli:
           "algorithms": ["ns_adfs"]}, "topology"),
         ({"algorithms": ["adfs", "adfs"]}, "algorithms[1]"),
         ({"seeds": [0, 1, 0]}, "seeds[2]"),
+        ({"topology": {"kind": "line", "n": 3, "weights": [1, 1e-5]}}, "topology.weights"),
+        ({"topology": {"kind": "complete", "n": 2, "weights": [1e-200]}}, "topology.weights"),
+        ({"dataset": {"kind": "synthetic", "d": 2, "feature_scale": 1e-300}},
+         "dataset.feature_scale"),
+        ({"m": 2, "dataset": {"kind": "libsvm", "path": "bare.svm"}}, "dataset.path"),
     ])
     def test_bad_field_exits_one_naming_field(self, tmp_path, monkeypatch, capsys, over, field):
-        monkeypatch.chdir(tmp_path)  # the LibSVM case reads three.svm from here
+        monkeypatch.chdir(tmp_path)  # the LibSVM cases read their files from here
         (tmp_path / "three.svm").write_text("1 1:0.5\n-1 2:1.0\n1 1:2.0\n")
+        (tmp_path / "bare.svm").write_text("1 1:0.5\n-1\n")  # a bare-label line
         path = self._write_config(tmp_path, base_config(**over))
         assert cli(["run", path, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err

@@ -85,6 +85,12 @@ class TestProx1d:
         monkeypatch.setattr(objective, "BISECTION_STEPS", 0)
         assert abs(loss_prox_1d(LossKind.LOGISTIC, z, label, step, warm=warm) - ref) > 1e-3
 
+    def test_logistic_bisection_midpoint_does_not_overflow(self):
+        # warm at the far end of the float range sends Newton out of its guard
+        # at once, so the bisection runs on z +- step next to the float max
+        assert objective._logistic_prox(1e308, 1.0, 1.0, -1e308) == 1e308
+        assert objective._logistic_prox(-1e308, -1.0, 1.0, 1e308) == -1e308
+
     @pytest.mark.parametrize("z", [800.0, -800.0])
     @pytest.mark.parametrize("label", [1.0, -1.0])
     def test_logistic_extreme_input_does_not_overflow(self, z, label):

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adfs_lab import selfcheck
-from adfs_lab.instances import random_connected_graph
+from adfs_lab.augmented import build_augmented
+from adfs_lab.instances import random_connected_graph, random_objectives
+from adfs_lab.objective import LossKind
 from adfs_lab.rng import generator
 from adfs_lab.topology import (
     CommunicationGraph,
@@ -13,7 +15,6 @@ from adfs_lab.topology import (
     build_topology,
     incidence,
     laplacian,
-    spectral_gap,
     symmetric_eigensolve,
 )
 from oracles import sturm_eigenvalues
@@ -131,6 +132,12 @@ class TestEigensolve:
         assert ok, detail
 
 
+def spectral_gap(g, loss=LossKind.LOGISTIC):
+    """gamma = lambda_min_pos(L) / lambda_max(L), as the augmented build records it."""
+    return build_augmented(g, random_objectives(generator("gap", 0), g.n, 2, 2, loss=loss),
+                           tau=1.0).gamma
+
+
 class TestSpectralGap:
     def test_complete_graphs(self):
         for n in range(2, 11):
@@ -149,5 +156,7 @@ class TestSpectralGap:
             assert 0.0 < gamma <= 1.0 + 1e-12
 
     def test_single_node_rejected(self):
-        with pytest.raises(EigensolveError):
-            spectral_gap(build_topology("complete", n=1))
+        # no edge, no gap: the smooth build records none, the non-smooth one refuses
+        assert spectral_gap(build_topology("complete", n=1)) is None
+        with pytest.raises(ValueError, match="at least one edge"):
+            spectral_gap(build_topology("complete", n=1), LossKind.ABSOLUTE)
