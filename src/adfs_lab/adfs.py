@@ -4,7 +4,8 @@ Three entry points: the reference recursion (`run_adfs`), the rescaled
 sparse-update form (`run_adfs_efficient`, same trajectories under a shared
 stream), and the sublinear non-smooth variant (`run_ns_adfs`).  The reference
 and non-smooth forms share one in-place block step and differ only in their
-momentum schedule.  Every state is one vector in the layout of
+momentum map, a 2 x 2 matrix applied to the iterate pair (x, v) held as the
+two rows of one array.  Every state is one vector in the layout of
 `augmented.split_state`: n center rows, then one coefficient per virtual
 node.  All of them run and log through `records.run_loop`, on an idealized
 clock: one time unit per computation round, tau per gossip round.
@@ -62,14 +63,30 @@ class _Buffer(NamedTuple):
     coef: np.ndarray
 
 
-def _buffers(problem, count):
-    """`count` zero states, each with its views."""
-    out = []
-    for _ in range(count):
-        state = aug.zero_state(problem)
-        center, coef = aug.split_state(problem, state)
-        out.append(_Buffer(state, state[:center.size], center, coef))
-    return out
+def _views(problem, state):
+    """`state` (a 1-D array, possibly a row of a larger one) with its views."""
+    center, coef = aug.split_state(problem, state)
+    return _Buffer(state, state[:center.size], center, coef)
+
+
+class _Pair(NamedTuple):
+    """Two states as the rows of one (2, n*d + V) array, so that one matmul
+    forms both, with the views of each row."""
+
+    full: np.ndarray
+    first: _Buffer
+    second: _Buffer
+
+
+def _pair(problem):
+    pair = np.zeros((2, problem.n * problem.d + problem.n_virtual))
+    return _Pair(pair, *(_views(problem, row) for row in pair))
+
+
+def _momentum_map(rho):
+    """M with M @ (x; v) = (y; w): y = (x + rho v) / (1 + rho) and
+    w = (1 - rho) v + rho y, which is (rho x + v) / (1 + rho)."""
+    return np.array([[1.0, rho], [rho, 1.0]]) / (1.0 + rho)
 
 
 class _Rounds:
@@ -95,25 +112,26 @@ class _Rounds:
         """Coefficient change h of the sampled virtual nodes `idx`: the
         conjugate prox of w - eta * (gradient at y), minus w.  A computation
         round adds h to those coefficients and -h * X to their centers."""
-        grad = aug.virtual_gradient(problem, consts, rows, y_center, y_coef)
-        c_in = w_coef + eta * grad
+        c_in = aug.virtual_gradient(problem, consts, rows, y_center, y_coef)
+        c_in *= eta
+        c_in += w_coef
         if problem.smooth:
             # prox of eta~ ftilde* through the conjugate-side identity,
             # refreshing the warm starts of the sampled nodes
             warm = self.warm
             boundary = None if self.boundary is None else self.boundary[idx]
             c_out, warm[idx] = _tilde_coeff_batch(
-                problem.loss, c_in, consts[aug.XNORM2], consts[aug.LABEL],
-                consts[aug.SMOOTH], consts[aug.ETA_TILDE], consts[aug.STEP],
-                consts[aug.SCALE], warm[idx], boundary,
+                problem.loss, c_in, consts[aug.Z_IN], consts[aug.LABEL], consts[aug.STEP],
+                consts[aug.INV_SCALE], consts[aug.P_OUT], warm[idx], boundary,
             )
-            return c_out - w_coef
-        # the absolute loss's conjugate is s * label on |s| <= 1, so its prox
-        # with step eta~ / ||X||^2 = eta * T is a clip
-        c_out = c_in - eta * consts[aug.T_STEP] * consts[aug.LABEL]
-        np.maximum(c_out, -1.0, out=c_out)
-        np.minimum(c_out, 1.0, out=c_out)
-        return c_out - w_coef
+        else:
+            # the absolute loss's conjugate is s * label on |s| <= 1, so its
+            # prox with step eta~ / ||X||^2 = eta * T is a clip
+            c_out = c_in - eta * consts[aug.T_LABEL]
+            np.maximum(c_out, -1.0, out=c_out)
+            np.minimum(c_out, 1.0, out=c_out)
+        c_out -= w_coef
+        return c_out
 
 
 def _block_step(problem, rounds, draw, y, w, eta, beta):
@@ -131,18 +149,18 @@ def _block_step(problem, rounds, draw, y, w, eta, beta):
         y_prefix += beta * aug.apply_wtilde(problem, draw, delta)
         return problem.tau
     # delta is -h * X on the centers and +h on the sampled coefficients, and
-    # so is its W~ image (wtilde_sampled): only those entries move
+    # its W~ image is delta scaled by 1 / p_ij: only those entries move
     idx, consts, rows = rounds.sample(problem, draw)
     _, _, w_center, w_coef = w
     _, _, y_center, y_coef = y
     w_idx = w_coef[idx]
     h = rounds.step(problem, idx, consts, rows, y_center, y_coef[idx], w_idx, eta)
-    d_center = rows * -h[:, None]
-    wt_center, wt_h = aug.wtilde_sampled(consts[aug.PROB], h, d_center)
-    w_center += d_center
     w_coef[idx] = w_idx + h
-    y_center += beta * wt_center
-    y_coef[idx] += beta * wt_h
+    w_center -= rows * h[:, None]
+    h *= consts[aug.INV_P]  # h now holds beta * W~ delta on the coefficients
+    h *= beta
+    y_coef[idx] += h
+    y_center -= rows * h[:, None]
     return 1.0
 
 
@@ -157,35 +175,30 @@ def run_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=(),
     if not problem.smooth:
         raise ValueError("run_adfs needs the smooth build; see run_ns_adfs")
     rho, eta = problem.rho, problem.eta
-    xb, vb, yb = _buffers(problem, 3)
-    v = vb.full
+    momentum = _momentum_map(rho)
+    cur, nxt = _pair(problem), _pair(problem)  # rows (x, v), then (y, w)
     rounds = _Rounds(problem)
     stream = BlockStream("adfs", seed)
 
     def step(t):
-        nonlocal xb, yb
-        x, y = xb.full, yb.full
-        # y = (x + rho v) / (1 + rho), then w = (1 - rho) v + rho y into v's
-        # buffer, with x's buffer as scratch; the step turns y into the next x
-        np.multiply(v, rho, out=y)
-        np.add(x, y, out=y)
-        np.divide(y, 1.0 + rho, out=y)
-        np.multiply(v, 1.0 - rho, out=v)
-        np.multiply(y, rho, out=x)
-        np.add(v, x, out=v)
+        nonlocal cur, nxt
+        # (y; w) = M (x; v) in one matmul; the block step turns y into the
+        # next x and w into the next v, so the two pairs swap roles
+        np.matmul(momentum, cur.full, out=nxt.full)
         draw = aug.draw_block(problem, stream)
-        duration = _block_step(problem, rounds, draw, yb, vb, eta, rho)
-        xb, yb = yb, xb
-        if not np.isfinite(v).all():
+        duration = _block_step(problem, rounds, draw, nxt.first, nxt.second, eta, rho)
+        cur, nxt = nxt, cur
+        if not np.isfinite(cur.second.full).all():
             raise FloatingPointError(f"non-finite state at iteration {t}")
         return draw.kind, duration
 
     def y_state():
-        return (xb.full + rho * v) / (1.0 + rho)
+        x, v = cur.full
+        return (x + rho * v) / (1.0 + rho)
 
     record, captures = run_loop(
         iters, step, lambda: _primal_value(problem, y_state()),
-        lambda: {"x": xb.full.copy(), "v": v.copy(), "y": y_state()},
+        lambda: {"x": cur.full[0].copy(), "v": cur.full[1].copy(), "y": y_state()},
         log_every, f_star, capture_iters, stop_at_subopt)
     return AdfsResult(record, primal_estimate(problem, y_state()), captures)
 
@@ -202,7 +215,8 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
         raise ValueError("run_adfs_efficient needs the smooth build")
     rho, eta, tau = problem.rho, problem.eta, problem.tau
     phi = (1.0 - rho) / (1.0 + rho)
-    ub, zb = _buffers(problem, 2)
+    # U and z stay two arrays: stacked as one, the rounds measured slower
+    ub, zb = (_views(problem, aug.zero_state(problem)) for _ in range(2))
     big_u, u_prefix, u_center, u_coef = ub
     z, z_prefix, z_center, z_coef = zb
     c = 1.0
@@ -228,10 +242,10 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
                             z_idx - cu, eta)
             # the pair update of -h * X on the centers and +h on the
             # coefficients, whose rho * W~ image is the same rescaled by
-            # rho / p_ij (so only its coefficients are needed)
-            rho_wt_h = aug.wtilde_sampled(consts[aug.PROB], h, weight=rho)[1]
-            du = (h - rho_wt_h) / (2.0 * c)
-            dz = 0.5 * (h + rho_wt_h)
+            # rho / p_ij: du = (1 - rho / p_ij) h / (2 c), dz = (1 + rho / p_ij) h / 2
+            du = h * consts[aug.PAIR_U]
+            du *= 1.0 / c
+            dz = h * consts[aug.PAIR_Z]
             u_coef[idx] = u_idx - du
             z_coef[idx] = z_written = z_idx + dz
             u_center += du[:, None] * xs
@@ -269,29 +283,28 @@ def run_ns_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=
         raise ValueError("run_ns_adfs needs the non-smooth build; see run_adfs")
     s_sq = problem.s_squared
     alpha = float(problem.sampling.p_marginal.min())
-    xb, vb, yb = _buffers(problem, 3)
-    v = vb.full
+    momentum = np.array([[1.0 - alpha, alpha], [0.0, 1.0]])  # rewritten from alpha each step
+    cur, nxt = _pair(problem), _pair(problem)  # rows (x, v), then (y, w)
     rounds = _Rounds(problem)
     stream = BlockStream("ns-adfs", seed)
 
     def step(t):
-        nonlocal xb, yb, alpha
-        x, y = xb.full, yb.full
+        nonlocal cur, nxt, alpha
         eta = 1.0 / (alpha * s_sq)
-        # y = (1 - alpha) x + alpha v with x's buffer as scratch; the step
-        # updates v in place and turns y into the next x
-        np.multiply(x, 1.0 - alpha, out=y)
-        np.multiply(v, alpha, out=x)
-        np.add(y, x, out=y)
+        # (y; w) = M (x; v) with y = (1 - alpha) x + alpha v and w = v; the
+        # block step turns y into the next x and w into the next v
+        momentum[0, 0], momentum[0, 1] = 1.0 - alpha, alpha
+        np.matmul(momentum, cur.full, out=nxt.full)
         draw = aug.draw_block(problem, stream)
-        duration = _block_step(problem, rounds, draw, yb, vb, eta, alpha)
-        xb, yb = yb, xb
-        if not np.isfinite(v).all():
+        duration = _block_step(problem, rounds, draw, nxt.first, nxt.second, eta, alpha)
+        cur, nxt = nxt, cur
+        if not np.isfinite(cur.second.full).all():
             raise FloatingPointError(f"non-finite state at iteration {t}")
         alpha = _alpha_next(alpha)
         return draw.kind, duration
 
-    record, captures = run_loop(iters, step, lambda: aug.dual_objective(problem, xb.full),
-                                lambda: {"x": xb.full.copy(), "v": v.copy(), "y": None},
+    record, captures = run_loop(iters, step, lambda: aug.dual_objective(problem, cur.full[0]),
+                                lambda: {"x": cur.full[0].copy(), "v": cur.full[1].copy(),
+                                         "y": None},
                                 log_every, f_star, capture_iters, stop_at_subopt)
-    return AdfsResult(record, primal_estimate(problem, v), captures)
+    return AdfsResult(record, primal_estimate(problem, cur.full[1]), captures)

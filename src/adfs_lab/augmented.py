@@ -34,7 +34,6 @@ __all__ = [
     "apply_comm_step",
     "virtual_gradient",
     "apply_wtilde",
-    "wtilde_sampled",
     "dual_objective",
 ]
 
@@ -365,16 +364,23 @@ def zero_state(problem):
     return np.zeros(problem.n * problem.d + problem.n_virtual)
 
 
-# Columns of a round table.  Both builds: the gradient weight mu_ij^2 / p_ij,
-# ||X_ij||^2, the label and p_ij.
-WEIGHT, XNORM2, LABEL, PROB = range(4)
-# Smooth build, whose conjugate-prox step is fixed for a run: L_ij,
-# eta~_ij = eta mu_ij^2 / p_ij, the 1D prox step gamma ||X_ij||^2 with
-# gamma = (L_ij - eta~_ij) / (eta~_ij L_ij), and 1 - eta~_ij / L_ij.
-SMOOTH, ETA_TILDE, STEP, SCALE = range(4, 8)
-# Non-smooth build, whose step changes every round: T = mu_ij^2 / (p_ij ||X_ij||^2),
-# so that a round with dual step eta takes the conjugate prox step eta * T.
-T_STEP = 4
+# Columns of a round table, each a product a round would otherwise form.
+# Both builds: the gradient weight of the center term,
+# mu_ij^2 / (p_ij sigma_i ||X_ij||^2), and 1 / p_ij, the W~ scaling.
+G_CENTER, INV_P = range(2)
+# Smooth build, whose conjugate-prox step eta~_ij = eta mu_ij^2 / p_ij is fixed
+# for a run: the gradient weight of the coefficient term, mu_ij^2 / (p_ij L_ij);
+# the label; the prox input factor ||X_ij||^2 / eta~_ij; the 1D prox step
+# gamma ||X_ij||^2 with gamma = (L_ij - eta~_ij) / (eta~_ij L_ij); the prox
+# output factors 1 / scale and eta~_ij / (||X_ij||^2 scale) with
+# scale = 1 - eta~_ij / L_ij (NaN on boundary nodes, which do not read them);
+# and the efficient form's pair-update factors (1 - rho / p_ij) / 2 and
+# (1 + rho / p_ij) / 2.
+G_COEF, LABEL, Z_IN, STEP, INV_SCALE, P_OUT, PAIR_U, PAIR_Z = range(2, 10)
+# Non-smooth build, whose step changes every round: T_ij label_ij with
+# T_ij = mu_ij^2 / (p_ij ||X_ij||^2), so that a round with dual step eta moves
+# the coefficients by -eta T_ij label_ij before its clip.
+T_LABEL = 2
 
 
 def round_table(problem):
@@ -389,19 +395,27 @@ def round_table(problem):
     none.  The non-smooth build has no boundary.
     """
     p = problem.sampling.p_marginal
-    mu2 = problem.mu2_virtual
-    cols = [mu2 / p, problem.xnorm2, problem.labels, p]
+    mu2, xnorm2 = problem.mu2_virtual, problem.xnorm2
+    weight = mu2 / p
+    sigma = np.repeat(problem.sigma, problem.m_per_node)
+    cols = [weight / (sigma * xnorm2), 1.0 / p]
     if not problem.smooth:
-        return np.column_stack(cols + [mu2 / (p * problem.xnorm2)]), None
+        return np.column_stack(cols + [weight / xnorm2 * problem.labels]), None
     smooth = problem.smooth_virtual
-    eta_tilde = problem.eta * mu2 / p
+    eta_tilde = problem.eta * weight
     ratio = eta_tilde / smooth
     if np.any(ratio > 1.0 + 1e-9):
         raise ValueError("eta_tilde exceeds the sample smoothness: prox identity breaks")
     boundary = ratio >= 1.0 - 1e-9
     gamma = (smooth - eta_tilde) / (eta_tilde * smooth)
-    table = np.column_stack(
-        cols + [smooth, eta_tilde, gamma * problem.xnorm2, 1.0 - eta_tilde / smooth])
+    scale = 1.0 - ratio
+    inv_scale, p_out = np.full_like(p, np.nan), np.full_like(p, np.nan)
+    np.divide(1.0, scale, out=inv_scale, where=~boundary)
+    np.divide(eta_tilde, xnorm2 * scale, out=p_out, where=~boundary)
+    rho_p = problem.rho / p
+    table = np.column_stack(cols + [
+        weight / smooth, problem.labels, xnorm2 / eta_tilde, gamma * xnorm2, inv_scale, p_out,
+        0.5 * (1.0 - rho_p), 0.5 * (1.0 + rho_p)])
     return table, (boundary if boundary.any() else None)
 
 
@@ -440,20 +454,22 @@ def virtual_gradient(problem, consts, rows, center, coef):
     gradient term of W_b Sigma^dagger state is +g_i * X on center row i and
     -g_i on the sampled coefficient.
     """
-    grad = np.einsum("ij,ij->i", rows, center) / problem.sigma
-    grad /= consts[XNORM2]
+    grad = np.vecdot(rows, center)
+    grad *= consts[G_CENTER]
     if problem.smooth:
-        grad -= coef / consts[SMOOTH]
-    return consts[WEIGHT] * grad
+        grad -= coef * consts[G_COEF]
+    return grad
 
 
 def apply_wtilde(problem, draw, delta):
     """A P_b^dagger A^dagger applied to an update known to lie in range(A U_b).
 
-    For the gossip block this is a 1/p_comm rescaling of the centers; for a
-    computation block it is `wtilde_sampled` on the state's centers and
-    sampled coefficients.  On a communication draw only the centers are
-    read, so `delta` may be the center prefix alone.
+    For the gossip block this is a 1/p_comm rescaling of the centers.  A
+    computation block's update lies on its sampled coefficients (one per
+    node) and the n centers, and W~ rescales the coefficient of virtual node
+    (i, j) and center i by 1/p_ij (the solvers read it from the round
+    table).  On a communication draw only the centers are read, so `delta`
+    may be the center prefix alone.
     """
     if draw.kind == "communication":
         out = delta / problem.sampling.p_comm
@@ -463,22 +479,10 @@ def apply_wtilde(problem, draw, delta):
     center, coef = split_state(problem, delta)
     out_center, out_coef = split_state(problem, out)
     idx = problem.vstart[:-1] + draw.chosen
-    out_center[:], out_coef[idx] = wtilde_sampled(
-        problem.sampling.p_marginal[idx], coef[idx], center)
+    scale = 1.0 / problem.sampling.p_marginal[idx]
+    out_center[:] = center * scale[:, None]
+    out_coef[idx] = scale * coef[idx]
     return out
-
-
-def wtilde_sampled(p, h, center=None, weight=1.0):
-    """weight * W~ of a computation-round update, in sparse form.
-
-    The update is `h` on the sampled coefficients (one per node, with
-    probabilities `p` = p_ij) and `center` on the n centers (-h_i X_ij on
-    center i in the solvers); W~ rescales the coefficient of virtual node
-    (i, j) and center i by 1/p_ij.  Returns (scaled center, or None when
-    `center` is None, and scaled coefficients).
-    """
-    scale = weight / p
-    return (None if center is None else center * scale[:, None]), scale * h
 
 
 def dual_objective(problem, state):

@@ -75,16 +75,21 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
     rng = generator("point-saga", seed)
     picks = chunked(lambda k: rng.integers(n_samp, size=k).tolist())  # = per-call integers(N)
     x = np.zeros(d)
+    # the gradient table and its mean, both scaled by gamma: row j holds
+    # gamma g_j, so a step needs no multiplication or division by gamma
     table = np.zeros((n_samp, d))
     gbar = np.zeros(d)
     warm = [0.0] * n_samp
 
     def step(t):
-        nonlocal x, gbar
+        nonlocal x, gbar  # "gbar += ..." rebinds gbar (to the same array)
         j = next(picks)
-        w = x + gamma * (table[j] - gbar)
+        row = table[j]
+        w = x + row
+        w -= gbar
         v = w / shrink  # prox_sample's arithmetic on the validated pooled rows
-        zz = float(feats[j] @ v)
+        feat = feats[j]
+        zz = float(feat @ v)
         if not math.isfinite(zz):  # a nan or inf anywhere in v reaches zz
             raise ValueError("non-finite prox input")
         prox_step = eta_inner * xnorm2_f[j]
@@ -92,11 +97,11 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
             p = _logistic_prox(zz, label_f[j], prox_step, warm[j])
         else:
             p = float(_prox_1d_array(problem.loss, zz, label_f[j], prox_step, warm[j]))
-        x = v + ((p - zz) / xnorm2_f[j]) * feats[j]
-        warm[j] = float(feats[j] @ x)
-        g_new = (w - x) / gamma
-        gbar = gbar + (g_new - table[j]) / n_samp
-        table[j] = g_new
+        x = v + ((p - zz) / xnorm2_f[j]) * feat
+        warm[j] = p  # = X_j . x up to rounding
+        w -= x  # the new row, gamma g_j
+        gbar += (w - row) / n_samp
+        table[j] = w
         return "computation", 1.0
 
     record, _ = run_loop(

@@ -499,7 +499,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
 
     f_star = gap = None
     if any(cfg.iters[a] > 0 for a in cfg.algorithms):
-        theta, f_star = reference_optimum(flat, tol=cfg.reference.get("tol", 3e-6))
+        try:
+            theta, f_star = reference_optimum(flat, tol=cfg.reference.get("tol", 3e-6))
+        except RuntimeError as exc:  # its stopping target scales with sigma
+            raise ConfigError("sigma", f"no certified reference optimum for the target "
+                                       f"reference.tol * sum(sigma): {exc}") from None
         # certified |f_star - F*|: the duality gap for the absolute loss, whose
         # f_star is a dual value; ||grad F||^2 / (2 sigma_total) for smooth losses
         gap = (f_star + flat_value(flat, theta) if flat.loss is LossKind.ABSOLUTE else

@@ -280,10 +280,14 @@ class LocalObjective:
             if bad.size:
                 raise ValueError(f"logistic label in row {bad[0]} is {float(y[bad[0]])}, "
                                  "expected +1 or -1")
-        xnorm2 = np.vecdot(x, x)  # bit-identical to the per-row x @ x
+        with np.errstate(over="ignore"):  # reported below, by row
+            xnorm2 = np.vecdot(x, x)  # bit-identical to the per-row x @ x
         zero = np.flatnonzero(xnorm2 <= 0.0)
         if zero.size:
             raise ValueError(f"zero feature vector in row {zero[0]}: its projector is undefined")
+        overflow = np.flatnonzero(~np.isfinite(xnorm2))
+        if overflow.size:
+            raise ValueError(f"squared norm of feature row {overflow[0]} overflows")
         for name, arr in (("feature_matrix", x), ("labels", y), ("xnorm2", xnorm2)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -318,34 +322,38 @@ def prox_sample(feature, label, kind, v, eta, warm=0.0):
     return v + ((p_star - zz) / xnorm2) * feature
 
 
-def _tilde_coeff_batch(kind, c_x, xnorm2, labels, smooth, eta_tilde, step, scale, warm,
-                       boundary=None):
+def _tilde_coeff_batch(kind, c_x, z_in, labels, step, inv_scale, p_out, warm, boundary=None):
     """Coefficient form of prox_{eta_tilde * ftilde*} along each feature,
     ftilde* = f* - ||.||^2 / (2L), for validated equal-length float arrays.
 
     Inputs/outputs are coefficients c such that the vector is c * X.  The
-    conjugate-side identity reduces it to the 1D primal prox at
+    conjugate-side identity reduces it to the 1D primal prox p* at
     z = c ||X||^2 / eta_tilde with step gamma ||X||^2, gamma =
-    (L - eta_tilde) / (eta_tilde L); `step` holds gamma ||X||^2 and `scale`
-    1 - eta_tilde / L, precomputed by the caller with eta_tilde <= L.
-    `boundary` marks the samples at the limit eta_tilde -> L, where the prox
-    is the primal gradient at x / L; None means there are none.  Returns
-    (c_out, inner) with `inner` the 1D primal prox solution for warm caching
-    (the warm start itself where the boundary branch was taken).
+    (L - eta_tilde) / (eta_tilde L), and the output is
+    (c - eta_tilde p* / ||X||^2) / (1 - eta_tilde / L).  The caller
+    precomputes, with eta_tilde <= L, the factors `z_in` = ||X||^2 / eta_tilde,
+    `step` = gamma ||X||^2, `inv_scale` = 1 / (1 - eta_tilde / L) and
+    `p_out` = eta_tilde / (||X||^2 (1 - eta_tilde / L)).  `boundary` marks
+    the samples at the limit eta_tilde -> L, where the prox is the primal
+    gradient at x / L, whose z is c / L_g; None means there are none.
+    Returns (c_out, inner) with `inner` the 1D primal prox solution for warm
+    caching (the warm start itself where the boundary branch was taken).
     """
     if boundary is None:
-        p_star = _prox_1d_array(kind, c_x * xnorm2 / eta_tilde, labels, step, warm)
-        return (c_x - eta_tilde * p_star / xnorm2) / scale, p_star
+        p_star = _prox_1d_array(kind, c_x * z_in, labels, step, warm)
+        c_out = c_x * inv_scale
+        c_out -= p_star * p_out
+        return c_out, p_star
     c_out = np.empty_like(c_x)
     inner = warm.copy()
     if boundary.any():
-        c_out[boundary] = loss_grad(kind, c_x[boundary] * xnorm2[boundary] / smooth[boundary],
+        c_out[boundary] = loss_grad(kind, c_x[boundary] / kind.scalar_smoothness,
                                     labels[boundary])
     reg = ~boundary
     if reg.any():
-        et, xn2 = eta_tilde[reg], xnorm2[reg]
-        p_star = _prox_1d_array(kind, c_x[reg] * xn2 / et, labels[reg], step[reg], warm[reg])
-        c_out[reg] = (c_x[reg] - et * p_star / xn2) / scale[reg]
+        c_reg = c_x[reg]
+        p_star = _prox_1d_array(kind, c_reg * z_in[reg], labels[reg], step[reg], warm[reg])
+        c_out[reg] = c_reg * inv_scale[reg] - p_star * p_out[reg]
         inner[reg] = p_star
     return c_out, inner
 

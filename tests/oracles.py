@@ -10,8 +10,10 @@ The exceptions are `prox_tilde_fstar`, which reuses the library's scalar
 primal prox and gradient, one sample at a time, to check the solvers' batched
 conjugate prox; `lift_primal_point` and `dense_c0_constant`, the dual point of
 a primal one and the Lyapunov constant of the linear rate, built from the
-library's dense operators; and two measuring helpers that read solver states
-and APCG iterates: `sigma_dagger_rows` and `lyapunov_value`.
+library's dense operators; `point_saga_unscaled`, the Point-SAGA step on an
+unscaled gradient table, one pick at a time, against which the solver's
+gamma-scaled table is checked; and two measuring helpers that read solver
+states and APCG iterates: `sigma_dagger_rows` and `lyapunov_value`.
 """
 
 from dataclasses import dataclass
@@ -198,6 +200,38 @@ def prox_tilde_fstar(feature, label, kind, x, eta_tilde, warm=0.0):
         p_star = loss_prox_1d(kind, c_x * xnorm2 / eta_tilde, label, gamma * xnorm2, warm)
         c_out = (c_x - eta_tilde * p_star / xnorm2) / (1.0 - eta_tilde / smooth)
     return c_out * feature
+
+
+def point_saga_unscaled(problem, iters, seed):
+    """Point-SAGA iterates x_1 .. x_iters on the unscaled gradient table g_k,
+    with one integers(N) pick per iteration from the solver's stream, the
+    step size and shrinkage of `baselines.point_saga`, and the sample prox
+    of `loss_prox_1d` warm-started at X_j . x of the last visit."""
+    feats, labels = problem.feature_matrix, problem.labels
+    n_samp, d = feats.shape
+    big_l = float((n_samp * problem.loss.scalar_smoothness * problem.xnorm2).max()) + problem.sigma
+    mu = problem.sigma
+    gamma = (np.sqrt((n_samp - 1.0) ** 2 + 4.0 * n_samp * big_l / mu) - (n_samp - 1.0)) / (
+        2.0 * big_l * n_samp)
+    shrink = 1.0 + gamma * problem.sigma
+    rng = generator("point-saga", seed)
+    x, table, gbar = np.zeros(d), np.zeros((n_samp, d)), np.zeros(d)
+    warm = np.zeros(n_samp)
+    out = []
+    for _ in range(iters):
+        j = int(rng.integers(n_samp))
+        w = x + gamma * (table[j] - gbar)
+        v = w / shrink
+        zz = float(feats[j] @ v)
+        p = loss_prox_1d(problem.loss, zz, labels[j], gamma * n_samp / shrink * problem.xnorm2[j],
+                         warm[j])
+        x = v + ((p - zz) / problem.xnorm2[j]) * feats[j]
+        warm[j] = float(feats[j] @ x)
+        g_new = (w - x) / gamma
+        gbar = gbar + (g_new - table[j]) / n_samp
+        table[j] = g_new
+        out.append(x)
+    return out
 
 
 def lift_primal_point(problem, theta):

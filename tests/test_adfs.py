@@ -410,7 +410,66 @@ class TestBatchProxRounds:
         assert min(sizes) >= objective.BATCH_MIN
 
 
+def expected_columns(prob):
+    """{column: values} of the round table, each from its definition, one
+    virtual node at a time; eta~ = eta (mu^2 / p) is grouped as the solver
+    groups it, since L - eta~ cancels on nodes near the boundary."""
+    rows = []
+    for i in range(prob.n):
+        for g in range(prob.vstart[i], prob.vstart[i + 1]):
+            p, mu2, x2, label = (float(a[g]) for a in (
+                prob.sampling.p_marginal, prob.mu2_virtual, prob.xnorm2, prob.labels))
+            row = {aug.G_CENTER: mu2 / (p * float(prob.sigma[i]) * x2), aug.INV_P: 1.0 / p}
+            if not prob.smooth:
+                row[aug.T_LABEL] = mu2 / (p * x2) * label
+                rows.append(row)
+                continue
+            big_l = float(prob.smooth_virtual[g])
+            eta_t = prob.eta * (mu2 / p)
+            scale = 1.0 - eta_t / big_l  # 0 at the boundary eta~ = L
+            row.update({
+                aug.G_COEF: mu2 / (p * big_l), aug.LABEL: label, aug.Z_IN: x2 / eta_t,
+                aug.STEP: (big_l - eta_t) / (eta_t * big_l) * x2,
+                aug.INV_SCALE: 1.0 / scale if scale else np.inf,
+                aug.P_OUT: eta_t / (x2 * scale) if scale else np.inf,
+                aug.PAIR_U: (1.0 - prob.rho / p) / 2.0,
+                aug.PAIR_Z: (1.0 + prob.rho / p) / 2.0,
+            })
+            rows.append(row)
+    return {col: np.array([row[col] for row in rows]) for col in rows[0]}
+
+
 class TestRoundTable:
+    @pytest.mark.parametrize("case", ["logistic", "squared", "absolute"])
+    def test_columns_match_definitions(self, case):
+        rng = generator("round-table", 0)
+        if case == "absolute":
+            objs = random_objectives(rng, 4, 3, 2, loss=LossKind.ABSOLUTE, ragged=True)
+            prob = build_augmented(random_connected_graph(rng, 4, extra_edges=1), objs, tau=2.0)
+        else:
+            prob = random_problem(rng, n=4, m=3, d=2, loss=LossKind(case), weighted=True,
+                                  ragged=True)
+        table, boundary = aug.round_table(prob)
+        assert boundary is None
+        expected = expected_columns(prob)
+        assert table.shape == (prob.n_virtual, len(expected))
+        for col, values in expected.items():
+            np.testing.assert_allclose(table[:, col], values, rtol=1e-15, atol=0,
+                                       err_msg=f"column {col}")
+
+    def test_boundary_rows_carry_no_prox_factors(self):
+        prob = clamped_problem(wide=6)
+        table, boundary = aug.round_table(prob)
+        assert boundary is not None and boundary.any() and not boundary.all()
+        expected = expected_columns(prob)
+        for col, values in expected.items():
+            if col in (aug.STEP, aug.INV_SCALE, aug.P_OUT):  # the boundary branch reads none
+                assert col == aug.STEP or np.isnan(table[boundary, col]).all()
+                values, got = values[~boundary], table[~boundary, col]
+            else:
+                got = table[:, col]
+            np.testing.assert_allclose(got, values, rtol=1e-15, atol=0, err_msg=f"column {col}")
+
     def test_mixed_round_matches_oracle(self):
         prob = clamped_problem(wide=6)
         assert prob.rho < prob.rho_unclamped
@@ -463,6 +522,23 @@ class TestRoundTable:
         for run in (run_adfs, run_adfs_efficient):
             with pytest.raises(ValueError, match="identity breaks"):
                 run(bad, 10, seed=0)
+
+
+class TestMomentumMap:
+    @pytest.mark.parametrize("rho", [None, 0.3, 1e-4])
+    def test_matches_written_recursion(self, rho):
+        rng = generator("momentum-map", 0)
+        prob = random_problem(rng, n=4, m=3, d=2)
+        rho = prob.rho if rho is None else rho
+        size = zero_state(prob).size
+        state = rng.normal(size=(2, size)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(2, size))
+        out = np.empty_like(state)
+        np.matmul(solver_module._momentum_map(rho), state, out=out)
+        x, v = state
+        y = (x + rho * v) / (1.0 + rho)
+        w = (1.0 - rho) * v + rho * y
+        for got, want in zip(out, (y, w)):
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 class TestRaggedDatasets:

@@ -5,6 +5,7 @@ import pytest
 
 from adfs_lab import selfcheck
 from adfs_lab.augmented import (
+    INV_P,
     BlockDraw,
     apply_comm_step,
     apply_wtilde,
@@ -14,8 +15,8 @@ from adfs_lab.augmented import (
     dual_objective,
     expected_time,
     rate_branches,
+    round_table,
     split_state,
-    wtilde_sampled,
     zero_state,
 )
 from adfs_lab.dense import (
@@ -257,10 +258,11 @@ class TestOperatorShortcuts:
             got = state_rows(prob, apply_wtilde(prob, draw, state))
             ref = (self._dense_wtilde(prob, draw) @ delta.ravel()).reshape(shape)
             assert np.max(np.abs(got - ref)) <= 1e-8
-            # the sparse form the solvers call, with a momentum weight
+            # the sparse form the solvers take, with a momentum weight: the
+            # round table's 1 / p_ij column on the centers and the coefficients
             center, coef = split_state(prob, state)
-            wt_center, wt_coef = wtilde_sampled(prob.sampling.p_marginal[idx], coef[idx],
-                                                center, weight=0.5)
+            scale = 0.5 * round_table(prob)[0][idx, INV_P]
+            wt_center, wt_coef = center * scale[:, None], scale * coef[idx]
             assert np.max(np.abs(wt_center - 0.5 * ref[: prob.n])) <= 1e-8
             wt_virtual = wt_coef[:, None] * prob.features[idx]
             assert np.max(np.abs(wt_virtual - 0.5 * ref[prob.n + idx])) <= 1e-8

@@ -18,6 +18,7 @@ from adfs_lab.instances import random_objectives
 from adfs_lab.objective import LossKind, primal_value
 from adfs_lab.rng import CHUNK, chunked, generator
 from adfs_lab.topology import build_topology
+from oracles import point_saga_unscaled
 
 
 class TestFlatProblem:
@@ -99,6 +100,20 @@ class TestPointSaga:
         point_saga(flat, iters, seed=4, log_every=iters)
         per_call = generator("point-saga", 4)
         assert seen == [int(per_call.integers(flat.n_samples)) for _ in range(iters)]
+
+
+    @pytest.mark.parametrize("loss", [LossKind.LOGISTIC, LossKind.SQUARED])
+    def test_scaled_table_matches_unscaled_step(self, rng, loss):
+        # the gamma-scaled table and the warm start p reproduce the unscaled
+        # step up to rounding, over more than two chunks of picks
+        flat = pool_objectives(random_objectives(rng, 2, 7, 3, loss=loss))
+        iters = 2 * CHUNK + 50
+        record, theta = point_saga(flat, iters, seed=5, log_every=1)
+        expect = point_saga_unscaled(flat, iters, seed=5)
+        size = max(float(np.max(np.abs(x))) for x in expect)
+        assert np.max(np.abs(theta - expect[-1])) <= 1e-12 * size
+        np.testing.assert_allclose([row.objective for row in record.rows[1:]],
+                                   [flat_value(flat, x) for x in expect], rtol=1e-12, atol=0)
 
 
 class TestReferenceOptimum:

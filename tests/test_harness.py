@@ -1,12 +1,16 @@
 import ast
+import contextlib
 import importlib
 import importlib.util
 import json
 import os
+import io
 import pkgutil
+import re
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -312,7 +316,79 @@ class TestRunExperiment:
         assert -1e-12 <= derived["reference_gap"] <= tol**2 * derived["sigma_total"] / 2.0
 
 
+# Edge weights span 16 orders of magnitude.  Feature scales and sigma span 6:
+# further out, the absolute loss's reference (FISTA on the pooled dual) can
+# run its full 2e6 iterations, about 100 s, and scales of 1e+-160 and beyond
+# break the eigensolves and the solvers' arithmetic in ways no field check covers.
+WEIGHTS = st.sampled_from([1e-8, 1e-3, 1.0, 1e3, 1e8])
+SCALES = st.sampled_from([1e-3, 1.0, 1e3])
+
+
+@st.composite
+def cli_configs(draw):
+    """A `run` config on a random small graph and synthetic data, with the
+    edge weights, feature scales and sigma above and p_comm at both ends of
+    its range."""
+    kind = draw(st.sampled_from(["line", "complete", "grid2d"]))
+    if kind == "grid2d":
+        rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        topology = {"kind": kind, "rows": rows, "cols": cols}
+        n_edges = rows * (cols - 1) + cols * (rows - 1)
+    else:
+        n = draw(st.integers(1, 4))
+        topology = {"kind": kind, "n": n}
+        n_edges = n - 1 if kind == "line" else n * (n - 1) // 2
+    if n_edges and draw(st.booleans()):
+        topology["weights"] = draw(st.lists(WEIGHTS, min_size=n_edges, max_size=n_edges))
+    loss = draw(st.sampled_from(["logistic", "squared", "absolute"]))
+    algorithms = ["ns_adfs"] if loss == "absolute" else draw(st.lists(
+        st.sampled_from(["adfs", "adfs_efficient", "point_saga"]), min_size=1, unique=True))
+    data = {
+        "topology": topology, "loss": loss, "m": draw(st.integers(1, 4)),
+        "dataset": {"kind": "synthetic", "d": draw(st.integers(1, 3)),
+                    "correlation": draw(st.sampled_from([0.0, 0.5, 0.99])),
+                    "seed": draw(st.integers(0, 9)), "feature_scale": draw(SCALES)},
+        "sigma": draw(SCALES), "tau": draw(st.sampled_from([0.0, 1.0, 5.0])),
+        "algorithms": algorithms, "seeds": [0], "iters": 40, "log_every": 20,
+    }
+    if draw(st.booleans()):
+        data["p_comm"] = draw(st.sampled_from([0.0, 0.01, 0.5, 0.99]))
+    return data
+
+
+def found_case(**over):
+    """A line of 3 nodes with 3 logistic samples of dimension 2 each."""
+    data = {"topology": {"kind": "line", "n": 3}, "loss": "logistic", "m": 3,
+            "dataset": {"kind": "synthetic", "d": 2, "seed": 2}, "algorithms": ["adfs"],
+            "seeds": [0], "iters": 40, "log_every": 20}
+    data.update(over)
+    return data
+
+
 class TestCli:
+    @settings(max_examples=60, deadline=None)
+    @given(cli_configs())
+    # the reference solver's target falls below what float64 gradients reach
+    @example(found_case(sigma=1e-300))
+    @example(found_case(sigma=1e-300, dataset={"kind": "synthetic", "d": 2, "seed": 7}))
+    # squared feature norms overflow
+    @example(found_case(dataset={"kind": "synthetic", "d": 2, "seed": 2, "feature_scale": 1e160}))
+    def test_random_config_exits_zero_or_names_a_field(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(data, fh)
+            for argv in (["spectrum", path], ["run", path, "--out", os.path.join(tmp, "out")]):
+                err = io.StringIO()
+                with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+                      warnings.catch_warnings(record=True) as caught):
+                    warnings.simplefilter("always")
+                    code = cli(argv)
+                err = err.getvalue()
+                named = re.fullmatch(r"error: [\w.\[\]]+: .*\n", err)
+                assert code == 0 or (code == 1 and named), (argv[0], code, err)
+                assert not caught, (argv[0], [str(w.message) for w in caught])
+
     def _write_config(self, tmp_path, data):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(data))
@@ -534,6 +610,24 @@ class TestScripts:
         assert all(int(rounds) > 0 and float(s) > 0 and float(b) > 0 and float(diff) <= 1e-12
                    and int(redone.split("/")[1]) >= int(rounds)
                    for _, rounds, s, b, diff, redone in table)
+
+    def test_ab_time_times_both_trees(self, tmp_path):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        config = tmp_path / "grid.json"
+        config.write_text(json.dumps(base_config(
+            topology={"kind": "grid2d", "rows": 2, "cols": 2},
+            algorithms=["adfs", "adfs_efficient", "point_saga"], seeds=[0, 1], iters=40,
+            stop_at_subopt=1e-3)))
+        out = run_script("ab_time.py", src, src, str(config), "--reps", "2", cwd=tmp_path)
+        table = [line.split() for line in out.splitlines()[1:]]
+        # per seed: one row per algorithm, then their sum
+        assert [row[:2] for row in table] == [
+            [algo, seed] for seed in ("0", "1")
+            for algo in ("adfs", "adfs_efficient", "point_saga", "sum")]
+        cells = [row for row in table if row[0] != "sum"]
+        # algo, seed, old ms, new ms, change, old stop, new stop, match
+        assert all(float(old) > 0 and float(new) > 0 and old_stop == new_stop and match == "True"
+                   for _, _, old, new, _, old_stop, new_stop, match in cells)
 
 
 def test_traced_functions_exist():
