@@ -146,7 +146,7 @@ def _block_step(problem, rounds, draw, y, w, eta, beta):
         y_prefix, w_prefix = y.prefix, w.prefix
         delta = -eta * aug.apply_comm_step(problem, y_prefix)
         w_prefix += delta
-        y_prefix += beta * aug.apply_wtilde(problem, draw, delta)
+        y_prefix += beta * aug.apply_wtilde(problem, delta)
         return problem.tau
     # delta is -h * X on the centers and +h on the sampled coefficients, and
     # its W~ image is delta scaled by 1 / p_ij: only those entries move
@@ -229,7 +229,7 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
         draw = aug.draw_block(problem, stream)
         if draw.kind == "communication":
             h = -eta * aug.apply_comm_step(problem, c * u_prefix + z_prefix)
-            wt = aug.apply_wtilde(problem, draw, h)
+            wt = aug.apply_wtilde(problem, h)
             u_prefix -= (h - rho * wt) / (2.0 * c)
             z_prefix += 0.5 * (h + rho * wt)
             z_written = None  # no coefficient written this round

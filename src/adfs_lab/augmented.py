@@ -383,6 +383,7 @@ G_COEF, LABEL, Z_IN, STEP, INV_SCALE, P_OUT, PAIR_U, PAIR_Z = range(2, 10)
 T_LABEL = 2
 
 
+@np.errstate(all="ignore")  # a non-finite entry is rejected, not warned about
 def round_table(problem):
     """The constants a computation round reads, one row per virtual node.
 
@@ -392,7 +393,8 @@ def round_table(problem):
     conjugate-prox identity is checked once for every virtual node
     (eta~_ij <= L_ij up to 1e-9 relative, else ValueError), and `boundary`
     marks the nodes at its limit eta~_ij = L_ij, or is None when there are
-    none.  The non-smooth build has no boundary.
+    none.  The non-smooth build has no boundary.  An entry that a round
+    reads and that is not finite raises ValueError.
     """
     p = problem.sampling.p_marginal
     mu2, xnorm2 = problem.mu2_virtual, problem.xnorm2
@@ -400,7 +402,7 @@ def round_table(problem):
     sigma = np.repeat(problem.sigma, problem.m_per_node)
     cols = [weight / (sigma * xnorm2), 1.0 / p]
     if not problem.smooth:
-        return np.column_stack(cols + [weight / xnorm2 * problem.labels]), None
+        return _finite(np.column_stack(cols + [weight / xnorm2 * problem.labels])), None
     smooth = problem.smooth_virtual
     eta_tilde = problem.eta * weight
     ratio = eta_tilde / smooth
@@ -409,14 +411,23 @@ def round_table(problem):
     boundary = ratio >= 1.0 - 1e-9
     gamma = (smooth - eta_tilde) / (eta_tilde * smooth)
     scale = 1.0 - ratio
-    inv_scale, p_out = np.full_like(p, np.nan), np.full_like(p, np.nan)
+    inv_scale, p_out = np.ones_like(p), np.ones_like(p)
     np.divide(1.0, scale, out=inv_scale, where=~boundary)
     np.divide(eta_tilde, xnorm2 * scale, out=p_out, where=~boundary)
     rho_p = problem.rho / p
-    table = np.column_stack(cols + [
+    table = _finite(np.column_stack(cols + [
         weight / smooth, problem.labels, xnorm2 / eta_tilde, gamma * xnorm2, inv_scale, p_out,
-        0.5 * (1.0 - rho_p), 0.5 * (1.0 + rho_p)])
+        0.5 * (1.0 - rho_p), 0.5 * (1.0 + rho_p)]))
+    table[boundary, INV_SCALE:P_OUT + 1] = np.nan
     return table, (boundary if boundary.any() else None)
+
+
+def _finite(table):
+    if not np.isfinite(table).all():
+        row, col = np.argwhere(~np.isfinite(table))[0].tolist()
+        raise ValueError(f"round-table column {col} of virtual node {row} is not finite: "
+                         f"products of sigma, p_ij and ||X_ij||^2 under- or overflow")
+    return table
 
 
 def draw_block(problem, stream) -> BlockDraw:
@@ -461,27 +472,15 @@ def virtual_gradient(problem, consts, rows, center, coef):
     return grad
 
 
-def apply_wtilde(problem, draw, delta):
-    """A P_b^dagger A^dagger applied to an update known to lie in range(A U_b).
-
-    For the gossip block this is a 1/p_comm rescaling of the centers.  A
-    computation block's update lies on its sampled coefficients (one per
-    node) and the n centers, and W~ rescales the coefficient of virtual node
-    (i, j) and center i by 1/p_ij (the solvers read it from the round
-    table).  On a communication draw only the centers are read, so `delta`
-    may be the center prefix alone.
+def apply_wtilde(problem, delta):
+    """A P_b^dagger A^dagger applied to a gossip update: a 1/p_comm rescaling
+    of the centers.  Only the centers are read, so `delta` may be the center
+    prefix alone.  A computation block's W~ rescales its sampled coefficients
+    and their centers by 1/p_ij, the round table's INV_P column, which the
+    solvers apply in place.
     """
-    if draw.kind == "communication":
-        out = delta / problem.sampling.p_comm
-        out[problem.n * problem.d:] = 0.0
-        return out
-    out = np.zeros_like(delta)
-    center, coef = split_state(problem, delta)
-    out_center, out_coef = split_state(problem, out)
-    idx = problem.vstart[:-1] + draw.chosen
-    scale = 1.0 / problem.sampling.p_marginal[idx]
-    out_center[:] = center * scale[:, None]
-    out_coef[idx] = scale * coef[idx]
+    out = delta / problem.sampling.p_comm
+    out[problem.n * problem.d:] = 0.0
     return out
 
 

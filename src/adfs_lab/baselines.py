@@ -123,9 +123,11 @@ def reference_optimum(problem: FlatProblem, tol=3e-6, max_iters=2_000_000, ns_pr
     over |a| <= 1, by projected FISTA (Beck & Teboulle 2009) with the
     gradient restart of O'Donoghue & Candes (2015), until the duality gap
     P(theta) + D(a) at theta = -X^T a / sigma_total, checked every 20 steps,
-    meets that bound; the value returned is D(a), the yardstick of the
-    non-smooth solver's dual logs.  `ns_problem` is ignored: the benchmark's
-    set-up (perfbench/run.py) still passes it.
+    meets that bound; an iterate that has not moved in the 20 steps since
+    the last check has stopped at rounding level, and the solver raises at
+    once.  The value returned is D(a), the yardstick of the non-smooth
+    solver's dual logs.  `ns_problem` is ignored: the benchmark's set-up
+    (perfbench/run.py) still passes it.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
@@ -135,7 +137,7 @@ def reference_optimum(problem: FlatProblem, tol=3e-6, max_iters=2_000_000, ns_pr
         labels, sigma = problem.labels, problem.sigma_total
         lip = symmetric_eigensolve(feats.T @ feats).lambda_max / sigma
         target = tol**2 * sigma / 2.0
-        a = y = np.zeros(problem.m)
+        a = y = a_checked = np.zeros(problem.m)
         t, gap = 1.0, np.inf
         for it in range(max_iters):
             a_new = np.clip(y - (labels + feats @ (feats.T @ y) / sigma) / lip, -1.0, 1.0)
@@ -151,6 +153,10 @@ def reference_optimum(problem: FlatProblem, tol=3e-6, max_iters=2_000_000, ns_pr
                 gap = _stacked_value(*args, theta) + dual
                 if gap <= target:
                     return theta, dual
+                if np.array_equal(a, a_checked):  # stopped at rounding level
+                    raise RuntimeError(f"reference solver stalled: duality gap = {gap:.3e} > "
+                                       f"{target:.3e}")
+                a_checked = a
         raise RuntimeError(
             f"reference solver did not converge: duality gap = {gap:.3e} > {target:.3e}")
     target = tol * problem.sigma_total

@@ -17,7 +17,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .adfs import run_adfs, run_adfs_efficient, run_ns_adfs
-from .augmented import balanced_p_comm, build_augmented, expected_time, rate_branches
+from .augmented import (balanced_p_comm, build_augmented, expected_time, rate_branches,
+                        round_table)
 from .baselines import flat_grad, flat_value, point_saga, pool_objectives, reference_optimum
 from .objective import LocalObjective, LossKind
 from .rng import generator
@@ -411,17 +412,21 @@ def build_instance(cfg: ExperimentConfig):
     sigmas = cfg.sigma if isinstance(cfg.sigma, list) else [cfg.sigma] * graph.n
     if len(sigmas) != graph.n:
         raise ConfigError("sigma", f"expected {graph.n} entries, got {len(sigmas)}")
+    data_field = "dataset.feature_scale" if ds["kind"] == "synthetic" else "dataset.path"
     objectives = []
     for i, ((feats_i, labels_i), s) in enumerate(zip(per_node, sigmas)):
         try:
             objectives.append(LocalObjective(feats_i, labels_i, float(s), cfg.loss_kind))
         except ValueError as exc:  # sigma passed load_config: the samples are at fault
-            field = "dataset.feature_scale" if ds["kind"] == "synthetic" else "dataset.path"
-            raise ConfigError(field, f"node {i}: {exc}") from None
+            raise ConfigError(data_field, f"node {i}: {exc}") from None
     try:
         problem = build_augmented(graph, objectives, cfg.tau, p_comm_override=cfg.p_comm)
-    except GraphConstructionError as exc:
+    except (GraphConstructionError, np.linalg.LinAlgError) as exc:
         raise ConfigError("topology.weights", str(exc)) from None
+    try:
+        round_table(problem)  # every entry a round reads is finite
+    except ValueError as exc:  # the products scale with the squared feature norms
+        raise ConfigError(data_field, str(exc)) from None
     flat = pool_objectives(objectives)
     return graph, objectives, problem, flat, dataset_id
 
@@ -480,11 +485,22 @@ def _run_cell(algo, seed, cfg, problem, flat, f_star):
         record = run_adfs_efficient(problem, iters, seed, **common).record
     elif algo == "ns_adfs":
         record = run_ns_adfs(problem, iters, seed, **common).record
-    elif algo == "point_saga":
+    else:  # load_config admits no algorithm but these four
         record, _ = point_saga(flat, iters, seed, **common)
-    else:
-        raise ValueError(algo)
     return record
+
+
+def _median_times(cfg, records):
+    """Per algorithm with a budget, the median over seeds of the time to
+    stop_at_subopt; a failed cell never reaches it, and a median of never is None."""
+    times = {}
+    for algo in cfg.algorithms:
+        if cfg.iters[algo] > 0:
+            median = float(np.median([
+                records[(algo, s)].time_to(cfg.stop_at_subopt) if (algo, s) in records
+                else np.inf for s in cfg.seeds]))
+            times[algo] = median if math.isfinite(median) else None
+    return times
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None):
@@ -535,6 +551,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
         "derived": dict(derived_constants(cfg, problem, flat, f_star), reference_gap=gap),
         "failures": failures,
     }
+    if cfg.stop_at_subopt is not None:
+        meta["median_time_to_target"] = _median_times(cfg, records)
     meta_path = os.path.join(out_dir, "metadata.json")
     with open(meta_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -577,13 +595,53 @@ def _load_config_file(path, overrides):
     return load_config(_apply_overrides(data, overrides))
 
 
+def _read_metadata(csv_path):
+    with open(os.path.join(os.path.dirname(csv_path), "metadata.json"), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _cmd_run(args):
     cfg = _load_config_file(args.config, args.override)
     if args.seed is not None:
         cfg.seeds = [args.seed]
     code, csv_path = run_experiment(cfg, out_dir=args.out)
     print(f"wrote {csv_path}")
+    if cfg.stop_at_subopt is not None:
+        for algo, time in _read_metadata(csv_path)["median_time_to_target"].items():
+            reached = "not reached" if time is None else f"{time:.0f}"
+            print(f"{algo}: median time to {cfg.stop_at_subopt:g} = {reached}")
     return code
+
+
+def _cmd_sweep(args):
+    key, _, raw = args.vary.partition("=")
+    values = raw.split(",")
+    _expect(key and all(values), "--vary", f"expected KEY=V1,V2,..., got {args.vary!r}")
+    _expect(len(set(values)) == len(values), "--vary", "repeats a value")
+    cfgs = []
+    for value in values:  # a bad value fails here, before anything runs
+        cfg = _load_config_file(args.config, [*(args.override or ()), f"{key}={value}"])
+        _expect(cfg.stop_at_subopt is not None, "stop_at_subopt", "a sweep needs a target")
+        build_instance(cfg)
+        cfgs.append(cfg)
+    out_dir = args.out or cfgs[0].out
+    algos = list(dict.fromkeys(a for cfg in cfgs for a in cfg.algorithms))
+    rows, status = [], 0
+    for value, cfg in zip(values, cfgs):
+        code, csv_path = run_experiment(cfg, out_dir=os.path.join(out_dir, f"{key}={value}"))
+        meta = _read_metadata(csv_path)
+        derived, times = meta["derived"], meta["median_time_to_target"]
+        nums = [derived["p_comm"], derived.get("rho"), derived.get("predicted_time_per_log_eps")]
+        nums += [np.inf if times.get(a) is None else times[a] for a in algos]
+        rows.append([value] + ["" if x is None else f"{x:.12e}" for x in nums] + [str(code)])
+        status = max(status, code)
+    csv_path = os.path.join(out_dir, "sweep.csv")
+    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(["value", "p_comm", "rho", "predicted_time_per_log_eps"]
+                          + [f"median_time_{a}" for a in algos] + ["status"]) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
+    print(f"wrote {csv_path}")
+    return status
 
 
 def _cmd_spectrum(args):
@@ -632,17 +690,20 @@ def cli(argv=None) -> int:
         description="Simulator for accelerated decentralized finite-sum optimization",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    config = argparse.ArgumentParser(add_help=False)  # what the config commands share
+    config.add_argument("config")
+    config.add_argument("--override", action="append", metavar="KEY=VALUE")
+    outputs = argparse.ArgumentParser(add_help=False, parents=[config])
+    outputs.add_argument("--out", default=None, help="output directory (default: config.out)")
 
-    p_run = sub.add_parser("run", help="run the experiment cells of a config")
-    p_run.add_argument("config")
-    p_run.add_argument("--out", default=None, help="output directory (default: config.out)")
+    p_run = sub.add_parser("run", parents=[outputs], help="run the experiment cells of a config")
     p_run.add_argument("--seed", type=int, default=None,
                        help="run a single seed instead of the config's list")
-    p_run.add_argument("--override", action="append", metavar="KEY=VALUE")
-
-    p_spec = sub.add_parser("spectrum", help="print the derived constants of a config")
-    p_spec.add_argument("config")
-    p_spec.add_argument("--override", action="append", metavar="KEY=VALUE")
+    p_sweep = sub.add_parser("sweep", parents=[outputs],
+                             help="run a config once per value of one key")
+    p_sweep.add_argument("--vary", required=True, metavar="KEY=V1,V2,...",
+                         help="a config key and its values, which hold no comma")
+    sub.add_parser("spectrum", parents=[config], help="print the derived constants of a config")
 
     sub.add_parser("validate", help="run the built-in oracle/property checks")
 
@@ -657,6 +718,7 @@ def cli(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = {
         "run": _cmd_run,
+        "sweep": _cmd_sweep,
         "spectrum": _cmd_spectrum,
         "validate": _cmd_validate,
         "gen-data": _cmd_gen_data,

@@ -72,12 +72,15 @@ def operator_shortcuts(problems, rng, count):
     """The edge-wise gossip step and W~ against the dense A P_b^dagger A^T
     Sigma^dagger and A P_b^dagger A^dagger, per problem on `count` random
     states with the communication block and `count` random computation
-    blocks, W~ fed an update in range(A U_b)."""
+    blocks, W~ fed an update in range(A U_b): through apply_wtilde on the
+    gossip block, and on a computation block scaled in place by the round
+    table's INV_P column, as the solvers apply it."""
     worst_step = worst_wt = 0.0
     comm = aug.BlockDraw(kind="communication")
     for prob in problems:
         a = dense.dense_A(prob)
         pinv_a = np.linalg.pinv(a)
+        inv_p = aug.round_table(prob)[0][:, aug.INV_P]
         shape = (prob.n_rows, prob.d)
 
         def pb(draw):
@@ -95,13 +98,15 @@ def operator_shortcuts(problems, rng, count):
             # A applied to a random dual vector on the sampled virtual edges
             comp = aug.BlockDraw(kind="computation", chosen=rng.integers(prob.m_per_node))
             idx = prob.vstart[:-1] + comp.chosen
-            comp_delta = aug.zero_state(prob)
-            center, coef = aug.split_state(prob, comp_delta)
             scale = rng.normal(size=prob.n)
-            center[:] = scale[:, None] * prob.features[idx]
-            coef[idx] = -scale
-            for draw, delta in ((comm, -prob.eta * step), (comp, comp_delta)):
-                got = aug.apply_wtilde(prob, draw, delta)
+            comp_delta, comp_wt = aug.zero_state(prob), aug.zero_state(prob)
+            for state, node_scale in ((comp_delta, scale), (comp_wt, scale * inv_p[idx])):
+                center, coef = aug.split_state(prob, state)
+                center[:] = node_scale[:, None] * prob.features[idx]
+                coef[idx] = -node_scale
+            comm_delta = -prob.eta * step
+            for draw, delta, got in ((comm, comm_delta, aug.apply_wtilde(prob, comm_delta)),
+                                     (comp, comp_delta, comp_wt)):
                 worst_wt = max(worst_wt, dev(a @ pb(draw) @ pinv_a, delta, got))
     ok = worst_step <= 1e-10 and worst_wt <= 1e-8
     return ok, (f"{2 * count * len(problems)} (state, draw) pairs, max deviation "

@@ -150,6 +150,7 @@ def build_topology(kind, **params) -> CommunicationGraph:
     return CommunicationGraph(n=n, edges=tuple(edges), edge_weights=weights)
 
 
+@np.errstate(over="ignore")  # an overflow is rejected, not warned about
 def laplacian(g: CommunicationGraph) -> np.ndarray:
     """Weighted Laplacian: L_kk = sum mu^2 over incident edges, L_kl = -mu_kl^2."""
     lap = np.zeros((g.n, g.n))
@@ -159,6 +160,8 @@ def laplacian(g: CommunicationGraph) -> np.ndarray:
         lap[l, l] += w
         lap[k, l] -= w
         lap[l, k] -= w
+    if not np.isfinite(lap).all():
+        raise GraphConstructionError("weighted Laplacian overflows: edge weights too large")
     return lap
 
 

@@ -14,6 +14,7 @@ from adfs_lab.baselines import (
     pool_objectives,
     reference_optimum,
 )
+from adfs_lab.harness import synth_pool
 from adfs_lab.instances import random_objectives
 from adfs_lab.objective import LossKind, primal_value
 from adfs_lab.rng import CHUNK, chunked, generator
@@ -192,6 +193,24 @@ class TestReferenceOptimum:
         primal = flat_value(flat, theta)
         allowance = 64 * np.finfo(float).eps * (abs(f_ref) + abs(primal))
         assert -allowance <= f_ref + primal <= tol**2 * flat.sigma_total / 2.0
+
+    def test_absolute_stall_raises_without_running_on(self, monkeypatch):
+        # the rounded FISTA step stops moving with a duality gap near 1.4e-16,
+        # above the 5e-17 of tol 1e-8; the solver must raise there, not spend
+        # the default max_iters
+        feats, labels = synth_pool(2, 2, 0, 0.0, loss="absolute")
+        flat = FlatProblem(feats, labels, 1.0, LossKind.ABSOLUTE)
+        calls = []
+        value = baselines._stacked_value
+
+        def counted(*args):  # one call per gap check, every 20 steps
+            calls.append(1)
+            assert len(calls) <= 1000, "the reference ran on past the stall"
+            return value(*args)
+
+        monkeypatch.setattr(baselines, "_stacked_value", counted)
+        with pytest.raises(RuntimeError, match="stalled: duality gap"):
+            reference_optimum(flat, tol=1e-8)
 
     def test_absolute_budget_exhausted_names_gap(self, rng):
         objs = random_objectives(rng, 4, 6, 3, loss=LossKind.ABSOLUTE)

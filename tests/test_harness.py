@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import glob
 import importlib
 import importlib.util
 import json
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import adfs_lab
-from adfs_lab import selfcheck
+from adfs_lab import augmented, selfcheck
 from adfs_lab.harness import (
     ConfigError,
     ExperimentConfig,
@@ -36,6 +37,7 @@ from adfs_lab.harness import (
 from adfs_lab.objective import LocalObjective, LossKind, condition_numbers
 from adfs_lab.rng import generator
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
@@ -317,9 +319,10 @@ class TestRunExperiment:
 
 
 # Edge weights span 16 orders of magnitude.  Feature scales and sigma span 6:
-# further out, the absolute loss's reference (FISTA on the pooled dual) can
-# run its full 2e6 iterations, about 100 s, and scales of 1e+-160 and beyond
-# break the eigensolves and the solvers' arithmetic in ways no field check covers.
+# the absolute loss's reference (FISTA on the pooled dual) takes longer as
+# lambda_max(X^T X) / sigma grows, and at features of 1e3 with sigma 1e-3 it
+# can already run its full 2e6 iterations, about 45 s.  The examples below
+# pin configs with scales of 1e+-160 and beyond.
 WEIGHTS = st.sampled_from([1e-8, 1e-3, 1.0, 1e3, 1e8])
 SCALES = st.sampled_from([1e-3, 1.0, 1e3])
 
@@ -373,6 +376,13 @@ class TestCli:
     @example(found_case(sigma=1e-300, dataset={"kind": "synthetic", "d": 2, "seed": 7}))
     # squared feature norms overflow
     @example(found_case(dataset={"kind": "synthetic", "d": 2, "seed": 2, "feature_scale": 1e160}))
+    # squared edge weights overflow the Laplacian
+    @example(found_case(topology={"kind": "line", "n": 2, "weights": [1e160]}))
+    @example(found_case(topology={"kind": "complete", "n": 4, "weights": [1e300, 1, 1, 1, 1, 1]},
+                        loss="absolute", algorithms=["ns_adfs"]))
+    # sigma ||X||^2 underflows, so round-table entries are not finite
+    @example(found_case(topology={"kind": "line", "n": 1}, m=1, sigma=1e-300,
+                        dataset={"kind": "synthetic", "d": 1, "seed": 2, "feature_scale": 1e-160}))
     def test_random_config_exits_zero_or_names_a_field(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "config.json")
@@ -496,6 +506,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {field}:") and err.count("\n") == 1
 
+    def test_eigensolve_failure_names_weights(self, tmp_path, monkeypatch, capsys):
+        def fail(mat):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(augmented, "symmetric_eigensolve", fail)
+        path = self._write_config(tmp_path, base_config())
+        assert cli(["spectrum", path]) == 1
+        assert capsys.readouterr().err == (
+            "error: topology.weights: Eigenvalues did not converge\n")
+
     def test_missing_libsvm_file_exits_one(self, tmp_path, capsys):
         missing = str(tmp_path / "absent.svm")
         path = self._write_config(tmp_path, base_config(
@@ -572,35 +592,107 @@ class TestPackageBoundary:
         assert importers == ["selfcheck.py"]
 
 
+def grid_config(**over):
+    """The figure analogue's config on a 2x2 grid with 10 samples of dimension 3."""
+    with open(os.path.join(ROOT, "configs", "fig_analogue.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    data.update(topology={"kind": "grid2d", "rows": 2, "cols": 2}, m=10, seeds=[0],
+                dataset=dict(data["dataset"], d=3))
+    data.update(over)
+    return data
+
+
+def test_every_config_loads():
+    paths = sorted(glob.glob(os.path.join(ROOT, "configs", "*.json")))
+    assert {"fig_analogue.json", "pcomm_sweep.json"} <= {os.path.basename(p) for p in paths}
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            load_config(json.load(fh))
+
+
+class TestSweep:
+    def _cli(self, tmp_path, capsys, data, *argv):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        code = cli([argv[0], str(config), "--out", str(tmp_path / "out"), *argv[1:]])
+        return code, capsys.readouterr()
+
+    def test_run_prints_and_records_median_time_to_target(self, tmp_path, capsys):
+        code, out = self._cli(tmp_path, capsys, grid_config(seeds=[0, 1, 2]), "run")
+        assert code == 0
+        printed = dict(re.fullmatch(r"(\w+): median time to 1e-05 = (\d+)", line).groups()
+                       for line in out.out.splitlines()[1:])
+        meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+        # the recorded median is that of the first logged time at the target
+        first = {}
+        for line in (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]:
+            algo, seed, _, time, subopt = line.split(",")
+            if float(subopt) <= 1e-5:
+                first.setdefault((algo, seed), float(time))
+        for algo in ("adfs", "point_saga"):
+            median = float(np.median([first[(algo, s)] for s in "012"]))
+            assert meta["median_time_to_target"][algo] == median > 0
+            assert printed[algo] == f"{median:.0f}"
+
+    def test_sweep_measures_every_value(self, tmp_path, capsys):
+        values = ["0.05", "0.1", "0.2", "0.4", "0.6", "0.8"]
+        data = grid_config(m=5, dataset={"kind": "synthetic", "d": 2, "seed": 7},
+                           iters={"adfs": 4000, "point_saga": 4000}, log_every=50,
+                           stop_at_subopt=1e-3)
+        code, out = self._cli(tmp_path, capsys, data, "sweep",
+                              "--vary", "p_comm=" + ",".join(values))
+        assert code == 0 and out.out == f"wrote {tmp_path / 'out' / 'sweep.csv'}\n"
+        lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        assert lines[0] == ("value,p_comm,rho,predicted_time_per_log_eps,"
+                            "median_time_adfs,median_time_point_saga,status")
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[0] for row in rows] == values
+        for value, p_comm, rho, pred, adfs, saga, status in rows:
+            assert float(p_comm) == float(value) and float(rho) > 0
+            assert float(pred) == pytest.approx(
+                (1 - float(value) + 5 * float(value)) / float(rho), rel=1e-11)
+            assert np.isfinite(float(adfs)) and np.isfinite(float(saga)) and status == "0"
+            meta = json.loads((tmp_path / "out" / f"p_comm={value}" / "metadata.json").read_text())
+            assert float(adfs) == meta["median_time_to_target"]["adfs"]
+        # point_saga runs on the pooled samples, which p_comm does not change
+        assert len({row[5] for row in rows}) == 1
+
+    def test_sweep_rerun_is_byte_identical(self, tmp_path, capsys):
+        data = grid_config(seeds=[0, 1], stop_at_subopt=1e-3)
+        outputs = []
+        for _ in range(2):
+            code, _ = self._cli(tmp_path, capsys, data, "sweep", "--vary", "tau=1,5",
+                                "--override", "algorithms=[\"adfs\"]")
+            assert code == 0
+            outputs.append((tmp_path / "out" / "sweep.csv").read_bytes())
+        assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 3
+
+    @pytest.mark.parametrize("vary,field", [
+        ("p_comm=0.5,1.5", "p_comm"),  # the second value is out of range
+        ("p_comm=0.5,0", "p_comm"),  # a graph with edges needs p_comm > 0
+        ("topology.weights=[1,2,3,4]", "topology.weights"),  # a list splits at its commas
+        ("p_com=0.5", "p_com"),
+        ("p_comm=0.2,0.2", "--vary"),
+        ("p_comm", "--vary"),
+        ("stop_at_subopt=1e-3,null", "stop_at_subopt"),
+    ])
+    def test_bad_value_fails_before_any_run(self, tmp_path, capsys, vary, field):
+        code, out = self._cli(tmp_path, capsys, grid_config(), "sweep", "--vary", vary)
+        assert code == 1 and out.out == ""
+        assert out.err.startswith(f"error: {field}:") and out.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
 def run_script(name, *args, cwd):
     """stdout of scripts/<name> run on the source tree; fails on a non-zero exit."""
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    out = subprocess.run([sys.executable, os.path.join(root, "scripts", name), *args],
+    out = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", name), *args],
                          capture_output=True, text=True, cwd=cwd,
-                         env={**os.environ, "PYTHONPATH": os.path.join(root, "src")})
+                         env={**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")})
     assert out.returncode == 0, out.stderr
     return out.stdout
 
 
 class TestScripts:
-    def test_fig_analogue_reaches_target(self, tmp_path):
-        out = run_script("fig_analogue.py", "--rows", "2", "--cols", "2", "--m", "10",
-                         "--d", "3", "--seeds", "1", "--out", str(tmp_path), cwd=tmp_path)
-        medians = {line.split(":")[0].strip(): float(line.split("=")[1].split()[0])
-                   for line in out.splitlines()}
-        assert sorted(medians) == ["adfs", "point_saga"]
-        assert all(np.isfinite(t) and t > 0 for t in medians.values())
-        assert sorted(os.listdir(tmp_path)) == ["metadata.json", "results.csv"]
-
-    def test_pcomm_sweep_measures_every_p(self, tmp_path):
-        out = run_script("pcomm_sweep.py", "--rows", "2", "--cols", "2", "--m", "5",
-                         "--d", "2", "--drop", "1e-2", cwd=tmp_path)
-        table = [[float(v) for v in line.split()] for line in out.splitlines()[2:]]
-        assert len(table) >= 8
-        # p_comm, rho, predicted time, measured time to cut subopt by --drop
-        assert all(0 < p < 1 and rho > 0 and np.isfinite(measured)
-                   for p, rho, _, measured in table)
-
     def test_prox_crossover_times_both_kernels(self, tmp_path):
         out = run_script("prox_crossover.py", "--grids", "2x2,5x5", "--m", "5", "--d", "2",
                          "--iters", "100", "--reps", "1", cwd=tmp_path)
@@ -612,7 +704,7 @@ class TestScripts:
                    for _, rounds, s, b, diff, redone in table)
 
     def test_ab_time_times_both_trees(self, tmp_path):
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        src = os.path.join(ROOT, "src")
         config = tmp_path / "grid.json"
         config.write_text(json.dumps(base_config(
             topology={"kind": "grid2d", "rows": 2, "cols": 2},
@@ -633,9 +725,8 @@ class TestScripts:
 def test_traced_functions_exist():
     # perfbench/tracer.py names the functions it wraps; a renamed one would
     # leave its span silently empty
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", os.path.join(root, "perfbench", "tracer.py"))
+        "perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     missing = [f"{module}.{name}" for module, name, _ in tracer.SPANS
