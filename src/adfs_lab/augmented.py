@@ -190,6 +190,7 @@ def _laplacian_spectrum(lap):
     return spec
 
 
+@np.errstate(over="ignore")  # an overflowing scaled Laplacian is rejected by the eigensolve
 def _graph_spectra(graph, lap, dm_tilde, sigma):
     """(gamma, kappa_comm, alpha) from the n x n congruences of the Laplacian."""
     if graph.n_edges == 0:

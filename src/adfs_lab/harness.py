@@ -22,7 +22,7 @@ from .augmented import (balanced_p_comm, build_augmented, expected_time, rate_br
 from .baselines import flat_grad, flat_value, point_saga, pool_objectives, reference_optimum
 from .objective import LocalObjective, LossKind
 from .rng import generator
-from .topology import GraphConstructionError, build_topology
+from .topology import EigensolveError, GraphConstructionError, build_topology
 
 __all__ = [
     "ConfigError",
@@ -69,51 +69,72 @@ def parse_libsvm(path):
 
     Returns (samples, dim) where samples is a list of (label, pairs) with
     0-based pairs.  Blank lines and `#` comments are skipped.  Malformed
-    tokens raise with the line and column of the offending token.
+    tokens raise with the line and column of the offending token.  A line is
+    read by `str.split` and `str.partition`; only a line they reject is
+    scanned again by `_scan_libsvm_line`, which places the column.
     """
     samples = []
     dim = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0]
-            if not line.strip():
+            tokens = line.split()  # the same whitespace as the scan's \S+
+            if not tokens:
                 continue
-            tokens = [(tok.group(), tok.start() + 1) for tok in re.finditer(r"\S+", line)]
-            label_tok, label_col = tokens[0]
             try:
-                label = float(label_tok)
-            except ValueError:
-                raise LibsvmParseError(
-                    f"line {lineno}, column {label_col}: bad label {label_tok!r}"
-                ) from None
-            pairs = []
-            prev_idx = 0
-            for tok, tok_col in tokens[1:]:
-                if ":" not in tok:
-                    raise LibsvmParseError(
-                        f"line {lineno}, column {tok_col}: expected idx:value, got {tok!r}"
-                    )
-                idx_s, val_s = tok.split(":", 1)
-                try:
+                label, pairs, prev_idx = float(tokens[0]), [], 0
+                for tok in tokens[1:]:
+                    idx_s, colon, val_s = tok.partition(":")
                     idx = int(idx_s)
-                    val = float(val_s)
-                except ValueError:
-                    raise LibsvmParseError(
-                        f"line {lineno}, column {tok_col}: bad feature token {tok!r}"
-                    ) from None
-                if idx < 1:
-                    raise LibsvmParseError(
-                        f"line {lineno}, column {tok_col}: index {idx} must be >= 1"
-                    )
-                if idx <= prev_idx:
-                    raise LibsvmParseError(
-                        f"line {lineno}, column {tok_col}: index {idx} not increasing"
-                    )
-                prev_idx = idx
-                pairs.append((idx - 1, val))
-                dim = max(dim, idx)
+                    if not colon or idx <= prev_idx:
+                        raise ValueError(tok)
+                    pairs.append((idx - 1, float(val_s)))
+                    prev_idx = idx
+            except ValueError:
+                label, pairs = _scan_libsvm_line(line, lineno)
+                prev_idx = pairs[-1][0] + 1 if pairs else 0
+            dim = max(dim, prev_idx)
             samples.append((label, pairs))
     return samples, dim
+
+
+def _scan_libsvm_line(line, lineno):
+    """One non-blank line as (label, pairs); raises with the column of the
+    first malformed token."""
+    tokens = [(tok.group(), tok.start() + 1) for tok in re.finditer(r"\S+", line)]
+    label_tok, label_col = tokens[0]
+    try:
+        label = float(label_tok)
+    except ValueError:
+        raise LibsvmParseError(
+            f"line {lineno}, column {label_col}: bad label {label_tok!r}"
+        ) from None
+    pairs = []
+    prev_idx = 0
+    for tok, tok_col in tokens[1:]:
+        if ":" not in tok:
+            raise LibsvmParseError(
+                f"line {lineno}, column {tok_col}: expected idx:value, got {tok!r}"
+            )
+        idx_s, val_s = tok.split(":", 1)
+        try:
+            idx = int(idx_s)
+            val = float(val_s)
+        except ValueError:
+            raise LibsvmParseError(
+                f"line {lineno}, column {tok_col}: bad feature token {tok!r}"
+            ) from None
+        if idx < 1:
+            raise LibsvmParseError(
+                f"line {lineno}, column {tok_col}: index {idx} must be >= 1"
+            )
+        if idx <= prev_idx:
+            raise LibsvmParseError(
+                f"line {lineno}, column {tok_col}: index {idx} not increasing"
+            )
+        prev_idx = idx
+        pairs.append((idx - 1, val))
+    return label, pairs
 
 
 def write_libsvm(path, samples):
@@ -421,7 +442,7 @@ def build_instance(cfg: ExperimentConfig):
             raise ConfigError(data_field, f"node {i}: {exc}") from None
     try:
         problem = build_augmented(graph, objectives, cfg.tau, p_comm_override=cfg.p_comm)
-    except (GraphConstructionError, np.linalg.LinAlgError) as exc:
+    except (GraphConstructionError, EigensolveError, np.linalg.LinAlgError) as exc:
         raise ConfigError("topology.weights", str(exc)) from None
     try:
         round_table(problem)  # every entry a round reads is finite

@@ -199,12 +199,15 @@ def symmetric_eigensolve(mat) -> SymmetricSpectrum:
     """LAPACK eigenvalues (`eigvalsh`) of a dense symmetric matrix.
 
     Eigenvalues come back sorted ascending; those with |lam| <= ZERO_TOL * max|lam|
-    count toward kernel_dim.  Raises on non-square input and on asymmetric
-    input (beyond 1e-10 relative).
+    count toward kernel_dim.  Raises on non-square input, on NaN or inf
+    entries (which the symmetry test below would let through, since NaN > x
+    is False) and on asymmetric input (beyond 1e-10 relative).
     """
     a = np.asarray(mat, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise EigensolveError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise EigensolveError("matrix has NaN or inf entries")
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     if scale > 0 and float(np.max(np.abs(a - a.T))) > 1e-10 * scale:
         raise EigensolveError("matrix is not symmetric within 1e-10 relative tolerance")

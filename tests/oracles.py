@@ -14,9 +14,13 @@ library's dense operators; `point_saga_unscaled`, the Point-SAGA step on an
 unscaled gradient table, one pick at a time, against which the solver's
 gamma-scaled table is checked; and two measuring helpers that read solver
 states and APCG iterates: `sigma_dagger_rows` and `lyapunov_value`.
+`absolute_dual_fista` is the absolute loss's former reference solver, the
+projected FISTA on the pooled dual, against which the Newton reference is
+checked; `exact_absolute_gap` evaluates its certificate in exact arithmetic.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -232,6 +236,53 @@ def point_saga_unscaled(problem, iters, seed):
         table[j] = g_new
         out.append(x)
     return out
+
+
+def absolute_dual_fista(problem, tol=3e-6, max_iters=2_000_000):
+    """The pooled dual D(a) = a . y + ||X^T a||^2 / (2 sigma_total) over |a| <= 1
+    by projected FISTA (Beck & Teboulle 2009) with the gradient restart of
+    O'Donoghue & Candes (2015).
+
+    Every 20 steps the duality gap P(theta) + D(a) at theta = -X^T a /
+    sigma_total is checked against tol^2 sigma_total / 2; returns (theta,
+    D(a)) once it is met.  An iterate that has not moved since the last check
+    has stopped at rounding level, and the solver raises, as it does after
+    `max_iters` steps.
+    """
+    feats, labels, sigma = problem.feature_matrix, problem.labels, problem.sigma_total
+    lip = symmetric_eigensolve(feats.T @ feats).lambda_max / sigma
+    target = tol**2 * sigma / 2.0
+    a = y = a_checked = np.zeros(problem.m)
+    t, gap = 1.0, np.inf
+    for it in range(max_iters):
+        a_new = np.clip(y - (labels + feats @ (feats.T @ y) / sigma) / lip, -1.0, 1.0)
+        if (y - a_new) @ (a_new - a) > 0.0:  # momentum points uphill: restart
+            t_new, y = 1.0, a_new
+        else:
+            t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            y = a_new + ((t - 1.0) / t_new) * (a_new - a)
+        a, t = a_new, t_new
+        if it % 20 == 0:
+            theta = -(feats.T @ a) / sigma
+            dual = float(a @ labels) + 0.5 * sigma * float(theta @ theta)
+            residual = feats @ theta - labels
+            gap = float(np.sum(np.abs(residual))) + 0.5 * sigma * float(theta @ theta) + dual
+            if gap <= target:
+                return theta, dual
+            if np.array_equal(a, a_checked):
+                raise RuntimeError(f"FISTA stalled: duality gap = {gap:.3e} > {target:.3e}")
+            a_checked = a
+    raise RuntimeError(f"FISTA did not converge: duality gap = {gap:.3e} > {target:.3e}")
+
+
+def exact_absolute_gap(problem, theta, dual):
+    """P(theta) + dual for the pooled absolute loss, in exact rational
+    arithmetic on the stored floats: the error a certificate leaves out."""
+    theta = [Fraction(t) for t in theta.tolist()]
+    primal = sum(abs(sum(Fraction(x) * t for x, t in zip(row, theta)) - Fraction(y))
+                 for row, y in zip(problem.feature_matrix.tolist(), problem.labels.tolist()))
+    primal += Fraction(problem.sigma_total) / 2 * sum(t * t for t in theta)
+    return float(primal + Fraction(dual))
 
 
 def lift_primal_point(problem, theta):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,12 +16,58 @@ from adfs_lab.baselines import (
     pool_objectives,
     reference_optimum,
 )
-from adfs_lab.harness import synth_pool
+from adfs_lab.harness import build_instance, load_config, synth_pool
 from adfs_lab.instances import random_objectives
 from adfs_lab.objective import LossKind, primal_value
 from adfs_lab.rng import CHUNK, chunked, generator
 from adfs_lab.topology import build_topology
-from oracles import point_saga_unscaled
+from oracles import absolute_dual_fista, exact_absolute_gap, point_saga_unscaled
+
+# the most linear solves the absolute-loss reference makes: one per Newton
+# step and one for the finish of each Huber stage
+SOLVE_BOUND = baselines.HUBER_STAGES * (baselines.NEWTON_STEPS + 1)
+
+
+# absolute-loss configs on which the former FISTA reference ran 6-99 s:
+# (topology, feature scale, sigma, correlation)
+FOUND_ABSOLUTE = [
+    ({"kind": "grid2d", "rows": 3, "cols": 2}, 1e8, 1.0, 0.99),
+    ({"kind": "grid2d", "rows": 2, "cols": 1}, 1e8, 1e8, 0.0),
+    ({"kind": "line", "n": 2}, 1e3, 1e-3, 0.0),
+    ({"kind": "line", "n": 2}, 1e4, 1e-3, 0.0),
+    ({"kind": "line", "n": 4}, 1e3, 1.0, 0.99),
+    ({"kind": "line", "n": 4}, 1.0, 1e-3, 0.99),
+]
+
+
+def found_absolute_pool(topology, scale, sigma, correlation, seed):
+    cfg = load_config({
+        "topology": topology, "loss": "absolute", "m": 3, "sigma": sigma,
+        "dataset": {"kind": "synthetic", "d": 2, "seed": seed, "correlation": correlation,
+                    "feature_scale": scale},
+        "algorithms": ["ns_adfs"], "seeds": [0], "iters": 1, "log_every": 1})
+    return build_instance(cfg)[3]
+
+
+def assert_certificate_exact(flat, theta, f_ref, tol=3e-6):
+    """P(theta) + f_ref, in exact arithmetic, lies in [0, tol^2 sigma_total / 2]
+    up to the last bit of f_ref."""
+    ulp = np.finfo(float).eps * abs(f_ref)
+    gap = exact_absolute_gap(flat, theta, f_ref)
+    assert -ulp <= gap <= tol**2 * flat.sigma_total / 2.0 + ulp, gap
+
+
+def count_solves(monkeypatch):
+    """Record each np.linalg.eigh call, the reference's one linear solver."""
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(mat):
+        calls.append(mat.shape)
+        return eigh(mat)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
 
 
 class TestFlatProblem:
@@ -176,8 +224,10 @@ class TestReferenceOptimum:
         flat = pool_objectives(objs)
         for tol in (3e-6, 1e-4):
             theta, f_ref = reference_optimum(flat, tol=tol)
-            gap = f_ref + flat_value(flat, theta)
-            assert 0.0 <= gap <= tol**2 * flat.sigma_total / 2.0
+            primal = flat_value(flat, theta)
+            # an exact solution's gap is rounding and may read a few ulps below 0
+            allowance = 64 * np.finfo(float).eps * (abs(f_ref) + abs(primal))
+            assert -allowance <= f_ref + primal <= tol**2 * flat.sigma_total / 2.0
         # the non-smooth problem some callers pass is ignored
         prob = build_augmented_ns(build_topology("line", n=4), objs)
         theta2, f_ref2 = reference_optimum(flat, tol=tol, ns_problem=prob)
@@ -195,27 +245,96 @@ class TestReferenceOptimum:
         assert -allowance <= f_ref + primal <= tol**2 * flat.sigma_total / 2.0
 
     def test_absolute_stall_raises_without_running_on(self, monkeypatch):
-        # the rounded FISTA step stops moving with a duality gap near 1.4e-16,
-        # above the 5e-17 of tol 1e-8; the solver must raise there, not spend
-        # the default max_iters
-        feats, labels = synth_pool(2, 2, 0, 0.0, loss="absolute")
-        flat = FlatProblem(feats, labels, 1.0, LossKind.ABSOLUTE)
-        calls = []
-        value = baselines._stacked_value
-
-        def counted(*args):  # one call per gap check, every 20 steps
-            calls.append(1)
-            assert len(calls) <= 1000, "the reference ran on past the stall"
-            return value(*args)
-
-        monkeypatch.setattr(baselines, "_stacked_value", counted)
+        # the gap's target, 1.7e-24 at tol 1e-12, lies below the rounding of
+        # the residuals; the solver must raise after its last stage, within
+        # its fixed budget of linear solves, not run on
+        feats, labels = synth_pool(12, 3, 0, 0.0, loss="absolute")
+        solves = count_solves(monkeypatch)
         with pytest.raises(RuntimeError, match="stalled: duality gap"):
-            reference_optimum(flat, tol=1e-8)
+            reference_optimum(FlatProblem(feats, labels, 3.4, LossKind.ABSOLUTE), tol=1e-12)
+        assert 0 < len(solves) <= SOLVE_BOUND
 
-    def test_absolute_budget_exhausted_names_gap(self, rng):
+    def test_absolute_budget_exhausted_names_gap(self, rng, monkeypatch):
         objs = random_objectives(rng, 4, 6, 3, loss=LossKind.ABSOLUTE)
-        with pytest.raises(RuntimeError, match="duality gap"):
-            reference_optimum(pool_objectives(objs), tol=1e-12, max_iters=50)
+        solves = count_solves(monkeypatch)
+        with pytest.raises(RuntimeError, match="did not converge: duality gap"):
+            reference_optimum(pool_objectives(objs), tol=1e-12, max_iters=3)
+        # max_iters caps the Newton steps; each stage makes one or more, then
+        # one finish
+        assert 4 <= len(solves) <= 6
+
+    @pytest.mark.parametrize("topology,scale,sigma,correlation", FOUND_ABSOLUTE)
+    def test_absolute_found_configs_end_within_bound(self, monkeypatch, topology, scale, sigma,
+                                                      correlation):
+        # configs on which projected FISTA ran 6-99 s: the Newton reference
+        # certifies, or names a gap at the rounding of the labels, within its
+        # fixed budget of linear solves
+        for seed in range(3):
+            flat = found_absolute_pool(topology, scale, sigma, correlation, seed)
+            solves = count_solves(monkeypatch)
+            try:
+                theta, f_ref = reference_optimum(flat)
+            except RuntimeError as exc:
+                gap = float(re.search(r"duality gap = (\S+) >", str(exc)).group(1))
+                assert gap <= 2 * np.finfo(float).eps * np.abs(flat.labels).sum()
+            else:
+                assert_certificate_exact(flat, theta, f_ref)
+            assert 0 < len(solves) <= SOLVE_BOUND
+
+    def test_absolute_certificate_sound_without_extended_precision(self, monkeypatch):
+        # where np.longdouble is no wider than float64, the rounding bound of
+        # the certificate must keep the cancelling residuals honest
+        monkeypatch.setattr(np, "longdouble", np.float64)
+        certified = 0
+        for topology, scale, sigma, correlation in FOUND_ABSOLUTE[:4]:
+            for seed in range(3):
+                flat = found_absolute_pool(topology, scale, sigma, correlation, seed)
+                try:
+                    theta, f_ref = reference_optimum(flat)
+                except RuntimeError:
+                    continue
+                assert_certificate_exact(flat, theta, f_ref)
+                certified += 1
+        assert certified >= 3
+
+    def test_absolute_matches_fista_oracle(self):
+        # ragged pools, some with repeated rows and some with N <= d: both
+        # dual values lie above the optimum by at most their certified gaps
+        kinds = {"repeated": 0, "n_le_d": 0}
+        for seed in range(60):
+            rng = generator("abs-oracle", seed)
+            d = int(rng.integers(1, 6))
+            flat = pool_objectives(random_objectives(rng, int(rng.integers(1, 4)),
+                                                     int(rng.integers(1, 5)), d,
+                                                     loss=LossKind.ABSOLUTE, ragged=True))
+            extra = rng.integers(flat.m, size=int(rng.integers(0, 3)))
+            flat = FlatProblem(np.vstack([flat.feature_matrix, flat.feature_matrix[extra]]),
+                               np.concatenate([flat.labels, flat.labels[extra]]),
+                               flat.sigma_total, LossKind.ABSOLUTE)
+            kinds["repeated"] += extra.size > 0
+            kinds["n_le_d"] += flat.m <= d
+            theta, f_ref = reference_optimum(flat)
+            theta_o, f_oracle = absolute_dual_fista(flat)
+            gaps = f_ref + flat_value(flat, theta) + f_oracle + flat_value(flat, theta_o)
+            allowance = 64 * np.finfo(float).eps * (abs(f_ref) + abs(f_oracle))
+            assert abs(f_ref - f_oracle) <= gaps + allowance, seed
+            assert_certificate_exact(flat, theta, f_ref)
+        assert min(kinds.values()) >= 10, kinds
+
+    def test_absolute_finish_is_exact_on_the_optimum_pattern(self):
+        # from any point with the optimum's pattern, the KKT finish lands on
+        # the optimum: theta moves off the row space of X_E as well as on it
+        flat = pool_objectives(random_objectives(generator("abs-finish", 0), 3, 4, 3,
+                                                 loss=LossKind.ABSOLUTE))
+        feats, labels, sigma = flat.feature_matrix, flat.labels, flat.sigma_total
+        theta, _ = reference_optimum(flat)
+        residual = np.abs(feats @ theta - labels)
+        smooth = residual < 1e-9
+        assert 0 < smooth.sum() < feats.shape[1]  # X_E has a null space
+        mu = 0.5 * residual[~smooth].min()
+        start = theta + 1e-6 * mu * generator("abs-finish", 1).normal(size=theta.size)
+        theta_k, _ = baselines._kkt_finish(feats, labels, sigma, start, mu)
+        np.testing.assert_allclose(theta_k, theta, rtol=0, atol=1e-13 * np.abs(theta).max())
 
     @settings(max_examples=6, deadline=None)
     @given(st.integers(min_value=0, max_value=2**16))

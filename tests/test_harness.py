@@ -24,6 +24,7 @@ from adfs_lab.harness import (
     ConfigError,
     ExperimentConfig,
     LibsvmParseError,
+    _scan_libsvm_line,
     assign_node_datasets,
     build_instance,
     cli,
@@ -61,6 +62,13 @@ LIBSVM_ROWS = st.lists(
     st.tuples(FINITE,
               st.lists(st.tuples(st.integers(1, 1000), FINITE), max_size=8).map(_increasing)),
     min_size=1, max_size=10)
+
+
+# well-formed and malformed tokens and the whitespace between them
+LINE_TOKENS = st.sampled_from([
+    "1", "-2.5", "1e3", "nan", "-0", "x", "1:0.5", "2:1", "3:-1e-3", "2:2", "12:inf", "0:1",
+    "-1:1", "1:", ":1", "1:2:3", "a:1", "1:b", "1_0:1", "+3:2", "4:1_5", " 5:1"])
+SEPARATORS = st.sampled_from([" ", "\t", "  \t", "\u00a0", "\x0b"])
 
 
 def base_config(**over):
@@ -121,6 +129,26 @@ class TestParseLibsvm:
     def test_roundtrip_is_bit_exact(self):
         ok, detail = selfcheck.libsvm_roundtrip(generator("roundtrip", 0), 1000)
         assert ok, detail
+
+    @given(st.lists(st.tuples(LINE_TOKENS, SEPARATORS), min_size=1, max_size=6))
+    def test_fast_path_matches_scan(self, pieces):
+        # a line the split/partition path reads gives the scan's result; any
+        # other line gives the scan's error, column included
+        line = "".join(tok + sep for tok, sep in pieces)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "line.svm")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(f"1 1:1\n{line}\n")
+            try:
+                expect = _scan_libsvm_line(line, 2)
+            except LibsvmParseError as exc:
+                with pytest.raises(LibsvmParseError) as got:
+                    parse_libsvm(path)
+                assert str(got.value) == str(exc)
+            else:
+                samples, dim = parse_libsvm(path)
+                assert repr(samples[1]) == repr(expect)  # repr tells -0.0 and nan apart
+                assert dim == max([1] + [i + 1 for i, _ in expect[1]])
 
     @given(LIBSVM_ROWS)
     @example([(-0.0, [(0, 5e-324), (3, -0.0), (4, 1.7976931348623157e308)]),
@@ -318,13 +346,11 @@ class TestRunExperiment:
         assert -1e-12 <= derived["reference_gap"] <= tol**2 * derived["sigma_total"] / 2.0
 
 
-# Edge weights span 16 orders of magnitude.  Feature scales and sigma span 6:
-# the absolute loss's reference (FISTA on the pooled dual) takes longer as
-# lambda_max(X^T X) / sigma grows, and at features of 1e3 with sigma 1e-3 it
-# can already run its full 2e6 iterations, about 45 s.  The examples below
-# pin configs with scales of 1e+-160 and beyond.
+# Edge weights span 16 orders of magnitude, feature scales and sigma 8.  The
+# examples below pin configs with scales of 1e+-160 and beyond, and those on
+# which the absolute loss's former reference (projected FISTA) ran 6-99 s.
 WEIGHTS = st.sampled_from([1e-8, 1e-3, 1.0, 1e3, 1e8])
-SCALES = st.sampled_from([1e-3, 1.0, 1e3])
+SCALES = st.integers(-4, 4).map(lambda k: 10.0**k)
 
 
 @st.composite
@@ -383,6 +409,23 @@ class TestCli:
     # sigma ||X||^2 underflows, so round-table entries are not finite
     @example(found_case(topology={"kind": "line", "n": 1}, m=1, sigma=1e-300,
                         dataset={"kind": "synthetic", "d": 1, "seed": 2, "feature_scale": 1e-160}))
+    # the scaled Laplacian overflows to inf before its eigensolve
+    @example(found_case(topology={"kind": "line", "n": 2, "weights": [1e8]}, sigma=1e-300))
+    # the absolute-loss reference: targets below the rounding of the residuals
+    # (features 1e8), and ill-conditioned pools
+    @example(found_case(topology={"kind": "grid2d", "rows": 3, "cols": 2}, loss="absolute",
+                        algorithms=["ns_adfs"],
+                        dataset={"kind": "synthetic", "d": 2, "seed": 1, "correlation": 0.99,
+                                 "feature_scale": 1e8}))
+    @example(found_case(topology={"kind": "grid2d", "rows": 2, "cols": 1}, loss="absolute",
+                        algorithms=["ns_adfs"], sigma=1e8,
+                        dataset={"kind": "synthetic", "d": 2, "seed": 1, "feature_scale": 1e8}))
+    @example(found_case(topology={"kind": "line", "n": 2}, loss="absolute", algorithms=["ns_adfs"],
+                        m=2, sigma=1e-3,
+                        dataset={"kind": "synthetic", "d": 1, "seed": 0, "feature_scale": 1e4}))
+    @example(found_case(topology={"kind": "line", "n": 4}, loss="absolute", algorithms=["ns_adfs"],
+                        m=2, sigma=1.0, dataset={"kind": "synthetic", "d": 1, "seed": 3,
+                                                 "correlation": 0.99, "feature_scale": 1e3}))
     def test_random_config_exits_zero_or_names_a_field(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "config.json")
@@ -496,6 +539,8 @@ class TestCli:
         ({"dataset": {"kind": "synthetic", "d": 2, "feature_scale": 1e-300}},
          "dataset.feature_scale"),
         ({"m": 2, "dataset": {"kind": "libsvm", "path": "bare.svm"}}, "dataset.path"),
+        ({"topology": {"kind": "line", "n": 2, "weights": [1e8]}, "sigma": 1e-300},
+         "topology.weights"),
     ])
     def test_bad_field_exits_one_naming_field(self, tmp_path, monkeypatch, capsys, over, field):
         monkeypatch.chdir(tmp_path)  # the LibSVM cases read their files from here

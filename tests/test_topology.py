@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -124,6 +126,17 @@ class TestEigensolve:
     def test_asymmetric_rejected(self):
         with pytest.raises(EigensolveError, match="not symmetric"):
             symmetric_eigensolve(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected_without_warning(self, bad):
+        # NaN - NaN is NaN, and NaN > tol is False: the symmetry test alone
+        # would pass such a matrix on to LAPACK
+        mat = np.eye(3)
+        mat[0, 1] = mat[1, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EigensolveError, match="NaN or inf"):
+                symmetric_eigensolve(mat)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=1, max_value=9), st.integers(min_value=0, max_value=10_000))
