@@ -69,72 +69,51 @@ def parse_libsvm(path):
 
     Returns (samples, dim) where samples is a list of (label, pairs) with
     0-based pairs.  Blank lines and `#` comments are skipped.  Malformed
-    tokens raise with the line and column of the offending token.  A line is
-    read by `str.split` and `str.partition`; only a line they reject is
-    scanned again by `_scan_libsvm_line`, which places the column.
+    tokens raise with the line and column of the offending token.
     """
     samples = []
     dim = 0
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0]
-            tokens = line.split()  # the same whitespace as the scan's \S+
+            tokens = line.split()
             if not tokens:
                 continue
             try:
-                label, pairs, prev_idx = float(tokens[0]), [], 0
-                for tok in tokens[1:]:
-                    idx_s, colon, val_s = tok.partition(":")
-                    idx = int(idx_s)
-                    if not colon or idx <= prev_idx:
-                        raise ValueError(tok)
-                    pairs.append((idx - 1, float(val_s)))
-                    prev_idx = idx
+                label = float(tokens[0])
             except ValueError:
-                label, pairs = _scan_libsvm_line(line, lineno)
-                prev_idx = pairs[-1][0] + 1 if pairs else 0
+                raise _token_error(line, lineno, 0, f"bad label {tokens[0]!r}") from None
+            pairs = []
+            prev_idx = 0
+            for tok in tokens[1:]:  # a bad token is token len(pairs) + 1
+                idx_s, colon, val_s = tok.partition(":")
+                if not colon:
+                    raise _token_error(line, lineno, len(pairs) + 1,
+                                       f"expected idx:value, got {tok!r}")
+                try:
+                    idx = int(idx_s)
+                    val = float(val_s)
+                except ValueError:
+                    raise _token_error(line, lineno, len(pairs) + 1,
+                                       f"bad feature token {tok!r}") from None
+                if idx < 1:
+                    raise _token_error(line, lineno, len(pairs) + 1,
+                                       f"index {idx} must be >= 1")
+                if idx <= prev_idx:
+                    raise _token_error(line, lineno, len(pairs) + 1,
+                                       f"index {idx} not increasing")
+                pairs.append((idx - 1, val))
+                prev_idx = idx
             dim = max(dim, prev_idx)
             samples.append((label, pairs))
     return samples, dim
 
 
-def _scan_libsvm_line(line, lineno):
-    """One non-blank line as (label, pairs); raises with the column of the
-    first malformed token."""
-    tokens = [(tok.group(), tok.start() + 1) for tok in re.finditer(r"\S+", line)]
-    label_tok, label_col = tokens[0]
-    try:
-        label = float(label_tok)
-    except ValueError:
-        raise LibsvmParseError(
-            f"line {lineno}, column {label_col}: bad label {label_tok!r}"
-        ) from None
-    pairs = []
-    prev_idx = 0
-    for tok, tok_col in tokens[1:]:
-        if ":" not in tok:
-            raise LibsvmParseError(
-                f"line {lineno}, column {tok_col}: expected idx:value, got {tok!r}"
-            )
-        idx_s, val_s = tok.split(":", 1)
-        try:
-            idx = int(idx_s)
-            val = float(val_s)
-        except ValueError:
-            raise LibsvmParseError(
-                f"line {lineno}, column {tok_col}: bad feature token {tok!r}"
-            ) from None
-        if idx < 1:
-            raise LibsvmParseError(
-                f"line {lineno}, column {tok_col}: index {idx} must be >= 1"
-            )
-        if idx <= prev_idx:
-            raise LibsvmParseError(
-                f"line {lineno}, column {tok_col}: index {idx} not increasing"
-            )
-        prev_idx = idx
-        pairs.append((idx - 1, val))
-    return label, pairs
+def _token_error(line, lineno, pos, message):
+    # str.split and the regex \S+ split on the same (Unicode) whitespace, so
+    # token pos of the one is match pos of the other
+    col = [m.start() + 1 for m in re.finditer(r"\S+", line)][pos]
+    return LibsvmParseError(f"line {lineno}, column {col}: {message}")
 
 
 def write_libsvm(path, samples):

@@ -24,7 +24,6 @@ from adfs_lab.harness import (
     ConfigError,
     ExperimentConfig,
     LibsvmParseError,
-    _scan_libsvm_line,
     assign_node_datasets,
     build_instance,
     cli,
@@ -131,24 +130,41 @@ class TestParseLibsvm:
         assert ok, detail
 
     @given(st.lists(st.tuples(LINE_TOKENS, SEPARATORS), min_size=1, max_size=6))
-    def test_fast_path_matches_scan(self, pieces):
-        # a line the split/partition path reads gives the scan's result; any
-        # other line gives the scan's error, column included
+    @example([("1", " "), ("3:-1e-3", "\t"), ("2:1", " ")])
+    @example([("-0", " "), ("1:0.5", "  \t"), ("0:1", " ")])
+    @example([("1", "\u00a0"), ("1:0.5", " "), ("1:b", " ")])
+    @example([("1", " "), ("2:1", "\x0b"), ("x", " ")])
+    @example([("x", " "), ("1:0.5", " ")])
+    def test_error_names_first_bad_token(self, pieces):
+        # a line is read token by token, or rejected at the column of its first
+        # bad token, with the line up to that token read without error
         line = "".join(tok + sep for tok, sep in pieces)
+        starts = [m.start() for m in re.finditer(r"\S+", line)]
+        tokens = line.split()
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "line.svm")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(f"1 1:1\n{line}\n")
+
+            def parse(text):
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(f"1 1:1\n{text}\n")
+                return parse_libsvm(path)
+
             try:
-                expect = _scan_libsvm_line(line, 2)
+                samples, _ = parse(line)
             except LibsvmParseError as exc:
-                with pytest.raises(LibsvmParseError) as got:
-                    parse_libsvm(path)
-                assert str(got.value) == str(exc)
+                got = re.fullmatch(r"line 2, column (\d+): (.*)", str(exc))
+                assert got, str(exc)
+                pos = starts.index(int(got.group(1)) - 1)
+                assert got.group(2).endswith(repr(tokens[pos])) or got.group(2).startswith(
+                    f"index {int(tokens[pos].partition(':')[0])} ")
+                if pos > 0:
+                    parse(" ".join(tokens[:pos]))
             else:
-                samples, dim = parse_libsvm(path)
-                assert repr(samples[1]) == repr(expect)  # repr tells -0.0 and nan apart
-                assert dim == max([1] + [i + 1 for i, _ in expect[1]])
+                label, pairs = samples[1]
+                assert repr(label) == repr(float(tokens[0]))
+                # repr tells -0.0 and nan apart
+                assert repr([(i + 1, v) for i, v in pairs]) == repr(
+                    [(int(a), float(b)) for a, _, b in (t.partition(":") for t in tokens[1:])])
 
     @given(LIBSVM_ROWS)
     @example([(-0.0, [(0, 5e-324), (3, -0.0), (4, 1.7976931348623157e308)]),
