@@ -91,20 +91,18 @@ def _momentum_map(rho):
 
 class _Rounds:
     """What the computation rounds of one run share: the round table and its
-    boundary set (augmented.round_table), the first virtual index of each
-    node, and one warm start of the smooth build's scalar prox per virtual
-    node."""
+    boundary set (augmented.round_table), and one warm start of the smooth
+    build's scalar prox per virtual node."""
 
     def __init__(self, problem):
         self.table, self.boundary = aug.round_table(problem)
-        self.first = problem.vstart[:-1]
         self.warm = np.zeros(problem.n_virtual) if problem.smooth else None
 
     def sample(self, problem, draw):
         """(idx, consts, rows) of a computation draw: the sampled virtual
         nodes, their round-table columns (consts[col] holds one entry per
         node) and their features."""
-        idx = self.first + draw.chosen
+        idx = draw.idx
         # ndarray.take gathers 2-D rows about 3x faster than fancy indexing
         return idx, self.table.take(idx, axis=0).T, problem.features.take(idx, axis=0)
 
@@ -178,7 +176,7 @@ def run_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=(),
     momentum = _momentum_map(rho)
     cur, nxt = _pair(problem), _pair(problem)  # rows (x, v), then (y, w)
     rounds = _Rounds(problem)
-    stream = BlockStream("adfs", seed)
+    stream = BlockStream(problem.sampling, "adfs", seed)
 
     def step(t):
         nonlocal cur, nxt
@@ -221,7 +219,7 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
     z, z_prefix, z_center, z_coef = zb
     c = 1.0
     rounds = _Rounds(problem)
-    stream = BlockStream("adfs", seed)
+    stream = BlockStream(problem.sampling, "adfs", seed)
 
     def step(t):
         # "a += b" rebinds a (to the same array)
@@ -286,7 +284,7 @@ def run_ns_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=
     momentum = np.array([[1.0 - alpha, alpha], [0.0, 1.0]])  # rewritten from alpha each step
     cur, nxt = _pair(problem), _pair(problem)  # rows (x, v), then (y, w)
     rounds = _Rounds(problem)
-    stream = BlockStream("ns-adfs", seed)
+    stream = BlockStream(problem.sampling, "ns-adfs", seed)
 
     def step(t):
         nonlocal cur, nxt, alpha

@@ -10,7 +10,7 @@ for checks at small scale, live in `dense`.
 """
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -43,37 +43,21 @@ DOMAIN_TOL = 1e-6  # dual_objective's slack on the conjugate domain
 
 @dataclass(frozen=True)
 class SamplingScheme:
-    """Synchronous block distribution: one gossip block vs one sample per node."""
+    """Synchronous block distribution: one gossip block vs one sample per node.
+    Its blocks are drawn by a `rng.BlockStream` built for it."""
 
     p_comm: float
     p_virtual: tuple  # per node, probabilities over its samples (each sums to 1)
     p_marginal: np.ndarray  # flattened absolute probabilities p_ij
-    # per node, cumsum(p_virtual[i]) without its last entry: the local index of
-    # a uniform u is the count of entries below u, capped at m_i - 1
-    cum_virtual: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        cums = tuple(np.cumsum(pv)[:-1] for pv in self.p_virtual)
-        for cum in cums:
-            cum.flags.writeable = False
-        object.__setattr__(self, "cum_virtual", cums)
 
     @property
     def p_comp(self):
         return 1.0 - self.p_comm
 
-    def local_indices(self, u):
-        """Local sample index per node for each row of uniforms `u` (k, n):
-        one searchsorted per node over the whole column."""
-        out = np.empty(u.shape, dtype=np.intp)
-        for i, cum in enumerate(self.cum_virtual):
-            out[:, i] = np.searchsorted(cum, u[:, i], side="left")
-        return out
-
 
 class BlockDraw(NamedTuple):
     kind: str  # "communication" | "computation"
-    chosen: np.ndarray = None  # local sample index per node (computation only)
+    idx: np.ndarray = None  # virtual-node index per node (computation only)
 
 
 _COMMUNICATION = BlockDraw("communication")  # every gossip round's draw
@@ -213,6 +197,7 @@ def _graph_spectra(graph, lap, dm_tilde, sigma):
     return gamma, kappa_comm, alpha
 
 
+@np.errstate(invalid="ignore")  # kappa_comm = s_max_bound = inf give nan, which _sampling rejects
 def balanced_p_comm(gamma, kappa_comm, s_max_bound):
     """Communication probability equalizing the two rate branches."""
     return 1.0 / (1.0 + np.sqrt(2.0 * gamma / kappa_comm) * s_max_bound)
@@ -432,12 +417,15 @@ def _finite(table):
 
 
 def draw_block(problem, stream) -> BlockDraw:
-    """One synchronous block draw from the two substreams of `stream`; a
-    graph without edges (p_comm = 0) draws no kind uniform."""
+    """One synchronous block draw from the two substreams of `stream`, which
+    must be built for `problem.sampling`; a graph without edges (p_comm = 0)
+    draws no kind uniform."""
     scheme = problem.sampling
+    if stream.scheme is not scheme:
+        raise ValueError("a block stream serves one sampling scheme")
     if scheme.p_comm > 0.0 and next(stream.kinds) < scheme.p_comm:
         return _COMMUNICATION
-    return BlockDraw("computation", stream.chosen(scheme))
+    return BlockDraw("computation", next(stream.picks))
 
 
 def apply_comm_step(problem, state):

@@ -29,10 +29,6 @@ class FlatProblem(LocalObjective):
     def sigma_total(self):
         return self.sigma
 
-    @property
-    def n_samples(self):
-        return self.m
-
 
 def pool_objectives(objectives) -> FlatProblem:
     return FlatProblem(np.concatenate([o.feature_matrix for o in objectives]),

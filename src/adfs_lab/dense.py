@@ -12,7 +12,7 @@ Node-space rows follow `AugmentedProblem`; each spans d coordinates, and
 import numpy as np
 
 from .augmented import split_state
-from .topology import symmetric_eigensolve
+from .topology import incidence, symmetric_eigensolve
 
 __all__ = [
     "DENSE_ROW_GUARD",
@@ -40,22 +40,18 @@ def _projector(problem, idx):
 def dense_A(problem):
     """Dense constraint operator, shape (n_rows * d, (E + V) * d).
 
-    Communication-edge columns are mu_kl (e_k - e_l) (x) I_d; virtual-edge
-    columns are mu_ij (e_i - e_(i,j)) (x) P_ij with the rank-one feature
-    projector P_ij.  Guarded to small instances.
+    Communication-edge columns are mu_kl (e_k - e_l) (x) I_d, the columns of
+    topology.incidence (x) I_d; virtual-edge columns are
+    mu_ij (e_i - e_(i,j)) (x) P_ij with the rank-one feature projector P_ij.
+    Guarded to small instances.
     """
     d = problem.d
     rows = problem.n_rows * d
     if rows > DENSE_ROW_GUARD:
         raise ValueError(f"dense operator would have {rows} rows (> {DENSE_ROW_GUARD})")
-    cols = (problem.graph.n_edges + problem.n_virtual) * d
-    a = np.zeros((rows, cols))
-    eye = np.eye(d)
-    for e, ((k, l), mu) in enumerate(zip(problem.graph.edges, problem.graph.edge_weights)):
-        blk = mu * eye
-        a[k * d : (k + 1) * d, e * d : (e + 1) * d] = blk
-        a[l * d : (l + 1) * d, e * d : (e + 1) * d] = -blk
     off = problem.graph.n_edges
+    a = np.zeros((rows, (off + problem.n_virtual) * d))
+    a[: problem.n * d, : off * d] = np.kron(incidence(problem.graph), np.eye(d))
     owner = np.repeat(np.arange(problem.n), problem.m_per_node)
     for g in range(problem.n_virtual):
         i = owner[g]
@@ -94,8 +90,7 @@ def dense_pb_dagger_diag(problem, draw):
     if draw.kind == "communication":
         diag[: n_edges * d] = 1.0 / problem.sampling.p_comm
     else:
-        idx = problem.vstart[:-1] + draw.chosen
-        for g in idx:
+        for g in draw.idx:
             c = (n_edges + g) * d
             diag[c : c + d] = 1.0 / problem.sampling.p_marginal[g]
     return diag

@@ -420,14 +420,23 @@ def build_instance(cfg: ExperimentConfig):
         except ValueError as exc:  # sigma passed load_config: the samples are at fault
             raise ConfigError(data_field, f"node {i}: {exc}") from None
     try:
+        flat = pool_objectives(objectives)
+    except ValueError as exc:  # the pooled norms may overflow where each node's do not
+        raise ConfigError(data_field, f"pooled samples: {exc}") from None
+    try:
         problem = build_augmented(graph, objectives, cfg.tau, p_comm_override=cfg.p_comm)
     except (GraphConstructionError, EigensolveError, np.linalg.LinAlgError) as exc:
         raise ConfigError("topology.weights", str(exc)) from None
+    except ValueError as exc:  # a p_comm from the config lies in (0, 1), a balanced one
+        # leaves it once kappa_s = 1 + sum_j L_ij / sigma_i overflows (the sums are finite)
+        if not str(exc).startswith("p_comm"):
+            raise
+        raise ConfigError("sigma", "too small for the features: kappa_s overflows, "
+                                   f"and the balanced {exc}") from None
     try:
         round_table(problem)  # every entry a round reads is finite
     except ValueError as exc:  # the products scale with the squared feature norms
         raise ConfigError(data_field, str(exc)) from None
-    flat = pool_objectives(objectives)
     return graph, objectives, problem, flat, dataset_id
 
 

@@ -253,7 +253,8 @@ class LocalObjective:
     The data are stored as read-only float copies: an (m, d) feature matrix
     whose rows X_ij must be finite and nonzero (a zero row has no projector),
     the m labels (+1 or -1 for the logistic loss), and the row norms
-    ||X_ij||^2.
+    ||X_ij||^2.  For a smooth loss their sum must be finite: it bounds every
+    entry of the Gram matrix X^T X, and with it lambda_max and kappa_i.
     """
 
     feature_matrix: np.ndarray  # (m, d)
@@ -280,14 +281,18 @@ class LocalObjective:
             if bad.size:
                 raise ValueError(f"logistic label in row {bad[0]} is {float(y[bad[0]])}, "
                                  "expected +1 or -1")
-        with np.errstate(over="ignore"):  # reported below, by row
+        with np.errstate(over="ignore"):  # reported below
             xnorm2 = np.vecdot(x, x)  # bit-identical to the per-row x @ x
+            total = xnorm2.sum()
         zero = np.flatnonzero(xnorm2 <= 0.0)
         if zero.size:
             raise ValueError(f"zero feature vector in row {zero[0]}: its projector is undefined")
         overflow = np.flatnonzero(~np.isfinite(xnorm2))
         if overflow.size:
             raise ValueError(f"squared norm of feature row {overflow[0]} overflows")
+        if self.loss.is_smooth and not np.isfinite(total):
+            raise ValueError("squared feature norms sum past the float range: the Gram "
+                             "matrix and sum_j L_ij overflow")
         for name, arr in (("feature_matrix", x), ("labels", y), ("xnorm2", xnorm2)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -368,6 +373,7 @@ class ConditionReport:
     lam_sum_max: np.ndarray  # lambda_max(sum_j L_ij P_ij) per node
 
 
+@np.errstate(over="ignore")  # kappa_i reads inf for sigma far below sum_j L_ij
 def condition_numbers(objectives) -> ConditionReport:
     if not objectives[0].loss.is_smooth:
         raise ValueError("condition numbers undefined for non-smooth losses")

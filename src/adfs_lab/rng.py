@@ -39,32 +39,35 @@ def chunked(draw):
 
 
 class BlockStream:
-    """Pair of substreams used to draw sampling blocks.
+    """Pair of substreams drawing the sampling blocks of one scheme.
 
     `kind` decides communication vs computation; `pick` selects one virtual
     edge per node.  Keeping them disjoint lets two solver implementations
     replay exactly the same block sequence from the same seed.  Both are
-    drawn in chunks (`kinds` and `chosen`), with the values of per-call
-    draws.
+    drawn in chunks (`kinds` and `picks`), with the values of per-call
+    draws.  A pick is the global virtual-node index of each node's sample:
+    node i's uniform u maps to vstart[i] plus the count of entries of
+    cumsum(p_virtual[i]) below u, capped at m_i - 1.
     """
 
-    def __init__(self, *tokens):
+    def __init__(self, scheme, *tokens):
         seq = np.random.SeedSequence([stable_key(t) for t in tokens])
         kind_seq, pick_seq = seq.spawn(2)
+        self.scheme = scheme
         self.kind_rng = np.random.Generator(np.random.Philox(kind_seq))
         self.pick_rng = np.random.Generator(np.random.Philox(pick_seq))
         # uniforms deciding the kind of each block; none is drawn before use
         self.kinds = chunked(lambda k: self.kind_rng.random(k).tolist())
-        self._scheme = self._picks = None
+        # per node, its cumsum without the last entry (the cap) and its first index
+        cums = [np.cumsum(pv)[:-1] for pv in scheme.p_virtual]
+        first = np.cumsum([0] + [len(pv) for pv in scheme.p_virtual[:-1]])
 
-    def chosen(self, scheme):
-        """The next local sample index per node under `scheme`, the one
-        sampling scheme this stream serves: each chunk of uniform rows (one
-        column per node) goes through `scheme.local_indices` at once."""
-        if scheme is not self._scheme:
-            if self._scheme is not None:
-                raise ValueError("a block stream serves one sampling scheme")
-            width = len(scheme.p_virtual)
-            self._scheme = scheme
-            self._picks = chunked(lambda k: scheme.local_indices(self.pick_rng.random((k, width))))
-        return next(self._picks)
+        def picks(k):  # one searchsorted per node over a column of k uniforms
+            u = self.pick_rng.random((k, len(cums)))
+            out = np.empty(u.shape, dtype=np.intp)
+            for i, cum in enumerate(cums):
+                out[:, i] = np.searchsorted(cum, u[:, i], side="left")
+            out += first
+            return out
+
+        self.picks = chunked(picks)

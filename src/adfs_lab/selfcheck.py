@@ -96,8 +96,8 @@ def operator_shortcuts(problems, rng, count):
             step = aug.apply_comm_step(prob, y)
             worst_step = max(worst_step, dev(step_op, y, step))
             # A applied to a random dual vector on the sampled virtual edges
-            comp = aug.BlockDraw(kind="computation", chosen=rng.integers(prob.m_per_node))
-            idx = prob.vstart[:-1] + comp.chosen
+            idx = rng.integers(prob.vstart[:-1], prob.vstart[1:])
+            comp = aug.BlockDraw("computation", idx)
             scale = rng.normal(size=prob.n)
             comp_delta, comp_wt = aug.zero_state(prob), aug.zero_state(prob)
             for state, node_scale in ((comp_delta, scale), (comp_wt, scale * inv_p[idx])):
@@ -135,7 +135,7 @@ def sampling_frequencies(problems, draws):
     node come up at their probabilities within three standard errors."""
     ok = True
     for k, prob in enumerate(problems):
-        stream = BlockStream("selfcheck-freq", k)
+        stream = BlockStream(prob.sampling, "selfcheck-freq", k)
         comm = 0
         counts = np.zeros(prob.n_virtual)
         for _ in range(draws):
@@ -143,7 +143,7 @@ def sampling_frequencies(problems, draws):
             if draw.kind == "communication":
                 comm += 1
             else:
-                counts[prob.vstart[:-1] + draw.chosen] += 1
+                counts[draw.idx] += 1
         p = prob.sampling.p_comm
         ok = ok and abs(comm / draws - p) <= 3 * np.sqrt(p * (1 - p) / draws)
         comp = draws - comm

@@ -211,7 +211,7 @@ def symmetric_eigensolve(mat) -> SymmetricSpectrum:
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     if scale > 0 and float(np.max(np.abs(a - a.T))) > 1e-10 * scale:
         raise EigensolveError("matrix is not symmetric within 1e-10 relative tolerance")
-    a = 0.5 * (a + a.T)
+    a = 0.5 * a + 0.5 * a.T  # = 0.5 * (a + a.T), which overflows above half the float max
     vals = np.linalg.eigvalsh(a)
     scale = float(np.max(np.abs(vals))) if vals.size else 0.0
     kernel = int(np.sum(np.abs(vals) <= ZERO_TOL * scale)) if scale > 0 else vals.size

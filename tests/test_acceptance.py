@@ -122,7 +122,7 @@ def test_criterion_05_single_node_reduction():
     problem = single_node_problem()
     iters = 300
     comp, mu, units = dual_composite_for(problem, None)
-    stream = BlockStream("adfs", 11)
+    stream = BlockStream(problem.sampling, "adfs", 11)
     traj = run_apcg(comp, "strongly_convex", iters, stream)
     res = run_adfs(problem, iters, seed=11, log_every=iters,
                    capture_iters=range(1, iters + 1))
@@ -285,7 +285,7 @@ def test_criterion_10_figure_analogue():
                  stop_at_subopt=target).record.time_to(target)
         for s in range(5)
     ]
-    n_samp = flat.n_samples
+    n_samp = flat.m
     kappa = 1 + sum(0.25 * float(x @ x) for x in flat.feature_matrix)
     budget_saga = int(3 * (n_samp + np.sqrt(n_samp * kappa)) * np.log(gap0 / target))
     budget_saga -= budget_saga % 200

@@ -121,7 +121,7 @@ def dual_composite_for(problem, stream):
         return -(units[j] @ out) / mu[j]
 
     def sample_block(st):
-        return (int(aug.draw_block(problem, st).chosen[0]),)
+        return (int(aug.draw_block(problem, st).idx[0]),)
 
     comp = CompositeProblem(
         dim=m,
@@ -150,7 +150,7 @@ class TestSingleNodeReduction:
         problem = single_node_problem()
         iters = 300
         comp, mu, units = dual_composite_for(problem, None)
-        stream = BlockStream("adfs", 11)
+        stream = BlockStream(problem.sampling, "adfs", 11)
         traj = run_apcg(comp, "strongly_convex", iters, stream)
         res = run_adfs(problem, iters, seed=11, log_every=iters,
                        capture_iters=range(1, iters + 1))
@@ -474,11 +474,11 @@ class TestRoundTable:
         prob = clamped_problem(wide=6)
         assert prob.rho < prob.rho_unclamped
         rounds = _Rounds(prob)
-        stream = BlockStream("adfs", 0)
+        stream = BlockStream(prob.sampling, "adfs", 0)
         for _ in range(100):
             draw = aug.draw_block(prob, stream)
             if draw.kind == "computation":
-                boundary = rounds.boundary[prob.vstart[:-1] + draw.chosen]
+                boundary = rounds.boundary[draw.idx]
                 if boundary.any() and not boundary.all():
                     break
         else:
@@ -657,7 +657,7 @@ class TestNonSmoothSolver:
         # the primal absolute-loss prox, node by node
         prob = self._problem()
         rounds = _Rounds(prob)
-        stream = BlockStream("ns-adfs", 0)
+        stream = BlockStream(prob.sampling, "ns-adfs", 0)
         draw = aug.draw_block(prob, stream)
         while draw.kind != "computation":
             draw = aug.draw_block(prob, stream)

@@ -236,7 +236,7 @@ class TestOperatorShortcuts:
 
     def test_wtilde_computation_matches_dense(self, rng):
         prob = random_problem(rng, n=3, m=3, d=2)
-        stream = BlockStream("wt-comp")
+        stream = BlockStream(prob.sampling, "wt-comp")
         shape = (prob.n_rows, prob.d)
         checked = 0
         while checked < 10:
@@ -247,7 +247,7 @@ class TestOperatorShortcuts:
             # delta in range(A U_b): image of a random dual vector on the block
             a = dense_A(prob)
             dual = np.zeros(a.shape[1])
-            idx = prob.vstart[:-1] + draw.chosen
+            idx = draw.idx
             for g in idx:
                 c = (prob.graph.n_edges + g) * prob.d
                 dual[c : c + prob.d] = generator("wt-dual", checked, int(g)).normal(
@@ -295,7 +295,7 @@ class TestDenseRateBound:
             worst = block_lambda(BlockDraw(kind="communication"))
             for combo in itertools.product(*[range(m) for m in prob.m_per_node]):
                 worst = max(worst, block_lambda(
-                    BlockDraw(kind="computation", chosen=np.array(combo))
+                    BlockDraw(kind="computation", idx=prob.vstart[:-1] + combo)
                 ))
             rho_dense = np.sqrt(lam_min / worst)
             assert prob.rho_unclamped <= rho_dense + 1e-8
@@ -354,9 +354,9 @@ class TestSampling:
     @pytest.mark.parametrize("loss", [LossKind.LOGISTIC, LossKind.ABSOLUTE,
                                       pytest.param(None, id="single-node")])
     def test_draws_match_per_node_searchsorted(self, loss):
-        # the chunked draws replay the per-call, per-node cumsum/searchsorted
-        # draw, read from a second stream with the same tokens, across
-        # several chunk refills of both substreams
+        # the chunked draws are the global indices of the per-call, per-node
+        # cumsum/searchsorted draw, read from a second stream with the same
+        # tokens, across several chunk refills of both substreams
         rng = generator("draw-table", 0)
         if loss is None:  # no edges: p_comm = 0 and no kind uniform is drawn
             prob = random_problem(rng, n=1, m=6, d=2, ragged=True)
@@ -364,7 +364,7 @@ class TestSampling:
         else:
             prob = random_problem(rng, n=5, m=6, d=2, loss=loss, weighted=True, ragged=True)
             assert len(set(prob.m_per_node)) > 1
-        stream, replay = BlockStream("draw-table"), BlockStream("draw-table")
+        stream, replay = (BlockStream(prob.sampling, "draw-table") for _ in range(2))
         comp = kinds = 0
         while comp < max(2000, 3 * CHUNK + 1):
             draw = draw_block(prob, stream)
@@ -378,7 +378,7 @@ class TestSampling:
             expected = [min(int(np.searchsorted(np.cumsum(pv), u[i])), len(pv) - 1)
                         for i, pv in enumerate(prob.sampling.p_virtual)]
             assert draw.kind == "computation"
-            np.testing.assert_array_equal(draw.chosen, expected)
+            np.testing.assert_array_equal(draw.idx, prob.vstart[:-1] + expected)
             comp += 1
         if loss is None:
             assert kinds == 0
@@ -390,7 +390,7 @@ class TestSampling:
     def test_stream_serves_one_scheme(self):
         rng = generator("one-scheme", 0)
         a, b = (random_problem(rng, n=3, m=3, d=2) for _ in range(2))
-        stream = BlockStream("one-scheme")
+        stream = BlockStream(a.sampling, "one-scheme")
         while draw_block(a, stream).kind != "computation":
             pass
         with pytest.raises(ValueError, match="one sampling scheme"):

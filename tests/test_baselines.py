@@ -83,7 +83,7 @@ class TestFlatProblem:
     def test_sample_count(self, rng):
         objs = random_objectives(rng, 2, 5, 2)
         flat = pool_objectives(objs)
-        assert flat.n_samples == 10
+        assert flat.m == 10
 
 
 class TestPointSaga:
@@ -148,7 +148,7 @@ class TestPointSaga:
         iters = 2 * CHUNK + 50
         point_saga(flat, iters, seed=4, log_every=iters)
         per_call = generator("point-saga", 4)
-        assert seen == [int(per_call.integers(flat.n_samples)) for _ in range(iters)]
+        assert seen == [int(per_call.integers(flat.m)) for _ in range(iters)]
 
 
     @pytest.mark.parametrize("loss", [LossKind.LOGISTIC, LossKind.SQUARED])

@@ -425,6 +425,18 @@ class TestCli:
     # sigma ||X||^2 underflows, so round-table entries are not finite
     @example(found_case(topology={"kind": "line", "n": 1}, m=1, sigma=1e-300,
                         dataset={"kind": "synthetic", "d": 1, "seed": 2, "feature_scale": 1e-160}))
+    # the summed squared feature norms of a node overflow, where each row's do
+    # not: the balanced p_comm collapsed to 0, and the node Gram matrix to inf
+    @example(found_case(topology={"kind": "line", "n": 2}, m=6,
+                        dataset={"kind": "synthetic", "d": 2, "seed": 1, "feature_scale": 5e153}))
+    @example(found_case(topology={"kind": "line", "n": 2}, m=200,
+                        dataset={"kind": "synthetic", "d": 2, "seed": 1, "feature_scale": 1e153}))
+    # each node's sum is finite, the pooled one overflows
+    @example(found_case(topology={"kind": "line", "n": 2}, m=1,
+                        dataset={"kind": "synthetic", "d": 1, "seed": 0, "feature_scale": 1e154}))
+    # kappa_s overflows, so the balanced p_comm is NaN
+    @example(found_case(sigma=1e-300,
+                        dataset={"kind": "synthetic", "d": 2, "seed": 2, "feature_scale": 1e4}))
     # the scaled Laplacian overflows to inf before its eigensolve
     @example(found_case(topology={"kind": "line", "n": 2, "weights": [1e8]}, sigma=1e-300))
     # the absolute-loss reference: targets below the rounding of the residuals

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -288,6 +290,20 @@ class TestProxSample:
             build_augmented(build_topology("complete", n=2),
                             [local(np.ones((2, 2)), [1.0, -1.0]),
                              local(np.ones((2, 3)), [1.0, -1.0])], tau=1.0)
+
+    def test_overflowing_norm_sum_rejected_for_smooth_losses(self):
+        # each row's squared norm is 1e308, but two of them sum past the float
+        # range, and that sum bounds the Gram matrix, lambda_max and kappa_i
+        feats = np.full((2, 1), 1e154)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in (LossKind.LOGISTIC, LossKind.SQUARED):
+                with pytest.raises(ValueError, match="sum past the float range"):
+                    LocalObjective(feats, [1.0, -1.0], 1.0, kind)
+                report = condition_numbers([LocalObjective(feats[:1], [1.0], 1.0, kind)])
+                assert np.isfinite(report.lam_sum_max).all() and np.isfinite(report.kappa_s)
+        # the absolute loss needs no such sum
+        assert LocalObjective(feats, [1.0, -1.0], 1.0, LossKind.ABSOLUTE).m == 2
 
 
 class TestProxTildeFstar:
