@@ -41,32 +41,29 @@ class AdfsResult:
     captures: dict = field(default_factory=dict)
 
 
-def primal_estimate(problem, y_state):
-    """Average of the rescaled centers (Sigma_comm^-1 y)."""
-    center = aug.split_state(problem, y_state)[0]
+def primal_estimate(problem, center):
+    """Average of the rescaled (n, d) centers of a state (Sigma_comm^-1 y)."""
     return np.mean(center / problem.sigma[:, None], axis=0)
 
 
-def _primal_value(problem, y_state):
+def _primal_value(problem, y_center):
     """The smooth solvers' logged value: F at the primal estimate of y."""
     return _stacked_value(problem.loss, problem.features, problem.labels,
-                          float(problem.sigma.sum()), primal_estimate(problem, y_state))
+                          float(problem.sigma.sum()), primal_estimate(problem, y_center))
 
 
 class _Buffer(NamedTuple):
-    """A state buffer with the views a round writes, made once per run: its
-    n*d center prefix, and the (center, coef) views of augmented.split_state."""
+    """A state buffer with the (center, coef) views of augmented.split_state,
+    made once per run."""
 
     full: np.ndarray
-    prefix: np.ndarray
     center: np.ndarray
     coef: np.ndarray
 
 
 def _views(problem, state):
     """`state` (a 1-D array, possibly a row of a larger one) with its views."""
-    center, coef = aug.split_state(problem, state)
-    return _Buffer(state, state[:center.size], center, coef)
+    return _Buffer(state, *aug.split_state(problem, state))
 
 
 class _Pair(NamedTuple):
@@ -139,18 +136,17 @@ def _block_step(problem, rounds, draw, y, w, eta, beta):
     iterates x and v; on return w holds the next v = w + delta and y the next
     x = y + beta * W~ delta.  Returns the idealized duration of the block.
     """
+    _, w_center, w_coef = w
+    _, y_center, y_coef = y
     if draw.kind == "communication":
         # gossip moves only the centers
-        y_prefix, w_prefix = y.prefix, w.prefix
-        delta = -eta * aug.apply_comm_step(problem, y_prefix)
-        w_prefix += delta
-        y_prefix += beta * aug.apply_wtilde(problem, delta)
+        delta = -eta * aug.apply_comm_step(problem, y_center)
+        w_center += delta
+        y_center += beta * aug.apply_wtilde(problem, delta)
         return problem.tau
     # delta is -h * X on the centers and +h on the sampled coefficients, and
     # its W~ image is delta scaled by 1 / p_ij: only those entries move
     idx, consts, rows = rounds.sample(problem, draw)
-    _, _, w_center, w_coef = w
-    _, _, y_center, y_coef = y
     w_idx = w_coef[idx]
     h = rounds.step(problem, idx, consts, rows, y_center, y_coef[idx], w_idx, eta)
     w_coef[idx] = w_idx + h
@@ -194,11 +190,14 @@ def run_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=(),
         x, v = cur.full
         return (x + rho * v) / (1.0 + rho)
 
+    def y_center():
+        return (cur.first.center + rho * cur.second.center) / (1.0 + rho)
+
     record, captures = run_loop(
-        iters, step, lambda: _primal_value(problem, y_state()),
+        iters, step, lambda: _primal_value(problem, y_center()),
         lambda: {"x": cur.full[0].copy(), "v": cur.full[1].copy(), "y": y_state()},
         log_every, f_star, capture_iters, stop_at_subopt)
-    return AdfsResult(record, primal_estimate(problem, y_state()), captures)
+    return AdfsResult(record, primal_estimate(problem, y_center()), captures)
 
 
 def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
@@ -215,21 +214,21 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
     phi = (1.0 - rho) / (1.0 + rho)
     # U and z stay two arrays: stacked as one, the rounds measured slower
     ub, zb = (_views(problem, aug.zero_state(problem)) for _ in range(2))
-    big_u, u_prefix, u_center, u_coef = ub
-    z, z_prefix, z_center, z_coef = zb
+    big_u, u_center, u_coef = ub
+    z, z_center, z_coef = zb
     c = 1.0
     rounds = _Rounds(problem)
     stream = BlockStream(problem.sampling, "adfs", seed)
 
     def step(t):
         # "a += b" rebinds a (to the same array)
-        nonlocal c, big_u, u_prefix, u_center, z_prefix, z_center
+        nonlocal c, big_u, u_center, z_center
         draw = aug.draw_block(problem, stream)
         if draw.kind == "communication":
-            h = -eta * aug.apply_comm_step(problem, c * u_prefix + z_prefix)
+            h = -eta * aug.apply_comm_step(problem, c * u_center + z_center)
             wt = aug.apply_wtilde(problem, h)
-            u_prefix -= (h - rho * wt) / (2.0 * c)
-            z_prefix += 0.5 * (h + rho * wt)
+            u_center -= (h - rho * wt) / (2.0 * c)
+            z_center += 0.5 * (h + rho * wt)
             z_written = None  # no coefficient written this round
             duration = tau
         else:
@@ -265,7 +264,7 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
 
     # the centers of y_K = phi^(K+1) u_K + z_K, the return convention of this form
     def y_center():
-        return c * u_prefix + z_prefix
+        return c * u_center + z_center
 
     record, captures = run_loop(iters, step, lambda: _primal_value(problem, y_center()),
                                 capture, log_every, f_star, capture_iters, stop_at_subopt)
@@ -305,4 +304,5 @@ def run_ns_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=
                                 lambda: {"x": cur.full[0].copy(), "v": cur.full[1].copy(),
                                          "y": None},
                                 log_every, f_star, capture_iters, stop_at_subopt)
-    return AdfsResult(record, primal_estimate(problem, cur.full[1]), captures)
+    # theta is estimated from x, the iterate whose dual value is logged
+    return AdfsResult(record, primal_estimate(problem, cur.first.center), captures)

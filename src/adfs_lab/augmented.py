@@ -19,6 +19,7 @@ from .objective import LossKind, condition_numbers, loss_conjugate
 from .topology import CommunicationGraph, GraphConstructionError, laplacian, symmetric_eigensolve
 
 __all__ = [
+    "ScaleError",
     "SamplingScheme",
     "BlockDraw",
     "AugmentedProblem",
@@ -39,6 +40,15 @@ __all__ = [
 
 log = logging.getLogger("adfs_lab")
 DOMAIN_TOL = 1e-6  # dual_objective's slack on the conjugate domain
+
+
+class ScaleError(ValueError):
+    """A derived constant leaves the float range; `culprit` names the input
+    whose scale causes it: "sigma" or "features"."""
+
+    def __init__(self, culprit, message):
+        super().__init__(message)
+        self.culprit = culprit
 
 
 @dataclass(frozen=True)
@@ -257,7 +267,13 @@ def build_augmented(graph, objectives, tau, p_comm_override=None):
         return _build_ns(shared, p_comm_override)
     objectives, sigma = shared["objectives"], shared["sigma"]
     report = condition_numbers(objectives)
-    dm_tilde = sigma + 2.0 * report.lam_sum_max
+    if not np.isfinite(report.kappa_s):
+        raise ScaleError("sigma", "too small for the features: "
+                                  "kappa_s = 1 + sum_j L_ij / sigma_i overflows")
+    with np.errstate(over="ignore"):  # reported below
+        dm_tilde = sigma + 2.0 * report.lam_sum_max
+    if not np.isfinite(dm_tilde).all():
+        raise ScaleError("features", "too large: sigma_i + 2 lambda_max(sum_j L_ij P_ij) overflows")
     gamma, kappa_comm, alpha = _graph_spectra(graph, shared["laplacian_comm"], dm_tilde, sigma)
     smooth_virtual = shared["loss"].scalar_smoothness * shared["xnorm2"]
 
@@ -269,6 +285,8 @@ def build_augmented(graph, objectives, tau, p_comm_override=None):
         p_comm = 0.0
     else:
         p_comm = float(balanced_p_comm(gamma, kappa_comm, s_max))
+        if not 0.0 < p_comm < 1.0:
+            raise ScaleError("sigma", f"too small for the features: balanced p_comm {p_comm}")
 
     problem = AugmentedProblem(
         **shared,
@@ -340,8 +358,7 @@ def _build_ns(shared, p_comm_override):
 def split_state(problem, state):
     """(center, coef) views of a state: one vector holding the n center rows
     (n x d, row-major), then coef[vstart[i] + j] for virtual node (i, j),
-    which stands for coef[vstart[i] + j] * X_ij.  A center prefix alone has
-    an empty coef view."""
+    which stands for coef[vstart[i] + j] * X_ij."""
     k = problem.n * problem.d
     return state[:k].reshape(problem.n, problem.d), state[k:]
 
@@ -359,9 +376,10 @@ G_CENTER, INV_P = range(2)
 # the label; the prox input factor ||X_ij||^2 / eta~_ij; the 1D prox step
 # gamma ||X_ij||^2 with gamma = (L_ij - eta~_ij) / (eta~_ij L_ij); the prox
 # output factors 1 / scale and eta~_ij / (||X_ij||^2 scale) with
-# scale = 1 - eta~_ij / L_ij (NaN on boundary nodes, which do not read them);
-# and the efficient form's pair-update factors (1 - rho / p_ij) / 2 and
-# (1 + rho / p_ij) / 2.
+# scale = 1 - eta~_ij / L_ij; and the efficient form's pair-update factors
+# (1 - rho / p_ij) / 2 and (1 + rho / p_ij) / 2.  Boundary nodes, where
+# scale = 0, get inert factors instead: a unit step and zero output factors,
+# so a round runs one prox over all its nodes and then overwrites theirs.
 G_COEF, LABEL, Z_IN, STEP, INV_SCALE, P_OUT, PAIR_U, PAIR_Z = range(2, 10)
 # Non-smooth build, whose step changes every round: T_ij label_ij with
 # T_ij = mu_ij^2 / (p_ij ||X_ij||^2), so that a round with dual step eta moves
@@ -379,8 +397,8 @@ def round_table(problem):
     conjugate-prox identity is checked once for every virtual node
     (eta~_ij <= L_ij up to 1e-9 relative, else ValueError), and `boundary`
     marks the nodes at its limit eta~_ij = L_ij, or is None when there are
-    none.  The non-smooth build has no boundary.  An entry that a round
-    reads and that is not finite raises ValueError.
+    none.  The non-smooth build has no boundary.  A non-finite entry raises
+    ValueError.
     """
     p = problem.sampling.p_marginal
     mu2, xnorm2 = problem.mu2_virtual, problem.xnorm2
@@ -397,14 +415,12 @@ def round_table(problem):
     boundary = ratio >= 1.0 - 1e-9
     gamma = (smooth - eta_tilde) / (eta_tilde * smooth)
     scale = 1.0 - ratio
-    inv_scale, p_out = np.ones_like(p), np.ones_like(p)
-    np.divide(1.0, scale, out=inv_scale, where=~boundary)
-    np.divide(eta_tilde, xnorm2 * scale, out=p_out, where=~boundary)
     rho_p = problem.rho / p
     table = _finite(np.column_stack(cols + [
-        weight / smooth, problem.labels, xnorm2 / eta_tilde, gamma * xnorm2, inv_scale, p_out,
+        weight / smooth, problem.labels, xnorm2 / eta_tilde,
+        np.where(boundary, 1.0, gamma * xnorm2), np.where(boundary, 0.0, 1.0 / scale),
+        np.where(boundary, 0.0, eta_tilde / (xnorm2 * scale)),
         0.5 * (1.0 - rho_p), 0.5 * (1.0 + rho_p)]))
-    table[boundary, INV_SCALE:P_OUT + 1] = np.nan
     return table, (boundary if boundary.any() else None)
 
 
@@ -428,21 +444,18 @@ def draw_block(problem, stream) -> BlockDraw:
     return BlockDraw("computation", next(stream.picks))
 
 
-def apply_comm_step(problem, state):
-    """W_comm Sigma^dagger applied to a state (gossip gradient term).
+def apply_comm_step(problem, center):
+    """W_comm Sigma^dagger applied to the (n, d) centers of a state (gossip
+    gradient term).
 
-    Only the centers are touched: each edge (k, l) moves weight
-    mu_kl^2 ((Sigma^-1 y)_k - (Sigma^-1 y)_l) between its endpoints, and the
-    whole block is scaled by 1 / p_comm.  `state` may therefore be the center
-    prefix alone; the result has its shape.
+    Communication edges join centers only, so the step moves no coefficient:
+    each edge (k, l) moves weight mu_kl^2 ((Sigma^-1 y)_k - (Sigma^-1 y)_l)
+    between its endpoints, and the whole block is scaled by 1 / p_comm.
     """
     p_comm = problem.sampling.p_comm
     if p_comm <= 0.0:
         raise ValueError("no communication block exists (p_comm = 0)")
-    k = problem.n * problem.d
-    scaled = state[:k].reshape(problem.n, -1) / problem.sigma[:, None]
-    step = ((problem.laplacian_comm @ scaled) / p_comm).reshape(k)
-    return step if state.size == k else np.concatenate((step, np.zeros(state.size - k)))
+    return (problem.laplacian_comm @ (center / problem.sigma[:, None])) / p_comm
 
 
 def virtual_gradient(problem, consts, rows, center, coef):
@@ -462,15 +475,12 @@ def virtual_gradient(problem, consts, rows, center, coef):
 
 
 def apply_wtilde(problem, delta):
-    """A P_b^dagger A^dagger applied to a gossip update: a 1/p_comm rescaling
-    of the centers.  Only the centers are read, so `delta` may be the center
-    prefix alone.  A computation block's W~ rescales its sampled coefficients
-    and their centers by 1/p_ij, the round table's INV_P column, which the
-    solvers apply in place.
+    """A P_b^dagger A^dagger applied to a gossip update of the (n, d)
+    centers: a 1/p_comm rescaling.  A computation block's W~ rescales its
+    sampled coefficients and their centers by 1/p_ij, the round table's
+    INV_P column, which the solvers apply in place.
     """
-    out = delta / problem.sampling.p_comm
-    out[problem.n * problem.d:] = 0.0
-    return out
+    return delta / problem.sampling.p_comm
 
 
 def dual_objective(problem, state):

@@ -17,8 +17,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .adfs import run_adfs, run_adfs_efficient, run_ns_adfs
-from .augmented import (balanced_p_comm, build_augmented, expected_time, rate_branches,
-                        round_table)
+from .augmented import (ScaleError, balanced_p_comm, build_augmented, expected_time,
+                        rate_branches, round_table)
 from .baselines import flat_grad, flat_value, point_saga, pool_objectives, reference_optimum
 from .objective import LocalObjective, LossKind
 from .rng import generator
@@ -425,14 +425,10 @@ def build_instance(cfg: ExperimentConfig):
         raise ConfigError(data_field, f"pooled samples: {exc}") from None
     try:
         problem = build_augmented(graph, objectives, cfg.tau, p_comm_override=cfg.p_comm)
+    except ScaleError as exc:
+        raise ConfigError("sigma" if exc.culprit == "sigma" else data_field, str(exc)) from None
     except (GraphConstructionError, EigensolveError, np.linalg.LinAlgError) as exc:
         raise ConfigError("topology.weights", str(exc)) from None
-    except ValueError as exc:  # a p_comm from the config lies in (0, 1), a balanced one
-        # leaves it once kappa_s = 1 + sum_j L_ij / sigma_i overflows (the sums are finite)
-        if not str(exc).startswith("p_comm"):
-            raise
-        raise ConfigError("sigma", "too small for the features: kappa_s overflows, "
-                                   f"and the balanced {exc}") from None
     try:
         round_table(problem)  # every entry a round reads is finite
     except ValueError as exc:  # the products scale with the squared feature norms
@@ -515,8 +511,9 @@ def _median_times(cfg, records):
 def run_experiment(cfg: ExperimentConfig, out_dir=None):
     """Execute all (algorithm, seed) cells and write results.csv + metadata.json.
 
-    Returns (exit_code, csv_path): 0 when every cell succeeded.  Cells run
-    one after another and a failing cell aborts only itself.
+    Returns (exit_code, csv_path, metadata): exit code 0 when every cell
+    succeeded, and the dict written to metadata.json.  Cells run one after
+    another and a failing cell aborts only itself.
     """
     out_dir = out_dir or cfg.out
     os.makedirs(out_dir, exist_ok=True)
@@ -569,7 +566,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
 
     for f in failures:
         print(f"cell failed: {f['algo']} seed {f['seed']}: {f['error']}", file=sys.stderr)
-    return (1 if failures else 0), csv_path
+    return (1 if failures else 0), csv_path, meta
 
 
 # ---------------------------------------------------------------------------
@@ -604,19 +601,14 @@ def _load_config_file(path, overrides):
     return load_config(_apply_overrides(data, overrides))
 
 
-def _read_metadata(csv_path):
-    with open(os.path.join(os.path.dirname(csv_path), "metadata.json"), encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _cmd_run(args):
     cfg = _load_config_file(args.config, args.override)
     if args.seed is not None:
         cfg.seeds = [args.seed]
-    code, csv_path = run_experiment(cfg, out_dir=args.out)
+    code, csv_path, meta = run_experiment(cfg, out_dir=args.out)
     print(f"wrote {csv_path}")
     if cfg.stop_at_subopt is not None:
-        for algo, time in _read_metadata(csv_path)["median_time_to_target"].items():
+        for algo, time in meta["median_time_to_target"].items():
             reached = "not reached" if time is None else f"{time:.0f}"
             print(f"{algo}: median time to {cfg.stop_at_subopt:g} = {reached}")
     return code
@@ -637,8 +629,7 @@ def _cmd_sweep(args):
     algos = list(dict.fromkeys(a for cfg in cfgs for a in cfg.algorithms))
     rows, status = [], 0
     for value, cfg in zip(values, cfgs):
-        code, csv_path = run_experiment(cfg, out_dir=os.path.join(out_dir, f"{key}={value}"))
-        meta = _read_metadata(csv_path)
+        code, _, meta = run_experiment(cfg, out_dir=os.path.join(out_dir, f"{key}={value}"))
         derived, times = meta["derived"], meta["median_time_to_target"]
         nums = [derived["p_comm"], derived.get("rho"), derived.get("predicted_time_per_log_eps")]
         nums += [np.inf if times.get(a) is None else times[a] for a in algos]

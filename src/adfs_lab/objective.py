@@ -338,29 +338,21 @@ def _tilde_coeff_batch(kind, c_x, z_in, labels, step, inv_scale, p_out, warm, bo
     (c - eta_tilde p* / ||X||^2) / (1 - eta_tilde / L).  The caller
     precomputes, with eta_tilde <= L, the factors `z_in` = ||X||^2 / eta_tilde,
     `step` = gamma ||X||^2, `inv_scale` = 1 / (1 - eta_tilde / L) and
-    `p_out` = eta_tilde / (||X||^2 (1 - eta_tilde / L)).  `boundary` marks
-    the samples at the limit eta_tilde -> L, where the prox is the primal
-    gradient at x / L, whose z is c / L_g; None means there are none.
+    `p_out` = eta_tilde / (||X||^2 (1 - eta_tilde / L)).  On the samples
+    that `boundary` marks, at the limit eta_tilde -> L, the last three must
+    be finite (say 1, 0, 0): the output is then overwritten with the primal
+    gradient at x / L, whose z is c / L_g.  None means there are none.
     Returns (c_out, inner) with `inner` the 1D primal prox solution for warm
-    caching (the warm start itself where the boundary branch was taken).
+    caching (the warm start itself on the boundary samples).
     """
-    if boundary is None:
-        p_star = _prox_1d_array(kind, c_x * z_in, labels, step, warm)
-        c_out = c_x * inv_scale
-        c_out -= p_star * p_out
-        return c_out, p_star
-    c_out = np.empty_like(c_x)
-    inner = warm.copy()
-    if boundary.any():
+    p_star = _prox_1d_array(kind, c_x * z_in, labels, step, warm)
+    c_out = c_x * inv_scale
+    c_out -= p_star * p_out
+    if boundary is not None and boundary.any():
         c_out[boundary] = loss_grad(kind, c_x[boundary] / kind.scalar_smoothness,
                                     labels[boundary])
-    reg = ~boundary
-    if reg.any():
-        c_reg = c_x[reg]
-        p_star = _prox_1d_array(kind, c_reg * z_in[reg], labels[reg], step[reg], warm[reg])
-        c_out[reg] = c_reg * inv_scale[reg] - p_star * p_out[reg]
-        inner[reg] = p_star
-    return c_out, inner
+        p_star[boundary] = warm[boundary]
+    return c_out, p_star
 
 
 @dataclass(frozen=True)

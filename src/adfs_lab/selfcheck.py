@@ -74,7 +74,8 @@ def operator_shortcuts(problems, rng, count):
     states with the communication block and `count` random computation
     blocks, W~ fed an update in range(A U_b): through apply_wtilde on the
     gossip block, and on a computation block scaled in place by the round
-    table's INV_P column, as the solvers apply it."""
+    table's INV_P column, as the solvers apply it.  The gossip operators act
+    on the centers; their results are put into full states here."""
     worst_step = worst_wt = 0.0
     comm = aug.BlockDraw(kind="communication")
     for prob in problems:
@@ -90,11 +91,14 @@ def operator_shortcuts(problems, rng, count):
             ref = (op @ dense.state_rows(prob, state).ravel()).reshape(shape)
             return float(np.max(np.abs(ref - dense.state_rows(prob, got))))
 
+        def full(center):  # a state with these centers and zero coefficients
+            return np.concatenate((center.ravel(), np.zeros(prob.n_virtual)))
+
         step_op = a @ pb(comm) @ a.T @ dense.dense_sigma_dagger(prob)
         for _ in range(count):
             y = rng.normal(size=aug.zero_state(prob).shape)
-            step = aug.apply_comm_step(prob, y)
-            worst_step = max(worst_step, dev(step_op, y, step))
+            step = aug.apply_comm_step(prob, aug.split_state(prob, y)[0])
+            worst_step = max(worst_step, dev(step_op, y, full(step)))
             # A applied to a random dual vector on the sampled virtual edges
             idx = rng.integers(prob.vstart[:-1], prob.vstart[1:])
             comp = aug.BlockDraw("computation", idx)
@@ -105,7 +109,8 @@ def operator_shortcuts(problems, rng, count):
                 center[:] = node_scale[:, None] * prob.features[idx]
                 coef[idx] = -node_scale
             comm_delta = -prob.eta * step
-            for draw, delta, got in ((comm, comm_delta, aug.apply_wtilde(prob, comm_delta)),
+            comm_wt = aug.apply_wtilde(prob, comm_delta)
+            for draw, delta, got in ((comm, full(comm_delta), full(comm_wt)),
                                      (comp, comp_delta, comp_wt)):
                 worst_wt = max(worst_wt, dev(a @ pb(draw) @ pinv_a, delta, got))
     ok = worst_step <= 1e-10 and worst_wt <= 1e-8
@@ -199,7 +204,7 @@ def experiment_determinism(config):
     with tempfile.TemporaryDirectory() as tmp:
         for tag in ("a", "b"):
             out_dir = os.path.join(tmp, tag)
-            code, _ = run_experiment(load_config(config), out_dir=out_dir)
+            code, _, _ = run_experiment(load_config(config), out_dir=out_dir)
             if code != 0:
                 return False, "experiment cell failed"
             files = []

@@ -17,7 +17,7 @@ from adfs_lab.adfs import (
     run_ns_adfs,
 )
 from adfs_lab.augmented import build_augmented, split_state, zero_state
-from adfs_lab.baselines import point_saga, pool_objectives, reference_optimum
+from adfs_lab.baselines import flat_value, point_saga, pool_objectives, reference_optimum
 from adfs_lab.dense import dense_A, dense_sigma_dagger, state_rows
 from adfs_lab.instances import random_connected_graph, random_objectives, random_problem
 from adfs_lab.objective import LocalObjective, LossKind, loss_prox_1d
@@ -405,9 +405,9 @@ class TestBatchProxRounds:
         prob = clamped_problem(wide=10, n=n)
         assert prob.rho < prob.rho_unclamped
         sizes = self._checked_batch_sizes(monkeypatch, prob)
-        # fewer than n elements: the boundary nodes of the round were masked out
-        assert any(size < n for size in sizes)
-        assert min(sizes) >= objective.BATCH_MIN
+        # every round reaches the kernel whole, boundary nodes included: the
+        # boundary mask overwrites their outputs after the kernel
+        assert sizes and set(sizes) == {n}
 
 
 def expected_columns(prob):
@@ -461,14 +461,14 @@ class TestRoundTable:
         prob = clamped_problem(wide=6)
         table, boundary = aug.round_table(prob)
         assert boundary is not None and boundary.any() and not boundary.all()
-        expected = expected_columns(prob)
-        for col, values in expected.items():
-            if col in (aug.STEP, aug.INV_SCALE, aug.P_OUT):  # the boundary branch reads none
-                assert col == aug.STEP or np.isnan(table[boundary, col]).all()
-                values, got = values[~boundary], table[~boundary, col]
-            else:
-                got = table[:, col]
-            np.testing.assert_allclose(got, values, rtol=1e-15, atol=0, err_msg=f"column {col}")
+        assert np.isfinite(table).all()
+        # boundary rows get inert prox factors: a unit step, zero output factors
+        inert = {aug.STEP: 1.0, aug.INV_SCALE: 0.0, aug.P_OUT: 0.0}
+        for col, values in expected_columns(prob).items():
+            if col in inert:
+                values = np.where(boundary, inert[col], values)
+            np.testing.assert_allclose(table[:, col], values, rtol=1e-15, atol=0,
+                                       err_msg=f"column {col}")
 
     def test_mixed_round_matches_oracle(self):
         prob = clamped_problem(wide=6)
@@ -588,7 +588,8 @@ class TestPredictedTime:
 class TestPrimalEstimate:
     def test_zero_state(self, rng):
         prob = random_problem(rng, n=3, m=2, d=2)
-        assert np.max(np.abs(primal_estimate(prob, zero_state(prob)))) == 0.0
+        theta = primal_estimate(prob, split_state(prob, zero_state(prob))[0])
+        assert theta.shape == (prob.d,) and np.max(np.abs(theta)) == 0.0
 
     def test_converges_to_reference_optimum(self, rng):
         prob = random_problem(rng, n=3, m=3, d=2)
@@ -692,6 +693,17 @@ class TestNonSmoothSolver:
         prob = random_problem(rng, n=2, m=2, d=2)
         with pytest.raises(ValueError, match="non-smooth"):
             run_ns_adfs(prob, 10, seed=0)
+
+    def test_theta_comes_from_the_logged_iterate(self):
+        # theta and the last logged dual value come from the same state x, so
+        # the pair obeys weak duality: P(theta) + D(x) >= 0
+        prob = self._problem()
+        res = run_ns_adfs(prob, 400, seed=2, log_every=400, capture_iters=(400,))
+        x = res.captures[400]["x"]
+        dual = res.record.rows[-1].objective
+        assert dual == aug.dual_objective(prob, x)
+        np.testing.assert_array_equal(res.theta, primal_estimate(prob, split_state(prob, x)[0]))
+        assert flat_value(pool_objectives(prob.objectives), res.theta) + dual >= 0.0
 
     def test_dual_value_logged(self):
         prob = self._problem()

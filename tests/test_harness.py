@@ -267,7 +267,7 @@ class TestConfig:
 class TestRunExperiment:
     def test_zero_iters_writes_header_only(self, tmp_path):
         cfg = load_config(base_config(iters=0))
-        code, csv_path = run_experiment(cfg, out_dir=str(tmp_path))
+        code, csv_path, _ = run_experiment(cfg, out_dir=str(tmp_path))
         assert code == 0
         lines = open(csv_path).read().splitlines()
         assert lines == ["algo,seed,iter,time,subopt"]
@@ -277,7 +277,7 @@ class TestRunExperiment:
 
     def test_row_accounting(self, tmp_path):
         cfg = load_config(base_config())
-        code, csv_path = run_experiment(cfg, out_dir=str(tmp_path))
+        code, csv_path, _ = run_experiment(cfg, out_dir=str(tmp_path))
         assert code == 0
         rows = open(csv_path).read().splitlines()[1:]
         assert len(rows) == 2 * (60 // 20 + 1)
@@ -295,15 +295,16 @@ class TestRunExperiment:
 
     def test_dataset_id_recorded_in_metadata(self, tmp_path):
         cfg = load_config(base_config())
-        _, csv_path = run_experiment(cfg, out_dir=str(tmp_path))
+        _, csv_path, returned = run_experiment(cfg, out_dir=str(tmp_path))
         meta = json.load(open(tmp_path / "metadata.json"))
         assert meta["dataset_id"].startswith("synthetic(")
+        assert returned == meta  # the dict it writes, which run and sweep print from
 
     def test_rows_sorted_and_formatted(self, tmp_path):
         cfg = load_config(base_config(algorithms=["adfs", "adfs_efficient",
                                                   "point_saga"],
                                       seeds=[1, 0]))
-        _, csv_path = run_experiment(cfg, out_dir=str(tmp_path))
+        _, csv_path, _ = run_experiment(cfg, out_dir=str(tmp_path))
         rows = [line.split(",") for line in open(csv_path).read().splitlines()[1:]]
         keys = [(r[0], int(r[1]), int(r[2])) for r in rows]
         assert keys == sorted(keys)
@@ -326,7 +327,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(hz, "_run_cell", flaky)
         cfg = load_config(base_config())
-        code, csv_path = run_experiment(cfg, out_dir=str(tmp_path))
+        code, csv_path, _ = run_experiment(cfg, out_dir=str(tmp_path))
         assert code == 1
         rows = open(csv_path).read().splitlines()[1:]
         assert len(rows) == 60 // 20 + 1  # surviving seed only
@@ -335,7 +336,7 @@ class TestRunExperiment:
 
     def test_time_column_increments(self, tmp_path):
         cfg = load_config(base_config(iters=300, log_every=1, seeds=[0], tau=4.0))
-        _, csv_path = run_experiment(cfg, out_dir=str(tmp_path))
+        _, csv_path, _ = run_experiment(cfg, out_dir=str(tmp_path))
         rows = [line.split(",") for line in open(csv_path).read().splitlines()[1:]]
         times = np.array([float(r[3]) for r in rows])
         incs = np.diff(times)
@@ -346,7 +347,7 @@ class TestRunExperiment:
             loss="absolute", algorithms=["ns_adfs"], iters=200, log_every=50,
             seeds=[0],
         ))
-        code, csv_path = run_experiment(cfg, out_dir=str(tmp_path))
+        code, csv_path, _ = run_experiment(cfg, out_dir=str(tmp_path))
         assert code == 0
         rows = open(csv_path).read().splitlines()[1:]
         assert len(rows) == 200 // 50 + 1
@@ -439,6 +440,12 @@ class TestCli:
                         dataset={"kind": "synthetic", "d": 2, "seed": 2, "feature_scale": 1e4}))
     # the scaled Laplacian overflows to inf before its eigensolve
     @example(found_case(topology={"kind": "line", "n": 2, "weights": [1e8]}, sigma=1e-300))
+    # a squared-loss lambda_max above half the float max overflows D~
+    @example(found_case(topology={"kind": "line", "n": 1}, loss="squared", m=1,
+                        dataset={"kind": "synthetic", "d": 1, "seed": 0, "feature_scale": 1e154}))
+    # sigma far below L_ij: kappa_s and the sampling weights sqrt(1 + L_ij / sigma_i) overflow
+    @example(found_case(topology={"kind": "line", "n": 1}, m=1, sigma=1e-300,
+                        dataset={"kind": "synthetic", "d": 1, "seed": 0, "feature_scale": 1e150}))
     # the absolute-loss reference: targets below the rounding of the residuals
     # (features 1e8), and ill-conditioned pools
     @example(found_case(topology={"kind": "grid2d", "rows": 3, "cols": 2}, loss="absolute",
@@ -569,6 +576,15 @@ class TestCli:
         ({"m": 2, "dataset": {"kind": "libsvm", "path": "bare.svm"}}, "dataset.path"),
         ({"topology": {"kind": "line", "n": 2, "weights": [1e8]}, "sigma": 1e-300},
          "topology.weights"),
+        # kappa_s overflows, which is checked before the sigma-scaled Laplacian
+        # overflows its eigensolve
+        ({"topology": {"kind": "line", "n": 3}, "sigma": 1e-310,
+          "dataset": {"kind": "synthetic", "d": 2, "seed": 2, "feature_scale": 1e4}}, "sigma"),
+        ({"topology": {"kind": "line", "n": 1}, "loss": "squared", "m": 1,
+          "dataset": {"kind": "synthetic", "d": 1, "seed": 0, "feature_scale": 1e154}},
+         "dataset.feature_scale"),
+        ({"topology": {"kind": "line", "n": 1}, "m": 1, "sigma": 1e-300,
+          "dataset": {"kind": "synthetic", "d": 1, "seed": 0, "feature_scale": 1e150}}, "sigma"),
     ])
     def test_bad_field_exits_one_naming_field(self, tmp_path, monkeypatch, capsys, over, field):
         monkeypatch.chdir(tmp_path)  # the LibSVM cases read their files from here
