@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .data import stack_rows
 from .objective import LossKind, condition_numbers, loss_conjugate
 from .topology import CommunicationGraph, GraphConstructionError, laplacian, symmetric_eigensolve
 
@@ -148,8 +149,9 @@ class AugmentedProblem:
 def _assemble(graph, objectives, tau):
     """Checks and fields shared by both builds, as AugmentedProblem keywords.
 
-    Needs one objective per node, one loss kind, one feature dimension and a
-    finite tau >= 0.  The per-sample arrays are stacked read-only.
+    Needs one objective per node, one loss kind, one feature dimension, a
+    finite tau >= 0 and a finite 1 / sigma_i, which scales the Laplacian.  The
+    per-sample arrays are stacked read-only by `data.stack_rows`.
     """
     objectives = tuple(objectives)
     if len(objectives) != graph.n:
@@ -162,17 +164,17 @@ def _assemble(graph, objectives, tau):
         raise ValueError("all samples must share the feature dimension")
     if not 0.0 <= tau < np.inf:
         raise ValueError(f"tau must be finite and >= 0, got {tau}")
-    stacked = dict(
-        features=np.concatenate([o.feature_matrix for o in objectives]),
-        labels=np.concatenate([o.labels for o in objectives]),
-        xnorm2=np.concatenate([o.xnorm2 for o in objectives]),
-        vstart=np.cumsum([0] + [o.m for o in objectives]),
-    )
-    for arr in stacked.values():
-        arr.flags.writeable = False
-    return dict(stacked, graph=graph, objectives=objectives, loss=loss, smooth=loss.is_smooth,
-                tau=float(tau), sigma=np.array([o.sigma for o in objectives]),
-                laplacian_comm=laplacian(graph))
+    sigma = np.array([o.sigma for o in objectives])
+    with np.errstate(over="ignore"):  # an overflow is rejected, not warned about
+        if not np.isfinite(1.0 / sigma).all():
+            raise ScaleError("sigma", "too small: 1 / sigma_i overflows")
+    vstart = np.cumsum([0] + [o.m for o in objectives])
+    vstart.flags.writeable = False
+    return dict(graph=graph, objectives=objectives, loss=loss, smooth=loss.is_smooth,
+                tau=float(tau), sigma=sigma, vstart=vstart, laplacian_comm=laplacian(graph),
+                features=stack_rows([o.feature_matrix for o in objectives]),
+                labels=stack_rows([o.labels for o in objectives]),
+                xnorm2=stack_rows([o.xnorm2 for o in objectives]))
 
 
 def _laplacian_spectrum(lap):

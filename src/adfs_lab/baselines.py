@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 
+from .data import stack_rows
 from .objective import (LocalObjective, LossKind, _logistic_prox, _prox_1d_array, _stacked_grad,
                         _stacked_value, loss_curvature, primal_grad, primal_value)
 from .records import run_loop
@@ -31,8 +32,8 @@ class FlatProblem(LocalObjective):
 
 
 def pool_objectives(objectives) -> FlatProblem:
-    return FlatProblem(np.concatenate([o.feature_matrix for o in objectives]),
-                       np.concatenate([o.labels for o in objectives]),
+    return FlatProblem(stack_rows([o.feature_matrix for o in objectives]),
+                       stack_rows([o.labels for o in objectives]),
                        float(sum(o.sigma for o in objectives)), objectives[0].loss)
 
 

@@ -250,11 +250,13 @@ def loss_prox_1d(kind, z, label, step, warm=0.0):
 class LocalObjective:
     """f_i(theta) = sum_j loss(X_ij^T theta, label_ij) + (sigma/2) ||theta||^2.
 
-    The data are stored as read-only float copies: an (m, d) feature matrix
-    whose rows X_ij must be finite and nonzero (a zero row has no projector),
-    the m labels (+1 or -1 for the logistic loss), and the row norms
-    ||X_ij||^2.  For a smooth loss their sum must be finite: it bounds every
-    entry of the Gram matrix X^T X, and with it lambda_max and kappa_i.
+    The data are stored read-only: an (m, d) feature matrix whose rows X_ij
+    must be finite and nonzero (a zero row has no projector), the m labels
+    (+1 or -1 for the logistic loss), and the row norms ||X_ij||^2.  For a
+    smooth loss their sum must be finite: it bounds every entry of the Gram
+    matrix X^T X, and with it lambda_max and kappa_i.  A read-only
+    C-contiguous float64 input (a node's view of its instance's buffer) is
+    kept as it is; any other input is copied.
     """
 
     feature_matrix: np.ndarray  # (m, d)
@@ -266,8 +268,9 @@ class LocalObjective:
     def __post_init__(self):
         if self.sigma <= 0 or not np.isfinite(self.sigma):
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
-        x = np.array(self.feature_matrix, dtype=float)
-        y = np.array(self.labels, dtype=float)
+        x, y = (a if isinstance(a, np.ndarray) and a.dtype == np.float64
+                and a.flags.c_contiguous and not a.flags.writeable else np.array(a, dtype=float)
+                for a in (self.feature_matrix, self.labels))
         if x.ndim != 2 or x.shape[0] < 1:
             raise ValueError(f"features must be an (m, d) matrix with m >= 1, got shape {x.shape}")
         if y.shape != (x.shape[0],):

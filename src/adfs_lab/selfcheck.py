@@ -16,7 +16,8 @@ import numpy as np
 from . import augmented as aug
 from . import dense
 from .adfs import run_adfs, run_adfs_efficient
-from .harness import load_config, parse_libsvm, run_experiment, write_libsvm
+from .data import parse_libsvm, write_libsvm
+from .harness import load_config, run_experiment
 from .instances import random_connected_graph, random_objectives, random_problem
 from .objective import condition_numbers
 from .rng import BlockStream, generator

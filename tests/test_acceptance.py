@@ -14,7 +14,7 @@ from adfs_lab.adfs import run_adfs, run_adfs_efficient, run_ns_adfs
 from adfs_lab.augmented import build_augmented, build_augmented_ns, expected_time, rate_branches
 from adfs_lab.baselines import flat_value, point_saga, pool_objectives, reference_optimum
 from adfs_lab.dense import dense_A, state_rows
-from adfs_lab.harness import synth_dataset
+from adfs_lab.data import synth_dataset
 from adfs_lab.instances import random_objectives, random_problem
 from adfs_lab.objective import LocalObjective, LossKind
 from adfs_lab.rng import BlockStream, generator

@@ -16,7 +16,8 @@ from adfs_lab.baselines import (
     pool_objectives,
     reference_optimum,
 )
-from adfs_lab.harness import build_instance, load_config, synth_pool
+from adfs_lab.data import synth_pool
+from adfs_lab.harness import build_instance, load_config
 from adfs_lab.instances import random_objectives
 from adfs_lab.objective import LossKind, primal_value
 from adfs_lab.rng import CHUNK, chunked, generator

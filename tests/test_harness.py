@@ -20,20 +20,16 @@ from hypothesis import strategies as st
 
 import adfs_lab
 from adfs_lab import augmented, selfcheck
-from adfs_lab.harness import (
-    ConfigError,
-    ExperimentConfig,
+from adfs_lab.data import (
     LibsvmParseError,
     assign_node_datasets,
-    build_instance,
-    cli,
-    load_config,
     parse_libsvm,
-    run_experiment,
     synth_dataset,
     synth_pool,
     write_libsvm,
 )
+from adfs_lab.harness import (ConfigError, ExperimentConfig, build_instance, cli, load_config,
+                              run_experiment)
 from adfs_lab.objective import LocalObjective, LossKind, condition_numbers
 from adfs_lab.rng import generator
 
@@ -402,6 +398,9 @@ def cli_configs(draw):
     return data
 
 
+TINY_FEATURES = {"kind": "synthetic", "d": 2, "seed": 2, "feature_scale": 1e-150}
+
+
 def found_case(**over):
     """A line of 3 nodes with 3 logistic samples of dimension 2 each."""
     data = {"topology": {"kind": "line", "n": 3}, "loss": "logistic", "m": 3,
@@ -461,6 +460,10 @@ class TestCli:
     @example(found_case(topology={"kind": "line", "n": 4}, loss="absolute", algorithms=["ns_adfs"],
                         m=2, sigma=1.0, dataset={"kind": "synthetic", "d": 1, "seed": 3,
                                                  "correlation": 0.99, "feature_scale": 1e3}))
+    # 1 / sigma overflows, with features so small that kappa_s stays finite
+    @example(found_case(sigma=1e-310, dataset=TINY_FEATURES))
+    @example(found_case(sigma=1e-310, loss="absolute", algorithms=["ns_adfs"],
+                        dataset=TINY_FEATURES))
     def test_random_config_exits_zero_or_names_a_field(self, data):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "config.json")
@@ -585,6 +588,12 @@ class TestCli:
          "dataset.feature_scale"),
         ({"topology": {"kind": "line", "n": 1}, "m": 1, "sigma": 1e-300,
           "dataset": {"kind": "synthetic", "d": 1, "seed": 0, "feature_scale": 1e150}}, "sigma"),
+        # 1 / sigma overflows where kappa_s does not; checked before the
+        # sigma-scaled Laplacian forms
+        ({"topology": {"kind": "line", "n": 3}, "sigma": 1e-310, "dataset": TINY_FEATURES},
+         "sigma"),
+        ({"topology": {"kind": "line", "n": 3}, "sigma": 1e-310, "dataset": TINY_FEATURES,
+          "loss": "absolute", "algorithms": ["ns_adfs"]}, "sigma"),
     ])
     def test_bad_field_exits_one_naming_field(self, tmp_path, monkeypatch, capsys, over, field):
         monkeypatch.chdir(tmp_path)  # the LibSVM cases read their files from here
