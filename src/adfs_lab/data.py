@@ -1,67 +1,130 @@
 """The data layer: LibSVM text, synthetic pools and per-node datasets.
 
-An instance holds one copy of its samples: one read-only (V, d) buffer in
-node order, of which every node's dataset is a row view (see
-`assign_node_datasets` and `stack_rows`).
+A LibSVM file is read into one CSR record (`LibsvmData`).  An instance holds
+one copy of the samples it uses: one read-only (V, d) buffer in node order,
+of which every node's dataset is a row view (see `assign_node_datasets` and
+`stack_rows`).  Only the V sampled rows of a pool are ever made dense.
 """
 
 import re
+from itertools import chain
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
 from .rng import generator
 
-__all__ = ["LibsvmParseError", "parse_libsvm", "write_libsvm", "synth_pool",
-           "assign_node_datasets", "synth_dataset", "stack_rows"]
+__all__ = ["LibsvmParseError", "LibsvmData", "parse_libsvm", "sample_line", "write_libsvm",
+           "synth_pool", "assign_node_datasets", "synth_dataset", "stack_rows"]
+
+# the size hint, in characters, of each `readlines` call of parse_libsvm: only
+# one block's token strings are alive at a time
+BLOCK_CHARS = 1 << 16
+INDEX_MAX = np.iinfo(np.int64).max
 
 
 class LibsvmParseError(ValueError):
     pass
 
 
-def parse_libsvm(path):
-    """Parse `label idx:val ...` lines (1-based, strictly increasing indices).
+class LibsvmData(NamedTuple):
+    """Samples in CSR form.  Sample r has the label labels[r] and the values
+    values[indptr[r]:indptr[r + 1]] at the strictly increasing 0-based
+    columns indices[indptr[r]:indptr[r + 1]]; dim is the largest 1-based
+    index of the file (0 when it has none)."""
+    labels: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+    dim: int
 
-    Returns (samples, dim) where samples is a list of (label, pairs) with
-    0-based pairs.  Blank lines and `#` comments are skipped.  Malformed
-    tokens raise with the line and column of the offending token.
+
+def parse_libsvm(path):
+    """Read `label idx:val ...` lines (1-based, strictly increasing indices)
+    into a LibsvmData record.
+
+    Blank lines and `#` comments are skipped.  Labels and values are read by
+    `float` and indices by `int`.  Malformed tokens raise LibsvmParseError
+    with the line and column of the file's first offending token.  The file
+    is read and converted BLOCK_CHARS characters at a time.
     """
-    samples = []
-    dim = 0
+    parts = ([np.zeros(0)], [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)])
+    lineno = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0]
-            tokens = line.split()
-            if not tokens:
-                continue
+        # readlines splits lines as file iteration does, on \n, \r and \r\n
+        # only (str.splitlines would also split on \x0b, \x0c, \x85, ...)
+        while lines := fh.readlines(BLOCK_CHARS):
+            block = _read_block(lines)
+            if block is None:
+                raise _first_error(lines, lineno)
+            for out, part in zip(parts, block):
+                out.append(part)
+            lineno += len(lines)
+    labels, counts, indices, values = map(np.concatenate, parts)
+    dim = int(indices.max()) + 1 if len(indices) else 0
+    return LibsvmData(labels, np.concatenate(([0], np.cumsum(counts))), indices, values, dim)
+
+
+def _read_block(lines):
+    """(labels, nonzeros per row, 0-based indices, values) of a block of
+    lines, or None when a token breaks a rule."""
+    rows = list(filter(None, [line.partition("#")[0].split() for line in lines]))
+    counts = np.fromiter(map(len, rows), np.int64, len(rows)) - 1
+    n_pairs = int(counts.sum())
+    pairs = " ".join(chain.from_iterable(map(itemgetter(slice(1, None)), rows)))
+    # each feature token holds one colon when the separators of the joined
+    # tokens read ": : ... :"; then splitting at both gives index, value,
+    # index, ... (an empty side reads "", which int and float reject)
+    raw = np.frombuffer(pairs.encode(), np.uint8)
+    if raw[(raw == ord(" ")) | (raw == ord(":"))].tobytes() != b" ".join([b":"] * n_pairs):
+        return None
+    pieces = pairs.replace(":", " ").split(" ")
+    try:
+        labels = np.fromiter(map(float, map(itemgetter(0), rows)), float, len(rows))
+        idx = np.fromiter(map(int, pieces[::2]), np.int64, n_pairs)
+        values = np.fromiter(map(float, pieces[1::2]), float, n_pairs)
+    except (ValueError, OverflowError):
+        return None
+    # each index is >= 1 and above its predecessor, unless it opens a row
+    opens = np.zeros(len(idx), bool)
+    opens[(np.cumsum(counts) - counts)[counts > 0]] = True
+    if len(idx) and (idx.min() < 1 or not np.all((idx[1:] > idx[:-1]) | opens[1:])):
+        return None
+    return labels, counts, idx - 1, values
+
+
+def _first_error(lines, lineno):
+    """The LibsvmParseError of the first bad token of a block that
+    _read_block rejected, found token by token; lineno is the number of
+    lines before the block."""
+    for lineno, raw in enumerate(lines, start=lineno + 1):
+        line = raw.split("#", 1)[0]
+        tokens = line.split()
+        if not tokens:
+            continue
+        try:
+            float(tokens[0])
+        except ValueError:
+            return _token_error(line, lineno, 0, f"bad label {tokens[0]!r}")
+        prev_idx = 0
+        for pos, tok in enumerate(tokens[1:], start=1):
+            idx_s, colon, val_s = tok.partition(":")
+            if not colon:
+                return _token_error(line, lineno, pos, f"expected idx:value, got {tok!r}")
             try:
-                label = float(tokens[0])
+                idx = int(idx_s)
+                float(val_s)
             except ValueError:
-                raise _token_error(line, lineno, 0, f"bad label {tokens[0]!r}") from None
-            pairs = []
-            prev_idx = 0
-            for tok in tokens[1:]:  # a bad token is token len(pairs) + 1
-                idx_s, colon, val_s = tok.partition(":")
-                if not colon:
-                    raise _token_error(line, lineno, len(pairs) + 1,
-                                       f"expected idx:value, got {tok!r}")
-                try:
-                    idx = int(idx_s)
-                    val = float(val_s)
-                except ValueError:
-                    raise _token_error(line, lineno, len(pairs) + 1,
-                                       f"bad feature token {tok!r}") from None
-                if idx < 1:
-                    raise _token_error(line, lineno, len(pairs) + 1,
-                                       f"index {idx} must be >= 1")
-                if idx <= prev_idx:
-                    raise _token_error(line, lineno, len(pairs) + 1,
-                                       f"index {idx} not increasing")
-                pairs.append((idx - 1, val))
-                prev_idx = idx
-            dim = max(dim, prev_idx)
-            samples.append((label, pairs))
-    return samples, dim
+                return _token_error(line, lineno, pos, f"bad feature token {tok!r}")
+            if idx < 1:
+                return _token_error(line, lineno, pos, f"index {idx} must be >= 1")
+            if idx <= prev_idx:
+                return _token_error(line, lineno, pos, f"index {idx} not increasing")
+            if idx > INDEX_MAX:
+                return _token_error(line, lineno, pos, f"index {idx} must be <= {INDEX_MAX}")
+            prev_idx = idx
+    raise AssertionError("_read_block rejected a block without a bad token")
 
 
 def _token_error(line, lineno, pos, message):
@@ -71,24 +134,29 @@ def _token_error(line, lineno, pos, message):
     return LibsvmParseError(f"line {lineno}, column {col}: {message}")
 
 
-def write_libsvm(path, samples):
-    """Inverse of parse_libsvm; floats are written with repr so values
-    round-trip bit-exactly."""
+def sample_line(path, r):
+    """The line number of sample r (0-based) of a LibSVM file that
+    parse_libsvm reads: the (r + 1)-th line holding a token."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            if raw.split("#", 1)[0].split():
+                if r == 0:
+                    return lineno
+                r -= 1
+    raise IndexError("sample index past the end of the file")
+
+
+def write_libsvm(path, data):
+    """Write a LibsvmData record; the inverse of parse_libsvm.  Floats are
+    written with repr, so values round-trip bit-exactly."""
+    labels, indptr, indices, values, _ = data
+    cols, vals = (np.asarray(indices) + 1).tolist(), np.asarray(values, float).tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for label, pairs in samples:
-            toks = [repr(float(label))]
-            toks += [f"{int(i) + 1}:{repr(float(v))}" for i, v in pairs]
+        for r, label in enumerate(np.asarray(labels, float).tolist()):
+            toks = [repr(label)]
+            toks += [f"{i}:{v!r}" for i, v in zip(cols[indptr[r]:indptr[r + 1]],
+                                                 vals[indptr[r]:indptr[r + 1]])]
             fh.write(" ".join(toks) + "\n")
-
-
-def _dense_from_pairs(samples, dim):
-    feats = np.zeros((len(samples), dim))
-    labels = np.empty(len(samples))
-    for r, (label, pairs) in enumerate(samples):
-        labels[r] = label
-        for i, v in pairs:
-            feats[r, i] = v
-    return feats, labels
 
 
 def synth_pool(n_samples, d, seed, correlation, loss="logistic", noise=0.1,
@@ -124,15 +192,29 @@ def synth_pool(n_samples, d, seed, correlation, loss="logistic", noise=0.1,
 
 def assign_node_datasets(feats, labels, n, m, seed):
     """Draw m samples per node at random from the pool; nodes may overlap.
+    The pool's features are a dense (N, d) array or a LibsvmData record.
     All n * m rows are gathered at once into one read-only buffer, of which
-    node i's (features, labels) are the row views i*m .. (i+1)*m - 1."""
-    if m > feats.shape[0]:
-        raise ValueError(f"m={m} exceeds the pool size {feats.shape[0]}")
+    node i's (features, labels) are the row views i*m .. (i+1)*m - 1; of a
+    record, only those rows' nonzeros are scattered into it."""
+    if m > len(labels):
+        raise ValueError(f"m={m} exceeds the pool size {len(labels)}")
     rng = generator("assign", seed)
-    idx = np.concatenate([rng.choice(feats.shape[0], size=m, replace=False) for _ in range(n)])
-    feats, labels = feats[idx], labels[idx]
+    idx = np.concatenate([rng.choice(len(labels), size=m, replace=False) for _ in range(n)])
+    feats = feats[idx] if isinstance(feats, np.ndarray) else _dense_rows(feats, idx)
+    labels = labels[idx]
     feats.flags.writeable = labels.flags.writeable = False
     return [(feats[i * m:(i + 1) * m], labels[i * m:(i + 1) * m]) for i in range(n)]
+
+
+def _dense_rows(data, rows):
+    """The dense (len(rows), dim) features of the given samples of a record."""
+    starts = data.indptr[rows]
+    counts = data.indptr[rows + 1] - starts
+    # nonzero j of output row k sits at starts[k] + j in the record
+    src = np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    out = np.zeros((len(rows), data.dim))
+    out[np.repeat(np.arange(len(rows)), counts), data.indices[src]] = data.values[src]
+    return out
 
 
 def synth_dataset(n, m, d, seed, correlation, loss="logistic", noise=0.1,

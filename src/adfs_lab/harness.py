@@ -20,7 +20,7 @@ from .adfs import run_adfs, run_adfs_efficient, run_ns_adfs
 from .augmented import (ScaleError, balanced_p_comm, build_augmented, expected_time,
                         rate_branches, round_table)
 from .baselines import flat_grad, flat_value, point_saga, pool_objectives, reference_optimum
-from .data import (LibsvmParseError, _dense_from_pairs, assign_node_datasets, parse_libsvm,
+from .data import (LibsvmData, LibsvmParseError, assign_node_datasets, parse_libsvm, sample_line,
                    synth_dataset, synth_pool, write_libsvm)
 from .objective import LocalObjective, LossKind
 from .topology import EigensolveError, GraphConstructionError, build_topology
@@ -242,6 +242,27 @@ def _build_graph(topo):
         raise ConfigError(field, str(exc)) from None
 
 
+def _read_libsvm(path):
+    """The LibsvmData record of a config's file; every read error and every
+    non-finite label (anywhere in the file, whichever rows are drawn) names
+    dataset.path."""
+    try:
+        data = parse_libsvm(path)
+    except FileNotFoundError:
+        raise ConfigError("dataset.path", f"no such file: {path}") from None
+    except OSError as exc:
+        raise ConfigError("dataset.path", f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError("dataset.path", f"{path} is not UTF-8 text: {exc.reason}") from None
+    except LibsvmParseError as exc:
+        raise ConfigError("dataset.path", str(exc)) from None
+    bad = np.flatnonzero(~np.isfinite(data.labels))
+    if len(bad):
+        raise ConfigError("dataset.path", f"line {sample_line(path, bad[0])}: "
+                                          f"label {float(data.labels[bad[0]])!r} is not finite")
+    return data
+
+
 def build_instance(cfg: ExperimentConfig):
     """Materialize (graph, objectives, problem, flat, dataset_id) from a config."""
     graph = _build_graph(cfg.topology)
@@ -261,16 +282,13 @@ def build_instance(cfg: ExperimentConfig):
         )
         dataset_id = f"synthetic(d={ds['d']},corr={ds.get('correlation', 0.0)},seed={seed})"
     else:
-        try:
-            raw, dim = parse_libsvm(ds["path"])
-        except FileNotFoundError:
-            raise ConfigError("dataset.path", f"no such file: {ds['path']}") from None
-        feats, labels = _dense_from_pairs(raw, dim)
+        data = _read_libsvm(ds["path"])
+        labels = data.labels
         _expect(cfg.m <= len(labels), "m",
                 f"expected at most the {len(labels)} samples of {ds['path']}, got {cfg.m}")
         if cfg.loss == "logistic":
             labels = np.where(labels > 0, 1.0, -1.0)
-        per_node = assign_node_datasets(feats, labels, graph.n, cfg.m, seed)
+        per_node = assign_node_datasets(data, labels, graph.n, cfg.m, seed)
         dataset_id = f"libsvm({os.path.basename(ds['path'])},seed={seed})"
 
     sigmas = cfg.sigma if isinstance(cfg.sigma, list) else [cfg.sigma] * graph.n
@@ -536,15 +554,14 @@ def _cmd_gen_data(args):
     _expect(0.0 <= args.correlation < 1.0, "--correlation", "expected a number in [0, 1)")
     feats, labels = synth_pool(args.samples, args.d, args.seed, args.correlation,
                                loss=args.loss)
-    rows = []
-    for f, l in zip(feats, labels):
-        pairs = [(i, v) for i, v in enumerate(f) if v != 0.0]
-        rows.append((l, pairs))
+    nonzero = feats != 0.0
+    indptr = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
     try:
-        write_libsvm(args.out, rows)
+        write_libsvm(args.out, LibsvmData(labels, indptr, np.nonzero(nonzero)[1],
+                                          feats[nonzero], args.d))
     except OSError as exc:
         raise ConfigError("--out", f"cannot write {args.out}: {exc.strerror}") from None
-    print(f"wrote {len(rows)} samples to {args.out}")
+    print(f"wrote {len(labels)} samples to {args.out}")
     return 0
 
 
@@ -589,7 +606,7 @@ def cli(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (ConfigError, LibsvmParseError, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

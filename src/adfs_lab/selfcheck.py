@@ -16,7 +16,7 @@ import numpy as np
 from . import augmented as aug
 from . import dense
 from .adfs import run_adfs, run_adfs_efficient
-from .data import parse_libsvm, write_libsvm
+from .data import LibsvmData, parse_libsvm, write_libsvm
 from .harness import load_config, run_experiment
 from .instances import random_connected_graph, random_objectives, random_problem
 from .objective import condition_numbers
@@ -184,18 +184,20 @@ def incidence_identity(graphs):
 def libsvm_roundtrip(rng, count):
     """`count` random sparse samples, values over nine decades, survive
     write_libsvm -> parse_libsvm bit for bit."""
-    rows = []
-    for _ in range(count):
-        idx, pairs = 0, []
-        for _ in range(int(rng.integers(1, 9))):
-            idx += int(rng.integers(1, 5))
-            pairs.append((idx - 1, float(rng.normal() * 10.0 ** int(rng.integers(-4, 5)))))
-        rows.append((float(rng.normal()), pairs))
+    counts = rng.integers(1, 9, size=count)
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    steps = rng.integers(1, 5, size=indptr[-1])
+    ends = np.cumsum(steps)  # each row's 1-based indices are its steps' running sum
+    indices = ends - np.repeat(ends[indptr[:-1]] - steps[indptr[:-1]], counts) - 1
+    values = rng.normal(size=indptr[-1]) * 10.0 ** rng.integers(-4, 5, size=indptr[-1])
+    rows = LibsvmData(rng.normal(size=count), indptr, indices, values, int(indices.max()) + 1)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "roundtrip.svm")
         write_libsvm(path, rows)
-        parsed, _ = parse_libsvm(path)
-    return parsed == rows, f"{count} samples round-tripped"
+        parsed = parse_libsvm(path)
+    same = all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+               for a, b in zip(parsed[:4], rows[:4]))
+    return same and parsed.dim == rows.dim, f"{count} samples round-tripped"
 
 
 def experiment_determinism(config):

@@ -17,8 +17,13 @@ states and APCG iterates: `sigma_dagger_rows` and `lyapunov_value`.
 `absolute_dual_fista` is the absolute loss's former reference solver, the
 projected FISTA on the pooled dual, against which the Newton reference is
 checked; `exact_absolute_gap` evaluates its certificate in exact arithmetic.
+`parse_libsvm_pairs` is the former LibSVM parser, one token at a time into
+(label, pairs) rows, against which the block reader `data.parse_libsvm` is
+checked; `libsvm_record` and `libsvm_rows` convert between such rows and the
+reader's CSR record.
 """
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +31,7 @@ import mpmath
 import numpy as np
 
 from adfs_lab.augmented import dual_objective, split_state, zero_state
+from adfs_lab.data import LibsvmData, LibsvmParseError
 from adfs_lab.dense import dense_A, dense_sigma_dagger, exact_sigma_a, state_rows
 from adfs_lab.objective import loss_grad, loss_prox_1d
 from adfs_lab.rng import generator
@@ -468,3 +474,71 @@ def run_apcg(problem, mode, iters, rng_seed, alpha0=None):
             eta = 1.0 / (alpha * s_const**2)
         out.append(ApcgState(x.copy(), v.copy(), t + 1, alpha, beta, eta, a_big, b_big))
     return out
+
+
+def parse_libsvm_pairs(path):
+    """Parse `label idx:val ...` lines token by token into (samples, dim),
+    where samples is a list of (label, pairs) with 0-based pairs.  Blank
+    lines and `#` comments are skipped; the first malformed token raises
+    LibsvmParseError with its line and column."""
+    samples = []
+    dim = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0]
+            tokens = line.split()
+            if not tokens:
+                continue
+            try:
+                label = float(tokens[0])
+            except ValueError:
+                raise _token_error(line, lineno, 0, f"bad label {tokens[0]!r}") from None
+            pairs = []
+            prev_idx = 0
+            for tok in tokens[1:]:  # a bad token is token len(pairs) + 1
+                idx_s, colon, val_s = tok.partition(":")
+                if not colon:
+                    raise _token_error(line, lineno, len(pairs) + 1,
+                                       f"expected idx:value, got {tok!r}")
+                try:
+                    idx = int(idx_s)
+                    val = float(val_s)
+                except ValueError:
+                    raise _token_error(line, lineno, len(pairs) + 1,
+                                       f"bad feature token {tok!r}") from None
+                if idx < 1:
+                    raise _token_error(line, lineno, len(pairs) + 1,
+                                       f"index {idx} must be >= 1")
+                if idx <= prev_idx:
+                    raise _token_error(line, lineno, len(pairs) + 1,
+                                       f"index {idx} not increasing")
+                pairs.append((idx - 1, val))
+                prev_idx = idx
+            dim = max(dim, prev_idx)
+            samples.append((label, pairs))
+    return samples, dim
+
+
+def _token_error(line, lineno, pos, message):
+    col = [m.start() + 1 for m in re.finditer(r"\S+", line)][pos]
+    return LibsvmParseError(f"line {lineno}, column {col}: {message}")
+
+
+def libsvm_record(rows):
+    """The LibsvmData record of (label, 0-based pairs) rows."""
+    pairs = [p for _, row in rows for p in row]
+    indices = np.array([i for i, _ in pairs], dtype=np.int64)
+    return LibsvmData(np.array([label for label, _ in rows], dtype=float),
+                      np.cumsum([0] + [len(row) for _, row in rows]), indices,
+                      np.array([v for _, v in pairs], dtype=float),
+                      int(indices.max()) + 1 if len(indices) else 0)
+
+
+def libsvm_rows(data):
+    """(samples, dim) of a LibsvmData record, as parse_libsvm_pairs returns them."""
+    labels, indptr, indices, values, dim = data
+    samples = []
+    for r, label in enumerate(labels.tolist()):
+        span = slice(indptr[r], indptr[r + 1])
+        samples.append((label, list(zip(indices[span].tolist(), values[span].tolist()))))
+    return samples, dim

@@ -7,9 +7,10 @@ import io
 import numpy as np
 import pytest
 
-from adfs_lab.data import stack_rows
+from adfs_lab.data import assign_node_datasets, stack_rows
 from adfs_lab.harness import build_instance, cli, load_config
 from adfs_lab.objective import LocalObjective, LossKind
+from oracles import libsvm_record
 
 # sha256 of what `gen-data` writes for GEN_ARGS, and of the stacked features
 # and labels of each config below, as the data layer produced them before it
@@ -107,3 +108,22 @@ def test_stacked_values_are_pinned(kind, svm_path):
     digests = tuple(hashlib.sha256(arr.tobytes()).hexdigest()
                     for arr in (problem.features, problem.labels))
     assert digests == STACKED_SHA[kind]
+
+
+def test_sparse_pool_draws_the_dense_pool_rows(rng):
+    # rows of 0-5 nonzeros (-0.0 among them) at scattered columns: the node
+    # draw from the CSR record equals the draw from its densified pool
+    rows = []
+    for _ in range(40):
+        cols = np.sort(rng.choice(12, size=int(rng.integers(0, 6)), replace=False))
+        rows.append((float(rng.normal()), [(int(c), -0.0 if c % 5 == 0 else float(rng.normal()))
+                                          for c in cols]))
+    record = libsvm_record(rows)
+    dense = np.zeros((len(rows), record.dim))
+    for r, (_, pairs) in enumerate(rows):
+        for c, v in pairs:
+            dense[r, c] = v
+    for sparse_node, dense_node in zip(assign_node_datasets(record, record.labels, 3, 15, 4),
+                                       assign_node_datasets(dense, record.labels, 3, 15, 4)):
+        for a, b in zip(sparse_node, dense_node):
+            assert a.tobytes() == b.tobytes() and not a.flags.writeable

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import adfs_lab
-from adfs_lab import augmented, selfcheck
+from adfs_lab import augmented, data, selfcheck
 from adfs_lab.data import (
     LibsvmParseError,
     assign_node_datasets,
@@ -32,6 +33,7 @@ from adfs_lab.harness import (ConfigError, ExperimentConfig, build_instance, cli
                               run_experiment)
 from adfs_lab.objective import LocalObjective, LossKind, condition_numbers
 from adfs_lab.rng import generator
+from oracles import libsvm_record, libsvm_rows, parse_libsvm_pairs
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -64,6 +66,23 @@ LINE_TOKENS = st.sampled_from([
     "1", "-2.5", "1e3", "nan", "-0", "x", "1:0.5", "2:1", "3:-1e-3", "2:2", "12:inf", "0:1",
     "-1:1", "1:", ":1", "1:2:3", "a:1", "1:b", "1_0:1", "+3:2", "4:1_5", " 5:1"])
 SEPARATORS = st.sampled_from([" ", "\t", "  \t", "\u00a0", "\x0b"])
+ANY_LINE = st.lists(st.tuples(LINE_TOKENS, SEPARATORS), max_size=5).map(
+    lambda pieces: "".join(tok + sep for tok, sep in pieces))
+ROW_LINE = st.tuples(FINITE, st.lists(st.tuples(st.integers(1, 5), FINITE), max_size=6).map(
+    _increasing)).map(lambda row: " ".join(
+        [repr(row[0])] + [f"{i + 1}:{v!r}" for i, v in row[1]]))
+# lines of a LibSVM file: any tokens (one line in four), else a well-formed
+# row; then an optional comment and any line ending
+LIBSVM_LINES = st.lists(st.tuples(
+    st.integers(0, 3).flatmap(lambda kind: ROW_LINE if kind else ANY_LINE),
+    st.sampled_from(["", "#", " # 1:2", "#x"]),
+    st.sampled_from(["\n", "\r\n", "\r", ""])), max_size=8)
+
+
+def _hexed(samples, dim):
+    """Parsed samples with every float as float.hex, which tells -0.0 from
+    0.0 and nan from every number."""
+    return [(label.hex(), [(i, v.hex()) for i, v in pairs]) for label, pairs in samples], dim
 
 
 def base_config(**over):
@@ -86,7 +105,7 @@ class TestParseLibsvm:
     def _parse_text(self, tmp_path, text):
         path = tmp_path / "data.svm"
         path.write_text(text)
-        return parse_libsvm(str(path))
+        return libsvm_rows(parse_libsvm(str(path)))
 
     def test_basic_line(self, tmp_path):
         samples, dim = self._parse_text(tmp_path, "1 1:0.5 3:2.0\n")
@@ -121,6 +140,11 @@ class TestParseLibsvm:
         with pytest.raises(LibsvmParseError, match=">= 1"):
             self._parse_text(tmp_path, "1 0:1.0\n")
 
+    def test_index_past_int64_rejected(self, tmp_path):
+        # the CSR indices are int64
+        with pytest.raises(LibsvmParseError, match=r"line 2, column 3: index 9223372036854775808 "):
+            self._parse_text(tmp_path, "1 1:1\n1 9223372036854775808:1.0\n")
+
     def test_roundtrip_is_bit_exact(self):
         ok, detail = selfcheck.libsvm_roundtrip(generator("roundtrip", 0), 1000)
         assert ok, detail
@@ -143,7 +167,7 @@ class TestParseLibsvm:
             def parse(text):
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(f"1 1:1\n{text}\n")
-                return parse_libsvm(path)
+                return libsvm_rows(parse_libsvm(path))
 
             try:
                 samples, _ = parse(line)
@@ -167,16 +191,51 @@ class TestParseLibsvm:
               (2.2250738585072014e-308, []),
               (-2.225073858507201e-308, [(999, 0.0)])])
     def test_roundtrip_keeps_every_bit(self, rows):
-        # float.hex tells -0.0 from 0.0, which == does not
-        def hexed(samples):
-            return [(label.hex(), [(i, v.hex()) for i, v in pairs]) for label, pairs in samples]
-
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "rows.svm")
-            write_libsvm(path, rows)
-            parsed, dim = parse_libsvm(path)
-        assert hexed(parsed) == hexed(rows)
-        assert dim == max((i + 1 for _, pairs in rows for i, _ in pairs), default=0)
+            write_libsvm(path, libsvm_record(rows))
+            parsed = libsvm_rows(parse_libsvm(path))
+        dim = max((i + 1 for _, pairs in rows for i, _ in pairs), default=0)
+        assert _hexed(*parsed) == _hexed(rows, dim)
+
+    @settings(deadline=None)
+    @given(LIBSVM_LINES, st.integers(1, 48))
+    # the second row's bad index lies in the third block of a one-line read
+    @example([("1 1:0.5", "", "\r\n"), ("", "# c", "\r"), ("-1 3:1 2:1", "", "\n")], 1)
+    @example([("2 1:1e3 4:-0", " # 1:2", "\r"), ("nan 2:inf", "", "")], 5)
+    # two lines a block: the error's line counts the lines of earlier blocks
+    @example([("1 1:1", "", "\n"), ("1 2:1", "", "\n"), ("1 x", "", "\n")], 8)
+    # a row may open below the last index of the row before it, never below 1
+    # nor at its own last index
+    @example([("1 4:1", "", "\n"), ("-1 2:1", "", "\n")], 48)
+    @example([("1 2:1 2:2", "", "\n")], 48)
+    @example([("1 4:1", "", "\n"), ("-1 0:1", "", "\n")], 48)
+    # tokens of two colons, alone or beside one of none: their pieces
+    # alternate index, value, index, value, as the right tokens' would
+    @example([("1 1:2:3", "", "\n")], 48)
+    @example([("1 1:2:3 5", "", "\n")], 48)
+    def test_block_reader_matches_oracle(self, lines, block_chars):
+        # blocks of block_chars characters split the file between any two
+        # lines, so a row or an error may sit in any block
+        text = "".join(body + comment + end for body, comment, end in lines)
+
+        def read(parse):
+            try:
+                return parse(path)
+            except LibsvmParseError as exc:
+                return str(exc)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "lines.svm")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            want = read(parse_libsvm_pairs)
+            with mock.patch.object(data, "BLOCK_CHARS", block_chars):
+                got = read(lambda p: libsvm_rows(parse_libsvm(p)))
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert _hexed(*got) == _hexed(*want)
 
 
 class TestSyntheticData:
@@ -594,11 +653,21 @@ class TestCli:
          "sigma"),
         ({"topology": {"kind": "line", "n": 3}, "sigma": 1e-310, "dataset": TINY_FEATURES,
           "loss": "absolute", "algorithms": ["ns_adfs"]}, "sigma"),
+        # LibSVM files: a bad token, a directory, bytes that are not UTF-8, nan labels
+        ({"dataset": {"kind": "libsvm", "path": "nope.svm"}}, "dataset.path"),
+        ({"dataset": {"kind": "libsvm", "path": "dir.svm"}}, "dataset.path"),
+        ({"dataset": {"kind": "libsvm", "path": "latin1.svm"}}, "dataset.path"),
+        ({"topology": {"kind": "line", "n": 2}, "dataset": {"kind": "libsvm", "path": "nan.svm"}},
+         "dataset.path"),
     ])
     def test_bad_field_exits_one_naming_field(self, tmp_path, monkeypatch, capsys, over, field):
         monkeypatch.chdir(tmp_path)  # the LibSVM cases read their files from here
         (tmp_path / "three.svm").write_text("1 1:0.5\n-1 2:1.0\n1 1:2.0\n")
         (tmp_path / "bare.svm").write_text("1 1:0.5\n-1\n")  # a bare-label line
+        (tmp_path / "nope.svm").write_text("1 1:0.5\n1 nope\n")
+        (tmp_path / "dir.svm").mkdir()
+        (tmp_path / "latin1.svm").write_bytes(b"1 1:0.5\n\xff 2:1.0\n")
+        (tmp_path / "nan.svm").write_text("nan 1:0.5 2:1.0\n" * 40)
         path = self._write_config(tmp_path, base_config(**over))
         assert cli(["run", path, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
@@ -623,12 +692,26 @@ class TestCli:
             err = capsys.readouterr().err
             assert err == f"error: dataset.path: no such file: {missing}\n"
 
+    @pytest.mark.parametrize("loss,label", [("logistic", "nan"), ("absolute", "-inf")])
+    def test_non_finite_label_names_its_line(self, tmp_path, capsys, loss, label):
+        # the whole file is checked, whichever rows the nodes draw, before the
+        # sign map
+        svm = tmp_path / "labels.svm"
+        svm.write_text(f"1 1:0.5\n# note\n\n-1 2:1.0\n{label} 1:2.0\n" + "1 1:1 2:1\n" * 8)
+        over = {"loss": loss, "m": 1, "dataset": {"kind": "libsvm", "path": str(svm)}}
+        if loss == "absolute":
+            over["algorithms"] = ["ns_adfs"]
+        path = self._write_config(tmp_path, base_config(**over))
+        assert cli(["spectrum", path]) == 1
+        assert capsys.readouterr().err == (
+            f"error: dataset.path: line 5: label {float(label)!r} is not finite\n")
+
     def test_gen_data_roundtrips(self, tmp_path):
         out = str(tmp_path / "gen.svm")
         assert cli(["gen-data", "--samples", "15", "--d", "3", "--seed", "2",
                     "--out", out]) == 0
-        samples, dim = parse_libsvm(out)
-        assert len(samples) == 15 and dim == 3
+        read = parse_libsvm(out)
+        assert len(read.labels) == 15 and read.dim == 3
 
     @pytest.mark.parametrize("flag,value", [
         ("--samples", "0"), ("--samples", "-5"), ("--d", "0"), ("--correlation", "1.0"),
