@@ -56,8 +56,7 @@ class Side:
         self.harness = lib.harness
         self.cfg = lib.harness.load_config(raw)
         _, _, self.problem, self.flat, _ = lib.harness.build_instance(self.cfg)
-        tol = self.cfg.reference.get("tol", 3e-6)
-        self.f_star = lib.baselines.reference_optimum(self.flat, tol=tol)[1]
+        self.f_star = lib.baselines.reference_optimum(self.flat, **self.cfg.reference)[1]
 
     def run(self, algo, seed):
         """(process CPU seconds, last logged iteration) of one cell."""

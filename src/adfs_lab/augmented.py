@@ -312,7 +312,7 @@ def build_augmented(graph, objectives, tau, p_comm_override=None):
     return replace(problem, rho=min(rho_unclamped, cap), rho_unclamped=rho_unclamped)
 
 
-def build_augmented_ns(graph, objectives, tau=1.0, p_comm_override=None):
+def build_augmented_ns(graph, objectives, tau=1.0):
     """Non-smooth variant: zero conjugate curvature, uniform virtual sampling.
 
     Virtual weights become mu_ij^2 = lambda_min_pos(L) / (1 + m), probabilities
@@ -322,7 +322,7 @@ def build_augmented_ns(graph, objectives, tau=1.0, p_comm_override=None):
     shared = _assemble(graph, objectives, tau)
     if shared["smooth"]:
         raise ValueError("smooth loss: use build_augmented for the linearly convergent solver")
-    return _build_ns(shared, p_comm_override)
+    return _build_ns(shared, None)
 
 
 def _build_ns(shared, p_comm_override):

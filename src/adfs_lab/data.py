@@ -22,6 +22,11 @@ __all__ = ["LibsvmParseError", "LibsvmData", "parse_libsvm", "sample_line", "wri
 # one block's token strings are alive at a time
 BLOCK_CHARS = 1 << 16
 INDEX_MAX = np.iinfo(np.int64).max
+# the most entries of a dense (rows, d) feature buffer.  2^30 float64 is 8 GiB,
+# and a synthetic instance holds two such buffers (the pool and the drawn
+# rows): past what a workstation holds, where numpy's memory error would name
+# no input.  The committed configs and benchmark workloads stay below 10^6.
+DENSE_MAX = 1 << 30
 
 
 class LibsvmParseError(ValueError):

@@ -20,8 +20,8 @@ from .adfs import run_adfs, run_adfs_efficient, run_ns_adfs
 from .augmented import (ScaleError, balanced_p_comm, build_augmented, expected_time,
                         rate_branches, round_table)
 from .baselines import flat_grad, flat_value, point_saga, pool_objectives, reference_optimum
-from .data import (LibsvmData, LibsvmParseError, assign_node_datasets, parse_libsvm, sample_line,
-                   synth_dataset, synth_pool, write_libsvm)
+from .data import (DENSE_MAX, LibsvmData, LibsvmParseError, assign_node_datasets, parse_libsvm,
+                   sample_line, synth_dataset, synth_pool, write_libsvm)
 from .objective import LocalObjective, LossKind
 from .topology import EigensolveError, GraphConstructionError, build_topology
 
@@ -89,6 +89,13 @@ def _is_int(value):  # JSON true/false load as bools, which are ints in Python
 
 def _is_number(value):  # finite: JSON 1e400 and Infinity load as inf
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _expect_dense(rows, d, path):
+    """Check a dense (rows, d) feature buffer against DENSE_MAX before it is
+    allocated; `path` names the input that sets d."""
+    _expect(rows * d <= DENSE_MAX, path, f"expected at most {DENSE_MAX // rows} features for "
+                                         f"a dense buffer of {rows} rows, got {d}")
 
 
 def _expect_fields(obj, prefix, known, checks=()):
@@ -275,6 +282,7 @@ def build_instance(cfg: ExperimentConfig):
     ds = cfg.dataset
     seed = ds.get("seed", 0)
     if ds["kind"] == "synthetic":
+        _expect_dense(max(ds.get("pool") or 0, graph.n * cfg.m), ds["d"], "dataset.d")
         per_node = synth_dataset(
             graph.n, cfg.m, ds["d"], seed, ds.get("correlation", 0.0),
             loss=cfg.loss, noise=ds.get("noise", 0.1), pool=ds.get("pool"),
@@ -286,6 +294,7 @@ def build_instance(cfg: ExperimentConfig):
         labels = data.labels
         _expect(cfg.m <= len(labels), "m",
                 f"expected at most the {len(labels)} samples of {ds['path']}, got {cfg.m}")
+        _expect_dense(graph.n * cfg.m, data.dim, "dataset.path")
         if cfg.loss == "logistic":
             labels = np.where(labels > 0, 1.0, -1.0)
         per_node = assign_node_datasets(data, labels, graph.n, cfg.m, seed)
@@ -404,7 +413,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     f_star = gap = None
     if any(cfg.iters[a] > 0 for a in cfg.algorithms):
         try:
-            theta, f_star = reference_optimum(flat, tol=cfg.reference.get("tol", 3e-6))
+            theta, f_star = reference_optimum(flat, **cfg.reference)
         except RuntimeError as exc:  # its stopping target scales with sigma
             raise ConfigError("sigma", f"no certified reference optimum for the target "
                                        f"reference.tol * sum(sigma): {exc}") from None
@@ -552,6 +561,7 @@ def _cmd_gen_data(args):
     _expect(args.samples >= 1, "--samples", "expected an integer >= 1")
     _expect(args.d >= 1, "--d", "expected an integer >= 1")
     _expect(0.0 <= args.correlation < 1.0, "--correlation", "expected a number in [0, 1)")
+    _expect_dense(args.samples, args.d, "--d")
     feats, labels = synth_pool(args.samples, args.d, args.seed, args.correlation,
                                loss=args.loss)
     nonzero = feats != 0.0

@@ -49,13 +49,13 @@ def random_objectives(rng, n, m, d, loss=LossKind.LOGISTIC, sigma_range=(0.5, 2.
 
 
 def random_problem(rng, n=4, m=3, d=2, loss=LossKind.LOGISTIC, tau=3.0,
-                   weighted=False, p_comm=None, ensure_unclamped=True, ragged=False):
+                   weighted=False, ragged=False):
     graph = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, n)),
                                    weighted=weighted)
     floor = None
-    if ensure_unclamped and loss.is_smooth:
+    if loss.is_smooth:
         # L_ij = L_g ||X||^2 >= sigma_max keeps 2 rho <= min p_ij automatic
         floor = float(np.sqrt(2.0 / loss.scalar_smoothness))
     objectives = random_objectives(rng, n, m, d, loss=loss, min_feature_norm=floor,
                                    ragged=ragged)
-    return build_augmented(graph, objectives, tau=tau, p_comm_override=p_comm)
+    return build_augmented(graph, objectives, tau=tau)

@@ -23,7 +23,6 @@ __all__ = [
     "loss_grad",
     "loss_curvature",
     "loss_conjugate",
-    "loss_prox_1d",
     "prox_sample",
     "condition_numbers",
     "primal_value",
@@ -52,11 +51,6 @@ class LossKind(enum.Enum):
     @property
     def is_smooth(self):
         return self.scalar_smoothness is not None
-
-
-def _check_finite(name, value):
-    if not np.all(np.isfinite(value)):
-        raise ValueError(f"non-finite {name}")
 
 
 def _inv_one_plus_exp(u):
@@ -212,10 +206,10 @@ def _logistic_prox_batch(z, label, step, warm):
 
 
 def _prox_1d_array(kind, z, label, step, warm):
-    """Elementwise argmin_p (p-z)^2/(2 step) + loss(p, label) over validated
-    (finite, step > 0) equal-length float arrays.
+    """Elementwise argmin_p (p-z)^2/(2 step) + loss(p, label) for a smooth
+    loss, over validated (finite, step > 0) equal-length float arrays.
 
-    The squared and absolute losses have closed forms.  The logistic loss
+    The squared loss has a closed form.  The logistic loss
     runs the scalar Newton kernel per element below BATCH_MIN elements and
     the vectorized `_logistic_prox_batch` from BATCH_MIN on: per element the
     scalar loop is cheaper on small batches, and the fixed per-call cost of
@@ -223,27 +217,12 @@ def _prox_1d_array(kind, z, label, step, warm):
     """
     if kind is LossKind.SQUARED:
         return (z + step * label) / (1.0 + step)
-    if kind is LossKind.ABSOLUTE:
-        shifted = z - label
-        return label + np.sign(shifted) * np.maximum(np.abs(shifted) - step, 0.0)
     if z.size >= BATCH_MIN:
         return _logistic_prox_batch(z, label, step, warm)
     return np.array([
         _logistic_prox(zk, lk, sk, wk)
         for zk, lk, sk, wk in zip(z.tolist(), label.tolist(), step.tolist(), warm.tolist())
     ])
-
-
-def loss_prox_1d(kind, z, label, step, warm=0.0):
-    """argmin_p (1/(2 step))(p - z)^2 + loss(p, label), warm-startable."""
-    z, label, step = float(z), float(label), float(step)
-    if step <= 0:
-        raise ValueError("prox step must be > 0")
-    if not (math.isfinite(z) and math.isfinite(label) and math.isfinite(step)):
-        raise ValueError("non-finite prox input")
-    if kind is LossKind.LOGISTIC:
-        return _logistic_prox(z, label, step, float(warm))
-    return float(_prox_1d_array(kind, z, label, step, warm))
 
 
 @dataclass(frozen=True)
@@ -313,20 +292,27 @@ class LocalObjective:
         return lg * self.xnorm2
 
 
-def prox_sample(feature, label, kind, v, eta, warm=0.0):
+def prox_sample(feature, label, kind, v, eta):
     """Exact d-dimensional prox of eta * loss(X^T ., label) at v, X = `feature`
-    (a nonzero row, as LocalObjective validates).
+    (a nonzero row, as LocalObjective validates), for a smooth loss.
 
     The minimizer moves only along the feature direction, so it reduces to
-    the 1D prox with step eta * ||X||^2.
+    the 1D prox with step eta * ||X||^2, cold-started at 0.
     """
-    if eta <= 0:
-        raise ValueError("eta must be > 0")
+    if not kind.is_smooth:
+        raise ValueError(f"the sample prox needs a smooth loss, got {kind.value}")
+    if not 0.0 < eta < math.inf:
+        raise ValueError("eta must be finite and > 0")
     v = np.asarray(v, dtype=float)
-    _check_finite("prox input", v)
     xnorm2 = float(feature @ feature)
     zz = float(feature @ v)
-    p_star = loss_prox_1d(kind, zz, label, eta * xnorm2, warm)
+    if not math.isfinite(zz):  # a nan or inf anywhere in v reaches zz
+        raise ValueError("non-finite prox input")
+    step = eta * xnorm2
+    if kind is LossKind.LOGISTIC:
+        p_star = _logistic_prox(zz, float(label), step, 0.0)
+    else:
+        p_star = float(_prox_1d_array(kind, zz, label, step, 0.0))
     return v + ((p_star - zz) / xnorm2) * feature
 
 

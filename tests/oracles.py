@@ -6,13 +6,15 @@ golden-section / cyclic coordinate search, conjugates from direct 1D maximizatio
 `run_apcg` is the generalized block APCG recursion (arbitrary sampling, both
 convexity regimes) that single-node ADFS must reproduce on its dual; it reads
 no solver path, only the oracles of a `CompositeProblem`.
-The exceptions are `prox_tilde_fstar`, which reuses the library's scalar
-primal prox and gradient, one sample at a time, to check the solvers' batched
-conjugate prox; `lift_primal_point` and `dense_c0_constant`, the dual point of
-a primal one and the Lyapunov constant of the linear rate, built from the
-library's dense operators; `point_saga_unscaled`, the Point-SAGA step on an
-unscaled gradient table, one pick at a time, against which the solver's
-gamma-scaled table is checked; and two measuring helpers that read solver
+The exceptions are `loss_prox_1d`, the scalar primal prox: the library's
+scalar logistic kernel and squared-loss closed form behind one checked front
+door, plus the absolute loss's soft-threshold; `prox_tilde_fstar`, which
+reuses it and the library's gradient, one sample at a time, to check the
+solvers' batched conjugate prox; `lift_primal_point` and `dense_c0_constant`,
+the dual point of a primal one and the Lyapunov constant of the linear rate,
+built from the library's dense operators; `point_saga_unscaled`, the
+Point-SAGA step on an unscaled gradient table, one pick at a time, against
+which the solver's gamma-scaled table is checked; and two measuring helpers that read solver
 states and APCG iterates: `sigma_dagger_rows` and `lyapunov_value`.
 `absolute_dual_fista` is the absolute loss's former reference solver, the
 projected FISTA on the pooled dual, against which the Newton reference is
@@ -23,6 +25,7 @@ checked; `libsvm_record` and `libsvm_rows` convert between such rows and the
 reader's CSR record.
 """
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,7 +36,7 @@ import numpy as np
 from adfs_lab.augmented import dual_objective, split_state, zero_state
 from adfs_lab.data import LibsvmData, LibsvmParseError
 from adfs_lab.dense import dense_A, dense_sigma_dagger, exact_sigma_a, state_rows
-from adfs_lab.objective import loss_grad, loss_prox_1d
+from adfs_lab.objective import LossKind, _logistic_prox, _prox_1d_array, loss_grad
 from adfs_lab.rng import generator
 from adfs_lab.topology import symmetric_eigensolve
 
@@ -174,6 +177,21 @@ def sturm_eigenvalues(mat, tol=1e-12):
                 lo = mid
         eigs.append(0.5 * (lo + hi))
     return np.array(eigs)
+
+
+def loss_prox_1d(kind, z, label, step, warm=0.0):
+    """argmin_p (1/(2 step))(p - z)^2 + loss(p, label), warm-startable."""
+    z, label, step = float(z), float(label), float(step)
+    if step <= 0:
+        raise ValueError("prox step must be > 0")
+    if not (math.isfinite(z) and math.isfinite(label) and math.isfinite(step)):
+        raise ValueError("non-finite prox input")
+    if kind is LossKind.LOGISTIC:
+        return _logistic_prox(z, label, step, float(warm))
+    if kind is LossKind.ABSOLUTE:  # soft-threshold of z - label
+        shifted = z - label
+        return float(label + np.sign(shifted) * np.maximum(np.abs(shifted) - step, 0.0))
+    return float(_prox_1d_array(kind, z, label, step, warm))
 
 
 def prox_tilde_fstar(feature, label, kind, x, eta_tilde, warm=0.0):

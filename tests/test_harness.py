@@ -458,6 +458,8 @@ def cli_configs(draw):
 
 
 TINY_FEATURES = {"kind": "synthetic", "d": 2, "seed": 2, "feature_scale": 1e-150}
+# a LibSVM file whose largest index makes a dense buffer past data.DENSE_MAX
+HUGE_INDEX_SVM = "1 1000000000000000:1\n-1 1:1.0\n1 2:1.0\n"
 
 
 def found_case(**over):
@@ -523,8 +525,15 @@ class TestCli:
     @example(found_case(sigma=1e-310, dataset=TINY_FEATURES))
     @example(found_case(sigma=1e-310, loss="absolute", algorithms=["ns_adfs"],
                         dataset=TINY_FEATURES))
+    # a dense feature buffer past data.DENSE_MAX, from a synthetic d and from
+    # a LibSVM index
+    @example(found_case(dataset={"kind": "synthetic", "d": 10**15, "seed": 2}))
+    @example(found_case(dataset={"kind": "libsvm", "path": "huge.svm"}))
     def test_random_config_exits_zero_or_names_a_field(self, data):
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.chdir(tmp)  # the LibSVM example reads its file from here
+            with open("huge.svm", "w", encoding="utf-8") as fh:
+                fh.write(HUGE_INDEX_SVM)
             path = os.path.join(tmp, "config.json")
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(data, fh)
@@ -659,6 +668,9 @@ class TestCli:
         ({"dataset": {"kind": "libsvm", "path": "latin1.svm"}}, "dataset.path"),
         ({"topology": {"kind": "line", "n": 2}, "dataset": {"kind": "libsvm", "path": "nan.svm"}},
          "dataset.path"),
+        # dense feature buffers past data.DENSE_MAX
+        ({"dataset": {"kind": "libsvm", "path": "huge.svm"}}, "dataset.path"),
+        ({"dataset": {"kind": "synthetic", "d": 10**15}}, "dataset.d"),
     ])
     def test_bad_field_exits_one_naming_field(self, tmp_path, monkeypatch, capsys, over, field):
         monkeypatch.chdir(tmp_path)  # the LibSVM cases read their files from here
@@ -668,6 +680,7 @@ class TestCli:
         (tmp_path / "dir.svm").mkdir()
         (tmp_path / "latin1.svm").write_bytes(b"1 1:0.5\n\xff 2:1.0\n")
         (tmp_path / "nan.svm").write_text("nan 1:0.5 2:1.0\n" * 40)
+        (tmp_path / "huge.svm").write_text(HUGE_INDEX_SVM)
         path = self._write_config(tmp_path, base_config(**over))
         assert cli(["run", path, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
@@ -714,8 +727,8 @@ class TestCli:
         assert len(read.labels) == 15 and read.dim == 3
 
     @pytest.mark.parametrize("flag,value", [
-        ("--samples", "0"), ("--samples", "-5"), ("--d", "0"), ("--correlation", "1.0"),
-        ("--correlation", "-0.1"), ("--out", "missing/gen.svm"),
+        ("--samples", "0"), ("--samples", "-5"), ("--d", "0"), ("--d", "1000000000000000"),
+        ("--correlation", "1.0"), ("--correlation", "-0.1"), ("--out", "missing/gen.svm"),
     ])
     def test_gen_data_bad_flag_exits_one_naming_flag(self, tmp_path, capsys, flag, value):
         flags = {"--samples": "15", "--d": "3", "--out": "gen.svm", flag: value}

@@ -14,7 +14,6 @@ from adfs_lab.objective import (
     loss_conjugate,
     loss_curvature,
     loss_grad,
-    loss_prox_1d,
     loss_value,
     primal_grad,
     primal_value,
@@ -27,6 +26,7 @@ from oracles import (
     coordinate_search,
     golden_section,
     logistic_prox_oracle,
+    loss_prox_1d,
     prox_tilde_fstar,
 )
 
@@ -246,6 +246,10 @@ class TestProxSample:
         ref = coordinate_search(objective, v, radius=3.0, passes=2000, min_step=1e-10)
         got = prox_sample(x, label, kind, v, eta)
         assert np.max(np.abs(got - ref)) <= 1e-6
+
+    def test_non_smooth_loss_rejected(self):
+        with pytest.raises(ValueError, match="smooth loss"):
+            prox_sample(np.array([1.0, 0.0]), 0.0, LossKind.ABSOLUTE, np.array([2.0, 3.0]), 1.0)
 
     def test_move_parallel_to_feature(self, rng):
         for _ in range(20):
