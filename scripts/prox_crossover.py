@@ -1,14 +1,20 @@
 #!/usr/bin/env python3
-"""Time the scalar and the batch logistic prox on the rounds of real runs.
+"""Time the loop and the batch logistic prox on the rounds of real runs.
 
-For each grid size the script records the inputs of every batched logistic
-prox of one `run_adfs_efficient` run (m samples per node, logistic, tau 5,
-data seed 2026, as in the figure analogue), then replays them through the
-scalar kernel loop and through `objective._logistic_prox_batch`.  It prints
-the cost per round of each (best of --reps passes), their largest
-difference, and how many elements the batch kernel handed back to the
-scalar kernel.  `objective.BATCH_MIN` should sit where the batch column
-first wins.
+For each grid size the script records the inputs (b, c4, r0) of every
+logistic conjugate prox of one `run_adfs_efficient` run (m samples per node,
+logistic, tau 5, data seed 2026, as in the figure analogue): the per-run
+round-table factors and warm starts that `objective._tilde_coeff_batch`
+hands to its kernels.  It then replays them through the loop kernel
+`objective._logistic_prox_r` and the batch kernel
+`objective._logistic_prox_r_batch`, and prints the cost per round and per
+element of each (best of --reps alternating passes), their largest difference, and how
+many elements each kernel handed to the guarded scalar `_logistic_prox`.
+`objective.BATCH_MIN` should sit where the batch kernel first wins by at
+least 10%.  The exit status is 1 if the two kernels differ by more than
+1e-12 (1 + |r|) anywhere.
+
+    PYTHONPATH=src python scripts/prox_crossover.py --grids 4x4,5x5 --iters 200 --reps 1
 """
 
 import argparse
@@ -17,17 +23,13 @@ import time
 
 import numpy as np
 
-from adfs_lab import harness, objective
-from adfs_lab.adfs import run_adfs_efficient
+from adfs_lab import adfs, harness, objective
 
-
-def scalar_loop(z, label, step, warm):
-    return np.array([objective._logistic_prox(*args) for args in
-                     zip(z.tolist(), label.tolist(), step.tolist(), warm.tolist())])
+KERNELS = ("_logistic_prox_r", "_logistic_prox_r_batch")  # loop, batch
 
 
 def record_rounds(rows, cols, m, d, iters):
-    """(z, label, step, warm) of every logistic batch prox of one run."""
+    """(b, c4, r0) of every logistic conjugate prox of one run."""
     cfg = harness.load_config({
         "topology": {"kind": "grid2d", "rows": rows, "cols": cols}, "loss": "logistic",
         "m": m, "dataset": {"kind": "synthetic", "d": d, "correlation": 0.3, "seed": 2026},
@@ -36,33 +38,59 @@ def record_rounds(rows, cols, m, d, iters):
     })
     _, _, problem, _, _ = harness.build_instance(cfg)
     rounds = []
-    prox = objective._prox_1d_array
+    prox = adfs._tilde_coeff_batch
 
-    def recording(kind, z, label, step, warm):
-        rounds.append((z.copy(), label.copy(), step.copy(), warm.copy()))
-        return scalar_loop(z, label, step, warm)
+    def recording(kind, c_x, labels, prox_in, prox_step, inv_scale, prox_out, warm,
+                  boundary=None):
+        b = c_x * prox_in
+        b += 1.0  # as _tilde_coeff_batch forms it
+        rounds.append((b, prox_step.copy(), warm.copy()))
+        return prox(kind, c_x, labels, prox_in, prox_step, inv_scale, prox_out, warm, boundary)
 
-    objective._prox_1d_array = recording
+    adfs._tilde_coeff_batch = recording
     try:
-        run_adfs_efficient(problem, iters, 1, log_every=iters)
+        adfs.run_adfs_efficient(problem, iters, 1, log_every=iters)
     finally:
-        objective._prox_1d_array = prox
+        adfs._tilde_coeff_batch = prox
     return rounds
 
 
-def us_per_round(kernel, rounds, reps):
-    best = np.inf
+def replay(kernel, rounds):
+    """The kernel's outputs on the recorded rounds, with the number of
+    elements it redid."""
+    redone = 0
+    redo = objective._logistic_prox_r_redo
+
+    def counting(*a):
+        nonlocal redone
+        redone += 1
+        return redo(*a)
+
+    objective._logistic_prox_r_redo = counting
+    try:
+        return [kernel(*args) for args in rounds], redone
+    finally:
+        objective._logistic_prox_r_redo = redo
+
+
+def us_per_round(kernels, rounds, reps):
+    """Best time per round of each kernel over `reps` passes; the kernels
+    alternate within a pass, so that a change in the host's load reaches
+    both."""
+    best = [np.inf] * len(kernels)
     for _ in range(reps):
-        start = time.perf_counter()
-        for args in rounds:
-            kernel(*args)
-        best = min(best, time.perf_counter() - start)
-    return best / len(rounds) * 1e6
+        for k, kernel in enumerate(kernels):
+            start = time.perf_counter()
+            for args in rounds:
+                kernel(*args)
+            best[k] = min(best[k], time.perf_counter() - start)
+    return [b / len(rounds) * 1e6 for b in best]
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--grids", default="4x4,4x5,3x7,2x11,4x6,6x6,8x8,10x10",
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--grids", default="4x4,4x5,3x7,2x11,4x6,5x5,3x9,4x7,5x6,6x6,8x8,10x10",
                     help="comma-separated ROWSxCOLS grid sizes")
     ap.add_argument("--m", type=int, default=200)
     ap.add_argument("--d", type=int, default=40)
@@ -71,31 +99,28 @@ def main():
     args = ap.parse_args()
 
     print(f"BATCH_MIN = {objective.BATCH_MIN}, BATCH_STEPS = {objective.BATCH_STEPS}")
-    print(f"{'n':>4} {'rounds':>6} {'scalar us':>9} {'batch us':>8} {'max diff':>8} redone")
+    print(f"{'n':>4} {'rounds':>6} {'loop us':>8} {'batch us':>8} {'batch/loop':>10} "
+          f"{'loop us/el':>10} {'max diff':>8} {'redone loop':>12} {'redone batch':>12}")
+    agree = True
     for grid in args.grids.split(","):
         rows, cols = (int(k) for k in grid.split("x"))
+        n = rows * cols
         rounds = record_rounds(rows, cols, args.m, args.d, args.iters)
-        redone = 0
-        scalar = objective._logistic_prox
-
-        def counting(*a):
-            nonlocal redone
-            redone += 1
-            return scalar(*a)
-
-        diff = 0.0
-        for r in rounds:
-            objective._logistic_prox = counting
-            try:
-                got = objective._logistic_prox_batch(*r)
-            finally:
-                objective._logistic_prox = scalar
-            diff = max(diff, float(np.max(np.abs(got - scalar_loop(*r)))))
-        elements = sum(r[0].size for r in rounds)
-        print(f"{rows * cols:4d} {len(rounds):6d} "
-              f"{us_per_round(scalar_loop, rounds, args.reps):9.1f} "
-              f"{us_per_round(objective._logistic_prox_batch, rounds, args.reps):8.1f} "
-              f"{diff:8.1e} {redone}/{elements}")
+        (loop_out, loop_redone), (batch_out, batch_redone) = (
+            replay(getattr(objective, name), rounds) for name in KERNELS)
+        diff = max(float(np.max(np.abs(a - b) / (1.0 + np.abs(a))))
+                   for a, b in zip(loop_out, batch_out))
+        agree &= diff <= 1e-12
+        loop_us, batch_us = us_per_round([getattr(objective, name) for name in KERNELS],
+                                         rounds, args.reps)
+        elements = len(rounds) * n
+        print(f"{n:4d} {len(rounds):6d} {loop_us:8.1f} {batch_us:8.1f} "
+              f"{batch_us / loop_us:10.2f} {loop_us / n:10.2f} {diff:8.1e} "
+              f"{loop_redone:>5}/{elements:<6} {batch_redone:>5}/{elements:<6}")
+    if not agree:
+        print("prox_crossover: the loop and batch kernels differ by more than 1e-12 (1 + |r|)",
+              file=sys.stderr)
+        return 1
     return 0
 
 

@@ -89,7 +89,8 @@ def _momentum_map(rho):
 class _Rounds:
     """What the computation rounds of one run share: the round table and its
     boundary set (augmented.round_table), and one warm start of the smooth
-    build's scalar prox per virtual node."""
+    build's 1D prox per virtual node, in the prox's variable (r = label p / 2
+    for the logistic loss, p for the squared loss)."""
 
     def __init__(self, problem):
         self.table, self.boundary = aug.round_table(problem)
@@ -116,8 +117,9 @@ class _Rounds:
             warm = self.warm
             boundary = None if self.boundary is None else self.boundary[idx]
             c_out, warm[idx] = _tilde_coeff_batch(
-                problem.loss, c_in, consts[aug.Z_IN], consts[aug.LABEL], consts[aug.STEP],
-                consts[aug.INV_SCALE], consts[aug.P_OUT], warm[idx], boundary,
+                problem.loss, c_in, consts[aug.LABEL], consts[aug.PROX_IN],
+                consts[aug.PROX_STEP], consts[aug.INV_SCALE], consts[aug.PROX_OUT],
+                warm[idx], boundary,
             )
         else:
             # the absolute loss's conjugate is s * label on |s| <= 1, so its

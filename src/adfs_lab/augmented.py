@@ -375,14 +375,18 @@ def zero_state(problem):
 G_CENTER, INV_P = range(2)
 # Smooth build, whose conjugate-prox step eta~_ij = eta mu_ij^2 / p_ij is fixed
 # for a run: the gradient weight of the coefficient term, mu_ij^2 / (p_ij L_ij);
-# the label; the prox input factor ||X_ij||^2 / eta~_ij; the 1D prox step
-# gamma ||X_ij||^2 with gamma = (L_ij - eta~_ij) / (eta~_ij L_ij); the prox
-# output factors 1 / scale and eta~_ij / (||X_ij||^2 scale) with
-# scale = 1 - eta~_ij / L_ij; and the efficient form's pair-update factors
-# (1 - rho / p_ij) / 2 and (1 + rho / p_ij) / 2.  Boundary nodes, where
-# scale = 0, get inert factors instead: a unit step and zero output factors,
+# the label; the factors of the loss's 1D prox (objective._tilde_coeff_batch):
+# its input factor, its step and, with the factor 1 / scale, its output
+# factor; and the efficient form's pair-update factors (1 - rho / p_ij) / 2
+# and (1 + rho / p_ij) / 2.  With gamma = (L_ij - eta~_ij) / (eta~_ij L_ij)
+# and scale = 1 - eta~_ij / L_ij, the squared loss's prox factors are
+# ||X_ij||^2 / eta~_ij, gamma ||X_ij||^2 and eta~_ij / (||X_ij||^2 scale).
+# The logistic loss's prox runs in r = label p / 2 (objective._logistic_prox_r),
+# so its factors are 2 label / step times the first, 4 / step and 2 label
+# times the third, step = gamma ||X_ij||^2.  Boundary nodes, where scale = 0,
+# get inert factors instead, those of a unit step and zero output factors,
 # so a round runs one prox over all its nodes and then overwrites theirs.
-G_COEF, LABEL, Z_IN, STEP, INV_SCALE, P_OUT, PAIR_U, PAIR_Z = range(2, 10)
+G_COEF, LABEL, PROX_IN, PROX_STEP, INV_SCALE, PROX_OUT, PAIR_U, PAIR_Z = range(2, 10)
 # Non-smooth build, whose step changes every round: T_ij label_ij with
 # T_ij = mu_ij^2 / (p_ij ||X_ij||^2), so that a round with dual step eta moves
 # the coefficients by -eta T_ij label_ij before its clip.
@@ -418,10 +422,14 @@ def round_table(problem):
     gamma = (smooth - eta_tilde) / (eta_tilde * smooth)
     scale = 1.0 - ratio
     rho_p = problem.rho / p
+    labels, prox_in = problem.labels, xnorm2 / eta_tilde
+    step = np.where(boundary, 1.0, gamma * xnorm2)
+    prox_out = np.where(boundary, 0.0, eta_tilde / (xnorm2 * scale))
+    if problem.loss is LossKind.LOGISTIC:
+        prox_in = 2.0 * labels * prox_in / step
+        step, prox_out = 4.0 / step, 2.0 * labels * prox_out
     table = _finite(np.column_stack(cols + [
-        weight / smooth, problem.labels, xnorm2 / eta_tilde,
-        np.where(boundary, 1.0, gamma * xnorm2), np.where(boundary, 0.0, 1.0 / scale),
-        np.where(boundary, 0.0, eta_tilde / (xnorm2 * scale)),
+        weight / smooth, labels, prox_in, step, np.where(boundary, 0.0, 1.0 / scale), prox_out,
         0.5 * (1.0 - rho_p), 0.5 * (1.0 + rho_p)]))
     return table, (boundary if boundary.any() else None)
 

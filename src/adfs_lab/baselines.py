@@ -95,7 +95,7 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
         if logistic:
             p = _logistic_prox(zz, label_f[j], prox_step, warm[j])
         else:
-            p = float(_prox_1d_array(problem.loss, zz, label_f[j], prox_step, warm[j]))
+            p = float(_prox_1d_array(problem.loss, zz, label_f[j], prox_step))
         x = v + ((p - zz) / xnorm2_f[j]) * feat
         warm[j] = p  # = X_j . x up to rounding
         w -= x  # the new row, gamma g_j

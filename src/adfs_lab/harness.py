@@ -98,6 +98,15 @@ def _expect_dense(rows, d, path):
                                          f"a dense buffer of {rows} rows, got {d}")
 
 
+def _expect_instance_dense(rows, d, path):
+    """`_expect_dense` for an instance's feature buffer, and the same bound on
+    the d x d matrices its build forms: the Gram matrix of the condition
+    numbers and the reference optimum's Newton systems."""
+    _expect_dense(rows, d, path)
+    _expect(d * d <= DENSE_MAX, path, f"expected at most {math.isqrt(DENSE_MAX)} features for "
+                                      f"the d x d matrices of the build, got {d}")
+
+
 def _expect_fields(obj, prefix, known, checks=()):
     """Reject keys of `obj` outside `known`; check each (key, predicate,
     message) of `checks` whose key is present."""
@@ -282,7 +291,8 @@ def build_instance(cfg: ExperimentConfig):
     ds = cfg.dataset
     seed = ds.get("seed", 0)
     if ds["kind"] == "synthetic":
-        _expect_dense(max(ds.get("pool") or 0, graph.n * cfg.m), ds["d"], "dataset.d")
+        rows = max(ds.get("pool") or 0, graph.n * cfg.m)
+        _expect_instance_dense(rows, ds["d"], "dataset.d")
         per_node = synth_dataset(
             graph.n, cfg.m, ds["d"], seed, ds.get("correlation", 0.0),
             loss=cfg.loss, noise=ds.get("noise", 0.1), pool=ds.get("pool"),
@@ -294,7 +304,7 @@ def build_instance(cfg: ExperimentConfig):
         labels = data.labels
         _expect(cfg.m <= len(labels), "m",
                 f"expected at most the {len(labels)} samples of {ds['path']}, got {cfg.m}")
-        _expect_dense(graph.n * cfg.m, data.dim, "dataset.path")
+        _expect_instance_dense(graph.n * cfg.m, data.dim, "dataset.path")
         if cfg.loss == "logistic":
             labels = np.where(labels > 0, 1.0, -1.0)
         per_node = assign_node_datasets(data, labels, graph.n, cfg.m, seed)

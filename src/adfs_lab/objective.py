@@ -32,9 +32,10 @@ __all__ = [
 NEWTON_ITERS = 10
 NEWTON_TOL = 1e-12
 BISECTION_STEPS = 30
-# logistic batches of at least BATCH_MIN elements take the vectorized kernel,
-# BATCH_STEPS Newton steps each; smaller ones the scalar kernel per element
-BATCH_MIN = 22
+# the rounds' logistic proxes of at least BATCH_MIN elements take the
+# vectorized kernel, BATCH_STEPS Newton steps each; smaller ones the loop
+# kernel (scripts/prox_crossover.py places BATCH_MIN)
+BATCH_MIN = 32
 BATCH_STEPS = 6
 
 
@@ -132,9 +133,9 @@ def _logistic_prox(z, label, step, warm):
     max(z, warm) + 10 step].  A step leaving the guard, or no convergence
     within NEWTON_ITERS, falls back to bisection on z +- step (|loss'| <= 1
     puts the root there) and 4 Newton polish steps inside that bracket.
-    The Newton loop is `_logistic_newton_delta` written out: it is the
-    innermost loop of every logistic run, and the call costs about an eighth
-    of a fig4x4 iteration.  The fallback calls it.
+    Point-SAGA's kernel, and the redo path of the rounds' r-form kernels.
+    The Newton loop is `_logistic_newton_delta` written out, which saves a
+    call per step; the fallback calls it.
     """
     inv_step = 1.0 / step
     lo_guard = (warm if warm < z else z) - 10.0 * step
@@ -167,62 +168,84 @@ def _logistic_prox(z, label, step, warm):
     return p
 
 
-def _logistic_prox_batch(z, label, step, warm):
-    """`_logistic_prox` over validated equal-length float arrays, vectorized.
+def _logistic_prox_r_redo(b, c4, r0):
+    """`_logistic_prox` on the r-form inputs of the two kernels below: with
+    q = label p = 2 r its problem reads argmin_q (q - label z)^2 / (2 step)
+    + log(1 + exp(-q)), where step = 4 / c4 and label z = 2 (b - 1) / c4."""
+    return 0.5 * _logistic_prox(2.0 * (b - 1.0) / c4, 1.0, 4.0 / c4, 2.0 * r0)
 
-    BATCH_STEPS Newton steps on the whole batch from `warm`, with no
-    convergence test inside the loop, in the tanh form: with hl = label / 2
-    and t = tanh(hl p), label sig = hl - hl t and, for label = +-1,
-    sig (1 - sig) = 1/4 - (hl t)^2.  An element whose last |delta| exceeds
-    NEWTON_TOL (or is NaN) is redone by `_logistic_prox` from the same warm
-    start.
+
+def _logistic_prox_r(b, c4, r0):
+    """The rounds' logistic prox in r = label p / 2, for small batches.
+
+    `_logistic_prox`'s problem in r is argmin_r (c4 / 2) r^2 - (b - 1) r
+    + log(1 + exp(-2 r)), with c4 = 4 / step and b = 2 label z / step + 1
+    (label^2 = 1).  With t = tanh(r) its gradient is c4 r - b + t and its
+    curvature c4 + 1 - t^2.  Newton's method is affine-invariant, so its
+    iterates from r0 = label warm / 2 are those of `_logistic_prox` in p,
+    and |delta r| <= NEWTON_TOL / 2 is its |delta p| <= NEWTON_TOL.  One
+    Python loop over the float arrays b, c4 and r0, with no call per element
+    and no guard interval: an element that misses the test within
+    NEWTON_ITERS steps (NaN and +-inf do) is redone by `_logistic_prox` from
+    the same warm start.
     """
-    hl = 0.5 * label
-    inv_step = 1.0 / step
-    curv0 = inv_step + 0.25
-    shifted = z + step * hl  # (p - z) / step - hl = (p - shifted) / step
-    p = warm.copy()
-    a = np.empty_like(p)
-    delta = np.empty_like(p)
-    hess = np.empty_like(p)
+    tol = 0.5 * NEWTON_TOL
+    tanh = math.tanh
+    steps = range(NEWTON_ITERS)
+    out = []
+    for bk, ck, start in zip(b.tolist(), c4.tolist(), r0.tolist()):
+        r = start
+        ck1 = ck + 1.0
+        for _ in steps:
+            t = tanh(r)
+            delta = (ck * r - bk + t) / (ck1 - t * t)
+            r -= delta
+            if -tol <= delta <= tol:
+                break
+        else:
+            r = _logistic_prox_r_redo(bk, ck, start)
+        out.append(r)
+    return np.array(out)
+
+
+def _logistic_prox_r_batch(b, c4, r0):
+    """`_logistic_prox_r` vectorized, for large batches.
+
+    BATCH_STEPS Newton steps on the whole batch, 8 ufunc calls each, with
+    no convergence test inside the loop.  An element whose last |delta r|
+    exceeds NEWTON_TOL / 2 (or is NaN) is redone by `_logistic_prox` from the
+    same warm start.
+    """
+    r = r0.copy()
+    c41 = c4 + 1.0
+    t = np.empty_like(r)
+    delta = np.empty_like(r)
+    curv = np.empty_like(r)
     for _ in range(BATCH_STEPS):
-        np.multiply(hl, p, out=a)
-        np.tanh(a, out=a)
-        a *= hl  # hl t
-        np.subtract(p, shifted, out=delta)
-        delta *= inv_step
-        delta += a  # gradient: (p - z) / step - label sig
-        np.multiply(a, a, out=hess)
-        np.subtract(curv0, hess, out=hess)  # 1 / step + sig (1 - sig)
-        delta /= hess
-        p -= delta
+        np.tanh(r, out=t)
+        np.multiply(c4, r, out=delta)
+        delta -= b
+        delta += t  # gradient c4 r - b + t
+        np.multiply(t, t, out=curv)
+        np.subtract(c41, curv, out=curv)  # curvature c4 + 1 - t^2
+        delta /= curv
+        r -= delta
     # no guard test: NaN and +-inf fail this one, and an element that passes it
-    # has converged to the minimizer, which lies in [z - step, z + step]
-    ok = np.abs(delta) <= NEWTON_TOL
+    # has converged to the minimizer
+    ok = np.abs(delta) <= 0.5 * NEWTON_TOL
     if not ok.all():
         for k in np.flatnonzero(~ok).tolist():
-            p[k] = _logistic_prox(float(z[k]), float(label[k]), float(step[k]), float(warm[k]))
-    return p
+            r[k] = _logistic_prox_r_redo(float(b[k]), float(c4[k]), float(r0[k]))
+    return r
 
 
-def _prox_1d_array(kind, z, label, step, warm):
-    """Elementwise argmin_p (p-z)^2/(2 step) + loss(p, label) for a smooth
-    loss, over validated (finite, step > 0) equal-length float arrays.
-
-    The squared loss has a closed form.  The logistic loss
-    runs the scalar Newton kernel per element below BATCH_MIN elements and
-    the vectorized `_logistic_prox_batch` from BATCH_MIN on: per element the
-    scalar loop is cheaper on small batches, and the fixed per-call cost of
-    the batch kernel's array operations pays off only on large ones.
-    """
-    if kind is LossKind.SQUARED:
-        return (z + step * label) / (1.0 + step)
-    if z.size >= BATCH_MIN:
-        return _logistic_prox_batch(z, label, step, warm)
-    return np.array([
-        _logistic_prox(zk, lk, sk, wk)
-        for zk, lk, sk, wk in zip(z.tolist(), label.tolist(), step.tolist(), warm.tolist())
-    ])
+def _prox_1d_array(kind, z, label, step):
+    """Elementwise argmin_p (p-z)^2/(2 step) + loss(p, label) for the squared
+    loss, in closed form, over validated (finite, step > 0) equal-length
+    float arrays or floats.  The logistic loss has its own kernels."""
+    if kind is not LossKind.SQUARED:
+        raise ValueError(f"closed-form prox needs the squared loss, got {kind.value}")
+    return (z + step * label) / (1.0 + step)
 
 
 @dataclass(frozen=True)
@@ -312,11 +335,12 @@ def prox_sample(feature, label, kind, v, eta):
     if kind is LossKind.LOGISTIC:
         p_star = _logistic_prox(zz, float(label), step, 0.0)
     else:
-        p_star = float(_prox_1d_array(kind, zz, label, step, 0.0))
+        p_star = float(_prox_1d_array(kind, zz, label, step))
     return v + ((p_star - zz) / xnorm2) * feature
 
 
-def _tilde_coeff_batch(kind, c_x, z_in, labels, step, inv_scale, p_out, warm, boundary=None):
+def _tilde_coeff_batch(kind, c_x, labels, prox_in, prox_step, inv_scale, prox_out, warm,
+                       boundary=None):
     """Coefficient form of prox_{eta_tilde * ftilde*} along each feature,
     ftilde* = f* - ||.||^2 / (2L), for validated equal-length float arrays.
 
@@ -325,23 +349,36 @@ def _tilde_coeff_batch(kind, c_x, z_in, labels, step, inv_scale, p_out, warm, bo
     z = c ||X||^2 / eta_tilde with step gamma ||X||^2, gamma =
     (L - eta_tilde) / (eta_tilde L), and the output is
     (c - eta_tilde p* / ||X||^2) / (1 - eta_tilde / L).  The caller
-    precomputes, with eta_tilde <= L, the factors `z_in` = ||X||^2 / eta_tilde,
-    `step` = gamma ||X||^2, `inv_scale` = 1 / (1 - eta_tilde / L) and
-    `p_out` = eta_tilde / (||X||^2 (1 - eta_tilde / L)).  On the samples
-    that `boundary` marks, at the limit eta_tilde -> L, the last three must
-    be finite (say 1, 0, 0): the output is then overwritten with the primal
-    gradient at x / L, whose z is c / L_g.  None means there are none.
-    Returns (c_out, inner) with `inner` the 1D primal prox solution for warm
-    caching (the warm start itself on the boundary samples).
+    precomputes, with eta_tilde <= L, `inv_scale` = 1 / (1 - eta_tilde / L)
+    and the factors of the loss's 1D prox in its inner variable v:
+    `prox_in`, `prox_step` and `prox_out`, so that the output is
+    c inv_scale - v prox_out.  The squared loss solves for v = p* from
+    z = c prox_in with step `prox_step`, both as above, and
+    prox_out = eta_tilde / (||X||^2 (1 - eta_tilde / L)).  The logistic loss
+    solves for v = label p* / 2 (`_logistic_prox_r`) from b = c prox_in + 1
+    and c4 = `prox_step`, which are 2 label z / step + 1 and 4 / step, with
+    prox_out twice label times the squared loss's.  On the samples that
+    `boundary` marks, at the limit eta_tilde -> L, the factors must be
+    finite and inert (say a unit step and zero `inv_scale` and `prox_out`):
+    the output is then overwritten with the primal gradient at x / L, whose
+    z is c / L_g.  None means there are none.  Returns (c_out, inner) with
+    `inner` the solution v, the warm start of the next prox of these samples
+    (the warm start itself on the boundary samples).
     """
-    p_star = _prox_1d_array(kind, c_x * z_in, labels, step, warm)
+    if kind is LossKind.LOGISTIC:
+        b = c_x * prox_in
+        b += 1.0
+        kernel = _logistic_prox_r_batch if b.size >= BATCH_MIN else _logistic_prox_r
+        inner = kernel(b, prox_step, warm)
+    else:
+        inner = _prox_1d_array(kind, c_x * prox_in, labels, prox_step)
     c_out = c_x * inv_scale
-    c_out -= p_star * p_out
+    c_out -= inner * prox_out
     if boundary is not None and boundary.any():
         c_out[boundary] = loss_grad(kind, c_x[boundary] / kind.scalar_smoothness,
                                     labels[boundary])
-        p_star[boundary] = warm[boundary]
-    return c_out, p_star
+        inner[boundary] = warm[boundary]
+    return c_out, inner
 
 
 @dataclass(frozen=True)

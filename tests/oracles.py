@@ -191,7 +191,7 @@ def loss_prox_1d(kind, z, label, step, warm=0.0):
     if kind is LossKind.ABSOLUTE:  # soft-threshold of z - label
         shifted = z - label
         return float(label + np.sign(shifted) * np.maximum(np.abs(shifted) - step, 0.0))
-    return float(_prox_1d_array(kind, z, label, step, warm))
+    return float(_prox_1d_array(kind, z, label, step))
 
 
 def prox_tilde_fstar(feature, label, kind, x, eta_tilde, warm=0.0):

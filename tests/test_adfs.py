@@ -380,13 +380,13 @@ class TestBatchProxRounds:
             patch.setattr(objective, "BATCH_MIN", prob.n + 1)
             scalar_path = objectives()
         sizes = []
-        kernel = objective._logistic_prox_batch
+        kernel = objective._logistic_prox_r_batch
 
-        def spy(z, label, step, warm):
-            sizes.append(z.size)
-            return kernel(z, label, step, warm)
+        def spy(b, c4, r0):
+            sizes.append(b.size)
+            return kernel(b, c4, r0)
 
-        monkeypatch.setattr(objective, "_logistic_prox_batch", spy)
+        monkeypatch.setattr(objective, "_logistic_prox_r_batch", spy)
         ok, detail = selfcheck.solver_equivalence([prob], 200)
         assert ok, detail
         np.testing.assert_allclose(objectives(), scalar_path, rtol=1e-12)
@@ -427,11 +427,15 @@ def expected_columns(prob):
             big_l = float(prob.smooth_virtual[g])
             eta_t = prob.eta * (mu2 / p)
             scale = 1.0 - eta_t / big_l  # 0 at the boundary eta~ = L
+            z_in, step = x2 / eta_t, (big_l - eta_t) / (eta_t * big_l) * x2
+            p_out = eta_t / (x2 * scale) if scale else np.inf
+            if prob.loss is LossKind.LOGISTIC:  # the factors of the prox in r = label p / 2
+                z_in = 2.0 * label * z_in / step if step else np.inf
+                step, p_out = 4.0 / step if step else np.inf, 2.0 * label * p_out
             row.update({
-                aug.G_COEF: mu2 / (p * big_l), aug.LABEL: label, aug.Z_IN: x2 / eta_t,
-                aug.STEP: (big_l - eta_t) / (eta_t * big_l) * x2,
-                aug.INV_SCALE: 1.0 / scale if scale else np.inf,
-                aug.P_OUT: eta_t / (x2 * scale) if scale else np.inf,
+                aug.G_COEF: mu2 / (p * big_l), aug.LABEL: label, aug.PROX_IN: z_in,
+                aug.PROX_STEP: step, aug.INV_SCALE: 1.0 / scale if scale else np.inf,
+                aug.PROX_OUT: p_out,
                 aug.PAIR_U: (1.0 - prob.rho / p) / 2.0,
                 aug.PAIR_Z: (1.0 + prob.rho / p) / 2.0,
             })
@@ -462,8 +466,12 @@ class TestRoundTable:
         table, boundary = aug.round_table(prob)
         assert boundary is not None and boundary.any() and not boundary.all()
         assert np.isfinite(table).all()
-        # boundary rows get inert prox factors: a unit step, zero output factors
-        inert = {aug.STEP: 1.0, aug.INV_SCALE: 0.0, aug.P_OUT: 0.0}
+        # boundary rows get inert prox factors: those of a unit step (c4 = 4 and
+        # an input factor 2 label ||X||^2 / eta~ in the logistic r form), zero
+        # output factors
+        x2_eta = prob.xnorm2 / (prob.eta * (prob.mu2_virtual / prob.sampling.p_marginal))
+        inert = {aug.PROX_IN: 2.0 * prob.labels * x2_eta, aug.PROX_STEP: 4.0,
+                 aug.INV_SCALE: 0.0, aug.PROX_OUT: 0.0}
         for col, values in expected_columns(prob).items():
             if col in inert:
                 values = np.where(boundary, inert[col], values)

@@ -460,6 +460,8 @@ def cli_configs(draw):
 TINY_FEATURES = {"kind": "synthetic", "d": 2, "seed": 2, "feature_scale": 1e-150}
 # a LibSVM file whose largest index makes a dense buffer past data.DENSE_MAX
 HUGE_INDEX_SVM = "1 1000000000000000:1\n-1 1:1.0\n1 2:1.0\n"
+# one whose largest index makes the build's d x d matrices past data.DENSE_MAX
+WIDE_INDEX_SVM = "1 100000:1\n-1 1:1.0\n1 2:1.0\n"
 
 
 def found_case(**over):
@@ -529,11 +531,17 @@ class TestCli:
     # a LibSVM index
     @example(found_case(dataset={"kind": "synthetic", "d": 10**15, "seed": 2}))
     @example(found_case(dataset={"kind": "libsvm", "path": "huge.svm"}))
+    # d x d matrices past data.DENSE_MAX, from a synthetic d and from a
+    # LibSVM index
+    @example(found_case(dataset={"kind": "synthetic", "d": 40000, "seed": 2}))
+    @example(found_case(topology={"kind": "complete", "n": 2},
+                        dataset={"kind": "libsvm", "path": "wide.svm"}))
     def test_random_config_exits_zero_or_names_a_field(self, data):
         with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
-            patch.chdir(tmp)  # the LibSVM example reads its file from here
-            with open("huge.svm", "w", encoding="utf-8") as fh:
-                fh.write(HUGE_INDEX_SVM)
+            patch.chdir(tmp)  # the LibSVM examples read their files from here
+            for name, text in (("huge.svm", HUGE_INDEX_SVM), ("wide.svm", WIDE_INDEX_SVM)):
+                with open(name, "w", encoding="utf-8") as fh:
+                    fh.write(text)
             path = os.path.join(tmp, "config.json")
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(data, fh)
@@ -671,6 +679,9 @@ class TestCli:
         # dense feature buffers past data.DENSE_MAX
         ({"dataset": {"kind": "libsvm", "path": "huge.svm"}}, "dataset.path"),
         ({"dataset": {"kind": "synthetic", "d": 10**15}}, "dataset.d"),
+        # d x d matrices past data.DENSE_MAX
+        ({"dataset": {"kind": "libsvm", "path": "wide.svm"}}, "dataset.path"),
+        ({"dataset": {"kind": "synthetic", "d": 40000}}, "dataset.d"),
     ])
     def test_bad_field_exits_one_naming_field(self, tmp_path, monkeypatch, capsys, over, field):
         monkeypatch.chdir(tmp_path)  # the LibSVM cases read their files from here
@@ -681,6 +692,7 @@ class TestCli:
         (tmp_path / "latin1.svm").write_bytes(b"1 1:0.5\n\xff 2:1.0\n")
         (tmp_path / "nan.svm").write_text("nan 1:0.5 2:1.0\n" * 40)
         (tmp_path / "huge.svm").write_text(HUGE_INDEX_SVM)
+        (tmp_path / "wide.svm").write_text(WIDE_INDEX_SVM)
         path = self._write_config(tmp_path, base_config(**over))
         assert cli(["run", path, "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
@@ -892,10 +904,11 @@ class TestScripts:
                          "--iters", "100", "--reps", "1", cwd=tmp_path)
         table = [line.split() for line in out.splitlines()[2:]]
         assert [int(row[0]) for row in table] == [4, 25]
-        # n, rounds, scalar us, batch us, max difference, redone/elements
+        # n, rounds, loop us, batch us, batch/loop, loop us per element, max
+        # difference, and redone/elements of the loop and of the batch kernel
         assert all(int(rounds) > 0 and float(s) > 0 and float(b) > 0 and float(diff) <= 1e-12
-                   and int(redone.split("/")[1]) >= int(rounds)
-                   for _, rounds, s, b, diff, redone in table)
+                   and all(int(r.split("/")[1]) >= int(rounds) for r in redone)
+                   for _, rounds, s, b, _, _, diff, *redone in table)
 
     def test_ab_time_times_both_trees(self, tmp_path):
         src = os.path.join(ROOT, "src")

@@ -117,9 +117,36 @@ def _scalar_prox(z, label, step, warm):
                      zip(z.tolist(), label.tolist(), step.tolist(), warm.tolist())])
 
 
+# the two r-form kernels that the computation rounds take
+R_KERNELS = ("_logistic_prox_r", "_logistic_prox_r_batch")
+
+
+def _r_form(kernel, z, label, step, warm):
+    """A r-form kernel on p-form inputs, as p: b = 2 label z / step + 1,
+    c4 = 4 / step, r0 = label warm / 2 and p = 2 label r."""
+    r = getattr(objective, kernel)(2.0 * label * z / step + 1.0, 4.0 / step, 0.5 * label * warm)
+    return 2.0 * label * r
+
+
+def _prox_inputs(rng, size, oracle=True):
+    """(z, label, step, warm, ref): random inputs with warm starts at the
+    solution, near it and far from it, and the minimizers, from the oracle
+    or else from the scalar kernel."""
+    z = rng.normal(size=size) * 5.0
+    label = np.where(rng.random(size) < 0.5, 1.0, -1.0)
+    step = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), size))
+    ref = (np.array([logistic_prox_oracle(*args)
+                     for args in zip(z.tolist(), label.tolist(), step.tolist())])
+           if oracle else _scalar_prox(z, label, step, np.zeros(size)))
+    far = rng.uniform(5.0, 50.0, size) * (1.0 + step) * np.sign(rng.normal(size=size))
+    offset = np.choose(rng.integers(3, size=size),
+                       [np.zeros(size), 1e-3 * rng.normal(size=size), far])
+    return z, label, step, ref + offset, ref
+
+
 class TestLogisticProxBatch:
-    """The vectorized logistic prox against the scalar kernel and the
-    high-precision oracle, within 1e-12 (1 + |p|)."""
+    """The r-form logistic prox, loop and batch kernel, against the guarded
+    scalar kernel and the high-precision oracle, within 1e-12 (1 + |p|)."""
 
     @staticmethod
     def _spy(monkeypatch, name):
@@ -137,62 +164,70 @@ class TestLogisticProxBatch:
     @given(st.integers(0, 10_000))
     def test_matches_scalar_and_oracle(self, seed):
         rng = generator("prox-batch", seed)
-        size = objective.BATCH_MIN
-        z = rng.normal(size=size) * 5.0
-        label = np.where(rng.random(size) < 0.5, 1.0, -1.0)
-        step = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), size))
-        ref = np.array([logistic_prox_oracle(*args)
-                        for args in zip(z.tolist(), label.tolist(), step.tolist())])
-        # warm starts at the solution, near it and far from it
-        far = rng.uniform(5.0, 50.0, size) * (1.0 + step) * np.sign(rng.normal(size=size))
-        offset = np.choose(rng.integers(3, size=size),
-                           [np.zeros(size), 1e-3 * rng.normal(size=size), far])
-        warm = ref + offset
-        got = objective._logistic_prox_batch(z, label, step, warm)
+        z, label, step, warm, ref = _prox_inputs(rng, objective.BATCH_MIN)
         tol = 1e-12 * (1.0 + np.abs(ref))
-        assert np.all(np.abs(got - ref) <= tol)
-        assert np.all(np.abs(got - _scalar_prox(z, label, step, warm)) <= tol)
+        scalar = _scalar_prox(z, label, step, warm)
+        for kernel in R_KERNELS:
+            got = _r_form(kernel, z, label, step, warm)
+            assert np.all(np.abs(got - ref) <= tol), kernel
+            assert np.all(np.abs(got - scalar) <= tol), kernel
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10_000), st.integers(1, 2 * objective.BATCH_MIN))
+    def test_loop_and_batch_kernels_agree(self, seed, size):
+        z, label, step, warm, ref = _prox_inputs(generator("prox-kernels", seed), size,
+                                                 oracle=False)
+        loop, batch = (_r_form(kernel, z, label, step, warm) for kernel in R_KERNELS)
+        assert np.all(np.abs(loop - batch) <= 1e-12 * (1.0 + np.abs(ref)))
 
     def test_unconverged_elements_are_redone(self, monkeypatch):
-        # large steps and warm starts far from the solution: six Newton steps
-        # leave some elements short of NEWTON_TOL
+        # large steps and warm starts far from the solution: the kernels'
+        # Newton steps (BATCH_STEPS, or NEWTON_ITERS for the loop) leave some
+        # elements short of NEWTON_TOL
         size = objective.BATCH_MIN
         z = np.linspace(-2.0, 2.0, size)
         label = np.where(np.arange(size) % 2 == 0, 1.0, -1.0)
-        step = np.geomspace(1e-3, 1e2, size)
+        step = np.geomspace(1e-3, 1e4, size)
         warm = z + 40.0 * (1.0 + step) * label
-        redone = self._spy(monkeypatch, "_logistic_prox")
-        got = objective._logistic_prox_batch(z, label, step, warm)
-        assert 0 < len(redone) < size
         ref = np.array([logistic_prox_oracle(*args)
                         for args in zip(z.tolist(), label.tolist(), step.tolist())])
-        assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref)))
+        redone = self._spy(monkeypatch, "_logistic_prox")
+        for kernel in R_KERNELS:
+            redone.clear()
+            got = _r_form(kernel, z, label, step, warm)
+            assert 0 < len(redone) < size, kernel
+            assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref))), kernel
 
     def test_guard_break_is_redone(self, monkeypatch):
-        # z and warm at opposite ends of the float range: p - z overflows, the
-        # batch iterate is not finite, and the scalar kernel that redoes it
+        # z and warm at opposite ends of the float range: c4 r overflows, the
+        # Newton iterate is not finite, and the scalar kernel that redoes it
         # leaves its guard interval and falls back to bisection
         size = objective.BATCH_MIN
         z, label, step = np.full(size, 0.5), np.ones(size), np.ones(size)
         warm = np.zeros(size)
         z[3], warm[3] = 1e307, -1.7e308
+        ref = logistic_prox_oracle(0.5, 1.0, 1.0)
         redone = self._spy(monkeypatch, "_logistic_prox")
         fallback = self._spy(monkeypatch, "_logistic_newton_delta")
-        with np.errstate(over="ignore", invalid="ignore"):
-            got = objective._logistic_prox_batch(z, label, step, warm)
-        assert redone == [(1e307, 1.0, 1.0, -1.7e308)]
-        assert fallback
-        assert got[3] == 1e307  # z + step sig with sig = 0 in float
-        ref = logistic_prox_oracle(0.5, 1.0, 1.0)
-        assert np.all(np.abs(np.delete(got, 3) - ref) <= 1e-12 * (1.0 + abs(ref)))
+        for kernel in R_KERNELS:
+            redone.clear()
+            fallback.clear()
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = _r_form(kernel, z, label, step, warm)
+            assert redone == [(1e307, 1.0, 1.0, -1.7e308)], kernel
+            assert fallback, kernel
+            assert got[3] == 1e307, kernel  # z + step sig with sig = 0 in float
+            assert np.all(np.abs(np.delete(got, 3) - ref) <= 1e-12 * (1.0 + abs(ref))), kernel
 
     def test_small_batches_keep_the_scalar_kernel(self, monkeypatch):
-        batch = self._spy(monkeypatch, "_logistic_prox_batch")
+        batch = self._spy(monkeypatch, "_logistic_prox_r_batch")
+        loop = self._spy(monkeypatch, "_logistic_prox_r")
         for size in (objective.BATCH_MIN - 1, objective.BATCH_MIN):
-            z = np.linspace(-1.0, 1.0, size)
-            objective._prox_1d_array(LossKind.LOGISTIC, z, np.ones(size), np.ones(size),
-                                     np.zeros(size))
+            c_x, ones = np.linspace(-1.0, 1.0, size), np.ones(size)
+            objective._tilde_coeff_batch(LossKind.LOGISTIC, c_x, ones, ones, ones, ones, ones,
+                                         np.zeros(size))
         assert [args[0].size for args in batch] == [objective.BATCH_MIN]
+        assert [args[0].size for args in loop] == [objective.BATCH_MIN - 1]
 
 
 class TestMoreauIdentity:
