@@ -3,17 +3,18 @@
 Three entry points: the reference recursion (`run_adfs`), the rescaled
 sparse-update form (`run_adfs_efficient`, same trajectories under a shared
 stream), and the sublinear non-smooth variant (`run_ns_adfs`).  The reference
-and non-smooth forms share one in-place block step and differ only in their
-momentum map, a 2 x 2 matrix applied to the iterate pair (x, v) held as the
-two rows of one array.  Every state is one vector in the layout of
+and non-smooth forms are one pair driver (`_run_pair`) and differ only in
+their momentum schedule: per iteration a 2 x 2 matrix, applied to the
+iterate pair (x, v) held as the two rows of one array, a step size and the
+block step's beta.  Every state is one vector in the layout of
 `augmented.split_state`: n center rows, then one coefficient per virtual
 node.  All of them run and log through `records.run_loop`, on an idealized
 clock: one time unit per computation round, tau per gossip round.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -52,32 +53,11 @@ def _primal_value(problem, y_center):
                           float(problem.sigma.sum()), primal_estimate(problem, y_center))
 
 
-class _Buffer(NamedTuple):
-    """A state buffer with the (center, coef) views of augmented.split_state,
-    made once per run."""
-
-    full: np.ndarray
-    center: np.ndarray
-    coef: np.ndarray
-
-
-def _views(problem, state):
-    """`state` (a 1-D array, possibly a row of a larger one) with its views."""
-    return _Buffer(state, *aug.split_state(problem, state))
-
-
-class _Pair(NamedTuple):
-    """Two states as the rows of one (2, n*d + V) array, so that one matmul
-    forms both, with the views of each row."""
-
-    full: np.ndarray
-    first: _Buffer
-    second: _Buffer
-
-
 def _pair(problem):
+    """Two states as the rows of one (2, n*d + V) array, so that one matmul
+    forms both, with the (center, coef) views of each row."""
     pair = np.zeros((2, problem.n * problem.d + problem.n_virtual))
-    return _Pair(pair, *(_views(problem, row) for row in pair))
+    return pair, aug.split_state(problem, pair[0]), aug.split_state(problem, pair[1])
 
 
 def _momentum_map(rho):
@@ -132,14 +112,15 @@ class _Rounds:
 
 
 def _block_step(problem, rounds, draw, y, w, eta, beta):
-    """One block of the dual recursion, written in place on two _Buffers.
+    """One block of the dual recursion, written in place on the (center,
+    coef) views y and w of two states.
 
     On entry the states y and w hold the momentum combinations of the
     iterates x and v; on return w holds the next v = w + delta and y the next
     x = y + beta * W~ delta.  Returns the idealized duration of the block.
     """
-    _, w_center, w_coef = w
-    _, y_center, y_coef = y
+    w_center, w_coef = w
+    y_center, y_coef = y
     if draw.kind == "communication":
         # gossip moves only the centers
         delta = -eta * aug.apply_comm_step(problem, y_center)
@@ -160,6 +141,43 @@ def _block_step(problem, rounds, draw, y, w, eta, beta):
     return 1.0
 
 
+def _run_pair(problem, iters, seed, token, schedule, value, y_of, run_args):
+    """The pair recursion of run_adfs and run_ns_adfs, which differ only in
+    their momentum schedule.
+
+    Iteration t takes (M, eta, beta) from the iterator `schedule`, forms
+    (y; w) = M (x; v) in one matmul and runs one block step on (y, w), which
+    turns y into the next x and w into the next v; the two pairs then swap
+    roles.  The block stream is (problem.sampling, token, seed).  A pair is
+    the (x, v) array with the (center, coef) views of each row, as _pair
+    makes it; `value(pair)` is the logged value, `y_of(x, v)` the captured y,
+    or None to capture none, and `run_args` the last four arguments of
+    run_loop.  Returns the record, the captures and the final pair.
+    """
+    rounds = _Rounds(problem)
+    stream = BlockStream(problem.sampling, token, seed)
+    cur, nxt = _pair(problem), _pair(problem)  # rows (x, v), then (y, w)
+
+    def step(t):
+        nonlocal cur, nxt
+        momentum, eta, beta = next(schedule)
+        full, y, w = nxt
+        np.matmul(momentum, cur[0], out=full)
+        draw = aug.draw_block(problem, stream)
+        duration = _block_step(problem, rounds, draw, y, w, eta, beta)
+        cur, nxt = nxt, cur
+        if not np.isfinite(full[1]).all():
+            raise FloatingPointError(f"non-finite state at iteration {t}")
+        return draw.kind, duration
+
+    def capture():
+        x, v = cur[0]
+        return {"x": x.copy(), "v": v.copy(), "y": None if y_of is None else y_of(x, v)}
+
+    record, captures = run_loop(iters, step, lambda: value(cur), capture, *run_args)
+    return record, captures, cur
+
+
 def run_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=(),
              stop_at_subopt=None):
     """Reference recursion of the smooth solver.
@@ -170,36 +188,20 @@ def run_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=(),
     """
     if not problem.smooth:
         raise ValueError("run_adfs needs the smooth build; see run_ns_adfs")
-    rho, eta = problem.rho, problem.eta
-    momentum = _momentum_map(rho)
-    cur, nxt = _pair(problem), _pair(problem)  # rows (x, v), then (y, w)
-    rounds = _Rounds(problem)
-    stream = BlockStream(problem.sampling, "adfs", seed)
+    rho = problem.rho
 
-    def step(t):
-        nonlocal cur, nxt
-        # (y; w) = M (x; v) in one matmul; the block step turns y into the
-        # next x and w into the next v, so the two pairs swap roles
-        np.matmul(momentum, cur.full, out=nxt.full)
-        draw = aug.draw_block(problem, stream)
-        duration = _block_step(problem, rounds, draw, nxt.first, nxt.second, eta, rho)
-        cur, nxt = nxt, cur
-        if not np.isfinite(cur.second.full).all():
-            raise FloatingPointError(f"non-finite state at iteration {t}")
-        return draw.kind, duration
-
-    def y_state():
-        x, v = cur.full
+    def y_of(x, v):
         return (x + rho * v) / (1.0 + rho)
 
-    def y_center():
-        return (cur.first.center + rho * cur.second.center) / (1.0 + rho)
+    def y_center(pair):
+        _, (x_center, _), (v_center, _) = pair
+        return y_of(x_center, v_center)
 
-    record, captures = run_loop(
-        iters, step, lambda: _primal_value(problem, y_center()),
-        lambda: {"x": cur.full[0].copy(), "v": cur.full[1].copy(), "y": y_state()},
-        log_every, f_star, capture_iters, stop_at_subopt)
-    return AdfsResult(record, primal_estimate(problem, y_center()), captures)
+    record, captures, pair = _run_pair(
+        problem, iters, seed, "adfs", itertools.repeat((_momentum_map(rho), problem.eta, rho)),
+        lambda pair: _primal_value(problem, y_center(pair)), y_of,
+        (log_every, f_star, capture_iters, stop_at_subopt))
+    return AdfsResult(record, primal_estimate(problem, y_center(pair)), captures)
 
 
 def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
@@ -215,9 +217,8 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
     rho, eta, tau = problem.rho, problem.eta, problem.tau
     phi = (1.0 - rho) / (1.0 + rho)
     # U and z stay two arrays: stacked as one, the rounds measured slower
-    ub, zb = (_views(problem, aug.zero_state(problem)) for _ in range(2))
-    big_u, u_center, u_coef = ub
-    z, z_center, z_coef = zb
+    big_u, z = aug.zero_state(problem), aug.zero_state(problem)
+    (u_center, u_coef), (z_center, z_coef) = (aug.split_state(problem, s) for s in (big_u, z))
     c = 1.0
     rounds = _Rounds(problem)
     stream = BlockStream(problem.sampling, "adfs", seed)
@@ -281,30 +282,19 @@ def run_ns_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=
     if problem.smooth:
         raise ValueError("run_ns_adfs needs the non-smooth build; see run_adfs")
     s_sq = problem.s_squared
-    alpha = float(problem.sampling.p_marginal.min())
-    momentum = np.array([[1.0 - alpha, alpha], [0.0, 1.0]])  # rewritten from alpha each step
-    cur, nxt = _pair(problem), _pair(problem)  # rows (x, v), then (y, w)
-    rounds = _Rounds(problem)
-    stream = BlockStream(problem.sampling, "ns-adfs", seed)
 
-    def step(t):
-        nonlocal cur, nxt, alpha
-        eta = 1.0 / (alpha * s_sq)
-        # (y; w) = M (x; v) with y = (1 - alpha) x + alpha v and w = v; the
-        # block step turns y into the next x and w into the next v
-        momentum[0, 0], momentum[0, 1] = 1.0 - alpha, alpha
-        np.matmul(momentum, cur.full, out=nxt.full)
-        draw = aug.draw_block(problem, stream)
-        duration = _block_step(problem, rounds, draw, nxt.first, nxt.second, eta, alpha)
-        cur, nxt = nxt, cur
-        if not np.isfinite(cur.second.full).all():
-            raise FloatingPointError(f"non-finite state at iteration {t}")
-        alpha = _alpha_next(alpha)
-        return draw.kind, duration
+    def schedule():
+        alpha = float(problem.sampling.p_marginal.min())
+        momentum = np.array([[0.0, 0.0], [0.0, 1.0]])
+        while True:
+            # y = (1 - alpha) x + alpha v and w = v
+            momentum[0] = 1.0 - alpha, alpha
+            yield momentum, 1.0 / (alpha * s_sq), alpha
+            alpha = _alpha_next(alpha)
 
-    record, captures = run_loop(iters, step, lambda: aug.dual_objective(problem, cur.full[0]),
-                                lambda: {"x": cur.full[0].copy(), "v": cur.full[1].copy(),
-                                         "y": None},
-                                log_every, f_star, capture_iters, stop_at_subopt)
+    record, captures, (_, (x_center, _), _) = _run_pair(
+        problem, iters, seed, "ns-adfs", schedule(),
+        lambda pair: aug.dual_objective(problem, pair[0][0]), None,
+        (log_every, f_star, capture_iters, stop_at_subopt))
     # theta is estimated from x, the iterate whose dual value is logged
-    return AdfsResult(record, primal_estimate(problem, cur.first.center), captures)
+    return AdfsResult(record, primal_estimate(problem, x_center), captures)

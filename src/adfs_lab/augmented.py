@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import stack_rows
-from .objective import LossKind, condition_numbers, loss_conjugate
+from .objective import LossKind, condition_numbers, loss_conjugate, tilde_prox_factors
 from .topology import CommunicationGraph, GraphConstructionError, laplacian, symmetric_eigensolve
 
 __all__ = [
@@ -375,17 +375,10 @@ def zero_state(problem):
 G_CENTER, INV_P = range(2)
 # Smooth build, whose conjugate-prox step eta~_ij = eta mu_ij^2 / p_ij is fixed
 # for a run: the gradient weight of the coefficient term, mu_ij^2 / (p_ij L_ij);
-# the label; the factors of the loss's 1D prox (objective._tilde_coeff_batch):
-# its input factor, its step and, with the factor 1 / scale, its output
-# factor; and the efficient form's pair-update factors (1 - rho / p_ij) / 2
-# and (1 + rho / p_ij) / 2.  With gamma = (L_ij - eta~_ij) / (eta~_ij L_ij)
-# and scale = 1 - eta~_ij / L_ij, the squared loss's prox factors are
-# ||X_ij||^2 / eta~_ij, gamma ||X_ij||^2 and eta~_ij / (||X_ij||^2 scale).
-# The logistic loss's prox runs in r = label p / 2 (objective._logistic_prox_r),
-# so its factors are 2 label / step times the first, 4 / step and 2 label
-# times the third, step = gamma ||X_ij||^2.  Boundary nodes, where scale = 0,
-# get inert factors instead, those of a unit step and zero output factors,
-# so a round runs one prox over all its nodes and then overwrites theirs.
+# the label; the four factors of the round's prox, which
+# objective.tilde_prox_factors derives (its input factor, its step, 1 / scale
+# and its output factor); and the efficient form's pair-update factors
+# (1 - rho / p_ij) / 2 and (1 + rho / p_ij) / 2.
 G_COEF, LABEL, PROX_IN, PROX_STEP, INV_SCALE, PROX_OUT, PAIR_U, PAIR_Z = range(2, 10)
 # Non-smooth build, whose step changes every round: T_ij label_ij with
 # T_ij = mu_ij^2 / (p_ij ||X_ij||^2), so that a round with dual step eta moves
@@ -400,11 +393,11 @@ def round_table(problem):
     Returns (table, boundary).  `table` is a (V, k) array with the columns
     named above; a round reads the rows of its sampled nodes through one
     gather.  For the smooth build, whose dual step is `problem.eta`, the
-    conjugate-prox identity is checked once for every virtual node
-    (eta~_ij <= L_ij up to 1e-9 relative, else ValueError), and `boundary`
-    marks the nodes at its limit eta~_ij = L_ij, or is None when there are
-    none.  The non-smooth build has no boundary.  A non-finite entry raises
-    ValueError.
+    prox factors and `boundary` come from objective.tilde_prox_factors,
+    which checks the conjugate-prox identity once for every virtual node
+    (ValueError when it breaks); `boundary` marks the nodes at its limit
+    eta~_ij = L_ij, or is None when there are none.  The non-smooth build
+    has no boundary.  A non-finite entry raises ValueError.
     """
     p = problem.sampling.p_marginal
     mu2, xnorm2 = problem.mu2_virtual, problem.xnorm2
@@ -414,24 +407,12 @@ def round_table(problem):
     if not problem.smooth:
         return _finite(np.column_stack(cols + [weight / xnorm2 * problem.labels])), None
     smooth = problem.smooth_virtual
-    eta_tilde = problem.eta * weight
-    ratio = eta_tilde / smooth
-    if np.any(ratio > 1.0 + 1e-9):
-        raise ValueError("eta_tilde exceeds the sample smoothness: prox identity breaks")
-    boundary = ratio >= 1.0 - 1e-9
-    gamma = (smooth - eta_tilde) / (eta_tilde * smooth)
-    scale = 1.0 - ratio
+    *factors, boundary = tilde_prox_factors(problem.loss, problem.labels, xnorm2, smooth,
+                                            problem.eta * weight)
     rho_p = problem.rho / p
-    labels, prox_in = problem.labels, xnorm2 / eta_tilde
-    step = np.where(boundary, 1.0, gamma * xnorm2)
-    prox_out = np.where(boundary, 0.0, eta_tilde / (xnorm2 * scale))
-    if problem.loss is LossKind.LOGISTIC:
-        prox_in = 2.0 * labels * prox_in / step
-        step, prox_out = 4.0 / step, 2.0 * labels * prox_out
-    table = _finite(np.column_stack(cols + [
-        weight / smooth, labels, prox_in, step, np.where(boundary, 0.0, 1.0 / scale), prox_out,
-        0.5 * (1.0 - rho_p), 0.5 * (1.0 + rho_p)]))
-    return table, (boundary if boundary.any() else None)
+    table = _finite(np.column_stack(cols + [weight / smooth, problem.labels, *factors,
+                                            0.5 * (1.0 - rho_p), 0.5 * (1.0 + rho_p)]))
+    return table, boundary
 
 
 def _finite(table):

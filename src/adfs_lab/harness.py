@@ -39,8 +39,6 @@ ALGORITHMS = ("adfs", "adfs_efficient", "ns_adfs", "point_saga")
 # and takes an optional "n"); every kind takes optional "weights"
 TOPOLOGY_PARAMS = {"line": ("n",), "complete": ("n",), "grid2d": ("rows", "cols"),
                    "custom": ()}
-LOSSES = {"logistic": LossKind.LOGISTIC, "squared": LossKind.SQUARED,
-          "absolute": LossKind.ABSOLUTE}
 DATASET_FIELDS = {"synthetic": ("kind", "d", "correlation", "seed", "noise", "pool",
                                 "feature_scale"),
                   "libsvm": ("kind", "path", "seed")}
@@ -75,7 +73,7 @@ class ExperimentConfig:
 
     @property
     def loss_kind(self):
-        return LOSSES[self.loss]
+        return LossKind(self.loss)
 
 
 def _expect(cond, path, message):
@@ -149,8 +147,9 @@ def load_config(data) -> ExperimentConfig:
             for e in edges)
         _expect(pairs_ok, "topology.edges", "expected a list of [k, l] integer pairs")
     loss = data.get("loss")
-    _expect(isinstance(loss, str) and loss in LOSSES, "loss",
-            f"expected one of {sorted(LOSSES)}, got {loss!r}")
+    losses = sorted(k.value for k in LossKind)
+    _expect(isinstance(loss, str) and loss in losses, "loss",
+            f"expected one of {losses}, got {loss!r}")
     m = data.get("m")
     _expect(_is_int(m) and m >= 1, "m", "expected an integer >= 1")
 
@@ -504,8 +503,6 @@ def _load_config_file(path, overrides):
 
 def _cmd_run(args):
     cfg = _load_config_file(args.config, args.override)
-    if args.seed is not None:
-        cfg.seeds = [args.seed]
     code, csv_path, meta = run_experiment(cfg, out_dir=args.out)
     print(f"wrote {csv_path}")
     if cfg.stop_at_subopt is not None:
@@ -597,9 +594,7 @@ def cli(argv=None) -> int:
     outputs = argparse.ArgumentParser(add_help=False, parents=[config])
     outputs.add_argument("--out", default=None, help="output directory (default: config.out)")
 
-    p_run = sub.add_parser("run", parents=[outputs], help="run the experiment cells of a config")
-    p_run.add_argument("--seed", type=int, default=None,
-                       help="run a single seed instead of the config's list")
+    sub.add_parser("run", parents=[outputs], help="run the experiment cells of a config")
     p_sweep = sub.add_parser("sweep", parents=[outputs],
                              help="run a config once per value of one key")
     p_sweep.add_argument("--vary", required=True, metavar="KEY=V1,V2,...",
@@ -613,7 +608,7 @@ def cli(argv=None) -> int:
     p_gen.add_argument("--d", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--correlation", type=float, default=0.0)
-    p_gen.add_argument("--loss", choices=sorted(LOSSES), default="logistic")
+    p_gen.add_argument("--loss", choices=sorted(k.value for k in LossKind), default="logistic")
     p_gen.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)

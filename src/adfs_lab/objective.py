@@ -24,6 +24,7 @@ __all__ = [
     "loss_curvature",
     "loss_conjugate",
     "prox_sample",
+    "tilde_prox_factors",
     "condition_numbers",
     "primal_value",
     "primal_grad",
@@ -339,31 +340,58 @@ def prox_sample(feature, label, kind, v, eta):
     return v + ((p_star - zz) / xnorm2) * feature
 
 
+@np.errstate(divide="ignore")  # the boundary's entries divide by scale = 0, then are replaced
+def tilde_prox_factors(kind, labels, xnorm2, smooth, eta_tilde):
+    """Per-sample factors of `_tilde_coeff_batch` for a smooth loss at the
+    run's fixed conjugate-prox steps eta_tilde, from the labels, the squared
+    norms ||X||^2 and the smoothness L of the samples.
+
+    The conjugate-side identity reduces prox_{eta_tilde ftilde*} at c X to
+    the 1D primal prox p* at z = c ||X||^2 / eta_tilde with step
+    gamma ||X||^2, gamma = (L - eta_tilde) / (eta_tilde L); the output is
+    (c - eta_tilde p* / ||X||^2) / scale, scale = 1 - eta_tilde / L, which
+    is c inv_scale - v prox_out in the prox's inner variable v.  The squared
+    loss solves for v = p* from z = c prox_in with step prox_step:
+    prox_in = ||X||^2 / eta_tilde, prox_step = gamma ||X||^2 and prox_out =
+    eta_tilde / (||X||^2 scale).  The logistic loss solves for v = label p* / 2
+    (`_logistic_prox_r`) from b = c prox_in + 1 and c4 = prox_step, which
+    are 2 label z / step + 1 and 4 / step, step = gamma ||X||^2, with
+    prox_out 2 label times the squared loss's.  eta_tilde above L by more
+    than 1e-9 relative breaks the identity (ValueError); the samples within
+    1e-9 of L form the boundary, where scale = 0, and get inert finite
+    factors, those of a unit step with zero inv_scale and prox_out.  Returns
+    (prox_in, prox_step, inv_scale, prox_out, boundary), `boundary` the mask
+    of those samples, or None when there are none.
+    """
+    ratio = eta_tilde / smooth
+    if np.any(ratio > 1.0 + 1e-9):
+        raise ValueError("eta_tilde exceeds the sample smoothness: prox identity breaks")
+    boundary = ratio >= 1.0 - 1e-9
+    gamma = (smooth - eta_tilde) / (eta_tilde * smooth)
+    scale = 1.0 - ratio
+    prox_in = xnorm2 / eta_tilde
+    step = np.where(boundary, 1.0, gamma * xnorm2)
+    prox_out = np.where(boundary, 0.0, eta_tilde / (xnorm2 * scale))
+    if kind is LossKind.LOGISTIC:
+        prox_in = 2.0 * labels * prox_in / step
+        step, prox_out = 4.0 / step, 2.0 * labels * prox_out
+    inv_scale = np.where(boundary, 0.0, 1.0 / scale)
+    return prox_in, step, inv_scale, prox_out, (boundary if boundary.any() else None)
+
+
 def _tilde_coeff_batch(kind, c_x, labels, prox_in, prox_step, inv_scale, prox_out, warm,
                        boundary=None):
     """Coefficient form of prox_{eta_tilde * ftilde*} along each feature,
     ftilde* = f* - ||.||^2 / (2L), for validated equal-length float arrays.
 
     Inputs/outputs are coefficients c such that the vector is c * X.  The
-    conjugate-side identity reduces it to the 1D primal prox p* at
-    z = c ||X||^2 / eta_tilde with step gamma ||X||^2, gamma =
-    (L - eta_tilde) / (eta_tilde L), and the output is
-    (c - eta_tilde p* / ||X||^2) / (1 - eta_tilde / L).  The caller
-    precomputes, with eta_tilde <= L, `inv_scale` = 1 / (1 - eta_tilde / L)
-    and the factors of the loss's 1D prox in its inner variable v:
-    `prox_in`, `prox_step` and `prox_out`, so that the output is
-    c inv_scale - v prox_out.  The squared loss solves for v = p* from
-    z = c prox_in with step `prox_step`, both as above, and
-    prox_out = eta_tilde / (||X||^2 (1 - eta_tilde / L)).  The logistic loss
-    solves for v = label p* / 2 (`_logistic_prox_r`) from b = c prox_in + 1
-    and c4 = `prox_step`, which are 2 label z / step + 1 and 4 / step, with
-    prox_out twice label times the squared loss's.  On the samples that
-    `boundary` marks, at the limit eta_tilde -> L, the factors must be
-    finite and inert (say a unit step and zero `inv_scale` and `prox_out`):
-    the output is then overwritten with the primal gradient at x / L, whose
-    z is c / L_g.  None means there are none.  Returns (c_out, inner) with
-    `inner` the solution v, the warm start of the next prox of these samples
-    (the warm start itself on the boundary samples).
+    factors and the `boundary` mask (None: no boundary sample) are those of
+    `tilde_prox_factors`, which derives them: the loss's 1D prox solves for
+    its inner variable v and the output is c inv_scale - v prox_out, except
+    on the boundary samples, where it is the primal gradient at x / L, whose
+    z is c / L_g.  Returns (c_out, inner) with `inner` the solution v, the
+    warm start of the next prox of these samples (the warm start itself on
+    the boundary samples).
     """
     if kind is LossKind.LOGISTIC:
         b = c_x * prox_in

@@ -548,6 +548,21 @@ class TestMomentumMap:
         for got, want in zip(out, (y, w)):
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
+    def test_every_block_gets_eta_and_rho(self, monkeypatch):
+        # run_adfs's schedule is constant: each block is given the problem's
+        # (eta, rho), as test_schedule_monotone checks run_ns_adfs's
+        prob = random_problem(generator("adfs-schedule", 0), n=3, m=2, d=2)
+        schedule = []
+        block_step = solver_module._block_step
+
+        def recording_step(problem, rounds, draw, y, w, eta, beta):
+            schedule.append((eta, beta))
+            return block_step(problem, rounds, draw, y, w, eta, beta)
+
+        monkeypatch.setattr(solver_module, "_block_step", recording_step)
+        run_adfs(prob, 300, seed=0, log_every=300)
+        assert schedule == [(prob.eta, prob.rho)] * 300
+
 
 class TestRaggedDatasets:
     def test_solver_and_efficient_agree_on_unbalanced_nodes(self):

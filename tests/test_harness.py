@@ -473,88 +473,141 @@ def found_case(**over):
     return data
 
 
+# The configs pinned as examples of the property below, each with the field
+# that `run` names and the one that `spectrum` names (None: it exits 0).
+FOUND = [
+    # the reference solver's target falls below what float64 gradients reach
+    (found_case(sigma=1e-300), "sigma", None),
+    (found_case(sigma=1e-300, dataset={"kind": "synthetic", "d": 2, "seed": 7}), "sigma", None),
+    # squared feature norms overflow
+    (found_case(dataset={"kind": "synthetic", "d": 2, "seed": 2, "feature_scale": 1e160}),
+     "dataset.feature_scale", "dataset.feature_scale"),
+    # squared edge weights overflow the Laplacian
+    (found_case(topology={"kind": "line", "n": 2, "weights": [1e160]}),
+     "topology.weights", "topology.weights"),
+    (found_case(topology={"kind": "complete", "n": 4, "weights": [1e300, 1, 1, 1, 1, 1]},
+                loss="absolute", algorithms=["ns_adfs"]),
+     "topology.weights", "topology.weights"),
+    # sigma ||X||^2 underflows, so round-table entries are not finite
+    (found_case(topology={"kind": "line", "n": 1}, m=1, sigma=1e-300,
+                dataset={"kind": "synthetic", "d": 1, "seed": 2, "feature_scale": 1e-160}),
+     "dataset.feature_scale", "dataset.feature_scale"),
+    # the summed squared feature norms of a node overflow, where each row's do
+    # not: the balanced p_comm collapsed to 0, and the node Gram matrix to inf
+    (found_case(topology={"kind": "line", "n": 2}, m=6,
+                dataset={"kind": "synthetic", "d": 2, "seed": 1, "feature_scale": 5e153}),
+     "dataset.feature_scale", "dataset.feature_scale"),
+    (found_case(topology={"kind": "line", "n": 2}, m=200,
+                dataset={"kind": "synthetic", "d": 2, "seed": 1, "feature_scale": 1e153}),
+     "dataset.feature_scale", "dataset.feature_scale"),
+    # each node's sum is finite, the pooled one overflows
+    (found_case(topology={"kind": "line", "n": 2}, m=1,
+                dataset={"kind": "synthetic", "d": 1, "seed": 0, "feature_scale": 1e154}),
+     "dataset.feature_scale", "dataset.feature_scale"),
+    # kappa_s overflows, so the balanced p_comm is NaN
+    (found_case(sigma=1e-300,
+                dataset={"kind": "synthetic", "d": 2, "seed": 2, "feature_scale": 1e4}),
+     "sigma", "sigma"),
+    # the scaled Laplacian overflows to inf before its eigensolve
+    (found_case(topology={"kind": "line", "n": 2, "weights": [1e8]}, sigma=1e-300),
+     "topology.weights", "topology.weights"),
+    # a squared-loss lambda_max above half the float max overflows D~
+    (found_case(topology={"kind": "line", "n": 1}, loss="squared", m=1,
+                dataset={"kind": "synthetic", "d": 1, "seed": 0, "feature_scale": 1e154}),
+     "dataset.feature_scale", "dataset.feature_scale"),
+    # sigma far below L_ij: kappa_s and the sampling weights sqrt(1 + L_ij / sigma_i) overflow
+    (found_case(topology={"kind": "line", "n": 1}, m=1, sigma=1e-300,
+                dataset={"kind": "synthetic", "d": 1, "seed": 0, "feature_scale": 1e150}),
+     "sigma", "sigma"),
+    # the absolute-loss reference: targets below the rounding of the residuals
+    # (features 1e8), and ill-conditioned pools
+    (found_case(topology={"kind": "grid2d", "rows": 3, "cols": 2}, loss="absolute",
+                algorithms=["ns_adfs"],
+                dataset={"kind": "synthetic", "d": 2, "seed": 1, "correlation": 0.99,
+                         "feature_scale": 1e8}),
+     "sigma", None),
+    (found_case(topology={"kind": "grid2d", "rows": 2, "cols": 1}, loss="absolute",
+                algorithms=["ns_adfs"], sigma=1e8,
+                dataset={"kind": "synthetic", "d": 2, "seed": 1, "feature_scale": 1e8}),
+     None, None),
+    (found_case(topology={"kind": "line", "n": 2}, loss="absolute", algorithms=["ns_adfs"],
+                m=2, sigma=1e-3,
+                dataset={"kind": "synthetic", "d": 1, "seed": 0, "feature_scale": 1e4}),
+     "sigma", None),
+    (found_case(topology={"kind": "line", "n": 4}, loss="absolute", algorithms=["ns_adfs"],
+                m=2, sigma=1.0, dataset={"kind": "synthetic", "d": 1, "seed": 3,
+                                         "correlation": 0.99, "feature_scale": 1e3}),
+     None, None),
+    # 1 / sigma overflows, with features so small that kappa_s stays finite
+    (found_case(sigma=1e-310, dataset=TINY_FEATURES), "sigma", "sigma"),
+    (found_case(sigma=1e-310, loss="absolute", algorithms=["ns_adfs"], dataset=TINY_FEATURES),
+     "sigma", "sigma"),
+    # a dense feature buffer past data.DENSE_MAX, from a synthetic d and from
+    # a LibSVM index
+    (found_case(dataset={"kind": "synthetic", "d": 10**15, "seed": 2}), "dataset.d", "dataset.d"),
+    (found_case(dataset={"kind": "libsvm", "path": "huge.svm"}), "dataset.path", "dataset.path"),
+    # d x d matrices past data.DENSE_MAX, from a synthetic d and from a
+    # LibSVM index
+    (found_case(dataset={"kind": "synthetic", "d": 40000, "seed": 2}), "dataset.d", "dataset.d"),
+    (found_case(topology={"kind": "complete", "n": 2},
+                dataset={"kind": "libsvm", "path": "wide.svm"}),
+     "dataset.path", "dataset.path"),
+]
+
+
+def found_examples(test):
+    """The Hypothesis test `test` with each config of FOUND as an example."""
+    for data, _, _ in FOUND:
+        test = example(data)(test)
+    return test
+
+
+def cli_outcomes(data):
+    """{command: (exit code, stderr, warning messages)} of `spectrum` and
+    `run` on config `data`, in a temporary directory that holds the LibSVM
+    files of the examples."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.chdir(tmp)
+        for name, text in (("huge.svm", HUGE_INDEX_SVM), ("wide.svm", WIDE_INDEX_SVM)):
+            with open(name, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        for argv in (["spectrum", path], ["run", path, "--out", os.path.join(tmp, "out")]):
+            err = io.StringIO()
+            with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
+                  warnings.catch_warnings(record=True) as caught):
+                warnings.simplefilter("always")
+                code = cli(argv)
+            out[argv[0]] = code, err.getvalue(), [str(w.message) for w in caught]
+    return out
+
+
 class TestCli:
     @settings(max_examples=60, deadline=None)
     @given(cli_configs())
-    # the reference solver's target falls below what float64 gradients reach
-    @example(found_case(sigma=1e-300))
-    @example(found_case(sigma=1e-300, dataset={"kind": "synthetic", "d": 2, "seed": 7}))
-    # squared feature norms overflow
-    @example(found_case(dataset={"kind": "synthetic", "d": 2, "seed": 2, "feature_scale": 1e160}))
-    # squared edge weights overflow the Laplacian
-    @example(found_case(topology={"kind": "line", "n": 2, "weights": [1e160]}))
-    @example(found_case(topology={"kind": "complete", "n": 4, "weights": [1e300, 1, 1, 1, 1, 1]},
-                        loss="absolute", algorithms=["ns_adfs"]))
-    # sigma ||X||^2 underflows, so round-table entries are not finite
-    @example(found_case(topology={"kind": "line", "n": 1}, m=1, sigma=1e-300,
-                        dataset={"kind": "synthetic", "d": 1, "seed": 2, "feature_scale": 1e-160}))
-    # the summed squared feature norms of a node overflow, where each row's do
-    # not: the balanced p_comm collapsed to 0, and the node Gram matrix to inf
-    @example(found_case(topology={"kind": "line", "n": 2}, m=6,
-                        dataset={"kind": "synthetic", "d": 2, "seed": 1, "feature_scale": 5e153}))
-    @example(found_case(topology={"kind": "line", "n": 2}, m=200,
-                        dataset={"kind": "synthetic", "d": 2, "seed": 1, "feature_scale": 1e153}))
-    # each node's sum is finite, the pooled one overflows
-    @example(found_case(topology={"kind": "line", "n": 2}, m=1,
-                        dataset={"kind": "synthetic", "d": 1, "seed": 0, "feature_scale": 1e154}))
-    # kappa_s overflows, so the balanced p_comm is NaN
-    @example(found_case(sigma=1e-300,
-                        dataset={"kind": "synthetic", "d": 2, "seed": 2, "feature_scale": 1e4}))
-    # the scaled Laplacian overflows to inf before its eigensolve
-    @example(found_case(topology={"kind": "line", "n": 2, "weights": [1e8]}, sigma=1e-300))
-    # a squared-loss lambda_max above half the float max overflows D~
-    @example(found_case(topology={"kind": "line", "n": 1}, loss="squared", m=1,
-                        dataset={"kind": "synthetic", "d": 1, "seed": 0, "feature_scale": 1e154}))
-    # sigma far below L_ij: kappa_s and the sampling weights sqrt(1 + L_ij / sigma_i) overflow
-    @example(found_case(topology={"kind": "line", "n": 1}, m=1, sigma=1e-300,
-                        dataset={"kind": "synthetic", "d": 1, "seed": 0, "feature_scale": 1e150}))
-    # the absolute-loss reference: targets below the rounding of the residuals
-    # (features 1e8), and ill-conditioned pools
-    @example(found_case(topology={"kind": "grid2d", "rows": 3, "cols": 2}, loss="absolute",
-                        algorithms=["ns_adfs"],
-                        dataset={"kind": "synthetic", "d": 2, "seed": 1, "correlation": 0.99,
-                                 "feature_scale": 1e8}))
-    @example(found_case(topology={"kind": "grid2d", "rows": 2, "cols": 1}, loss="absolute",
-                        algorithms=["ns_adfs"], sigma=1e8,
-                        dataset={"kind": "synthetic", "d": 2, "seed": 1, "feature_scale": 1e8}))
-    @example(found_case(topology={"kind": "line", "n": 2}, loss="absolute", algorithms=["ns_adfs"],
-                        m=2, sigma=1e-3,
-                        dataset={"kind": "synthetic", "d": 1, "seed": 0, "feature_scale": 1e4}))
-    @example(found_case(topology={"kind": "line", "n": 4}, loss="absolute", algorithms=["ns_adfs"],
-                        m=2, sigma=1.0, dataset={"kind": "synthetic", "d": 1, "seed": 3,
-                                                 "correlation": 0.99, "feature_scale": 1e3}))
-    # 1 / sigma overflows, with features so small that kappa_s stays finite
-    @example(found_case(sigma=1e-310, dataset=TINY_FEATURES))
-    @example(found_case(sigma=1e-310, loss="absolute", algorithms=["ns_adfs"],
-                        dataset=TINY_FEATURES))
-    # a dense feature buffer past data.DENSE_MAX, from a synthetic d and from
-    # a LibSVM index
-    @example(found_case(dataset={"kind": "synthetic", "d": 10**15, "seed": 2}))
-    @example(found_case(dataset={"kind": "libsvm", "path": "huge.svm"}))
-    # d x d matrices past data.DENSE_MAX, from a synthetic d and from a
-    # LibSVM index
-    @example(found_case(dataset={"kind": "synthetic", "d": 40000, "seed": 2}))
-    @example(found_case(topology={"kind": "complete", "n": 2},
-                        dataset={"kind": "libsvm", "path": "wide.svm"}))
+    @found_examples
     def test_random_config_exits_zero_or_names_a_field(self, data):
-        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
-            patch.chdir(tmp)  # the LibSVM examples read their files from here
-            for name, text in (("huge.svm", HUGE_INDEX_SVM), ("wide.svm", WIDE_INDEX_SVM)):
-                with open(name, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            path = os.path.join(tmp, "config.json")
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(data, fh)
-            for argv in (["spectrum", path], ["run", path, "--out", os.path.join(tmp, "out")]):
-                err = io.StringIO()
-                with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
-                      warnings.catch_warnings(record=True) as caught):
-                    warnings.simplefilter("always")
-                    code = cli(argv)
-                err = err.getvalue()
-                named = re.fullmatch(r"error: [\w.\[\]]+: .*\n", err)
-                assert code == 0 or (code == 1 and named), (argv[0], code, err)
-                assert not caught, (argv[0], [str(w.message) for w in caught])
+        for command, (code, err, caught) in cli_outcomes(data).items():
+            named = re.fullmatch(r"error: [\w.\[\]]+: .*\n", err)
+            assert code == 0 or (code == 1 and named), (command, code, err)
+            assert not caught, (command, caught)
+
+    @pytest.mark.parametrize("data,run_field,spectrum_field",
+                             [case for case in FOUND if case[1] is not None],
+                             ids=lambda v: v if isinstance(v, str) else None)
+    def test_found_configs_name_their_field(self, data, run_field, spectrum_field):
+        outcomes = cli_outcomes(data)
+        for command, field in (("run", run_field), ("spectrum", spectrum_field)):
+            code, err, caught = outcomes[command]
+            if field is None:
+                assert (code, err) == (0, ""), command
+            else:
+                assert code == 1, command
+                assert re.fullmatch(rf"error: {re.escape(field)}: .*\n", err), (command, err)
+            assert not caught, (command, caught)
 
     def _write_config(self, tmp_path, data):
         path = tmp_path / "config.json"
