@@ -23,7 +23,6 @@ from .topology import (
     CommunicationGraph,
     SymmetricSpectrum,
     build_topology,
-    incidence,
     laplacian,
     symmetric_eigensolve,
 )

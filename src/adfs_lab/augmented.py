@@ -4,9 +4,8 @@ Each physical node is replaced by a star: a center carrying the quadratic
 regularizer plus one virtual node per local sample.  Dual coordinates live on
 the edges of this augmented graph.  This module builds the problem object with
 the derived constants (virtual-edge weights, sampling probabilities, rate),
-fixes the layout of a solver state, provides the fast edge-wise operator
-applications used by the solvers.  The dense matrices of the same operators,
-for checks at small scale, live in `dense`.
+fixes the layout of a solver state and provides the fast edge-wise operator
+applications used by the solvers.
 """
 
 import logging
@@ -142,7 +141,7 @@ class AugmentedProblem:
     @property
     def eta(self):
         """Dual step size rho / sigma_A, with sigma_A the certified bound
-        alpha/2 (dense.exact_sigma_a gives the exact value, for checks)."""
+        alpha/2."""
         return self.rho / self.sigma_a_bound
 
 

@@ -8,6 +8,7 @@ The samples come from the data layer in `data`.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -473,37 +474,60 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
 # CLI
 
 
-def _apply_overrides(data, overrides):
-    for item in overrides or ():
-        if "=" not in item:
-            raise ConfigError("--override", f"expected key=value, got {item!r}")
-        key, raw = item.split("=", 1)
+def _apply_overrides(data, items, flag):
+    """Set each KEY=VALUE of `items` in the config object `data`; a dotted
+    key walks into (and creates) nested objects.  Errors name `flag`."""
+    for item in items:
+        key, sep, raw = item.partition("=")
+        _expect(sep, flag, f"expected key=value, got {item!r}")
+        parts = key.split(".")
+        _expect(all(parts), flag, f"expected a key of dot-separated names, got {key!r}")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
         node = data
-        parts = key.split(".")
-        for part in parts[:-1]:
+        for depth, part in enumerate(parts[:-1], start=1):
             node = node.setdefault(part, {})
+            _expect(isinstance(node, dict), flag,
+                    f"{key}: {'.'.join(parts[:depth])} is not an object")
         node[parts[-1]] = value
-    return data
 
 
-def _load_config_file(path, overrides):
+def _load_config_file(path, overrides, varied=()):
+    """The validated config of the JSON file at `path`, after the
+    `--override` items and then the `--vary` items (both KEY=VALUE)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError("<config>", f"no such file: {path}") from None
+    except OSError as exc:
+        raise ConfigError("<config>", f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError("<config>", f"{path} is not UTF-8 text: {exc.reason}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError("<config>", f"invalid JSON: {exc}") from None
-    return load_config(_apply_overrides(data, overrides))
+    _expect(isinstance(data, dict), "<root>", "config must be an object")
+    _apply_overrides(data, overrides or (), "--override")
+    _apply_overrides(data, varied, "--vary")
+    return load_config(data)
+
+
+@contextlib.contextmanager
+def _writing(field, path):
+    """Turn an OSError raised while writing the outputs under `path` into a
+    ConfigError naming `field`, the flag or config field that set `path`."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(field, f"cannot write {path}: {exc.strerror}") from None
 
 
 def _cmd_run(args):
     cfg = _load_config_file(args.config, args.override)
-    code, csv_path, meta = run_experiment(cfg, out_dir=args.out)
+    with _writing("--out" if args.out else "out", args.out or cfg.out):
+        code, csv_path, meta = run_experiment(cfg, out_dir=args.out)
     print(f"wrote {csv_path}")
     if cfg.stop_at_subopt is not None:
         for algo, time in meta["median_time_to_target"].items():
@@ -519,25 +543,27 @@ def _cmd_sweep(args):
     _expect(len(set(values)) == len(values), "--vary", "repeats a value")
     cfgs = []
     for value in values:  # a bad value fails here, before anything runs
-        cfg = _load_config_file(args.config, [*(args.override or ()), f"{key}={value}"])
+        cfg = _load_config_file(args.config, args.override, [f"{key}={value}"])
         _expect(cfg.stop_at_subopt is not None, "stop_at_subopt", "a sweep needs a target")
         build_instance(cfg)
         cfgs.append(cfg)
     out_dir = args.out or cfgs[0].out
     algos = list(dict.fromkeys(a for cfg in cfgs for a in cfg.algorithms))
     rows, status = [], 0
-    for value, cfg in zip(values, cfgs):
-        code, _, meta = run_experiment(cfg, out_dir=os.path.join(out_dir, f"{key}={value}"))
-        derived, times = meta["derived"], meta["median_time_to_target"]
-        nums = [derived["p_comm"], derived.get("rho"), derived.get("predicted_time_per_log_eps")]
-        nums += [np.inf if times.get(a) is None else times[a] for a in algos]
-        rows.append([value] + ["" if x is None else f"{x:.12e}" for x in nums] + [str(code)])
-        status = max(status, code)
     csv_path = os.path.join(out_dir, "sweep.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(["value", "p_comm", "rho", "predicted_time_per_log_eps"]
-                          + [f"median_time_{a}" for a in algos] + ["status"]) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+    with _writing("--out" if args.out else "out", out_dir):
+        for value, cfg in zip(values, cfgs):
+            code, _, meta = run_experiment(cfg, out_dir=os.path.join(out_dir, f"{key}={value}"))
+            derived, times = meta["derived"], meta["median_time_to_target"]
+            nums = [derived["p_comm"], derived.get("rho"),
+                    derived.get("predicted_time_per_log_eps")]
+            nums += [np.inf if times.get(a) is None else times[a] for a in algos]
+            rows.append([value] + ["" if x is None else f"{x:.12e}" for x in nums] + [str(code)])
+            status = max(status, code)
+        with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(",".join(["value", "p_comm", "rho", "predicted_time_per_log_eps"]
+                              + [f"median_time_{a}" for a in algos] + ["status"]) + "\n")
+            fh.writelines(",".join(row) + "\n" for row in rows)
     print(f"wrote {csv_path}")
     return status
 
@@ -557,13 +583,6 @@ def _cmd_spectrum(args):
     return 0
 
 
-def _cmd_validate(args):
-    from . import selfcheck  # loads the dense oracles only for validation
-
-    results = selfcheck.run_all(verbose=True)
-    return 0 if all(ok for _, ok, _ in results) else 1
-
-
 def _cmd_gen_data(args):
     _expect(args.samples >= 1, "--samples", "expected an integer >= 1")
     _expect(args.d >= 1, "--d", "expected an integer >= 1")
@@ -573,11 +592,9 @@ def _cmd_gen_data(args):
                                loss=args.loss)
     nonzero = feats != 0.0
     indptr = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
-    try:
+    with _writing("--out", args.out):
         write_libsvm(args.out, LibsvmData(labels, indptr, np.nonzero(nonzero)[1],
                                           feats[nonzero], args.d))
-    except OSError as exc:
-        raise ConfigError("--out", f"cannot write {args.out}: {exc.strerror}") from None
     print(f"wrote {len(labels)} samples to {args.out}")
     return 0
 
@@ -601,8 +618,6 @@ def cli(argv=None) -> int:
                          help="a config key and its values, which hold no comma")
     sub.add_parser("spectrum", parents=[config], help="print the derived constants of a config")
 
-    sub.add_parser("validate", help="run the built-in oracle/property checks")
-
     p_gen = sub.add_parser("gen-data", help="write a synthetic dataset in LibSVM format")
     p_gen.add_argument("--samples", type=int, required=True)
     p_gen.add_argument("--d", type=int, required=True)
@@ -616,7 +631,6 @@ def cli(argv=None) -> int:
         "run": _cmd_run,
         "sweep": _cmd_sweep,
         "spectrum": _cmd_spectrum,
-        "validate": _cmd_validate,
         "gen-data": _cmd_gen_data,
     }[args.command]
     try:

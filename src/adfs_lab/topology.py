@@ -17,7 +17,6 @@ __all__ = [
     "SymmetricSpectrum",
     "build_topology",
     "laplacian",
-    "incidence",
     "symmetric_eigensolve",
 ]
 
@@ -163,15 +162,6 @@ def laplacian(g: CommunicationGraph) -> np.ndarray:
     if not np.isfinite(lap).all():
         raise GraphConstructionError("weighted Laplacian overflows: edge weights too large")
     return lap
-
-
-def incidence(g: CommunicationGraph) -> np.ndarray:
-    """n x E map whose column for edge (k,l) is mu_kl * (e_k - e_l)."""
-    inc = np.zeros((g.n, g.n_edges))
-    for col, ((k, l), mu) in enumerate(zip(g.edges, g.edge_weights)):
-        inc[k, col] = mu
-        inc[l, col] = -mu
-    return inc
 
 
 @dataclass(frozen=True)

@@ -1,27 +1,17 @@
 """Dense matrices of the augmented-graph dual problem, for small-scale checks.
 
 The solvers never form these: they apply the operators edge-wise through
-`augmented`.  The constraint operator A, the blocks of Sigma^dagger and
-P_b^dagger, and the exact dual strong convexity sigma_A built from them
-check those shortcuts and the method's constants on small instances.  Only
-`selfcheck` (`adfs-lab validate`) and the test-suite import this module.
-Node-space rows follow `AugmentedProblem`; each spans d coordinates, and
-`state_rows` expands a solver state into them.
+`adfs_lab.augmented`.  The graph's incidence map, the constraint operator A,
+the blocks of Sigma^dagger and P_b^dagger, and the exact dual strong
+convexity sigma_A built from them check those shortcuts and the method's
+constants on small instances.  Node-space rows follow `AugmentedProblem`;
+each spans d coordinates, and `state_rows` expands a solver state into them.
 """
 
 import numpy as np
 
-from .augmented import split_state
-from .topology import incidence, symmetric_eigensolve
-
-__all__ = [
-    "DENSE_ROW_GUARD",
-    "dense_A",
-    "dense_sigma_dagger",
-    "dense_pb_dagger_diag",
-    "exact_sigma_a",
-    "state_rows",
-]
+from adfs_lab.augmented import split_state
+from adfs_lab.topology import symmetric_eigensolve
 
 DENSE_ROW_GUARD = 5000
 
@@ -30,6 +20,15 @@ def state_rows(problem, state):
     """The (n_rows, d) node-space matrix of a state, for dense checks."""
     center, coef = split_state(problem, state)
     return np.concatenate((center, coef[:, None] * problem.features))
+
+
+def incidence(g):
+    """n x E map whose column for edge (k,l) is mu_kl * (e_k - e_l)."""
+    inc = np.zeros((g.n, g.n_edges))
+    for col, ((k, l), mu) in enumerate(zip(g.edges, g.edge_weights)):
+        inc[k, col] = mu
+        inc[l, col] = -mu
+    return inc
 
 
 def _projector(problem, idx):
@@ -41,8 +40,8 @@ def dense_A(problem):
     """Dense constraint operator, shape (n_rows * d, (E + V) * d).
 
     Communication-edge columns are mu_kl (e_k - e_l) (x) I_d, the columns of
-    topology.incidence (x) I_d; virtual-edge columns are
-    mu_ij (e_i - e_(i,j)) (x) P_ij with the rank-one feature projector P_ij.
+    incidence (x) I_d; virtual-edge columns are mu_ij (e_i - e_(i,j)) (x) P_ij
+    with the rank-one feature projector P_ij.
     Guarded to small instances.
     """
     d = problem.d

@@ -1,12 +1,10 @@
-"""Random small problem instances for self-checks and tests."""
+"""Random small problem instances for the property checks and tests."""
 
 import numpy as np
 
-from .augmented import build_augmented
-from .objective import LocalObjective, LossKind
-from .topology import CommunicationGraph
-
-__all__ = ["random_connected_graph", "random_objectives", "random_problem"]
+from adfs_lab.augmented import build_augmented
+from adfs_lab.objective import LocalObjective, LossKind
+from adfs_lab.topology import CommunicationGraph
 
 
 def random_connected_graph(rng, n, extra_edges=2, weighted=False):

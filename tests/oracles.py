@@ -12,7 +12,7 @@ door, plus the absolute loss's soft-threshold; `prox_tilde_fstar`, which
 reuses it and the library's gradient, one sample at a time, to check the
 solvers' batched conjugate prox; `lift_primal_point` and `dense_c0_constant`,
 the dual point of a primal one and the Lyapunov constant of the linear rate,
-built from the library's dense operators; `point_saga_unscaled`, the
+built from the dense operators of `dense`; `point_saga_unscaled`, the
 Point-SAGA step on an unscaled gradient table, one pick at a time, against
 which the solver's gamma-scaled table is checked; and two measuring helpers that read solver
 states and APCG iterates: `sigma_dagger_rows` and `lyapunov_value`.
@@ -35,10 +35,10 @@ import numpy as np
 
 from adfs_lab.augmented import dual_objective, split_state, zero_state
 from adfs_lab.data import LibsvmData, LibsvmParseError
-from adfs_lab.dense import dense_A, dense_sigma_dagger, exact_sigma_a, state_rows
 from adfs_lab.objective import LossKind, _logistic_prox, _prox_1d_array, loss_grad
 from adfs_lab.rng import generator
 from adfs_lab.topology import symmetric_eigensolve
+from dense import dense_A, dense_sigma_dagger, exact_sigma_a, state_rows
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 

@@ -3,7 +3,6 @@ import logging
 import numpy as np
 import pytest
 
-from adfs_lab import selfcheck
 from adfs_lab.augmented import (
     INV_P,
     BlockDraw,
@@ -19,18 +18,13 @@ from adfs_lab.augmented import (
     split_state,
     zero_state,
 )
-from adfs_lab.dense import (
-    dense_A,
-    dense_pb_dagger_diag,
-    dense_sigma_dagger,
-    exact_sigma_a,
-    state_rows,
-)
-from adfs_lab.instances import random_connected_graph, random_objectives, random_problem
 from adfs_lab.objective import LocalObjective, LossKind, loss_conjugate, loss_grad
 from adfs_lab.rng import CHUNK, BlockStream, generator
 from adfs_lab.topology import build_topology, laplacian
+from dense import dense_A, dense_pb_dagger_diag, dense_sigma_dagger, exact_sigma_a, state_rows
+from instances import random_connected_graph, random_objectives, random_problem
 from oracles import lift_primal_point
+from test_checks import sampling_frequencies
 
 
 def state_of_rows(problem, rows):
@@ -346,9 +340,7 @@ class TestNonSmoothBuild:
 
 class TestSampling:
     def test_frequencies_within_three_standard_errors(self, rng):
-        ok, detail = selfcheck.sampling_frequencies([random_problem(rng, n=3, m=3, d=2)],
-                                                    100_000)
-        assert ok, detail
+        sampling_frequencies([random_problem(rng, n=3, m=3, d=2)], 100_000)
 
     @pytest.mark.parametrize("loss", [LossKind.LOGISTIC, LossKind.ABSOLUTE,
                                       pytest.param(None, id="single-node")])

@@ -18,10 +18,10 @@ from adfs_lab.baselines import (
 )
 from adfs_lab.data import synth_pool
 from adfs_lab.harness import build_instance, load_config
-from adfs_lab.instances import random_objectives
 from adfs_lab.objective import LossKind, primal_value
 from adfs_lab.rng import CHUNK, chunked, generator
 from adfs_lab.topology import build_topology
+from instances import random_objectives
 from oracles import absolute_dual_fista, exact_absolute_gap, point_saga_unscaled
 
 # the most linear solves the absolute-loss reference makes: one per Newton
@@ -354,7 +354,7 @@ class TestReferenceOptimum:
 
     def test_lower_envelope_for_solver_logs(self, rng):
         from adfs_lab.adfs import run_adfs
-        from adfs_lab.instances import random_problem
+        from instances import random_problem
 
         prob = random_problem(rng, n=3, m=3, d=2)
         flat = pool_objectives(prob.objectives)

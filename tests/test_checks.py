@@ -1,42 +1,30 @@
-"""The property checks behind `adfs-lab validate`, one implementation each.
+"""The ten property checks, one implementation each.
 
 Each check takes its inputs as arguments (a list of problems, or an rng and
-a count) and returns (ok, detail).  `validate` runs them on the small seeded
-instances of `CHECKS`; the test suite calls the same functions on its larger
-instance sets and counts.  Together they exercise the spectral bounds, the
-operator shortcuts, solver equivalence, sampling statistics, parser
-round-trips and determinism.
+a count), asserts its property and returns a one-line summary for the
+acceptance report.  `test_check_on_small_inputs` runs every check on small
+instances drawn from the `("selfcheck", k)` streams; the other test modules
+call the same functions on their larger instance sets and counts.  Together
+they exercise the spectral bounds, the operator shortcuts, solver
+equivalence, sampling statistics, parser round-trips and determinism.
 """
 
 import os
 import tempfile
 
 import numpy as np
+import pytest
 
-from . import augmented as aug
-from . import dense
-from .adfs import run_adfs, run_adfs_efficient
-from .data import LibsvmData, parse_libsvm, write_libsvm
-from .harness import load_config, run_experiment
-from .instances import random_connected_graph, random_objectives, random_problem
-from .objective import condition_numbers
-from .rng import BlockStream, generator
-from .topology import incidence, laplacian, symmetric_eigensolve
-
-__all__ = [
-    "spectral_lower_bound",
-    "projector_identity",
-    "operator_shortcuts",
-    "solver_equivalence",
-    "sampling_frequencies",
-    "condition_inequality",
-    "incidence_identity",
-    "libsvm_roundtrip",
-    "experiment_determinism",
-    "eigensolver_invariants",
-    "CHECKS",
-    "run_all",
-]
+from adfs_lab import augmented as aug
+from adfs_lab.adfs import run_adfs, run_adfs_efficient
+from adfs_lab.data import LibsvmData, parse_libsvm, write_libsvm
+from adfs_lab.harness import load_config, run_experiment
+from adfs_lab.objective import condition_numbers
+from adfs_lab.rng import BlockStream, generator
+from adfs_lab.topology import laplacian, symmetric_eigensolve
+from dense import (dense_A, dense_pb_dagger_diag, dense_sigma_dagger, exact_sigma_a, incidence,
+                   state_rows)
+from instances import random_connected_graph, random_objectives, random_problem
 
 
 def spectral_lower_bound(problems):
@@ -44,13 +32,14 @@ def spectral_lower_bound(problems):
     at least lambda_min_pos of the D~-scaled communication Laplacian."""
     worst_alpha = worst_comm = np.inf
     for prob in problems:
-        sigma_a = dense.exact_sigma_a(prob)
+        sigma_a = exact_sigma_a(prob)
         dmt = prob.dm_tilde
         scaled = prob.laplacian_comm / np.sqrt(np.outer(dmt, dmt))
         worst_alpha = min(worst_alpha, sigma_a - 0.5 * prob.alpha)
         worst_comm = min(worst_comm, sigma_a - symmetric_eigensolve(scaled).lambda_min_pos)
-    ok = min(worst_alpha, worst_comm) >= -1e-8
-    return ok, f"{len(problems)} instances, min margins {worst_alpha:.3e} / {worst_comm:.3e}"
+    detail = f"{len(problems)} instances, min margins {worst_alpha:.3e} / {worst_comm:.3e}"
+    assert min(worst_alpha, worst_comm) >= -1e-8, detail
+    return detail
 
 
 def projector_identity(problems, rng):
@@ -58,7 +47,7 @@ def projector_identity(problems, rng):
     the edge's feature line at a random scale."""
     worst = 0.0
     for prob in problems:
-        a = dense.dense_A(prob)
+        a = dense_A(prob)
         proj = np.linalg.pinv(a) @ a
         d = prob.d
         for g in range(prob.n_virtual):
@@ -66,7 +55,9 @@ def projector_identity(problems, rng):
             vec = np.zeros(a.shape[1])
             vec[col : col + d] = rng.uniform(0.5, 2.0) * prob.features[g] / np.sqrt(prob.xnorm2[g])
             worst = max(worst, float(np.linalg.norm(proj @ vec - vec)))
-    return worst <= 1e-8, f"max residual {worst:.3e} over all virtual edges"
+    detail = f"max residual {worst:.3e} over all virtual edges"
+    assert worst <= 1e-8, detail
+    return detail
 
 
 def operator_shortcuts(problems, rng, count):
@@ -80,22 +71,22 @@ def operator_shortcuts(problems, rng, count):
     worst_step = worst_wt = 0.0
     comm = aug.BlockDraw(kind="communication")
     for prob in problems:
-        a = dense.dense_A(prob)
+        a = dense_A(prob)
         pinv_a = np.linalg.pinv(a)
         inv_p = aug.round_table(prob)[0][:, aug.INV_P]
         shape = (prob.n_rows, prob.d)
 
         def pb(draw):
-            return np.diag(dense.dense_pb_dagger_diag(prob, draw))
+            return np.diag(dense_pb_dagger_diag(prob, draw))
 
         def dev(op, state, got):  # the dense op applied to state, against got
-            ref = (op @ dense.state_rows(prob, state).ravel()).reshape(shape)
-            return float(np.max(np.abs(ref - dense.state_rows(prob, got))))
+            ref = (op @ state_rows(prob, state).ravel()).reshape(shape)
+            return float(np.max(np.abs(ref - state_rows(prob, got))))
 
         def full(center):  # a state with these centers and zero coefficients
             return np.concatenate((center.ravel(), np.zeros(prob.n_virtual)))
 
-        step_op = a @ pb(comm) @ a.T @ dense.dense_sigma_dagger(prob)
+        step_op = a @ pb(comm) @ a.T @ dense_sigma_dagger(prob)
         for _ in range(count):
             y = rng.normal(size=aug.zero_state(prob).shape)
             step = aug.apply_comm_step(prob, aug.split_state(prob, y)[0])
@@ -114,9 +105,10 @@ def operator_shortcuts(problems, rng, count):
             for draw, delta, got in ((comm, full(comm_delta), full(comm_wt)),
                                      (comp, comp_delta, comp_wt)):
                 worst_wt = max(worst_wt, dev(a @ pb(draw) @ pinv_a, delta, got))
-    ok = worst_step <= 1e-10 and worst_wt <= 1e-8
-    return ok, (f"{2 * count * len(problems)} (state, draw) pairs, max deviation "
-                f"{worst_step:.3e} (gossip step) / {worst_wt:.3e} (W~)")
+    detail = (f"{2 * count * len(problems)} (state, draw) pairs, max deviation "
+              f"{worst_step:.3e} (gossip step) / {worst_wt:.3e} (W~)")
+    assert worst_step <= 1e-10 and worst_wt <= 1e-8, detail
+    return detail
 
 
 def solver_equivalence(problems, iters):
@@ -130,16 +122,17 @@ def solver_equivalence(problems, iters):
         eff = run_adfs_efficient(prob, iters, seed=seed, log_every=iters, capture_iters=marks)
         for t in marks:
             for key in ("x", "v", "y"):
-                a = dense.state_rows(prob, ref.captures[t][key])
-                b = dense.state_rows(prob, eff.captures[t][key])
+                a = state_rows(prob, ref.captures[t][key])
+                b = state_rows(prob, eff.captures[t][key])
                 worst = max(worst, float(np.max(np.abs(a - b))) / (1 + float(np.max(np.abs(a)))))
-    return worst <= 1e-6, f"{iters}-iteration state deviation {worst:.3e}"
+    detail = f"{iters}-iteration state deviation {worst:.3e}"
+    assert worst <= 1e-6, detail
+    return detail
 
 
 def sampling_frequencies(problems, draws):
     """Over `draws` block draws the communication block and every virtual
     node come up at their probabilities within three standard errors."""
-    ok = True
     for k, prob in enumerate(problems):
         stream = BlockStream(prob.sampling, "selfcheck-freq", k)
         comm = 0
@@ -151,24 +144,24 @@ def sampling_frequencies(problems, draws):
             else:
                 counts[draw.idx] += 1
         p = prob.sampling.p_comm
-        ok = ok and abs(comm / draws - p) <= 3 * np.sqrt(p * (1 - p) / draws)
+        assert abs(comm / draws - p) <= 3 * np.sqrt(p * (1 - p) / draws), (k, comm, p)
         comp = draws - comm
         pv = np.concatenate(prob.sampling.p_virtual)
         se = np.sqrt(pv * (1 - pv) / comp)
-        ok = ok and np.all(np.abs(counts / comp - pv) <= 3 * se + 1e-12)
-    return bool(ok), f"{draws} draws on each of {len(problems)} instances"
+        assert np.all(np.abs(counts / comp - pv) <= 3 * se + 1e-12), (k, counts / comp, pv)
+    return f"{draws} draws on each of {len(problems)} instances"
 
 
 def condition_inequality(objective_sets):
     """kappa_b <= kappa_i <= (m_i + 1) kappa_b at every node of every set."""
-    ok, nodes = True, 0
+    nodes = 0
     for objs in objective_sets:
         rep = condition_numbers(objs)
         m = np.array([o.m for o in objs])
-        ok = ok and np.all((m + 1) * rep.kappa_b >= rep.kappa_i - 1e-9)
-        ok = ok and np.all(rep.kappa_i >= rep.kappa_b - 1e-9)
+        assert np.all((m + 1) * rep.kappa_b >= rep.kappa_i - 1e-9), (m, rep)
+        assert np.all(rep.kappa_i >= rep.kappa_b - 1e-9), rep
         nodes += len(objs)
-    return bool(ok), f"(m_i+1) kappa_b >= kappa_i >= kappa_b at {nodes} nodes"
+    return f"(m_i+1) kappa_b >= kappa_i >= kappa_b at {nodes} nodes"
 
 
 def incidence_identity(graphs):
@@ -178,7 +171,9 @@ def incidence_identity(graphs):
         inc, lap = incidence(g), laplacian(g)
         scale = max(float(np.max(np.abs(lap))), 1e-30)
         worst = max(worst, float(np.max(np.abs(inc @ inc.T - lap))) / scale)
-    return worst <= 1e-12, f"max relative deviation {worst:.3e} on {len(graphs)} graphs"
+    detail = f"max relative deviation {worst:.3e} on {len(graphs)} graphs"
+    assert worst <= 1e-12, detail
+    return detail
 
 
 def libsvm_roundtrip(rng, count):
@@ -195,9 +190,10 @@ def libsvm_roundtrip(rng, count):
         path = os.path.join(tmp, "roundtrip.svm")
         write_libsvm(path, rows)
         parsed = parse_libsvm(path)
-    same = all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
-               for a, b in zip(parsed[:4], rows[:4]))
-    return same and parsed.dim == rows.dim, f"{count} samples round-tripped"
+    for name, a, b in zip(LibsvmData._fields, parsed[:4], rows[:4]):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert parsed.dim == rows.dim
+    return f"{count} samples round-tripped"
 
 
 def experiment_determinism(config):
@@ -207,53 +203,41 @@ def experiment_determinism(config):
     with tempfile.TemporaryDirectory() as tmp:
         for tag in ("a", "b"):
             out_dir = os.path.join(tmp, tag)
-            code, _, _ = run_experiment(load_config(config), out_dir=out_dir)
-            if code != 0:
-                return False, "experiment cell failed"
+            code, _, meta = run_experiment(load_config(config), out_dir=out_dir)
+            assert code == 0, meta["failures"]
             files = []
             for name in ("results.csv", "metadata.json"):
                 with open(os.path.join(out_dir, name), "rb") as fh:
                     files.append(fh.read())
             outputs.append(files)
-    return outputs[0] == outputs[1], f"{sum(map(len, outputs[0]))} bytes, identical reruns"
+    assert outputs[0] == outputs[1]
+    return f"{sum(map(len, outputs[0]))} bytes, identical reruns"
 
 
 def eigensolver_invariants(rng, sizes):
     """The eigenvalues of a random symmetric matrix of each size keep its
     trace and squared Frobenius norm."""
-    ok = True
     for n in sizes:
         m = rng.normal(size=(n, n))
         m = m + m.T
         vals = symmetric_eigensolve(m).eigenvalues
         tr, fro2 = float(np.trace(m)), float((m * m).sum())
-        ok = ok and (abs(vals.sum() - tr) <= 1e-10 * max(abs(tr), 1.0)
-                     and abs((vals**2).sum() - fro2) <= 1e-10 * fro2)
-    return bool(ok), f"trace and Frobenius identities on {len(sizes)} matrices"
+        assert abs(vals.sum() - tr) <= 1e-10 * max(abs(tr), 1.0), (n, vals.sum(), tr)
+        assert abs((vals**2).sum() - fro2) <= 1e-10 * fro2, (n, (vals**2).sum(), fro2)
+    return f"trace and Frobenius identities on {len(sizes)} matrices"
 
 
-def _problems(rng, count):
+def _small_problems(rng, count):
     return [random_problem(rng, n=int(rng.integers(2, 5)), m=int(rng.integers(1, 4)),
                            d=int(rng.integers(1, 4))) for _ in range(count)]
 
 
-_VALIDATE_CONFIG = {
-    "topology": {"kind": "complete", "n": 2},
-    "loss": "logistic",
-    "m": 3,
-    "dataset": {"kind": "synthetic", "d": 2, "correlation": 0.0, "seed": 3},
-    "algorithms": ["adfs"],
-    "seeds": [0, 1],
-    "iters": 60,
-    "log_every": 20,
-    "tau": 2.0,
-}
-
-# (name, check, inputs of validate's run from the check's own rng)
-CHECKS = [
-    ("spectral-lower-bound", spectral_lower_bound, lambda rng: (_problems(rng, 5),)),
-    ("virtual-edge-projector", projector_identity, lambda rng: (_problems(rng, 2), rng)),
-    ("operator-shortcuts", operator_shortcuts, lambda rng: (_problems(rng, 2), rng, 10)),
+# each check with the inputs it draws from its own ("selfcheck", k) stream,
+# k = 1..10 in this order
+SMALL_INPUTS = [
+    ("spectral-lower-bound", spectral_lower_bound, lambda rng: (_small_problems(rng, 5),)),
+    ("virtual-edge-projector", projector_identity, lambda rng: (_small_problems(rng, 2), rng)),
+    ("operator-shortcuts", operator_shortcuts, lambda rng: (_small_problems(rng, 2), rng, 10)),
     ("solver-equivalence", solver_equivalence,
      lambda rng: ([random_problem(rng, n=4, m=3, d=2)], 200)),
     ("sampling-frequencies", sampling_frequencies,
@@ -265,20 +249,17 @@ CHECKS = [
      lambda rng: ([random_connected_graph(rng, int(rng.integers(2, 7)), weighted=True)
                    for _ in range(5)],)),
     ("libsvm-roundtrip", libsvm_roundtrip, lambda rng: (rng, 200)),
-    ("experiment-determinism", experiment_determinism, lambda rng: (_VALIDATE_CONFIG,)),
+    ("experiment-determinism", experiment_determinism, lambda rng: ({
+        "topology": {"kind": "complete", "n": 2}, "loss": "logistic", "m": 3,
+        "dataset": {"kind": "synthetic", "d": 2, "correlation": 0.0, "seed": 3},
+        "algorithms": ["adfs"], "seeds": [0, 1], "iters": 60, "log_every": 20, "tau": 2.0},)),
     ("eigensolver-invariants", eigensolver_invariants,
      lambda rng: (rng, rng.integers(2, 9, size=5))),
 ]
 
 
-def run_all(verbose=False):
-    results = []
-    for k, (name, check, inputs) in enumerate(CHECKS, start=1):
-        try:
-            ok, detail = check(*inputs(generator("selfcheck", k)))
-        except Exception as exc:  # a crashing check is a failing check
-            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        results.append((name, ok, detail))
-        if verbose:
-            print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    return results
+@pytest.mark.parametrize("k,check,inputs",
+                         [pytest.param(k, check, inputs, id=name)
+                          for k, (name, check, inputs) in enumerate(SMALL_INPUTS, start=1)])
+def test_check_on_small_inputs(k, check, inputs):
+    check(*inputs(generator("selfcheck", k)))

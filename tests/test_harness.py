@@ -1,4 +1,3 @@
-import ast
 import contextlib
 import glob
 import importlib
@@ -20,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import adfs_lab
-from adfs_lab import augmented, data, selfcheck
+from adfs_lab import augmented, data
 from adfs_lab.data import (
     LibsvmParseError,
     assign_node_datasets,
@@ -34,6 +33,7 @@ from adfs_lab.harness import (ConfigError, ExperimentConfig, build_instance, cli
 from adfs_lab.objective import LocalObjective, LossKind, condition_numbers
 from adfs_lab.rng import generator
 from oracles import libsvm_record, libsvm_rows, parse_libsvm_pairs
+from test_checks import experiment_determinism, libsvm_roundtrip
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -146,8 +146,7 @@ class TestParseLibsvm:
             self._parse_text(tmp_path, "1 1:1\n1 9223372036854775808:1.0\n")
 
     def test_roundtrip_is_bit_exact(self):
-        ok, detail = selfcheck.libsvm_roundtrip(generator("roundtrip", 0), 1000)
-        assert ok, detail
+        libsvm_roundtrip(generator("roundtrip", 0), 1000)
 
     @given(st.lists(st.tuples(LINE_TOKENS, SEPARATORS), min_size=1, max_size=6))
     @example([("1", " "), ("3:-1e-3", "\t"), ("2:1", " ")])
@@ -367,8 +366,7 @@ class TestRunExperiment:
             assert "e" in r[3] and "e" in r[4]  # %.12e formatting
 
     def test_byte_identical_reruns(self):
-        ok, detail = selfcheck.experiment_determinism(base_config())
-        assert ok, detail
+        experiment_determinism(base_config())
 
     def test_failed_cell_reported_not_fatal(self, tmp_path, monkeypatch):
         import adfs_lab.harness as hz
@@ -676,6 +674,61 @@ class TestCli:
         assert out.stdout == ""
         assert out.stderr == f"error: <config>: no such file: {config}\n"
 
+    def test_unreadable_config_exits_one(self, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(b'{"m": "\xff"}')
+        for path, message in ((tmp_path, f"cannot read {tmp_path}: Is a directory"),
+                              (latin1, f"{latin1} is not UTF-8 text: invalid start byte")):
+            assert cli(["spectrum", str(path)]) == 1
+            assert capsys.readouterr().err == f"error: <config>: {message}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["spectrum", "--override", "seeds.x=1"], "--override: seeds.x: seeds is not an object"),
+        (["spectrum", "--override", "topology.kind.x=1"],
+         "--override: topology.kind.x: topology.kind is not an object"),
+        (["spectrum", "--override", "m.=3"],
+         "--override: expected a key of dot-separated names, got 'm.'"),
+        (["spectrum", "--override", "=3"],
+         "--override: expected a key of dot-separated names, got ''"),
+        (["sweep", "--vary", "seeds.x=1,2"], "--vary: seeds.x: seeds is not an object"),
+        (["sweep", "--vary", "topology..n=2,3"],
+         "--vary: expected a key of dot-separated names, got 'topology..n'"),
+    ], ids=["through-list", "through-string", "trailing-dot", "empty-key", "vary-through-list",
+            "vary-empty-name"])
+    def test_bad_override_key_exits_one_naming_flag(self, tmp_path, capsys, argv, message):
+        command, *flags = argv
+        outputs = ["--out", str(tmp_path)] if command == "sweep" else []
+        config = os.path.join(ROOT, "configs", "pcomm_sweep.json")
+        assert cli([command, config, *flags, *outputs]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not os.listdir(tmp_path)
+
+    def test_override_of_a_non_object_config_names_root(self, tmp_path, capsys):
+        path = self._write_config(tmp_path, [base_config()])
+        assert cli(["spectrum", path, "--override", "m=3"]) == 1
+        assert capsys.readouterr().err == "error: <root>: config must be an object\n"
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("source", ["--out", "out"])
+    @pytest.mark.parametrize("blocked", ["parent", "output"])
+    def test_unwritable_output_names_its_source(self, tmp_path, capsys, command, source, blocked):
+        # a directory under a regular file cannot be made; an output file
+        # that is a directory cannot be opened
+        if blocked == "parent":
+            (tmp_path / "file").write_text("")
+            out_dir = tmp_path / "file" / "sub"
+        else:
+            out_dir = tmp_path / "results"
+            (out_dir / ("sweep.csv" if command == "sweep" else "results.csv")).mkdir(parents=True)
+        over = {"out": str(out_dir), "stop_at_subopt": 1e-3} if source == "out" else {}
+        path = self._write_config(tmp_path, base_config(**over))
+        argv = [command, path] + (["--out", str(out_dir)] if source == "--out" else [])
+        if command == "sweep":
+            argv += ["--vary", "tau=2,3", "--override", "stop_at_subopt=1e-3"]
+        assert cli(argv) == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"error: {source}: cannot write {re.escape(str(out_dir))}: .+\n", err)
+
     @pytest.mark.parametrize("over,field", [
         ({"reference": {"tol": "x"}}, "reference.tol"),
         ({"reference": {"ns_iters": "x"}}, "reference.ns_iters"),
@@ -802,53 +855,6 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag}:") and err.count("\n") == 1
         assert not os.listdir(tmp_path)
-
-    def test_validate_green(self, capsys):
-        # two runs: all ten checks pass, in this order, with identical output
-        names = ("spectral-lower-bound virtual-edge-projector operator-shortcuts "
-                 "solver-equivalence sampling-frequencies condition-inequality "
-                 "incidence-identity libsvm-roundtrip experiment-determinism "
-                 "eigensolver-invariants").split()
-        outputs = []
-        for _ in range(2):
-            assert cli(["validate"]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert [line.split(":")[0] for line in outputs[0].splitlines()] == [
-            f"PASS {name}" for name in names]
-        assert outputs[1] == outputs[0]
-
-
-def _imports_dense(path):
-    """Whether a module of the package imports `adfs_lab.dense`, absolutely
-    or relatively."""
-    for node in ast.walk(ast.parse(open(path, encoding="utf-8").read())):
-        if isinstance(node, ast.Import):
-            if any(alias.name == "adfs_lab.dense" for alias in node.names):
-                return True
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module
-            if node.level:  # relative to the package
-                module = f"adfs_lab.{module}" if module else "adfs_lab"
-            if module == "adfs_lab.dense":
-                return True
-            if module == "adfs_lab" and any(alias.name == "dense" for alias in node.names):
-                return True
-    return False
-
-
-class TestPackageBoundary:
-    def test_dense_oracles_stay_off_the_run_path(self):
-        # importing the package and its CLI loads no dense oracle ...
-        src = os.path.dirname(os.path.dirname(adfs_lab.__file__))
-        probe = "import sys, adfs_lab, adfs_lab.harness; print('adfs_lab.dense' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                             check=True, env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip() == "False"
-        # ... and of the package's modules only the validation suite imports them
-        pkg = os.path.dirname(adfs_lab.__file__)
-        importers = sorted(name for name in os.listdir(pkg)
-                           if name.endswith(".py") and _imports_dense(os.path.join(pkg, name)))
-        assert importers == ["selfcheck.py"]
 
 
 def grid_config(**over):
