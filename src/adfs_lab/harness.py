@@ -1,7 +1,8 @@
 """Experiment orchestration, CSV emission, and the CLI.
 
 A single JSON config file describes topology, data source, loss, algorithms,
-seeds and budgets; `run_experiment` executes every (algorithm, seed) cell,
+seeds and budgets; `build_instance` builds its instance once, and
+`run_experiment` executes every (algorithm, seed) cell on that instance,
 writes one CSV of `algo,seed,iter,time,subopt` rows plus a metadata sidecar
 with every derived constant, and is byte-deterministic for a fixed config.
 The samples come from the data layer in `data`.
@@ -203,6 +204,7 @@ def load_config(data) -> ExperimentConfig:
         _expect(raw_iters >= 0, "iters", "expected >= 0")
         iters = {a: raw_iters for a in algos}
     elif isinstance(raw_iters, dict):
+        _expect_fields(raw_iters, "iters.", ALGORITHMS)
         for a in algos:
             _expect(a in raw_iters, f"iters.{a}", "missing per-algorithm budget")
             _expect(_is_int(raw_iters[a]) and raw_iters[a] >= 0,
@@ -337,7 +339,7 @@ def build_instance(cfg: ExperimentConfig):
     return graph, objectives, problem, flat, dataset_id
 
 
-def derived_constants(cfg, problem, flat, f_star):
+def derived_constants(problem, flat):
     meta = {
         "n": problem.n,
         "m": problem.m_max,
@@ -347,9 +349,8 @@ def derived_constants(cfg, problem, flat, f_star):
         "p_comm": problem.sampling.p_comm,
         "alpha": problem.alpha,
         "gamma": problem.gamma,
-        "f_star": f_star,
         "sigma_total": flat.sigma_total,
-        "loss": cfg.loss,
+        "loss": problem.loss.value,
     }
     if problem.smooth:
         meta.update({
@@ -409,17 +410,16 @@ def _median_times(cfg, records):
     return times
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None):
-    """Execute all (algorithm, seed) cells and write results.csv + metadata.json.
+def run_experiment(cfg: ExperimentConfig, instance, out_dir):
+    """Execute all (algorithm, seed) cells on `instance`, the tuple that
+    `build_instance(cfg)` returned, and write results.csv + metadata.json.
 
     Returns (exit_code, csv_path, metadata): exit code 0 when every cell
     succeeded, and the dict written to metadata.json.  Cells run one after
-    another and a failing cell aborts only itself.
+    another and a failing cell aborts only itself.  `out_dir` is created once
+    the reference optimum is certified, so a reference error writes nothing.
     """
-    out_dir = out_dir or cfg.out
-    os.makedirs(out_dir, exist_ok=True)
-    graph, objectives, problem, flat, dataset_id = build_instance(cfg)
-
+    _, _, problem, flat, dataset_id = instance
     f_star = gap = None
     if any(cfg.iters[a] > 0 for a in cfg.algorithms):
         try:
@@ -431,6 +431,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
         # f_star is a dual value; ||grad F||^2 / (2 sigma_total) for smooth losses
         gap = (f_star + flat_value(flat, theta) if flat.loss is LossKind.ABSOLUTE else
                float(np.linalg.norm(flat_grad(flat, theta))) ** 2 / (2.0 * flat.sigma_total))
+    os.makedirs(out_dir, exist_ok=True)
 
     cells = [(a, s) for a in cfg.algorithms for s in cfg.seeds if cfg.iters[a] > 0]
     records = {}
@@ -444,18 +445,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     csv_path = os.path.join(out_dir, "results.csv")
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("algo,seed,iter,time,subopt\n")
-        for algo in sorted(set(a for a, _ in records)):
-            for seed in sorted(s for a, s in records if a == algo):
-                for row in records[(algo, seed)].rows:
-                    fh.write(
-                        f"{algo},{seed},{row.iteration},"
-                        f"{row.time:.12e},{row.subopt:.12e}\n"
-                    )
+        for algo, seed in sorted(records):
+            for row in records[(algo, seed)].rows:
+                fh.write(f"{algo},{seed},{row.iteration},{row.time:.12e},{row.subopt:.12e}\n")
 
     meta = {
         "config": asdict(cfg),
         "dataset_id": dataset_id,
-        "derived": dict(derived_constants(cfg, problem, flat, f_star), reference_gap=gap),
+        "derived": dict(derived_constants(problem, flat), f_star=f_star, reference_gap=gap),
         "failures": failures,
     }
     if cfg.stop_at_subopt is not None:
@@ -526,8 +523,10 @@ def _writing(field, path):
 
 def _cmd_run(args):
     cfg = _load_config_file(args.config, args.override)
-    with _writing("--out" if args.out else "out", args.out or cfg.out):
-        code, csv_path, meta = run_experiment(cfg, out_dir=args.out)
+    instance = build_instance(cfg)
+    out_dir = args.out or cfg.out
+    with _writing("--out" if args.out else "out", out_dir):
+        code, csv_path, meta = run_experiment(cfg, instance, out_dir)
     print(f"wrote {csv_path}")
     if cfg.stop_at_subopt is not None:
         for algo, time in meta["median_time_to_target"].items():
@@ -541,19 +540,18 @@ def _cmd_sweep(args):
     values = raw.split(",")
     _expect(key and all(values), "--vary", f"expected KEY=V1,V2,..., got {args.vary!r}")
     _expect(len(set(values)) == len(values), "--vary", "repeats a value")
-    cfgs = []
+    runs = []
     for value in values:  # a bad value fails here, before anything runs
         cfg = _load_config_file(args.config, args.override, [f"{key}={value}"])
         _expect(cfg.stop_at_subopt is not None, "stop_at_subopt", "a sweep needs a target")
-        build_instance(cfg)
-        cfgs.append(cfg)
-    out_dir = args.out or cfgs[0].out
-    algos = list(dict.fromkeys(a for cfg in cfgs for a in cfg.algorithms))
+        runs.append((value, cfg, build_instance(cfg)))
+    out_dir = args.out or runs[0][1].out
+    algos = list(dict.fromkeys(a for _, cfg, _ in runs for a in cfg.algorithms))
     rows, status = [], 0
     csv_path = os.path.join(out_dir, "sweep.csv")
     with _writing("--out" if args.out else "out", out_dir):
-        for value, cfg in zip(values, cfgs):
-            code, _, meta = run_experiment(cfg, out_dir=os.path.join(out_dir, f"{key}={value}"))
+        for value, cfg, instance in runs:
+            code, _, meta = run_experiment(cfg, instance, os.path.join(out_dir, f"{key}={value}"))
             derived, times = meta["derived"], meta["median_time_to_target"]
             nums = [derived["p_comm"], derived.get("rho"),
                     derived.get("predicted_time_per_log_eps")]
@@ -571,8 +569,7 @@ def _cmd_sweep(args):
 def _cmd_spectrum(args):
     cfg = _load_config_file(args.config, args.override)
     _, _, problem, flat, dataset_id = build_instance(cfg)
-    meta = derived_constants(cfg, problem, flat, f_star=None)
-    meta.pop("f_star")
+    meta = derived_constants(problem, flat)
     print(f"dataset: {dataset_id}")
     for key in sorted(meta):
         val = meta[key]

@@ -18,7 +18,7 @@ import pytest
 from adfs_lab import augmented as aug
 from adfs_lab.adfs import run_adfs, run_adfs_efficient
 from adfs_lab.data import LibsvmData, parse_libsvm, write_libsvm
-from adfs_lab.harness import load_config, run_experiment
+from adfs_lab.harness import build_instance, load_config, run_experiment
 from adfs_lab.objective import condition_numbers
 from adfs_lab.rng import BlockStream, generator
 from adfs_lab.topology import laplacian, symmetric_eigensolve
@@ -203,7 +203,8 @@ def experiment_determinism(config):
     with tempfile.TemporaryDirectory() as tmp:
         for tag in ("a", "b"):
             out_dir = os.path.join(tmp, tag)
-            code, _, meta = run_experiment(load_config(config), out_dir=out_dir)
+            cfg = load_config(config)
+            code, _, meta = run_experiment(cfg, build_instance(cfg), out_dir)
             assert code == 0, meta["failures"]
             files = []
             for name in ("results.csv", "metadata.json"):

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import adfs_lab
-from adfs_lab import augmented, data
+from adfs_lab import augmented, data, harness
 from adfs_lab.data import (
     LibsvmParseError,
     assign_node_datasets,
@@ -321,7 +321,7 @@ class TestConfig:
 class TestRunExperiment:
     def test_zero_iters_writes_header_only(self, tmp_path):
         cfg = load_config(base_config(iters=0))
-        code, csv_path, _ = run_experiment(cfg, out_dir=str(tmp_path))
+        code, csv_path, _ = run_experiment(cfg, build_instance(cfg), str(tmp_path))
         assert code == 0
         lines = open(csv_path).read().splitlines()
         assert lines == ["algo,seed,iter,time,subopt"]
@@ -331,7 +331,7 @@ class TestRunExperiment:
 
     def test_row_accounting(self, tmp_path):
         cfg = load_config(base_config())
-        code, csv_path, _ = run_experiment(cfg, out_dir=str(tmp_path))
+        code, csv_path, _ = run_experiment(cfg, build_instance(cfg), str(tmp_path))
         assert code == 0
         rows = open(csv_path).read().splitlines()[1:]
         assert len(rows) == 2 * (60 // 20 + 1)
@@ -349,7 +349,7 @@ class TestRunExperiment:
 
     def test_dataset_id_recorded_in_metadata(self, tmp_path):
         cfg = load_config(base_config())
-        _, csv_path, returned = run_experiment(cfg, out_dir=str(tmp_path))
+        _, csv_path, returned = run_experiment(cfg, build_instance(cfg), str(tmp_path))
         meta = json.load(open(tmp_path / "metadata.json"))
         assert meta["dataset_id"].startswith("synthetic(")
         assert returned == meta  # the dict it writes, which run and sweep print from
@@ -358,7 +358,7 @@ class TestRunExperiment:
         cfg = load_config(base_config(algorithms=["adfs", "adfs_efficient",
                                                   "point_saga"],
                                       seeds=[1, 0]))
-        _, csv_path, _ = run_experiment(cfg, out_dir=str(tmp_path))
+        _, csv_path, _ = run_experiment(cfg, build_instance(cfg), str(tmp_path))
         rows = [line.split(",") for line in open(csv_path).read().splitlines()[1:]]
         keys = [(r[0], int(r[1]), int(r[2])) for r in rows]
         assert keys == sorted(keys)
@@ -369,18 +369,16 @@ class TestRunExperiment:
         experiment_determinism(base_config())
 
     def test_failed_cell_reported_not_fatal(self, tmp_path, monkeypatch):
-        import adfs_lab.harness as hz
-
-        original = hz._run_cell
+        original = harness._run_cell
 
         def flaky(algo, seed, *args, **kwargs):
             if seed == 1:
                 raise RuntimeError("boom")
             return original(algo, seed, *args, **kwargs)
 
-        monkeypatch.setattr(hz, "_run_cell", flaky)
+        monkeypatch.setattr(harness, "_run_cell", flaky)
         cfg = load_config(base_config())
-        code, csv_path, _ = run_experiment(cfg, out_dir=str(tmp_path))
+        code, csv_path, _ = run_experiment(cfg, build_instance(cfg), str(tmp_path))
         assert code == 1
         rows = open(csv_path).read().splitlines()[1:]
         assert len(rows) == 60 // 20 + 1  # surviving seed only
@@ -389,7 +387,7 @@ class TestRunExperiment:
 
     def test_time_column_increments(self, tmp_path):
         cfg = load_config(base_config(iters=300, log_every=1, seeds=[0], tau=4.0))
-        _, csv_path, _ = run_experiment(cfg, out_dir=str(tmp_path))
+        _, csv_path, _ = run_experiment(cfg, build_instance(cfg), str(tmp_path))
         rows = [line.split(",") for line in open(csv_path).read().splitlines()[1:]]
         times = np.array([float(r[3]) for r in rows])
         incs = np.diff(times)
@@ -400,7 +398,7 @@ class TestRunExperiment:
             loss="absolute", algorithms=["ns_adfs"], iters=200, log_every=50,
             seeds=[0],
         ))
-        code, csv_path, _ = run_experiment(cfg, out_dir=str(tmp_path))
+        code, csv_path, _ = run_experiment(cfg, build_instance(cfg), str(tmp_path))
         assert code == 0
         rows = open(csv_path).read().splitlines()[1:]
         assert len(rows) == 200 // 50 + 1
@@ -411,7 +409,7 @@ class TestRunExperiment:
         tol = 1e-4
         cfg = load_config(base_config(loss=loss, algorithms=[algo], seeds=[0],
                                       reference={"tol": tol}))
-        run_experiment(cfg, out_dir=str(tmp_path))
+        run_experiment(cfg, build_instance(cfg), str(tmp_path))
         derived = json.load(open(tmp_path / "metadata.json"))["derived"]
         assert -1e-12 <= derived["reference_gap"] <= tol**2 * derived["sigma_total"] / 2.0
 
@@ -561,9 +559,10 @@ def found_examples(test):
 
 
 def cli_outcomes(data):
-    """{command: (exit code, stderr, warning messages)} of `spectrum` and
-    `run` on config `data`, in a temporary directory that holds the LibSVM
-    files of the examples."""
+    """{command: (exit code, stderr, warning messages, whether `run`'s --out
+    directory exists afterwards)} of `spectrum` and then `run` on config
+    `data`, in a temporary directory that holds the LibSVM files of the
+    examples."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         patch.chdir(tmp)
@@ -573,13 +572,15 @@ def cli_outcomes(data):
         path = os.path.join(tmp, "config.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(data, fh)
-        for argv in (["spectrum", path], ["run", path, "--out", os.path.join(tmp, "out")]):
+        out_dir = os.path.join(tmp, "out")
+        for argv in (["spectrum", path], ["run", path, "--out", out_dir]):
             err = io.StringIO()
             with (contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err),
                   warnings.catch_warnings(record=True) as caught):
                 warnings.simplefilter("always")
                 code = cli(argv)
-            out[argv[0]] = code, err.getvalue(), [str(w.message) for w in caught]
+            out[argv[0]] = (code, err.getvalue(), [str(w.message) for w in caught],
+                            os.path.exists(out_dir))
     return out
 
 
@@ -588,9 +589,9 @@ class TestCli:
     @given(cli_configs())
     @found_examples
     def test_random_config_exits_zero_or_names_a_field(self, data):
-        for command, (code, err, caught) in cli_outcomes(data).items():
+        for command, (code, err, caught, wrote) in cli_outcomes(data).items():
             named = re.fullmatch(r"error: [\w.\[\]]+: .*\n", err)
-            assert code == 0 or (code == 1 and named), (command, code, err)
+            assert code == 0 or (code == 1 and named and not wrote), (command, code, err, wrote)
             assert not caught, (command, caught)
 
     @pytest.mark.parametrize("data,run_field,spectrum_field",
@@ -599,12 +600,13 @@ class TestCli:
     def test_found_configs_name_their_field(self, data, run_field, spectrum_field):
         outcomes = cli_outcomes(data)
         for command, field in (("run", run_field), ("spectrum", spectrum_field)):
-            code, err, caught = outcomes[command]
+            code, err, caught, wrote = outcomes[command]
             if field is None:
                 assert (code, err) == (0, ""), command
             else:
                 assert code == 1, command
                 assert re.fullmatch(rf"error: {re.escape(field)}: .*\n", err), (command, err)
+                assert not wrote, command  # a failing config writes nothing
             assert not caught, (command, caught)
 
     def _write_config(self, tmp_path, data):
@@ -788,6 +790,8 @@ class TestCli:
         # d x d matrices past data.DENSE_MAX
         ({"dataset": {"kind": "libsvm", "path": "wide.svm"}}, "dataset.path"),
         ({"dataset": {"kind": "synthetic", "d": 40000}}, "dataset.d"),
+        # a budget for no algorithm
+        ({"iters": {"adfs": 100, "pointsaga": 7}}, "iters.pointsaga"),
     ])
     def test_bad_field_exits_one_naming_field(self, tmp_path, monkeypatch, capsys, over, field):
         monkeypatch.chdir(tmp_path)  # the LibSVM cases read their files from here
@@ -946,6 +950,16 @@ class TestSweep:
         assert code == 1 and out.out == ""
         assert out.err.startswith(f"error: {field}:") and out.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_each_config_is_built_once(self, tmp_path):
+        # a sweep runs the instances its up-front check built
+        config = os.path.join(ROOT, "configs", "pcomm_sweep.json")
+        sweep = ["sweep", config, "--out", str(tmp_path / "sweep"), "--vary", "p_comm=0.05,0.133"]
+        run = ["run", config, "--out", str(tmp_path / "run")]
+        for argv, builds in ((sweep, 2), (run, 1), (["spectrum", config], 1)):
+            with mock.patch.object(harness, "build_instance", wraps=harness.build_instance) as spy:
+                assert cli(argv) == 0, argv
+            assert spy.call_count == builds, argv
 
 
 def run_script(name, *args, cwd):
