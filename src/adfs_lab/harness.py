@@ -1,10 +1,11 @@
 """Experiment orchestration, CSV emission, and the CLI.
 
 A single JSON config file describes topology, data source, loss, algorithms,
-seeds and budgets; `build_instance` builds its instance once, and
-`run_experiment` executes every (algorithm, seed) cell on that instance,
-writes one CSV of `algo,seed,iter,time,subopt` rows plus a metadata sidecar
-with every derived constant, and is byte-deterministic for a fixed config.
+seeds and budgets; `build_instance` builds its instance once, `certify`
+certifies its reference optimum, and `run_experiment` executes every
+(algorithm, seed) cell on that instance, writes one CSV of
+`algo,seed,iter,time,subopt` rows plus a metadata sidecar with every derived
+constant, and is byte-deterministic for a fixed config.
 The samples come from the data layer in `data`.
 """
 
@@ -27,16 +28,13 @@ from .data import (DENSE_MAX, LibsvmData, LibsvmParseError, assign_node_datasets
 from .objective import LocalObjective, LossKind
 from .topology import EigensolveError, GraphConstructionError, build_topology
 
-__all__ = [
-    "ConfigError",
-    "ExperimentConfig",
-    "load_config",
-    "run_experiment",
-    "cli",
-    "main",
-]
+__all__ = ["ConfigError", "ExperimentConfig", "load_config", "certify", "run_experiment", "cli",
+           "main"]
 
-ALGORITHMS = ("adfs", "adfs_efficient", "ns_adfs", "point_saga")
+# the solver of each algorithm; point_saga runs on the pooled samples
+SOLVERS = {"adfs": run_adfs, "adfs_efficient": run_adfs_efficient, "ns_adfs": run_ns_adfs,
+           "point_saga": point_saga}
+ALGORITHMS = tuple(SOLVERS)
 # required integer parameters of each topology kind ("custom" needs "edges"
 # and takes an optional "n"); every kind takes optional "weights"
 TOPOLOGY_PARAMS = {"line": ("n",), "complete": ("n",), "grid2d": ("rows", "cols"),
@@ -44,6 +42,9 @@ TOPOLOGY_PARAMS = {"line": ("n",), "complete": ("n",), "grid2d": ("rows", "cols"
 DATASET_FIELDS = {"synthetic": ("kind", "d", "correlation", "seed", "noise", "pool",
                                 "feature_scale"),
                   "libsvm": ("kind", "path", "seed")}
+# `%` and the path separators, percent-encoded: the directory `key=value` of
+# each sweep value is one path component, distinct for distinct values
+DIR_ESCAPES = str.maketrans({c: f"%{ord(c):02X}" for c in ("%", os.sep, os.altsep) if c})
 
 
 class ConfigError(ValueError):
@@ -383,18 +384,10 @@ def derived_constants(problem, flat):
 
 
 def _run_cell(algo, seed, cfg, problem, flat, f_star):
-    iters = cfg.iters[algo]
-    common = dict(log_every=cfg.log_every, f_star=f_star,
-                  stop_at_subopt=cfg.stop_at_subopt)
-    if algo == "adfs":
-        record = run_adfs(problem, iters, seed, **common).record
-    elif algo == "adfs_efficient":
-        record = run_adfs_efficient(problem, iters, seed, **common).record
-    elif algo == "ns_adfs":
-        record = run_ns_adfs(problem, iters, seed, **common).record
-    else:  # load_config admits no algorithm but these four
-        record, _ = point_saga(flat, iters, seed, **common)
-    return record
+    common = dict(log_every=cfg.log_every, f_star=f_star, stop_at_subopt=cfg.stop_at_subopt)
+    if algo == "point_saga":
+        return point_saga(flat, cfg.iters[algo], seed, **common)[0]
+    return SOLVERS[algo](problem, cfg.iters[algo], seed, **common).record
 
 
 def _median_times(cfg, records):
@@ -410,27 +403,36 @@ def _median_times(cfg, records):
     return times
 
 
-def run_experiment(cfg: ExperimentConfig, instance, out_dir):
+def certify(cfg: ExperimentConfig, flat):
+    """(f_star, reference_gap) of a built config: the reference optimum of its
+    pooled problem `flat` and the certified |f_star - F*|; (None, None) when
+    no algorithm has a budget."""
+    if not any(cfg.iters[a] > 0 for a in cfg.algorithms):
+        return None, None
+    try:
+        theta, f_star = reference_optimum(flat, **cfg.reference)
+    except RuntimeError as exc:  # its stopping target scales with sigma
+        raise ConfigError("sigma", f"no certified reference optimum for the target "
+                                   f"reference.tol * sum(sigma): {exc}") from None
+    # the duality gap for the absolute loss, whose f_star is a dual value;
+    # ||grad F||^2 / (2 sigma_total) for smooth losses
+    gap = (f_star + flat_value(flat, theta) if flat.loss is LossKind.ABSOLUTE else
+           float(np.linalg.norm(flat_grad(flat, theta))) ** 2 / (2.0 * flat.sigma_total))
+    return f_star, gap
+
+
+def run_experiment(cfg: ExperimentConfig, instance, reference, out_dir):
     """Execute all (algorithm, seed) cells on `instance`, the tuple that
-    `build_instance(cfg)` returned, and write results.csv + metadata.json.
+    `build_instance(cfg)` returned, against `reference`, the pair that
+    `certify` returned, and write results.csv + metadata.json under
+    `out_dir`, which it creates.
 
     Returns (exit_code, csv_path, metadata): exit code 0 when every cell
     succeeded, and the dict written to metadata.json.  Cells run one after
-    another and a failing cell aborts only itself.  `out_dir` is created once
-    the reference optimum is certified, so a reference error writes nothing.
+    another and a failing cell aborts only itself.
     """
     _, _, problem, flat, dataset_id = instance
-    f_star = gap = None
-    if any(cfg.iters[a] > 0 for a in cfg.algorithms):
-        try:
-            theta, f_star = reference_optimum(flat, **cfg.reference)
-        except RuntimeError as exc:  # its stopping target scales with sigma
-            raise ConfigError("sigma", f"no certified reference optimum for the target "
-                                       f"reference.tol * sum(sigma): {exc}") from None
-        # certified |f_star - F*|: the duality gap for the absolute loss, whose
-        # f_star is a dual value; ||grad F||^2 / (2 sigma_total) for smooth losses
-        gap = (f_star + flat_value(flat, theta) if flat.loss is LossKind.ABSOLUTE else
-               float(np.linalg.norm(flat_grad(flat, theta))) ** 2 / (2.0 * flat.sigma_total))
+    f_star, gap = reference
     os.makedirs(out_dir, exist_ok=True)
 
     cells = [(a, s) for a in cfg.algorithms for s in cfg.seeds if cfg.iters[a] > 0]
@@ -524,9 +526,10 @@ def _writing(field, path):
 def _cmd_run(args):
     cfg = _load_config_file(args.config, args.override)
     instance = build_instance(cfg)
+    reference = certify(cfg, instance[3])
     out_dir = args.out or cfg.out
     with _writing("--out" if args.out else "out", out_dir):
-        code, csv_path, meta = run_experiment(cfg, instance, out_dir)
+        code, csv_path, meta = run_experiment(cfg, instance, reference, out_dir)
     print(f"wrote {csv_path}")
     if cfg.stop_at_subopt is not None:
         for algo, time in meta["median_time_to_target"].items():
@@ -541,17 +544,19 @@ def _cmd_sweep(args):
     _expect(key and all(values), "--vary", f"expected KEY=V1,V2,..., got {args.vary!r}")
     _expect(len(set(values)) == len(values), "--vary", "repeats a value")
     runs = []
-    for value in values:  # a bad value fails here, before anything runs
+    for value in values:  # a bad value fails here, before anything is written
         cfg = _load_config_file(args.config, args.override, [f"{key}={value}"])
         _expect(cfg.stop_at_subopt is not None, "stop_at_subopt", "a sweep needs a target")
-        runs.append((value, cfg, build_instance(cfg)))
+        instance = build_instance(cfg)
+        runs.append((value, cfg, instance, certify(cfg, instance[3])))
     out_dir = args.out or runs[0][1].out
-    algos = list(dict.fromkeys(a for _, cfg, _ in runs for a in cfg.algorithms))
+    algos = list(dict.fromkeys(a for _, cfg, _, _ in runs for a in cfg.algorithms))
     rows, status = [], 0
     csv_path = os.path.join(out_dir, "sweep.csv")
     with _writing("--out" if args.out else "out", out_dir):
-        for value, cfg, instance in runs:
-            code, _, meta = run_experiment(cfg, instance, os.path.join(out_dir, f"{key}={value}"))
+        for value, cfg, instance, reference in runs:
+            value_dir = os.path.join(out_dir, f"{key}={value}".translate(DIR_ESCAPES))
+            code, _, meta = run_experiment(cfg, instance, reference, value_dir)
             derived, times = meta["derived"], meta["median_time_to_target"]
             nums = [derived["p_comm"], derived.get("rho"),
                     derived.get("predicted_time_per_log_eps")]
@@ -573,10 +578,7 @@ def _cmd_spectrum(args):
     print(f"dataset: {dataset_id}")
     for key in sorted(meta):
         val = meta[key]
-        if isinstance(val, float):
-            print(f"{key} = {val:.10g}")
-        else:
-            print(f"{key} = {val}")
+        print(f"{key} = {val:.10g}" if isinstance(val, float) else f"{key} = {val}")
     return 0
 
 
@@ -624,12 +626,8 @@ def cli(argv=None) -> int:
     p_gen.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)
-    handler = {
-        "run": _cmd_run,
-        "sweep": _cmd_sweep,
-        "spectrum": _cmd_spectrum,
-        "gen-data": _cmd_gen_data,
-    }[args.command]
+    handler = {"run": _cmd_run, "sweep": _cmd_sweep, "spectrum": _cmd_spectrum,
+               "gen-data": _cmd_gen_data}[args.command]
     try:
         return handler(args)
     except (ConfigError, ValueError) as exc:

@@ -18,7 +18,7 @@ import pytest
 from adfs_lab import augmented as aug
 from adfs_lab.adfs import run_adfs, run_adfs_efficient
 from adfs_lab.data import LibsvmData, parse_libsvm, write_libsvm
-from adfs_lab.harness import build_instance, load_config, run_experiment
+from adfs_lab.harness import build_instance, certify, load_config, run_experiment
 from adfs_lab.objective import condition_numbers
 from adfs_lab.rng import BlockStream, generator
 from adfs_lab.topology import laplacian, symmetric_eigensolve
@@ -196,6 +196,12 @@ def libsvm_roundtrip(rng, count):
     return f"{count} samples round-tripped"
 
 
+def certified(cfg):
+    """(instance, reference) of a config: what `run` passes to run_experiment."""
+    instance = build_instance(cfg)
+    return instance, certify(cfg, instance[3])
+
+
 def experiment_determinism(config):
     """Two runs of a config (a raw dict) write byte-identical results.csv
     and metadata.json."""
@@ -204,7 +210,7 @@ def experiment_determinism(config):
         for tag in ("a", "b"):
             out_dir = os.path.join(tmp, tag)
             cfg = load_config(config)
-            code, _, meta = run_experiment(cfg, build_instance(cfg), out_dir)
+            code, _, meta = run_experiment(cfg, *certified(cfg), out_dir)
             assert code == 0, meta["failures"]
             files = []
             for name in ("results.csv", "metadata.json"):

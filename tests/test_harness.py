@@ -33,7 +33,7 @@ from adfs_lab.harness import (ConfigError, ExperimentConfig, build_instance, cli
 from adfs_lab.objective import LocalObjective, LossKind, condition_numbers
 from adfs_lab.rng import generator
 from oracles import libsvm_record, libsvm_rows, parse_libsvm_pairs
-from test_checks import experiment_determinism, libsvm_roundtrip
+from test_checks import certified, experiment_determinism, libsvm_roundtrip
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -321,7 +321,7 @@ class TestConfig:
 class TestRunExperiment:
     def test_zero_iters_writes_header_only(self, tmp_path):
         cfg = load_config(base_config(iters=0))
-        code, csv_path, _ = run_experiment(cfg, build_instance(cfg), str(tmp_path))
+        code, csv_path, _ = run_experiment(cfg, *certified(cfg), str(tmp_path))
         assert code == 0
         lines = open(csv_path).read().splitlines()
         assert lines == ["algo,seed,iter,time,subopt"]
@@ -331,7 +331,7 @@ class TestRunExperiment:
 
     def test_row_accounting(self, tmp_path):
         cfg = load_config(base_config())
-        code, csv_path, _ = run_experiment(cfg, build_instance(cfg), str(tmp_path))
+        code, csv_path, _ = run_experiment(cfg, *certified(cfg), str(tmp_path))
         assert code == 0
         rows = open(csv_path).read().splitlines()[1:]
         assert len(rows) == 2 * (60 // 20 + 1)
@@ -349,7 +349,7 @@ class TestRunExperiment:
 
     def test_dataset_id_recorded_in_metadata(self, tmp_path):
         cfg = load_config(base_config())
-        _, csv_path, returned = run_experiment(cfg, build_instance(cfg), str(tmp_path))
+        _, csv_path, returned = run_experiment(cfg, *certified(cfg), str(tmp_path))
         meta = json.load(open(tmp_path / "metadata.json"))
         assert meta["dataset_id"].startswith("synthetic(")
         assert returned == meta  # the dict it writes, which run and sweep print from
@@ -358,7 +358,7 @@ class TestRunExperiment:
         cfg = load_config(base_config(algorithms=["adfs", "adfs_efficient",
                                                   "point_saga"],
                                       seeds=[1, 0]))
-        _, csv_path, _ = run_experiment(cfg, build_instance(cfg), str(tmp_path))
+        _, csv_path, _ = run_experiment(cfg, *certified(cfg), str(tmp_path))
         rows = [line.split(",") for line in open(csv_path).read().splitlines()[1:]]
         keys = [(r[0], int(r[1]), int(r[2])) for r in rows]
         assert keys == sorted(keys)
@@ -378,7 +378,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(harness, "_run_cell", flaky)
         cfg = load_config(base_config())
-        code, csv_path, _ = run_experiment(cfg, build_instance(cfg), str(tmp_path))
+        code, csv_path, _ = run_experiment(cfg, *certified(cfg), str(tmp_path))
         assert code == 1
         rows = open(csv_path).read().splitlines()[1:]
         assert len(rows) == 60 // 20 + 1  # surviving seed only
@@ -387,7 +387,7 @@ class TestRunExperiment:
 
     def test_time_column_increments(self, tmp_path):
         cfg = load_config(base_config(iters=300, log_every=1, seeds=[0], tau=4.0))
-        _, csv_path, _ = run_experiment(cfg, build_instance(cfg), str(tmp_path))
+        _, csv_path, _ = run_experiment(cfg, *certified(cfg), str(tmp_path))
         rows = [line.split(",") for line in open(csv_path).read().splitlines()[1:]]
         times = np.array([float(r[3]) for r in rows])
         incs = np.diff(times)
@@ -398,7 +398,7 @@ class TestRunExperiment:
             loss="absolute", algorithms=["ns_adfs"], iters=200, log_every=50,
             seeds=[0],
         ))
-        code, csv_path, _ = run_experiment(cfg, build_instance(cfg), str(tmp_path))
+        code, csv_path, _ = run_experiment(cfg, *certified(cfg), str(tmp_path))
         assert code == 0
         rows = open(csv_path).read().splitlines()[1:]
         assert len(rows) == 200 // 50 + 1
@@ -409,7 +409,7 @@ class TestRunExperiment:
         tol = 1e-4
         cfg = load_config(base_config(loss=loss, algorithms=[algo], seeds=[0],
                                       reference={"tol": tol}))
-        run_experiment(cfg, build_instance(cfg), str(tmp_path))
+        run_experiment(cfg, *certified(cfg), str(tmp_path))
         derived = json.load(open(tmp_path / "metadata.json"))["derived"]
         assert -1e-12 <= derived["reference_gap"] <= tol**2 * derived["sigma_total"] / 2.0
 
@@ -950,6 +950,37 @@ class TestSweep:
         assert code == 1 and out.out == ""
         assert out.err.startswith(f"error: {field}:") and out.err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_reference_error_writes_nothing(self, tmp_path, capsys):
+        # every value's optimum is certified before the first value writes
+        data = found_case(iters=200, log_every=100, stop_at_subopt=1e-3)
+        code, out = self._cli(tmp_path, capsys, data, "sweep", "--vary", "sigma=1,1e-300")
+        assert code == 1 and out.out == ""
+        assert out.err.startswith("error: sigma:") and out.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_each_value_gets_its_own_directory(self, tmp_path, capsys, monkeypatch):
+        # a value's path separators and "%" are escaped in its directory name
+        monkeypatch.chdir(tmp_path)
+        os.makedirs(os.path.join("d", "sub"))
+        assert cli(["gen-data", "--samples", "60", "--d", "2", "--out", "d/a.svm"]) == 0
+        for copy in ("d/sub/a.svm", "d%2Fa.svm"):
+            with open("d/a.svm", "rb") as src, open(copy, "wb") as dst:
+                dst.write(src.read())
+        values = ["d/a.svm", "d/sub/../a.svm", "d%2Fa.svm"]
+        data = found_case(m=5, dataset={"kind": "libsvm", "path": "d/a.svm"},
+                          stop_at_subopt=1e-3)
+        code, _ = self._cli(tmp_path, capsys, data, "sweep",
+                            "--vary", "dataset.path=" + ",".join(values))
+        assert code == 0
+        names = ["dataset.path=d%2Fa.svm", "dataset.path=d%2Fsub%2F..%2Fa.svm",
+                 "dataset.path=d%252Fa.svm"]
+        assert sorted(os.listdir(tmp_path / "out")) == sorted(names + ["sweep.csv"])
+        for name, value in zip(names, values):
+            meta = json.loads((tmp_path / "out" / name / "metadata.json").read_text())
+            assert meta["config"]["dataset"]["path"] == value
+        rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == values
 
     def test_each_config_is_built_once(self, tmp_path):
         # a sweep runs the instances its up-front check built
