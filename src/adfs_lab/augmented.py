@@ -43,8 +43,8 @@ DOMAIN_TOL = 1e-6  # dual_objective's slack on the conjugate domain
 
 
 class ScaleError(ValueError):
-    """A derived constant leaves the float range; `culprit` names the input
-    whose scale causes it: "sigma" or "features"."""
+    """The build rejects an input, which `culprit` names: "sigma" or "features" when a
+    derived constant leaves the float range, "p_comm" or "topology" when they do not fit."""
 
     def __init__(self, culprit, message):
         super().__init__(message)
@@ -181,7 +181,8 @@ def _laplacian_spectrum(lap):
     a kernel of more than one dimension means edge weights too far apart."""
     spec = symmetric_eigensolve(lap)
     if spec.kernel_dim != 1:
-        raise GraphConstructionError("communication Laplacian kernel is not 1-dimensional")
+        raise GraphConstructionError("weights",
+                                     "communication Laplacian kernel is not 1-dimensional")
     return spec
 
 
@@ -197,7 +198,7 @@ def _graph_spectra(graph, lap, dm_tilde, sigma):
     dt_isqrt = 1.0 / np.sqrt(dm_tilde)
     spec_dt = symmetric_eigensolve(dt_isqrt[:, None] * lap * dt_isqrt[None, :])
     if spec_dt.kernel_dim != 1:
-        raise ValueError("scaled Laplacian kernel is not 1-dimensional")
+        raise ScaleError("sigma", "scaled Laplacian kernel is not 1-dimensional")
     alpha = 2.0 * spec_dt.lambda_min_pos
 
     s_isqrt = 1.0 / np.sqrt(sigma)
@@ -239,9 +240,9 @@ def _sampling(graph, p_comm, p_virtual, p_marginal):
     """The sampling scheme, once p_comm is checked against the graph."""
     if graph.n_edges == 0:
         if p_comm != 0.0:
-            raise ValueError("p_comm must be 0 for a graph with no edges")
+            raise ScaleError("p_comm", "p_comm must be 0 for a graph with no edges")
     elif not (0.0 < p_comm < 1.0):
-        raise ValueError(f"p_comm must lie in (0, 1), got {p_comm}")
+        raise ScaleError("p_comm", f"p_comm must lie in (0, 1), got {p_comm}")
     return SamplingScheme(p_comm=p_comm, p_virtual=p_virtual, p_marginal=p_marginal)
 
 
@@ -327,7 +328,7 @@ def build_augmented_ns(graph, objectives, tau=1.0):
 def _build_ns(shared, p_comm_override):
     graph, objectives, sigma = shared["graph"], shared["objectives"], shared["sigma"]
     if graph.n_edges == 0:
-        raise ValueError("the non-smooth build needs a graph with at least one edge")
+        raise ScaleError("topology", "the non-smooth build needs a graph with at least one edge")
     spec = _laplacian_spectrum(shared["laplacian_comm"])
     lam_min, lam_max = spec.lambda_min_pos, spec.lambda_max
     gamma = lam_min / lam_max
@@ -394,9 +395,10 @@ def round_table(problem):
     gather.  For the smooth build, whose dual step is `problem.eta`, the
     prox factors and `boundary` come from objective.tilde_prox_factors,
     which checks the conjugate-prox identity once for every virtual node
-    (ValueError when it breaks); `boundary` marks the nodes at its limit
+    (ScaleError when it breaks); `boundary` marks the nodes at its limit
     eta~_ij = L_ij, or is None when there are none.  The non-smooth build
-    has no boundary.  A non-finite entry raises ValueError.
+    has no boundary.  A non-finite entry raises ScaleError, as does a logistic
+    PROX_STEP (4 / step) <= 0, which the logistic prox divides by.
     """
     p = problem.sampling.p_marginal
     mu2, xnorm2 = problem.mu2_virtual, problem.xnorm2
@@ -404,21 +406,26 @@ def round_table(problem):
     sigma = np.repeat(problem.sigma, problem.m_per_node)
     cols = [weight / (sigma * xnorm2), 1.0 / p]
     if not problem.smooth:
-        return _finite(np.column_stack(cols + [weight / xnorm2 * problem.labels])), None
+        return _finite(np.column_stack(cols + [weight / xnorm2 * problem.labels]), []), None
     smooth = problem.smooth_virtual
-    *factors, boundary = tilde_prox_factors(problem.loss, problem.labels, xnorm2, smooth,
-                                            problem.eta * weight)
+    try:
+        *factors, boundary = tilde_prox_factors(problem.loss, problem.labels, xnorm2, smooth,
+                                                problem.eta * weight)
+    except ValueError as exc:  # eta~_ij past L_ij: an overflowing eta, or rounding of eta mu_ij^2
+        raise ScaleError("features", str(exc)) from None
     rho_p = problem.rho / p
-    table = _finite(np.column_stack(cols + [weight / smooth, problem.labels, *factors,
-                                            0.5 * (1.0 - rho_p), 0.5 * (1.0 + rho_p)]))
-    return table, boundary
+    table = np.column_stack(cols + [weight / smooth, problem.labels, *factors,
+                                    0.5 * (1.0 - rho_p), 0.5 * (1.0 + rho_p)])
+    return _finite(table, [PROX_STEP] if problem.loss is LossKind.LOGISTIC else []), boundary
 
 
-def _finite(table):
-    if not np.isfinite(table).all():
-        row, col = np.argwhere(~np.isfinite(table))[0].tolist()
-        raise ValueError(f"round-table column {col} of virtual node {row} is not finite: "
-                         f"products of sigma, p_ij and ||X_ij||^2 under- or overflow")
+def _finite(table, positive):  # and > 0 in the columns `positive`
+    bad = ~np.isfinite(table)
+    bad[:, positive] |= ~(table[:, positive] > 0.0)
+    if bad.any():
+        row, col = np.argwhere(bad)[0].tolist()
+        raise ScaleError("features", f"round-table row {row}, column {col} is {table[row, col]}: "
+                                     "products of sigma, p_ij and ||X_ij||^2 under- or overflow")
     return table
 
 

@@ -109,6 +109,7 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
     return record, x
 
 
+@np.errstate(over="ignore")  # an overflow ends in the RuntimeError of a non-finite value
 def reference_optimum(problem: FlatProblem, tol=3e-6, max_iters=2_000_000, ns_problem=None):
     """High-accuracy optimum used as the suboptimality yardstick; every branch
     certifies a value gap of at most tol^2 sigma_total / 2.
@@ -117,7 +118,7 @@ def reference_optimum(problem: FlatProblem, tol=3e-6, max_iters=2_000_000, ns_pr
     sigma_total I) until ||grad F|| <= tol * sigma_total.  The step length t
     halves from 1 until ||grad F|| falls by the factor 1 - t/4, a test that,
     unlike a decrease test on F, still holds once F is flat to rounding; a t
-    below 1e-12 means ||grad F|| is at working precision and raises at once.
+    below 1e-12 (||grad F|| at working precision) or an infinite ||grad F|| raises at once.
     Absolute loss: `_absolute_optimum`, Huber-continuation Newton on the
     d-dimensional primal with an exact KKT finish, certified by the duality
     gap P(theta) + D(a); it returns theta and the pooled dual value D(a) =
@@ -140,6 +141,8 @@ def reference_optimum(problem: FlatProblem, tol=3e-6, max_iters=2_000_000, ns_pr
         norm = float(np.linalg.norm(grad))
         if norm <= target:
             return theta, _stacked_value(*args, theta)
+        if not math.isfinite(norm):
+            break
         curv = loss_curvature(problem.loss, feats @ theta, problem.labels)
         step, t = np.linalg.solve((feats.T * curv) @ feats + ridge, grad), 1.0
         while np.linalg.norm(trial := _stacked_grad(*args, theta - t * step)) > (1 - t / 4) * norm:

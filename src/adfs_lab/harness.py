@@ -45,6 +45,7 @@ DATASET_FIELDS = {"synthetic": ("kind", "d", "correlation", "seed", "noise", "po
 # `%` and the path separators, percent-encoded: the directory `key=value` of
 # each sweep value is one path component, distinct for distinct values
 DIR_ESCAPES = str.maketrans({c: f"%{ord(c):02X}" for c in ("%", os.sep, os.altsep) if c})
+NAME_MAX = 255  # bytes in one path component on Linux and macOS file systems
 
 
 class ConfigError(ValueError):
@@ -250,31 +251,12 @@ def load_config(data) -> ExperimentConfig:
     )
 
 
-def _build_graph(topo):
-    params = {k: v for k, v in topo.items() if k != "kind"}
-    if topo["kind"] == "custom":
-        params["edges"] = [tuple(e) for e in params["edges"]]
-    try:
-        return build_topology(topo["kind"], **params)
-    except GraphConstructionError as exc:  # only weight errors mention weights
-        field = "topology.weights" if "weight" in str(exc) else "topology.edges"
-        raise ConfigError(field, str(exc)) from None
-
-
 def _read_libsvm(path):
     """The LibsvmData record of a config's file; every read error and every
     non-finite label (anywhere in the file, whichever rows are drawn) names
     dataset.path."""
-    try:
+    with _reading("dataset.path", path):
         data = parse_libsvm(path)
-    except FileNotFoundError:
-        raise ConfigError("dataset.path", f"no such file: {path}") from None
-    except OSError as exc:
-        raise ConfigError("dataset.path", f"cannot read {path}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError("dataset.path", f"{path} is not UTF-8 text: {exc.reason}") from None
-    except LibsvmParseError as exc:
-        raise ConfigError("dataset.path", str(exc)) from None
     bad = np.flatnonzero(~np.isfinite(data.labels))
     if len(bad):
         raise ConfigError("dataset.path", f"line {sample_line(path, bad[0])}: "
@@ -283,60 +265,56 @@ def _read_libsvm(path):
 
 
 def build_instance(cfg: ExperimentConfig):
-    """Materialize (graph, objectives, problem, flat, dataset_id) from a config."""
-    graph = _build_graph(cfg.topology)
-    if graph.n_edges == 0:
-        _expect(cfg.loss_kind.is_smooth, "topology",
-                "the absolute loss needs a graph with at least one edge")
-        _expect(not cfg.p_comm, "p_comm", "expected 0 for a graph with no edges")
-    else:
-        _expect(cfg.p_comm != 0, "p_comm", "expected a number in (0, 1) for a graph with edges")
+    """Materialize (graph, objectives, problem, flat, dataset_id) from a config.
+
+    A library error that blames an input (its `culprit`) names that input's
+    config field through `blame`; an eigensolve failure names the edge weights."""
     ds = cfg.dataset
     seed = ds.get("seed", 0)
-    if ds["kind"] == "synthetic":
-        rows = max(ds.get("pool") or 0, graph.n * cfg.m)
-        _expect_instance_dense(rows, ds["d"], "dataset.d")
-        per_node = synth_dataset(
-            graph.n, cfg.m, ds["d"], seed, ds.get("correlation", 0.0),
-            loss=cfg.loss, noise=ds.get("noise", 0.1), pool=ds.get("pool"),
-            feature_scale=ds.get("feature_scale", 1.0),
-        )
-        dataset_id = f"synthetic(d={ds['d']},corr={ds.get('correlation', 0.0)},seed={seed})"
-    else:
-        data = _read_libsvm(ds["path"])
-        labels = data.labels
-        _expect(cfg.m <= len(labels), "m",
-                f"expected at most the {len(labels)} samples of {ds['path']}, got {cfg.m}")
-        _expect_instance_dense(graph.n * cfg.m, data.dim, "dataset.path")
-        if cfg.loss == "logistic":
-            labels = np.where(labels > 0, 1.0, -1.0)
-        per_node = assign_node_datasets(data, labels, graph.n, cfg.m, seed)
-        dataset_id = f"libsvm({os.path.basename(ds['path'])},seed={seed})"
-
-    sigmas = cfg.sigma if isinstance(cfg.sigma, list) else [cfg.sigma] * graph.n
-    if len(sigmas) != graph.n:
-        raise ConfigError("sigma", f"expected {graph.n} entries, got {len(sigmas)}")
     data_field = "dataset.feature_scale" if ds["kind"] == "synthetic" else "dataset.path"
-    objectives = []
-    for i, ((feats_i, labels_i), s) in enumerate(zip(per_node, sigmas)):
+    blame = {"edges": "topology.edges", "weights": "topology.weights", "topology": "topology",
+             "p_comm": "p_comm", "sigma": "sigma", "features": data_field}
+    try:
+        graph = build_topology(**cfg.topology)
+        if ds["kind"] == "synthetic":
+            rows = max(ds.get("pool") or 0, graph.n * cfg.m)
+            _expect_instance_dense(rows, ds["d"], "dataset.d")
+            per_node = synth_dataset(
+                graph.n, cfg.m, ds["d"], seed, ds.get("correlation", 0.0),
+                loss=cfg.loss, noise=ds.get("noise", 0.1), pool=ds.get("pool"),
+                feature_scale=ds.get("feature_scale", 1.0),
+            )
+            dataset_id = f"synthetic(d={ds['d']},corr={ds.get('correlation', 0.0)},seed={seed})"
+        else:
+            data = _read_libsvm(ds["path"])
+            labels = data.labels
+            _expect(cfg.m <= len(labels), "m",
+                    f"expected at most the {len(labels)} samples of {ds['path']}, got {cfg.m}")
+            _expect_instance_dense(graph.n * cfg.m, data.dim, "dataset.path")
+            if cfg.loss == "logistic":
+                labels = np.where(labels > 0, 1.0, -1.0)
+            per_node = assign_node_datasets(data, labels, graph.n, cfg.m, seed)
+            dataset_id = f"libsvm({os.path.basename(ds['path'])},seed={seed})"
+
+        sigmas = cfg.sigma if isinstance(cfg.sigma, list) else [cfg.sigma] * graph.n
+        if len(sigmas) != graph.n:
+            raise ConfigError("sigma", f"expected {graph.n} entries, got {len(sigmas)}")
+        objectives = []
+        for i, ((feats_i, labels_i), s) in enumerate(zip(per_node, sigmas)):
+            try:
+                objectives.append(LocalObjective(feats_i, labels_i, float(s), cfg.loss_kind))
+            except ValueError as exc:  # sigma passed load_config: the samples are at fault
+                raise ConfigError(data_field, f"node {i}: {exc}") from None
         try:
-            objectives.append(LocalObjective(feats_i, labels_i, float(s), cfg.loss_kind))
-        except ValueError as exc:  # sigma passed load_config: the samples are at fault
-            raise ConfigError(data_field, f"node {i}: {exc}") from None
-    try:
-        flat = pool_objectives(objectives)
-    except ValueError as exc:  # the pooled norms may overflow where each node's do not
-        raise ConfigError(data_field, f"pooled samples: {exc}") from None
-    try:
+            flat = pool_objectives(objectives)
+        except ValueError as exc:  # the pooled norms may overflow where each node's do not
+            raise ConfigError(data_field, f"pooled samples: {exc}") from None
         problem = build_augmented(graph, objectives, cfg.tau, p_comm_override=cfg.p_comm)
-    except ScaleError as exc:
-        raise ConfigError("sigma" if exc.culprit == "sigma" else data_field, str(exc)) from None
-    except (GraphConstructionError, EigensolveError, np.linalg.LinAlgError) as exc:
+        round_table(problem)  # every entry a round reads is usable
+    except (GraphConstructionError, ScaleError) as exc:
+        raise ConfigError(blame[exc.culprit], str(exc)) from None
+    except (EigensolveError, np.linalg.LinAlgError) as exc:
         raise ConfigError("topology.weights", str(exc)) from None
-    try:
-        round_table(problem)  # every entry a round reads is finite
-    except ValueError as exc:  # the products scale with the squared feature norms
-        raise ConfigError(data_field, str(exc)) from None
     return graph, objectives, problem, flat, dataset_id
 
 
@@ -411,7 +389,7 @@ def certify(cfg: ExperimentConfig, flat):
         return None, None
     try:
         theta, f_star = reference_optimum(flat, **cfg.reference)
-    except RuntimeError as exc:  # its stopping target scales with sigma
+    except (RuntimeError, np.linalg.LinAlgError) as exc:  # its target and ridge scale with sigma
         raise ConfigError("sigma", f"no certified reference optimum for the target "
                                    f"reference.tol * sum(sigma): {exc}") from None
     # the duality gap for the absolute loss, whose f_star is a dual value;
@@ -496,21 +474,30 @@ def _apply_overrides(data, items, flag):
 def _load_config_file(path, overrides, varied=()):
     """The validated config of the JSON file at `path`, after the
     `--override` items and then the `--vary` items (both KEY=VALUE)."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError("<config>", f"no such file: {path}") from None
-    except OSError as exc:
-        raise ConfigError("<config>", f"cannot read {path}: {exc.strerror}") from None
-    except UnicodeDecodeError as exc:
-        raise ConfigError("<config>", f"{path} is not UTF-8 text: {exc.reason}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError("<config>", f"invalid JSON: {exc}") from None
+    with _reading("<config>", path), open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
     _expect(isinstance(data, dict), "<root>", "config must be an object")
     _apply_overrides(data, overrides or (), "--override")
     _apply_overrides(data, varied, "--vary")
     return load_config(data)
+
+
+@contextlib.contextmanager
+def _reading(field, path):
+    """Turn an error raised while reading or parsing the file at `path` into
+    a ConfigError naming `field`, the flag or config field that set `path`."""
+    try:
+        yield
+    except json.JSONDecodeError as exc:
+        raise ConfigError(field, f"invalid JSON: {exc}") from None
+    except LibsvmParseError as exc:
+        raise ConfigError(field, str(exc)) from None
+    except FileNotFoundError:
+        raise ConfigError(field, f"no such file: {path}") from None
+    except OSError as exc:
+        raise ConfigError(field, f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(field, f"{path} is not UTF-8 text: {exc.reason}") from None
 
 
 @contextlib.contextmanager
@@ -545,18 +532,20 @@ def _cmd_sweep(args):
     _expect(len(set(values)) == len(values), "--vary", "repeats a value")
     runs = []
     for value in values:  # a bad value fails here, before anything is written
+        name = f"{key}={value}".translate(DIR_ESCAPES)
+        _expect(len(os.fsencode(name)) <= NAME_MAX, "--vary",
+                f"the directory name {name!r} is longer than {NAME_MAX} bytes")
         cfg = _load_config_file(args.config, args.override, [f"{key}={value}"])
         _expect(cfg.stop_at_subopt is not None, "stop_at_subopt", "a sweep needs a target")
         instance = build_instance(cfg)
-        runs.append((value, cfg, instance, certify(cfg, instance[3])))
-    out_dir = args.out or runs[0][1].out
-    algos = list(dict.fromkeys(a for _, cfg, _, _ in runs for a in cfg.algorithms))
+        runs.append((value, name, cfg, instance, certify(cfg, instance[3])))
+    out_dir = args.out or runs[0][2].out
+    algos = list(dict.fromkeys(a for _, _, cfg, _, _ in runs for a in cfg.algorithms))
     rows, status = [], 0
     csv_path = os.path.join(out_dir, "sweep.csv")
     with _writing("--out" if args.out else "out", out_dir):
-        for value, cfg, instance, reference in runs:
-            value_dir = os.path.join(out_dir, f"{key}={value}".translate(DIR_ESCAPES))
-            code, _, meta = run_experiment(cfg, instance, reference, value_dir)
+        for value, name, cfg, instance, reference in runs:
+            code, _, meta = run_experiment(cfg, instance, reference, os.path.join(out_dir, name))
             derived, times = meta["derived"], meta["median_time_to_target"]
             nums = [derived["p_comm"], derived.get("rho"),
                     derived.get("predicted_time_per_log_eps")]

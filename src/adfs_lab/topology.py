@@ -24,7 +24,9 @@ ZERO_TOL = 1e-9
 
 
 class GraphConstructionError(ValueError):
-    pass
+    def __init__(self, culprit, message):  # the input at fault: "edges" or "weights"
+        super().__init__(message)
+        self.culprit = culprit
 
 
 class EigensolveError(RuntimeError):
@@ -64,20 +66,20 @@ class CommunicationGraph:
 
     def __post_init__(self):
         if self.n < 1:
-            raise GraphConstructionError(f"node count must be >= 1, got {self.n}")
+            raise GraphConstructionError("edges", f"node count must be >= 1, got {self.n}")
         norm_edges = []
         seen = set()
         for e in self.edges:
             if len(e) != 2:
-                raise GraphConstructionError(f"malformed edge {e!r}")
+                raise GraphConstructionError("edges", f"malformed edge {e!r}")
             k, l = int(e[0]), int(e[1])
             if k == l:
-                raise GraphConstructionError(f"self-loop on node {k}")
+                raise GraphConstructionError("edges", f"self-loop on node {k}")
             if not (0 <= k < self.n and 0 <= l < self.n):
-                raise GraphConstructionError(f"edge ({k},{l}) out of range for n={self.n}")
+                raise GraphConstructionError("edges", f"edge ({k},{l}) out of range for n={self.n}")
             key = (min(k, l), max(k, l))
             if key in seen:
-                raise GraphConstructionError(f"duplicate edge ({key[0]},{key[1]})")
+                raise GraphConstructionError("edges", f"duplicate edge ({key[0]},{key[1]})")
             seen.add(key)
             norm_edges.append(key)
         object.__setattr__(self, "edges", tuple(norm_edges))
@@ -87,21 +89,18 @@ class CommunicationGraph:
             w = np.asarray(self.edge_weights, dtype=float).copy()
         if w.shape != (len(norm_edges),):
             raise GraphConstructionError(
-                f"expected {len(norm_edges)} edge weights, got shape {w.shape}"
-            )
+                "weights", f"expected {len(norm_edges)} edge weights, got shape {w.shape}")
         if not np.all(np.isfinite(w)) or np.any(w <= 0):
             bad = int(np.argmin(w))
             raise GraphConstructionError(
-                f"edge weight for {norm_edges[bad]} must be finite and > 0"
-            )
+                "weights", f"edge weight for {norm_edges[bad]} must be finite and > 0")
         w.flags.writeable = False
         object.__setattr__(self, "edge_weights", w)
         comps = _union_find_components(self.n, norm_edges)
         if len(comps) > 1:
             comps.sort(key=len)
             raise GraphConstructionError(
-                f"graph is disconnected: component {comps[0]} unreachable from the rest"
-            )
+                "edges", f"graph is disconnected: component {comps[0]} unreachable from the rest")
 
     @property
     def n_edges(self):
@@ -124,7 +123,7 @@ def build_topology(kind, **params) -> CommunicationGraph:
     elif kind == "grid2d":
         rows, cols = int(params.pop("rows")), int(params.pop("cols"))
         if rows < 1 or cols < 1:
-            raise GraphConstructionError("grid2d needs rows >= 1 and cols >= 1")
+            raise GraphConstructionError("edges", "grid2d needs rows >= 1 and cols >= 1")
         n = rows * cols
         edges = []
         for r in range(rows):
@@ -141,11 +140,12 @@ def build_topology(kind, **params) -> CommunicationGraph:
         elif edges:
             n = max(max(e) for e in edges) + 1
         else:
-            raise GraphConstructionError("custom topology needs n or a non-empty edge list")
+            raise GraphConstructionError("edges",
+                                         "custom topology needs n or a non-empty edge list")
     else:
-        raise GraphConstructionError(f"unknown topology kind {kind!r}")
+        raise GraphConstructionError("edges", f"unknown topology kind {kind!r}")
     if params:
-        raise GraphConstructionError(f"unexpected topology parameters {sorted(params)}")
+        raise GraphConstructionError("edges", f"unexpected topology parameters {sorted(params)}")
     return CommunicationGraph(n=n, edges=tuple(edges), edge_weights=weights)
 
 
@@ -160,7 +160,8 @@ def laplacian(g: CommunicationGraph) -> np.ndarray:
         lap[k, l] -= w
         lap[l, k] -= w
     if not np.isfinite(lap).all():
-        raise GraphConstructionError("weighted Laplacian overflows: edge weights too large")
+        raise GraphConstructionError("weights",
+                                     "weighted Laplacian overflows: edge weights too large")
     return lap
 
 

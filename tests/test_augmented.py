@@ -5,7 +5,9 @@ import pytest
 
 from adfs_lab.augmented import (
     INV_P,
+    PROX_STEP,
     BlockDraw,
+    ScaleError,
     apply_comm_step,
     apply_wtilde,
     build_augmented,
@@ -116,6 +118,27 @@ class TestBuildAugmented:
         objs = random_objectives(rng, 2, 2, 2, loss=loss)
         with pytest.raises(ValueError, match="tau must be finite and >= 0"):
             build(build_topology("complete", n=2), objs, tau=tau)
+
+    @pytest.mark.parametrize("loss,n,p_comm,culprit", [
+        (LossKind.LOGISTIC, 3, 0.0, "p_comm"),  # a graph with edges needs p_comm in (0, 1)
+        (LossKind.SQUARED, 1, 0.5, "p_comm"),  # one without needs p_comm = 0
+        (LossKind.ABSOLUTE, 1, None, "topology"),  # the non-smooth build needs an edge
+    ])
+    def test_input_that_does_not_fit_names_its_culprit(self, rng, loss, n, p_comm, culprit):
+        objs = random_objectives(rng, n, 3, 2, loss=loss)
+        with pytest.raises(ScaleError) as exc:
+            build_augmented(build_topology("line", n=n), objs, tau=1.0, p_comm_override=p_comm)
+        assert exc.value.culprit == culprit
+
+    def test_zero_logistic_prox_step_rejected(self, rng):
+        # eta~_ij L_ij underflows, so gamma ||X_ij||^2 is inf and the
+        # logistic PROX_STEP 4 / step is 0, which its prox would divide by
+        feats = 1e-150 * rng.normal(size=(4, 3))
+        obj = LocalObjective(feats, np.array([1.0, -1.0, 1.0, -1.0]), 1e50, LossKind.LOGISTIC)
+        prob = build_augmented(build_topology("complete", n=1), [obj], tau=1.0)
+        with pytest.raises(ScaleError, match=f"column {PROX_STEP} is 0.0") as exc:
+            round_table(prob)
+        assert exc.value.culprit == "features"
 
     def test_marginals_sum_to_p_comp(self, rng):
         prob = random_problem(rng, n=4, m=4, d=2, ragged=True)

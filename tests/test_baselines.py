@@ -220,6 +220,28 @@ class TestReferenceOptimum:
         with pytest.raises(RuntimeError, match=r"\|\|grad\|\|"):
             reference_optimum(flat, tol=1e-16)
 
+    def test_overflowing_grad_norm_raises_at_once(self, monkeypatch):
+        # ||grad F|| at theta = 0 squares a 7e299 entry past the float range;
+        # the line search cannot compare inf with (1 - t/4) inf, so it must
+        # not run, let alone accept every step of the default max_iters
+        cfg = load_config({
+            "topology": {"kind": "line", "n": 2}, "loss": "squared", "m": 3, "tau": 5.0,
+            "sigma": 1e300, "dataset": {"kind": "synthetic", "d": 1, "correlation": 0.99,
+                                        "seed": 0, "feature_scale": 1e150},
+            "algorithms": ["adfs"], "seeds": [0], "iters": 40, "log_every": 20})
+        flat = build_instance(cfg)[3]
+        calls = []
+        grad = baselines._stacked_grad
+
+        def counted(*args):
+            calls.append(1)
+            assert len(calls) <= 1, "the reference stepped from an infinite ||grad||"
+            return grad(*args)
+
+        monkeypatch.setattr(baselines, "_stacked_grad", counted)
+        with pytest.raises(RuntimeError, match=r"\|\|grad\|\| = inf"):
+            reference_optimum(flat)
+
     def test_absolute_dual_gap_certified(self, rng):
         objs = random_objectives(rng, 4, 6, 3, loss=LossKind.ABSOLUTE)
         flat = pool_objectives(objs)

@@ -424,13 +424,13 @@ SCALES = st.integers(-4, 4).map(lambda k: 10.0**k)
 @st.composite
 def cli_configs(draw):
     """A `run` config on a random small graph and synthetic data, with the
-    edge weights, feature scales and sigma above and p_comm at both ends of
-    its range."""
+    edge weights, feature scales and sigma (one for all nodes, or one per
+    node) above and p_comm at both ends of its range."""
     kind = draw(st.sampled_from(["line", "complete", "grid2d"]))
     if kind == "grid2d":
         rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
         topology = {"kind": kind, "rows": rows, "cols": cols}
-        n_edges = rows * (cols - 1) + cols * (rows - 1)
+        n, n_edges = rows * cols, rows * (cols - 1) + cols * (rows - 1)
     else:
         n = draw(st.integers(1, 4))
         topology = {"kind": kind, "n": n}
@@ -445,7 +445,8 @@ def cli_configs(draw):
         "dataset": {"kind": "synthetic", "d": draw(st.integers(1, 3)),
                     "correlation": draw(st.sampled_from([0.0, 0.5, 0.99])),
                     "seed": draw(st.integers(0, 9)), "feature_scale": draw(SCALES)},
-        "sigma": draw(SCALES), "tau": draw(st.sampled_from([0.0, 1.0, 5.0])),
+        "sigma": draw(st.one_of(SCALES, st.lists(SCALES, min_size=n, max_size=n))),
+        "tau": draw(st.sampled_from([0.0, 1.0, 5.0])),
         "algorithms": algorithms, "seeds": [0], "iters": 40, "log_every": 20,
     }
     if draw(st.booleans()):
@@ -548,6 +549,27 @@ FOUND = [
     (found_case(topology={"kind": "complete", "n": 2},
                 dataset={"kind": "libsvm", "path": "wide.svm"}),
      "dataset.path", "dataset.path"),
+    # sigma_i + 2 lambda_i so far apart that the D~-scaled Laplacian's kernel
+    # reads as more than one dimension
+    (found_case(sigma=[1e150, 1, 1e150]), "sigma", "sigma"),
+    (found_case(topology={"kind": "grid2d", "rows": 3, "cols": 2}, loss="squared",
+                sigma=[1e150, 1e-50, 1e300, 1e-150, 1e8, 1e-300],
+                dataset={"kind": "synthetic", "d": 2, "seed": 4, "feature_scale": 1e-8}),
+     "sigma", "sigma"),
+    # the reference's Newton system is singular to working precision
+    (found_case(topology={"kind": "line", "n": 1}, loss="squared", m=1, tau=0.0, sigma=1e-8,
+                dataset={"kind": "synthetic", "d": 2, "correlation": 0.5, "seed": 7,
+                         "feature_scale": 1e50}),
+     "sigma", None),
+    # eta~_ij L_ij underflows, so the logistic prox's PROX_STEP is 0
+    (found_case(topology={"kind": "complete", "n": 1}, m=4, sigma=1e50,
+                dataset={"kind": "synthetic", "d": 3, "seed": 7, "feature_scale": 1e-150}),
+     "dataset.feature_scale", "dataset.feature_scale"),
+    # ||grad F|| of the reference overflows at its start
+    (found_case(topology={"kind": "line", "n": 2}, loss="squared", tau=5.0, sigma=1e300,
+                dataset={"kind": "synthetic", "d": 1, "correlation": 0.99, "seed": 0,
+                         "feature_scale": 1e150}),
+     "sigma", None),
 ]
 
 
@@ -981,6 +1003,22 @@ class TestSweep:
             assert meta["config"]["dataset"]["path"] == value
         rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == values
+
+    def test_overlong_directory_name_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
+        # the second value's directory name passes the 255-byte limit of a
+        # file name, though each component of its path is short enough
+        monkeypatch.chdir(tmp_path)
+        deep = os.path.join("d", "x" * 120, "y" * 120)
+        os.makedirs(deep)
+        for path in ("a.svm", os.path.join(deep, "a.svm")):
+            assert cli(["gen-data", "--samples", "60", "--d", "2", "--out", path]) == 0
+        capsys.readouterr()
+        data = found_case(m=5, dataset={"kind": "libsvm", "path": "a.svm"}, stop_at_subopt=1e-3)
+        code, out = self._cli(tmp_path, capsys, data, "sweep", "--vary",
+                              f"dataset.path=a.svm,{os.path.join(deep, 'a.svm')}")
+        assert code == 1 and out.out == ""
+        assert out.err.startswith("error: --vary:") and out.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_each_config_is_built_once(self, tmp_path):
         # a sweep runs the instances its up-front check built

@@ -61,6 +61,20 @@ class TestBuildTopology:
         with pytest.raises(GraphConstructionError, match="must be finite"):
             CommunicationGraph(n=2, edges=((0, 1),), edge_weights=np.array([-1.0]))
 
+    @pytest.mark.parametrize("build,culprit", [
+        (lambda: build_topology("custom", n=4, edges=[(0, 1), (2, 3)]), "edges"),
+        (lambda: build_topology("custom", edges=[[0, 1], [1, 0]]), "edges"),
+        (lambda: CommunicationGraph(n=2, edges=((0, 2),)), "edges"),
+        (lambda: build_topology("line", n=3, weights=[1.0]), "weights"),
+        (lambda: build_topology("line", n=2, weights=[np.inf]), "weights"),
+        (lambda: laplacian(build_topology("line", n=2, weights=[1e160])), "weights"),
+    ], ids=["disconnected", "duplicate", "out-of-range", "weight-count", "inf-weight",
+            "laplacian-overflow"])
+    def test_error_names_its_culprit(self, build, culprit):
+        with pytest.raises(GraphConstructionError) as exc:
+            build()
+        assert exc.value.culprit == culprit
+
 
 class TestLaplacian:
     def test_complete_spectrum(self):
