@@ -1,6 +1,6 @@
 """Desk-scale simulator for accelerated decentralized finite-sum optimization."""
 
-from .adfs import AdfsResult, primal_estimate, run_adfs, run_adfs_efficient, run_ns_adfs
+from .adfs import primal_estimate, run_adfs, run_adfs_efficient, run_ns_adfs
 from .augmented import (
     AugmentedProblem,
     BlockDraw,
@@ -18,7 +18,7 @@ from .objective import (
     primal_grad,
     primal_value,
 )
-from .records import LogRow, RunRecord
+from .records import LogRow, RunRecord, RunResult
 from .topology import (
     CommunicationGraph,
     SymmetricSpectrum,

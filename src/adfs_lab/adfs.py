@@ -9,21 +9,23 @@ iterate pair (x, v) held as the two rows of one array, a step size and the
 block step's beta.  Every state is one vector in the layout of
 `augmented.split_state`: n center rows, then one coefficient per virtual
 node.  All of them run and log through `records.run_loop`, on an idealized
-clock: one time unit per computation round, tau per gossip round.
+clock: one time unit per computation round, tau per gossip round.  At each
+log point a solver forms one view of its state, a dict of state vectors (x,
+v and y; the non-smooth form x and v; the rescaled form adds its raw z).  The
+logged value, theta and an optional `observe(t, view)` callback read it.
 """
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import augmented as aug
 from .objective import _stacked_value, _tilde_coeff_batch
-from .records import RunRecord, run_loop
+from .records import RunResult, run_loop
 from .rng import BlockStream
 
-__all__ = ["AdfsResult", "run_adfs", "run_adfs_efficient", "run_ns_adfs", "primal_estimate"]
+__all__ = ["run_adfs", "run_adfs_efficient", "run_ns_adfs", "primal_estimate"]
 
 RENORM_FLOOR = 1e-140
 
@@ -34,23 +36,20 @@ def _alpha_next(alpha):
     return (math.sqrt(alpha**4 + 4.0 * alpha**2) - alpha**2) / 2.0
 
 
-@dataclass
-class AdfsResult:
-    record: RunRecord
-    theta: np.ndarray  # final primal estimate (d,)
-    # t -> {"x": ..., "v": ..., "y": ...} states; the rescaled form adds its raw "z"
-    captures: dict = field(default_factory=dict)
-
-
 def primal_estimate(problem, center):
     """Average of the rescaled (n, d) centers of a state (Sigma_comm^-1 y)."""
     return np.mean(center / problem.sigma[:, None], axis=0)
 
 
-def _primal_value(problem, y_center):
+def _estimate(problem, state):
+    """The primal estimate of a state's centers."""
+    return primal_estimate(problem, aug.split_state(problem, state)[0])
+
+
+def _primal_value(problem, view):
     """The smooth solvers' logged value: F at the primal estimate of y."""
     return _stacked_value(problem.loss, problem.features, problem.labels,
-                          float(problem.sigma.sum()), primal_estimate(problem, y_center))
+                          float(problem.sigma.sum()), _estimate(problem, view["y"]))
 
 
 def _pair(problem):
@@ -141,7 +140,7 @@ def _block_step(problem, rounds, draw, y, w, eta, beta):
     return 1.0
 
 
-def _run_pair(problem, iters, seed, token, schedule, value, y_of, run_args):
+def _run_pair(problem, iters, seed, token, schedule, view, value, run_args):
     """The pair recursion of run_adfs and run_ns_adfs, which differ only in
     their momentum schedule.
 
@@ -150,9 +149,9 @@ def _run_pair(problem, iters, seed, token, schedule, value, y_of, run_args):
     turns y into the next x and w into the next v; the two pairs then swap
     roles.  The block stream is (problem.sampling, token, seed).  A pair is
     the (x, v) array with the (center, coef) views of each row, as _pair
-    makes it; `value(pair)` is the logged value, `y_of(x, v)` the captured y,
-    or None to capture none, and `run_args` the last four arguments of
-    run_loop.  Returns the record, the captures and the final pair.
+    makes it; `view(x, v)` is the solver's view of the iterates, and `value`
+    and `run_args` (the last four arguments) go to run_loop with it.
+    Returns the record and the final view.
     """
     rounds = _Rounds(problem)
     stream = BlockStream(problem.sampling, token, seed)
@@ -170,15 +169,13 @@ def _run_pair(problem, iters, seed, token, schedule, value, y_of, run_args):
             raise FloatingPointError(f"non-finite state at iteration {t}")
         return draw.kind, duration
 
-    def capture():
-        x, v = cur[0]
-        return {"x": x.copy(), "v": v.copy(), "y": None if y_of is None else y_of(x, v)}
+    def state():
+        return view(*cur[0])
 
-    record, captures = run_loop(iters, step, lambda: value(cur), capture, *run_args)
-    return record, captures, cur
+    return run_loop(iters, step, state, value, *run_args), state()
 
 
-def run_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=(),
+def run_adfs(problem, iters, seed, log_every=100, f_star=None, observe=None,
              stop_at_subopt=None):
     """Reference recursion of the smooth solver.
 
@@ -190,22 +187,18 @@ def run_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=(),
         raise ValueError("run_adfs needs the smooth build; see run_ns_adfs")
     rho = problem.rho
 
-    def y_of(x, v):
-        return (x + rho * v) / (1.0 + rho)
+    def view(x, v):
+        return {"x": x, "v": v, "y": (x + rho * v) / (1.0 + rho)}
 
-    def y_center(pair):
-        _, (x_center, _), (v_center, _) = pair
-        return y_of(x_center, v_center)
-
-    record, captures, pair = _run_pair(
+    record, final = _run_pair(
         problem, iters, seed, "adfs", itertools.repeat((_momentum_map(rho), problem.eta, rho)),
-        lambda pair: _primal_value(problem, y_center(pair)), y_of,
-        (log_every, f_star, capture_iters, stop_at_subopt))
-    return AdfsResult(record, primal_estimate(problem, y_center(pair)), captures)
+        view, lambda state: _primal_value(problem, state),
+        (log_every, f_star, stop_at_subopt, observe))
+    return RunResult(record, _estimate(problem, final["y"]))
 
 
-def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
-                       capture_iters=(), stop_at_subopt=None):
+def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None, observe=None,
+                       stop_at_subopt=None):
     """Rescaled two-sequence form with sparse per-iteration updates.
 
     Keeps (c, U, z) with the momentum component c * U, so a computation round
@@ -261,20 +254,17 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None,
             raise FloatingPointError(f"non-finite state at iteration {t}")
         return draw.kind, duration
 
-    def capture():
+    # y_K = phi^(K+1) u_K + z_K is the return convention of this form
+    def view():
         ut = c * big_u
-        return {"x": ut / phi + z, "v": -ut / phi + z, "y": ut + z, "z": z.copy()}
+        return {"x": ut / phi + z, "v": -ut / phi + z, "y": ut + z, "z": z}
 
-    # the centers of y_K = phi^(K+1) u_K + z_K, the return convention of this form
-    def y_center():
-        return c * u_center + z_center
-
-    record, captures = run_loop(iters, step, lambda: _primal_value(problem, y_center()),
-                                capture, log_every, f_star, capture_iters, stop_at_subopt)
-    return AdfsResult(record, primal_estimate(problem, y_center()), captures)
+    record = run_loop(iters, step, view, lambda state: _primal_value(problem, state),
+                      log_every, f_star, stop_at_subopt, observe)
+    return RunResult(record, _estimate(problem, view()["y"]))
 
 
-def run_ns_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=(),
+def run_ns_adfs(problem, iters, seed, log_every=100, f_star=None, observe=None,
                 stop_at_subopt=None):
     """Non-smooth solver: APCG's convex momentum schedule from alpha_0 = min
     p_ij, the absolute loss's conjugate prox in closed form (a clip to
@@ -292,9 +282,9 @@ def run_ns_adfs(problem, iters, seed, log_every=100, f_star=None, capture_iters=
             yield momentum, 1.0 / (alpha * s_sq), alpha
             alpha = _alpha_next(alpha)
 
-    record, captures, (_, (x_center, _), _) = _run_pair(
-        problem, iters, seed, "ns-adfs", schedule(),
-        lambda pair: aug.dual_objective(problem, pair[0][0]), None,
-        (log_every, f_star, capture_iters, stop_at_subopt))
+    record, final = _run_pair(
+        problem, iters, seed, "ns-adfs", schedule(), lambda x, v: {"x": x, "v": v},
+        lambda state: aug.dual_objective(problem, state["x"]),
+        (log_every, f_star, stop_at_subopt, observe))
     # theta is estimated from x, the iterate whose dual value is logged
-    return AdfsResult(record, primal_estimate(problem, x_center), captures)
+    return RunResult(record, _estimate(problem, final["x"]))

@@ -12,7 +12,7 @@ import numpy as np
 from .data import stack_rows
 from .objective import (LocalObjective, LossKind, _logistic_prox, _prox_1d_array, _stacked_grad,
                         _stacked_value, loss_curvature, primal_grad, primal_value)
-from .records import run_loop
+from .records import RunResult, run_loop
 from .rng import chunked, generator
 
 __all__ = ["FlatProblem", "pool_objectives", "flat_value", "flat_grad",
@@ -103,10 +103,11 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
         table[j] = w
         return "computation", 1.0
 
-    record, _ = run_loop(
-        iters, step, lambda: _stacked_value(problem.loss, feats, labels, problem.sigma_total, x),
-        None, log_every, f_star, (), stop_at_subopt)
-    return record, x
+    def value(theta):
+        return _stacked_value(problem.loss, feats, labels, problem.sigma_total, theta)
+
+    record = run_loop(iters, step, lambda: x, value, log_every, f_star, stop_at_subopt)
+    return RunResult(record, x)
 
 
 @np.errstate(over="ignore")  # an overflow ends in the RuntimeError of a non-finite value

@@ -363,9 +363,8 @@ def derived_constants(problem, flat):
 
 def _run_cell(algo, seed, cfg, problem, flat, f_star):
     common = dict(log_every=cfg.log_every, f_star=f_star, stop_at_subopt=cfg.stop_at_subopt)
-    if algo == "point_saga":
-        return point_saga(flat, cfg.iters[algo], seed, **common)[0]
-    return SOLVERS[algo](problem, cfg.iters[algo], seed, **common).record
+    instance = flat if algo == "point_saga" else problem
+    return SOLVERS[algo](instance, cfg.iters[algo], seed, **common).record
 
 
 def _median_times(cfg, records):

@@ -1,10 +1,11 @@
 """The run loop and run records shared by the solvers and the experiment harness."""
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["LogRow", "RunRecord", "run_loop"]
+__all__ = ["LogRow", "RunRecord", "RunResult", "run_loop"]
 
 
 @dataclass(frozen=True)
@@ -28,24 +29,31 @@ class RunRecord:
         return np.inf
 
 
-def run_loop(iters, step, value, capture, log_every, f_star, capture_iters, stop_at_subopt):
+class RunResult(NamedTuple):  # what every solver returns
+    record: RunRecord
+    theta: np.ndarray  # final primal estimate (d,)
+
+
+def run_loop(iters, step, view, value, log_every, f_star, stop_at_subopt, observe=None):
     """Run a solver for at most `iters` iterations on the idealized clock.
 
     `step(t)` performs iteration t (0-based) and returns the block kind and
-    its idealized duration; `value()` is the objective logged at the current
-    state and `capture()` a dict of state copies.  A row is logged at t = 0
-    and after every `log_every` iterations; the run stops at the first row
-    after t = 0 whose subopt is <= `stop_at_subopt`.  Returns the record and
-    the captures {t: capture()} of the iterations in `capture_iters`.
+    its idealized duration.  A row is logged at t = 0 and after every
+    `log_every` iterations; the run stops at the first row after t = 0 whose
+    subopt is <= `stop_at_subopt`.  At each log point, and only there,
+    `view()` gives the solver's state once: `value(view)` is the logged
+    objective, and `observe(t, view)`, if given, sees the same view.  A view
+    is valid only during that call, so an observer copies what it keeps.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    capture_iters = set(capture_iters)
-    captures = {}
     rows = []
 
     def log(t, now, kind):
-        obj = value()
+        state = view()
+        obj = value(state)
+        if observe is not None:
+            observe(t, state)
         sub = None if f_star is None else obj - f_star
         rows.append(LogRow(t, now, obj, sub, kind))
         return sub
@@ -56,10 +64,8 @@ def run_loop(iters, step, value, capture, log_every, f_star, capture_iters, stop
         kind, duration = step(t)
         now += duration
         t1 = t + 1
-        if t1 in capture_iters:
-            captures[t1] = capture()
         if t1 % log_every == 0:
             sub = log(t1, now, kind)
             if stop_at_subopt is not None and sub is not None and sub <= stop_at_subopt:
                 break
-    return RunRecord(rows), captures
+    return RunRecord(rows)

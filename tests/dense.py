@@ -6,6 +6,8 @@ the blocks of Sigma^dagger and P_b^dagger, and the exact dual strong
 convexity sigma_A built from them check those shortcuts and the method's
 constants on small instances.  Node-space rows follow `AugmentedProblem`;
 each spans d coordinates, and `state_rows` expands a solver state into them.
+`observed_run` runs a solver and keeps a copy of its view at each log point,
+the solver states those checks read.
 """
 
 import numpy as np
@@ -20,6 +22,17 @@ def state_rows(problem, state):
     """The (n_rows, d) node-space matrix of a state, for dense checks."""
     center, coef = split_state(problem, state)
     return np.concatenate((center, coef[:, None] * problem.features))
+
+
+def observed_run(solver, *args, **kwargs):
+    """Run an ADFS solver with an observer: (result, {t: copy of the view at
+    log point t}).  Every state a test reads must fall on the log grid."""
+    views = {}
+
+    def keep(t, view):
+        views[t] = {key: state.copy() for key, state in view.items()}
+
+    return solver(*args, observe=keep, **kwargs), views
 
 
 def incidence(g):

@@ -16,7 +16,7 @@ from adfs_lab.data import synth_dataset
 from adfs_lab.objective import LocalObjective, LossKind
 from adfs_lab.rng import BlockStream, generator
 from adfs_lab.topology import build_topology, symmetric_eigensolve
-from dense import dense_A, state_rows
+from dense import dense_A, observed_run, state_rows
 from instances import random_objectives, random_problem
 from oracles import (dense_c0_constant, lift_primal_point, lyapunov_value, run_apcg,
                      sigma_dagger_rows)
@@ -122,12 +122,11 @@ def test_criterion_05_single_node_reduction():
     comp, mu, units = dual_composite_for(problem, None)
     stream = BlockStream(problem.sampling, "adfs", 11)
     traj = run_apcg(comp, "strongly_convex", iters, stream)
-    res = run_adfs(problem, iters, seed=11, log_every=iters,
-                   capture_iters=range(1, iters + 1))
+    _, views = observed_run(run_adfs, problem, iters, seed=11, log_every=1)
     worst = 0.0
     for t in range(1, iters + 1):
         mapped = dual_coeffs_to_rows(problem, traj[t].v, mu, units)
-        v_rows = state_rows(problem, res.captures[t]["v"])
+        v_rows = state_rows(problem, views[t]["v"])
         worst = max(worst, float(np.max(np.abs(v_rows - mapped))))
     assert worst <= 1e-8
     inv = 1.0 / problem.rho
@@ -157,10 +156,9 @@ def test_criterion_06_linear_rate():
     target = sigma_dagger_rows(prob, lift_primal_point(prob, theta_star))
     sq = {t: [] for t in checkpoints}
     for seed in range(20):
-        res = run_adfs(prob, k_total, seed=seed, log_every=k_total,
-                       capture_iters=checkpoints)
+        _, views = observed_run(run_adfs, prob, k_total, seed=seed, log_every=k_total // 4)
         for t in checkpoints:
-            cur = sigma_dagger_rows(prob, res.captures[t]["v"])
+            cur = sigma_dagger_rows(prob, views[t]["v"])
             sq[t].append(float(np.sum((cur - target) ** 2)))
     margins = {}
     for t in checkpoints:
@@ -180,9 +178,9 @@ def test_criterion_06_linear_rate():
 def test_criterion_07_efficient_equivalence():
     prob = random_problem(generator("acceptance-eff", 0), n=4, m=3, d=3)
     detail = solver_equivalence([prob], 500)
-    # every iteration captured and logged, to see the write set of each round
-    res = run_adfs_efficient(prob, 500, seed=3, log_every=1, capture_iters=range(1, 501))
-    touched = comp_rows_touched(prob, res, 500)
+    # every iteration logged and observed, to see the write set of each round
+    res, views = observed_run(run_adfs_efficient, prob, 500, seed=3, log_every=1)
+    touched = comp_rows_touched(prob, res, views, 500)
     assert touched <= 2 * prob.n
     _report(
         "7 efficient-adfs",
@@ -236,19 +234,18 @@ def test_criterion_09_ns_adfs():
     prob2 = build_augmented_ns(g2, objs2, tau=1.0)
     a = dense_A(prob2)
     lam_min_pos = symmetric_eigensolve(a.T @ a).lambda_min_pos
-    long2 = run_ns_adfs(prob2, 100_000, seed=5, log_every=5000,
-                        capture_iters=(100_000,))
-    v_star = state_rows(prob2, long2.captures[100_000]["v"])
+    long2, views = observed_run(run_ns_adfs, prob2, 100_000, seed=5, log_every=5000)
+    v_star = state_rows(prob2, views[100_000]["v"])
     f_opt2 = min(r.objective for r in long2.record.rows)
     p_min = float(prob2.sampling.p_marginal.min())
     slack = []
     for t in (50, 100, 200):
         lhs, rhs = [], []
         for seed in range(10):
-            res = run_ns_adfs(prob2, t, seed=seed, log_every=t, capture_iters=(t,))
+            res, views = observed_run(run_ns_adfs, prob2, t, seed=seed, log_every=t)
             lhs.append(res.record.rows[-1].objective - f_opt2)
             r_t2 = float(np.sum(v_star**2)) - float(
-                np.sum((state_rows(prob2, res.captures[t]["v"]) - v_star) ** 2)
+                np.sum((state_rows(prob2, views[t]["v"]) - v_star) ** 2)
             )
             rhs.append(
                 2.0 / t**2 * (prob2.s_squared / lam_min_pos * r_t2

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +21,7 @@ from adfs_lab.baselines import flat_value, point_saga, pool_objectives, referenc
 from adfs_lab.objective import LocalObjective, LossKind
 from adfs_lab.rng import BlockStream, generator
 from adfs_lab.topology import build_topology
-from dense import dense_A, dense_sigma_dagger, state_rows
+from dense import dense_A, dense_sigma_dagger, observed_run, state_rows
 from instances import random_connected_graph, random_objectives, random_problem
 from oracles import (CompositeProblem, dense_c0_constant, lift_primal_point, loss_prox_1d,
                      prox_tilde_fstar, run_apcg, sigma_dagger_rows)
@@ -55,7 +56,7 @@ def clamped_problem(wide=0, n=2):
 
 
 def solver_run(name, rng):
-    """run(iters, **kw) -> RunRecord of solver `name` (seed 0) on a small
+    """run(iters, **kw) -> RunResult of solver `name` (seed 0) on a small
     instance of its kind, logged against that instance's reference optimum."""
     if name == "ns_adfs":
         objs = random_objectives(rng, 3, 4, 2, loss=LossKind.ABSOLUTE)
@@ -65,31 +66,31 @@ def solver_run(name, rng):
     flat = pool_objectives(prob.objectives)
     f_star = reference_optimum(flat)[1]
     if name == "point_saga":
-        return lambda iters, **kw: point_saga(flat, iters, 0, f_star=f_star, **kw)[0]
+        return lambda iters, **kw: point_saga(flat, iters, 0, f_star=f_star, **kw)
     solver = {"adfs": run_adfs, "adfs_efficient": run_adfs_efficient, "ns_adfs": run_ns_adfs}
-    return lambda iters, **kw: solver[name](prob, iters, 0, f_star=f_star, **kw).record
+    return lambda iters, **kw: solver[name](prob, iters, 0, f_star=f_star, **kw)
 
 
-def z_coef_writes(problem, res, iters):
+def z_coef_writes(problem, res, views, iters):
     """(block kind, written virtual indices) of each round t = 1..iters of a
-    `run_adfs_efficient` result logged and captured at every iteration: the
+    `run_adfs_efficient` result and its views, logged at every iteration: the
     z coefficients that round changed."""
     kinds = {row.iteration: row.block_kind for row in res.record.rows}
     prev = split_state(problem, zero_state(problem))[1]
     out = []
     for t in range(1, iters + 1):
-        coef = split_state(problem, res.captures[t]["z"])[1]
+        coef = split_state(problem, views[t]["z"])[1]
         out.append((kinds[t], np.flatnonzero(coef != prev)))
         prev = coef
     return out
 
 
-def comp_rows_touched(problem, res, iters):
+def comp_rows_touched(problem, res, views, iters):
     """Largest number of node rows (n centers plus the written coefficients)
     a computation round of the efficient form wrote, after checking that no
     round wrote two coefficients of one node and gossip wrote none."""
     touched = 0
-    for kind, written in z_coef_writes(problem, res, iters):
+    for kind, written in z_coef_writes(problem, res, views, iters):
         if kind == "communication":
             assert written.size == 0
             continue
@@ -152,15 +153,14 @@ class TestSingleNodeReduction:
         comp, mu, units = dual_composite_for(problem, None)
         stream = BlockStream(problem.sampling, "adfs", 11)
         traj = run_apcg(comp, "strongly_convex", iters, stream)
-        res = run_adfs(problem, iters, seed=11, log_every=iters,
-                       capture_iters=range(1, iters + 1))
+        _, views = observed_run(run_adfs, problem, iters, seed=11, log_every=1)
         worst = 0.0
         for t in range(1, iters + 1):
             mapped = dual_coeffs_to_rows(problem, traj[t].v, mu, units)
-            v_rows = state_rows(problem, res.captures[t]["v"])
+            v_rows = state_rows(problem, views[t]["v"])
             worst = max(worst, float(np.max(np.abs(v_rows - mapped))))
             mapped_x = dual_coeffs_to_rows(problem, traj[t].x, mu, units)
-            x_rows = state_rows(problem, res.captures[t]["x"])
+            x_rows = state_rows(problem, views[t]["x"])
             worst = max(worst, float(np.max(np.abs(x_rows - mapped_x))))
         assert worst <= 1e-8
 
@@ -187,10 +187,9 @@ class TestReferenceSolver:
             for _ in range(2)
         ]
         prob = build_augmented(g, objs, tau=1.0)
-        res = run_adfs(prob, 50, seed=1, log_every=10,
-                       capture_iters=(10, 25, 50))
+        res, views = observed_run(run_adfs, prob, 50, seed=1, log_every=5)
         assert np.max(np.abs(res.theta)) == 0.0
-        for cap in res.captures.values():
+        for cap in (views[t] for t in (10, 25, 50)):
             assert np.max(np.abs(cap["v"])) == 0.0
             assert np.max(np.abs(cap["x"])) == 0.0
 
@@ -218,10 +217,10 @@ class TestReferenceSolver:
         checkpoints = (k_total // 2, k_total)
         sq = {t: [] for t in checkpoints}
         for seed in range(8):
-            res = run_adfs(prob, k_total, seed=seed, log_every=k_total,
-                           capture_iters=checkpoints)
+            _, views = observed_run(run_adfs, prob, k_total, seed=seed,
+                                    log_every=k_total // 2)
             for t in checkpoints:
-                cur = sigma_dagger_rows(prob, res.captures[t]["v"])
+                cur = sigma_dagger_rows(prob, views[t]["v"])
                 sq[t].append(float(np.sum((cur - target) ** 2)))
         for t in checkpoints:
             assert np.median(sq[t]) <= c0 * (1 - prob.rho) ** t
@@ -249,9 +248,8 @@ class TestReferenceSolver:
 
     def test_virtual_rows_stay_in_feature_span(self, rng):
         prob = random_problem(rng, n=3, m=3, d=3)
-        res = run_adfs(prob, 150, seed=4, log_every=150,
-                       capture_iters=(10, 75, 150))
-        for cap in res.captures.values():
+        _, views = observed_run(run_adfs, prob, 150, seed=4, log_every=5)
+        for cap in (views[t] for t in (10, 75, 150)):
             virt = state_rows(prob, cap["v"])[prob.n :]
             coef = np.einsum("ij,ij->i", prob.features, virt) / prob.xnorm2
             resid = virt - coef[:, None] * prob.features
@@ -276,10 +274,26 @@ class TestReferenceSolver:
         target = 1e-3 if solver == "ns_adfs" else 1e-9  # O(1/t^2) vs linear rate
         with pytest.raises(ValueError, match="iters must be >= 1"):
             run(0)
-        rows = run(100_000, log_every=10, stop_at_subopt=target).rows
+        rows = run(100_000, log_every=10, stop_at_subopt=target).record.rows
         assert [r.iteration for r in rows] == list(range(0, rows[-1].iteration + 1, 10))
         assert rows[-1].iteration < 100_000
         assert rows[-1].subopt <= target < rows[-2].subopt
+
+    @pytest.mark.parametrize("solver", ["adfs", "adfs_efficient", "ns_adfs"])
+    def test_observing_changes_nothing(self, rng, solver):
+        # an observer on a finer log grid sees every log point and only those,
+        # and leaves theta and the shared rows bit for bit as they were
+        run = solver_run(solver, rng)
+        plain = run(600, log_every=100)
+        seen, views = observed_run(run, 600, log_every=20)
+        assert seen.theta.tobytes() == plain.theta.tobytes()
+        rows = {r.iteration: r for r in seen.record.rows}
+        assert [rows[r.iteration] for r in plain.record.rows] == plain.record.rows
+        assert list(views) == [r.iteration for r in seen.record.rows]
+        target = 1e-3 if solver == "ns_adfs" else 1e-9
+        stopped, views = observed_run(run, 100_000, log_every=10, stop_at_subopt=target)
+        assert stopped.record.rows[-1].iteration < 100_000
+        assert list(views) == [r.iteration for r in stopped.record.rows]
 
     def test_rejects_nonsmooth_problem(self, rng):
         objs = random_objectives(rng, 2, 2, 2, loss=LossKind.ABSOLUTE)
@@ -292,12 +306,12 @@ class TestEfficientSolver:
     def test_trajectories_match_reference(self, rng):
         prob = random_problem(rng, n=4, m=3, d=2)
         marks = (1, 2, 3, 50, 250, 500)
-        r1 = run_adfs(prob, 500, seed=3, log_every=100, capture_iters=marks)
-        r2 = run_adfs_efficient(prob, 500, seed=3, log_every=100, capture_iters=marks)
+        r1, views1 = observed_run(run_adfs, prob, 500, seed=3, log_every=1)
+        r2, views2 = observed_run(run_adfs_efficient, prob, 500, seed=3, log_every=1)
         for t in marks:
             for key in ("x", "v", "y"):
-                a = state_rows(prob, r1.captures[t][key])
-                b = state_rows(prob, r2.captures[t][key])
+                a = state_rows(prob, views1[t][key])
+                b = state_rows(prob, views2[t][key])
                 assert np.max(np.abs(a - b)) <= 1e-6 * (1 + np.max(np.abs(a)))
         s1 = [r.objective for r in r1.record.rows]
         s2 = [r.objective for r in r2.record.rows]
@@ -306,9 +320,8 @@ class TestEfficientSolver:
     def test_computation_blocks_touch_two_n_rows(self, rng):
         prob = random_problem(rng, n=4, m=3, d=2)
         iters = 300
-        res = run_adfs_efficient(prob, iters, seed=1, log_every=1,
-                                 capture_iters=range(1, iters + 1))
-        assert comp_rows_touched(prob, res, iters) == 2 * prob.n
+        res, views = observed_run(run_adfs_efficient, prob, iters, seed=1, log_every=1)
+        assert comp_rows_touched(prob, res, views, iters) == 2 * prob.n
 
     def test_equivalence_across_renormalization(self, rng):
         # run long enough for the lazily rescaled momentum scalar to underflow
@@ -321,28 +334,27 @@ class TestEfficientSolver:
         assert t_fold < 9000, "instance converges too slowly for this test"
         marks = (t_fold - 50, t_fold + 50, t_fold + 200)
         iters = marks[-1]
-        r1 = run_adfs(prob, iters, seed=8, log_every=iters, capture_iters=marks)
-        r2 = run_adfs_efficient(prob, iters, seed=8, log_every=iters,
-                                capture_iters=marks)
+        log_every = math.gcd(*marks, iters)
+        _, views1 = observed_run(run_adfs, prob, iters, seed=8, log_every=log_every)
+        _, views2 = observed_run(run_adfs_efficient, prob, iters, seed=8, log_every=log_every)
         for t in marks:
             for key in ("x", "v", "y"):
-                a = state_rows(prob, r1.captures[t][key])
-                b = state_rows(prob, r2.captures[t][key])
+                a = state_rows(prob, views1[t][key])
+                b = state_rows(prob, views2[t][key])
                 assert np.max(np.abs(a - b)) <= 1e-6 * (1 + np.max(np.abs(a)))
 
     def test_return_convention_agrees_at_convergence(self, rng):
         prob = random_problem(rng, n=3, m=2, d=2)
         iters = 3000
-        r1 = run_adfs(prob, iters, seed=6, log_every=iters, capture_iters=(iters,))
-        r2 = run_adfs_efficient(prob, iters, seed=6, log_every=iters,
-                                capture_iters=(iters,))
+        _, views1 = observed_run(run_adfs, prob, iters, seed=6, log_every=iters)
+        _, views2 = observed_run(run_adfs_efficient, prob, iters, seed=6, log_every=iters)
         # exact structural equality of the reconstructed v-iterate
-        v1, v2 = (state_rows(prob, r.captures[iters]["v"]) for r in (r1, r2))
+        v1, v2 = (state_rows(prob, views[iters]["v"]) for views in (views1, views2))
         assert np.max(np.abs(v1 - v2)) <= 1e-8
         # the y-based return of the rescaled form equals Sigma^+ v_K once converged
-        ref_rows = sigma_dagger_rows(prob, r1.captures[iters]["v"])
+        ref_rows = sigma_dagger_rows(prob, views1[iters]["v"])
         scale = 1.0 + np.max(np.abs(ref_rows))
-        got = sigma_dagger_rows(prob, r2.captures[iters]["y"])
+        got = sigma_dagger_rows(prob, views2[iters]["y"])
         assert np.max(np.abs(got - ref_rows)) <= 1e-6 * scale
 
     @settings(max_examples=30, deadline=None)
@@ -594,11 +606,10 @@ class TestPredictedTime:
         target = sigma_dagger_rows(prob, lift_primal_point(prob, theta_star))
         observed = []
         for seed in range(5):
-            res = run_adfs(prob, k_eps, seed=seed, log_every=1,
-                           capture_iters=range(50, k_eps + 1, 50))
+            res, views = observed_run(run_adfs, prob, k_eps, seed=seed, log_every=1)
             hit = np.inf
-            for t in sorted(res.captures):
-                cur = sigma_dagger_rows(prob, res.captures[t]["v"])
+            for t in range(50, k_eps + 1, 50):
+                cur = sigma_dagger_rows(prob, views[t]["v"])
                 if float(np.sum((cur - target) ** 2)) <= eps:
                     hit = res.record.rows[t].time
                     break
@@ -616,15 +627,15 @@ class TestPrimalEstimate:
         prob = random_problem(rng, n=3, m=3, d=2)
         flat = pool_objectives(prob.objectives)
         theta_star, _ = reference_optimum(flat, tol=1e-9)
-        res = run_adfs(prob, 4000, seed=0, log_every=4000, capture_iters=(4000,))
+        res, _ = observed_run(run_adfs, prob, 4000, seed=0, log_every=4000)
         assert np.linalg.norm(res.theta - theta_star) <= 1e-4
 
     def test_center_rows_reach_consensus(self, rng):
         prob = random_problem(rng, n=4, m=2, d=2)
         flat = pool_objectives(prob.objectives)
         theta_star, _ = reference_optimum(flat)
-        res = run_adfs(prob, 4000, seed=1, log_every=4000, capture_iters=(4000,))
-        y = res.captures[4000]["y"]
+        _, views = observed_run(run_adfs, prob, 4000, seed=1, log_every=4000)
+        y = views[4000]["y"]
         centers = split_state(prob, y)[0] / prob.sigma[:, None]
         worst = max(
             np.linalg.norm(centers[i] - centers[j])
@@ -705,9 +716,9 @@ class TestNonSmoothSolver:
 
     def test_coefficients_stay_in_the_dual_domain(self):
         prob = self._problem()
-        res = run_ns_adfs(prob, 2000, seed=0, log_every=2000, capture_iters=(2000,))
+        _, views = observed_run(run_ns_adfs, prob, 2000, seed=0, log_every=2000)
         for key in ("x", "v"):
-            coef = split_state(prob, res.captures[2000][key])[1]
+            coef = split_state(prob, views[2000][key])[1]
             assert np.all((coef >= -1.0) & (coef <= 1.0)), key
 
     def test_rejects_smooth_problem(self, rng):
@@ -719,8 +730,8 @@ class TestNonSmoothSolver:
         # theta and the last logged dual value come from the same state x, so
         # the pair obeys weak duality: P(theta) + D(x) >= 0
         prob = self._problem()
-        res = run_ns_adfs(prob, 400, seed=2, log_every=400, capture_iters=(400,))
-        x = res.captures[400]["x"]
+        res, views = observed_run(run_ns_adfs, prob, 400, seed=2, log_every=400)
+        x = views[400]["x"]
         dual = res.record.rows[-1].objective
         assert dual == aug.dual_objective(prob, x)
         np.testing.assert_array_equal(res.theta, primal_estimate(prob, split_state(prob, x)[0]))
@@ -728,8 +739,8 @@ class TestNonSmoothSolver:
 
     def test_dual_value_logged(self):
         prob = self._problem()
-        res = run_ns_adfs(prob, 100, seed=1, log_every=50, capture_iters=(50, 100))
-        states = {0: zero_state(prob), **{t: cap["x"] for t, cap in res.captures.items()}}
+        res, views = observed_run(run_ns_adfs, prob, 100, seed=1, log_every=50)
+        states = {0: zero_state(prob), **{t: views[t]["x"] for t in (50, 100)}}
         assert [row.iteration for row in res.record.rows] == [0, 50, 100]
         for row in res.record.rows:
             assert row.objective == aug.dual_objective(prob, states[row.iteration])

@@ -9,6 +9,7 @@ they exercise the spectral bounds, the operator shortcuts, solver
 equivalence, sampling statistics, parser round-trips and determinism.
 """
 
+import math
 import os
 import tempfile
 
@@ -23,7 +24,7 @@ from adfs_lab.objective import condition_numbers
 from adfs_lab.rng import BlockStream, generator
 from adfs_lab.topology import laplacian, symmetric_eigensolve
 from dense import (dense_A, dense_pb_dagger_diag, dense_sigma_dagger, exact_sigma_a, incidence,
-                   state_rows)
+                   observed_run, state_rows)
 from instances import random_connected_graph, random_objectives, random_problem
 
 
@@ -118,12 +119,13 @@ def solver_equivalence(problems, iters):
     marks = range(iters // 20, iters + 1, iters // 20)
     worst = 0.0
     for seed, prob in enumerate(problems):
-        ref = run_adfs(prob, iters, seed=seed, log_every=iters, capture_iters=marks)
-        eff = run_adfs_efficient(prob, iters, seed=seed, log_every=iters, capture_iters=marks)
+        log_every = math.gcd(marks.step, iters)
+        _, ref = observed_run(run_adfs, prob, iters, seed=seed, log_every=log_every)
+        _, eff = observed_run(run_adfs_efficient, prob, iters, seed=seed, log_every=log_every)
         for t in marks:
             for key in ("x", "v", "y"):
-                a = state_rows(prob, ref.captures[t][key])
-                b = state_rows(prob, eff.captures[t][key])
+                a = state_rows(prob, ref[t][key])
+                b = state_rows(prob, eff[t][key])
                 worst = max(worst, float(np.max(np.abs(a - b))) / (1 + float(np.max(np.abs(a)))))
     detail = f"{iters}-iteration state deviation {worst:.3e}"
     assert worst <= 1e-6, detail
