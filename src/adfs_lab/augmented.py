@@ -43,8 +43,8 @@ DOMAIN_TOL = 1e-6  # dual_objective's slack on the conjugate domain
 
 
 class ScaleError(ValueError):
-    """The build rejects an input, which `culprit` names: "sigma" or "features" when a
-    derived constant leaves the float range, "p_comm" or "topology" when they do not fit."""
+    """The build rejects an input, which `culprit` names: "sigma" when the eigensolve
+    cannot resolve the D~-scaled Laplacian, "p_comm" or "topology" when they do not fit."""
 
     def __init__(self, culprit, message):
         super().__init__(message)
@@ -148,9 +148,9 @@ class AugmentedProblem:
 def _assemble(graph, objectives, tau):
     """Checks and fields shared by both builds, as AugmentedProblem keywords.
 
-    Needs one objective per node, one loss kind, one feature dimension, a
-    finite tau >= 0 and a finite 1 / sigma_i, which scales the Laplacian.  The
-    per-sample arrays are stacked read-only by `data.stack_rows`.
+    Needs one objective per node, one loss kind, one feature dimension and a
+    finite tau >= 0.  The per-sample arrays are stacked read-only by
+    `data.stack_rows`.
     """
     objectives = tuple(objectives)
     if len(objectives) != graph.n:
@@ -164,9 +164,6 @@ def _assemble(graph, objectives, tau):
     if not 0.0 <= tau < np.inf:
         raise ValueError(f"tau must be finite and >= 0, got {tau}")
     sigma = np.array([o.sigma for o in objectives])
-    with np.errstate(over="ignore"):  # an overflow is rejected, not warned about
-        if not np.isfinite(1.0 / sigma).all():
-            raise ScaleError("sigma", "too small: 1 / sigma_i overflows")
     vstart = np.cumsum([0] + [o.m for o in objectives])
     vstart.flags.writeable = False
     return dict(graph=graph, objectives=objectives, loss=loss, smooth=loss.is_smooth,
@@ -186,7 +183,6 @@ def _laplacian_spectrum(lap):
     return spec
 
 
-@np.errstate(over="ignore")  # an overflowing scaled Laplacian is rejected by the eigensolve
 def _graph_spectra(graph, lap, dm_tilde, sigma):
     """(gamma, kappa_comm, alpha) from the n x n congruences of the Laplacian."""
     if graph.n_edges == 0:
@@ -209,7 +205,6 @@ def _graph_spectra(graph, lap, dm_tilde, sigma):
     return gamma, kappa_comm, alpha
 
 
-@np.errstate(invalid="ignore")  # kappa_comm = s_max_bound = inf give nan, which _sampling rejects
 def balanced_p_comm(gamma, kappa_comm, s_max_bound):
     """Communication probability equalizing the two rate branches."""
     return 1.0 / (1.0 + np.sqrt(2.0 * gamma / kappa_comm) * s_max_bound)
@@ -269,13 +264,7 @@ def build_augmented(graph, objectives, tau, p_comm_override=None):
         return _build_ns(shared, p_comm_override)
     objectives, sigma = shared["objectives"], shared["sigma"]
     report = condition_numbers(objectives)
-    if not np.isfinite(report.kappa_s):
-        raise ScaleError("sigma", "too small for the features: "
-                                  "kappa_s = 1 + sum_j L_ij / sigma_i overflows")
-    with np.errstate(over="ignore"):  # reported below
-        dm_tilde = sigma + 2.0 * report.lam_sum_max
-    if not np.isfinite(dm_tilde).all():
-        raise ScaleError("features", "too large: sigma_i + 2 lambda_max(sum_j L_ij P_ij) overflows")
+    dm_tilde = sigma + 2.0 * report.lam_sum_max
     gamma, kappa_comm, alpha = _graph_spectra(graph, shared["laplacian_comm"], dm_tilde, sigma)
     smooth_virtual = shared["loss"].scalar_smoothness * shared["xnorm2"]
 
@@ -287,8 +276,6 @@ def build_augmented(graph, objectives, tau, p_comm_override=None):
         p_comm = 0.0
     else:
         p_comm = float(balanced_p_comm(gamma, kappa_comm, s_max))
-        if not 0.0 < p_comm < 1.0:
-            raise ScaleError("sigma", f"too small for the features: balanced p_comm {p_comm}")
 
     problem = AugmentedProblem(
         **shared,
@@ -386,7 +373,6 @@ G_COEF, LABEL, PROX_IN, PROX_STEP, INV_SCALE, PROX_OUT, PAIR_U, PAIR_Z = range(2
 T_LABEL = 2
 
 
-@np.errstate(all="ignore")  # a non-finite entry is rejected, not warned about
 def round_table(problem):
     """The constants a computation round reads, one row per virtual node.
 
@@ -394,11 +380,10 @@ def round_table(problem):
     named above; a round reads the rows of its sampled nodes through one
     gather.  For the smooth build, whose dual step is `problem.eta`, the
     prox factors and `boundary` come from objective.tilde_prox_factors,
-    which checks the conjugate-prox identity once for every virtual node
-    (ScaleError when it breaks); `boundary` marks the nodes at its limit
-    eta~_ij = L_ij, or is None when there are none.  The non-smooth build
-    has no boundary.  A non-finite entry raises ScaleError, as does a logistic
-    PROX_STEP (4 / step) <= 0, which the logistic prox divides by.
+    which checks the conjugate-prox identity once for every virtual node;
+    `boundary` marks the nodes at its limit eta~_ij = L_ij, or is None when
+    there are none.  The non-smooth build has no boundary.  With inputs in
+    [data.RANGE_LO, data.RANGE_HI], every entry is a normal float.
     """
     p = problem.sampling.p_marginal
     mu2, xnorm2 = problem.mu2_virtual, problem.xnorm2
@@ -406,27 +391,13 @@ def round_table(problem):
     sigma = np.repeat(problem.sigma, problem.m_per_node)
     cols = [weight / (sigma * xnorm2), 1.0 / p]
     if not problem.smooth:
-        return _finite(np.column_stack(cols + [weight / xnorm2 * problem.labels]), []), None
+        return np.column_stack(cols + [weight / xnorm2 * problem.labels]), None
     smooth = problem.smooth_virtual
-    try:
-        *factors, boundary = tilde_prox_factors(problem.loss, problem.labels, xnorm2, smooth,
-                                                problem.eta * weight)
-    except ValueError as exc:  # eta~_ij past L_ij: an overflowing eta, or rounding of eta mu_ij^2
-        raise ScaleError("features", str(exc)) from None
+    *factors, boundary = tilde_prox_factors(problem.loss, problem.labels, xnorm2, smooth,
+                                            problem.eta * weight)
     rho_p = problem.rho / p
-    table = np.column_stack(cols + [weight / smooth, problem.labels, *factors,
-                                    0.5 * (1.0 - rho_p), 0.5 * (1.0 + rho_p)])
-    return _finite(table, [PROX_STEP] if problem.loss is LossKind.LOGISTIC else []), boundary
-
-
-def _finite(table, positive):  # and > 0 in the columns `positive`
-    bad = ~np.isfinite(table)
-    bad[:, positive] |= ~(table[:, positive] > 0.0)
-    if bad.any():
-        row, col = np.argwhere(bad)[0].tolist()
-        raise ScaleError("features", f"round-table row {row}, column {col} is {table[row, col]}: "
-                                     "products of sigma, p_ij and ||X_ij||^2 under- or overflow")
-    return table
+    return np.column_stack(cols + [weight / smooth, problem.labels, *factors,
+                                   0.5 * (1.0 - rho_p), 0.5 * (1.0 + rho_p)]), boundary
 
 
 def draw_block(problem, stream) -> BlockDraw:

@@ -15,8 +15,23 @@ import numpy as np
 
 from .rng import generator
 
-__all__ = ["LibsvmParseError", "LibsvmData", "parse_libsvm", "sample_line", "write_libsvm",
-           "synth_pool", "assign_node_datasets", "synth_dataset", "stack_rows"]
+__all__ = ["RANGE_LO", "RANGE_HI", "in_range", "LibsvmParseError", "LibsvmData", "parse_libsvm",
+           "sample_line", "write_libsvm", "synth_pool", "assign_node_datasets", "synth_dataset",
+           "stack_rows"]
+
+# The numeric domain of the inputs.  Every positive scale of a config (each
+# sigma_i, feature_scale, each edge weight, and tau, p_comm and noise when not
+# 0), every nonzero feature-row norm ||X_k|| and every nonzero |label| lies in
+# [RANGE_LO, RANGE_HI].  Then every constant the builds derive is a normal
+# float, for d <= 32 768 and any instance within DENSE_MAX (README, Numerical
+# conventions, gives the worst cases).
+RANGE_LO, RANGE_HI = 1e-30, 1e30
+
+
+def in_range(x, hi=RANGE_HI):
+    """RANGE_LO <= x <= hi, elementwise for arrays; False for nan."""
+    return (RANGE_LO <= x) & (x <= hi)
+
 
 # the size hint, in characters, of each `readlines` call of parse_libsvm: only
 # one block's token strings are alive at a time

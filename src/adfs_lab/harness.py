@@ -20,11 +20,11 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .adfs import run_adfs, run_adfs_efficient, run_ns_adfs
-from .augmented import (ScaleError, balanced_p_comm, build_augmented, expected_time,
-                        rate_branches, round_table)
+from .augmented import ScaleError, balanced_p_comm, build_augmented, expected_time, rate_branches
 from .baselines import flat_grad, flat_value, point_saga, pool_objectives, reference_optimum
-from .data import (DENSE_MAX, LibsvmData, LibsvmParseError, assign_node_datasets, parse_libsvm,
-                   sample_line, synth_dataset, synth_pool, write_libsvm)
+from .data import (DENSE_MAX, RANGE_HI, RANGE_LO, LibsvmData, LibsvmParseError,
+                   assign_node_datasets, in_range, parse_libsvm, sample_line, synth_dataset,
+                   synth_pool, write_libsvm)
 from .objective import LocalObjective, LossKind
 from .topology import EigensolveError, GraphConstructionError, build_topology
 
@@ -93,6 +93,13 @@ def _is_number(value):  # finite: JSON 1e400 and Infinity load as inf
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _is_scale(value, zero=False):  # in the inputs' range (data.in_range), or 0 if `zero`
+    return _is_number(value) and (in_range(value) or zero and value == 0)
+
+
+IN_RANGE = f"in [{RANGE_LO:g}, {RANGE_HI:g}]"
+
+
 def _expect_dense(rows, d, path):
     """Check a dense (rows, d) feature buffer against DENSE_MAX before it is
     allocated; `path` names the input that sets d."""
@@ -138,8 +145,8 @@ def load_config(data) -> ExperimentConfig:
     params = TOPOLOGY_PARAMS[kind] + (("edges", "n") if kind == "custom" else ())
     _expect_fields(topo, "topology.", ("kind", "weights", *params), (
         ("n", lambda v: _is_int(v) and v >= 1, "expected an integer >= 1"),
-        ("weights", lambda v: isinstance(v, list) and all(_is_number(w) and w > 0 for w in v),
-         "expected a list of finite positive numbers"),
+        ("weights", lambda v: isinstance(v, list) and all(map(_is_scale, v)),
+         f"expected a list of numbers {IN_RANGE}"),
     ))
     for name in TOPOLOGY_PARAMS[kind]:
         _expect(_is_int(topo.get(name)) and topo[name] >= 1, f"topology.{name}",
@@ -156,14 +163,17 @@ def load_config(data) -> ExperimentConfig:
             f"expected one of {losses}, got {loss!r}")
     m = data.get("m")
     _expect(_is_int(m) and m >= 1, "m", "expected an integer >= 1")
+    sigma = data.get("sigma", 1.0)
+    _expect(all(map(_is_scale, sigma)) if isinstance(sigma, list) else _is_scale(sigma), "sigma",
+            f"expected a number {IN_RANGE}, or a list of them")
 
     ds = data.get("dataset")
     _expect(isinstance(ds, dict) and ds.get("kind") in ("synthetic", "libsvm"),
             "dataset.kind", 'expected "synthetic" or "libsvm"')
     _expect_fields(ds, "dataset.", DATASET_FIELDS[ds["kind"]], (
-        ("noise", lambda v: _is_number(v) and v >= 0, "expected a number >= 0"),
+        ("noise", lambda v: _is_scale(v, zero=True), f"expected 0 or a number {IN_RANGE}"),
         ("pool", lambda v: v is None or _is_int(v) and v >= 1, "expected an integer >= 1"),
-        ("feature_scale", lambda v: _is_number(v) and v > 0, "expected a positive number"),
+        ("feature_scale", _is_scale, f"expected a number {IN_RANGE}"),
     ))
     if ds["kind"] == "synthetic":
         _expect(_is_int(ds.get("d")) and ds["d"] >= 1, "dataset.d",
@@ -218,20 +228,12 @@ def load_config(data) -> ExperimentConfig:
         _expect(it % log_every == 0, f"iters.{a}",
                 f"must be a multiple of log_every={log_every}")
 
-    sigma = data.get("sigma", 1.0)
-    if isinstance(sigma, list):
-        _expect(all(_is_number(s) and s > 0 for s in sigma), "sigma",
-                "expected positive numbers")
-    else:
-        _expect(_is_number(sigma) and sigma > 0, "sigma",
-                "expected a positive number")
-
     tau = data.get("tau", 1.0)
-    _expect(_is_number(tau) and tau >= 0, "tau", "expected a number >= 0")
+    _expect(_is_scale(tau, zero=True), "tau", f"expected 0 or a number {IN_RANGE}")
     p_comm = data.get("p_comm")
     if p_comm is not None:
-        _expect(_is_number(p_comm) and 0 <= p_comm < 1, "p_comm",
-                "expected a number in [0, 1)")
+        _expect(_is_scale(p_comm, zero=True) and p_comm < 1, "p_comm",
+                f"expected 0 or a number in [{RANGE_LO:g}, 1)")
     stop = data.get("stop_at_subopt")
     if stop is not None:
         _expect(_is_number(stop) and stop > 0, "stop_at_subopt",
@@ -273,7 +275,7 @@ def build_instance(cfg: ExperimentConfig):
     seed = ds.get("seed", 0)
     data_field = "dataset.feature_scale" if ds["kind"] == "synthetic" else "dataset.path"
     blame = {"edges": "topology.edges", "weights": "topology.weights", "topology": "topology",
-             "p_comm": "p_comm", "sigma": "sigma", "features": data_field}
+             "p_comm": "p_comm", "sigma": "sigma"}
     try:
         graph = build_topology(**cfg.topology)
         if ds["kind"] == "synthetic":
@@ -305,12 +307,8 @@ def build_instance(cfg: ExperimentConfig):
                 objectives.append(LocalObjective(feats_i, labels_i, float(s), cfg.loss_kind))
             except ValueError as exc:  # sigma passed load_config: the samples are at fault
                 raise ConfigError(data_field, f"node {i}: {exc}") from None
-        try:
-            flat = pool_objectives(objectives)
-        except ValueError as exc:  # the pooled norms may overflow where each node's do not
-            raise ConfigError(data_field, f"pooled samples: {exc}") from None
+        flat = pool_objectives(objectives)
         problem = build_augmented(graph, objectives, cfg.tau, p_comm_override=cfg.p_comm)
-        round_table(problem)  # every entry a round reads is usable
     except (GraphConstructionError, ScaleError) as exc:
         raise ConfigError(blame[exc.culprit], str(exc)) from None
     except (EigensolveError, np.linalg.LinAlgError) as exc:

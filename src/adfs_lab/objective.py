@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import RANGE_HI, RANGE_LO, in_range
 from .topology import symmetric_eigensolve
 
 __all__ = [
@@ -255,11 +256,11 @@ class LocalObjective:
 
     The data are stored read-only: an (m, d) feature matrix whose rows X_ij
     must be finite and nonzero (a zero row has no projector), the m labels
-    (+1 or -1 for the logistic loss), and the row norms ||X_ij||^2.  For a
-    smooth loss their sum must be finite: it bounds every entry of the Gram
-    matrix X^T X, and with it lambda_max and kappa_i.  A read-only
-    C-contiguous float64 input (a node's view of its instance's buffer) is
-    kept as it is; any other input is copied.
+    (+1 or -1 for the logistic loss), and the row norms ||X_ij||^2.  sigma,
+    each row norm ||X_ij|| and each nonzero |label| must lie in the inputs'
+    range [data.RANGE_LO, data.RANGE_HI] (sigma in [RANGE_LO, SIGMA_MAX]).
+    A read-only C-contiguous float64 input (a node's view of its instance's
+    buffer) is kept as it is; any other input is copied.
     """
 
     feature_matrix: np.ndarray  # (m, d)
@@ -267,10 +268,12 @@ class LocalObjective:
     sigma: float
     loss: LossKind
     xnorm2: np.ndarray = field(init=False, repr=False, compare=False)  # (m,)
+    SIGMA_MAX = RANGE_HI
 
     def __post_init__(self):
-        if self.sigma <= 0 or not np.isfinite(self.sigma):
-            raise ValueError(f"sigma must be finite and > 0, got {self.sigma}")
+        if not in_range(self.sigma, self.SIGMA_MAX):
+            raise ValueError(f"sigma must lie in [{RANGE_LO:g}, {self.SIGMA_MAX:g}], "
+                             f"got {self.sigma}")
         x, y = (a if isinstance(a, np.ndarray) and a.dtype == np.float64
                 and a.flags.c_contiguous and not a.flags.writeable else np.array(a, dtype=float)
                 for a in (self.feature_matrix, self.labels))
@@ -287,18 +290,16 @@ class LocalObjective:
             if bad.size:
                 raise ValueError(f"logistic label in row {bad[0]} is {float(y[bad[0]])}, "
                                  "expected +1 or -1")
-        with np.errstate(over="ignore"):  # reported below
+        with np.errstate(over="ignore"):  # a row past the range may overflow: rejected below
             xnorm2 = np.vecdot(x, x)  # bit-identical to the per-row x @ x
-            total = xnorm2.sum()
         zero = np.flatnonzero(xnorm2 <= 0.0)
         if zero.size:
             raise ValueError(f"zero feature vector in row {zero[0]}: its projector is undefined")
-        overflow = np.flatnonzero(~np.isfinite(xnorm2))
-        if overflow.size:
-            raise ValueError(f"squared norm of feature row {overflow[0]} overflows")
-        if self.loss.is_smooth and not np.isfinite(total):
-            raise ValueError("squared feature norms sum past the float range: the Gram "
-                             "matrix and sum_j L_ij overflow")
+        for name, mag in (("norm of feature row", np.sqrt(xnorm2)), ("|label| of row", abs(y))):
+            bad = np.flatnonzero(~in_range(mag) & (mag != 0.0))
+            if bad.size:
+                raise ValueError(f"{name} {bad[0]} is {float(mag[bad[0]]):.6g}, outside "
+                                 f"[{RANGE_LO:g}, {RANGE_HI:g}]")
         for name, arr in (("feature_matrix", x), ("labels", y), ("xnorm2", xnorm2)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -419,7 +420,6 @@ class ConditionReport:
     lam_sum_max: np.ndarray  # lambda_max(sum_j L_ij P_ij) per node
 
 
-@np.errstate(over="ignore")  # kappa_i reads inf for sigma far below sum_j L_ij
 def condition_numbers(objectives) -> ConditionReport:
     if not objectives[0].loss.is_smooth:
         raise ValueError("condition numbers undefined for non-smooth losses")

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import RANGE_HI, RANGE_LO, in_range
+
 __all__ = [
     "GraphConstructionError",
     "CommunicationGraph",
@@ -54,7 +56,8 @@ def _union_find_components(n, edges):
 
 @dataclass(frozen=True)
 class CommunicationGraph:
-    """Undirected simple connected graph with positive per-edge weights.
+    """Undirected simple connected graph with per-edge weights in
+    [data.RANGE_LO, data.RANGE_HI].
 
     `edge_weights[e]` is the gossip weight mu of edge `edges[e]`; the weighted
     Laplacian uses mu**2.  Unit weights reproduce the standard Laplacian.
@@ -90,10 +93,11 @@ class CommunicationGraph:
         if w.shape != (len(norm_edges),):
             raise GraphConstructionError(
                 "weights", f"expected {len(norm_edges)} edge weights, got shape {w.shape}")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0):
-            bad = int(np.argmin(w))
+        bad = np.flatnonzero(~in_range(w))
+        if bad.size:
             raise GraphConstructionError(
-                "weights", f"edge weight for {norm_edges[bad]} must be finite and > 0")
+                "weights", f"edge weight for {norm_edges[bad[0]]} must lie in "
+                           f"[{RANGE_LO:g}, {RANGE_HI:g}], got {w[bad[0]]}")
         w.flags.writeable = False
         object.__setattr__(self, "edge_weights", w)
         comps = _union_find_components(self.n, norm_edges)
@@ -149,7 +153,6 @@ def build_topology(kind, **params) -> CommunicationGraph:
     return CommunicationGraph(n=n, edges=tuple(edges), edge_weights=weights)
 
 
-@np.errstate(over="ignore")  # an overflow is rejected, not warned about
 def laplacian(g: CommunicationGraph) -> np.ndarray:
     """Weighted Laplacian: L_kk = sum mu^2 over incident edges, L_kl = -mu_kl^2."""
     lap = np.zeros((g.n, g.n))
@@ -159,9 +162,6 @@ def laplacian(g: CommunicationGraph) -> np.ndarray:
         lap[l, l] += w
         lap[k, l] -= w
         lap[l, k] -= w
-    if not np.isfinite(lap).all():
-        raise GraphConstructionError("weights",
-                                     "weighted Laplacian overflows: edge weights too large")
     return lap
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from adfs_lab.augmented import (
     INV_P,
-    PROX_STEP,
     BlockDraw,
     ScaleError,
     apply_comm_step,
@@ -131,14 +130,15 @@ class TestBuildAugmented:
         assert exc.value.culprit == culprit
 
     def test_zero_logistic_prox_step_rejected(self, rng):
-        # eta~_ij L_ij underflows, so gamma ||X_ij||^2 is inf and the
-        # logistic PROX_STEP 4 / step is 0, which its prox would divide by
+        # with sigma 1e50 and rows of norm 1e-150, eta~_ij L_ij underflowed, so
+        # the logistic PROX_STEP 4 / step was 0, which its prox divides by;
+        # both inputs lie outside the range, and the objective names each
         feats = 1e-150 * rng.normal(size=(4, 3))
-        obj = LocalObjective(feats, np.array([1.0, -1.0, 1.0, -1.0]), 1e50, LossKind.LOGISTIC)
-        prob = build_augmented(build_topology("complete", n=1), [obj], tau=1.0)
-        with pytest.raises(ScaleError, match=f"column {PROX_STEP} is 0.0") as exc:
-            round_table(prob)
-        assert exc.value.culprit == "features"
+        labels = np.array([1.0, -1.0, 1.0, -1.0])
+        with pytest.raises(ValueError, match=r"^sigma must lie in \[1e-30, 1e\+30\], got 1e\+50"):
+            LocalObjective(feats, labels, 1e50, LossKind.LOGISTIC)
+        with pytest.raises(ValueError, match=r"^norm of feature row 0 is [\d.]+e-15\d, outside"):
+            LocalObjective(feats, labels, 1.0, LossKind.LOGISTIC)
 
     def test_marginals_sum_to_p_comp(self, rng):
         prob = random_problem(rng, n=4, m=4, d=2, ragged=True)

@@ -17,7 +17,7 @@ from adfs_lab.baselines import (
     reference_optimum,
 )
 from adfs_lab.data import synth_pool
-from adfs_lab.harness import build_instance, load_config
+from adfs_lab.harness import ConfigError, build_instance, load_config
 from adfs_lab.objective import LossKind, primal_value
 from adfs_lab.rng import CHUNK, chunked, generator
 from adfs_lab.topology import build_topology
@@ -220,27 +220,20 @@ class TestReferenceOptimum:
         with pytest.raises(RuntimeError, match=r"\|\|grad\|\|"):
             reference_optimum(flat, tol=1e-16)
 
-    def test_overflowing_grad_norm_raises_at_once(self, monkeypatch):
-        # ||grad F|| at theta = 0 squares a 7e299 entry past the float range;
-        # the line search cannot compare inf with (1 - t/4) inf, so it must
-        # not run, let alone accept every step of the default max_iters
-        cfg = load_config({
+    def test_overflowing_grad_norm_raises_at_once(self):
+        # ||grad F|| at theta = 0 squared a 7e299 entry past the float range,
+        # and the line search could not compare inf with (1 - t/4) inf; sigma
+        # and the feature scale lie outside the range, and the config names each
+        data = {
             "topology": {"kind": "line", "n": 2}, "loss": "squared", "m": 3, "tau": 5.0,
             "sigma": 1e300, "dataset": {"kind": "synthetic", "d": 1, "correlation": 0.99,
                                         "seed": 0, "feature_scale": 1e150},
-            "algorithms": ["adfs"], "seeds": [0], "iters": 40, "log_every": 20})
-        flat = build_instance(cfg)[3]
-        calls = []
-        grad = baselines._stacked_grad
-
-        def counted(*args):
-            calls.append(1)
-            assert len(calls) <= 1, "the reference stepped from an infinite ||grad||"
-            return grad(*args)
-
-        monkeypatch.setattr(baselines, "_stacked_grad", counted)
-        with pytest.raises(RuntimeError, match=r"\|\|grad\|\| = inf"):
-            reference_optimum(flat)
+            "algorithms": ["adfs"], "seeds": [0], "iters": 40, "log_every": 20}
+        for field in ("sigma", "dataset.feature_scale"):
+            with pytest.raises(ConfigError) as exc:
+                load_config(data)
+            assert exc.value.path == field
+            data["sigma"] = 1.0
 
     def test_absolute_dual_gap_certified(self, rng):
         objs = random_objectives(rng, 4, 6, 3, loss=LossKind.ABSOLUTE)

@@ -3,6 +3,7 @@ import glob
 import importlib
 import importlib.util
 import json
+import math
 import os
 import io
 import pkgutil
@@ -21,6 +22,8 @@ from hypothesis import strategies as st
 import adfs_lab
 from adfs_lab import augmented, data, harness
 from adfs_lab.data import (
+    RANGE_HI,
+    RANGE_LO,
     LibsvmParseError,
     assign_node_datasets,
     parse_libsvm,
@@ -414,11 +417,13 @@ class TestRunExperiment:
         assert -1e-12 <= derived["reference_gap"] <= tol**2 * derived["sigma_total"] / 2.0
 
 
-# Edge weights span 16 orders of magnitude, feature scales and sigma 8.  The
+# Edge weights span 16 orders of magnitude; feature scales and sigma span 8,
+# or take an end of the inputs' range or the float just outside it.  The
 # examples below pin configs with scales of 1e+-160 and beyond, and those on
 # which the absolute loss's former reference (projected FISTA) ran 6-99 s.
 WEIGHTS = st.sampled_from([1e-8, 1e-3, 1.0, 1e3, 1e8])
-SCALES = st.integers(-4, 4).map(lambda k: 10.0**k)
+SCALES = st.one_of(st.integers(-4, 4).map(lambda k: 10.0**k), st.sampled_from([
+    RANGE_LO, RANGE_HI, math.nextafter(RANGE_LO, 0.0), math.nextafter(RANGE_HI, math.inf)]))
 
 
 @st.composite
@@ -471,11 +476,15 @@ def found_case(**over):
 
 
 # The configs pinned as examples of the property below, each with the field
-# that `run` names and the one that `spectrum` names (None: it exits 0).
+# that `run` names and the one that `spectrum` names (None: it exits 0).  Most
+# hold an input outside the range [RANGE_LO, RANGE_HI], which `load_config`
+# rejects (sigma before the dataset); their comments say which derived
+# constant such an input broke before the range rule.
 FOUND = [
     # the reference solver's target falls below what float64 gradients reach
-    (found_case(sigma=1e-300), "sigma", None),
-    (found_case(sigma=1e-300, dataset={"kind": "synthetic", "d": 2, "seed": 7}), "sigma", None),
+    (found_case(sigma=1e-300), "sigma", "sigma"),
+    (found_case(sigma=1e-300, dataset={"kind": "synthetic", "d": 2, "seed": 7}),
+     "sigma", "sigma"),
     # squared feature norms overflow
     (found_case(dataset={"kind": "synthetic", "d": 2, "seed": 2, "feature_scale": 1e160}),
      "dataset.feature_scale", "dataset.feature_scale"),
@@ -488,7 +497,7 @@ FOUND = [
     # sigma ||X||^2 underflows, so round-table entries are not finite
     (found_case(topology={"kind": "line", "n": 1}, m=1, sigma=1e-300,
                 dataset={"kind": "synthetic", "d": 1, "seed": 2, "feature_scale": 1e-160}),
-     "dataset.feature_scale", "dataset.feature_scale"),
+     "sigma", "sigma"),
     # the summed squared feature norms of a node overflow, where each row's do
     # not: the balanced p_comm collapsed to 0, and the node Gram matrix to inf
     (found_case(topology={"kind": "line", "n": 2}, m=6,
@@ -507,7 +516,7 @@ FOUND = [
      "sigma", "sigma"),
     # the scaled Laplacian overflows to inf before its eigensolve
     (found_case(topology={"kind": "line", "n": 2, "weights": [1e8]}, sigma=1e-300),
-     "topology.weights", "topology.weights"),
+     "sigma", "sigma"),
     # a squared-loss lambda_max above half the float max overflows D~
     (found_case(topology={"kind": "line", "n": 1}, loss="squared", m=1,
                 dataset={"kind": "synthetic", "d": 1, "seed": 0, "feature_scale": 1e154}),
@@ -516,8 +525,8 @@ FOUND = [
     (found_case(topology={"kind": "line", "n": 1}, m=1, sigma=1e-300,
                 dataset={"kind": "synthetic", "d": 1, "seed": 0, "feature_scale": 1e150}),
      "sigma", "sigma"),
-    # the absolute-loss reference: targets below the rounding of the residuals
-    # (features 1e8), and ill-conditioned pools
+    # the absolute-loss reference, in range: targets below the rounding of the
+    # residuals (features 1e8), and ill-conditioned pools
     (found_case(topology={"kind": "grid2d", "rows": 3, "cols": 2}, loss="absolute",
                 algorithms=["ns_adfs"],
                 dataset={"kind": "synthetic", "d": 2, "seed": 1, "correlation": 0.99,
@@ -560,16 +569,29 @@ FOUND = [
     (found_case(topology={"kind": "line", "n": 1}, loss="squared", m=1, tau=0.0, sigma=1e-8,
                 dataset={"kind": "synthetic", "d": 2, "correlation": 0.5, "seed": 7,
                          "feature_scale": 1e50}),
-     "sigma", None),
+     "dataset.feature_scale", "dataset.feature_scale"),
     # eta~_ij L_ij underflows, so the logistic prox's PROX_STEP is 0
     (found_case(topology={"kind": "complete", "n": 1}, m=4, sigma=1e50,
                 dataset={"kind": "synthetic", "d": 3, "seed": 7, "feature_scale": 1e-150}),
-     "dataset.feature_scale", "dataset.feature_scale"),
+     "sigma", "sigma"),
     # ||grad F|| of the reference overflows at its start
     (found_case(topology={"kind": "line", "n": 2}, loss="squared", tau=5.0, sigma=1e300,
                 dataset={"kind": "synthetic", "d": 1, "correlation": 0.99, "seed": 0,
                          "feature_scale": 1e150}),
-     "sigma", None),
+     "sigma", "sigma"),
+    # Point-SAGA's prox step eta_inner ||x_j||^2 underflows to 0, and `run`
+    # ended in a division by zero
+    (found_case(m=4, algorithms=["point_saga"], sigma=[1e150, 1e150, 1e300],
+                dataset={"kind": "synthetic", "d": 2, "correlation": 0.99, "seed": 8,
+                         "feature_scale": 1e-50}),
+     "sigma", "sigma"),
+    # alpha is subnormal (about 4e-316), eta = rho / (alpha / 2) overflows, and
+    # the broken prox identity blamed the features
+    (found_case(topology={"kind": "line", "n": 2, "weights": [1e-8]}, sigma=1e300),
+     "sigma", "sigma"),
+    # a subnormal p_comm makes rho and the conjugate-prox steps underflow: the
+    # round table held nan, which blamed the features
+    (found_case(p_comm=1e-320), "p_comm", "p_comm"),
 ]
 
 
@@ -629,6 +651,31 @@ class TestCli:
                 assert code == 1, command
                 assert re.fullmatch(rf"error: {re.escape(field)}: .*\n", err), (command, err)
                 assert not wrote, command  # a failing config writes nothing
+            assert not caught, (command, caught)
+
+    @pytest.mark.parametrize("tau", [RANGE_LO, RANGE_HI])
+    @pytest.mark.parametrize("end", ["lo", "hi"])
+    @pytest.mark.parametrize("sigma", [RANGE_LO, RANGE_HI])
+    @pytest.mark.parametrize("loss", ["logistic", "squared", "absolute"])
+    def test_range_corners_exit_zero_or_name_a_retained_field(self, loss, sigma, end, tau):
+        # the feature scale puts the smallest (end "lo") or the largest ("hi")
+        # row norm or nonzero |label| of the noise-free pool at that end of the
+        # range; every derived constant is then a normal float, and only the
+        # checks that outlive the range rule may fail: the reference's stall
+        # and the D~-scaled kernel (sigma) and the eigensolves (topology.weights)
+        feats, labels = synth_pool(12, 2, 3, 0.5, loss=loss, noise=0.0)
+        mags = np.concatenate([np.linalg.norm(feats, axis=1),
+                               [] if loss == "logistic" else np.abs(labels)])
+        scale = (RANGE_LO / mags.min() * (1 + 1e-9) if end == "lo" else
+                 RANGE_HI / mags.max() * (1 - 1e-9))
+        data = found_case(loss=loss, m=4, sigma=sigma, tau=tau,
+                          algorithms=["ns_adfs"] if loss == "absolute" else
+                          ["adfs", "adfs_efficient", "point_saga"],
+                          dataset={"kind": "synthetic", "d": 2, "seed": 3, "correlation": 0.5,
+                                   "noise": 0.0, "feature_scale": scale})
+        for command, (code, err, caught, wrote) in cli_outcomes(data).items():
+            named = re.fullmatch(r"error: (sigma|topology\.weights): .*\n", err)
+            assert code == 0 or (code == 1 and named and not wrote), (command, code, err)
             assert not caught, (command, caught)
 
     def _write_config(self, tmp_path, data):
@@ -783,10 +830,8 @@ class TestCli:
         ({"dataset": {"kind": "synthetic", "d": 2, "feature_scale": 1e-300}},
          "dataset.feature_scale"),
         ({"m": 2, "dataset": {"kind": "libsvm", "path": "bare.svm"}}, "dataset.path"),
-        ({"topology": {"kind": "line", "n": 2, "weights": [1e8]}, "sigma": 1e-300},
-         "topology.weights"),
-        # kappa_s overflows, which is checked before the sigma-scaled Laplacian
-        # overflows its eigensolve
+        # sigma outside the range, which load_config checks before the dataset
+        ({"topology": {"kind": "line", "n": 2, "weights": [1e8]}, "sigma": 1e-300}, "sigma"),
         ({"topology": {"kind": "line", "n": 3}, "sigma": 1e-310,
           "dataset": {"kind": "synthetic", "d": 2, "seed": 2, "feature_scale": 1e4}}, "sigma"),
         ({"topology": {"kind": "line", "n": 1}, "loss": "squared", "m": 1,
@@ -794,8 +839,6 @@ class TestCli:
          "dataset.feature_scale"),
         ({"topology": {"kind": "line", "n": 1}, "m": 1, "sigma": 1e-300,
           "dataset": {"kind": "synthetic", "d": 1, "seed": 0, "feature_scale": 1e150}}, "sigma"),
-        # 1 / sigma overflows where kappa_s does not; checked before the
-        # sigma-scaled Laplacian forms
         ({"topology": {"kind": "line", "n": 3}, "sigma": 1e-310, "dataset": TINY_FEATURES},
          "sigma"),
         ({"topology": {"kind": "line", "n": 3}, "sigma": 1e-310, "dataset": TINY_FEATURES,
