@@ -40,12 +40,11 @@ def record_rounds(rows, cols, m, d, iters):
     rounds = []
     prox = adfs._tilde_coeff_batch
 
-    def recording(kind, c_x, labels, prox_in, prox_step, inv_scale, prox_out, warm,
-                  boundary=None):
+    def recording(kind, c_x, labels, prox_in, prox_step, inv_scale, prox_out, warm):
         b = c_x * prox_in
         b += 1.0  # as _tilde_coeff_batch forms it
         rounds.append((b, prox_step.copy(), warm.copy()))
-        return prox(kind, c_x, labels, prox_in, prox_step, inv_scale, prox_out, warm, boundary)
+        return prox(kind, c_x, labels, prox_in, prox_step, inv_scale, prox_out, warm)
 
     adfs._tilde_coeff_batch = recording
     try:

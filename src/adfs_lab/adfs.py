@@ -66,13 +66,13 @@ def _momentum_map(rho):
 
 
 class _Rounds:
-    """What the computation rounds of one run share: the round table and its
-    boundary set (augmented.round_table), and one warm start of the smooth
-    build's 1D prox per virtual node, in the prox's variable (r = label p / 2
-    for the logistic loss, p for the squared loss)."""
+    """What the computation rounds of one run share: the round table
+    (augmented.round_table), and one warm start of the smooth build's 1D prox
+    per virtual node, in the prox's variable (r = label p / 2 for the
+    logistic loss, p for the squared loss)."""
 
     def __init__(self, problem):
-        self.table, self.boundary = aug.round_table(problem)
+        self.table = aug.round_table(problem)
         self.warm = np.zeros(problem.n_virtual) if problem.smooth else None
 
     def sample(self, problem, draw):
@@ -94,11 +94,10 @@ class _Rounds:
             # prox of eta~ ftilde* through the conjugate-side identity,
             # refreshing the warm starts of the sampled nodes
             warm = self.warm
-            boundary = None if self.boundary is None else self.boundary[idx]
             c_out, warm[idx] = _tilde_coeff_batch(
                 problem.loss, c_in, consts[aug.LABEL], consts[aug.PROX_IN],
                 consts[aug.PROX_STEP], consts[aug.INV_SCALE], consts[aug.PROX_OUT],
-                warm[idx], boundary,
+                warm[idx],
             )
         else:
             # the absolute loss's conjugate is s * label on |s| <= 1, so its

@@ -15,7 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import stack_rows
-from .objective import LossKind, condition_numbers, loss_conjugate, tilde_prox_factors
+from .objective import (PROX_MARGIN, LossKind, condition_numbers, loss_conjugate,
+                        tilde_prox_factors)
 from .topology import CommunicationGraph, GraphConstructionError, laplacian, symmetric_eigensolve
 
 __all__ = [
@@ -290,9 +291,10 @@ def build_augmented(graph, objectives, tau, p_comm_override=None):
         dm_tilde=dm_tilde,
         s_max_bound=float(s_max),
     )
-    # the min of the two branch rates, clamped so that 2 rho <= min_ij p_ij
+    # the min of the two branch rates, clamped so that
+    # 2 rho <= (1 - PROX_MARGIN) min_ij p_ij, that is eta~_ij <= (1 - PROX_MARGIN) L_ij
     rho_unclamped = float(min(rate_branches(problem, p_comm)))
-    cap = 0.5 * float(problem.sampling.p_marginal.min())
+    cap = 0.5 * (1.0 - PROX_MARGIN) * float(problem.sampling.p_marginal.min())
     if rho_unclamped > cap:
         log.warning("rate clamped from %.3e to %.3e to keep the conjugate prox valid",
                     rho_unclamped, cap)
@@ -374,16 +376,13 @@ T_LABEL = 2
 
 
 def round_table(problem):
-    """The constants a computation round reads, one row per virtual node.
-
-    Returns (table, boundary).  `table` is a (V, k) array with the columns
-    named above; a round reads the rows of its sampled nodes through one
-    gather.  For the smooth build, whose dual step is `problem.eta`, the
-    prox factors and `boundary` come from objective.tilde_prox_factors,
-    which checks the conjugate-prox identity once for every virtual node;
-    `boundary` marks the nodes at its limit eta~_ij = L_ij, or is None when
-    there are none.  The non-smooth build has no boundary.  With inputs in
-    [data.RANGE_LO, data.RANGE_HI], every entry is a normal float.
+    """The constants a computation round reads: a (V, k) array, one row per
+    virtual node, with the columns named above; a round reads the rows of
+    its sampled nodes through one gather.  For the smooth build, whose dual
+    step is `problem.eta`, the prox factors come from
+    objective.tilde_prox_factors, which checks the conjugate-prox identity
+    once for every virtual node.  With inputs in [data.RANGE_LO,
+    data.RANGE_HI], every entry is a normal float.
     """
     p = problem.sampling.p_marginal
     mu2, xnorm2 = problem.mu2_virtual, problem.xnorm2
@@ -391,13 +390,13 @@ def round_table(problem):
     sigma = np.repeat(problem.sigma, problem.m_per_node)
     cols = [weight / (sigma * xnorm2), 1.0 / p]
     if not problem.smooth:
-        return np.column_stack(cols + [weight / xnorm2 * problem.labels]), None
+        return np.column_stack(cols + [weight / xnorm2 * problem.labels])
     smooth = problem.smooth_virtual
-    *factors, boundary = tilde_prox_factors(problem.loss, problem.labels, xnorm2, smooth,
-                                            problem.eta * weight)
+    factors = tilde_prox_factors(problem.loss, problem.labels, xnorm2, smooth,
+                                 problem.eta * weight)
     rho_p = problem.rho / p
     return np.column_stack(cols + [weight / smooth, problem.labels, *factors,
-                                   0.5 * (1.0 - rho_p), 0.5 * (1.0 + rho_p)]), boundary
+                                   0.5 * (1.0 - rho_p), 0.5 * (1.0 + rho_p)])
 
 
 def draw_block(problem, stream) -> BlockDraw:

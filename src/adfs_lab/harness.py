@@ -98,6 +98,10 @@ def _is_scale(value, zero=False):  # in the inputs' range (data.in_range), or 0 
 
 
 IN_RANGE = f"in [{RANGE_LO:g}, {RANGE_HI:g}]"
+# the largest synthetic label noise.  A standard normal draw of numpy's
+# Generator has |z| < 14, so a label's noise term stays below 1.4e-5 RANGE_HI,
+# and only its feature term can put it past RANGE_HI (dataset.feature_scale)
+NOISE_MAX = 1e24
 
 
 def _expect_dense(rows, d, path):
@@ -171,7 +175,8 @@ def load_config(data) -> ExperimentConfig:
     _expect(isinstance(ds, dict) and ds.get("kind") in ("synthetic", "libsvm"),
             "dataset.kind", 'expected "synthetic" or "libsvm"')
     _expect_fields(ds, "dataset.", DATASET_FIELDS[ds["kind"]], (
-        ("noise", lambda v: _is_scale(v, zero=True), f"expected 0 or a number {IN_RANGE}"),
+        ("noise", lambda v: _is_scale(v, zero=True) and v <= NOISE_MAX,
+         f"expected 0 or a number in [{RANGE_LO:g}, {NOISE_MAX:g}]"),
         ("pool", lambda v: v is None or _is_int(v) and v >= 1, "expected an integer >= 1"),
         ("feature_scale", _is_scale, f"expected a number {IN_RANGE}"),
     ))

@@ -3,8 +3,8 @@
 Losses are generalized linear models loss(X^T theta, label); every proximal
 step therefore reduces to a one-dimensional problem along the sample's feature
 direction.  The conjugate-side prox (used by the smooth dual solvers) is
-evaluated through the primal prox via the Moreau-identity reduction, with a
-closed-form boundary case when the step hits the smoothness limit.
+evaluated through the primal prox via the Moreau-identity reduction, whose
+steps keep the margin PROX_MARGIN below the smoothness limit.
 """
 
 import enum
@@ -39,6 +39,11 @@ BISECTION_STEPS = 30
 # kernel (scripts/prox_crossover.py places BATCH_MIN)
 BATCH_MIN = 32
 BATCH_STEPS = 6
+# the rate clamp (augmented.build_augmented) keeps eta~ <= (1 - PROX_MARGIN) L
+# on every virtual node: the rounding error of the conjugate-side identity
+# (`tilde_prox_factors`) grows as about 4 eps / (1 - eta~ / L), eps = 2^-53,
+# and stays below 1e-13 there (README, Numerical conventions, has the curve)
+PROX_MARGIN = 2.0**-7
 
 
 class LossKind(enum.Enum):
@@ -341,7 +346,6 @@ def prox_sample(feature, label, kind, v, eta):
     return v + ((p_star - zz) / xnorm2) * feature
 
 
-@np.errstate(divide="ignore")  # the boundary's entries divide by scale = 0, then are replaced
 def tilde_prox_factors(kind, labels, xnorm2, smooth, eta_tilde):
     """Per-sample factors of `_tilde_coeff_batch` for a smooth loss at the
     run's fixed conjugate-prox steps eta_tilde, from the labels, the squared
@@ -357,42 +361,34 @@ def tilde_prox_factors(kind, labels, xnorm2, smooth, eta_tilde):
     eta_tilde / (||X||^2 scale).  The logistic loss solves for v = label p* / 2
     (`_logistic_prox_r`) from b = c prox_in + 1 and c4 = prox_step, which
     are 2 label z / step + 1 and 4 / step, step = gamma ||X||^2, with
-    prox_out 2 label times the squared loss's.  eta_tilde above L by more
-    than 1e-9 relative breaks the identity (ValueError); the samples within
-    1e-9 of L form the boundary, where scale = 0, and get inert finite
-    factors, those of a unit step with zero inv_scale and prox_out.  Returns
-    (prox_in, prox_step, inv_scale, prox_out, boundary), `boundary` the mask
-    of those samples, or None when there are none.
+    prox_out 2 label times the squared loss's.  An eta_tilde above
+    (1 - PROX_MARGIN / 2) L leaves too little of the margin for the identity
+    (ValueError); below it, inv_scale <= 2 / PROX_MARGIN.  Returns (prox_in,
+    prox_step, inv_scale, prox_out).
     """
     ratio = eta_tilde / smooth
-    if np.any(ratio > 1.0 + 1e-9):
-        raise ValueError("eta_tilde exceeds the sample smoothness: prox identity breaks")
-    boundary = ratio >= 1.0 - 1e-9
-    gamma = (smooth - eta_tilde) / (eta_tilde * smooth)
+    if np.any(ratio > 1.0 - 0.5 * PROX_MARGIN):
+        raise ValueError(f"eta_tilde exceeds (1 - {PROX_MARGIN:g} / 2) times the sample "
+                         "smoothness: the prox identity breaks inside its margin")
     scale = 1.0 - ratio
     prox_in = xnorm2 / eta_tilde
-    step = np.where(boundary, 1.0, gamma * xnorm2)
-    prox_out = np.where(boundary, 0.0, eta_tilde / (xnorm2 * scale))
+    step = (smooth - eta_tilde) / (eta_tilde * smooth) * xnorm2  # gamma ||X||^2
+    prox_out = eta_tilde / (xnorm2 * scale)
     if kind is LossKind.LOGISTIC:
         prox_in = 2.0 * labels * prox_in / step
         step, prox_out = 4.0 / step, 2.0 * labels * prox_out
-    inv_scale = np.where(boundary, 0.0, 1.0 / scale)
-    return prox_in, step, inv_scale, prox_out, (boundary if boundary.any() else None)
+    return prox_in, step, 1.0 / scale, prox_out
 
 
-def _tilde_coeff_batch(kind, c_x, labels, prox_in, prox_step, inv_scale, prox_out, warm,
-                       boundary=None):
+def _tilde_coeff_batch(kind, c_x, labels, prox_in, prox_step, inv_scale, prox_out, warm):
     """Coefficient form of prox_{eta_tilde * ftilde*} along each feature,
     ftilde* = f* - ||.||^2 / (2L), for validated equal-length float arrays.
 
     Inputs/outputs are coefficients c such that the vector is c * X.  The
-    factors and the `boundary` mask (None: no boundary sample) are those of
-    `tilde_prox_factors`, which derives them: the loss's 1D prox solves for
-    its inner variable v and the output is c inv_scale - v prox_out, except
-    on the boundary samples, where it is the primal gradient at x / L, whose
-    z is c / L_g.  Returns (c_out, inner) with `inner` the solution v, the
-    warm start of the next prox of these samples (the warm start itself on
-    the boundary samples).
+    factors are those of `tilde_prox_factors`, which derives them: the loss's
+    1D prox solves for its inner variable v and the output is
+    c inv_scale - v prox_out.  Returns (c_out, inner) with `inner` the
+    solution v, the warm start of the next prox of these samples.
     """
     if kind is LossKind.LOGISTIC:
         b = c_x * prox_in
@@ -403,10 +399,6 @@ def _tilde_coeff_batch(kind, c_x, labels, prox_in, prox_step, inv_scale, prox_ou
         inner = _prox_1d_array(kind, c_x * prox_in, labels, prox_step)
     c_out = c_x * inv_scale
     c_out -= inner * prox_out
-    if boundary is not None and boundary.any():
-        c_out[boundary] = loss_grad(kind, c_x[boundary] / kind.scalar_smoothness,
-                                    labels[boundary])
-        inner[boundary] = warm[boundary]
     return c_out, inner
 
 

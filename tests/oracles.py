@@ -230,6 +230,26 @@ def prox_tilde_fstar(feature, label, kind, x, eta_tilde, warm=0.0):
     return c_out * feature
 
 
+def conjugate_prox_oracle(kind, c, label, xnorm2, smooth, eta_tilde, dps=40):
+    """The coefficient of prox_{eta~ ftilde*} at c X through the identity of
+    `prox_tilde_fstar`, evaluated in `dps`-digit arithmetic from the given
+    floats (eta~ < L), as a float.  The logistic primal prox is the root of
+    its optimality condition, which |loss'| <= 1 brackets in z +- step; the
+    squared loss's is in closed form."""
+    with mpmath.workdps(dps):
+        c, label, xnorm2, smooth, eta_tilde = (
+            mpmath.mpf(float(v)) for v in (c, label, xnorm2, smooth, eta_tilde))
+        z = c * xnorm2 / eta_tilde
+        step = (smooth - eta_tilde) / (eta_tilde * smooth) * xnorm2
+        if kind is LossKind.LOGISTIC:
+            p_star = mpmath.findroot(
+                lambda p: (p - z) / step - label / (1 + mpmath.exp(label * p)),
+                (z - step, z + step), solver="anderson")
+        else:
+            p_star = (z + step * label) / (1 + step)
+        return float((c - eta_tilde * p_star / xnorm2) / (1 - eta_tilde / smooth))
+
+
 def point_saga_unscaled(problem, iters, seed):
     """Point-SAGA iterates x_1 .. x_iters on the unscaled gradient table g_k,
     with one integers(N) pick per iteration from the solver's stream, the

@@ -1,14 +1,18 @@
+import json
 import math
+import os
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import adfs_lab.adfs as solver_module
 import adfs_lab.augmented as aug
 import adfs_lab.objective as objective
+from adfs_lab import harness
 from adfs_lab.adfs import (
     _Rounds,
     primal_estimate,
@@ -23,8 +27,9 @@ from adfs_lab.rng import BlockStream, generator
 from adfs_lab.topology import build_topology
 from dense import dense_A, dense_sigma_dagger, observed_run, state_rows
 from instances import random_connected_graph, random_objectives, random_problem
-from oracles import (CompositeProblem, dense_c0_constant, lift_primal_point, loss_prox_1d,
-                     prox_tilde_fstar, run_apcg, sigma_dagger_rows)
+from oracles import (CompositeProblem, conjugate_prox_oracle, dense_c0_constant,
+                     lift_primal_point, loss_prox_1d, prox_tilde_fstar, run_apcg,
+                     sigma_dagger_rows)
 from test_checks import solver_equivalence
 
 
@@ -39,9 +44,10 @@ def single_node_problem(seed=3, m=3, d=2):
 
 def clamped_problem(wide=0, n=2):
     """`n` fully connected nodes of 12 flat logistic samples (norm 0.2), which
-    force the rate clamp and put every virtual node at the boundary eta~ = L
-    of the conjugate prox.  The first `wide` samples of each node get norm
-    0.4, so a larger p_ij keeps them off the boundary."""
+    force the rate clamp and put every virtual node at the margin
+    eta~ = (1 - PROX_MARGIN) L below the conjugate prox's limit.  The first
+    `wide` samples of each node get norm 0.4, so a larger p_ij keeps them
+    further below it."""
     rng = generator("clamp-run", 0)
     g = build_topology("complete", n=n)
     objs = []
@@ -260,7 +266,7 @@ class TestReferenceSolver:
             )
 
     def test_clamped_instance_still_converges(self):
-        # flat samples force the rate clamp; the boundary conjugate prox runs
+        # flat samples force the rate clamp; every virtual node sits at the margin
         prob = clamped_problem()
         assert prob.rho < prob.rho_unclamped
         flat = pool_objectives(prob.objectives)
@@ -365,7 +371,7 @@ class TestEfficientSolver:
     def test_matches_reference_on_random_weighted_instances(self, seed, n, d, loss,
                                                             log_scale, tau):
         # small feature scales put L_ij below sigma_i, so some instances are
-        # rate-clamped and run the boundary conjugate prox in both forms
+        # rate-clamped and run the conjugate prox at its margin in both forms
         rng = generator("equivalence-property", seed)
         graph = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, n)),
                                        weighted=True)
@@ -410,20 +416,19 @@ class TestBatchProxRounds:
         sizes = self._checked_batch_sizes(monkeypatch, prob)
         assert sizes and set(sizes) == {n}
 
-    def test_clamped_rounds_reach_the_kernel_through_the_boundary_mask(self, monkeypatch):
+    def test_clamped_rounds_reach_the_kernel_whole(self, monkeypatch):
         n = objective.BATCH_MIN + 4
         prob = clamped_problem(wide=10, n=n)
         assert prob.rho < prob.rho_unclamped
         sizes = self._checked_batch_sizes(monkeypatch, prob)
-        # every round reaches the kernel whole, boundary nodes included: the
-        # boundary mask overwrites their outputs after the kernel
+        # every round reaches the kernel whole, the nodes at the margin included
         assert sizes and set(sizes) == {n}
 
 
 def expected_columns(prob):
     """{column: values} of the round table, each from its definition, one
     virtual node at a time; eta~ = eta (mu^2 / p) is grouped as the solver
-    groups it, since L - eta~ cancels on nodes near the boundary."""
+    groups it, since L - eta~ cancels on nodes near the prox limit."""
     rows = []
     for i in range(prob.n):
         for g in range(prob.vstart[i], prob.vstart[i + 1]):
@@ -436,15 +441,15 @@ def expected_columns(prob):
                 continue
             big_l = float(prob.smooth_virtual[g])
             eta_t = prob.eta * (mu2 / p)
-            scale = 1.0 - eta_t / big_l  # 0 at the boundary eta~ = L
+            scale = 1.0 - eta_t / big_l
             z_in, step = x2 / eta_t, (big_l - eta_t) / (eta_t * big_l) * x2
-            p_out = eta_t / (x2 * scale) if scale else np.inf
+            p_out = eta_t / (x2 * scale)
             if prob.loss is LossKind.LOGISTIC:  # the factors of the prox in r = label p / 2
-                z_in = 2.0 * label * z_in / step if step else np.inf
-                step, p_out = 4.0 / step if step else np.inf, 2.0 * label * p_out
+                z_in = 2.0 * label * z_in / step
+                step, p_out = 4.0 / step, 2.0 * label * p_out
             row.update({
                 aug.G_COEF: mu2 / (p * big_l), aug.LABEL: label, aug.PROX_IN: z_in,
-                aug.PROX_STEP: step, aug.INV_SCALE: 1.0 / scale if scale else np.inf,
+                aug.PROX_STEP: step, aug.INV_SCALE: 1.0 / scale,
                 aug.PROX_OUT: p_out,
                 aug.PAIR_U: (1.0 - prob.rho / p) / 2.0,
                 aug.PAIR_Z: (1.0 + prob.rho / p) / 2.0,
@@ -463,61 +468,24 @@ class TestRoundTable:
         else:
             prob = random_problem(rng, n=4, m=3, d=2, loss=LossKind(case), weighted=True,
                                   ragged=True)
-        table, boundary = aug.round_table(prob)
-        assert boundary is None
+        table = aug.round_table(prob)
         expected = expected_columns(prob)
         assert table.shape == (prob.n_virtual, len(expected))
         for col, values in expected.items():
             np.testing.assert_allclose(table[:, col], values, rtol=1e-15, atol=0,
                                        err_msg=f"column {col}")
 
-    def test_boundary_rows_carry_no_prox_factors(self):
+    def test_clamped_rows_carry_the_identity_factors(self):
         prob = clamped_problem(wide=6)
-        table, boundary = aug.round_table(prob)
-        assert boundary is not None and boundary.any() and not boundary.all()
+        table = aug.round_table(prob)
         assert np.isfinite(table).all()
-        # boundary rows get inert prox factors: those of a unit step (c4 = 4 and
-        # an input factor 2 label ||X||^2 / eta~ in the logistic r form), zero
-        # output factors
-        x2_eta = prob.xnorm2 / (prob.eta * (prob.mu2_virtual / prob.sampling.p_marginal))
-        inert = {aug.PROX_IN: 2.0 * prob.labels * x2_eta, aug.PROX_STEP: 4.0,
-                 aug.INV_SCALE: 0.0, aug.PROX_OUT: 0.0}
         for col, values in expected_columns(prob).items():
-            if col in inert:
-                values = np.where(boundary, inert[col], values)
             np.testing.assert_allclose(table[:, col], values, rtol=1e-15, atol=0,
                                        err_msg=f"column {col}")
-
-    def test_mixed_round_matches_oracle(self):
-        prob = clamped_problem(wide=6)
-        assert prob.rho < prob.rho_unclamped
-        rounds = _Rounds(prob)
-        stream = BlockStream(prob.sampling, "adfs", 0)
-        for _ in range(100):
-            draw = aug.draw_block(prob, stream)
-            if draw.kind == "computation":
-                boundary = rounds.boundary[draw.idx]
-                if boundary.any() and not boundary.all():
-                    break
-        else:
-            pytest.fail("no computation round mixing boundary and regular nodes")
-        rng = generator("mixed-round", 0)
-        y, w = (rng.normal(size=zero_state(prob).size) for _ in range(2))
-        idx, consts, rows = rounds.sample(prob, draw)
-        y_center, y_coef = split_state(prob, y)
-        w_coef = split_state(prob, w)[1][idx]
-        h = rounds.step(prob, idx, consts, rows, y_center, y_coef[idx], w_coef, prob.eta)
-        grad = aug.virtual_gradient(prob, consts, rows, y_center, y_coef[idx])
-        c_in = w_coef + prob.eta * grad
-        for k, g in enumerate(idx):
-            feat = prob.features[g]
-            eta_t = prob.eta * prob.mu2_virtual[g] / prob.sampling.p_marginal[g]
-            out = prox_tilde_fstar(feat, prob.labels[g], prob.loss, c_in[k] * feat, eta_t)
-            expected = float(feat @ out) / prob.xnorm2[g]
-            assert abs(w_coef[k] + h[k] - expected) <= 1e-12 * (1.0 + abs(w_coef[k]))
-        # the boundary branch leaves its warm starts alone
-        assert np.all(rounds.warm[idx[boundary]] == 0.0)
-        assert np.all(rounds.warm[idx[~boundary]] != 0.0)
+        # the narrow rows sit at the margin, the wide ones below it
+        inv_scale = table[:, aug.INV_SCALE]
+        assert inv_scale.max() == pytest.approx(1.0 / objective.PROX_MARGIN, rel=1e-12)
+        assert inv_scale.min() < 0.5 / objective.PROX_MARGIN
 
     def test_forms_agree_on_mixed_clamped_instance(self):
         prob = clamped_problem(wide=6)
@@ -530,16 +498,81 @@ class TestRoundTable:
 
     def test_rate_above_clamp_cap_rejected_before_first_iteration(self, monkeypatch):
         prob = clamped_problem()
-        cap = 0.5 * float(prob.sampling.p_marginal.min())
-        bad = replace(prob, rho=2.0 * cap)
+        p_min = float(prob.sampling.p_marginal.min())
 
         def no_draw(*args):
             raise AssertionError("a block was drawn")
 
         monkeypatch.setattr(aug, "draw_block", no_draw)
-        for run in (run_adfs, run_adfs_efficient):
-            with pytest.raises(ValueError, match="identity breaks"):
-                run(bad, 10, seed=0)
+        # 2 rho = p_min puts eta~ on the prox limit, inside the margin
+        for rho in (0.5 * p_min, p_min):
+            for run in (run_adfs, run_adfs_efficient):
+                with pytest.raises(ValueError, match="identity breaks inside its margin"):
+                    run(replace(prob, rho=rho), 10, seed=0)
+
+
+def fig_analogue_problem(**over):
+    """The problem `build_instance` makes of configs/fig_analogue.json with
+    the keys of `over` replaced."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "configs", "fig_analogue.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    data.update(over)
+    return harness.build_instance(harness.load_config(data))[2]
+
+
+class TestNearLimitPrecision:
+    def test_rounds_match_a_40_digit_prox(self):
+        # the figure analogue at sigma = 100 clamps the rate: one virtual node
+        # sits at the margin below the prox limit, the next ones within 1e-3
+        # of it, where the identity's cancellation is largest
+        prob = fig_analogue_problem(sigma=100)
+        assert prob.rho < prob.rho_unclamped
+        inv_scale = aug.round_table(prob)[:, aug.INV_SCALE]
+        assert inv_scale.max() <= (1.0 + 1e-12) / objective.PROX_MARGIN
+        eta_t = prob.eta * (prob.mu2_virtual / prob.sampling.p_marginal)
+        ratio = eta_t / prob.smooth_virtual
+        # rounds over the virtual node of each node nearest the limit
+        idx = np.array([lo + int(np.argmax(ratio[lo:hi]))
+                        for lo, hi in zip(prob.vstart[:-1], prob.vstart[1:])])
+        assert ratio[idx].max() == pytest.approx(1.0 - objective.PROX_MARGIN, rel=1e-12)
+        rounds = _Rounds(prob)
+        draw = aug.BlockDraw("computation", idx)
+        rng = generator("near-limit", 0)
+        for y_scale in (0.0, 1e-3, 1e-3):  # from cold, then warm, starts
+            y_center, y_coef = split_state(prob, rng.normal(size=zero_state(prob).size) * y_scale)
+            w_coef = -prob.labels[idx] * rng.uniform(0.05, 0.95, size=idx.size)
+            _, consts, rows = rounds.sample(prob, draw)
+            h = rounds.step(prob, idx, consts, rows, y_center, y_coef[idx], w_coef, prob.eta)
+            c_in = w_coef + prob.eta * aug.virtual_gradient(prob, consts, rows, y_center,
+                                                            y_coef[idx])
+            for k, g in enumerate(idx):
+                expected = conjugate_prox_oracle(prob.loss, c_in[k], prob.labels[g],
+                                                 prob.xnorm2[g], prob.smooth_virtual[g],
+                                                 eta_t[g])
+                assert abs(w_coef[k] + h[k] - expected) <= 1e-13 * abs(expected), (g, ratio[g])
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), d=st.integers(1, 3),
+           loss=st.sampled_from([LossKind.LOGISTIC, LossKind.SQUARED]),
+           log_scale=st.floats(-3.0, -0.5))
+    def test_clamped_instances_keep_the_margin(self, seed, n, d, loss, log_scale):
+        rng = generator("margin-property", seed)
+        graph = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, n)),
+                                       weighted=True)
+        objs = [LocalObjective(o.feature_matrix * 10.0**log_scale, o.labels, o.sigma, o.loss)
+                for o in random_objectives(rng, n, 12, d, loss=loss, ragged=True)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            prob = build_augmented(graph, objs, tau=1.0)
+            assume(prob.rho < prob.rho_unclamped)
+            table = aug.round_table(prob)
+            run_adfs_efficient(prob, 50, seed=0, log_every=50)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert np.isfinite(table).all()
+        # 1 / PROX_MARGIN up to the rounding of eta~ / L, which the scale
+        # 1 - eta~ / L = PROX_MARGIN amplifies to about 1e-14 relative
+        assert table[:, aug.INV_SCALE].max() <= (1.0 + 1e-12) / objective.PROX_MARGIN
 
 
 class TestMomentumMap:

@@ -19,7 +19,7 @@ from adfs_lab.augmented import (
     split_state,
     zero_state,
 )
-from adfs_lab.objective import LocalObjective, LossKind, loss_conjugate, loss_grad
+from adfs_lab.objective import PROX_MARGIN, LocalObjective, LossKind, loss_conjugate, loss_grad
 from adfs_lab.rng import CHUNK, BlockStream, generator
 from adfs_lab.topology import build_topology, laplacian
 from dense import dense_A, dense_pb_dagger_diag, dense_sigma_dagger, exact_sigma_a, state_rows
@@ -161,7 +161,8 @@ class TestRate:
             assert built.rho <= 1e-11
 
     def test_clamp_activates_on_flat_samples(self, caplog):
-        # many nearly useless samples (L << sigma) force 2 rho <= min p_ij
+        # many nearly useless samples (L << sigma) force
+        # 2 rho <= (1 - PROX_MARGIN) min p_ij
         rng = generator("clamp", 0)
         g = build_topology("complete", n=2)
         objs = []
@@ -174,7 +175,11 @@ class TestRate:
         with caplog.at_level(logging.WARNING, logger="adfs_lab"):
             prob = build_augmented(g, objs, tau=1.0)
         assert prob.rho < prob.rho_unclamped
-        assert prob.rho == pytest.approx(float(prob.sampling.p_marginal.min()) / 2)
+        p_min = float(prob.sampling.p_marginal.min())
+        assert prob.rho == 0.5 * (1.0 - PROX_MARGIN) * p_min
+        # eta~_ij / L_ij = 2 rho / p_ij: the node of the smallest p_ij sits at the margin
+        eta_t = prob.eta * prob.mu2_virtual / prob.sampling.p_marginal
+        assert (eta_t / prob.smooth_virtual).max() == pytest.approx(1.0 - PROX_MARGIN, rel=1e-12)
         assert any("clamped" in r.message for r in caplog.records)
 
     def test_time_formula(self, rng):
@@ -275,7 +280,7 @@ class TestOperatorShortcuts:
             # the sparse form the solvers take, with a momentum weight: the
             # round table's 1 / p_ij column on the centers and the coefficients
             center, coef = split_state(prob, state)
-            scale = 0.5 * round_table(prob)[0][idx, INV_P]
+            scale = 0.5 * round_table(prob)[idx, INV_P]
             wt_center, wt_coef = center * scale[:, None], scale * coef[idx]
             assert np.max(np.abs(wt_center - 0.5 * ref[: prob.n])) <= 1e-8
             wt_virtual = wt_coef[:, None] * prob.features[idx]

@@ -74,7 +74,7 @@ def operator_shortcuts(problems, rng, count):
     for prob in problems:
         a = dense_A(prob)
         pinv_a = np.linalg.pinv(a)
-        inv_p = aug.round_table(prob)[0][:, aug.INV_P]
+        inv_p = aug.round_table(prob)[:, aug.INV_P]
         shape = (prob.n_rows, prob.d)
 
         def pb(draw):

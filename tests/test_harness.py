@@ -592,6 +592,10 @@ FOUND = [
     # a subnormal p_comm makes rho and the conjugate-prox steps underflow: the
     # round table held nan, which blamed the features
     (found_case(p_comm=1e-320), "p_comm", "p_comm"),
+    # the noise term alone put a squared-loss label past RANGE_HI, which
+    # blamed the features
+    (found_case(loss="squared", dataset={"kind": "synthetic", "d": 2, "seed": 2, "noise": 1e30}),
+     "dataset.noise", "dataset.noise"),
 ]
 
 
