@@ -8,11 +8,12 @@ their momentum schedule: per iteration a 2 x 2 matrix, applied to the
 iterate pair (x, v) held as the two rows of one array, a step size and the
 block step's beta.  Every state is one vector in the layout of
 `augmented.split_state`: n center rows, then one coefficient per virtual
-node.  All of them run and log through `records.run_loop`, on an idealized
-clock: one time unit per computation round, tau per gossip round.  At each
-log point a solver forms one view of its state, a dict of state vectors (x,
-v and y; the non-smooth form x and v; the rescaled form adds its raw z).  The
-logged value, theta and an optional `observe(t, view)` callback read it.
+node.  All of them run and log through `records.run_loop`, which charges the
+idealized clock: one time unit per computation round, and the problem's tau,
+which they pass it, per gossip round.  At each log point a solver forms one
+view of its state, a dict of state vectors (x, v and y; the non-smooth form x
+and v; the rescaled form adds its raw z).  The logged value, theta and an
+optional `observe(t, view)` callback read it.
 """
 
 import itertools
@@ -115,7 +116,7 @@ def _block_step(problem, rounds, draw, y, w, eta, beta):
 
     On entry the states y and w hold the momentum combinations of the
     iterates x and v; on return w holds the next v = w + delta and y the next
-    x = y + beta * W~ delta.  Returns the idealized duration of the block.
+    x = y + beta * W~ delta.
     """
     w_center, w_coef = w
     y_center, y_coef = y
@@ -124,7 +125,7 @@ def _block_step(problem, rounds, draw, y, w, eta, beta):
         delta = -eta * aug.apply_comm_step(problem, y_center)
         w_center += delta
         y_center += beta * aug.apply_wtilde(problem, delta)
-        return problem.tau
+        return
     # delta is -h * X on the centers and +h on the sampled coefficients, and
     # its W~ image is delta scaled by 1 / p_ij: only those entries move
     idx, consts, rows = rounds.sample(problem, draw)
@@ -136,7 +137,6 @@ def _block_step(problem, rounds, draw, y, w, eta, beta):
     h *= beta
     y_coef[idx] += h
     y_center -= rows * h[:, None]
-    return 1.0
 
 
 def _run_pair(problem, iters, seed, token, schedule, view, value, run_args):
@@ -149,7 +149,8 @@ def _run_pair(problem, iters, seed, token, schedule, view, value, run_args):
     roles.  The block stream is (problem.sampling, token, seed).  A pair is
     the (x, v) array with the (center, coef) views of each row, as _pair
     makes it; `view(x, v)` is the solver's view of the iterates, and `value`
-    and `run_args` (the last four arguments) go to run_loop with it.
+    and `run_args` (the last four arguments) go to run_loop with it, and
+    problem.tau as the gossip cost.
     Returns the record and the final view.
     """
     rounds = _Rounds(problem)
@@ -162,16 +163,16 @@ def _run_pair(problem, iters, seed, token, schedule, view, value, run_args):
         full, y, w = nxt
         np.matmul(momentum, cur[0], out=full)
         draw = aug.draw_block(problem, stream)
-        duration = _block_step(problem, rounds, draw, y, w, eta, beta)
+        _block_step(problem, rounds, draw, y, w, eta, beta)
         cur, nxt = nxt, cur
         if not np.isfinite(full[1]).all():
             raise FloatingPointError(f"non-finite state at iteration {t}")
-        return draw.kind, duration
+        return draw.kind
 
     def state():
         return view(*cur[0])
 
-    return run_loop(iters, step, state, value, *run_args), state()
+    return run_loop(iters, step, state, value, *run_args, tau=problem.tau), state()
 
 
 def run_adfs(problem, iters, seed, log_every=100, f_star=None, observe=None,
@@ -206,7 +207,7 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None, observe
     """
     if not problem.smooth:
         raise ValueError("run_adfs_efficient needs the smooth build")
-    rho, eta, tau = problem.rho, problem.eta, problem.tau
+    rho, eta = problem.rho, problem.eta
     phi = (1.0 - rho) / (1.0 + rho)
     # U and z stay two arrays: stacked as one, the rounds measured slower
     big_u, z = aug.zero_state(problem), aug.zero_state(problem)
@@ -225,7 +226,6 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None, observe
             u_center -= (h - rho * wt) / (2.0 * c)
             z_center += 0.5 * (h + rho * wt)
             z_written = None  # no coefficient written this round
-            duration = tau
         else:
             idx, consts, xs = rounds.sample(problem, draw)
             u_idx, z_idx = u_coef[idx], z_coef[idx]
@@ -242,7 +242,6 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None, observe
             z_coef[idx] = z_written = z_idx + dz
             u_center += du[:, None] * xs
             z_center -= dz[:, None] * xs
-            duration = 1.0
         c *= phi
         if c < RENORM_FLOOR:
             big_u *= c
@@ -251,7 +250,7 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None, observe
         if not (np.isfinite(z_center).all()
                 and (z_written is None or np.isfinite(z_written).all())):
             raise FloatingPointError(f"non-finite state at iteration {t}")
-        return draw.kind, duration
+        return draw.kind
 
     # y_K = phi^(K+1) u_K + z_K is the return convention of this form
     def view():
@@ -259,7 +258,7 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None, observe
         return {"x": ut / phi + z, "v": -ut / phi + z, "y": ut + z, "z": z}
 
     record = run_loop(iters, step, view, lambda state: _primal_value(problem, state),
-                      log_every, f_star, stop_at_subopt, observe)
+                      log_every, f_star, stop_at_subopt, observe, tau=problem.tau)
     return RunResult(record, _estimate(problem, view()["y"]))
 
 

@@ -92,7 +92,7 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
         feat = feats[j]
         zz = float(feat @ v)
         if not math.isfinite(zz):  # a nan or inf anywhere in v reaches zz
-            raise ValueError("non-finite prox input")
+            raise ValueError(f"non-finite prox input at iteration {t}")
         prox_step = eta_inner * xnorm2_f[j]
         if logistic:
             p = _logistic_prox(zz, label_f[j], prox_step, warm[j])
@@ -103,7 +103,7 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
         w -= x  # the new row, gamma g_j
         gbar += (w - row) / n_samp
         table[j] = w
-        return "computation", 1.0
+        return "computation"
 
     def value(theta):
         return _stacked_value(problem.loss, feats, labels, problem.sigma_total, theta)

@@ -6,6 +6,7 @@ of which every node's dataset is a row view (see `assign_node_datasets` and
 `stack_rows`).  Only the V sampled rows of a pool are ever made dense.
 """
 
+import math
 import re
 from itertools import chain
 from operator import itemgetter
@@ -16,8 +17,7 @@ import numpy as np
 from .rng import generator
 
 __all__ = ["RANGE_LO", "RANGE_HI", "in_range", "LibsvmParseError", "LibsvmData", "parse_libsvm",
-           "sample_line", "write_libsvm", "synth_pool", "assign_node_datasets", "synth_dataset",
-           "stack_rows"]
+           "write_libsvm", "synth_pool", "assign_node_datasets", "synth_dataset", "stack_rows"]
 
 # The numeric domain of the inputs.  Every positive scale of a config (each
 # sigma_i, feature_scale, each edge weight, and tau, p_comm and noise when not
@@ -65,9 +65,11 @@ def parse_libsvm(path):
     into a LibsvmData record.
 
     Blank lines and `#` comments are skipped.  Labels and values are read by
-    `float` and indices by `int`.  Malformed tokens raise LibsvmParseError
-    with the line and column of the file's first offending token.  The file
-    is read and converted BLOCK_CHARS characters at a time.
+    `float` and indices by `int`.  Malformed tokens, and labels and values
+    that are not finite (nan, inf, or past the float range like 1e400),
+    raise LibsvmParseError with the line and column of the file's first
+    offending token, whichever rows a node later draws.  The file is read
+    and converted BLOCK_CHARS characters at a time.
     """
     parts = ([np.zeros(0)], [np.zeros(0, np.int64)], [np.zeros(0, np.int64)], [np.zeros(0)])
     lineno = 0
@@ -106,6 +108,8 @@ def _read_block(lines):
         values = np.fromiter(map(float, pieces[1::2]), float, n_pairs)
     except (ValueError, OverflowError):
         return None
+    if not (np.isfinite(labels).all() and np.isfinite(values).all()):
+        return None
     # each index is >= 1 and above its predecessor, unless it opens a row
     opens = np.zeros(len(idx), bool)
     opens[(np.cumsum(counts) - counts)[counts > 0]] = True
@@ -124,9 +128,11 @@ def _first_error(lines, lineno):
         if not tokens:
             continue
         try:
-            float(tokens[0])
+            label = float(tokens[0])
         except ValueError:
             return _token_error(line, lineno, 0, f"bad label {tokens[0]!r}")
+        if not math.isfinite(label):
+            return _token_error(line, lineno, 0, f"non-finite label {tokens[0]!r}")
         prev_idx = 0
         for pos, tok in enumerate(tokens[1:], start=1):
             idx_s, colon, val_s = tok.partition(":")
@@ -134,9 +140,11 @@ def _first_error(lines, lineno):
                 return _token_error(line, lineno, pos, f"expected idx:value, got {tok!r}")
             try:
                 idx = int(idx_s)
-                float(val_s)
+                value = float(val_s)
             except ValueError:
                 return _token_error(line, lineno, pos, f"bad feature token {tok!r}")
+            if not math.isfinite(value):
+                return _token_error(line, lineno, pos, f"non-finite value {tok!r}")
             if idx < 1:
                 return _token_error(line, lineno, pos, f"index {idx} must be >= 1")
             if idx <= prev_idx:
@@ -152,18 +160,6 @@ def _token_error(line, lineno, pos, message):
     # token pos of the one is match pos of the other
     col = [m.start() + 1 for m in re.finditer(r"\S+", line)][pos]
     return LibsvmParseError(f"line {lineno}, column {col}: {message}")
-
-
-def sample_line(path, r):
-    """The line number of sample r (0-based) of a LibSVM file that
-    parse_libsvm reads: the (r + 1)-th line holding a token."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            if raw.split("#", 1)[0].split():
-                if r == 0:
-                    return lineno
-                r -= 1
-    raise IndexError("sample index past the end of the file")
 
 
 def write_libsvm(path, data):

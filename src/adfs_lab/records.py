@@ -11,7 +11,7 @@ __all__ = ["LogRow", "RunRecord", "RunResult", "run_loop"]
 @dataclass(frozen=True)
 class LogRow:
     iteration: int
-    time: float  # idealized clock: 1 per computation round, tau per gossip round
+    time: float  # idealized clock (run_loop): 1 per computation block, tau per gossip block
     objective: float  # primal value (smooth runs) or dual value (non-smooth runs)
     subopt: float = None  # objective minus the cached optimum, when one was given
     block_kind: str = ""
@@ -34,19 +34,26 @@ class RunResult(NamedTuple):  # what every solver returns
     theta: np.ndarray  # final primal estimate (d,)
 
 
-def run_loop(iters, step, view, value, log_every, f_star, stop_at_subopt, observe=None):
+def run_loop(iters, step, view, value, log_every, f_star, stop_at_subopt, observe=None,
+             tau=None):
     """Run a solver for at most `iters` iterations on the idealized clock.
 
-    `step(t)` performs iteration t (0-based) and returns the block kind and
-    its idealized duration.  A row is logged at t = 0 and after every
-    `log_every` iterations; the run stops at the first row after t = 0 whose
-    subopt is <= `stop_at_subopt`.  At each log point, and only there,
-    `view()` gives the solver's state once: `value(view)` is the logged
-    objective, and `observe(t, view)`, if given, sees the same view.  A view
-    is valid only during that call, so an observer copies what it keeps.
+    `step(t)` performs iteration t (0-based) and returns the kind of block it
+    ran.  The clock charges 1 for a "computation" block and `tau`, the gossip
+    cost, for a "communication" block; a kind without a cost (gossip when
+    `tau` is None) raises KeyError.  A row is logged at t = 0, after every
+    `log_every` iterations and after the last one; the run stops at the first
+    row after t = 0 whose subopt is <= `stop_at_subopt`.  At each log point,
+    and only there, `view()` gives the solver's state once: `value(view)` is
+    the logged objective, and `observe(t, view)`, if given, sees the same
+    view.  A view is valid only during that call, so an observer copies what
+    it keeps.
     """
     if iters < 1:
         raise ValueError("iters must be >= 1")
+    cost = {"computation": 1.0}  # the idealized duration of each block kind
+    if tau is not None:
+        cost["communication"] = tau
     rows = []
 
     def log(t, now, kind):
@@ -61,10 +68,10 @@ def run_loop(iters, step, view, value, log_every, f_star, stop_at_subopt, observ
     log(0, 0.0, "")
     now = 0.0
     for t in range(iters):
-        kind, duration = step(t)
-        now += duration
+        kind = step(t)
+        now += cost[kind]
         t1 = t + 1
-        if t1 % log_every == 0:
+        if t1 % log_every == 0 or t1 == iters:
             sub = log(t1, now, kind)
             if stop_at_subopt is not None and sub is not None and sub <= stop_at_subopt:
                 break

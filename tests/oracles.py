@@ -517,8 +517,9 @@ def run_apcg(problem, mode, iters, rng_seed, alpha0=None):
 def parse_libsvm_pairs(path):
     """Parse `label idx:val ...` lines token by token into (samples, dim),
     where samples is a list of (label, pairs) with 0-based pairs.  Blank
-    lines and `#` comments are skipped; the first malformed token raises
-    LibsvmParseError with its line and column."""
+    lines and `#` comments are skipped; the first malformed token, or
+    non-finite label or value, raises LibsvmParseError with its line and
+    column."""
     samples = []
     dim = 0
     with open(path, "r", encoding="utf-8") as fh:
@@ -531,6 +532,8 @@ def parse_libsvm_pairs(path):
                 label = float(tokens[0])
             except ValueError:
                 raise _token_error(line, lineno, 0, f"bad label {tokens[0]!r}") from None
+            if not math.isfinite(label):
+                raise _token_error(line, lineno, 0, f"non-finite label {tokens[0]!r}")
             pairs = []
             prev_idx = 0
             for tok in tokens[1:]:  # a bad token is token len(pairs) + 1
@@ -544,6 +547,9 @@ def parse_libsvm_pairs(path):
                 except ValueError:
                     raise _token_error(line, lineno, len(pairs) + 1,
                                        f"bad feature token {tok!r}") from None
+                if not math.isfinite(val):
+                    raise _token_error(line, lineno, len(pairs) + 1,
+                                       f"non-finite value {tok!r}")
                 if idx < 1:
                     raise _token_error(line, lineno, len(pairs) + 1,
                                        f"index {idx} must be >= 1")

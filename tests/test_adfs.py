@@ -231,10 +231,23 @@ class TestReferenceSolver:
         for t in checkpoints:
             assert np.median(sq[t]) <= c0 * (1 - prob.rho) ** t
 
-    def test_time_increments_follow_block_kinds(self, rng):
-        prob = random_problem(rng, n=3, m=2, d=2, tau=4.0)
-        res = run_adfs(prob, 400, seed=9, log_every=1)
+    @pytest.mark.parametrize("solver", ["adfs", "adfs_efficient", "ns_adfs", "point_saga"])
+    def test_time_increments_follow_block_kinds(self, rng, solver):
+        if solver == "ns_adfs":
+            objs = random_objectives(rng, 3, 2, 2, loss=LossKind.ABSOLUTE)
+            prob = aug.build_augmented_ns(build_topology("line", n=3), objs, tau=4.0)
+        else:
+            prob = random_problem(rng, n=3, m=2, d=2, tau=4.0)
+        if solver == "point_saga":
+            # no gossip: one time unit per prox, so time == iteration
+            res = point_saga(pool_objectives(prob.objectives), 400, 9, log_every=1)
+            kinds = {"computation"}
+        else:
+            run = {"adfs": run_adfs, "adfs_efficient": run_adfs_efficient, "ns_adfs": run_ns_adfs}
+            res = run[solver](prob, 400, seed=9, log_every=1)
+            kinds = {"computation", "communication"}
         rows = res.record.rows
+        assert {r.block_kind for r in rows[1:]} == kinds
         for prev, cur in zip(rows, rows[1:]):
             inc = cur.time - prev.time
             if cur.block_kind == "communication":
@@ -284,6 +297,19 @@ class TestReferenceSolver:
         assert [r.iteration for r in rows] == list(range(0, rows[-1].iteration + 1, 10))
         assert rows[-1].iteration < 100_000
         assert rows[-1].subopt <= target < rows[-2].subopt
+
+    @pytest.mark.parametrize("solver", ["adfs", "adfs_efficient", "ns_adfs"])
+    def test_non_finite_state_names_its_iteration(self, rng, monkeypatch, solver):
+        # a NaN from gossip (not inf: inf - inf would warn) stops the run at
+        # the first communication block
+        run = solver_run(solver, rng)
+        kinds = [r.block_kind for r in run(100, log_every=1).record.rows[1:]]
+        first = kinds.index("communication")
+        monkeypatch.setattr(aug, "apply_comm_step",
+                            lambda problem, centers: np.full_like(centers, np.nan))
+        with pytest.raises(FloatingPointError,
+                           match=f"^non-finite state at iteration {first}$"):
+            run(100)
 
     @pytest.mark.parametrize("solver", ["adfs", "adfs_efficient", "ns_adfs"])
     def test_observing_changes_nothing(self, rng, solver):

@@ -134,6 +134,13 @@ class TestPointSaga:
         times = [r.time for r in record.rows]
         assert times == [0.0, 100.0, 200.0, 300.0]
 
+    def test_non_finite_prox_input_names_its_iteration(self, rng, monkeypatch):
+        # a NaN prox output at iteration 0 reaches the next prox input
+        monkeypatch.setattr(baselines, "_logistic_prox", lambda *args: float("nan"))
+        flat = pool_objectives(random_objectives(rng, 2, 3, 2))
+        with pytest.raises(ValueError, match="^non-finite prox input at iteration 1$"):
+            point_saga(flat, 10, seed=0)
+
     def test_indices_match_per_call_draws(self, rng, monkeypatch):
         # the chunked sample indices are those of one integers(N) call per
         # iteration, across more than two chunk refills

@@ -297,9 +297,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="absolute"):
             load_config(base_config(algorithms=["ns_adfs"]))
 
-    def test_iters_divisibility(self):
-        with pytest.raises(ConfigError, match="multiple of log_every"):
-            load_config(base_config(iters=55))
+    def test_off_grid_budget_logs_its_last_iteration(self, tmp_path):
+        # a budget off the log grid loads, runs, and ends its rows at iters
+        cfg = load_config(base_config(algorithms=["adfs", "point_saga"], iters=55))
+        code, csv_path, _ = run_experiment(cfg, *certified(cfg), str(tmp_path))
+        assert code == 0
+        logged = {}
+        for line in open(csv_path).read().splitlines()[1:]:
+            algo, seed, it = line.split(",")[:3]
+            logged.setdefault((algo, seed), []).append(int(it))
+        assert logged == {(a, s): [0, 20, 40, 55] for a in ("adfs", "point_saga")
+                          for s in ("0", "1")}
 
     def test_per_algorithm_iters(self):
         cfg = load_config(base_config(algorithms=["adfs", "point_saga"],
@@ -908,7 +916,20 @@ class TestCli:
         path = self._write_config(tmp_path, base_config(**over))
         assert cli(["spectrum", path]) == 1
         assert capsys.readouterr().err == (
-            f"error: dataset.path: line 5: label {float(label)!r} is not finite\n")
+            f"error: dataset.path: line 5, column 1: non-finite label {label!r}\n")
+
+    @pytest.mark.parametrize("m", [2, 40])
+    def test_non_finite_value_in_any_row_names_its_line(self, tmp_path, capsys, m):
+        # a NaN value on the last line fails the read whether or not a node
+        # draws its row
+        svm = tmp_path / "values.svm"
+        svm.write_text("-1 1:0.5 2:1.0\n" * 39 + "1 1:nan 2:1.0\n")
+        path = self._write_config(tmp_path, base_config(
+            topology={"kind": "line", "n": 2}, loss="squared", m=m,
+            dataset={"kind": "libsvm", "path": str(svm)}))
+        assert cli(["spectrum", path]) == 1
+        assert capsys.readouterr().err == (
+            "error: dataset.path: line 40, column 3: non-finite value '1:nan'\n")
 
     def test_gen_data_roundtrips(self, tmp_path):
         out = str(tmp_path / "gen.svm")
