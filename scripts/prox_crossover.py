@@ -9,7 +9,9 @@ hands to its kernels.  It then replays them through the loop kernel
 `objective._logistic_prox_r` and the batch kernel
 `objective._logistic_prox_r_batch`, and prints the cost per round and per
 element of each (best of --reps alternating passes), their largest difference, and how
-many elements each kernel handed to the guarded scalar `_logistic_prox`.
+many elements each kernel's Newton steps missed: the loop kernel hands those
+to `_logistic_prox_r_fallback`, the batch kernel redoes them with the scalar
+kernel `_logistic_prox_r_scalar`.
 `objective.BATCH_MIN` should sit where the batch kernel first wins by at
 least 10%.  The exit status is 1 if the two kernels differ by more than
 1e-12 (1 + |r|) anywhere.
@@ -25,7 +27,9 @@ import numpy as np
 
 from adfs_lab import adfs, harness, objective
 
-KERNELS = ("_logistic_prox_r", "_logistic_prox_r_batch")  # loop, batch
+# (kernel, the entry that takes the elements its Newton steps miss): loop, batch
+KERNELS = (("_logistic_prox_r", "_logistic_prox_r_fallback"),
+           ("_logistic_prox_r_batch", "_logistic_prox_r_scalar"))
 
 
 def record_rounds(rows, cols, m, d, iters):
@@ -54,22 +58,22 @@ def record_rounds(rows, cols, m, d, iters):
     return rounds
 
 
-def replay(kernel, rounds):
-    """The kernel's outputs on the recorded rounds, with the number of
-    elements it redid."""
+def replay(name, redo_name, rounds):
+    """The outputs of kernel `name` on the recorded rounds, with the number
+    of elements it handed to `redo_name`."""
     redone = 0
-    redo = objective._logistic_prox_r_redo
+    redo = getattr(objective, redo_name)
 
     def counting(*a):
         nonlocal redone
         redone += 1
         return redo(*a)
 
-    objective._logistic_prox_r_redo = counting
+    setattr(objective, redo_name, counting)
     try:
-        return [kernel(*args) for args in rounds], redone
+        return [getattr(objective, name)(*args) for args in rounds], redone
     finally:
-        objective._logistic_prox_r_redo = redo
+        setattr(objective, redo_name, redo)
 
 
 def us_per_round(kernels, rounds, reps):
@@ -106,11 +110,11 @@ def main():
         n = rows * cols
         rounds = record_rounds(rows, cols, args.m, args.d, args.iters)
         (loop_out, loop_redone), (batch_out, batch_redone) = (
-            replay(getattr(objective, name), rounds) for name in KERNELS)
+            replay(name, redo_name, rounds) for name, redo_name in KERNELS)
         diff = max(float(np.max(np.abs(a - b) / (1.0 + np.abs(a))))
                    for a, b in zip(loop_out, batch_out))
         agree &= diff <= 1e-12
-        loop_us, batch_us = us_per_round([getattr(objective, name) for name in KERNELS],
+        loop_us, batch_us = us_per_round([getattr(objective, name) for name, _ in KERNELS],
                                          rounds, args.reps)
         elements = len(rounds) * n
         print(f"{n:4d} {len(rounds):6d} {loop_us:8.1f} {batch_us:8.1f} "

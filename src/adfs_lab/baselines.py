@@ -10,8 +10,9 @@ import math
 import numpy as np
 
 from .data import DENSE_MAX, RANGE_HI, stack_rows
-from .objective import (LocalObjective, LossKind, _logistic_prox, _prox_1d_array, _stacked_grad,
-                        _stacked_value, loss_curvature, primal_grad, primal_value)
+from .objective import (LocalObjective, LossKind, _logistic_prox_r_scalar, _prox_1d_array,
+                        _stacked_grad, _stacked_value, loss_curvature, primal_grad,
+                        primal_value)
 from .records import RunResult, run_loop
 from .rng import chunked, generator
 
@@ -72,6 +73,11 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
     # the prox works on Python floats: numpy scalar arithmetic costs more
     label_f, xnorm2_f = labels.tolist(), problem.xnorm2.tolist()
     logistic = problem.loss is LossKind.LOGISTIC
+    # the logistic prox runs in r = label p / 2 (`_logistic_prox_r_scalar`)
+    # from b = f_j z + 1 and c4_j, fixed per run: c4_j = 4 / step_j and
+    # f_j = 2 label_j / step_j for the prox step step_j = eta_inner ||X_j||^2
+    c4 = 4.0 / (eta_inner * problem.xnorm2)
+    f_in, c4 = (0.5 * labels * c4).tolist(), c4.tolist()
 
     rng = generator("point-saga", seed)
     picks = chunked(lambda k: rng.integers(n_samp, size=k).tolist())  # = per-call integers(N)
@@ -80,7 +86,7 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
     # gamma g_j, so a step needs no multiplication or division by gamma
     table = np.zeros((n_samp, d))
     gbar = np.zeros(d)
-    warm = [0.0] * n_samp
+    warm = [0.0] * n_samp  # each sample's last logistic prox solution r
 
     def step(t):
         nonlocal x, gbar  # "gbar += ..." rebinds gbar (to the same array)
@@ -91,15 +97,15 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
         v = w / shrink  # prox_sample's arithmetic on the validated pooled rows
         feat = feats[j]
         zz = float(feat @ v)
-        if not math.isfinite(zz):  # a nan or inf anywhere in v reaches zz
+        prox_in = f_in[j] * zz + 1.0 if logistic else zz
+        if not math.isfinite(prox_in):  # a nan or inf anywhere in v reaches it
             raise ValueError(f"non-finite prox input at iteration {t}")
-        prox_step = eta_inner * xnorm2_f[j]
         if logistic:
-            p = _logistic_prox(zz, label_f[j], prox_step, warm[j])
+            warm[j] = r = _logistic_prox_r_scalar(prox_in, c4[j], warm[j])
+            p = 2.0 * label_f[j] * r
         else:
-            p = float(_prox_1d_array(problem.loss, zz, label_f[j], prox_step))
+            p = float(_prox_1d_array(problem.loss, zz, label_f[j], eta_inner * xnorm2_f[j]))
         x = v + ((p - zz) / xnorm2_f[j]) * feat
-        warm[j] = p  # = X_j . x up to rounding
         w -= x  # the new row, gamma g_j
         gbar += (w - row) / n_samp
         table[j] = w

@@ -327,10 +327,7 @@ def derived_constants(problem, flat):
             "rho": problem.rho,
             "rho_unclamped": problem.rho_unclamped,
             "s_max_bound": problem.s_max_bound,
-            "predicted_time_per_log_eps": (
-                None if problem.rho == 0 else
-                expected_time(problem, 1) / problem.rho
-            ),
+            "predicted_time_per_log_eps": expected_time(problem, 1) / problem.rho,
         })
         if problem.gamma is not None:
             meta["balanced_p_comm"] = float(

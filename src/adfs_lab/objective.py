@@ -125,76 +125,65 @@ def loss_conjugate(kind, s, label):
     return out if out.ndim else float(out)
 
 
-def _logistic_newton_delta(p, z, label, step):
-    """Newton step at p for argmin_p (p - z)^2 / (2 step) + log(1 + exp(-label p))."""
-    u = label * p  # sig = 1 / (1 + exp(u)); math.exp would overflow on u >> 0
-    e = math.exp(-abs(u))
-    sig = e / (1.0 + e) if u > 0.0 else 1.0 / (1.0 + e)
-    return -((p - z) / step - label * sig) / (1.0 / step + sig * (1.0 - sig))
+def _logistic_prox_r_fallback(b, c4):
+    """The root of c4 r + tanh r = b (floats, c4 > 0) without a start point.
 
-
-def _logistic_prox(z, label, step, warm):
-    """argmin_p (p - z)^2 / (2 step) + log(1 + exp(-label p)) for floats.
-
-    Newton from `warm`, guarded to [min(z, warm) - 10 step,
-    max(z, warm) + 10 step].  A step leaving the guard, or no convergence
-    within NEWTON_ITERS, falls back to bisection on z +- step (|loss'| <= 1
-    puts the root there) and 4 Newton polish steps inside that bracket.
-    Point-SAGA's kernel, and the redo path of the rounds' r-form kernels.
-    The Newton loop is `_logistic_newton_delta` written out, which saves a
-    call per step; the fallback calls it.
+    |tanh r| < 1 puts the root inside ((b - 1) / c4, (b + 1) / c4), the
+    p-form bracket z +- step cut to the half that holds it.  Bisection
+    halves it until it is at most 2^-BISECTION_STEPS (1 + |lo| + |hi|) wide:
+    BISECTION_STEPS steps on a bracket of unit scale, one more for each
+    doubling of a wider one, so a large step (a small c4) still ends next
+    to the root.  The midpoint is 0.5 lo + 0.5 hi (0.5 (lo + hi) overflows
+    near the float maximum).  4 Newton polish steps follow.  The scalar and
+    loop kernels hand it every element that their Newton steps miss.
     """
-    inv_step = 1.0 / step
-    lo_guard = (warm if warm < z else z) - 10.0 * step
-    hi_guard = (warm if warm > z else z) + 10.0 * step
-    p = warm
-    for _ in range(NEWTON_ITERS):
-        u = label * p
-        if u > 0.0:
-            e = math.exp(-u)
-            sig = e / (1.0 + e)
-        else:
-            sig = 1.0 / (1.0 + math.exp(u))
-        delta = -((p - z) / step - label * sig) / (inv_step + sig * (1.0 - sig))
-        p = p + delta
-        if p < lo_guard or p > hi_guard:
-            break
-        if -NEWTON_TOL <= delta <= NEWTON_TOL:
-            return p
-
-    lo, hi = z - step, z + step
-    for _ in range(BISECTION_STEPS):
-        mid = 0.5 * lo + 0.5 * hi  # = 0.5 * (lo + hi), which overflows near the float max
-        if _logistic_newton_delta(mid, z, label, step) > 0:  # slope < 0: the minimizer lies above
+    lo, hi = (b - 1.0) / c4, (b + 1.0) / c4
+    width = 2.0**-BISECTION_STEPS
+    while hi - lo > width * (1.0 + abs(lo) + abs(hi)):
+        mid = 0.5 * lo + 0.5 * hi
+        if c4 * mid - b + math.tanh(mid) < 0.0:  # gradient < 0: the root lies above
             lo = mid
         else:
             hi = mid
-    p = 0.5 * lo + 0.5 * hi
+    r = 0.5 * lo + 0.5 * hi
     for _ in range(4):
-        p = p + _logistic_newton_delta(p, z, label, step)
-    return p
+        t = math.tanh(r)
+        r -= (c4 * r - b + t) / (c4 + (1.0 - t * t))
+    return r
 
 
-def _logistic_prox_r_redo(b, c4, r0):
-    """`_logistic_prox` on the r-form inputs of the two kernels below: with
-    q = label p = 2 r its problem reads argmin_q (q - label z)^2 / (2 step)
-    + log(1 + exp(-q)), where step = 4 / c4 and label z = 2 (b - 1) / c4."""
-    return 0.5 * _logistic_prox(2.0 * (b - 1.0) / c4, 1.0, 4.0 / c4, 2.0 * r0)
+def _logistic_prox_r_scalar(b, c4, r0):
+    """The logistic prox in r for floats: the root of c4 r + tanh r = b.
+
+    In p, argmin_p (p - z)^2 / (2 step) + log(1 + exp(-label p)) with
+    label^2 = 1; in r = label p / 2 it is argmin_r (c4 / 2) r^2 - (b - 1) r
+    + log(1 + exp(-2 r)) up to a constant, with c4 = 4 / step and
+    b = 2 label z / step + 1.  With t = tanh(r) its gradient is c4 r - b + t,
+    as 1 / (1 + exp(2 r)) = (1 - t) / 2, and its curvature c4 + 1 - t^2.
+    Newton from r0, at most NEWTON_ITERS steps, stops at |delta r| <=
+    NEWTON_TOL / 2, which is |delta p| <= NEWTON_TOL; a miss (NaN and +-inf
+    miss) ends in `_logistic_prox_r_fallback`.  The curvature is summed as
+    c4 + (1 - t^2), which stays > 0 where tanh rounds to +-1.  Point-SAGA's
+    and `prox_sample`'s kernel, and the batch kernel's redo.
+    """
+    tol = 0.5 * NEWTON_TOL
+    r = r0
+    for _ in range(NEWTON_ITERS):
+        t = math.tanh(r)
+        delta = (c4 * r - b + t) / (c4 + (1.0 - t * t))
+        r -= delta
+        if -tol <= delta <= tol:
+            return r
+    return _logistic_prox_r_fallback(b, c4)
 
 
 def _logistic_prox_r(b, c4, r0):
-    """The rounds' logistic prox in r = label p / 2, for small batches.
+    """`_logistic_prox_r_scalar` over the float arrays b, c4 and r0, for the
+    rounds' small batches.
 
-    `_logistic_prox`'s problem in r is argmin_r (c4 / 2) r^2 - (b - 1) r
-    + log(1 + exp(-2 r)), with c4 = 4 / step and b = 2 label z / step + 1
-    (label^2 = 1).  With t = tanh(r) its gradient is c4 r - b + t and its
-    curvature c4 + 1 - t^2.  Newton's method is affine-invariant, so its
-    iterates from r0 = label warm / 2 are those of `_logistic_prox` in p,
-    and |delta r| <= NEWTON_TOL / 2 is its |delta p| <= NEWTON_TOL.  One
-    Python loop over the float arrays b, c4 and r0, with no call per element
-    and no guard interval: an element that misses the test within
-    NEWTON_ITERS steps (NaN and +-inf do) is redone by `_logistic_prox` from
-    the same warm start.
+    One Python loop with the scalar kernel's Newton steps written out, which
+    saves a call per element.  An element that misses the test within
+    NEWTON_ITERS steps (NaN and +-inf do) goes to `_logistic_prox_r_fallback`.
     """
     tol = 0.5 * NEWTON_TOL
     tanh = math.tanh
@@ -202,15 +191,14 @@ def _logistic_prox_r(b, c4, r0):
     out = []
     for bk, ck, start in zip(b.tolist(), c4.tolist(), r0.tolist()):
         r = start
-        ck1 = ck + 1.0
         for _ in steps:
             t = tanh(r)
-            delta = (ck * r - bk + t) / (ck1 - t * t)
+            delta = (ck * r - bk + t) / (ck + (1.0 - t * t))
             r -= delta
             if -tol <= delta <= tol:
                 break
         else:
-            r = _logistic_prox_r_redo(bk, ck, start)
+            r = _logistic_prox_r_fallback(bk, ck)
         out.append(r)
     return np.array(out)
 
@@ -220,11 +208,13 @@ def _logistic_prox_r_batch(b, c4, r0):
 
     BATCH_STEPS Newton steps on the whole batch, 8 ufunc calls each, with
     no convergence test inside the loop.  An element whose last |delta r|
-    exceeds NEWTON_TOL / 2 (or is NaN) is redone by `_logistic_prox` from the
-    same warm start.
+    exceeds NEWTON_TOL / 2 (or is NaN) is redone by `_logistic_prox_r_scalar`
+    from the same warm start.
     """
     r = r0.copy()
-    c41 = c4 + 1.0
+    # the curvature gains 2^-52, which keeps it > 0 where tanh rounds to +-1
+    # and c4 + 1 to 1 (c4 < 2^-53); the root is the same
+    c41 = c4 + (1.0 + 2.0**-52)
     t = np.empty_like(r)
     delta = np.empty_like(r)
     curv = np.empty_like(r)
@@ -242,7 +232,7 @@ def _logistic_prox_r_batch(b, c4, r0):
     ok = np.abs(delta) <= 0.5 * NEWTON_TOL
     if not ok.all():
         for k in np.flatnonzero(~ok).tolist():
-            r[k] = _logistic_prox_r_redo(float(b[k]), float(c4[k]), float(r0[k]))
+            r[k] = _logistic_prox_r_scalar(float(b[k]), float(c4[k]), float(r0[k]))
     return r
 
 
@@ -327,7 +317,8 @@ def prox_sample(feature, label, kind, v, eta):
     (a nonzero row, as LocalObjective validates), for a smooth loss.
 
     The minimizer moves only along the feature direction, so it reduces to
-    the 1D prox with step eta * ||X||^2, cold-started at 0.
+    the 1D prox at z = X . v with step eta * ||X||^2, cold-started at 0; the
+    logistic loss's in r, from b = 2 label z / step + 1 and c4 = 4 / step.
     """
     if not kind.is_smooth:
         raise ValueError(f"the sample prox needs a smooth loss, got {kind.value}")
@@ -336,11 +327,14 @@ def prox_sample(feature, label, kind, v, eta):
     v = np.asarray(v, dtype=float)
     xnorm2 = float(feature @ feature)
     zz = float(feature @ v)
-    if not math.isfinite(zz):  # a nan or inf anywhere in v reaches zz
-        raise ValueError("non-finite prox input")
     step = eta * xnorm2
-    if kind is LossKind.LOGISTIC:
-        p_star = _logistic_prox(zz, float(label), step, 0.0)
+    logistic = kind is LossKind.LOGISTIC
+    c4 = 4.0 / step
+    prox_in = 0.5 * float(label) * c4 * zz + 1.0 if logistic else zz  # b for the logistic loss
+    if not math.isfinite(prox_in):  # a nan or inf anywhere in v reaches it
+        raise ValueError("non-finite prox input")
+    if logistic:
+        p_star = 2.0 * float(label) * _logistic_prox_r_scalar(prox_in, c4, 0.0)
     else:
         p_star = float(_prox_1d_array(kind, zz, label, step))
     return v + ((p_star - zz) / xnorm2) * feature

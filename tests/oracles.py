@@ -2,15 +2,18 @@
 
 These deliberately avoid the library's own code paths: eigenvalues come from
 Sturm-sequence bisection on a Householder tridiagonalization, minimizers from
-golden-section / cyclic coordinate search, conjugates from direct 1D maximization.
+golden-section / cyclic coordinate search (the logistic prox's from
+bisection on its optimality condition in 40-digit arithmetic), conjugates
+from direct 1D maximization.
 `run_apcg` is the generalized block APCG recursion (arbitrary sampling, both
 convexity regimes) that single-node ADFS must reproduce on its dual; it reads
 no solver path, only the oracles of a `CompositeProblem`.
 The exceptions are `loss_prox_1d`, the scalar primal prox: the library's
-scalar logistic kernel and squared-loss closed form behind one checked front
-door, plus the absolute loss's soft-threshold; `prox_tilde_fstar`, which
-reuses it and the library's gradient, one sample at a time, to check the
-solvers' batched conjugate prox; `lift_primal_point` and `dense_c0_constant`,
+scalar logistic kernel (in r = label p / 2) and squared-loss closed form
+behind one checked front door, plus the absolute loss's soft-threshold;
+`prox_tilde_fstar`, which reuses it and the library's gradient, one sample
+at a time, to check the solvers' batched conjugate prox;
+`lift_primal_point` and `dense_c0_constant`,
 the dual point of a primal one and the Lyapunov constant of the linear rate,
 built from the dense operators of `dense`; `point_saga_unscaled`, the
 Point-SAGA step on an unscaled gradient table, one pick at a time, against
@@ -35,7 +38,7 @@ import numpy as np
 
 from adfs_lab.augmented import dual_objective, split_state, zero_state
 from adfs_lab.data import LibsvmData, LibsvmParseError
-from adfs_lab.objective import LossKind, _logistic_prox, _prox_1d_array, loss_grad
+from adfs_lab.objective import LossKind, _logistic_prox_r_scalar, _prox_1d_array, loss_grad
 from adfs_lab.rng import generator
 from adfs_lab.topology import symmetric_eigensolve
 from dense import dense_A, dense_sigma_dagger, exact_sigma_a, state_rows
@@ -43,33 +46,32 @@ from dense import dense_A, dense_sigma_dagger, exact_sigma_a, state_rows
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def logistic_prox_oracle(z, label, step, dps=40):
-    """argmin (p-z)^2/(2 step) + log(1+exp(-label p)) in high precision.
+def _logistic_prox_mp(z, label, step):
+    """argmin (p-z)^2/(2 step) + log(1+exp(-label p)) for mpf inputs, label
+    +-1 and step > 0, at the working precision.
 
-    Golden-section in `dps`-digit arithmetic; float64 golden section cannot
-    resolve below ~sqrt(machine eps), this can.
+    Bisection on its optimality condition (p - z) / step = label / (1 +
+    exp(label p)), whose left side rises and right side falls in label p;
+    0 < 1 / (1 + exp) < 1 brackets the root between z and z + label step.
+    It stops once the bracket is 10^(5 - dps) (|z| + step) wide, so it
+    resolves any step, not only steps near 1.
     """
+    lo, hi = sorted((z, z + label * step))
+    tol = mpmath.mpf(10) ** (5 - mpmath.mp.dps) * (abs(z) + step)
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        if (mid - z) / step < label / (1 + mpmath.exp(label * mid)):
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def logistic_prox_oracle(z, label, step, dps=40):
+    """argmin (p-z)^2/(2 step) + log(1+exp(-label p)) in `dps`-digit
+    arithmetic from the given floats (`_logistic_prox_mp`), as a float."""
     with mpmath.workdps(dps):
-        zm, lm, sm = mpmath.mpf(z), mpmath.mpf(label), mpmath.mpf(step)
-
-        def f(p):
-            return (p - zm) ** 2 / (2 * sm) + mpmath.log(1 + mpmath.exp(-lm * p))
-
-        a, b = zm - sm - 1, zm + sm + 1
-        ratio = (mpmath.sqrt(5) - 1) / 2
-        c = b - ratio * (b - a)
-        d = a + ratio * (b - a)
-        fc, fd = f(c), f(d)
-        while b - a > mpmath.mpf("1e-14"):
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - ratio * (b - a)
-                fc = f(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + ratio * (b - a)
-                fd = f(d)
-        return float((a + b) / 2)
+        return float(_logistic_prox_mp(*(mpmath.mpf(float(v)) for v in (z, label, step))))
 
 
 def golden_section(f, lo, hi, tol=1e-12, max_iter=200):
@@ -186,8 +188,10 @@ def loss_prox_1d(kind, z, label, step, warm=0.0):
         raise ValueError("prox step must be > 0")
     if not (math.isfinite(z) and math.isfinite(label) and math.isfinite(step)):
         raise ValueError("non-finite prox input")
-    if kind is LossKind.LOGISTIC:
-        return _logistic_prox(z, label, step, float(warm))
+    if kind is LossKind.LOGISTIC:  # in r = label p / 2 (`_logistic_prox_r_scalar`)
+        c4 = 4.0 / step
+        return 2.0 * label * _logistic_prox_r_scalar(0.5 * label * c4 * z + 1.0, c4,
+                                                     0.5 * label * float(warm))
     if kind is LossKind.ABSOLUTE:  # soft-threshold of z - label
         shifted = z - label
         return float(label + np.sign(shifted) * np.maximum(np.abs(shifted) - step, 0.0))
@@ -233,18 +237,15 @@ def prox_tilde_fstar(feature, label, kind, x, eta_tilde, warm=0.0):
 def conjugate_prox_oracle(kind, c, label, xnorm2, smooth, eta_tilde, dps=40):
     """The coefficient of prox_{eta~ ftilde*} at c X through the identity of
     `prox_tilde_fstar`, evaluated in `dps`-digit arithmetic from the given
-    floats (eta~ < L), as a float.  The logistic primal prox is the root of
-    its optimality condition, which |loss'| <= 1 brackets in z +- step; the
-    squared loss's is in closed form."""
+    floats (eta~ < L), as a float.  The logistic primal prox is
+    `_logistic_prox_mp`; the squared loss's is in closed form."""
     with mpmath.workdps(dps):
         c, label, xnorm2, smooth, eta_tilde = (
             mpmath.mpf(float(v)) for v in (c, label, xnorm2, smooth, eta_tilde))
         z = c * xnorm2 / eta_tilde
         step = (smooth - eta_tilde) / (eta_tilde * smooth) * xnorm2
         if kind is LossKind.LOGISTIC:
-            p_star = mpmath.findroot(
-                lambda p: (p - z) / step - label / (1 + mpmath.exp(label * p)),
-                (z - step, z + step), solver="anderson")
+            p_star = _logistic_prox_mp(z, label, step)
         else:
             p_star = (z + step * label) / (1 + step)
         return float((c - eta_tilde * p_star / xnorm2) / (1 - eta_tilde / smooth))

@@ -50,7 +50,7 @@ class TestProx1d:
         out = loss_prox_1d(kind, z, 1.0, 1e-12)
         assert abs(out - z) <= 1e-6
 
-    def test_logistic_vs_golden_section(self):
+    def test_logistic_vs_oracle(self):
         rng = generator("prox-golden", 0)
         for _ in range(25):
             z = float(rng.normal() * 3)
@@ -80,18 +80,20 @@ class TestProx1d:
         (0.5, 1.0, 1e4, 0.0),
     ])
     def test_logistic_bisection_fallback(self, monkeypatch, z, label, step, warm):
-        # Newton exhausts its budget on these inputs, so the bisection sets the
-        # result: with its steps removed the kernel misses the minimizer
+        # Newton exhausts its budget on these inputs, so the fallback's
+        # bisection sets the result: with its steps removed (midpoint and
+        # polish only) the kernel misses the minimizer
         ref = logistic_prox_oracle(z, label, step)
         assert abs(loss_prox_1d(LossKind.LOGISTIC, z, label, step, warm=warm) - ref) <= 1e-8
         monkeypatch.setattr(objective, "BISECTION_STEPS", 0)
         assert abs(loss_prox_1d(LossKind.LOGISTIC, z, label, step, warm=warm) - ref) > 1e-3
 
-    def test_logistic_bisection_midpoint_does_not_overflow(self):
-        # warm at the far end of the float range sends Newton out of its guard
-        # at once, so the bisection runs on z +- step next to the float max
-        assert objective._logistic_prox(1e308, 1.0, 1.0, -1e308) == 1e308
-        assert objective._logistic_prox(-1e308, -1.0, 1.0, 1e308) == -1e308
+    @pytest.mark.parametrize("b", [1.6e308, -1.6e308])
+    def test_logistic_bisection_midpoint_does_not_overflow(self, b):
+        # a warm start at the other end of the float range overflows c4 r, so
+        # Newton misses and the fallback's bracket (b -+ 1) / c4 lies next to
+        # the float max, where lo + hi overflows
+        assert objective._logistic_prox_r_scalar(b, 0.95, -b) == b / 0.95
 
     @pytest.mark.parametrize("z", [800.0, -800.0])
     @pytest.mark.parametrize("label", [1.0, -1.0])
@@ -112,13 +114,51 @@ class TestProx1d:
         assert abs(pa - pb) <= abs(a - b) + 1e-9
 
 
+# Point-SAGA's prox steps lie in [2e-119, 6e94] (README, numeric domain);
+# the rounds' c4 = eta~ / (L - eta~) lies in [4e-89, 127], so their steps
+# 4 / c4 in [4 / 127, 1e89]
+STEP_RANGES = ((2e-119, 6e94), (4.0 / 127.0, 4.0 / 4e-89))
+
+
+class TestLogisticProxScalar:
+    """The scalar kernel through Newton and through its fallback alone
+    (NEWTON_ITERS = 0), against the 40-digit oracle over both solvers' step
+    ranges, within 1e-13 (|p*| + step) + NEWTON_TOL^2: b = 2 label z / step
+    + 1 carries the rounding of z, |z| <= |p*| + step, and a Newton step
+    within the absolute NEWTON_TOL leaves an error of order its square."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(STEP_RANGES).flatmap(
+               lambda ends: st.floats(*np.log10(ends).tolist())),
+           st.floats(-10.0, 10.0), st.sampled_from([1.0, -1.0]), st.floats(-60.0, 60.0))
+    def test_matches_the_oracle_inside_the_bracket(self, log_step, u, label, w):
+        step = 10.0**log_step
+        z, warm = u * (1.0 + step), w * (1.0 + step)
+        ref = logistic_prox_oracle(z, label, step)
+        c4 = 4.0 / step
+        b = 0.5 * label * c4 * z + 1.0
+        lo, hi = (b - 1.0) / c4, (b + 1.0) / c4
+        slack = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi))  # the ends' rounding
+        for newton_iters in (objective.NEWTON_ITERS, 0):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(objective, "NEWTON_ITERS", newton_iters)
+                r = objective._logistic_prox_r_scalar(b, c4, 0.5 * label * warm)
+            bound = 1e-13 * (abs(ref) + step) + objective.NEWTON_TOL**2
+            assert abs(2.0 * label * r - ref) <= bound, newton_iters
+            assert lo - slack <= r <= hi + slack, newton_iters
+
+
 def _scalar_prox(z, label, step, warm):
-    return np.array([objective._logistic_prox(*args) for args in
+    """The scalar kernel, element by element, on p-form inputs, as p."""
+    return np.array([loss_prox_1d(LossKind.LOGISTIC, *args) for args in
                      zip(z.tolist(), label.tolist(), step.tolist(), warm.tolist())])
 
 
-# the two r-form kernels that the computation rounds take
+# the two array kernels that the computation rounds take, each with the
+# entry that takes the elements its Newton steps miss
 R_KERNELS = ("_logistic_prox_r", "_logistic_prox_r_batch")
+REDO = {"_logistic_prox_r": "_logistic_prox_r_fallback",
+        "_logistic_prox_r_batch": "_logistic_prox_r_scalar"}
 
 
 def _r_form(kernel, z, label, step, warm):
@@ -145,8 +185,8 @@ def _prox_inputs(rng, size, oracle=True):
 
 
 class TestLogisticProxBatch:
-    """The r-form logistic prox, loop and batch kernel, against the guarded
-    scalar kernel and the high-precision oracle, within 1e-12 (1 + |p|)."""
+    """The rounds' logistic prox, loop and batch kernel, against the scalar
+    kernel and the high-precision oracle, within 1e-12 (1 + |p|)."""
 
     @staticmethod
     def _spy(monkeypatch, name):
@@ -191,31 +231,28 @@ class TestLogisticProxBatch:
         warm = z + 40.0 * (1.0 + step) * label
         ref = np.array([logistic_prox_oracle(*args)
                         for args in zip(z.tolist(), label.tolist(), step.tolist())])
-        redone = self._spy(monkeypatch, "_logistic_prox")
         for kernel in R_KERNELS:
-            redone.clear()
-            got = _r_form(kernel, z, label, step, warm)
+            with monkeypatch.context() as patch:
+                redone = self._spy(patch, REDO[kernel])
+                got = _r_form(kernel, z, label, step, warm)
             assert 0 < len(redone) < size, kernel
             assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref))), kernel
 
-    def test_guard_break_is_redone(self, monkeypatch):
+    def test_overflowing_newton_ends_in_the_fallback(self, monkeypatch):
         # z and warm at opposite ends of the float range: c4 r overflows, the
-        # Newton iterate is not finite, and the scalar kernel that redoes it
-        # leaves its guard interval and falls back to bisection
+        # Newton iterate is not finite, and the element ends in the fallback,
+        # handed there by the loop kernel or by the batch kernel's redo
         size = objective.BATCH_MIN
         z, label, step = np.full(size, 0.5), np.ones(size), np.ones(size)
         warm = np.zeros(size)
         z[3], warm[3] = 1e307, -1.7e308
         ref = logistic_prox_oracle(0.5, 1.0, 1.0)
-        redone = self._spy(monkeypatch, "_logistic_prox")
-        fallback = self._spy(monkeypatch, "_logistic_newton_delta")
+        fallback = self._spy(monkeypatch, "_logistic_prox_r_fallback")
         for kernel in R_KERNELS:
-            redone.clear()
             fallback.clear()
             with np.errstate(over="ignore", invalid="ignore"):
                 got = _r_form(kernel, z, label, step, warm)
-            assert redone == [(1e307, 1.0, 1.0, -1.7e308)], kernel
-            assert fallback, kernel
+            assert fallback == [(2e307, 4.0)], kernel  # b = 2 z / step + 1, c4 = 4 / step
             assert got[3] == 1e307, kernel  # z + step sig with sig = 0 in float
             assert np.all(np.abs(np.delete(got, 3) - ref) <= 1e-12 * (1.0 + abs(ref))), kernel
 
