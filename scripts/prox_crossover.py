@@ -6,12 +6,12 @@ logistic conjugate prox of one `run_adfs_efficient` run (m samples per node,
 logistic, tau 5, data seed 2026, as in the figure analogue): the per-run
 round-table factors and warm starts that `objective._tilde_coeff_batch`
 hands to its kernels.  It then replays them through the loop kernel
-`objective._logistic_prox_r` and the batch kernel
-`objective._logistic_prox_r_batch`, and prints the cost per round and per
-element of each (best of --reps alternating passes), their largest difference, and how
-many elements each kernel's Newton steps missed: the loop kernel hands those
-to `_logistic_prox_r_fallback`, the batch kernel redoes them with the scalar
-kernel `_logistic_prox_r_scalar`.
+`objective._logistic_prox_r` (on float lists, as `_tilde_coeff_batch` calls
+it) and the batch kernel `objective._logistic_prox_r_batch`, and prints the
+cost per round and per element of each (best of --reps alternating passes),
+their largest difference, and how many elements each kernel's Newton steps
+missed: the loop kernel hands those to `_logistic_prox_r_fallback`, the
+batch kernel redoes them in one call of the loop kernel.
 `objective.BATCH_MIN` should sit where the batch kernel first wins by at
 least 10%.  The exit status is 1 if the two kernels differ by more than
 1e-12 (1 + |r|) anywhere.
@@ -27,9 +27,15 @@ import numpy as np
 
 from adfs_lab import adfs, harness, objective
 
+
+def loop_kernel(b, c4, r0):
+    """The loop kernel on arrays, as `_tilde_coeff_batch` calls it."""
+    return np.array(objective._logistic_prox_r(b.tolist(), c4.tolist(), r0.tolist()))
+
+
 # (kernel, the entry that takes the elements its Newton steps miss): loop, batch
-KERNELS = (("_logistic_prox_r", "_logistic_prox_r_fallback"),
-           ("_logistic_prox_r_batch", "_logistic_prox_r_scalar"))
+KERNELS = ((loop_kernel, "_logistic_prox_r_fallback"),
+           (objective._logistic_prox_r_batch, "_logistic_prox_r"))
 
 
 def record_rounds(rows, cols, m, d, iters):
@@ -58,20 +64,21 @@ def record_rounds(rows, cols, m, d, iters):
     return rounds
 
 
-def replay(name, redo_name, rounds):
-    """The outputs of kernel `name` on the recorded rounds, with the number
-    of elements it handed to `redo_name`."""
+def replay(kernel, redo_name, rounds):
+    """The outputs of `kernel` on the recorded rounds, with the number of
+    elements it handed to `redo_name`: one per fallback call, a list of
+    them per loop-kernel call."""
     redone = 0
     redo = getattr(objective, redo_name)
 
-    def counting(*a):
+    def counting(b, *a):
         nonlocal redone
-        redone += 1
-        return redo(*a)
+        redone += np.size(b)
+        return redo(b, *a)
 
     setattr(objective, redo_name, counting)
     try:
-        return [getattr(objective, name)(*args) for args in rounds], redone
+        return [kernel(*args) for args in rounds], redone
     finally:
         setattr(objective, redo_name, redo)
 
@@ -110,12 +117,11 @@ def main():
         n = rows * cols
         rounds = record_rounds(rows, cols, args.m, args.d, args.iters)
         (loop_out, loop_redone), (batch_out, batch_redone) = (
-            replay(name, redo_name, rounds) for name, redo_name in KERNELS)
+            replay(kernel, redo_name, rounds) for kernel, redo_name in KERNELS)
         diff = max(float(np.max(np.abs(a - b) / (1.0 + np.abs(a))))
                    for a, b in zip(loop_out, batch_out))
         agree &= diff <= 1e-12
-        loop_us, batch_us = us_per_round([getattr(objective, name) for name, _ in KERNELS],
-                                         rounds, args.reps)
+        loop_us, batch_us = us_per_round([kernel for kernel, _ in KERNELS], rounds, args.reps)
         elements = len(rounds) * n
         print(f"{n:4d} {len(rounds):6d} {loop_us:8.1f} {batch_us:8.1f} "
               f"{batch_us / loop_us:10.2f} {loop_us / n:10.2f} {diff:8.1e} "

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .data import DENSE_MAX, RANGE_HI, stack_rows
-from .objective import (LocalObjective, LossKind, _logistic_prox_r_scalar, _prox_1d_array,
+from .objective import (LocalObjective, LossKind, _logistic_prox_r, _prox_1d_array,
                         _stacked_grad, _stacked_value, loss_curvature, primal_grad,
                         primal_value)
 from .records import RunResult, run_loop
@@ -73,7 +73,7 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
     # the prox works on Python floats: numpy scalar arithmetic costs more
     label_f, xnorm2_f = labels.tolist(), problem.xnorm2.tolist()
     logistic = problem.loss is LossKind.LOGISTIC
-    # the logistic prox runs in r = label p / 2 (`_logistic_prox_r_scalar`)
+    # the logistic prox runs in r = label p / 2 (`_logistic_prox_r`)
     # from b = f_j z + 1 and c4_j, fixed per run: c4_j = 4 / step_j and
     # f_j = 2 label_j / step_j for the prox step step_j = eta_inner ||X_j||^2
     c4 = 4.0 / (eta_inner * problem.xnorm2)
@@ -101,7 +101,7 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
         if not math.isfinite(prox_in):  # a nan or inf anywhere in v reaches it
             raise ValueError(f"non-finite prox input at iteration {t}")
         if logistic:
-            warm[j] = r = _logistic_prox_r_scalar(prox_in, c4[j], warm[j])
+            warm[j] = r = _logistic_prox_r((prox_in,), (c4[j],), (warm[j],))[0]
             p = 2.0 * label_f[j] * r
         else:
             p = float(_prox_1d_array(problem.loss, zz, label_f[j], eta_inner * xnorm2_f[j]))

@@ -134,8 +134,8 @@ def _logistic_prox_r_fallback(b, c4):
     BISECTION_STEPS steps on a bracket of unit scale, one more for each
     doubling of a wider one, so a large step (a small c4) still ends next
     to the root.  The midpoint is 0.5 lo + 0.5 hi (0.5 (lo + hi) overflows
-    near the float maximum).  4 Newton polish steps follow.  The scalar and
-    loop kernels hand it every element that their Newton steps miss.
+    near the float maximum).  4 Newton polish steps follow.
+    `_logistic_prox_r` hands it every element that its Newton steps miss.
     """
     lo, hi = (b - 1.0) / c4, (b + 1.0) / c4
     width = 2.0**-BISECTION_STEPS
@@ -152,8 +152,10 @@ def _logistic_prox_r_fallback(b, c4):
     return r
 
 
-def _logistic_prox_r_scalar(b, c4, r0):
-    """The logistic prox in r for floats: the root of c4 r + tanh r = b.
+def _logistic_prox_r(b, c4, r0):
+    """The logistic prox in r over equal-length float sequences: the roots
+    of c4 r + tanh r = b, as a list.  Every logistic prox runs here, or in
+    `_logistic_prox_r_batch` for the rounds' large batches.
 
     In p, argmin_p (p - z)^2 / (2 step) + log(1 + exp(-label p)) with
     label^2 = 1; in r = label p / 2 it is argmin_r (c4 / 2) r^2 - (b - 1) r
@@ -163,34 +165,19 @@ def _logistic_prox_r_scalar(b, c4, r0):
     Newton from r0, at most NEWTON_ITERS steps, stops at |delta r| <=
     NEWTON_TOL / 2, which is |delta p| <= NEWTON_TOL; a miss (NaN and +-inf
     miss) ends in `_logistic_prox_r_fallback`.  The curvature is summed as
-    c4 + (1 - t^2), which stays > 0 where tanh rounds to +-1.  Point-SAGA's
-    and `prox_sample`'s kernel, and the batch kernel's redo.
-    """
-    tol = 0.5 * NEWTON_TOL
-    r = r0
-    for _ in range(NEWTON_ITERS):
-        t = math.tanh(r)
-        delta = (c4 * r - b + t) / (c4 + (1.0 - t * t))
-        r -= delta
-        if -tol <= delta <= tol:
-            return r
-    return _logistic_prox_r_fallback(b, c4)
-
-
-def _logistic_prox_r(b, c4, r0):
-    """`_logistic_prox_r_scalar` over the float arrays b, c4 and r0, for the
-    rounds' small batches.
-
-    One Python loop with the scalar kernel's Newton steps written out, which
-    saves a call per element.  An element that misses the test within
-    NEWTON_ITERS steps (NaN and +-inf do) goes to `_logistic_prox_r_fallback`.
+    c4 + (1 - t^2), which stays > 0 where tanh rounds to +-1.  Where the
+    root's bracket ((b - 1) / c4, (b + 1) / c4) is narrower than
+    2 NEWTON_TOL (c4 > 1 / NEWTON_TOL), the absolute stop no longer bounds
+    the error relative to the root (a start far outside lands next to 0
+    and stops there), so Newton starts from r0 clipped into the bracket.
     """
     tol = 0.5 * NEWTON_TOL
     tanh = math.tanh
     steps = range(NEWTON_ITERS)
     out = []
-    for bk, ck, start in zip(b.tolist(), c4.tolist(), r0.tolist()):
-        r = start
+    for bk, ck, r in zip(b, c4, r0):
+        if ck * NEWTON_TOL > 1.0:
+            r = min(max(r, (bk - 1.0) / ck), (bk + 1.0) / ck)
         for _ in steps:
             t = tanh(r)
             delta = (ck * r - bk + t) / (ck + (1.0 - t * t))
@@ -200,18 +187,21 @@ def _logistic_prox_r(b, c4, r0):
         else:
             r = _logistic_prox_r_fallback(bk, ck)
         out.append(r)
-    return np.array(out)
+    return out
 
 
 def _logistic_prox_r_batch(b, c4, r0):
-    """`_logistic_prox_r` vectorized, for large batches.
+    """`_logistic_prox_r` vectorized over float arrays, for large batches.
 
     BATCH_STEPS Newton steps on the whole batch, 8 ufunc calls each, with
-    no convergence test inside the loop.  An element whose last |delta r|
-    exceeds NEWTON_TOL / 2 (or is NaN) is redone by `_logistic_prox_r_scalar`
-    from the same warm start.
+    no convergence test inside the loop, from the same start as
+    `_logistic_prox_r`.  The elements whose last |delta r| exceeds
+    NEWTON_TOL / 2 (or is NaN) are redone by one `_logistic_prox_r` call
+    from the same warm starts.
     """
     r = r0.copy()
+    if c4.max() * NEWTON_TOL > 1.0:  # `_logistic_prox_r`'s clip into the bracket
+        r = np.where(c4 * NEWTON_TOL > 1.0, np.clip(r0, (b - 1.0) / c4, (b + 1.0) / c4), r0)
     # the curvature gains 2^-52, which keeps it > 0 where tanh rounds to +-1
     # and c4 + 1 to 1 (c4 < 2^-53); the root is the same
     c41 = c4 + (1.0 + 2.0**-52)
@@ -231,8 +221,8 @@ def _logistic_prox_r_batch(b, c4, r0):
     # has converged to the minimizer
     ok = np.abs(delta) <= 0.5 * NEWTON_TOL
     if not ok.all():
-        for k in np.flatnonzero(~ok).tolist():
-            r[k] = _logistic_prox_r_scalar(float(b[k]), float(c4[k]), float(r0[k]))
+        miss = np.flatnonzero(~ok)
+        r[miss] = _logistic_prox_r(b[miss].tolist(), c4[miss].tolist(), r0[miss].tolist())
     return r
 
 
@@ -287,10 +277,15 @@ class LocalObjective:
                                  "expected +1 or -1")
         with np.errstate(over="ignore"):  # a row past the range may overflow: rejected below
             xnorm2 = np.vecdot(x, x)  # bit-identical to the per-row x @ x
-        zero = np.flatnonzero(xnorm2 <= 0.0)
-        if zero.size:
-            raise ValueError(f"zero feature vector in row {zero[0]}: its projector is undefined")
-        for name, mag in (("norm of feature row", np.sqrt(xnorm2)), ("|label| of row", abs(y))):
+        norm = np.sqrt(xnorm2)
+        # a squared norm that underflows (0 or subnormal) or overflows hides the
+        # row's norm: measure it again scaled by the row's largest |x|
+        for k in np.flatnonzero((xnorm2 < np.finfo(float).tiny) | (xnorm2 == np.inf)).tolist():
+            top = float(np.max(np.abs(x[k])))
+            if top == 0.0:
+                raise ValueError(f"zero feature vector in row {k}: its projector is undefined")
+            norm[k] = top * np.linalg.norm(x[k] / top)
+        for name, mag in (("norm of feature row", norm), ("|label| of row", abs(y))):
             bad = np.flatnonzero(~in_range(mag) & (mag != 0.0))
             if bad.size:
                 raise ValueError(f"{name} {bad[0]} is {float(mag[bad[0]]):.6g}, outside "
@@ -334,7 +329,7 @@ def prox_sample(feature, label, kind, v, eta):
     if not math.isfinite(prox_in):  # a nan or inf anywhere in v reaches it
         raise ValueError("non-finite prox input")
     if logistic:
-        p_star = 2.0 * float(label) * _logistic_prox_r_scalar(prox_in, c4, 0.0)
+        p_star = 2.0 * float(label) * _logistic_prox_r((prox_in,), (c4,), (0.0,))[0]
     else:
         p_star = float(_prox_1d_array(kind, zz, label, step))
     return v + ((p_star - zz) / xnorm2) * feature
@@ -387,8 +382,10 @@ def _tilde_coeff_batch(kind, c_x, labels, prox_in, prox_step, inv_scale, prox_ou
     if kind is LossKind.LOGISTIC:
         b = c_x * prox_in
         b += 1.0
-        kernel = _logistic_prox_r_batch if b.size >= BATCH_MIN else _logistic_prox_r
-        inner = kernel(b, prox_step, warm)
+        if b.size >= BATCH_MIN:
+            inner = _logistic_prox_r_batch(b, prox_step, warm)
+        else:
+            inner = np.array(_logistic_prox_r(b.tolist(), prox_step.tolist(), warm.tolist()))
     else:
         inner = _prox_1d_array(kind, c_x * prox_in, labels, prox_step)
     c_out = c_x * inv_scale

@@ -38,7 +38,7 @@ import numpy as np
 
 from adfs_lab.augmented import dual_objective, split_state, zero_state
 from adfs_lab.data import LibsvmData, LibsvmParseError
-from adfs_lab.objective import LossKind, _logistic_prox_r_scalar, _prox_1d_array, loss_grad
+from adfs_lab.objective import LossKind, _logistic_prox_r, _prox_1d_array, loss_grad
 from adfs_lab.rng import generator
 from adfs_lab.topology import symmetric_eigensolve
 from dense import dense_A, dense_sigma_dagger, exact_sigma_a, state_rows
@@ -188,10 +188,10 @@ def loss_prox_1d(kind, z, label, step, warm=0.0):
         raise ValueError("prox step must be > 0")
     if not (math.isfinite(z) and math.isfinite(label) and math.isfinite(step)):
         raise ValueError("non-finite prox input")
-    if kind is LossKind.LOGISTIC:  # in r = label p / 2 (`_logistic_prox_r_scalar`)
+    if kind is LossKind.LOGISTIC:  # in r = label p / 2 (`_logistic_prox_r`)
         c4 = 4.0 / step
-        return 2.0 * label * _logistic_prox_r_scalar(0.5 * label * c4 * z + 1.0, c4,
-                                                     0.5 * label * float(warm))
+        return 2.0 * label * _logistic_prox_r((0.5 * label * c4 * z + 1.0,), (c4,),
+                                              (0.5 * label * float(warm),))[0]
     if kind is LossKind.ABSOLUTE:  # soft-threshold of z - label
         shifted = z - label
         return float(label + np.sign(shifted) * np.maximum(np.abs(shifted) - step, 0.0))

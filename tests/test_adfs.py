@@ -414,7 +414,7 @@ class TestBatchProxRounds:
     def _checked_batch_sizes(monkeypatch, prob):
         """Sizes of the batch-kernel calls of solver_equivalence and
         one efficient run on `prob`, after checking that equivalence and that
-        run's logged objectives against a run kept on the scalar kernel."""
+        run's logged objectives against a run kept on the loop kernel."""
         def objectives():
             run = run_adfs_efficient(prob, 400, seed=0, log_every=100)
             return [r.objective for r in run.record.rows]

@@ -136,7 +136,7 @@ class TestPointSaga:
 
     def test_non_finite_prox_input_names_its_iteration(self, rng, monkeypatch):
         # a NaN prox output at iteration 0 reaches the next prox input
-        monkeypatch.setattr(baselines, "_logistic_prox_r_scalar", lambda *args: float("nan"))
+        monkeypatch.setattr(baselines, "_logistic_prox_r", lambda *args: [float("nan")])
         flat = pool_objectives(random_objectives(rng, 2, 3, 2))
         with pytest.raises(ValueError, match="^non-finite prox input at iteration 1$"):
             point_saga(flat, 10, seed=0)

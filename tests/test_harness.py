@@ -969,6 +969,26 @@ def test_every_config_loads():
             load_config(json.load(fh))
 
 
+def test_figure_analogue_stops_where_it_did():
+    # configs/fig_analogue.json built in-process against the program's
+    # reference: the iteration and idealized time at which each run stops at
+    # stop_at_subopt, which pin its trajectories to the last logged digit
+    with open(os.path.join(ROOT, "configs", "fig_analogue.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    data["iters"]["adfs_efficient"] = data["iters"]["adfs"]
+    cfg = load_config(dict(data, algorithms=["adfs", "adfs_efficient", "point_saga"]))
+    _, _, problem, flat, _ = build_instance(cfg)
+    f_star, _ = harness.certify(cfg, flat)
+
+    def stop(algo, seed):
+        row = harness._run_cell(algo, seed, cfg, problem, flat, f_star).rows[-1]
+        assert row.subopt <= cfg.stop_at_subopt
+        return row.iteration, row.time
+
+    assert [stop("point_saga", seed)[0] for seed in (0, 1, 2)] == [39_200, 40_800, 41_400]
+    assert stop("adfs", 0) == stop("adfs_efficient", 0) == (6_600, 9_040.0)
+
+
 class TestSweep:
     def _cli(self, tmp_path, capsys, data, *argv):
         config = tmp_path / "config.json"

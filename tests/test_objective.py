@@ -93,7 +93,7 @@ class TestProx1d:
         # a warm start at the other end of the float range overflows c4 r, so
         # Newton misses and the fallback's bracket (b -+ 1) / c4 lies next to
         # the float max, where lo + hi overflows
-        assert objective._logistic_prox_r_scalar(b, 0.95, -b) == b / 0.95
+        assert objective._logistic_prox_r((b,), (0.95,), (-b,)) == [b / 0.95]
 
     @pytest.mark.parametrize("z", [800.0, -800.0])
     @pytest.mark.parametrize("label", [1.0, -1.0])
@@ -118,60 +118,83 @@ class TestProx1d:
 # the rounds' c4 = eta~ / (L - eta~) lies in [4e-89, 127], so their steps
 # 4 / c4 in [4 / 127, 1e89]
 STEP_RANGES = ((2e-119, 6e94), (4.0 / 127.0, 4.0 / 4e-89))
-
-
-class TestLogisticProxScalar:
-    """The scalar kernel through Newton and through its fallback alone
-    (NEWTON_ITERS = 0), against the 40-digit oracle over both solvers' step
-    ranges, within 1e-13 (|p*| + step) + NEWTON_TOL^2: b = 2 label z / step
-    + 1 carries the rounding of z, |z| <= |p*| + step, and a Newton step
-    within the absolute NEWTON_TOL leaves an error of order its square."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.sampled_from(STEP_RANGES).flatmap(
-               lambda ends: st.floats(*np.log10(ends).tolist())),
-           st.floats(-10.0, 10.0), st.sampled_from([1.0, -1.0]), st.floats(-60.0, 60.0))
-    def test_matches_the_oracle_inside_the_bracket(self, log_step, u, label, w):
-        step = 10.0**log_step
-        z, warm = u * (1.0 + step), w * (1.0 + step)
-        ref = logistic_prox_oracle(z, label, step)
-        c4 = 4.0 / step
-        b = 0.5 * label * c4 * z + 1.0
-        lo, hi = (b - 1.0) / c4, (b + 1.0) / c4
-        slack = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi))  # the ends' rounding
-        for newton_iters in (objective.NEWTON_ITERS, 0):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(objective, "NEWTON_ITERS", newton_iters)
-                r = objective._logistic_prox_r_scalar(b, c4, 0.5 * label * warm)
-            bound = 1e-13 * (abs(ref) + step) + objective.NEWTON_TOL**2
-            assert abs(2.0 * label * r - ref) <= bound, newton_iters
-            assert lo - slack <= r <= hi + slack, newton_iters
-
-
-def _scalar_prox(z, label, step, warm):
-    """The scalar kernel, element by element, on p-form inputs, as p."""
-    return np.array([loss_prox_1d(LossKind.LOGISTIC, *args) for args in
-                     zip(z.tolist(), label.tolist(), step.tolist(), warm.tolist())])
-
-
-# the two array kernels that the computation rounds take, each with the
-# entry that takes the elements its Newton steps miss
+# the two logistic prox kernels, the loop kernel on float lists, which every
+# other logistic prox calls, and the rounds' batch kernel on arrays, each
+# with the entry that takes the elements its Newton steps miss
 R_KERNELS = ("_logistic_prox_r", "_logistic_prox_r_batch")
 REDO = {"_logistic_prox_r": "_logistic_prox_r_fallback",
-        "_logistic_prox_r_batch": "_logistic_prox_r_scalar"}
+        "_logistic_prox_r_batch": "_logistic_prox_r"}
+
+
+def _r_kernel(kernel, b, c4, r0):
+    """Kernel `kernel` on equal-length float arrays, as an array."""
+    if kernel == "_logistic_prox_r":
+        return np.array(objective._logistic_prox_r(b.tolist(), c4.tolist(), r0.tolist()))
+    return getattr(objective, kernel)(b, c4, r0)
 
 
 def _r_form(kernel, z, label, step, warm):
     """A r-form kernel on p-form inputs, as p: b = 2 label z / step + 1,
     c4 = 4 / step, r0 = label warm / 2 and p = 2 label r."""
-    r = getattr(objective, kernel)(2.0 * label * z / step + 1.0, 4.0 / step, 0.5 * label * warm)
+    r = _r_kernel(kernel, 2.0 * label * z / step + 1.0, 4.0 / step, 0.5 * label * warm)
     return 2.0 * label * r
+
+
+class TestLogisticProxOracle:
+    """Both kernels through Newton and through the fallback alone
+    (NEWTON_ITERS = 0), against the 40-digit oracle over both solvers' step
+    ranges, within 1e-13 (|p*| + step): b = 2 label z / step + 1 carries the
+    rounding of z, |z| <= |p*| + step.  An absolute Newton stop meets this
+    relative bound at every step because Newton starts inside the root's
+    bracket wherever that bracket is narrower than the stop's reach."""
+
+    @staticmethod
+    def _check(z, label, step, warm):
+        ref = logistic_prox_oracle(z, label, step)
+        c4 = 4.0 / step
+        b = 0.5 * label * c4 * z + 1.0
+        lo, hi = (b - 1.0) / c4, (b + 1.0) / c4
+        slack = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi))  # the ends' rounding
+        for kernel in R_KERNELS:
+            for newton_iters in (objective.NEWTON_ITERS, 0):
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(objective, "NEWTON_ITERS", newton_iters)
+                    r = float(_r_kernel(kernel, np.array([b]), np.array([c4]),
+                                        np.array([0.5 * label * warm]))[0])
+                case = (kernel, newton_iters)
+                assert abs(2.0 * label * r - ref) <= 1e-13 * (abs(ref) + step), case
+                assert lo - slack <= r <= hi + slack, case
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(STEP_RANGES).flatmap(
+               lambda ends: st.floats(*np.log10(ends).tolist())),
+           st.just(0.0) | st.floats(-10.0, 10.0), st.sampled_from([1.0, -1.0]),
+           st.floats(-60.0, 60.0))
+    def test_matches_the_oracle_inside_the_bracket(self, log_step, u, label, w):
+        step = 10.0**log_step
+        self._check(u * (1.0 + step), label, step, w * (1.0 + step))
+
+    @pytest.mark.parametrize("batch_steps", [objective.BATCH_STEPS, 1])
+    @pytest.mark.parametrize("warm", [3.0, 1e-70])
+    def test_tiny_step_keeps_its_whole_move(self, monkeypatch, warm, batch_steps):
+        # p* = 5e-75 lies far inside the absolute stop NEWTON_TOL; from the
+        # warm start itself, Newton lands next to 0 and stops there: the loop
+        # kernel's test, or the batch kernel's after a single step
+        monkeypatch.setattr(objective, "BATCH_STEPS", batch_steps)
+        self._check(0.0, 1.0, 1e-74, warm)
+
+
+def _scalar_prox(z, label, step, warm):
+    """The loop kernel one element per call (`loss_prox_1d`), on p-form
+    inputs, as p."""
+    return np.array([loss_prox_1d(LossKind.LOGISTIC, *args) for args in
+                     zip(z.tolist(), label.tolist(), step.tolist(), warm.tolist())])
 
 
 def _prox_inputs(rng, size, oracle=True):
     """(z, label, step, warm, ref): random inputs with warm starts at the
     solution, near it and far from it, and the minimizers, from the oracle
-    or else from the scalar kernel."""
+    or else from the loop kernel one element per call."""
     z = rng.normal(size=size) * 5.0
     label = np.where(rng.random(size) < 0.5, 1.0, -1.0)
     step = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), size))
@@ -185,8 +208,9 @@ def _prox_inputs(rng, size, oracle=True):
 
 
 class TestLogisticProxBatch:
-    """The rounds' logistic prox, loop and batch kernel, against the scalar
-    kernel and the high-precision oracle, within 1e-12 (1 + |p|)."""
+    """The rounds' logistic prox, loop and batch kernel, against the loop
+    kernel one element per call and the high-precision oracle, within
+    1e-12 (1 + |p|)."""
 
     @staticmethod
     def _spy(monkeypatch, name):
@@ -233,9 +257,10 @@ class TestLogisticProxBatch:
                         for args in zip(z.tolist(), label.tolist(), step.tolist())])
         for kernel in R_KERNELS:
             with monkeypatch.context() as patch:
-                redone = self._spy(patch, REDO[kernel])
+                redo = self._spy(patch, REDO[kernel])
                 got = _r_form(kernel, z, label, step, warm)
-            assert 0 < len(redone) < size, kernel
+            redone = sum(np.size(args[0]) for args in redo)  # the batch kernel's in one call
+            assert 0 < redone < size, kernel
             assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref))), kernel
 
     def test_overflowing_newton_ends_in_the_fallback(self, monkeypatch):
@@ -256,7 +281,7 @@ class TestLogisticProxBatch:
             assert got[3] == 1e307, kernel  # z + step sig with sig = 0 in float
             assert np.all(np.abs(np.delete(got, 3) - ref) <= 1e-12 * (1.0 + abs(ref))), kernel
 
-    def test_small_batches_keep_the_scalar_kernel(self, monkeypatch):
+    def test_small_batches_keep_the_loop_kernel(self, monkeypatch):
         batch = self._spy(monkeypatch, "_logistic_prox_r_batch")
         loop = self._spy(monkeypatch, "_logistic_prox_r")
         for size in (objective.BATCH_MIN - 1, objective.BATCH_MIN):
@@ -264,7 +289,7 @@ class TestLogisticProxBatch:
             objective._tilde_coeff_batch(LossKind.LOGISTIC, c_x, ones, ones, ones, ones, ones,
                                          np.zeros(size))
         assert [args[0].size for args in batch] == [objective.BATCH_MIN]
-        assert [args[0].size for args in loop] == [objective.BATCH_MIN - 1]
+        assert [len(args[0]) for args in loop] == [objective.BATCH_MIN - 1]
 
 
 class TestMoreauIdentity:
@@ -371,15 +396,18 @@ class TestProxSample:
         # each row's squared norm is 1e308, and two of them summed past the
         # float range, which bounds the Gram matrix, lambda_max and kappa_i;
         # the rows' norms lie outside the range, so every loss rejects them,
-        # without a warning, as does a row whose squared norm overflows
+        # without a warning, as it does a row whose squared norm overflows or
+        # underflows, naming the row's norm
         feats = np.full((2, 1), 1e154)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for kind in LossKind:
                 with pytest.raises(ValueError, match=r"^norm of feature row 0 is 1e\+154, outside"):
                     LocalObjective(feats, [1.0, -1.0], 1.0, kind)
-                with pytest.raises(ValueError, match=r"^norm of feature row 1 is inf, outside"):
+                with pytest.raises(ValueError, match=r"^norm of feature row 1 is 1e\+300, outside"):
                     LocalObjective(np.array([[1.0], [1e300]]), [1.0, -1.0], 1.0, kind)
+                with pytest.raises(ValueError, match=r"^norm of feature row 0 is 1e-170, outside"):
+                    LocalObjective(np.array([[1e-170, 0.0], [1.0, 1.0]]), [1.0, -1.0], 1.0, kind)
 
 
 class TestProxTildeFstar:
