@@ -6,12 +6,13 @@
 OLD_SRC and NEW_SRC are directories that each hold an `adfs_lab` package
 (a checkout's `src`).  Both are imported into this process under distinct
 package names, and each builds the instance of the `adfs-lab run` config
-CONFIG.json and its reference optimum.  Then every (algorithm, seed) cell
-of the config runs --reps times on each side, the two sides alternating
-within a cell (old first on even repetitions, new first on odd ones), and
-the script prints the median process CPU time of each side per cell, the
-change, the last logged iteration of each side and whether they match.  A
-last row per seed sums the medians over the algorithms.
+CONFIG.json and its reference optimum (`harness.certify`).  Then every
+(algorithm, seed) cell of the config runs --reps times on each side, the
+two sides alternating within a cell (old first on even repetitions, new
+first on odd ones), and the script prints the median process CPU time of
+each side per cell, the change, the last logged iteration of each side
+and whether they match.  A last row per seed sums the medians over the
+algorithms.
 
 Separate benchmark processes on a small shared host spread widely from run
 to run; two trees timed in one process share its state and its neighbours,
@@ -43,8 +44,7 @@ def load_tree(src, name):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module  # the package's relative imports resolve through it
     spec.loader.exec_module(module)
-    for sub in ("harness", "baselines"):
-        importlib.import_module(f"{name}.{sub}")
+    importlib.import_module(f"{name}.harness")
     return module
 
 
@@ -56,7 +56,7 @@ class Side:
         self.harness = lib.harness
         self.cfg = lib.harness.load_config(raw)
         _, _, self.problem, self.flat, _ = lib.harness.build_instance(self.cfg)
-        self.f_star = lib.baselines.reference_optimum(self.flat, **self.cfg.reference)[1]
+        self.f_star = lib.harness.certify(self.cfg, self.flat)[0]
 
     def run(self, algo, seed):
         """(process CPU seconds, last logged iteration) of one cell."""

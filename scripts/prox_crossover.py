@@ -11,7 +11,8 @@ it) and the batch kernel `objective._logistic_prox_r_batch`, and prints the
 cost per round and per element of each (best of --reps alternating passes),
 their largest difference, and how many elements each kernel's Newton steps
 missed: the loop kernel hands those to `_logistic_prox_r_fallback`, the
-batch kernel redoes them in one call of the loop kernel.
+batch kernel redoes them, and those with c4 > 1 / NEWTON_TOL, in one call
+of the loop kernel.
 `objective.BATCH_MIN` should sit where the batch kernel first wins by at
 least 10%.  The exit status is 1 if the two kernels differ by more than
 1e-12 (1 + |r|) anywhere.

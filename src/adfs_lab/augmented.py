@@ -221,25 +221,20 @@ def rate_branches(problem, p_comm):
     return rho_comm, rho_comp
 
 
-def _marginals(objectives, p_comp):
-    """Assumption-style virtual-edge probabilities p_ij: per node, and marginal."""
-    p_virtual, marg = [], []
-    for obj in objectives:
-        w = np.sqrt(1.0 + obj.smoothness / obj.sigma)
-        s_i = float(w.sum())
-        p_virtual.append(w / s_i)
-        marg.append(p_comp * w / s_i)
-    return tuple(p_virtual), np.concatenate(marg)
-
-
-def _sampling(graph, p_comm, p_virtual, p_marginal):
-    """The sampling scheme, once p_comm is checked against the graph."""
+def _sampling(graph, p_comm, weights):
+    """The sampling scheme, p_ij proportional to node i's weights[i][j]; p_comm is checked."""
     if graph.n_edges == 0:
         if p_comm != 0.0:
             raise ScaleError("p_comm", "p_comm must be 0 for a graph with no edges")
     elif not (0.0 < p_comm < 1.0):
         raise ScaleError("p_comm", f"p_comm must lie in (0, 1), got {p_comm}")
-    return SamplingScheme(p_comm=p_comm, p_virtual=p_virtual, p_marginal=p_marginal)
+    p_virtual, marg = [], []
+    for w in weights:
+        s_i = float(w.sum())
+        p_virtual.append(w / s_i)
+        marg.append((1.0 - p_comm) * w / s_i)
+    return SamplingScheme(p_comm=p_comm, p_virtual=tuple(p_virtual),
+                          p_marginal=np.concatenate(marg))
 
 
 def expected_time(problem, iters):
@@ -283,7 +278,8 @@ def build_augmented(graph, objectives, tau, p_comm_override=None):
         mu2_virtual=alpha * smooth_virtual,
         alpha=float(alpha),
         gamma=gamma,
-        sampling=_sampling(graph, p_comm, *_marginals(objectives, 1.0 - p_comm)),
+        sampling=_sampling(graph, p_comm,
+                           [np.sqrt(1.0 + o.smoothness / o.sigma) for o in objectives]),
         smooth_virtual=smooth_virtual,
         kappa_comm=kappa_comm,
         kappa_s=report.kappa_s,
@@ -328,9 +324,6 @@ def _build_ns(shared, p_comm_override):
     else:
         p_comm = 1.0 / (1.0 + np.sqrt(gamma * m_max))
     p_comp = 1.0 - p_comm
-    p_virtual = tuple(np.full(o.m, 1.0 / o.m) for o in objectives)
-    sampling = _sampling(graph, p_comm, p_virtual,
-                         np.concatenate([p_comp * pv for pv in p_virtual]))
     s_squared = (1.0 / sigma.min()) * max(
         lam_max / p_comm**2,
         lam_min * m_max**2 / ((m_max + 1.0) * p_comp**2),
@@ -341,7 +334,7 @@ def _build_ns(shared, p_comm_override):
         mu2_virtual=np.full(shared["features"].shape[0], mu2),
         alpha=float(mu2),
         gamma=gamma,
-        sampling=sampling,
+        sampling=_sampling(graph, p_comm, [np.ones(o.m) for o in objectives]),
         s_squared=float(s_squared),
     )
 

@@ -194,14 +194,13 @@ def _logistic_prox_r_batch(b, c4, r0):
     """`_logistic_prox_r` vectorized over float arrays, for large batches.
 
     BATCH_STEPS Newton steps on the whole batch, 8 ufunc calls each, with
-    no convergence test inside the loop, from the same start as
-    `_logistic_prox_r`.  The elements whose last |delta r| exceeds
-    NEWTON_TOL / 2 (or is NaN) are redone by one `_logistic_prox_r` call
-    from the same warm starts.
+    no convergence test inside the loop, from the warm starts r0 as given.
+    The elements whose last |delta r| exceeds NEWTON_TOL / 2 (or is NaN),
+    and those with c4 > 1 / NEWTON_TOL, whose start `_logistic_prox_r`
+    clips into the root's bracket, are redone by one `_logistic_prox_r`
+    call from the same warm starts.
     """
     r = r0.copy()
-    if c4.max() * NEWTON_TOL > 1.0:  # `_logistic_prox_r`'s clip into the bracket
-        r = np.where(c4 * NEWTON_TOL > 1.0, np.clip(r0, (b - 1.0) / c4, (b + 1.0) / c4), r0)
     # the curvature gains 2^-52, which keeps it > 0 where tanh rounds to +-1
     # and c4 + 1 to 1 (c4 < 2^-53); the root is the same
     c41 = c4 + (1.0 + 2.0**-52)
@@ -219,7 +218,7 @@ def _logistic_prox_r_batch(b, c4, r0):
         r -= delta
     # no guard test: NaN and +-inf fail this one, and an element that passes it
     # has converged to the minimizer
-    ok = np.abs(delta) <= 0.5 * NEWTON_TOL
+    ok = (np.abs(delta) <= 0.5 * NEWTON_TOL) & (c4 * NEWTON_TOL <= 1.0)
     if not ok.all():
         miss = np.flatnonzero(~ok)
         r[miss] = _logistic_prox_r(b[miss].tolist(), c4[miss].tolist(), r0[miss].tolist())

@@ -51,11 +51,8 @@ class BlockStream:
     """
 
     def __init__(self, scheme, *tokens):
-        seq = np.random.SeedSequence([stable_key(t) for t in tokens])
-        kind_seq, pick_seq = seq.spawn(2)
         self.scheme = scheme
-        self.kind_rng = np.random.Generator(np.random.Philox(kind_seq))
-        self.pick_rng = np.random.Generator(np.random.Philox(pick_seq))
+        self.kind_rng, self.pick_rng = generator(*tokens).spawn(2)
         # uniforms deciding the kind of each block; none is drawn before use
         self.kinds = chunked(lambda k: self.kind_rng.random(k).tolist())
         # per node, its cumsum without the last entry (the cap) and its first index

@@ -140,12 +140,23 @@ class TestBuildAugmented:
         with pytest.raises(ValueError, match=r"^norm of feature row 0 is [\d.]+e-15\d, outside"):
             LocalObjective(feats, labels, 1.0, LossKind.LOGISTIC)
 
-    def test_marginals_sum_to_p_comp(self, rng):
-        prob = random_problem(rng, n=4, m=4, d=2, ragged=True)
-        for i, pv in enumerate(prob.sampling.p_virtual):
+    @pytest.mark.parametrize("loss", [LossKind.LOGISTIC, LossKind.ABSOLUTE])
+    def test_marginals_sum_to_p_comp(self, rng, loss):
+        # both builds sample node i's virtual nodes in proportion to their
+        # weights: sqrt(1 + L_ij / sigma_i) when smooth, uniform when not;
+        # unfloored rows keep the smooth weights apart within a node
+        objs = random_objectives(rng, 4, 4, 2, loss=loss, ragged=True)
+        prob = build_augmented(random_connected_graph(rng, 4), objs, tau=3.0)
+        scheme = prob.sampling
+        assert len({o.m for o in objs}) > 1
+        for obj, pv in zip(objs, scheme.p_virtual):
+            w = np.sqrt(1.0 + obj.smoothness / obj.sigma) if prob.smooth else np.ones(obj.m)
+            np.testing.assert_allclose(pv / w, np.full(obj.m, pv[0] / w[0]), rtol=1e-15)
             assert pv.sum() == pytest.approx(1.0, abs=1e-12)
-        sums = np.add.reduceat(prob.sampling.p_marginal, prob.vstart[:-1])
-        np.testing.assert_allclose(sums, prob.sampling.p_comp, rtol=1e-12)
+        np.testing.assert_allclose(scheme.p_marginal,
+                                   scheme.p_comp * np.concatenate(scheme.p_virtual), rtol=1e-15)
+        sums = np.add.reduceat(scheme.p_marginal, prob.vstart[:-1])
+        np.testing.assert_allclose(sums, scheme.p_comp, rtol=1e-12)
 
 
 class TestRate:

@@ -989,6 +989,24 @@ def test_figure_analogue_stops_where_it_did():
     assert stop("adfs", 0) == stop("adfs_efficient", 0) == (6_600, 9_040.0)
 
 
+def test_nonsmooth_trajectory_holds():
+    # configs/pcomm_sweep.json with the absolute loss, one ns_adfs run built
+    # in-process: its idealized times, and its dual values to 1e-12
+    with open(os.path.join(ROOT, "configs", "pcomm_sweep.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    cfg = load_config(dict(data, loss="absolute", algorithms=["ns_adfs"], tau=5.0, iters=2000,
+                           log_every=200, stop_at_subopt=None))
+    _, _, problem, flat, _ = build_instance(cfg)
+    rows = harness._run_cell("ns_adfs", 0, cfg, problem, flat, None).rows
+    assert [(r.iteration, r.time) for r in rows] == [
+        (0, 0.0), (200, 420.0), (400, 876.0), (600, 1340.0), (800, 1784.0), (1000, 2232.0),
+        (1200, 2644.0), (1400, 3072.0), (1600, 3520.0), (1800, 3948.0), (2000, 4392.0)]
+    np.testing.assert_allclose([r.objective for r in rows], [
+        0.0, -8.857612386411468, -13.635978497619679, -16.93699918563385, -19.128326336326523,
+        -20.51476620411759, -21.426117999386037, -22.033940325203325, -22.45724771746758,
+        -22.76505534381053, -22.993175069381454], rtol=1e-12, atol=0.0)
+
+
 class TestSweep:
     def _cli(self, tmp_path, capsys, data, *argv):
         config = tmp_path / "config.json"
