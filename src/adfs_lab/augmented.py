@@ -323,10 +323,10 @@ def _build_ns(shared, p_comm_override):
         p_comm = float(p_comm_override)
     else:
         p_comm = 1.0 / (1.0 + np.sqrt(gamma * m_max))
-    p_comp = 1.0 - p_comm
+    sampling = _sampling(graph, p_comm, [np.ones(o.m) for o in objectives])
     s_squared = (1.0 / sigma.min()) * max(
         lam_max / p_comm**2,
-        lam_min * m_max**2 / ((m_max + 1.0) * p_comp**2),
+        lam_min * m_max**2 / ((m_max + 1.0) * (1.0 - p_comm)**2),
     )
     mu2 = lam_min / (1.0 + m_max)
     return AugmentedProblem(
@@ -334,7 +334,7 @@ def _build_ns(shared, p_comm_override):
         mu2_virtual=np.full(shared["features"].shape[0], mu2),
         alpha=float(mu2),
         gamma=gamma,
-        sampling=_sampling(graph, p_comm, [np.ones(o.m) for o in objectives]),
+        sampling=sampling,
         s_squared=float(s_squared),
     )
 

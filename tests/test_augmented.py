@@ -122,6 +122,9 @@ class TestBuildAugmented:
         (LossKind.LOGISTIC, 3, 0.0, "p_comm"),  # a graph with edges needs p_comm in (0, 1)
         (LossKind.SQUARED, 1, 0.5, "p_comm"),  # one without needs p_comm = 0
         (LossKind.ABSOLUTE, 1, None, "topology"),  # the non-smooth build needs an edge
+        # the non-smooth build checks p_comm before its S^2 bound divides by p_comm, p_comp
+        (LossKind.ABSOLUTE, 3, 0.0, "p_comm"),
+        (LossKind.ABSOLUTE, 3, 1.0, "p_comm"),
     ])
     def test_input_that_does_not_fit_names_its_culprit(self, rng, loss, n, p_comm, culprit):
         objs = random_objectives(rng, n, 3, 2, loss=loss)
