@@ -6,13 +6,15 @@
 OLD_SRC and NEW_SRC are directories that each hold an `adfs_lab` package
 (a checkout's `src`).  Both are imported into this process under distinct
 package names, and each builds the instance of the `adfs-lab run` config
-CONFIG.json and its reference optimum (`harness.certify`).  Then every
-(algorithm, seed) cell of the config runs --reps times on each side, the
-two sides alternating within a cell (old first on even repetitions, new
-first on odd ones), and the script prints the median process CPU time of
-each side per cell, the change, the last logged iteration of each side
-and whether they match.  A last row per seed sums the medians over the
-algorithms.
+CONFIG.json and its reference optimum (`harness.certify`) --reps times, the
+two sides alternating (old first on even repetitions, new first on odd
+ones); a `setup` row prints the median process CPU time of each side's
+`load_config`, `build_instance` and `certify` and the change.  Then every
+(algorithm, seed) cell of the config runs --reps times on each side,
+alternating in the same way, and the script prints the median process CPU
+time of each side per cell, the change, the last logged iteration of each
+side and whether they match.  A last row per seed sums the medians over
+the algorithms.
 
 Separate benchmark processes on a small shared host spread widely from run
 to run; two trees timed in one process share its state and its neighbours,
@@ -49,14 +51,19 @@ def load_tree(src, name):
 
 
 class Side:
-    """One source tree with its instance of the config built."""
+    """One source tree; `setup` builds its instance of a config."""
 
-    def __init__(self, src, name, raw):
-        lib = load_tree(src, name)
-        self.harness = lib.harness
-        self.cfg = lib.harness.load_config(raw)
-        _, _, self.problem, self.flat, _ = lib.harness.build_instance(self.cfg)
-        self.f_star = lib.harness.certify(self.cfg, self.flat)[0]
+    def __init__(self, src, name):
+        self.harness = load_tree(src, name).harness
+
+    def setup(self, raw):
+        """Process CPU seconds to load, build and certify the config `raw`."""
+        gc.collect()
+        start = time.process_time()
+        self.cfg = self.harness.load_config(raw)
+        _, _, self.problem, self.flat, _ = self.harness.build_instance(self.cfg)
+        self.f_star = self.harness.certify(self.cfg, self.flat)[0]
+        return time.process_time() - start
 
     def run(self, algo, seed):
         """(process CPU seconds, last logged iteration) of one cell."""
@@ -65,6 +72,11 @@ class Side:
         record = self.harness._run_cell(algo, seed, self.cfg, self.problem, self.flat,
                                         self.f_star)
         return time.process_time() - start, record.rows[-1].iteration
+
+
+def alternate(rep):
+    """The order of the two sides in repetition `rep`: old first on even ones."""
+    return (0, 1) if rep % 2 == 0 else (1, 0)
 
 
 def main(argv=None):
@@ -78,18 +90,23 @@ def main(argv=None):
         ap.error("--reps must be >= 1")
     with open(args.config, encoding="utf-8") as fh:
         raw = json.load(fh)
-    sides = (Side(args.old_src, "adfs_lab_old", raw), Side(args.new_src, "adfs_lab_new", raw))
-    cfg = sides[0].cfg
+    sides = (Side(args.old_src, "adfs_lab_old"), Side(args.new_src, "adfs_lab_new"))
 
     print(f"{'algo':<16}{'seed':>5}{'old ms':>10}{'new ms':>10}{'change':>9}"
           f"{'old stop':>10}{'new stop':>10}  match")
+    setup = ([], [])
+    for rep in range(args.reps):
+        for k in alternate(rep):
+            setup[k].append(sides[k].setup(raw))
+    old, new = (statistics.median(t) for t in setup)
+    print(f"{'setup':<16}{'':>5}{1e3 * old:>10.1f}{1e3 * new:>10.1f}{(new - old) / old:>+9.1%}")
+    cfg = sides[0].cfg
     for seed in cfg.seeds:
         totals = [0.0, 0.0]
         for algo in cfg.algorithms:
             times, stops = ([], []), ([], [])
             for rep in range(args.reps):
-                order = (0, 1) if rep % 2 == 0 else (1, 0)
-                for k in order:
+                for k in alternate(rep):
                     seconds, stop = sides[k].run(algo, seed)
                     times[k].append(seconds)
                     stops[k].append(stop)

@@ -10,6 +10,7 @@ applications used by the solvers.
 
 import logging
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -86,7 +87,6 @@ class AugmentedProblem:
     graph: CommunicationGraph
     objectives: tuple
     loss: LossKind
-    smooth: bool
     tau: float
     sigma: np.ndarray  # (n,)
     vstart: np.ndarray  # (n+1,) per-node offsets into the virtual nodes
@@ -109,6 +109,10 @@ class AugmentedProblem:
     s_max_bound: float = None  # m + sqrt(m kappa_s)
     # non-smooth build only
     s_squared: float = None  # ESO bound
+
+    @cached_property  # read every round: a plain attribute after the first read
+    def smooth(self):
+        return self.loss.is_smooth
 
     @property
     def n(self):
@@ -146,34 +150,6 @@ class AugmentedProblem:
         return self.rho / self.sigma_a_bound
 
 
-def _assemble(graph, objectives, tau):
-    """Checks and fields shared by both builds, as AugmentedProblem keywords.
-
-    Needs one objective per node, one loss kind, one feature dimension and a
-    finite tau >= 0.  The per-sample arrays are stacked read-only by
-    `data.stack_rows`.
-    """
-    objectives = tuple(objectives)
-    if len(objectives) != graph.n:
-        raise ValueError(f"need one local objective per node ({graph.n}), got {len(objectives)}")
-    loss = objectives[0].loss
-    if any(o.loss is not loss for o in objectives):
-        raise ValueError("all nodes must share the loss kind")
-    d = objectives[0].feature_matrix.shape[1]
-    if any(o.feature_matrix.shape[1] != d for o in objectives):
-        raise ValueError("all samples must share the feature dimension")
-    if not 0.0 <= tau < np.inf:
-        raise ValueError(f"tau must be finite and >= 0, got {tau}")
-    sigma = np.array([o.sigma for o in objectives])
-    vstart = np.cumsum([0] + [o.m for o in objectives])
-    vstart.flags.writeable = False
-    return dict(graph=graph, objectives=objectives, loss=loss, smooth=loss.is_smooth,
-                tau=float(tau), sigma=sigma, vstart=vstart, laplacian_comm=laplacian(graph),
-                features=stack_rows([o.feature_matrix for o in objectives]),
-                labels=stack_rows([o.labels for o in objectives]),
-                xnorm2=stack_rows([o.xnorm2 for o in objectives]))
-
-
 def _laplacian_spectrum(lap):
     """Eigen-summary of the communication Laplacian; the graph is connected, so
     a kernel of more than one dimension means edge weights too far apart."""
@@ -184,14 +160,9 @@ def _laplacian_spectrum(lap):
     return spec
 
 
-def _graph_spectra(graph, lap, dm_tilde, sigma):
-    """(gamma, kappa_comm, alpha) from the n x n congruences of the Laplacian."""
-    if graph.n_edges == 0:
-        # single node (or edgeless): no gossip, alpha only rescales mu and cancels
-        return None, None, 1.0
-    spec = _laplacian_spectrum(lap)
-    gamma = spec.lambda_min_pos / spec.lambda_max
-
+def _graph_spectra(spec, lap, dm_tilde, sigma):
+    """(kappa_comm, alpha) from the n x n congruences of the Laplacian, whose
+    own spectrum is `spec`."""
     dt_isqrt = 1.0 / np.sqrt(dm_tilde)
     spec_dt = symmetric_eigensolve(dt_isqrt[:, None] * lap * dt_isqrt[None, :])
     if spec_dt.kernel_dim != 1:
@@ -203,7 +174,7 @@ def _graph_spectra(graph, lap, dm_tilde, sigma):
     kappa_comm = (spec_s.lambda_max / spec.lambda_max) / (
         spec_dt.lambda_min_pos / spec.lambda_min_pos
     )
-    return gamma, kappa_comm, alpha
+    return kappa_comm, alpha
 
 
 def balanced_p_comm(gamma, kappa_comm, s_max_bound):
@@ -247,46 +218,77 @@ def expected_time(problem, iters):
 
 def build_augmented(graph, objectives, tau, p_comm_override=None):
     """Assemble the dual problem with the default parameter choices; the loss
-    picks the build.
+    picks the regime.
 
-    A non-smooth loss gets the build of build_augmented_ns.  For a smooth one,
-    virtual-edge weights are mu_ij^2 = alpha * L_ij with alpha twice the
-    smallest positive eigenvalue of the tilde-scaled gossip matrix, sampling
-    probabilities are proportional to sqrt(1 + L_ij / sigma_i), and p_comm
-    defaults to the value balancing the communication / computation rates.
+    Needs one objective per node, one loss kind, one feature dimension and a
+    finite tau >= 0; a non-smooth loss also needs a graph with an edge.  The
+    per-sample arrays are stacked read-only by `data.stack_rows`, and the
+    Laplacian is eigensolved once, for gamma, when the graph has edges.
+
+    Smooth loss: virtual-edge weights mu_ij^2 = alpha * L_ij, with alpha twice
+    the smallest positive eigenvalue of the tilde-scaled gossip matrix (1 with
+    no edges); sampling p_ij proportional to sqrt(1 + L_ij / sigma_i); p_comm
+    defaults to the value balancing the two rate branches (0 with no edges);
+    the rate rho is the smaller branch, clamped to keep the conjugate prox
+    valid.  Non-smooth loss: zero conjugate curvature, mu_ij^2 =
+    lambda_min_pos(L) / (1 + m) for every ij, uniform p_ij = p_comp / m_i,
+    p_comm defaulting to 1 / (1 + sqrt(gamma m)), and the schedule driven by
+    the explicit bound S^2 on the sampling-smoothness constant.
     """
-    shared = _assemble(graph, objectives, tau)
-    if not shared["smooth"]:
-        return _build_ns(shared, p_comm_override)
-    objectives, sigma = shared["objectives"], shared["sigma"]
-    report = condition_numbers(objectives)
-    dm_tilde = sigma + 2.0 * report.lam_sum_max
-    gamma, kappa_comm, alpha = _graph_spectra(graph, shared["laplacian_comm"], dm_tilde, sigma)
-    smooth_virtual = shared["loss"].scalar_smoothness * shared["xnorm2"]
-
+    objectives = tuple(objectives)
+    if len(objectives) != graph.n:
+        raise ValueError(f"need one local objective per node ({graph.n}), got {len(objectives)}")
+    loss = objectives[0].loss
+    if any(o.loss is not loss for o in objectives):
+        raise ValueError("all nodes must share the loss kind")
+    d = objectives[0].feature_matrix.shape[1]
+    if any(o.feature_matrix.shape[1] != d for o in objectives):
+        raise ValueError("all samples must share the feature dimension")
+    if not 0.0 <= tau < np.inf:
+        raise ValueError(f"tau must be finite and >= 0, got {tau}")
+    if not loss.is_smooth and graph.n_edges == 0:
+        raise ScaleError("topology", "the non-smooth build needs a graph with at least one edge")
+    sigma = np.array([o.sigma for o in objectives])
+    vstart = np.cumsum([0] + [o.m for o in objectives])
+    vstart.flags.writeable = False
+    lap = laplacian(graph)
+    spec = _laplacian_spectrum(lap) if graph.n_edges else None
+    gamma = None if spec is None else spec.lambda_min_pos / spec.lambda_max
     m_max = int(max(o.m for o in objectives))
-    s_max = m_max + np.sqrt(m_max * report.kappa_s)
-    if p_comm_override is not None:
-        p_comm = float(p_comm_override)
-    elif gamma is None:
-        p_comm = 0.0
-    else:
-        p_comm = float(balanced_p_comm(gamma, kappa_comm, s_max))
+    fields = dict(graph=graph, objectives=objectives, loss=loss, tau=float(tau), sigma=sigma,
+                  vstart=vstart, laplacian_comm=lap, gamma=gamma,
+                  features=stack_rows([o.feature_matrix for o in objectives]),
+                  labels=stack_rows([o.labels for o in objectives]),
+                  xnorm2=stack_rows([o.xnorm2 for o in objectives]))
 
-    problem = AugmentedProblem(
-        **shared,
-        mu2_virtual=alpha * smooth_virtual,
-        alpha=float(alpha),
-        gamma=gamma,
-        sampling=_sampling(graph, p_comm,
-                           [np.sqrt(1.0 + o.smoothness / o.sigma) for o in objectives]),
-        smooth_virtual=smooth_virtual,
-        kappa_comm=kappa_comm,
-        kappa_s=report.kappa_s,
-        kappa_b=report.kappa_b,
-        dm_tilde=dm_tilde,
-        s_max_bound=float(s_max),
-    )
+    if loss.is_smooth:
+        report = condition_numbers(objectives)
+        dm_tilde = sigma + 2.0 * report.lam_sum_max
+        kappa_comm, alpha = None, 1.0  # no gossip: alpha only rescales mu and cancels
+        if spec is not None:
+            kappa_comm, alpha = _graph_spectra(spec, lap, dm_tilde, sigma)
+        smooth_virtual = loss.scalar_smoothness * fields["xnorm2"]
+        s_max = m_max + np.sqrt(m_max * report.kappa_s)
+        weights = [np.sqrt(1.0 + o.smoothness / o.sigma) for o in objectives]
+        p_comm = 0.0 if spec is None else balanced_p_comm(gamma, kappa_comm, s_max)
+        fields.update(mu2_virtual=alpha * smooth_virtual, alpha=float(alpha),
+                      smooth_virtual=smooth_virtual, kappa_comm=kappa_comm,
+                      kappa_s=report.kappa_s, kappa_b=report.kappa_b, dm_tilde=dm_tilde,
+                      s_max_bound=float(s_max))
+    else:
+        mu2 = spec.lambda_min_pos / (1.0 + m_max)
+        weights = [np.ones(o.m) for o in objectives]
+        p_comm = 1.0 / (1.0 + np.sqrt(gamma * m_max))
+        fields.update(mu2_virtual=np.full(fields["features"].shape[0], mu2), alpha=float(mu2))
+    p_comm = float(p_comm if p_comm_override is None else p_comm_override)
+    problem = AugmentedProblem(**fields, sampling=_sampling(graph, p_comm, weights))
+
+    if not loss.is_smooth:
+        s_squared = (1.0 / sigma.min()) * max(
+            spec.lambda_max / p_comm**2,
+            spec.lambda_min_pos * m_max**2 / ((m_max + 1.0) * (1.0 - p_comm)**2),
+        )
+        return replace(problem, s_squared=float(s_squared))
     # the min of the two branch rates, clamped so that
     # 2 rho <= (1 - PROX_MARGIN) min_ij p_ij, that is eta~_ij <= (1 - PROX_MARGIN) L_ij
     rho_unclamped = float(min(rate_branches(problem, p_comm)))
@@ -298,45 +300,11 @@ def build_augmented(graph, objectives, tau, p_comm_override=None):
 
 
 def build_augmented_ns(graph, objectives, tau=1.0):
-    """Non-smooth variant: zero conjugate curvature, uniform virtual sampling.
-
-    Virtual weights become mu_ij^2 = lambda_min_pos(L) / (1 + m), probabilities
-    p_ij = p_comp / m_i, and the schedule is driven by the explicit bound on
-    the sampling-smoothness constant S^2.
-    """
-    shared = _assemble(graph, objectives, tau)
-    if shared["smooth"]:
+    """`build_augmented` for a non-smooth loss; a smooth one is rejected."""
+    objectives = tuple(objectives)
+    if objectives and all(o.loss.is_smooth for o in objectives):
         raise ValueError("smooth loss: use build_augmented for the linearly convergent solver")
-    return _build_ns(shared, None)
-
-
-def _build_ns(shared, p_comm_override):
-    graph, objectives, sigma = shared["graph"], shared["objectives"], shared["sigma"]
-    if graph.n_edges == 0:
-        raise ScaleError("topology", "the non-smooth build needs a graph with at least one edge")
-    spec = _laplacian_spectrum(shared["laplacian_comm"])
-    lam_min, lam_max = spec.lambda_min_pos, spec.lambda_max
-    gamma = lam_min / lam_max
-
-    m_max = int(max(o.m for o in objectives))
-    if p_comm_override is not None:
-        p_comm = float(p_comm_override)
-    else:
-        p_comm = 1.0 / (1.0 + np.sqrt(gamma * m_max))
-    sampling = _sampling(graph, p_comm, [np.ones(o.m) for o in objectives])
-    s_squared = (1.0 / sigma.min()) * max(
-        lam_max / p_comm**2,
-        lam_min * m_max**2 / ((m_max + 1.0) * (1.0 - p_comm)**2),
-    )
-    mu2 = lam_min / (1.0 + m_max)
-    return AugmentedProblem(
-        **shared,
-        mu2_virtual=np.full(shared["features"].shape[0], mu2),
-        alpha=float(mu2),
-        gamma=gamma,
-        sampling=sampling,
-        s_squared=float(s_squared),
-    )
+    return build_augmented(graph, objectives, tau)
 
 
 def split_state(problem, state):

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import adfs_lab
-from adfs_lab import augmented, data, harness
+from adfs_lab import augmented, data, harness, objective
 from adfs_lab.data import (
     RANGE_HI,
     RANGE_LO,
@@ -1007,6 +1007,70 @@ def test_nonsmooth_trajectory_holds():
         -22.76505534381053, -22.993175069381454], rtol=1e-12, atol=0.0)
 
 
+# one committed config per branch of build_augmented: smooth with edges,
+# non-smooth, smooth without edges
+BUILD_BRANCHES = {
+    "smooth": ("fig_analogue.json", {}),
+    "nonsmooth": ("pcomm_sweep.json", {"loss": "absolute", "algorithms": ["ns_adfs"]}),
+    "edgeless": ("pcomm_sweep.json", {"topology": {"kind": "line", "n": 1}}),
+}
+
+
+def _branch_instance(branch):
+    name, over = BUILD_BRANCHES[branch]
+    with open(os.path.join(ROOT, "configs", name), encoding="utf-8") as fh:
+        return build_instance(load_config(dict(json.load(fh), **over)))
+
+
+@pytest.mark.parametrize("branch, expected", [
+    ("smooth", {
+        "n": 16, "m": 200, "d": 20, "edges": 24, "tau": 5.0, "p_comm": 0.08986458095514958,
+        "alpha": 0.001566283572859527, "gamma": 0.0857864376269049, "sigma_total": 16.0,
+        "loss": "logistic", "kappa_s": 1098.4798717958447, "kappa_b_max": 409.82748553213185,
+        "kappa_comm": 747.9953793519624, "rho": 0.0009623840414784555,
+        "rho_unclamped": 0.0009623840414784555, "s_max_bound": 668.7173715141876,
+        "predicted_time_per_log_eps": 1412.5944168111312,
+        "balanced_p_comm": 0.08986458095514958,
+        "balanced_time_bound_per_log_eps": 1412.594416811131,
+        "rho_comm_branch": 0.0009623840414784555, "rho_comp_branch": 0.0009623840414784557}),
+    ("nonsmooth", {
+        "n": 9, "m": 30, "d": 5, "edges": 12, "tau": 5.0, "p_comm": 0.30901699437494745,
+        "alpha": 0.03225806451612902, "gamma": 0.16666666666666663, "sigma_total": 9.0,
+        "loss": "absolute", "s_squared": 62.832815729997456,
+        "mu2_virtual": 0.03225806451612902}),
+    ("edgeless", {
+        "n": 1, "m": 30, "d": 5, "edges": 0, "tau": 5.0, "p_comm": 0.0, "alpha": 1.0,
+        "gamma": None, "sigma_total": 1.0, "loss": "logistic", "kappa_s": 33.53839864594098,
+        "kappa_b_max": 18.84629287823477, "kappa_comm": None, "rho": 0.011456706809917904,
+        "rho_unclamped": 0.011456706809917904, "s_max_bound": 61.71989847679575,
+        "predicted_time_per_log_eps": 87.28511749417508}),
+], ids=["smooth", "nonsmooth", "edgeless"])
+def test_derived_constants_hold(branch, expected):
+    # every derived constant of each branch of the build: ints, strings and
+    # None exactly, floats to 1e-12
+    _, _, problem, flat, _ = _branch_instance(branch)
+    meta = harness.derived_constants(problem, flat)
+    assert sorted(meta) == sorted(expected)
+    for key, want in expected.items():
+        if isinstance(want, float):
+            assert isinstance(meta[key], float) and meta[key] == pytest.approx(want, rel=1e-12), key
+        else:
+            assert meta[key] == want and type(meta[key]) is type(want), key
+
+
+@pytest.mark.parametrize("branch, calls", [("smooth", 16 + 3), ("nonsmooth", 1),
+                                           ("edgeless", 1)])
+def test_build_eigensolve_count(branch, calls):
+    # a smooth build solves each node's Gram and three n x n Laplacian
+    # congruences, the non-smooth one the Laplacian alone, an edgeless one the
+    # Grams alone
+    solve = augmented.symmetric_eigensolve
+    with mock.patch.object(augmented, "symmetric_eigensolve", wraps=solve) as in_aug, \
+            mock.patch.object(objective, "symmetric_eigensolve", wraps=solve) as in_obj:
+        _branch_instance(branch)
+    assert in_aug.call_count + in_obj.call_count == calls
+
+
 class TestSweep:
     def _cli(self, tmp_path, capsys, data, *argv):
         config = tmp_path / "config.json"
@@ -1166,8 +1230,11 @@ class TestScripts:
             algorithms=["adfs", "adfs_efficient", "point_saga"], seeds=[0, 1], iters=40,
             stop_at_subopt=1e-3)))
         out = run_script("ab_time.py", src, src, str(config), "--reps", "2", cwd=tmp_path)
-        table = [line.split() for line in out.splitlines()[1:]]
-        # per seed: one row per algorithm, then their sum
+        setup, *table = [line.split() for line in out.splitlines()[1:]]
+        # first the set-up: "setup", old ms, new ms, change
+        assert setup[0] == "setup" and len(setup) == 4
+        assert float(setup[1]) > 0 and float(setup[2]) > 0
+        # then per seed: one row per algorithm, then their sum
         assert [row[:2] for row in table] == [
             [algo, seed] for seed in ("0", "1")
             for algo in ("adfs", "adfs_efficient", "point_saga", "sum")]
