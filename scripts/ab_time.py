@@ -18,7 +18,10 @@ the algorithms.
 
 Separate benchmark processes on a small shared host spread widely from run
 to run; two trees timed in one process share its state and its neighbours,
-so a difference of a few percent shows.
+so they spread less, but not to nothing.  On the one-cell absolute-loss
+pcomm_sweep config at --reps 10, one tree on both sides read +6.8 %, and two
+trees whose solver code was the same read -0.6 % to +8.2 %: only a
+difference wider than that spread resolves.
 """
 
 import os

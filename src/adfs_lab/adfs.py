@@ -49,8 +49,9 @@ def _estimate(problem, state):
 
 def _primal_value(problem, view):
     """The smooth solvers' logged value: F at the primal estimate of y."""
+    # sigma_total summed as `baselines.pool_objectives` sums it, so F is flat_value's
     return _stacked_value(problem.loss, problem.features, problem.labels,
-                          float(problem.sigma.sum()), _estimate(problem, view["y"]))
+                          sum(problem.sigma.tolist()), _estimate(problem, view["y"]))
 
 
 def _pair(problem):

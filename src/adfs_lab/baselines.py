@@ -17,10 +17,11 @@ from .records import RunResult, run_loop
 from .rng import chunked, generator
 
 __all__ = ["FlatProblem", "pool_objectives", "flat_value", "flat_grad",
-           "point_saga", "reference_optimum"]
+           "point_saga", "certified_optimum", "reference_optimum"]
 
 HUBER_STAGES = 17  # mu = max|y| ... 1e-16 max|y|, where r_k is at rounding
 NEWTON_STEPS = 50  # per stage; a stage ends sooner on a stationary full step
+NEWTON_MAX = 2_000_000  # cap on the smooth losses' Newton steps
 
 
 class FlatProblem(LocalObjective):
@@ -118,37 +119,42 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
     return RunResult(record, x)
 
 
-def reference_optimum(problem: FlatProblem, tol=3e-6, max_iters=2_000_000, ns_problem=None):
-    """High-accuracy optimum used as the suboptimality yardstick; every branch
-    certifies a value gap of at most tol^2 sigma_total / 2.
+def reference_optimum(problem: FlatProblem, tol=3e-6, ns_problem=None):
+    """(theta, f_star) of `certified_optimum`; `ns_problem` is ignored: the
+    benchmark's set-up (perfbench/run.py) still passes it."""
+    return certified_optimum(problem, tol)[:2]
+
+
+def certified_optimum(problem: FlatProblem, tol=3e-6):
+    """The suboptimality yardstick (theta, f_star, gap): every branch
+    certifies |f_star - F*| <= gap <= tol^2 sigma_total / 2.
 
     Smooth losses: damped Newton (Hessian X^T diag(loss''(X theta)) X +
-    sigma_total I) until ||grad F|| <= tol * sigma_total.  The step length t
-    halves from 1 until ||grad F|| falls by the factor 1 - t/4, a test that,
-    unlike a decrease test on F, still holds once F is flat to rounding; a t
-    below 1e-12 (||grad F|| at working precision) raises at once.
+    sigma_total I) until ||grad F|| <= tol * sigma_total, and gap = ||grad
+    F||^2 / (2 sigma_total).  The step length t halves from 1 until ||grad
+    F|| falls by the factor 1 - t/4, a test that, unlike a decrease test on
+    F, still holds once F is flat to rounding; a t below 1e-12 (||grad F||
+    at working precision) raises at once.
     Absolute loss: `_absolute_optimum`, Huber-continuation Newton on the
     d-dimensional primal with an exact KKT finish, certified by the duality
-    gap P(theta) + D(a); it returns theta and the pooled dual value D(a) =
-    a . y + ||X^T a||^2 / (2 sigma_total) over |a| <= 1, the yardstick of the
-    non-smooth solver's dual logs.  `max_iters` caps the Newton steps of
-    either branch.  `ns_problem` is ignored: the benchmark's set-up
-    (perfbench/run.py) still passes it.
+    gap P(theta) + D(a); f_star is the pooled dual value D(a) = a . y +
+    ||X^T a||^2 / (2 sigma_total) over |a| <= 1, the yardstick of the
+    non-smooth solver's dual logs.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
     if problem.loss is LossKind.ABSOLUTE:
-        return _absolute_optimum(problem, tol**2 * problem.sigma_total / 2.0, max_iters)
+        return _absolute_optimum(problem, tol**2 * problem.sigma_total / 2.0)
     feats = problem.feature_matrix
     args = (problem.loss, feats, problem.labels, problem.sigma_total)
     target = tol * problem.sigma_total
     ridge = problem.sigma_total * np.eye(feats.shape[1])
     theta = np.zeros(feats.shape[1])
     grad = _stacked_grad(*args, theta)
-    for _ in range(max_iters):
+    for _ in range(NEWTON_MAX):
         norm = float(np.linalg.norm(grad))
         if norm <= target:
-            return theta, _stacked_value(*args, theta)
+            return theta, _stacked_value(*args, theta), norm**2 / (2.0 * problem.sigma_total)
         curv = loss_curvature(problem.loss, feats @ theta, problem.labels)
         step, t = np.linalg.solve((feats.T * curv) @ feats + ridge, grad), 1.0
         while np.linalg.norm(trial := _stacked_grad(*args, theta - t * step)) > (1 - t / 4) * norm:
@@ -175,9 +181,9 @@ def _pattern(r, mu):
     return np.where(np.abs(r) < mu, 0.0, np.sign(r))
 
 
-def _huber_stage(feats, labels, sigma, theta, mu, budget):
-    """Damped Newton on H_mu(theta) = sum_k huber_mu(x_k . theta - y_k) +
-    (sigma/2)||theta||^2 from theta; returns (theta, Newton steps taken).
+def _huber_stage(feats, labels, sigma, theta, mu):
+    """At most NEWTON_STEPS damped Newton steps on H_mu(theta) = sum_k
+    huber_mu(x_k . theta - y_k) + (sigma/2)||theta||^2 from theta.
 
     The Hessian X_E^T X_E / mu + sigma I on the smooth set E = {|r| < mu} is
     inverted in the eigenbasis of X_E^T X_E (`eigh`), where its eigenvalues
@@ -187,7 +193,7 @@ def _huber_stage(feats, labels, sigma, theta, mu, budget):
     (Armijo), and a step too short to move theta ends the stage where it is.
     """
     r = feats @ theta - labels
-    for steps in range(1, budget + 1):
+    for _ in range(NEWTON_STEPS):
         grad = feats.T @ np.clip(r / mu, -1.0, 1.0) + sigma * theta
         fe = feats[np.abs(r) < mu]
         lam, vecs = np.linalg.eigh(fe.T @ fe)
@@ -195,16 +201,16 @@ def _huber_stage(feats, labels, sigma, theta, mu, budget):
         trial, t = theta - step, 1.0
         r_trial = feats @ trial - labels
         if np.array_equal(_pattern(r_trial, mu), _pattern(r, mu)):
-            return trial, steps
+            return trial
         value = _huber_value(theta, r, mu, sigma)
         while _huber_value(trial, r_trial, mu, sigma) > value - 1e-4 * t * float(grad @ step):
             t *= 0.5
             trial = theta - t * step
             if np.array_equal(trial, theta):
-                return theta, steps
+                return theta
             r_trial = feats @ trial - labels
         theta, r = trial, r_trial
-    return theta, budget
+    return theta
 
 
 def _kkt_finish(feats, labels, sigma, theta, mu):
@@ -232,7 +238,7 @@ def _kkt_finish(feats, labels, sigma, theta, mu):
     return theta, a
 
 
-def _absolute_optimum(problem: FlatProblem, target, max_iters):
+def _absolute_optimum(problem: FlatProblem, target):
     """Certified optimum of P(theta) = sum_k |x_k . theta - y_k| + (sigma/2)||theta||^2.
 
     Huber continuation: `_huber_stage` with mu falling 10x per stage from
@@ -242,10 +248,9 @@ def _absolute_optimum(problem: FlatProblem, target, max_iters):
     X^T a||^2 / (2 sigma), r = X theta - y, whose terms are each >= 0.  The
     residuals still cancel (x_k . theta against y_k), so the identity is
     evaluated in extended precision (`np.longdouble`) and the bound on its
-    rounding is added.  Returns (theta, D(a)) at the first gap <= target;
-    raises, naming the smallest gap, after the last stage (mu = 1e-16
-    max|y|, below the rounding of the residuals) or after `max_iters` Newton
-    steps.
+    rounding is added.  Returns (theta, D(a), gap) at the first gap <=
+    target; raises, naming the smallest gap, after the last stage (mu =
+    1e-16 max|y|, below the rounding of the residuals).
     """
     feats, labels, sigma = problem.feature_matrix, problem.labels, problem.sigma_total
     wide_x, wide_y = feats.astype(np.longdouble), labels.astype(np.longdouble)
@@ -254,20 +259,15 @@ def _absolute_optimum(problem: FlatProblem, target, max_iters):
     rounding = (feats.shape[1] + 1) * np.finfo(np.longdouble).eps
     theta = np.zeros(feats.shape[1])
     mu = float(np.max(np.abs(labels))) or 1.0  # y = 0: theta = 0 is exact
-    best, steps = np.inf, 0
+    best = np.inf
     for _ in range(HUBER_STAGES):
-        theta, taken = _huber_stage(feats, labels, sigma, theta, mu,
-                                    min(NEWTON_STEPS, max_iters - steps))
-        steps += taken
+        theta = _huber_stage(feats, labels, sigma, theta, mu)
         theta_k, a = _kkt_finish(feats, labels, sigma, theta, mu)
         r, xa = wide_x @ theta_k - wide_y, wide_x.T @ a
         gap = float(np.sum(np.abs(r) - a * r) + np.sum((sigma * theta_k + xa) ** 2) / (2 * sigma)
                     + rounding * np.sum(np.abs(wide_x) @ np.abs(theta_k) + np.abs(wide_y)))
         if gap <= target:
-            return theta_k, float(a @ wide_y + xa @ xa / (2 * sigma))
+            return theta_k, float(a @ wide_y + xa @ xa / (2 * sigma)), gap
         best = min(best, gap)
-        if steps == max_iters:
-            raise RuntimeError(f"reference solver did not converge: duality gap = "
-                               f"{best:.3e} > {target:.3e}")
         mu *= 0.1
     raise RuntimeError(f"reference solver stalled: duality gap = {best:.3e} > {target:.3e}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .adfs import run_adfs, run_adfs_efficient, run_ns_adfs
 from .augmented import ScaleError, balanced_p_comm, build_augmented, expected_time, rate_branches
-from .baselines import flat_grad, flat_value, point_saga, pool_objectives, reference_optimum
+from .baselines import certified_optimum, point_saga, pool_objectives
 from .data import (DENSE_MAX, RANGE_HI, RANGE_LO, LibsvmData, LibsvmParseError,
                    assign_node_datasets, in_range, parse_libsvm, synth_dataset, synth_pool,
                    write_libsvm)
@@ -367,20 +367,15 @@ def _median_times(cfg, records):
 
 def certify(cfg: ExperimentConfig, flat):
     """(f_star, reference_gap) of a built config: the reference optimum of its
-    pooled problem `flat` and the certified |f_star - F*|; (None, None) when
-    no algorithm has a budget."""
+    pooled problem `flat` and the bound on |f_star - F*| that
+    `certified_optimum` proved; (None, None) when no algorithm has a budget."""
     if not any(cfg.iters[a] > 0 for a in cfg.algorithms):
         return None, None
     try:
-        theta, f_star = reference_optimum(flat, **cfg.reference)
+        return certified_optimum(flat, **cfg.reference)[1:]
     except (RuntimeError, np.linalg.LinAlgError) as exc:  # its target and ridge scale with sigma
         raise ConfigError("sigma", f"no certified reference optimum for the target "
                                    f"reference.tol * sum(sigma): {exc}") from None
-    # the duality gap for the absolute loss, whose f_star is a dual value;
-    # ||grad F||^2 / (2 sigma_total) for smooth losses
-    gap = (f_star + flat_value(flat, theta) if flat.loss is LossKind.ABSOLUTE else
-           float(np.linalg.norm(flat_grad(flat, theta))) ** 2 / (2.0 * flat.sigma_total))
-    return f_star, gap
 
 
 def run_experiment(cfg: ExperimentConfig, instance, reference, out_dir):

@@ -537,11 +537,11 @@ class TestRoundTable:
                     run(replace(prob, rho=rho), 10, seed=0)
 
 
-def fig_analogue_problem(**over):
-    """The problem `build_instance` makes of configs/fig_analogue.json with
-    the keys of `over` replaced."""
+def committed_problem(name, **over):
+    """The problem `build_instance` makes of the committed config
+    configs/`name` with the keys of `over` replaced."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "configs", "fig_analogue.json"), encoding="utf-8") as fh:
+    with open(os.path.join(root, "configs", name), encoding="utf-8") as fh:
         data = json.load(fh)
     data.update(over)
     return harness.build_instance(harness.load_config(data))[2]
@@ -552,7 +552,7 @@ class TestNearLimitPrecision:
         # the figure analogue at sigma = 100 clamps the rate: one virtual node
         # sits at the margin below the prox limit, the next ones within 1e-3
         # of it, where the identity's cancellation is largest
-        prob = fig_analogue_problem(sigma=100)
+        prob = committed_problem("fig_analogue.json", sigma=100)
         assert prob.rho < prob.rho_unclamped
         inv_scale = aug.round_table(prob)[:, aug.INV_SCALE]
         assert inv_scale.max() <= (1.0 + 1e-12) / objective.PROX_MARGIN
@@ -702,6 +702,18 @@ class TestPrimalEstimate:
             for j in range(i + 1, prob.n)
         )
         assert worst <= 1e-3 * (1 + np.linalg.norm(theta_star))
+
+    def test_logged_value_is_pooled_value(self):
+        # per-node sigma on configs/pcomm_sweep.json: the F that ADFS logs is
+        # the pooled F at each state's primal estimate, bit for bit (with a
+        # numpy sum of the sigmas it read 1.4e-14 above it from t = 1200)
+        prob = committed_problem("pcomm_sweep.json",
+                                 sigma=[0.84, 3.43, 1.95, 0.47, 3.06, 1.58, 0.1, 2.69, 1.21])
+        flat = pool_objectives(prob.objectives)
+        _, views = observed_run(run_adfs, prob, 4000, seed=0, log_every=400)
+        for view in views.values():
+            theta = primal_estimate(prob, split_state(prob, view["y"])[0])
+            assert solver_module._primal_value(prob, view) == flat_value(flat, theta)
 
 
 class TestNonSmoothSolver:

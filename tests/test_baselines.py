@@ -10,6 +10,7 @@ from adfs_lab.adfs import run_ns_adfs
 from adfs_lab.augmented import build_augmented_ns
 from adfs_lab.baselines import (
     FlatProblem,
+    certified_optimum,
     flat_grad,
     flat_value,
     point_saga,
@@ -202,18 +203,22 @@ class TestReferenceOptimum:
         objs = random_objectives(generator("newton-probe", seed), 3, 5, 3, loss=loss,
                                  ragged=ragged)
         flat = pool_objectives(objs)
-        theta, f_ref = reference_optimum(flat, tol=tol)
-        assert np.linalg.norm(flat_grad(flat, theta)) <= tol * flat.sigma_total
+        theta, f_ref, gap = certified_optimum(flat, tol=tol)
+        norm = float(np.linalg.norm(flat_grad(flat, theta)))
+        assert norm <= tol * flat.sigma_total
         assert f_ref == flat_value(flat, theta)
+        # the certificate is ||grad F||^2 / (2 sigma_total) at the returned theta
+        assert gap == norm**2 / (2.0 * flat.sigma_total)
 
-    def test_smooth_budget_exhausted_names_grad(self, rng):
+    def test_smooth_budget_exhausted_names_grad(self, rng, monkeypatch):
         objs = random_objectives(rng, 4, 6, 3)
-        with pytest.raises(RuntimeError, match=r"\|\|grad\|\|"):
-            reference_optimum(pool_objectives(objs), tol=1e-12, max_iters=1)
+        monkeypatch.setattr(baselines, "NEWTON_MAX", 1)
+        with pytest.raises(RuntimeError, match=r"did not converge: \|\|grad\|\|"):
+            reference_optimum(pool_objectives(objs), tol=1e-12)
 
     def test_unreachable_tol_raises_without_running_on(self, rng, monkeypatch):
         # ||grad|| cannot reach 1e-16 sigma_total in floating point; the stalled
-        # line search must raise, not spend the default max_iters
+        # line search must raise, not spend NEWTON_MAX steps
         flat = pool_objectives(random_objectives(rng, 4, 50, 5))
         calls = []
         grad = baselines._stacked_grad
@@ -246,26 +251,32 @@ class TestReferenceOptimum:
         objs = random_objectives(rng, 4, 6, 3, loss=LossKind.ABSOLUTE)
         flat = pool_objectives(objs)
         for tol in (3e-6, 1e-4):
-            theta, f_ref = reference_optimum(flat, tol=tol)
+            theta, f_ref, gap = certified_optimum(flat, tol=tol)
             primal = flat_value(flat, theta)
             # an exact solution's gap is rounding and may read a few ulps below 0
             allowance = 64 * np.finfo(float).eps * (abs(f_ref) + abs(primal))
             assert -allowance <= f_ref + primal <= tol**2 * flat.sigma_total / 2.0
+            # the certified gap bounds the exact one
+            assert 0.0 <= gap <= tol**2 * flat.sigma_total / 2.0
+            assert exact_absolute_gap(flat, theta, f_ref) <= gap + np.finfo(float).eps * abs(f_ref)
+            assert reference_optimum(flat, tol=tol)[1] == f_ref
         # the non-smooth problem some callers pass is ignored
         prob = build_augmented_ns(build_topology("line", n=4), objs)
         theta2, f_ref2 = reference_optimum(flat, tol=tol, ns_problem=prob)
         assert f_ref2 == f_ref and np.array_equal(theta2, theta)
 
     def test_absolute_exact_reference_gap_is_rounding(self):
-        # the FISTA iterate is exact here, so the recorded gap is pure rounding
-        # and reads a few ulps below zero; it is not clamped
+        # the reference is exact here, so P + D in double precision is pure
+        # rounding and may read a few ulps below zero; the certified gap,
+        # which bounds that rounding, does not
         objs = random_objectives(generator("abs-reference", 4), 3, 4, 2, loss=LossKind.ABSOLUTE)
         flat = pool_objectives(objs)
         tol = 3e-6
-        theta, f_ref = reference_optimum(flat, tol=tol)
+        theta, f_ref, gap = certified_optimum(flat, tol=tol)
         primal = flat_value(flat, theta)
         allowance = 64 * np.finfo(float).eps * (abs(f_ref) + abs(primal))
         assert -allowance <= f_ref + primal <= tol**2 * flat.sigma_total / 2.0
+        assert 0.0 <= gap <= tol**2 * flat.sigma_total / 2.0
 
     def test_absolute_stall_raises_without_running_on(self, monkeypatch):
         # the gap's target, 1.7e-24 at tol 1e-12, lies below the rounding of
@@ -276,15 +287,6 @@ class TestReferenceOptimum:
         with pytest.raises(RuntimeError, match="stalled: duality gap"):
             reference_optimum(FlatProblem(feats, labels, 3.4, LossKind.ABSOLUTE), tol=1e-12)
         assert 0 < len(solves) <= SOLVE_BOUND
-
-    def test_absolute_budget_exhausted_names_gap(self, rng, monkeypatch):
-        objs = random_objectives(rng, 4, 6, 3, loss=LossKind.ABSOLUTE)
-        solves = count_solves(monkeypatch)
-        with pytest.raises(RuntimeError, match="did not converge: duality gap"):
-            reference_optimum(pool_objectives(objs), tol=1e-12, max_iters=3)
-        # max_iters caps the Newton steps; each stage makes one or more, then
-        # one finish
-        assert 4 <= len(solves) <= 6
 
     @pytest.mark.parametrize("topology,scale,sigma,correlation", FOUND_ABSOLUTE)
     def test_absolute_found_configs_end_within_bound(self, monkeypatch, topology, scale, sigma,

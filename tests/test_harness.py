@@ -88,6 +88,10 @@ def _hexed(samples, dim):
     return [(label.hex(), [(i, v.hex()) for i, v in pairs]) for label, pairs in samples], dim
 
 
+with open(os.path.join(ROOT, "configs", "pcomm_sweep.json"), encoding="utf-8") as _fh:
+    PCOMM = json.load(_fh)  # the raw committed config
+
+
 def base_config(**over):
     data = {
         "topology": {"kind": "complete", "n": 2},
@@ -414,15 +418,22 @@ class TestRunExperiment:
         rows = open(csv_path).read().splitlines()[1:]
         assert len(rows) == 200 // 50 + 1
 
-    @pytest.mark.parametrize("loss,algo", [
-        ("absolute", "ns_adfs"), ("logistic", "adfs"), ("squared", "adfs")])
-    def test_reference_gap_recorded(self, tmp_path, loss, algo):
-        tol = 1e-4
-        cfg = load_config(base_config(loss=loss, algorithms=[algo], seeds=[0],
-                                      reference={"tol": tol}))
+    @pytest.mark.parametrize("data", [
+        pytest.param(base_config(loss=loss, algorithms=[algo], seeds=[0],
+                                 reference={"tol": 1e-4}), id=f"{loss}-{algo}")
+        for loss, algo in [("absolute", "ns_adfs"), ("logistic", "adfs"), ("squared", "adfs")]
+    ] + [
+        # a duality gap recomputed in double precision read -3.9e-13 here
+        pytest.param(dict(PCOMM, loss="absolute", algorithms=["ns_adfs"], iters=50,
+                          stop_at_subopt=None,
+                          dataset=dict(PCOMM["dataset"], feature_scale=1000.0)),
+                     id="pcomm-absolute-scale1000")])
+    def test_reference_gap_recorded(self, tmp_path, data):
+        cfg = load_config(data)
+        tol = cfg.reference.get("tol", 3e-6)
         run_experiment(cfg, *certified(cfg), str(tmp_path))
         derived = json.load(open(tmp_path / "metadata.json"))["derived"]
-        assert -1e-12 <= derived["reference_gap"] <= tol**2 * derived["sigma_total"] / 2.0
+        assert 0.0 <= derived["reference_gap"] <= tol**2 * derived["sigma_total"] / 2.0
 
 
 # Edge weights span 16 orders of magnitude; feature scales and sigma span 8,
@@ -978,7 +989,8 @@ def test_figure_analogue_stops_where_it_did():
     data["iters"]["adfs_efficient"] = data["iters"]["adfs"]
     cfg = load_config(dict(data, algorithms=["adfs", "adfs_efficient", "point_saga"]))
     _, _, problem, flat, _ = build_instance(cfg)
-    f_star, _ = harness.certify(cfg, flat)
+    f_star, gap = harness.certify(cfg, flat)
+    assert (f_star, gap) == (615.3664396475236, 3.4646903746786867e-22)
 
     def stop(algo, seed):
         row = harness._run_cell(algo, seed, cfg, problem, flat, f_star).rows[-1]
