@@ -69,13 +69,14 @@ def _momentum_map(rho):
 
 class _Rounds:
     """What the computation rounds of one run share: the round table
-    (augmented.round_table), and one warm start of the smooth build's 1D prox
-    per virtual node, in the prox's variable (r = label p / 2 for the
-    logistic loss, p for the squared loss)."""
+    (augmented.round_table), the prox that the loss's smoothness fixes for the
+    run (conjugate prox or clip), and the smooth build's warm starts per virtual
+    node, in the 1D prox's variable (r = label p / 2 for NEWTON_R, else p)."""
 
     def __init__(self, problem):
         self.table = aug.round_table(problem)
-        self.warm = np.zeros(problem.n_virtual) if problem.smooth else None
+        self.warm = np.zeros(problem.n_virtual) if problem.loss.is_smooth else None
+        self.prox = self._clip if self.warm is None else self._conjugate_prox
 
     def sample(self, problem, draw):
         """(idx, consts, rows) of a computation draw: the sampled virtual
@@ -92,22 +93,24 @@ class _Rounds:
         c_in = aug.virtual_gradient(problem, consts, rows, y_center, y_coef)
         c_in *= eta
         c_in += w_coef
-        if problem.smooth:
-            # prox of eta~ ftilde* through the conjugate-side identity,
-            # refreshing the warm starts of the sampled nodes
-            warm = self.warm
-            c_out, warm[idx] = _tilde_coeff_batch(
-                problem.loss, c_in, consts[aug.LABEL], consts[aug.PROX_IN],
-                consts[aug.PROX_STEP], consts[aug.INV_SCALE], consts[aug.PROX_OUT],
-                warm[idx],
-            )
-        else:
-            # the absolute loss's conjugate is s * label on |s| <= 1, so its
-            # prox with step eta~ / ||X||^2 = eta * T is a clip
-            c_out = c_in - eta * consts[aug.T_LABEL]
-            np.maximum(c_out, -1.0, out=c_out)
-            np.minimum(c_out, 1.0, out=c_out)
+        c_out = self.prox(problem, idx, consts, c_in, eta)
         c_out -= w_coef
+        return c_out
+
+    def _conjugate_prox(self, problem, idx, consts, c_in, eta):
+        # prox of eta~ ftilde* through the conjugate-side identity,
+        # refreshing the warm starts of the sampled nodes
+        c_out, self.warm[idx] = _tilde_coeff_batch(
+            problem.loss, c_in, consts[aug.LABEL], consts[aug.PROX_IN], consts[aug.PROX_STEP],
+            consts[aug.INV_SCALE], consts[aug.PROX_OUT], self.warm[idx])
+        return c_out
+
+    def _clip(self, problem, idx, consts, c_in, eta):
+        # the conjugate is s * label on |s| <= 1, so its prox with step
+        # eta~ / ||X||^2 = eta * T is a clip
+        c_out = c_in - eta * consts[aug.T_LABEL]
+        np.maximum(c_out, -1.0, out=c_out)
+        np.minimum(c_out, 1.0, out=c_out)
         return c_out
 
 
@@ -184,7 +187,7 @@ def run_adfs(problem, iters, seed, log_every=100, f_star=None, observe=None,
     eta * mu_ij^2 / p_ij; the dual step size is eta = rho / (alpha / 2),
     using the certified lower bound on the dual strong convexity.
     """
-    if not problem.smooth:
+    if not problem.loss.is_smooth:
         raise ValueError("run_adfs needs the smooth build; see run_ns_adfs")
     rho = problem.rho
 
@@ -206,7 +209,7 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None, observe
     rewrites only the n centers and the n sampled coefficients; c shrinks
     geometrically and is folded into U when it underflows toward 1e-140.
     """
-    if not problem.smooth:
+    if not problem.loss.is_smooth:
         raise ValueError("run_adfs_efficient needs the smooth build")
     rho, eta = problem.rho, problem.eta
     phi = (1.0 - rho) / (1.0 + rho)
@@ -266,9 +269,9 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None, observe
 def run_ns_adfs(problem, iters, seed, log_every=100, f_star=None, observe=None,
                 stop_at_subopt=None):
     """Non-smooth solver: APCG's convex momentum schedule from alpha_0 = min
-    p_ij, the absolute loss's conjugate prox in closed form (a clip to
-    [-1, 1]), dual objective logged (the controlled quantity)."""
-    if problem.smooth:
+    p_ij, the rounds' clip (the non-smooth build's conjugate prox, see
+    _Rounds), dual objective logged (the controlled quantity)."""
+    if problem.loss.is_smooth:
         raise ValueError("run_ns_adfs needs the non-smooth build; see run_adfs")
     s_sq = problem.s_squared
 

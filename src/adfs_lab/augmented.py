@@ -10,7 +10,6 @@ applications used by the solvers.
 
 import logging
 from dataclasses import dataclass, replace
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -41,7 +40,6 @@ __all__ = [
 ]
 
 log = logging.getLogger("adfs_lab")
-DOMAIN_TOL = 1e-6  # dual_objective's slack on the conjugate domain
 
 
 class ScaleError(ValueError):
@@ -109,10 +107,6 @@ class AugmentedProblem:
     s_max_bound: float = None  # m + sqrt(m kappa_s)
     # non-smooth build only
     s_squared: float = None  # ESO bound
-
-    @cached_property  # read every round: a plain attribute after the first read
-    def smooth(self):
-        return self.loss.is_smooth
 
     @property
     def n(self):
@@ -350,7 +344,7 @@ def round_table(problem):
     weight = mu2 / p
     sigma = np.repeat(problem.sigma, problem.m_per_node)
     cols = [weight / (sigma * xnorm2), 1.0 / p]
-    if not problem.smooth:
+    if not problem.loss.is_smooth:
         return np.column_stack(cols + [weight / xnorm2 * problem.labels])
     smooth = problem.smooth_virtual
     factors = tilde_prox_factors(problem.loss, problem.labels, xnorm2, smooth,
@@ -397,7 +391,7 @@ def virtual_gradient(problem, consts, rows, center, coef):
     """
     grad = np.vecdot(rows, center)
     grad *= consts[G_CENTER]
-    if problem.smooth:
+    if problem.loss.is_smooth:
         grad -= coef * consts[G_COEF]
     return grad
 
@@ -414,19 +408,10 @@ def apply_wtilde(problem, delta):
 def dual_objective(problem, state):
     """Dual objective of a state: sum ||v_i||^2/(2 sigma_i) + sum f*_ij(coef_ij).
 
-    Coefficients outside the conjugate domain by more than DOMAIN_TOL
-    give +inf.
+    Coefficients outside the loss's conjugate domain by more than
+    objective.DOMAIN_TOL give +inf; those within it are clipped into it.
     """
     center, coef = split_state(problem, state)
     total = 0.5 * float(np.sum(np.sum(center**2, axis=1) / problem.sigma))
-    if problem.loss is LossKind.ABSOLUTE:
-        if np.any(np.abs(coef) > 1.0 + DOMAIN_TOL):
-            return np.inf
-        coef = np.clip(coef, -1.0, 1.0)
-    elif problem.loss is LossKind.LOGISTIC:
-        u = -problem.labels * coef
-        if np.any(u < -DOMAIN_TOL) or np.any(u > 1.0 + DOMAIN_TOL):
-            return np.inf
-        coef = -problem.labels * np.clip(u, 0.0, 1.0)
     vals = loss_conjugate(problem.loss, coef, problem.labels)
     return total + float(np.sum(vals))

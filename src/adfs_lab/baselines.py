@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .data import DENSE_MAX, RANGE_HI, stack_rows
-from .objective import (LocalObjective, LossKind, _logistic_prox_r, _prox_1d_array,
+from .objective import (NEWTON_R, LocalObjective, _logistic_prox_r, _prox_1d_array,
                         _stacked_grad, _stacked_value, loss_curvature, primal_grad,
                         primal_value)
 from .records import RunResult, run_loop
@@ -62,8 +62,7 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
         raise ValueError("Point-SAGA needs a smooth loss")
     feats, labels = problem.feature_matrix, problem.labels
     n_samp, d = feats.shape
-    lg = problem.loss.scalar_smoothness
-    l_each = n_samp * lg * problem.xnorm2
+    l_each = n_samp * problem.smoothness
     big_l = float(l_each.max()) + problem.sigma_total
     mu = problem.sigma_total
     gamma = (np.sqrt((n_samp - 1.0) ** 2 + 4.0 * n_samp * big_l / mu) - (n_samp - 1.0)) / (
@@ -73,7 +72,7 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
     eta_inner = float(gamma * n_samp / shrink)
     # the prox works on Python floats: numpy scalar arithmetic costs more
     label_f, xnorm2_f = labels.tolist(), problem.xnorm2.tolist()
-    logistic = problem.loss is LossKind.LOGISTIC
+    newton = problem.loss.prox == NEWTON_R
     # the logistic prox runs in r = label p / 2 (`_logistic_prox_r`)
     # from b = f_j z + 1 and c4_j, fixed per run: c4_j = 4 / step_j and
     # f_j = 2 label_j / step_j for the prox step step_j = eta_inner ||X_j||^2
@@ -98,10 +97,10 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
         v = w / shrink  # prox_sample's arithmetic on the validated pooled rows
         feat = feats[j]
         zz = float(feat @ v)
-        prox_in = f_in[j] * zz + 1.0 if logistic else zz
+        prox_in = f_in[j] * zz + 1.0 if newton else zz
         if not math.isfinite(prox_in):  # a nan or inf anywhere in v reaches it
             raise ValueError(f"non-finite prox input at iteration {t}")
-        if logistic:
+        if newton:
             warm[j] = r = _logistic_prox_r((prox_in,), (c4[j],), (warm[j],))[0]
             p = 2.0 * label_f[j] * r
         else:
@@ -143,7 +142,7 @@ def certified_optimum(problem: FlatProblem, tol=3e-6):
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    if problem.loss is LossKind.ABSOLUTE:
+    if not problem.loss.is_smooth:
         return _absolute_optimum(problem, tol**2 * problem.sigma_total / 2.0)
     feats = problem.feature_matrix
     args = (problem.loss, feats, problem.labels, problem.sigma_total)

@@ -25,7 +25,8 @@ from .baselines import certified_optimum, point_saga, pool_objectives
 from .data import (DENSE_MAX, RANGE_HI, RANGE_LO, LibsvmData, LibsvmParseError,
                    assign_node_datasets, in_range, parse_libsvm, synth_dataset, synth_pool,
                    write_libsvm)
-from .objective import LocalObjective, LossKind
+from .objective import LOSSES, LocalObjective
+from .records import fit_rate
 from .topology import EigensolveError, GraphConstructionError, build_topology
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "certify", "run_experiment", "cli",
@@ -35,6 +36,9 @@ __all__ = ["ConfigError", "ExperimentConfig", "load_config", "certify", "run_exp
 SOLVERS = {"adfs": run_adfs, "adfs_efficient": run_adfs_efficient, "ns_adfs": run_ns_adfs,
            "point_saga": point_saga}
 ALGORITHMS = tuple(SOLVERS)
+# the algorithms whose rate the build predicts (derived predicted_time_per_log_eps)
+PREDICTED = ("adfs", "adfs_efficient")
+FIT_HI = 0.1  # the rate fit's window in subopt is (100 reference_gap, FIT_HI)
 # required integer parameters of each topology kind ("custom" needs "edges"
 # and takes an optional "n"); every kind takes optional "weights"
 TOPOLOGY_PARAMS = {"line": ("n",), "complete": ("n",), "grid2d": ("rows", "cols"),
@@ -77,7 +81,7 @@ class ExperimentConfig:
 
     @property
     def loss_kind(self):
-        return LossKind(self.loss)
+        return LOSSES[self.loss]
 
 
 def _expect(cond, path, message):
@@ -162,9 +166,8 @@ def load_config(data) -> ExperimentConfig:
             for e in edges)
         _expect(pairs_ok, "topology.edges", "expected a list of [k, l] integer pairs")
     loss = data.get("loss")
-    losses = sorted(k.value for k in LossKind)
-    _expect(isinstance(loss, str) and loss in losses, "loss",
-            f"expected one of {losses}, got {loss!r}")
+    _expect(isinstance(loss, str) and loss in LOSSES, "loss",
+            f"expected one of {sorted(LOSSES)}, got {loss!r}")
     m = data.get("m")
     _expect(_is_int(m) and m >= 1, "m", "expected an integer >= 1")
     sigma = data.get("sigma", 1.0)
@@ -197,12 +200,10 @@ def load_config(data) -> ExperimentConfig:
     for i, a in enumerate(algos):
         _expect(a in ALGORITHMS, f"algorithms[{i}]",
                 f"expected one of {list(ALGORITHMS)}, got {a!r}")
-        if a == "ns_adfs":
-            _expect(loss == "absolute", f"algorithms[{i}]",
-                    "ns_adfs needs the absolute loss")
-        elif loss == "absolute":
-            raise ConfigError(f"algorithms[{i}]",
-                              f"{a} needs a smooth loss, config says absolute")
+        smooth = a != "ns_adfs"  # the algorithm's regime, which the loss's must match
+        _expect(smooth == LOSSES[loss].is_smooth, f"algorithms[{i}]",
+                f"{a} needs a smooth loss, config says {loss}" if smooth
+                else "ns_adfs needs the absolute loss")
         _expect(a not in algos[:i], f"algorithms[{i}]", f"repeats {a!r}")
 
     seeds = data.get("seeds")
@@ -283,7 +284,7 @@ def build_instance(cfg: ExperimentConfig):
             _expect(cfg.m <= len(labels), "m",
                     f"expected at most the {len(labels)} samples of {ds['path']}, got {cfg.m}")
             _expect_instance_dense(graph.n * cfg.m, data.dim, "dataset.path")
-            if cfg.loss == "logistic":
+            if cfg.loss_kind.unit_labels:
                 labels = np.where(labels > 0, 1.0, -1.0)
             per_node = assign_node_datasets(data, labels, graph.n, cfg.m, seed)
             dataset_id = f"libsvm({os.path.basename(ds['path'])},seed={seed})"
@@ -317,9 +318,9 @@ def derived_constants(problem, flat):
         "alpha": problem.alpha,
         "gamma": problem.gamma,
         "sigma_total": flat.sigma_total,
-        "loss": problem.loss.value,
+        "loss": problem.loss.name,
     }
-    if problem.smooth:
+    if problem.loss.is_smooth:
         meta.update({
             "kappa_s": problem.kappa_s,
             "kappa_b_max": float(problem.kappa_b.max()),
@@ -363,6 +364,25 @@ def _median_times(cfg, records):
                 else np.inf for s in cfg.seeds]))
             times[algo] = median if math.isfinite(median) else None
     return times
+
+
+def _measured_rates(cfg, records, derived):
+    """Per algorithm with a budget, the median over seeds of the rate that
+    `records.fit_rate` measures in the window (100 reference_gap, FIT_HI),
+    None if a cell has none (a failed cell fits no point), with the fewest
+    fit points of its cells; and, for the algorithms in PREDICTED, that
+    median over the predicted time per log-accuracy (else None)."""
+    measured, efficiency = {}, {}
+    for algo in cfg.algorithms:
+        if cfg.iters[algo] > 0:
+            fits = [fit_rate(records[(algo, s)], 100.0 * derived["reference_gap"], FIT_HI)
+                    if (algo, s) in records else (None, 0) for s in cfg.seeds]
+            rates = [rate for rate, _ in fits]
+            median = None if None in rates else float(np.median(rates))
+            measured[algo] = {"median": median, "fit_points": min(n for _, n in fits)}
+            efficiency[algo] = (median / derived["predicted_time_per_log_eps"]
+                                if algo in PREDICTED and median is not None else None)
+    return measured, efficiency
 
 
 def certify(cfg: ExperimentConfig, flat):
@@ -416,6 +436,8 @@ def run_experiment(cfg: ExperimentConfig, instance, reference, out_dir):
     }
     if cfg.stop_at_subopt is not None:
         meta["median_time_to_target"] = _median_times(cfg, records)
+    meta["measured_time_per_log_eps"], meta["rate_efficiency"] = _measured_rates(
+        cfg, records, meta["derived"])
     meta_path = os.path.join(out_dir, "metadata.json")
     with open(meta_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
@@ -590,7 +612,7 @@ def cli(argv=None) -> int:
     p_gen.add_argument("--d", type=int, required=True)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--correlation", type=float, default=0.0)
-    p_gen.add_argument("--loss", choices=sorted(k.value for k in LossKind), default="logistic")
+    p_gen.add_argument("--loss", choices=sorted(LOSSES), default="logistic")
     p_gen.add_argument("--out", required=True)
 
     args = parser.parse_args(argv)

@@ -7,7 +7,6 @@ evaluated through the primal prox via the Moreau-identity reduction, whose
 steps keep the margin PROX_MARGIN below the smoothness limit.
 """
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -18,6 +17,7 @@ from .topology import symmetric_eigensolve
 
 __all__ = [
     "LossKind",
+    "LOSSES",
     "LocalObjective",
     "ConditionReport",
     "loss_value",
@@ -44,21 +44,34 @@ BATCH_STEPS = 6
 # (`tilde_prox_factors`) grows as about 4 eps / (1 - eta~ / L), eps = 2^-53,
 # and stays below 1e-13 there (README, Numerical conventions, has the curve)
 PROX_MARGIN = 2.0**-7
+NEWTON_R, CLOSED_FORM, CLIP = "newton_r", "closed_form", "clip"  # the kinds of 1D prox
+DOMAIN_TOL = 1e-6  # loss_conjugate's slack on the conjugate domain
 
 
-class LossKind(enum.Enum):
-    LOGISTIC = "logistic"
-    SQUARED = "squared"
-    ABSOLUTE = "absolute"
+@dataclass(frozen=True)
+class LossKind:
+    """One loss as data (LossKind.LOGISTIC, SQUARED, ABSOLUTE; LOSSES maps their names)."""
 
-    @property
-    def scalar_smoothness(self):
-        """Smoothness constant of the scalar loss; None if non-smooth."""
-        return {LossKind.LOGISTIC: 0.25, LossKind.SQUARED: 1.0, LossKind.ABSOLUTE: None}[self]
+    name: str  # the config's name
+    scalar_smoothness: float  # L_g; None for a non-smooth loss, which is_smooth reads
+    # the 1D prox of its rounds and Point-SAGA: NEWTON_R in r = label p / 2
+    # (`_logistic_prox_r`), CLOSED_FORM (`_prox_1d_array`) or a CLIP (a
+    # conjugate linear on [-1, 1])
+    prox: str
+    unit_labels: bool  # the labels must be +1 or -1
+    # (lo, hi, along_label): the conjugate at s is finite where s, or label s
+    # if along_label, lies in [lo, hi]
+    conjugate_domain: tuple
+    is_smooth: bool = field(init=False)
 
-    @property
-    def is_smooth(self):
-        return self.scalar_smoothness is not None
+    def __post_init__(self):
+        object.__setattr__(self, "is_smooth", self.scalar_smoothness is not None)
+
+
+LossKind.LOGISTIC = LossKind("logistic", 0.25, NEWTON_R, True, (-1.0, 0.0, True))
+LossKind.SQUARED = LossKind("squared", 1.0, CLOSED_FORM, False, (-math.inf, math.inf, False))
+LossKind.ABSOLUTE = LossKind("absolute", None, CLIP, False, (-1.0, 1.0, False))
+LOSSES = {k.name: k for k in (LossKind.LOGISTIC, LossKind.SQUARED, LossKind.ABSOLUTE)}
 
 
 def _inv_one_plus_exp(u):
@@ -91,7 +104,7 @@ def loss_grad(kind, z, label):
     elif kind is LossKind.SQUARED:
         out = z - label
     else:
-        raise ValueError(f"{kind} loss has no gradient (non-smooth)")
+        raise ValueError(f"{kind.name} loss has no gradient (non-smooth)")
     return out if out.ndim else float(out)
 
 
@@ -102,26 +115,29 @@ def loss_curvature(kind, z, label):
         return label * label * sig * (1.0 - sig)
     if kind is LossKind.SQUARED:
         return np.ones_like(z)
-    raise ValueError(f"{kind} loss has no curvature (non-smooth)")
+    raise ValueError(f"{kind.name} loss has no curvature (non-smooth)")
 
 
 def loss_conjugate(kind, s, label):
-    """Fenchel conjugate of the scalar loss, +inf outside its domain."""
+    """Fenchel conjugate of the scalar loss at s clipped into its domain, or
+    +inf where s lies farther than DOMAIN_TOL outside it (kind.conjugate_domain)."""
     s = np.asarray(s, dtype=float)
     label = np.asarray(label, dtype=float)
+    lo, hi, along_label = kind.conjugate_domain
+    scale = label if along_label else 1.0  # label^2 = 1 along the label
+    t = scale * s
+    s = scale * np.clip(t, lo, hi)
     if kind is LossKind.LOGISTIC:
-        u = -label * s
-        inside = (u >= 0.0) & (u <= 1.0)
-        uc = np.clip(u, 0.0, 1.0)
+        uc = -label * s
         ent = np.where(uc > 0.0, uc * np.log(np.where(uc > 0.0, uc, 1.0)), 0.0)
-        ent = ent + np.where(uc < 1.0, (1 - uc) * np.log(np.where(uc < 1.0, 1 - uc, 1.0)), 0.0)
-        out = np.where(inside, ent, np.inf)
+        out = ent + np.where(uc < 1.0, (1 - uc) * np.log(np.where(uc < 1.0, 1 - uc, 1.0)), 0.0)
     elif kind is LossKind.SQUARED:
         out = 0.5 * s * s + s * label
     elif kind is LossKind.ABSOLUTE:
-        out = np.where(np.abs(s) <= 1.0, s * label, np.inf)
+        out = s * label
     else:  # pragma: no cover
         raise ValueError(kind)
+    out = np.where((t >= lo - DOMAIN_TOL) & (t <= hi + DOMAIN_TOL), out, np.inf)
     return out if out.ndim else float(out)
 
 
@@ -229,8 +245,8 @@ def _prox_1d_array(kind, z, label, step):
     """Elementwise argmin_p (p-z)^2/(2 step) + loss(p, label) for the squared
     loss, in closed form, over validated (finite, step > 0) equal-length
     float arrays or floats.  The logistic loss has its own kernels."""
-    if kind is not LossKind.SQUARED:
-        raise ValueError(f"closed-form prox needs the squared loss, got {kind.value}")
+    if kind.prox != CLOSED_FORM:
+        raise ValueError(f"closed-form prox needs the squared loss, got {kind.name}")
     return (z + step * label) / (1.0 + step)
 
 
@@ -268,11 +284,11 @@ class LocalObjective:
                              f"labels of shape {y.shape}")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("non-finite sample")
-        if self.loss is LossKind.LOGISTIC:
+        if self.loss.unit_labels:
             # L_g = 1/4 and both prox kernels' curvature assume label^2 = 1
             bad = np.flatnonzero(np.abs(y) != 1.0)
             if bad.size:
-                raise ValueError(f"logistic label in row {bad[0]} is {float(y[bad[0]])}, "
+                raise ValueError(f"{self.loss.name} label in row {bad[0]} is {float(y[bad[0]])}, "
                                  "expected +1 or -1")
         with np.errstate(over="ignore"):  # a row past the range may overflow: rejected below
             xnorm2 = np.vecdot(x, x)  # bit-identical to the per-row x @ x
@@ -315,19 +331,19 @@ def prox_sample(feature, label, kind, v, eta):
     logistic loss's in r, from b = 2 label z / step + 1 and c4 = 4 / step.
     """
     if not kind.is_smooth:
-        raise ValueError(f"the sample prox needs a smooth loss, got {kind.value}")
+        raise ValueError(f"the sample prox needs a smooth loss, got {kind.name}")
     if not 0.0 < eta < math.inf:
         raise ValueError("eta must be finite and > 0")
     v = np.asarray(v, dtype=float)
     xnorm2 = float(feature @ feature)
     zz = float(feature @ v)
     step = eta * xnorm2
-    logistic = kind is LossKind.LOGISTIC
+    newton = kind.prox == NEWTON_R
     c4 = 4.0 / step
-    prox_in = 0.5 * float(label) * c4 * zz + 1.0 if logistic else zz  # b for the logistic loss
+    prox_in = 0.5 * float(label) * c4 * zz + 1.0 if newton else zz  # b for the logistic loss
     if not math.isfinite(prox_in):  # a nan or inf anywhere in v reaches it
         raise ValueError("non-finite prox input")
-    if logistic:
+    if newton:
         p_star = 2.0 * float(label) * _logistic_prox_r((prox_in,), (c4,), (0.0,))[0]
     else:
         p_star = float(_prox_1d_array(kind, zz, label, step))
@@ -362,7 +378,7 @@ def tilde_prox_factors(kind, labels, xnorm2, smooth, eta_tilde):
     prox_in = xnorm2 / eta_tilde
     step = (smooth - eta_tilde) / (eta_tilde * smooth) * xnorm2  # gamma ||X||^2
     prox_out = eta_tilde / (xnorm2 * scale)
-    if kind is LossKind.LOGISTIC:
+    if kind.prox == NEWTON_R:
         prox_in = 2.0 * labels * prox_in / step
         step, prox_out = 4.0 / step, 2.0 * labels * prox_out
     return prox_in, step, 1.0 / scale, prox_out
@@ -378,7 +394,7 @@ def _tilde_coeff_batch(kind, c_x, labels, prox_in, prox_step, inv_scale, prox_ou
     c inv_scale - v prox_out.  Returns (c_out, inner) with `inner` the
     solution v, the warm start of the next prox of these samples.
     """
-    if kind is LossKind.LOGISTIC:
+    if kind.prox == NEWTON_R:
         b = c_x * prox_in
         b += 1.0
         if b.size >= BATCH_MIN:

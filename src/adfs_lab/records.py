@@ -1,11 +1,14 @@
 """The run loop and run records shared by the solvers and the experiment harness."""
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["LogRow", "RunRecord", "RunResult", "run_loop"]
+__all__ = ["LogRow", "RunRecord", "RunResult", "run_loop", "fit_rate"]
+
+FIT_MIN_POINTS = 50  # fewer rows in a fit window measure no rate
 
 
 @dataclass(frozen=True)
@@ -76,3 +79,17 @@ def run_loop(iters, step, view, value, log_every, f_star, stop_at_subopt, observ
             if stop_at_subopt is not None and sub is not None and sub <= stop_at_subopt:
                 break
     return RunRecord(rows)
+
+
+def fit_rate(record, lo, hi):
+    """The measured idealized time per unit of log-accuracy of a run,
+    -1 / slope of the least-squares line of ln subopt against time over the
+    logged rows with lo < subopt < hi.  Returns (rate, points), with points
+    the number of rows fitted; rate is None below FIT_MIN_POINTS points or
+    when the line does not fall."""
+    rows = [(r.time, math.log(r.subopt)) for r in record.rows
+            if r.subopt is not None and lo < r.subopt < hi]
+    if len(rows) < FIT_MIN_POINTS:
+        return None, len(rows)
+    slope = float(np.polyfit(*zip(*rows), 1)[0])
+    return (-1.0 / slope if slope < 0.0 else None), len(rows)

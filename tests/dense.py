@@ -85,7 +85,7 @@ def dense_sigma_dagger(problem, power=1):
     out = np.zeros((problem.n_rows * d, problem.n_rows * d))
     for i in range(problem.n):
         out[i * d : (i + 1) * d, i * d : (i + 1) * d] = problem.sigma[i] ** (-power) * np.eye(d)
-    if problem.smooth:
+    if problem.loss.is_smooth:
         for g in range(problem.n_virtual):
             r = problem.n + g
             out[r * d : (r + 1) * d, r * d : (r + 1) * d] = (

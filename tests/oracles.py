@@ -334,7 +334,7 @@ def lift_primal_point(problem, theta):
     """State of a primal point: sigma_i theta on centers, grad f_ij(theta)
     (the coefficient l'(X_ij . theta)) on virtual nodes.  At theta* this is
     the dual optimum mapped through the constraint operator."""
-    if not problem.smooth:
+    if not problem.loss.is_smooth:
         raise ValueError("lift needs sample gradients; non-smooth losses have none")
     theta = np.asarray(theta, dtype=float)
     out = zero_state(problem)
@@ -366,7 +366,7 @@ def sigma_dagger_rows(problem, state):
     out = state.copy()
     center, coef = split_state(problem, out)
     center /= problem.sigma[:, None]
-    if problem.smooth:
+    if problem.loss.is_smooth:
         coef /= problem.smooth_virtual
     else:
         coef[:] = 0.0

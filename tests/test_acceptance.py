@@ -303,7 +303,7 @@ def test_criterion_10_figure_analogue():
 
 def test_criterion_11_suite_hygiene(instance_set):
     # condition-number sandwich on every dataset generated for this suite
-    objective_sets = [prob.objectives for prob in instance_set if prob.smooth]
+    objective_sets = [prob.objectives for prob in instance_set if prob.loss.is_smooth]
     for seed in range(10):
         rng = generator("accept-cond", seed)
         objective_sets.append(random_objectives(rng, 3, int(rng.integers(1, 6)), 3,

@@ -22,7 +22,7 @@ from adfs_lab.adfs import (
 )
 from adfs_lab.augmented import build_augmented, split_state, zero_state
 from adfs_lab.baselines import flat_value, point_saga, pool_objectives, reference_optimum
-from adfs_lab.objective import LocalObjective, LossKind
+from adfs_lab.objective import LOSSES, LocalObjective, LossKind
 from adfs_lab.rng import BlockStream, generator
 from adfs_lab.topology import build_topology
 from dense import dense_A, dense_sigma_dagger, observed_run, state_rows
@@ -461,7 +461,7 @@ def expected_columns(prob):
             p, mu2, x2, label = (float(a[g]) for a in (
                 prob.sampling.p_marginal, prob.mu2_virtual, prob.xnorm2, prob.labels))
             row = {aug.G_CENTER: mu2 / (p * float(prob.sigma[i]) * x2), aug.INV_P: 1.0 / p}
-            if not prob.smooth:
+            if not prob.loss.is_smooth:
                 row[aug.T_LABEL] = mu2 / (p * x2) * label
                 rows.append(row)
                 continue
@@ -492,7 +492,7 @@ class TestRoundTable:
             objs = random_objectives(rng, 4, 3, 2, loss=LossKind.ABSOLUTE, ragged=True)
             prob = build_augmented(random_connected_graph(rng, 4, extra_edges=1), objs, tau=2.0)
         else:
-            prob = random_problem(rng, n=4, m=3, d=2, loss=LossKind(case), weighted=True,
+            prob = random_problem(rng, n=4, m=3, d=2, loss=LOSSES[case], weighted=True,
                                   ragged=True)
         table = aug.round_table(prob)
         expected = expected_columns(prob)

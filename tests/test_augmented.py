@@ -103,7 +103,7 @@ class TestBuildAugmented:
         objs = random_objectives(rng, 4, 3, 2, loss=LossKind.ABSOLUTE, ragged=True)
         routed = build_augmented(g, objs, tau=2.0)
         direct = build_augmented_ns(g, objs, tau=2.0)
-        assert not routed.smooth
+        assert not routed.loss.is_smooth
         np.testing.assert_array_equal(routed.sampling.p_marginal, direct.sampling.p_marginal)
         np.testing.assert_array_equal(routed.mu2_virtual, direct.mu2_virtual)
         assert routed.s_squared == direct.s_squared
@@ -153,7 +153,7 @@ class TestBuildAugmented:
         scheme = prob.sampling
         assert len({o.m for o in objs}) > 1
         for obj, pv in zip(objs, scheme.p_virtual):
-            w = np.sqrt(1.0 + obj.smoothness / obj.sigma) if prob.smooth else np.ones(obj.m)
+            w = np.sqrt(1.0 + obj.smoothness / obj.sigma) if prob.loss.is_smooth else np.ones(obj.m)
             np.testing.assert_allclose(pv / w, np.full(obj.m, pv[0] / w[0]), rtol=1e-15)
             assert pv.sum() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(scheme.p_marginal,

@@ -33,7 +33,7 @@ from adfs_lab.data import (
 )
 from adfs_lab.harness import (ConfigError, ExperimentConfig, build_instance, cli, load_config,
                               run_experiment)
-from adfs_lab.objective import LocalObjective, LossKind, condition_numbers
+from adfs_lab.objective import LOSSES, LocalObjective, LossKind, condition_numbers
 from adfs_lab.rng import generator
 from oracles import libsvm_record, libsvm_rows, parse_libsvm_pairs
 from test_checks import certified, experiment_determinism, libsvm_roundtrip
@@ -1001,6 +1001,31 @@ def test_figure_analogue_stops_where_it_did():
     assert stop("adfs", 0) == stop("adfs_efficient", 0) == (6_600, 9_040.0)
 
 
+def test_scaling_line_measures_its_rate(tmp_path):
+    # configs/scaling_line.json at n = 1 and 16, run in-process: the rate
+    # that records.fit_rate measures per cell, its fit points and the
+    # efficiency against the predicted rate; Point-SAGA at n = 1 fits fewer
+    # than FIT_MIN_POINTS rows, so its median is null
+    with open(os.path.join(ROOT, "configs", "scaling_line.json"), encoding="utf-8") as fh:
+        data = json.load(fh)
+    expected = {1: (905, {"adfs_efficient": (379, 67, 0.42), "point_saga": (None, 39, None)}),
+                16: (2276, {"adfs_efficient": (1006, 95, 0.44),
+                            "point_saga": (2765, 428, None)})}
+    for n, (predicted, algos) in expected.items():
+        cfg = load_config(dict(data, topology={"kind": "line", "n": n}))
+        instance = build_instance(cfg)
+        _, _, meta = run_experiment(cfg, instance, harness.certify(cfg, instance[3]),
+                                    str(tmp_path / str(n)))
+        assert meta["derived"]["predicted_time_per_log_eps"] == pytest.approx(predicted, abs=0.5)
+        measured, efficiency = meta["measured_time_per_log_eps"], meta["rate_efficiency"]
+        assert set(measured) == set(efficiency) == set(algos)
+        for algo, (rate, points, ratio) in algos.items():
+            assert measured[algo]["fit_points"] == points
+            assert measured[algo]["median"] == (None if rate is None
+                                                else pytest.approx(rate, abs=0.5))
+            assert efficiency[algo] == (None if ratio is None else pytest.approx(ratio, abs=0.005))
+
+
 def test_nonsmooth_trajectory_holds():
     # configs/pcomm_sweep.json with the absolute loss, one ns_adfs run built
     # in-process: its idealized times, and its dual values to 1e-12
@@ -1266,6 +1291,21 @@ def test_traced_functions_exist():
     missing = [f"{module}.{name}" for module, name, _ in tracer.SPANS
                if not callable(getattr(importlib.import_module(f"adfs_lab.{module}"), name, None))]
     assert missing == []
+
+
+def test_benchmark_reads_resolve():
+    # the attributes perfbench/run.py and perfbench/yardstick.py read on the
+    # program's objects, beside the functions the tracer wraps
+    smooth = {"logistic": True, "squared": True, "absolute": False}
+    assert set(smooth) == set(LOSSES)
+    for name, is_smooth in smooth.items():
+        cfg = load_config(grid_config(loss=name, iters=0,
+                                      algorithms=["adfs" if is_smooth else "ns_adfs"]))
+        assert cfg.loss_kind.is_smooth is is_smooth
+    _, _, problem, flat, _ = build_instance(load_config(grid_config()))
+    assert (problem.n_rows, problem.d) == (4 + 4 * 10, 3)
+    assert flat.feature_matrix.shape == (40, 3) and flat.labels.shape == (40,)
+    assert flat.sigma_total == 4.0
 
 
 def test_export_lists_resolve():

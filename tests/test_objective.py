@@ -9,6 +9,7 @@ import adfs_lab.objective as objective
 from adfs_lab.augmented import build_augmented
 from adfs_lab.objective import (
     LocalObjective,
+    LOSSES,
     LossKind,
     condition_numbers,
     loss_conjugate,
@@ -331,7 +332,7 @@ class TestProxSample:
     @pytest.mark.parametrize("eta", [0.1, 1.0, 10.0])
     @pytest.mark.parametrize("kind", SMOOTH_KINDS)
     def test_matches_coordinate_search(self, kind, eta):
-        rng = generator("prox-brute", kind.value, eta)
+        rng = generator("prox-brute", kind.name, eta)
         x, label = rng.normal(size=2), 1.0 if kind is LossKind.LOGISTIC else 0.3
         v = rng.normal(size=2)
 
@@ -401,7 +402,7 @@ class TestProxSample:
         feats = np.full((2, 1), 1e154)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for kind in LossKind:
+            for kind in LOSSES.values():
                 with pytest.raises(ValueError, match=r"^norm of feature row 0 is 1e\+154, outside"):
                     LocalObjective(feats, [1.0, -1.0], 1.0, kind)
                 with pytest.raises(ValueError, match=r"^norm of feature row 1 is 1e\+300, outside"):
@@ -487,20 +488,21 @@ class TestProxTildeFstar:
 
 
 class TestConjugates:
-    @pytest.mark.parametrize("kind", SMOOTH_KINDS)
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_closed_forms_match_numeric_sup(self, kind):
+        # on a grid inside each record's conjugate domain
         rng = generator("conj", 3)
-        for _ in range(12):
-            label = 1.0 if kind is LossKind.LOGISTIC else float(rng.normal())
-            if kind is LossKind.LOGISTIC:
-                s = float(-label * rng.uniform(0.05, 0.95))
-            else:
-                s = float(rng.normal())
-            got = loss_conjugate(kind, s, label)
-            ref = conjugate_by_maximization(
-                lambda z: float(loss_value(kind, z, label)), s, lo=-200.0, hi=200.0
-            )
-            assert abs(got - ref) <= 1e-6 * max(1.0, abs(got))
+        for _ in range(4):
+            label = _label_for(kind, rng)
+            lo, hi, along_label = kind.conjugate_domain
+            lo, hi = max(lo, -3.0), min(hi, 3.0)
+            grid = (lo + (hi - lo) * np.linspace(0.05, 0.95, 7)) * (label if along_label else 1.0)
+            for s in grid.tolist():
+                got = loss_conjugate(kind, s, label)
+                ref = conjugate_by_maximization(
+                    lambda z: float(loss_value(kind, z, label)), s, lo=-200.0, hi=200.0
+                )
+                assert abs(got - ref) <= 1e-6 * max(1.0, abs(got))
 
     def test_domain_boundaries(self):
         assert np.isinf(loss_conjugate(LossKind.ABSOLUTE, 1.5, 0.0))
@@ -508,6 +510,12 @@ class TestConjugates:
         assert np.isinf(loss_conjugate(LossKind.LOGISTIC, 0.5, 1.0))
         assert loss_conjugate(LossKind.LOGISTIC, -1.0, 1.0) == pytest.approx(0.0)
         assert loss_conjugate(LossKind.LOGISTIC, 0.0, 1.0) == pytest.approx(0.0)
+        # within DOMAIN_TOL of the domain, the value at the nearest point of it
+        assert loss_conjugate(LossKind.ABSOLUTE, -1.0 - 5e-7, 2.0) == -2.0
+        assert np.isinf(loss_conjugate(LossKind.ABSOLUTE, 1.0 + 2e-6, 2.0))
+        assert loss_conjugate(LossKind.LOGISTIC, 5e-7, 1.0) == 0.0
+        assert loss_conjugate(LossKind.LOGISTIC, 1.0 + 5e-7, -1.0) == 0.0
+        assert np.isinf(loss_conjugate(LossKind.LOGISTIC, -2e-6, -1.0))
 
 
 class TestConditionNumbers:
@@ -572,10 +580,26 @@ class TestPrimalOracles:
             fd = (primal_value(objs, theta + e) - primal_value(objs, theta - e)) / (2 * h)
             assert abs(fd - g[i]) <= 1e-5 * max(1.0, abs(g[i]))
 
-    @pytest.mark.parametrize("kind", [LossKind.LOGISTIC, LossKind.SQUARED])
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_gradient_matches_finite_differences(self, kind, rng):
+        z = 3.0 * rng.normal(size=20)
+        labels = np.array([_label_for(kind, rng) for _ in range(20)])
+        if not kind.is_smooth:
+            with pytest.raises(ValueError, match="no gradient"):
+                loss_grad(kind, z, labels)
+            return
+        h = 1e-6
+        fd = (loss_value(kind, z + h, labels) - loss_value(kind, z - h, labels)) / (2 * h)
+        assert np.max(np.abs(loss_grad(kind, z, labels) - fd)) <= 1e-6
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_curvature_matches_finite_differences(self, kind, rng):
         z = 3.0 * rng.normal(size=20)
         labels = np.array([_label_for(kind, rng) for _ in range(20)])
+        if not kind.is_smooth:
+            with pytest.raises(ValueError, match="no curvature"):
+                loss_curvature(kind, z, labels)
+            return
         h = 1e-6
         fd = (loss_grad(kind, z + h, labels) - loss_grad(kind, z - h, labels)) / (2 * h)
         assert np.max(np.abs(loss_curvature(kind, z, labels) - fd)) <= 1e-8
