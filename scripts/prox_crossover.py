@@ -1,23 +1,23 @@
 #!/usr/bin/env python3
 """Time the loop and the batch logistic prox on the rounds of real runs.
 
-For each grid size the script records the inputs (b, c4, r0) of every
-logistic conjugate prox of one `run_adfs_efficient` run (m samples per node,
-logistic, tau 5, data seed 2026, as in the figure analogue): the per-run
-round-table factors and warm starts that `objective._tilde_coeff_batch`
-hands to its kernels.  It then replays them through the loop kernel
-`objective._logistic_prox_r` (on float lists, as `_tilde_coeff_batch` calls
-it) and the batch kernel `objective._logistic_prox_r_batch`, and prints the
-cost per round and per element of each (best of --reps alternating passes),
-their largest difference, and how many elements each kernel's Newton steps
-missed: the loop kernel hands those to `_logistic_prox_r_fallback`, the
-batch kernel redoes them, and those with c4 > 1 / NEWTON_TOL, in one call
-of the loop kernel.
+For each grid size the script records the inputs (b, c4) of every logistic
+conjugate prox of one `run_adfs_efficient` run (m samples per node,
+logistic, tau 5, data seed 2026, as in the figure analogue), as
+`objective._tilde_coeff_batch` hands them to its kernels.  It then replays
+them through the loop kernel `objective._logistic_prox_r` (on float lists,
+as `_tilde_coeff_batch` calls it) and the batch kernel
+`objective._logistic_prox_r_batch`, both from their one start, and prints
+the cost per round and per element of each (best of --reps alternating
+passes), their largest difference, and how many elements each kernel's
+Newton steps missed: the loop kernel hands those to
+`_logistic_prox_r_fallback`, the batch kernel redoes them in one call of
+the loop kernel.
 `objective.BATCH_MIN` should sit where the batch kernel first wins by at
 least 10%.  The exit status is 1 if the two kernels differ by more than
 1e-12 (1 + |r|) anywhere.
 
-    PYTHONPATH=src python scripts/prox_crossover.py --grids 4x4,5x5 --iters 200 --reps 1
+    PYTHONPATH=src python scripts/prox_crossover.py --grids 4x4,5x5,6x6 --iters 200 --reps 1
 """
 
 import argparse
@@ -29,9 +29,9 @@ import numpy as np
 from adfs_lab import adfs, harness, objective
 
 
-def loop_kernel(b, c4, r0):
+def loop_kernel(b, c4):
     """The loop kernel on arrays, as `_tilde_coeff_batch` calls it."""
-    return np.array(objective._logistic_prox_r(b.tolist(), c4.tolist(), r0.tolist()))
+    return np.array(objective._logistic_prox_r(b.tolist(), c4.tolist()))
 
 
 # (kernel, the entry that takes the elements its Newton steps miss): loop, batch
@@ -40,7 +40,7 @@ KERNELS = ((loop_kernel, "_logistic_prox_r_fallback"),
 
 
 def record_rounds(rows, cols, m, d, iters):
-    """(b, c4, r0) of every logistic conjugate prox of one run."""
+    """(b, c4) of every logistic conjugate prox of one run."""
     cfg = harness.load_config({
         "topology": {"kind": "grid2d", "rows": rows, "cols": cols}, "loss": "logistic",
         "m": m, "dataset": {"kind": "synthetic", "d": d, "correlation": 0.3, "seed": 2026},
@@ -51,11 +51,11 @@ def record_rounds(rows, cols, m, d, iters):
     rounds = []
     prox = adfs._tilde_coeff_batch
 
-    def recording(kind, c_x, labels, prox_in, prox_step, inv_scale, prox_out, warm):
+    def recording(kind, c_x, labels, prox_in, prox_step, inv_scale, prox_out):
         b = c_x * prox_in
         b += 1.0  # as _tilde_coeff_batch forms it
-        rounds.append((b, prox_step.copy(), warm.copy()))
-        return prox(kind, c_x, labels, prox_in, prox_step, inv_scale, prox_out, warm)
+        rounds.append((b, prox_step.copy()))
+        return prox(kind, c_x, labels, prox_in, prox_step, inv_scale, prox_out)
 
     adfs._tilde_coeff_batch = recording
     try:

@@ -69,14 +69,11 @@ def _momentum_map(rho):
 
 class _Rounds:
     """What the computation rounds of one run share: the round table
-    (augmented.round_table), the prox that the loss's smoothness fixes for the
-    run (conjugate prox or clip), and the smooth build's warm starts per virtual
-    node, in the 1D prox's variable (r = label p / 2 for NEWTON_R, else p)."""
+    (augmented.round_table) and the loss's prox (conjugate prox or clip)."""
 
     def __init__(self, problem):
         self.table = aug.round_table(problem)
-        self.warm = np.zeros(problem.n_virtual) if problem.loss.is_smooth else None
-        self.prox = self._clip if self.warm is None else self._conjugate_prox
+        self.prox = self._conjugate_prox if problem.loss.is_smooth else self._clip
 
     def sample(self, problem, draw):
         """(idx, consts, rows) of a computation draw: the sampled virtual
@@ -86,26 +83,24 @@ class _Rounds:
         # ndarray.take gathers 2-D rows about 3x faster than fancy indexing
         return idx, self.table.take(idx, axis=0).T, problem.features.take(idx, axis=0)
 
-    def step(self, problem, idx, consts, rows, y_center, y_coef, w_coef, eta):
-        """Coefficient change h of the sampled virtual nodes `idx`: the
-        conjugate prox of w - eta * (gradient at y), minus w.  A computation
-        round adds h to those coefficients and -h * X to their centers."""
+    def step(self, problem, consts, rows, y_center, y_coef, w_coef, eta):
+        """Coefficient change h of the sampled virtual nodes: the conjugate
+        prox of w - eta * (gradient at y), minus w.  A computation round adds
+        h to those coefficients and -h * X to their centers."""
         c_in = aug.virtual_gradient(problem, consts, rows, y_center, y_coef)
         c_in *= eta
         c_in += w_coef
-        c_out = self.prox(problem, idx, consts, c_in, eta)
+        c_out = self.prox(problem, consts, c_in, eta)
         c_out -= w_coef
         return c_out
 
-    def _conjugate_prox(self, problem, idx, consts, c_in, eta):
-        # prox of eta~ ftilde* through the conjugate-side identity,
-        # refreshing the warm starts of the sampled nodes
-        c_out, self.warm[idx] = _tilde_coeff_batch(
+    def _conjugate_prox(self, problem, consts, c_in, eta):
+        # prox of eta~ ftilde* through the conjugate-side identity
+        return _tilde_coeff_batch(
             problem.loss, c_in, consts[aug.LABEL], consts[aug.PROX_IN], consts[aug.PROX_STEP],
-            consts[aug.INV_SCALE], consts[aug.PROX_OUT], self.warm[idx])
-        return c_out
+            consts[aug.INV_SCALE], consts[aug.PROX_OUT])
 
-    def _clip(self, problem, idx, consts, c_in, eta):
+    def _clip(self, problem, consts, c_in, eta):
         # the conjugate is s * label on |s| <= 1, so its prox with step
         # eta~ / ||X||^2 = eta * T is a clip
         c_out = c_in - eta * consts[aug.T_LABEL]
@@ -134,7 +129,7 @@ def _block_step(problem, rounds, draw, y, w, eta, beta):
     # its W~ image is delta scaled by 1 / p_ij: only those entries move
     idx, consts, rows = rounds.sample(problem, draw)
     w_idx = w_coef[idx]
-    h = rounds.step(problem, idx, consts, rows, y_center, y_coef[idx], w_idx, eta)
+    h = rounds.step(problem, consts, rows, y_center, y_coef[idx], w_idx, eta)
     w_coef[idx] = w_idx + h
     w_center -= rows * h[:, None]
     h *= consts[aug.INV_P]  # h now holds beta * W~ delta on the coefficients
@@ -234,7 +229,7 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None, observe
             idx, consts, xs = rounds.sample(problem, draw)
             u_idx, z_idx = u_coef[idx], z_coef[idx]
             cu = c * u_idx
-            h = rounds.step(problem, idx, consts, xs, c * u_center + z_center, cu + z_idx,
+            h = rounds.step(problem, consts, xs, c * u_center + z_center, cu + z_idx,
                             z_idx - cu, eta)
             # the pair update of -h * X on the centers and +h on the
             # coefficients, whose rho * W~ image is the same rescaled by

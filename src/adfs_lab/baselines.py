@@ -86,7 +86,6 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
     # gamma g_j, so a step needs no multiplication or division by gamma
     table = np.zeros((n_samp, d))
     gbar = np.zeros(d)
-    warm = [0.0] * n_samp  # each sample's last logistic prox solution r
 
     def step(t):
         nonlocal x, gbar  # "gbar += ..." rebinds gbar (to the same array)
@@ -101,8 +100,7 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
         if not math.isfinite(prox_in):  # a nan or inf anywhere in v reaches it
             raise ValueError(f"non-finite prox input at iteration {t}")
         if newton:
-            warm[j] = r = _logistic_prox_r((prox_in,), (c4[j],), (warm[j],))[0]
-            p = 2.0 * label_f[j] * r
+            p = 2.0 * label_f[j] * _logistic_prox_r((prox_in,), (c4[j],))[0]
         else:
             p = float(_prox_1d_array(problem.loss, zz, label_f[j], eta_inner * xnorm2_f[j]))
         x = v + ((p - zz) / xnorm2_f[j]) * feat

@@ -519,10 +519,16 @@ def _cmd_run(args):
     with _writing("--out" if args.out else "out", out_dir):
         code, csv_path, meta = run_experiment(cfg, instance, reference, out_dir)
     print(f"wrote {csv_path}")
-    if cfg.stop_at_subopt is not None:
-        for algo, time in meta["median_time_to_target"].items():
-            reached = "not reached" if time is None else f"{time:.0f}"
-            print(f"{algo}: median time to {cfg.stop_at_subopt:g} = {reached}")
+    target = cfg.stop_at_subopt
+    for algo, rate in meta["measured_time_per_log_eps"].items():
+        time = meta.get("median_time_to_target", {}).get(algo)
+        efficiency = meta["rate_efficiency"][algo]
+        reached = "not reached" if time is None else f"{time:.0f}"
+        measured = (f"not measured, {rate['fit_points']} fit points" if rate["median"] is None
+                    else f"{rate['median']:.0f} ({rate['fit_points']} fit points)")
+        print(f"{algo}: " + ("" if target is None else f"median time to {target:g} = {reached}, ")
+              + f"measured time per log-eps = {measured}, rate efficiency = "
+              + ("null" if efficiency is None else f"{efficiency:.3f}"))
     return code
 
 
@@ -551,11 +557,15 @@ def _cmd_sweep(args):
             nums = [derived["p_comm"], derived.get("rho"),
                     derived.get("predicted_time_per_log_eps")]
             nums += [np.inf if times.get(a) is None else times[a] for a in algos]
+            nums += [meta["measured_time_per_log_eps"].get(a, {}).get("median") for a in algos]
+            nums += [meta["rate_efficiency"].get(a) for a in algos]
             rows.append([value] + ["" if x is None else f"{x:.12e}" for x in nums] + [str(code)])
             status = max(status, code)
         with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
+            per_algo = ("median_time", "measured_time_per_log_eps", "rate_efficiency")
             fh.write(",".join(["value", "p_comm", "rho", "predicted_time_per_log_eps"]
-                              + [f"median_time_{a}" for a in algos] + ["status"]) + "\n")
+                              + [f"{col}_{a}" for col in per_algo for a in algos]
+                              + ["status"]) + "\n")
             fh.writelines(",".join(row) + "\n" for row in rows)
     print(f"wrote {csv_path}")
     return status

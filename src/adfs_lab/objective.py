@@ -38,7 +38,7 @@ BISECTION_STEPS = 30
 # vectorized kernel, BATCH_STEPS Newton steps each; smaller ones the loop
 # kernel (scripts/prox_crossover.py places BATCH_MIN)
 BATCH_MIN = 32
-BATCH_STEPS = 6
+BATCH_STEPS = 5
 # the rate clamp (augmented.build_augmented) keeps eta~ <= (1 - PROX_MARGIN) L
 # on every virtual node: the rounding error of the conjugate-side identity
 # (`tilde_prox_factors`) grows as about 4 eps / (1 - eta~ / L), eps = 2^-53,
@@ -151,7 +151,6 @@ def _logistic_prox_r_fallback(b, c4):
     doubling of a wider one, so a large step (a small c4) still ends next
     to the root.  The midpoint is 0.5 lo + 0.5 hi (0.5 (lo + hi) overflows
     near the float maximum).  4 Newton polish steps follow.
-    `_logistic_prox_r` hands it every element that its Newton steps miss.
     """
     lo, hi = (b - 1.0) / c4, (b + 1.0) / c4
     width = 2.0**-BISECTION_STEPS
@@ -168,7 +167,7 @@ def _logistic_prox_r_fallback(b, c4):
     return r
 
 
-def _logistic_prox_r(b, c4, r0):
+def _logistic_prox_r(b, c4):
     """The logistic prox in r over equal-length float sequences: the roots
     of c4 r + tanh r = b, as a list.  Every logistic prox runs here, or in
     `_logistic_prox_r_batch` for the rounds' large batches.
@@ -177,23 +176,21 @@ def _logistic_prox_r(b, c4, r0):
     label^2 = 1; in r = label p / 2 it is argmin_r (c4 / 2) r^2 - (b - 1) r
     + log(1 + exp(-2 r)) up to a constant, with c4 = 4 / step and
     b = 2 label z / step + 1.  With t = tanh(r) its gradient is c4 r - b + t,
-    as 1 / (1 + exp(2 r)) = (1 - t) / 2, and its curvature c4 + 1 - t^2.
-    Newton from r0, at most NEWTON_ITERS steps, stops at |delta r| <=
-    NEWTON_TOL / 2, which is |delta p| <= NEWTON_TOL; a miss (NaN and +-inf
-    miss) ends in `_logistic_prox_r_fallback`.  The curvature is summed as
-    c4 + (1 - t^2), which stays > 0 where tanh rounds to +-1.  Where the
-    root's bracket ((b - 1) / c4, (b + 1) / c4) is narrower than
-    2 NEWTON_TOL (c4 > 1 / NEWTON_TOL), the absolute stop no longer bounds
-    the error relative to the root (a start far outside lands next to 0
-    and stops there), so Newton starts from r0 clipped into the bracket.
+    as 1 / (1 + exp(2 r)) = (1 - t) / 2, and its curvature c4 + 1 - t^2,
+    summed as c4 + (1 - t^2), which stays > 0 where tanh rounds to +-1.
+    Newton starts at b / (c4 + 1), the root if tanh r were r, cut into the
+    root's bracket ((b - 1) / c4, (b + 1) / c4): from there the absolute
+    stop |delta r| <= NEWTON_TOL / 2 (|delta p| <= NEWTON_TOL) bounds the
+    relative error also where c4 > 1 / NEWTON_TOL.  A miss of its
+    NEWTON_ITERS steps (NaN and +-inf miss) ends in the fallback.
     """
     tol = 0.5 * NEWTON_TOL
     tanh = math.tanh
     steps = range(NEWTON_ITERS)
     out = []
-    for bk, ck, r in zip(b, c4, r0):
-        if ck * NEWTON_TOL > 1.0:
-            r = min(max(r, (bk - 1.0) / ck), (bk + 1.0) / ck)
+    for bk, ck in zip(b, c4):
+        c1 = ck + 1.0  # b / (c4 + 1) lies inside the bracket where |b| <= c4 + 1
+        r = bk / c1 if -c1 <= bk <= c1 else (bk - 1.0 if bk > 0.0 else bk + 1.0) / ck
         for _ in steps:
             t = tanh(r)
             delta = (ck * r - bk + t) / (ck + (1.0 - t * t))
@@ -206,17 +203,17 @@ def _logistic_prox_r(b, c4, r0):
     return out
 
 
-def _logistic_prox_r_batch(b, c4, r0):
+def _logistic_prox_r_batch(b, c4):
     """`_logistic_prox_r` vectorized over float arrays, for large batches.
 
-    BATCH_STEPS Newton steps on the whole batch, 8 ufunc calls each, with
-    no convergence test inside the loop, from the warm starts r0 as given.
-    The elements whose last |delta r| exceeds NEWTON_TOL / 2 (or is NaN),
-    and those with c4 > 1 / NEWTON_TOL, whose start `_logistic_prox_r`
-    clips into the root's bracket, are redone by one `_logistic_prox_r`
-    call from the same warm starts.
+    BATCH_STEPS Newton steps on the whole batch from `_logistic_prox_r`'s
+    start, 8 ufunc calls each, with no convergence test inside the loop;
+    one `_logistic_prox_r` call redoes, from that start, the elements whose
+    last |delta r| exceeds NEWTON_TOL / 2 (or is NaN).
     """
-    r = r0.copy()
+    r = b / (c4 + 1.0)
+    np.maximum(r, (b - 1.0) / c4, out=r)
+    np.minimum(r, (b + 1.0) / c4, out=r)
     # the curvature gains 2^-52, which keeps it > 0 where tanh rounds to +-1
     # and c4 + 1 to 1 (c4 < 2^-53); the root is the same
     c41 = c4 + (1.0 + 2.0**-52)
@@ -234,10 +231,10 @@ def _logistic_prox_r_batch(b, c4, r0):
         r -= delta
     # no guard test: NaN and +-inf fail this one, and an element that passes it
     # has converged to the minimizer
-    ok = (np.abs(delta) <= 0.5 * NEWTON_TOL) & (c4 * NEWTON_TOL <= 1.0)
+    ok = np.abs(delta) <= 0.5 * NEWTON_TOL
     if not ok.all():
         miss = np.flatnonzero(~ok)
-        r[miss] = _logistic_prox_r(b[miss].tolist(), c4[miss].tolist(), r0[miss].tolist())
+        r[miss] = _logistic_prox_r(b[miss].tolist(), c4[miss].tolist())
     return r
 
 
@@ -327,8 +324,8 @@ def prox_sample(feature, label, kind, v, eta):
     (a nonzero row, as LocalObjective validates), for a smooth loss.
 
     The minimizer moves only along the feature direction, so it reduces to
-    the 1D prox at z = X . v with step eta * ||X||^2, cold-started at 0; the
-    logistic loss's in r, from b = 2 label z / step + 1 and c4 = 4 / step.
+    the 1D prox at z = X . v with step eta * ||X||^2; the logistic loss's in
+    r, from b = 2 label z / step + 1 and c4 = 4 / step.
     """
     if not kind.is_smooth:
         raise ValueError(f"the sample prox needs a smooth loss, got {kind.name}")
@@ -344,7 +341,7 @@ def prox_sample(feature, label, kind, v, eta):
     if not math.isfinite(prox_in):  # a nan or inf anywhere in v reaches it
         raise ValueError("non-finite prox input")
     if newton:
-        p_star = 2.0 * float(label) * _logistic_prox_r((prox_in,), (c4,), (0.0,))[0]
+        p_star = 2.0 * float(label) * _logistic_prox_r((prox_in,), (c4,))[0]
     else:
         p_star = float(_prox_1d_array(kind, zz, label, step))
     return v + ((p_star - zz) / xnorm2) * feature
@@ -384,28 +381,27 @@ def tilde_prox_factors(kind, labels, xnorm2, smooth, eta_tilde):
     return prox_in, step, 1.0 / scale, prox_out
 
 
-def _tilde_coeff_batch(kind, c_x, labels, prox_in, prox_step, inv_scale, prox_out, warm):
+def _tilde_coeff_batch(kind, c_x, labels, prox_in, prox_step, inv_scale, prox_out):
     """Coefficient form of prox_{eta_tilde * ftilde*} along each feature,
     ftilde* = f* - ||.||^2 / (2L), for validated equal-length float arrays.
 
     Inputs/outputs are coefficients c such that the vector is c * X.  The
     factors are those of `tilde_prox_factors`, which derives them: the loss's
     1D prox solves for its inner variable v and the output is
-    c inv_scale - v prox_out.  Returns (c_out, inner) with `inner` the
-    solution v, the warm start of the next prox of these samples.
+    c inv_scale - v prox_out.
     """
     if kind.prox == NEWTON_R:
         b = c_x * prox_in
         b += 1.0
         if b.size >= BATCH_MIN:
-            inner = _logistic_prox_r_batch(b, prox_step, warm)
+            inner = _logistic_prox_r_batch(b, prox_step)
         else:
-            inner = np.array(_logistic_prox_r(b.tolist(), prox_step.tolist(), warm.tolist()))
+            inner = np.array(_logistic_prox_r(b.tolist(), prox_step.tolist()))
     else:
         inner = _prox_1d_array(kind, c_x * prox_in, labels, prox_step)
     c_out = c_x * inv_scale
     c_out -= inner * prox_out
-    return c_out, inner
+    return c_out
 
 
 @dataclass(frozen=True)

@@ -181,8 +181,8 @@ def sturm_eigenvalues(mat, tol=1e-12):
     return np.array(eigs)
 
 
-def loss_prox_1d(kind, z, label, step, warm=0.0):
-    """argmin_p (1/(2 step))(p - z)^2 + loss(p, label), warm-startable."""
+def loss_prox_1d(kind, z, label, step):
+    """argmin_p (1/(2 step))(p - z)^2 + loss(p, label)."""
     z, label, step = float(z), float(label), float(step)
     if step <= 0:
         raise ValueError("prox step must be > 0")
@@ -190,15 +190,14 @@ def loss_prox_1d(kind, z, label, step, warm=0.0):
         raise ValueError("non-finite prox input")
     if kind is LossKind.LOGISTIC:  # in r = label p / 2 (`_logistic_prox_r`)
         c4 = 4.0 / step
-        return 2.0 * label * _logistic_prox_r((0.5 * label * c4 * z + 1.0,), (c4,),
-                                              (0.5 * label * float(warm),))[0]
+        return 2.0 * label * _logistic_prox_r((0.5 * label * c4 * z + 1.0,), (c4,))[0]
     if kind is LossKind.ABSOLUTE:  # soft-threshold of z - label
         shifted = z - label
         return float(label + np.sign(shifted) * np.maximum(np.abs(shifted) - step, 0.0))
     return float(_prox_1d_array(kind, z, label, step))
 
 
-def prox_tilde_fstar(feature, label, kind, x, eta_tilde, warm=0.0):
+def prox_tilde_fstar(feature, label, kind, x, eta_tilde):
     """prox of ftilde* = f* - (1/(2L)) ||.||^2 at x, x in the span of `feature`.
 
     One sample through the conjugate-side identity: with c = <X, x> / ||X||^2,
@@ -229,7 +228,7 @@ def prox_tilde_fstar(feature, label, kind, x, eta_tilde, warm=0.0):
         c_out = loss_grad(kind, c_x * xnorm2 / smooth, label)
     else:
         gamma = (smooth - eta_tilde) / (eta_tilde * smooth)
-        p_star = loss_prox_1d(kind, c_x * xnorm2 / eta_tilde, label, gamma * xnorm2, warm)
+        p_star = loss_prox_1d(kind, c_x * xnorm2 / eta_tilde, label, gamma * xnorm2)
         c_out = (c_x - eta_tilde * p_star / xnorm2) / (1.0 - eta_tilde / smooth)
     return c_out * feature
 
@@ -255,7 +254,7 @@ def point_saga_unscaled(problem, iters, seed):
     """Point-SAGA iterates x_1 .. x_iters on the unscaled gradient table g_k,
     with one integers(N) pick per iteration from the solver's stream, the
     step size and shrinkage of `baselines.point_saga`, and the sample prox
-    of `loss_prox_1d` warm-started at X_j . x of the last visit."""
+    of `loss_prox_1d`."""
     feats, labels = problem.feature_matrix, problem.labels
     n_samp, d = feats.shape
     big_l = float((n_samp * problem.loss.scalar_smoothness * problem.xnorm2).max()) + problem.sigma
@@ -265,17 +264,14 @@ def point_saga_unscaled(problem, iters, seed):
     shrink = 1.0 + gamma * problem.sigma
     rng = generator("point-saga", seed)
     x, table, gbar = np.zeros(d), np.zeros((n_samp, d)), np.zeros(d)
-    warm = np.zeros(n_samp)
     out = []
     for _ in range(iters):
         j = int(rng.integers(n_samp))
         w = x + gamma * (table[j] - gbar)
         v = w / shrink
         zz = float(feats[j] @ v)
-        p = loss_prox_1d(problem.loss, zz, labels[j], gamma * n_samp / shrink * problem.xnorm2[j],
-                         warm[j])
+        p = loss_prox_1d(problem.loss, zz, labels[j], gamma * n_samp / shrink * problem.xnorm2[j])
         x = v + ((p - zz) / problem.xnorm2[j]) * feats[j]
-        warm[j] = float(feats[j] @ x)
         g_new = (w - x) / gamma
         gbar = gbar + (g_new - table[j]) / n_samp
         table[j] = g_new

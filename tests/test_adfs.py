@@ -425,9 +425,9 @@ class TestBatchProxRounds:
         sizes = []
         kernel = objective._logistic_prox_r_batch
 
-        def spy(b, c4, r0):
+        def spy(b, c4):
             sizes.append(b.size)
-            return kernel(b, c4, r0)
+            return kernel(b, c4)
 
         monkeypatch.setattr(objective, "_logistic_prox_r_batch", spy)
         solver_equivalence([prob], 200)
@@ -449,6 +449,35 @@ class TestBatchProxRounds:
         sizes = self._checked_batch_sizes(monkeypatch, prob)
         # every round reaches the kernel whole, the nodes at the margin included
         assert sizes and set(sizes) == {n}
+
+    def test_batch_steps_leave_few_misses(self, monkeypatch):
+        # the rounds of the grid6x6 instance (6x6 grid, m 200, d 40, data seed
+        # 2026, tau 5; solver seed 1, 1 000 iterations): from the bracket
+        # start, BATCH_STEPS Newton steps hand at most 0.1% of the elements
+        # to the loop kernel (after 4 steps a third of them are unconverged)
+        cfg = harness.load_config({
+            "topology": {"kind": "grid2d", "rows": 6, "cols": 6}, "loss": "logistic",
+            "m": 200, "dataset": {"kind": "synthetic", "d": 40, "correlation": 0.3,
+                                  "seed": 2026},
+            "sigma": 1.0, "tau": 5.0, "algorithms": ["adfs_efficient"], "seeds": [1],
+            "iters": 1000})
+        prob = harness.build_instance(cfg)[2]
+        sizes, redone = [], []
+        batch, loop = objective._logistic_prox_r_batch, objective._logistic_prox_r
+
+        def batch_spy(b, c4):
+            sizes.append(b.size)
+            return batch(b, c4)
+
+        def loop_spy(b, c4):  # at n = 36 >= BATCH_MIN only the batch kernel calls it
+            redone.append(len(b))
+            return loop(b, c4)
+
+        monkeypatch.setattr(objective, "_logistic_prox_r_batch", batch_spy)
+        monkeypatch.setattr(objective, "_logistic_prox_r", loop_spy)
+        run_adfs_efficient(prob, 1000, 1, log_every=1000)
+        assert set(sizes) == {36}
+        assert sum(redone) <= 1e-3 * sum(sizes)
 
 
 def expected_columns(prob):
@@ -565,11 +594,11 @@ class TestNearLimitPrecision:
         rounds = _Rounds(prob)
         draw = aug.BlockDraw("computation", idx)
         rng = generator("near-limit", 0)
-        for y_scale in (0.0, 1e-3, 1e-3):  # from cold, then warm, starts
+        for y_scale in (0.0, 1e-3, 1e-3):  # at the zero state, then twice off it
             y_center, y_coef = split_state(prob, rng.normal(size=zero_state(prob).size) * y_scale)
             w_coef = -prob.labels[idx] * rng.uniform(0.05, 0.95, size=idx.size)
             _, consts, rows = rounds.sample(prob, draw)
-            h = rounds.step(prob, idx, consts, rows, y_center, y_coef[idx], w_coef, prob.eta)
+            h = rounds.step(prob, consts, rows, y_center, y_coef[idx], w_coef, prob.eta)
             c_in = w_coef + prob.eta * aug.virtual_gradient(prob, consts, rows, y_center,
                                                             y_coef[idx])
             for k, g in enumerate(idx):
@@ -771,7 +800,7 @@ class TestNonSmoothSolver:
         idx, consts, rows = rounds.sample(prob, draw)
         y_center, y_coef = split_state(prob, y)
         w_coef = split_state(prob, w)[1][idx]
-        h = rounds.step(prob, idx, consts, rows, y_center, y_coef[idx], w_coef, eta)
+        h = rounds.step(prob, consts, rows, y_center, y_coef[idx], w_coef, eta)
         grad = aug.virtual_gradient(prob, consts, rows, y_center, y_coef[idx])
         c_in = w_coef + eta * grad
         clipped = 0

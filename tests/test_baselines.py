@@ -162,8 +162,8 @@ class TestPointSaga:
 
     @pytest.mark.parametrize("loss", [LossKind.LOGISTIC, LossKind.SQUARED])
     def test_scaled_table_matches_unscaled_step(self, rng, loss):
-        # the gamma-scaled table and the warm start p reproduce the unscaled
-        # step up to rounding, over more than two chunks of picks
+        # the gamma-scaled table reproduces the unscaled step up to rounding,
+        # over more than two chunks of picks
         flat = pool_objectives(random_objectives(rng, 2, 7, 3, loss=loss))
         iters = 2 * CHUNK + 50
         record, theta = point_saga(flat, iters, seed=5, log_every=1)

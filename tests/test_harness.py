@@ -1116,42 +1116,63 @@ class TestSweep:
         return code, capsys.readouterr()
 
     def test_run_prints_and_records_median_time_to_target(self, tmp_path, capsys):
-        code, out = self._cli(tmp_path, capsys, grid_config(seeds=[0, 1, 2]), "run")
-        assert code == 0
-        printed = dict(re.fullmatch(r"(\w+): median time to 1e-05 = (\d+)", line).groups()
-                       for line in out.out.splitlines()[1:])
-        meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
-        # the recorded median is that of the first logged time at the target
-        first = {}
-        for line in (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]:
-            algo, seed, _, time, subopt = line.split(",")
-            if float(subopt) <= 1e-5:
-                first.setdefault((algo, seed), float(time))
-        for algo in ("adfs", "point_saga"):
-            median = float(np.median([first[(algo, s)] for s in "012"]))
-            assert meta["median_time_to_target"][algo] == median > 0
-            assert printed[algo] == f"{median:.0f}"
+        # at the config's log_every 200 no cell logs enough rows for a rate;
+        # at 1 every cell does
+        for log_every in (200, 1):
+            code, out = self._cli(tmp_path, capsys, grid_config(seeds=[0, 1, 2],
+                                                                log_every=log_every), "run")
+            assert code == 0
+            printed = {line.split(":")[0]: line for line in out.out.splitlines()[1:]}
+            meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+            # the recorded median is that of the first logged time at the target
+            first = {}
+            for line in (tmp_path / "out" / "results.csv").read_text().splitlines()[1:]:
+                algo, seed, _, time, subopt = line.split(",")
+                if float(subopt) <= 1e-5:
+                    first.setdefault((algo, seed), float(time))
+            assert sorted(printed) == ["adfs", "point_saga"]
+            for algo, line in printed.items():
+                median = float(np.median([first[(algo, s)] for s in "012"]))
+                assert meta["median_time_to_target"][algo] == median > 0
+                rate = meta["measured_time_per_log_eps"][algo]
+                efficiency = meta["rate_efficiency"][algo]
+                measured = (f"not measured, {rate['fit_points']} fit points"
+                            if log_every == 200 else
+                            f"{rate['median']:.0f} ({rate['fit_points']} fit points)")
+                assert line == (f"{algo}: median time to 1e-05 = {median:.0f}, measured time "
+                                f"per log-eps = {measured}, rate efficiency = "
+                                + ("null" if efficiency is None else f"{efficiency:.3f}"))
+                # the predicted rate is ADFS's alone
+                assert (efficiency is None) == (algo == "point_saga" or log_every == 200)
 
     def test_sweep_measures_every_value(self, tmp_path, capsys):
         values = ["0.05", "0.1", "0.2", "0.4", "0.6", "0.8"]
         data = grid_config(m=5, dataset={"kind": "synthetic", "d": 2, "seed": 7},
-                           iters={"adfs": 4000, "point_saga": 4000}, log_every=50,
+                           iters={"adfs": 4000, "point_saga": 4000}, log_every=1,
                            stop_at_subopt=1e-3)
         code, out = self._cli(tmp_path, capsys, data, "sweep",
                               "--vary", "p_comm=" + ",".join(values))
         assert code == 0 and out.out == f"wrote {tmp_path / 'out' / 'sweep.csv'}\n"
         lines = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         assert lines[0] == ("value,p_comm,rho,predicted_time_per_log_eps,"
-                            "median_time_adfs,median_time_point_saga,status")
+                            "median_time_adfs,median_time_point_saga,"
+                            "measured_time_per_log_eps_adfs,measured_time_per_log_eps_point_saga,"
+                            "rate_efficiency_adfs,rate_efficiency_point_saga,status")
         rows = [line.split(",") for line in lines[1:]]
         assert [row[0] for row in rows] == values
-        for value, p_comm, rho, pred, adfs, saga, status in rows:
+        for value, p_comm, rho, pred, adfs, saga, *rates, status in rows:
             assert float(p_comm) == float(value) and float(rho) > 0
             assert float(pred) == pytest.approx(
                 (1 - float(value) + 5 * float(value)) / float(rho), rel=1e-11)
             assert np.isfinite(float(adfs)) and np.isfinite(float(saga)) and status == "0"
             meta = json.loads((tmp_path / "out" / f"p_comm={value}" / "metadata.json").read_text())
             assert float(adfs) == meta["median_time_to_target"]["adfs"]
+            # the rate columns hold the metadata's medians, empty where null
+            algos = ("adfs", "point_saga")
+            expect = [meta["measured_time_per_log_eps"][a]["median"] for a in algos]
+            expect += [meta["rate_efficiency"][a] for a in algos]
+            assert rates == ["" if x is None else f"{x:.12e}" for x in expect]
+            assert rates[3] == ""  # Point-SAGA has no predicted rate
         # point_saga runs on the pooled samples, which p_comm does not change
         assert len({row[5] for row in rows}) == 1
 

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import adfs_lab.objective as objective
@@ -57,8 +57,7 @@ class TestProx1d:
             z = float(rng.normal() * 3)
             label = 1.0 if rng.random() < 0.5 else -1.0
             step = float(np.exp(rng.uniform(-2, 3)))
-            warm = float(rng.normal())
-            got = loss_prox_1d(LossKind.LOGISTIC, z, label, step, warm)
+            got = loss_prox_1d(LossKind.LOGISTIC, z, label, step)
             ref = logistic_prox_oracle(z, label, step)
             assert abs(got - ref) <= 1e-8
 
@@ -75,26 +74,29 @@ class TestProx1d:
         with pytest.raises(ValueError):
             loss_prox_1d(LossKind.SQUARED, np.nan, 0.0, 1.0)
 
-    @pytest.mark.parametrize("z, label, step, warm", [
-        (0.0, 1.0, 1e3, 50.0),
-        (3.0, -1.0, 200.0, -40.0),
-        (0.5, 1.0, 1e4, 0.0),
+    @pytest.mark.parametrize("z, label, step", [
+        (0.0, 1.0, 1e3),
+        (3.0, -1.0, 200.0),
+        (0.5, 1.0, 1e4),
     ])
-    def test_logistic_bisection_fallback(self, monkeypatch, z, label, step, warm):
-        # Newton exhausts its budget on these inputs, so the fallback's
-        # bisection sets the result: with its steps removed (midpoint and
-        # polish only) the kernel misses the minimizer
+    def test_logistic_bisection_fallback(self, monkeypatch, z, label, step):
+        # Newton, cut to 3 steps, exhausts its budget on these large steps, so
+        # the fallback's bisection sets the result: with its steps removed
+        # (midpoint and polish only) the kernel misses the minimizer
+        monkeypatch.setattr(objective, "NEWTON_ITERS", 3)
         ref = logistic_prox_oracle(z, label, step)
-        assert abs(loss_prox_1d(LossKind.LOGISTIC, z, label, step, warm=warm) - ref) <= 1e-8
+        assert abs(loss_prox_1d(LossKind.LOGISTIC, z, label, step) - ref) <= 1e-8
         monkeypatch.setattr(objective, "BISECTION_STEPS", 0)
-        assert abs(loss_prox_1d(LossKind.LOGISTIC, z, label, step, warm=warm) - ref) > 1e-3
+        assert abs(loss_prox_1d(LossKind.LOGISTIC, z, label, step) - ref) > 1e-3
 
     @pytest.mark.parametrize("b", [1.6e308, -1.6e308])
-    def test_logistic_bisection_midpoint_does_not_overflow(self, b):
-        # a warm start at the other end of the float range overflows c4 r, so
-        # Newton misses and the fallback's bracket (b -+ 1) / c4 lies next to
-        # the float max, where lo + hi overflows
-        assert objective._logistic_prox_r((b,), (0.95,), (-b,)) == [b / 0.95]
+    def test_logistic_bisection_midpoint_does_not_overflow(self, monkeypatch, b):
+        # with no Newton step every element ends in the fallback, whose
+        # bracket (b -+ 1) / c4 lies next to the float max, where lo + hi
+        # overflows; Newton from the bracket start returns the same
+        assert objective._logistic_prox_r((b,), (0.95,)) == [b / 0.95]
+        monkeypatch.setattr(objective, "NEWTON_ITERS", 0)
+        assert objective._logistic_prox_r((b,), (0.95,)) == [b / 0.95]
 
     @pytest.mark.parametrize("z", [800.0, -800.0])
     @pytest.mark.parametrize("label", [1.0, -1.0])
@@ -127,18 +129,17 @@ REDO = {"_logistic_prox_r": "_logistic_prox_r_fallback",
         "_logistic_prox_r_batch": "_logistic_prox_r"}
 
 
-def _r_kernel(kernel, b, c4, r0):
+def _r_kernel(kernel, b, c4):
     """Kernel `kernel` on equal-length float arrays, as an array."""
     if kernel == "_logistic_prox_r":
-        return np.array(objective._logistic_prox_r(b.tolist(), c4.tolist(), r0.tolist()))
-    return getattr(objective, kernel)(b, c4, r0)
+        return np.array(objective._logistic_prox_r(b.tolist(), c4.tolist()))
+    return getattr(objective, kernel)(b, c4)
 
 
-def _r_form(kernel, z, label, step, warm):
+def _r_form(kernel, z, label, step):
     """A r-form kernel on p-form inputs, as p: b = 2 label z / step + 1,
-    c4 = 4 / step, r0 = label warm / 2 and p = 2 label r."""
-    r = _r_kernel(kernel, 2.0 * label * z / step + 1.0, 4.0 / step, 0.5 * label * warm)
-    return 2.0 * label * r
+    c4 = 4 / step and p = 2 label r."""
+    return 2.0 * label * _r_kernel(kernel, 2.0 * label * z / step + 1.0, 4.0 / step)
 
 
 class TestLogisticProxOracle:
@@ -147,10 +148,10 @@ class TestLogisticProxOracle:
     ranges, within 1e-13 (|p*| + step): b = 2 label z / step + 1 carries the
     rounding of z, |z| <= |p*| + step.  An absolute Newton stop meets this
     relative bound at every step because Newton starts inside the root's
-    bracket wherever that bracket is narrower than the stop's reach."""
+    bracket, which is narrower than the stop's reach at the smallest steps."""
 
     @staticmethod
-    def _check(z, label, step, warm):
+    def _check(z, label, step):
         ref = logistic_prox_oracle(z, label, step)
         c4 = 4.0 / step
         b = 0.5 * label * c4 * z + 1.0
@@ -160,8 +161,7 @@ class TestLogisticProxOracle:
             for newton_iters in (objective.NEWTON_ITERS, 0):
                 with pytest.MonkeyPatch.context() as patch:
                     patch.setattr(objective, "NEWTON_ITERS", newton_iters)
-                    r = float(_r_kernel(kernel, np.array([b]), np.array([c4]),
-                                        np.array([0.5 * label * warm]))[0])
+                    r = float(_r_kernel(kernel, np.array([b]), np.array([c4]))[0])
                 case = (kernel, newton_iters)
                 assert abs(2.0 * label * r - ref) <= 1e-13 * (abs(ref) + step), case
                 assert lo - slack <= r <= hi + slack, case
@@ -169,43 +169,45 @@ class TestLogisticProxOracle:
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(STEP_RANGES).flatmap(
                lambda ends: st.floats(*np.log10(ends).tolist())),
-           st.just(0.0) | st.floats(-10.0, 10.0), st.sampled_from([1.0, -1.0]),
-           st.floats(-60.0, 60.0))
-    def test_matches_the_oracle_inside_the_bracket(self, log_step, u, label, w):
+           st.just(0.0) | st.floats(-10.0, 10.0), st.sampled_from([1.0, -1.0]))
+    # the ends of both step ranges at the largest |z|, where the start's
+    # bracket ends (b -+ 1) / c4 are largest
+    @example(float(np.log10(STEP_RANGES[0][0])), -10.0, 1.0)
+    @example(float(np.log10(STEP_RANGES[0][1])), 10.0, -1.0)
+    @example(float(np.log10(STEP_RANGES[1][0])), 10.0, 1.0)
+    @example(float(np.log10(STEP_RANGES[1][1])), -10.0, -1.0)
+    def test_matches_the_oracle_inside_the_bracket(self, log_step, u, label):
         step = 10.0**log_step
-        self._check(u * (1.0 + step), label, step, w * (1.0 + step))
+        self._check(u * (1.0 + step), label, step)
 
     @pytest.mark.parametrize("batch_steps", [objective.BATCH_STEPS, 1])
-    @pytest.mark.parametrize("warm", [3.0, 1e-70])
-    def test_tiny_step_keeps_its_whole_move(self, monkeypatch, warm, batch_steps):
-        # p* = 5e-75 lies far inside the absolute stop NEWTON_TOL; from the
-        # warm start itself, Newton lands next to 0 and stops there: the loop
-        # kernel's test, or the batch kernel's after a single step
+    @pytest.mark.parametrize("label", [1.0, -1.0])
+    def test_tiny_step_keeps_its_whole_move(self, monkeypatch, label, batch_steps):
+        # p* = 5e-75 label lies far inside the absolute stop NEWTON_TOL, and
+        # the root's bracket is 5e-75 wide: a start outside it lands next to
+        # 0 and stops there, while the start inside keeps the whole move,
+        # through the loop kernel's test or the batch kernel's after one step
         monkeypatch.setattr(objective, "BATCH_STEPS", batch_steps)
-        self._check(0.0, 1.0, 1e-74, warm)
+        self._check(0.0, label, 1e-74)
 
 
-def _scalar_prox(z, label, step, warm):
+def _scalar_prox(z, label, step):
     """The loop kernel one element per call (`loss_prox_1d`), on p-form
     inputs, as p."""
     return np.array([loss_prox_1d(LossKind.LOGISTIC, *args) for args in
-                     zip(z.tolist(), label.tolist(), step.tolist(), warm.tolist())])
+                     zip(z.tolist(), label.tolist(), step.tolist())])
 
 
 def _prox_inputs(rng, size, oracle=True):
-    """(z, label, step, warm, ref): random inputs with warm starts at the
-    solution, near it and far from it, and the minimizers, from the oracle
-    or else from the loop kernel one element per call."""
+    """(z, label, step, ref): random inputs and the minimizers, from the
+    oracle or else from the loop kernel one element per call."""
     z = rng.normal(size=size) * 5.0
     label = np.where(rng.random(size) < 0.5, 1.0, -1.0)
     step = np.exp(rng.uniform(np.log(1e-3), np.log(1e2), size))
     ref = (np.array([logistic_prox_oracle(*args)
                      for args in zip(z.tolist(), label.tolist(), step.tolist())])
-           if oracle else _scalar_prox(z, label, step, np.zeros(size)))
-    far = rng.uniform(5.0, 50.0, size) * (1.0 + step) * np.sign(rng.normal(size=size))
-    offset = np.choose(rng.integers(3, size=size),
-                       [np.zeros(size), 1e-3 * rng.normal(size=size), far])
-    return z, label, step, ref + offset, ref
+           if oracle else _scalar_prox(z, label, step))
+    return z, label, step, ref
 
 
 class TestLogisticProxBatch:
@@ -229,55 +231,55 @@ class TestLogisticProxBatch:
     @given(st.integers(0, 10_000))
     def test_matches_scalar_and_oracle(self, seed):
         rng = generator("prox-batch", seed)
-        z, label, step, warm, ref = _prox_inputs(rng, objective.BATCH_MIN)
+        z, label, step, ref = _prox_inputs(rng, objective.BATCH_MIN)
         tol = 1e-12 * (1.0 + np.abs(ref))
-        scalar = _scalar_prox(z, label, step, warm)
+        scalar = _scalar_prox(z, label, step)
         for kernel in R_KERNELS:
-            got = _r_form(kernel, z, label, step, warm)
+            got = _r_form(kernel, z, label, step)
             assert np.all(np.abs(got - ref) <= tol), kernel
             assert np.all(np.abs(got - scalar) <= tol), kernel
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 2 * objective.BATCH_MIN))
     def test_loop_and_batch_kernels_agree(self, seed, size):
-        z, label, step, warm, ref = _prox_inputs(generator("prox-kernels", seed), size,
-                                                 oracle=False)
-        loop, batch = (_r_form(kernel, z, label, step, warm) for kernel in R_KERNELS)
+        z, label, step, ref = _prox_inputs(generator("prox-kernels", seed), size, oracle=False)
+        loop, batch = (_r_form(kernel, z, label, step) for kernel in R_KERNELS)
         assert np.all(np.abs(loop - batch) <= 1e-12 * (1.0 + np.abs(ref)))
 
     def test_unconverged_elements_are_redone(self, monkeypatch):
-        # large steps and warm starts far from the solution: the kernels'
-        # Newton steps (BATCH_STEPS, or NEWTON_ITERS for the loop) leave some
-        # elements short of NEWTON_TOL
+        # the kernels' Newton steps (BATCH_STEPS, or NEWTON_ITERS for the
+        # loop), cut to 4, leave the larger steps' elements short of
+        # NEWTON_TOL: from the bracket start these take up to 10 steps
         size = objective.BATCH_MIN
         z = np.linspace(-2.0, 2.0, size)
         label = np.where(np.arange(size) % 2 == 0, 1.0, -1.0)
         step = np.geomspace(1e-3, 1e4, size)
-        warm = z + 40.0 * (1.0 + step) * label
         ref = np.array([logistic_prox_oracle(*args)
                         for args in zip(z.tolist(), label.tolist(), step.tolist())])
+        monkeypatch.setattr(objective, "BATCH_STEPS", 4)
+        monkeypatch.setattr(objective, "NEWTON_ITERS", 4)
         for kernel in R_KERNELS:
             with monkeypatch.context() as patch:
                 redo = self._spy(patch, REDO[kernel])
-                got = _r_form(kernel, z, label, step, warm)
+                got = _r_form(kernel, z, label, step)
             redone = sum(np.size(args[0]) for args in redo)  # the batch kernel's in one call
             assert 0 < redone < size, kernel
             assert np.all(np.abs(got - ref) <= 1e-12 * (1.0 + np.abs(ref))), kernel
 
-    def test_overflowing_newton_ends_in_the_fallback(self, monkeypatch):
-        # z and warm at opposite ends of the float range: c4 r overflows, the
-        # Newton iterate is not finite, and the element ends in the fallback,
+    def test_extreme_input_does_not_overflow(self, monkeypatch):
+        # z = 1e307: the start, cut into the root's bracket, is the root
+        # r = 5e306, and no Newton iterate overflows c4 r (a RuntimeWarning
+        # fails the test); Newton's step of 1/4 lies below the ulp of r and
+        # never meets the absolute stop, so the element ends in the fallback,
         # handed there by the loop kernel or by the batch kernel's redo
         size = objective.BATCH_MIN
         z, label, step = np.full(size, 0.5), np.ones(size), np.ones(size)
-        warm = np.zeros(size)
-        z[3], warm[3] = 1e307, -1.7e308
+        z[3] = 1e307
         ref = logistic_prox_oracle(0.5, 1.0, 1.0)
         fallback = self._spy(monkeypatch, "_logistic_prox_r_fallback")
         for kernel in R_KERNELS:
             fallback.clear()
-            with np.errstate(over="ignore", invalid="ignore"):
-                got = _r_form(kernel, z, label, step, warm)
+            got = _r_form(kernel, z, label, step)
             assert fallback == [(2e307, 4.0)], kernel  # b = 2 z / step + 1, c4 = 4 / step
             assert got[3] == 1e307, kernel  # z + step sig with sig = 0 in float
             assert np.all(np.abs(np.delete(got, 3) - ref) <= 1e-12 * (1.0 + abs(ref))), kernel
@@ -287,8 +289,7 @@ class TestLogisticProxBatch:
         loop = self._spy(monkeypatch, "_logistic_prox_r")
         for size in (objective.BATCH_MIN - 1, objective.BATCH_MIN):
             c_x, ones = np.linspace(-1.0, 1.0, size), np.ones(size)
-            objective._tilde_coeff_batch(LossKind.LOGISTIC, c_x, ones, ones, ones, ones, ones,
-                                         np.zeros(size))
+            objective._tilde_coeff_batch(LossKind.LOGISTIC, c_x, ones, ones, ones, ones, ones)
         assert [args[0].size for args in batch] == [objective.BATCH_MIN]
         assert [len(args[0]) for args in loop] == [objective.BATCH_MIN - 1]
 
