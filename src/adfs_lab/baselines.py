@@ -22,6 +22,7 @@ __all__ = ["FlatProblem", "pool_objectives", "flat_value", "flat_grad",
 HUBER_STAGES = 17  # mu = max|y| ... 1e-16 max|y|, where r_k is at rounding
 NEWTON_STEPS = 50  # per stage; a stage ends sooner on a stationary full step
 NEWTON_MAX = 2_000_000  # cap on the smooth losses' Newton steps
+HESSIAN_BLOCK = 4096  # samples per term of the smooth Newton Hessian's sum
 
 
 class FlatProblem(LocalObjective):
@@ -127,7 +128,8 @@ def certified_optimum(problem: FlatProblem, tol=3e-6):
     certifies |f_star - F*| <= gap <= tol^2 sigma_total / 2.
 
     Smooth losses: damped Newton (Hessian X^T diag(loss''(X theta)) X +
-    sigma_total I) until ||grad F|| <= tol * sigma_total, and gap = ||grad
+    sigma_total I, its first term summed over blocks of HESSIAN_BLOCK
+    samples) until ||grad F|| <= tol * sigma_total, and gap = ||grad
     F||^2 / (2 sigma_total).  The step length t halves from 1 until ||grad
     F|| falls by the factor 1 - t/4, a test that, unlike a decrease test on
     F, still holds once F is flat to rounding; a t below 1e-12 (||grad F||
@@ -153,7 +155,11 @@ def certified_optimum(problem: FlatProblem, tol=3e-6):
         if norm <= target:
             return theta, _stacked_value(*args, theta), norm**2 / (2.0 * problem.sigma_total)
         curv = loss_curvature(problem.loss, feats @ theta, problem.labels)
-        step, t = np.linalg.solve((feats.T * curv) @ feats + ridge, grad), 1.0
+        hess = ridge.copy()
+        for lo in range(0, len(curv), HESSIAN_BLOCK):
+            rows = slice(lo, lo + HESSIAN_BLOCK)
+            hess += (feats[rows].T * curv[rows]) @ feats[rows]
+        step, t = np.linalg.solve(hess, grad), 1.0
         while np.linalg.norm(trial := _stacked_grad(*args, theta - t * step)) > (1 - t / 4) * norm:
             t *= 0.5
             if t < 1e-12:  # ||grad F|| is at working precision: stop, do not run on

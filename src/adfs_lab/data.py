@@ -3,7 +3,10 @@
 A LibSVM file is read into one CSR record (`LibsvmData`).  An instance holds
 one copy of the samples it uses: one read-only (V, d) buffer in node order,
 of which every node's dataset is a row view (see `assign_node_datasets` and
-`stack_rows`).  Only the V sampled rows of a pool are ever made dense.
+`stack_rows`).  Only the V sampled rows of a pool are ever made dense: a
+record's are scattered from its nonzeros, and a synthetic pool's are drawn
+a chunk of rows at a time (`synth_dataset`), so that set-up holds the
+buffer plus one chunk, never the pool.
 """
 
 import math
@@ -14,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .rng import generator
+from .rng import CHUNK, generator
 
 __all__ = ["RANGE_LO", "RANGE_HI", "in_range", "LibsvmParseError", "LibsvmData", "parse_libsvm",
            "write_libsvm", "synth_pool", "assign_node_datasets", "synth_dataset", "stack_rows"]
@@ -37,10 +40,11 @@ def in_range(x, hi=RANGE_HI):
 # one block's token strings are alive at a time
 BLOCK_CHARS = 1 << 16
 INDEX_MAX = np.iinfo(np.int64).max
-# the most entries of a dense (rows, d) feature buffer.  2^30 float64 is 8 GiB,
-# and a synthetic instance holds two such buffers (the pool and the drawn
-# rows): past what a workstation holds, where numpy's memory error would name
-# no input.  The committed configs and benchmark workloads stay below 10^6.
+# the most entries of a dense (rows, d) feature buffer.  2^30 float64 is 8 GiB:
+# past what a workstation holds, where numpy's memory error would name no
+# input.  A synthetic instance is held to max(pool, n m) rows, since it draws
+# the normals of every pool row even though it keeps only the drawn ones.
+# The committed configs and benchmark workloads stay below 10^6.
 DENSE_MAX = 1 << 30
 
 
@@ -183,27 +187,62 @@ def synth_pool(n_samples, d, seed, correlation, loss="logistic", noise=0.1,
     features (trace-dominated spectrum), c near 1 concentrates the spectrum
     on one direction, which tunes the stochastic/batch condition ratio.
     """
+    return _synth_rows(np.arange(n_samples), n_samples, d, seed, correlation, loss, noise,
+                       feature_scale)
+
+
+def _synth_rows(rows, n_samples, d, seed, correlation, loss, noise, feature_scale):
+    """(features, labels) of the given rows (in any order, repeats allowed)
+    of the synthetic pool of n_samples rows, bit for bit as the pool made
+    at once holds them, making only these rows dense.
+
+    The "synth" stream is read in the pool's order (w, the (n_samples, d)
+    normals, the spike, theta, the noise), CHUNK rows at a time (the last
+    chunk also takes the remainder), and only the drawn rows are kept.  A
+    chunk's margins are one matrix-vector product over the chunk, with the
+    drawn rows at their places and zeros elsewhere: BLAS rounds a row of it
+    by the row's place in a CHUNK-aligned slice, not by the other rows, so
+    it equals the pool's product on those rows (a one-row remainder would be
+    a dot product, which rounds otherwise).  At some sizes the pool's own
+    product rounds by the BLAS thread count; with one thread both agree.
+    """
     if not 0.0 <= correlation < 1.0:
         raise ValueError("correlation must lie in [0, 1)")
     if d < 1:
         raise ValueError("d must be >= 1")
+    # per chunk of the pool: its row count, and where each of its drawn rows
+    # goes in the output and sits in the chunk
+    order = np.argsort(rows)  # repeats of a row may come in any order: they are equal
+    ranked = rows[order]
+    bounds = [b * CHUNK for b in range(max(1, n_samples // CHUNK))] + [n_samples]
+    cuts = np.searchsorted(ranked, bounds)
+    chunks = [(hi - lo, order[a:b], ranked[a:b] - lo)
+              for lo, hi, a, b in zip(bounds, bounds[1:], cuts, cuts[1:])]
     rng = generator("synth", seed)
     w = rng.normal(size=d)
     w /= np.linalg.norm(w)
-    feats = rng.normal(size=(n_samples, d))
-    spike = rng.normal(size=(n_samples, 1))
+    feats = np.empty((len(rows), d))
+    spike, margins = np.empty(len(rows)), np.empty(len(rows))
+    for size, at, offset in chunks:
+        feats[at] = rng.normal(size=(size, d))[offset]
+    for size, at, offset in chunks:
+        spike[at] = rng.normal(size=size)[offset]
     # sqrt(1 - c) base + (sqrt(c d) spike) w, term by term in place
     feats *= np.sqrt(1.0 - correlation)
     spike *= np.sqrt(correlation * d)
-    feats += spike * w
+    for lo in range(0, len(rows), CHUNK):
+        feats[lo:lo + CHUNK] += spike[lo:lo + CHUNK, None] * w
     feats *= feature_scale
     theta = rng.normal(size=d) / np.sqrt(d)
-    margins = feats @ theta + noise * rng.normal(size=n_samples)
+    for size, at, offset in chunks:
+        block = np.zeros((size, d))
+        block[offset] = feats[at]
+        margins[at] = (block @ theta)[offset]
+    for size, at, offset in chunks:
+        margins[at] += noise * rng.normal(size=size)[offset]
     if loss == "logistic":
-        labels = np.where(margins >= 0.0, 1.0, -1.0)
-    else:
-        labels = margins
-    return feats, labels
+        return feats, np.where(margins >= 0.0, 1.0, -1.0)
+    return feats, margins
 
 
 def assign_node_datasets(feats, labels, n, m, seed):
@@ -212,12 +251,23 @@ def assign_node_datasets(feats, labels, n, m, seed):
     All n * m rows are gathered at once into one read-only buffer, of which
     node i's (features, labels) are the row views i*m .. (i+1)*m - 1; of a
     record, only those rows' nonzeros are scattered into it."""
-    if m > len(labels):
-        raise ValueError(f"m={m} exceeds the pool size {len(labels)}")
-    rng = generator("assign", seed)
-    idx = np.concatenate([rng.choice(len(labels), size=m, replace=False) for _ in range(n)])
+    idx = _draw_rows(len(labels), n, m, seed)
     feats = feats[idx] if isinstance(feats, np.ndarray) else _dense_rows(feats, idx)
-    labels = labels[idx]
+    return _node_views(feats, labels[idx], n, m)
+
+
+def _draw_rows(pool, n, m, seed):
+    """The pool rows of the n nodes' datasets, node after node: m distinct
+    rows per node from the "assign" stream."""
+    if m > pool:
+        raise ValueError(f"m={m} exceeds the pool size {pool}")
+    rng = generator("assign", seed)
+    return np.concatenate([rng.choice(pool, size=m, replace=False) for _ in range(n)])
+
+
+def _node_views(feats, labels, n, m):
+    """Node i's (features, labels): rows i*m .. (i+1)*m - 1 of the drawn
+    rows, made read-only."""
     feats.flags.writeable = labels.flags.writeable = False
     return [(feats[i * m:(i + 1) * m], labels[i * m:(i + 1) * m]) for i in range(n)]
 
@@ -235,10 +285,13 @@ def _dense_rows(data, rows):
 
 def synth_dataset(n, m, d, seed, correlation, loss="logistic", noise=0.1,
                   pool=None, feature_scale=1.0):
-    """Per-node synthetic datasets drawn (with overlap) from one pool."""
+    """Per-node synthetic datasets drawn (with overlap) from one pool:
+    assign_node_datasets(*synth_pool(...), n, m, seed) bit for bit, with
+    only the drawn rows of the pool made."""
     size = pool if pool is not None else n * m
-    feats, labels = synth_pool(size, d, seed, correlation, loss, noise, feature_scale)
-    return assign_node_datasets(feats, labels, n, m, seed)
+    rows = _draw_rows(size, n, m, seed)
+    return _node_views(*_synth_rows(rows, size, d, seed, correlation, loss, noise,
+                                    feature_scale), n, m)
 
 
 def stack_rows(parts):

@@ -38,7 +38,7 @@ SOLVERS = {"adfs": run_adfs, "adfs_efficient": run_adfs_efficient, "ns_adfs": ru
 ALGORITHMS = tuple(SOLVERS)
 # the algorithms whose rate the build predicts (derived predicted_time_per_log_eps)
 PREDICTED = ("adfs", "adfs_efficient")
-FIT_HI = 0.1  # the rate fit's window in subopt is (100 reference_gap, FIT_HI)
+FIT_HI = 0.1  # the rate fit's window in subopt is (lo, FIT_HI), lo as in _measured_rates
 # required integer parameters of each topology kind ("custom" needs "edges"
 # and takes an optional "n"); every kind takes optional "weights"
 TOPOLOGY_PARAMS = {"line": ("n",), "complete": ("n",), "grid2d": ("rows", "cols"),
@@ -368,15 +368,20 @@ def _median_times(cfg, records):
 
 def _measured_rates(cfg, records, derived):
     """Per algorithm with a budget, the median over seeds of the rate that
-    `records.fit_rate` measures in the window (100 reference_gap, FIT_HI),
-    None if a cell has none (a failed cell fits no point), with the fewest
-    fit points of its cells; and, for the algorithms in PREDICTED, that
-    median over the predicted time per log-accuracy (else None)."""
+    `records.fit_rate` measures in the window (lo, FIT_HI), None if a cell
+    has none (a failed cell fits no point), with the fewest fit points of
+    its cells; and, for the algorithms in PREDICTED, that median over the
+    predicted time per log-accuracy (else None).  lo = 100 max(reference_gap,
+    ulp(f_star)) clears both the reference's error and the rounding of
+    F - F*, which is read to one ulp of f_star at best: a run that goes on
+    past convergence logs that floor, and fitting it reads a rate the
+    theorem rules out."""
     measured, efficiency = {}, {}
     for algo in cfg.algorithms:
         if cfg.iters[algo] > 0:
-            fits = [fit_rate(records[(algo, s)], 100.0 * derived["reference_gap"], FIT_HI)
-                    if (algo, s) in records else (None, 0) for s in cfg.seeds]
+            lo = 100.0 * max(derived["reference_gap"], math.ulp(derived["f_star"]))
+            fits = [fit_rate(records[(algo, s)], lo, FIT_HI) if (algo, s) in records
+                    else (None, 0) for s in cfg.seeds]
             rates = [rate for rate, _ in fits]
             median = None if None in rates else float(np.median(rates))
             measured[algo] = {"median": median, "fit_points": min(n for _, n in fits)}

@@ -25,7 +25,10 @@ checked; `exact_absolute_gap` evaluates its certificate in exact arithmetic.
 `parse_libsvm_pairs` is the former LibSVM parser, one token at a time into
 (label, pairs) rows, against which the block reader `data.parse_libsvm` is
 checked; `libsvm_record` and `libsvm_rows` convert between such rows and the
-reader's CSR record.
+reader's CSR record.  `synth_pool_dense` is the former synthetic pool
+generator, the whole pool at once, against which the generator that makes
+a chunk of rows at a time (`data.synth_pool`, `data.synth_dataset`) is
+checked.
 """
 
 import math
@@ -583,3 +586,20 @@ def libsvm_rows(data):
         span = slice(indptr[r], indptr[r + 1])
         samples.append((label, list(zip(indices[span].tolist(), values[span].tolist()))))
     return samples, dim
+
+
+def synth_pool_dense(n_samples, d, seed, correlation, loss="logistic", noise=0.1,
+                     feature_scale=1.0):
+    """The synthetic pool of `data.synth_pool`, every row made at once."""
+    rng = generator("synth", seed)
+    w = rng.normal(size=d)
+    w /= np.linalg.norm(w)
+    feats = rng.normal(size=(n_samples, d))
+    spike = rng.normal(size=(n_samples, 1))
+    feats *= np.sqrt(1.0 - correlation)
+    spike *= np.sqrt(correlation * d)
+    feats += spike * w
+    feats *= feature_scale
+    theta = rng.normal(size=d) / np.sqrt(d)
+    margins = feats @ theta + noise * rng.normal(size=n_samples)
+    return feats, (np.where(margins >= 0.0, 1.0, -1.0) if loss == "logistic" else margins)

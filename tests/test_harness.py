@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import glob
 import importlib
 import importlib.util
@@ -34,6 +35,7 @@ from adfs_lab.data import (
 from adfs_lab.harness import (ConfigError, ExperimentConfig, build_instance, cli, load_config,
                               run_experiment)
 from adfs_lab.objective import LOSSES, LocalObjective, LossKind, condition_numbers
+from adfs_lab.records import FIT_MIN_POINTS
 from adfs_lab.rng import generator
 from oracles import libsvm_record, libsvm_rows, parse_libsvm_pairs
 from test_checks import certified, experiment_determinism, libsvm_roundtrip
@@ -1024,6 +1026,25 @@ def test_scaling_line_measures_its_rate(tmp_path):
             assert measured[algo]["median"] == (None if rate is None
                                                 else pytest.approx(rate, abs=0.5))
             assert efficiency[algo] == (None if ratio is None else pytest.approx(ratio, abs=0.005))
+
+
+def test_rate_window_clears_the_rounding_of_subopt(tmp_path):
+    # configs/pcomm_sweep.json run on past convergence, as CI's off-grid run
+    # is: from iteration 1 500 on, F - F* reads 0 or one or two ulps of
+    # f_star (89.77).  A window down to 100 reference_gap (1.5e-15) fitted
+    # those rows too, 80 in all, and read a rate 11.5 times the predicted
+    # one; the window now ends at 100 ulps, where 25 rows measure no rate
+    with open(os.path.join(ROOT, "configs", "pcomm_sweep.json"), encoding="utf-8") as fh:
+        cfg = load_config(dict(json.load(fh), iters=20030, stop_at_subopt=None))
+    _, csv_path, meta = run_experiment(cfg, *certified(cfg), str(tmp_path))
+    with open(csv_path, encoding="utf-8") as fh:
+        subopts = [float(row["subopt"]) for row in csv.DictReader(fh)]
+    ulp = math.ulp(meta["derived"]["f_star"])
+    assert sum(s <= 2 * ulp for s in subopts) >= FIT_MIN_POINTS
+    assert 100 * meta["derived"]["reference_gap"] < 2 * ulp
+    efficiency = meta["rate_efficiency"]["adfs"]
+    assert efficiency is None or 0.0 < efficiency <= 1.0
+    assert meta["measured_time_per_log_eps"]["adfs"] == {"median": None, "fit_points": 25}
 
 
 def test_nonsmooth_trajectory_holds():
