@@ -4,9 +4,9 @@
 For each grid size the script records the inputs (b, c4) of every logistic
 conjugate prox of one `run_adfs_efficient` run (m samples per node,
 logistic, tau 5, data seed 2026, as in the figure analogue), as
-`objective._tilde_coeff_batch` hands them to its kernels.  It then replays
+`objective._prox_inner` hands them to its kernels.  It then replays
 them through the loop kernel `objective._logistic_prox_r` (on float lists,
-as `_tilde_coeff_batch` calls it) and the batch kernel
+as `_prox_inner` calls it) and the batch kernel
 `objective._logistic_prox_r_batch`, both from their one start, and prints
 the cost per round and per element of each (best of --reps alternating
 passes), their largest difference, and how many elements each kernel's
@@ -30,7 +30,7 @@ from adfs_lab import adfs, harness, objective
 
 
 def loop_kernel(b, c4):
-    """The loop kernel on arrays, as `_tilde_coeff_batch` calls it."""
+    """The loop kernel on arrays, as `_prox_inner` calls it."""
     return np.array(objective._logistic_prox_r(b.tolist(), c4.tolist()))
 
 
@@ -40,7 +40,8 @@ KERNELS = ((loop_kernel, "_logistic_prox_r_fallback"),
 
 
 def record_rounds(rows, cols, m, d, iters):
-    """(b, c4) of every logistic conjugate prox of one run."""
+    """(b, c4) of every logistic conjugate prox of one run, recorded as
+    its kernel receives it."""
     cfg = harness.load_config({
         "topology": {"kind": "grid2d", "rows": rows, "cols": cols}, "loss": "logistic",
         "m": m, "dataset": {"kind": "synthetic", "d": d, "correlation": 0.3, "seed": 2026},
@@ -49,19 +50,25 @@ def record_rounds(rows, cols, m, d, iters):
     })
     _, _, problem, _, _ = harness.build_instance(cfg)
     rounds = []
-    prox = adfs._tilde_coeff_batch
+    kernels = objective._logistic_prox_r, objective._logistic_prox_r_batch
 
-    def recording(kind, c_x, labels, prox_in, prox_step, inv_scale, prox_out):
-        b = c_x * prox_in
-        b += 1.0  # as _tilde_coeff_batch forms it
-        rounds.append((b, prox_step.copy()))
-        return prox(kind, c_x, labels, prox_in, prox_step, inv_scale, prox_out)
+    def recording(kernel):
+        def call(b, c4):
+            rounds.append((np.array(b), np.array(c4)))
+            # the batch kernel's redo of its misses is no round of its own
+            objective._logistic_prox_r, objective._logistic_prox_r_batch = kernels
+            try:
+                return kernel(b, c4)
+            finally:
+                objective._logistic_prox_r, objective._logistic_prox_r_batch = recorders
+        return call
 
-    adfs._tilde_coeff_batch = recording
+    recorders = tuple(map(recording, kernels))
+    objective._logistic_prox_r, objective._logistic_prox_r_batch = recorders
     try:
         adfs.run_adfs_efficient(problem, iters, 1, log_every=iters)
     finally:
-        adfs._tilde_coeff_batch = prox
+        objective._logistic_prox_r, objective._logistic_prox_r_batch = kernels
     return rounds
 
 

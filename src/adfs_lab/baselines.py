@@ -10,9 +10,8 @@ import math
 import numpy as np
 
 from .data import DENSE_MAX, RANGE_HI, stack_rows
-from .objective import (NEWTON_R, LocalObjective, _logistic_prox_r, _prox_1d_array,
-                        _stacked_grad, _stacked_value, loss_curvature, primal_grad,
-                        primal_value)
+from .objective import (LocalObjective, _inner_factors, _prox_inner, _stacked_grad,
+                        _stacked_value, loss_curvature, primal_grad, primal_value)
 from .records import RunResult, run_loop
 from .rng import chunked, generator
 
@@ -71,14 +70,12 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
     )
     shrink = 1.0 + gamma * problem.sigma_total
     eta_inner = float(gamma * n_samp / shrink)
-    # the prox works on Python floats: numpy scalar arithmetic costs more
+    # the prox works on Python floats: numpy scalar arithmetic costs more.
+    # Sample j's prox factors are fixed per run, at step eta_inner ||X_j||^2
+    kind, ones = problem.loss, np.ones(n_samp)
     label_f, xnorm2_f = labels.tolist(), problem.xnorm2.tolist()
-    newton = problem.loss.prox == NEWTON_R
-    # the logistic prox runs in r = label p / 2 (`_logistic_prox_r`)
-    # from b = f_j z + 1 and c4_j, fixed per run: c4_j = 4 / step_j and
-    # f_j = 2 label_j / step_j for the prox step step_j = eta_inner ||X_j||^2
-    c4 = 4.0 / (eta_inner * problem.xnorm2)
-    f_in, c4 = (0.5 * labels * c4).tolist(), c4.tolist()
+    f_in, step_in, f_out = (a.tolist() for a in _inner_factors(
+        kind, labels, ones, eta_inner * problem.xnorm2, ones))
 
     rng = generator("point-saga", seed)
     picks = chunked(lambda k: rng.integers(n_samp, size=k).tolist())  # = per-call integers(N)
@@ -97,13 +94,10 @@ def point_saga(problem: FlatProblem, iters, seed, f_star=None, log_every=100,
         v = w / shrink  # prox_sample's arithmetic on the validated pooled rows
         feat = feats[j]
         zz = float(feat @ v)
-        prox_in = f_in[j] * zz + 1.0 if newton else zz
-        if not math.isfinite(prox_in):  # a nan or inf anywhere in v reaches it
+        u = f_in[j] * zz
+        if not math.isfinite(u):  # a nan or inf anywhere in v reaches it
             raise ValueError(f"non-finite prox input at iteration {t}")
-        if newton:
-            p = 2.0 * label_f[j] * _logistic_prox_r((prox_in,), (c4[j],))[0]
-        else:
-            p = float(_prox_1d_array(problem.loss, zz, label_f[j], eta_inner * xnorm2_f[j]))
+        p = f_out[j] * _prox_inner(kind, u, label_f[j], step_in[j])
         x = v + ((p - zz) / xnorm2_f[j]) * feat
         w -= x  # the new row, gamma g_j
         gbar += (w - row) / n_samp

@@ -20,7 +20,8 @@ import numpy as np
 from .rng import CHUNK, generator
 
 __all__ = ["RANGE_LO", "RANGE_HI", "in_range", "LibsvmParseError", "LibsvmData", "parse_libsvm",
-           "write_libsvm", "synth_pool", "assign_node_datasets", "synth_dataset", "stack_rows"]
+           "write_libsvm", "unit_signs", "synth_pool", "assign_node_datasets", "synth_dataset",
+           "stack_rows"]
 
 # The numeric domain of the inputs.  Every positive scale of a config (each
 # sigma_i, feature_scale, each edge weight, and tau, p_comm and noise when not
@@ -179,19 +180,25 @@ def write_libsvm(path, data):
             fh.write(" ".join(toks) + "\n")
 
 
-def synth_pool(n_samples, d, seed, correlation, loss="logistic", noise=0.1,
-               feature_scale=1.0):
-    """Feature pool with tunable covariance plus planted-model labels.
+def unit_signs(labels):
+    """The unit labels of real ones: +1 where a label is > 0, else -1 (0 and -0.0 too)."""
+    return np.where(labels > 0.0, 1.0, -1.0)
+
+
+def synth_pool(n_samples, d, seed, correlation, noise=0.1, feature_scale=1.0, *,
+               unit_labels=True):
+    """Feature pool with tunable covariance plus planted-model labels: the
+    noisy margins or, with `unit_labels` (a loss's field), their `unit_signs`.
 
     Covariance (1 - c) I + c d w w^T: correlation c near 0 gives isotropic
     features (trace-dominated spectrum), c near 1 concentrates the spectrum
     on one direction, which tunes the stochastic/batch condition ratio.
     """
-    return _synth_rows(np.arange(n_samples), n_samples, d, seed, correlation, loss, noise,
-                       feature_scale)
+    return _synth_rows(np.arange(n_samples), n_samples, d, seed, correlation, noise,
+                       feature_scale, unit_labels)
 
 
-def _synth_rows(rows, n_samples, d, seed, correlation, loss, noise, feature_scale):
+def _synth_rows(rows, n_samples, d, seed, correlation, noise, feature_scale, unit_labels):
     """(features, labels) of the given rows (in any order, repeats allowed)
     of the synthetic pool of n_samples rows, bit for bit as the pool made
     at once holds them, making only these rows dense.
@@ -240,9 +247,7 @@ def _synth_rows(rows, n_samples, d, seed, correlation, loss, noise, feature_scal
         margins[at] = (block @ theta)[offset]
     for size, at, offset in chunks:
         margins[at] += noise * rng.normal(size=size)[offset]
-    if loss == "logistic":
-        return feats, np.where(margins >= 0.0, 1.0, -1.0)
-    return feats, margins
+    return feats, (unit_signs(margins) if unit_labels else margins)
 
 
 def assign_node_datasets(feats, labels, n, m, seed):
@@ -283,15 +288,15 @@ def _dense_rows(data, rows):
     return out
 
 
-def synth_dataset(n, m, d, seed, correlation, loss="logistic", noise=0.1,
-                  pool=None, feature_scale=1.0):
+def synth_dataset(n, m, d, seed, correlation, noise=0.1, pool=None, feature_scale=1.0, *,
+                  unit_labels=True):
     """Per-node synthetic datasets drawn (with overlap) from one pool:
     assign_node_datasets(*synth_pool(...), n, m, seed) bit for bit, with
     only the drawn rows of the pool made."""
     size = pool if pool is not None else n * m
     rows = _draw_rows(size, n, m, seed)
-    return _node_views(*_synth_rows(rows, size, d, seed, correlation, loss, noise,
-                                    feature_scale), n, m)
+    return _node_views(*_synth_rows(rows, size, d, seed, correlation, noise, feature_scale,
+                                    unit_labels), n, m)
 
 
 def stack_rows(parts):

@@ -24,7 +24,7 @@ from .augmented import ScaleError, balanced_p_comm, build_augmented, expected_ti
 from .baselines import certified_optimum, point_saga, pool_objectives
 from .data import (DENSE_MAX, RANGE_HI, RANGE_LO, LibsvmData, LibsvmParseError,
                    assign_node_datasets, in_range, parse_libsvm, synth_dataset, synth_pool,
-                   write_libsvm)
+                   unit_signs, write_libsvm)
 from .objective import LOSSES, LocalObjective
 from .records import fit_rate
 from .topology import EigensolveError, GraphConstructionError, build_topology
@@ -273,19 +273,17 @@ def build_instance(cfg: ExperimentConfig):
             _expect_instance_dense(rows, ds["d"], "dataset.d")
             per_node = synth_dataset(
                 graph.n, cfg.m, ds["d"], seed, ds.get("correlation", 0.0),
-                loss=cfg.loss, noise=ds.get("noise", 0.1), pool=ds.get("pool"),
-                feature_scale=ds.get("feature_scale", 1.0),
+                noise=ds.get("noise", 0.1), pool=ds.get("pool"),
+                feature_scale=ds.get("feature_scale", 1.0), unit_labels=cfg.loss_kind.unit_labels,
             )
             dataset_id = f"synthetic(d={ds['d']},corr={ds.get('correlation', 0.0)},seed={seed})"
         else:
             with _reading("dataset.path", ds["path"]):
                 data = parse_libsvm(ds["path"])
-            labels = data.labels
+            labels = unit_signs(data.labels) if cfg.loss_kind.unit_labels else data.labels
             _expect(cfg.m <= len(labels), "m",
                     f"expected at most the {len(labels)} samples of {ds['path']}, got {cfg.m}")
             _expect_instance_dense(graph.n * cfg.m, data.dim, "dataset.path")
-            if cfg.loss_kind.unit_labels:
-                labels = np.where(labels > 0, 1.0, -1.0)
             per_node = assign_node_datasets(data, labels, graph.n, cfg.m, seed)
             dataset_id = f"libsvm({os.path.basename(ds['path'])},seed={seed})"
 
@@ -593,7 +591,7 @@ def _cmd_gen_data(args):
     _expect(0.0 <= args.correlation < 1.0, "--correlation", "expected a number in [0, 1)")
     _expect_dense(args.samples, args.d, "--d")
     feats, labels = synth_pool(args.samples, args.d, args.seed, args.correlation,
-                               loss=args.loss)
+                               unit_labels=LOSSES[args.loss].unit_labels)
     nonzero = feats != 0.0
     indptr = np.concatenate(([0], np.cumsum(nonzero.sum(axis=1))))
     with _writing("--out", args.out):

@@ -54,9 +54,8 @@ class LossKind:
 
     name: str  # the config's name
     scalar_smoothness: float  # L_g; None for a non-smooth loss, which is_smooth reads
-    # the 1D prox of its rounds and Point-SAGA: NEWTON_R in r = label p / 2
-    # (`_logistic_prox_r`), CLOSED_FORM (`_prox_1d_array`) or a CLIP (a
-    # conjugate linear on [-1, 1])
+    # the kind of 1D prox of its rounds and Point-SAGA (`_inner_factors`): NEWTON_R
+    # in r = label p / 2, CLOSED_FORM or a CLIP (a conjugate linear on [-1, 1])
     prox: str
     unit_labels: bool  # the labels must be +1 or -1
     # (lo, hi, along_label): the conjugate at s is finite where s, or label s
@@ -238,13 +237,38 @@ def _logistic_prox_r_batch(b, c4):
     return r
 
 
-def _prox_1d_array(kind, z, label, step):
+def _prox_1d_array(z, label, step):
     """Elementwise argmin_p (p-z)^2/(2 step) + loss(p, label) for the squared
     loss, in closed form, over validated (finite, step > 0) equal-length
     float arrays or floats.  The logistic loss has its own kernels."""
-    if kind.prox != CLOSED_FORM:
-        raise ValueError(f"closed-form prox needs the squared loss, got {kind.name}")
     return (z + step * label) / (1.0 + step)
+
+
+def _inner_factors(kind, labels, scale_in, step, scale_out):
+    """The one rule from a smooth loss's 1D prox argmin_p (p - z)^2 / (2
+    step) + loss(p, label) at z = scale_in c to its kernel's variable v, on
+    floats or equal-length float arrays: (f_in, inner_step, f_out), with v =
+    `_prox_inner(kind, f_in c, labels, inner_step)` and p* scale_out = f_out
+    v.  The squared loss's v is p*; the logistic loss's is r = label p* / 2
+    (`_logistic_prox_r`), from b = 2 label z / step + 1 and c4 = 4 / step.
+    """
+    if kind.prox == NEWTON_R:
+        return 2.0 * labels * scale_in / step, 4.0 / step, 2.0 * labels * scale_out
+    return scale_in, step, scale_out
+
+
+def _prox_inner(kind, u, labels, step):
+    """v of `_inner_factors` from u = f_in c and its inner step, for floats
+    (one sample) or a round's validated equal-length float arrays, whose
+    logistic proxes of at least BATCH_MIN elements take the batch kernel."""
+    if kind.prox != NEWTON_R:
+        return _prox_1d_array(u, labels, step)
+    b = u + 1.0
+    if isinstance(b, float):
+        return _logistic_prox_r((b,), (step,))[0]
+    if b.size >= BATCH_MIN:
+        return _logistic_prox_r_batch(b, step)
+    return np.array(_logistic_prox_r(b.tolist(), step.tolist()))
 
 
 @dataclass(frozen=True)
@@ -324,8 +348,7 @@ def prox_sample(feature, label, kind, v, eta):
     (a nonzero row, as LocalObjective validates), for a smooth loss.
 
     The minimizer moves only along the feature direction, so it reduces to
-    the 1D prox at z = X . v with step eta * ||X||^2; the logistic loss's in
-    r, from b = 2 label z / step + 1 and c4 = 4 / step.
+    the 1D prox at z = X . v with step eta * ||X||^2 (`_inner_factors`).
     """
     if not kind.is_smooth:
         raise ValueError(f"the sample prox needs a smooth loss, got {kind.name}")
@@ -334,16 +357,11 @@ def prox_sample(feature, label, kind, v, eta):
     v = np.asarray(v, dtype=float)
     xnorm2 = float(feature @ feature)
     zz = float(feature @ v)
-    step = eta * xnorm2
-    newton = kind.prox == NEWTON_R
-    c4 = 4.0 / step
-    prox_in = 0.5 * float(label) * c4 * zz + 1.0 if newton else zz  # b for the logistic loss
-    if not math.isfinite(prox_in):  # a nan or inf anywhere in v reaches it
+    f_in, step, f_out = _inner_factors(kind, label, 1.0, eta * xnorm2, 1.0)
+    u = f_in * zz
+    if not math.isfinite(u):  # a nan or inf anywhere in v reaches it
         raise ValueError("non-finite prox input")
-    if newton:
-        p_star = 2.0 * float(label) * _logistic_prox_r((prox_in,), (c4,))[0]
-    else:
-        p_star = float(_prox_1d_array(kind, zz, label, step))
+    p_star = f_out * _prox_inner(kind, u, label, step)
     return v + ((p_star - zz) / xnorm2) * feature
 
 
@@ -356,28 +374,22 @@ def tilde_prox_factors(kind, labels, xnorm2, smooth, eta_tilde):
     the 1D primal prox p* at z = c ||X||^2 / eta_tilde with step
     gamma ||X||^2, gamma = (L - eta_tilde) / (eta_tilde L); the output is
     (c - eta_tilde p* / ||X||^2) / scale, scale = 1 - eta_tilde / L, which
-    is c inv_scale - v prox_out in the prox's inner variable v.  The squared
-    loss solves for v = p* from z = c prox_in with step prox_step:
-    prox_in = ||X||^2 / eta_tilde, prox_step = gamma ||X||^2 and prox_out =
-    eta_tilde / (||X||^2 scale).  The logistic loss solves for v = label p* / 2
-    (`_logistic_prox_r`) from b = c prox_in + 1 and c4 = prox_step, which
-    are 2 label z / step + 1 and 4 / step, step = gamma ||X||^2, with
-    prox_out 2 label times the squared loss's.  An eta_tilde above
-    (1 - PROX_MARGIN / 2) L leaves too little of the margin for the identity
-    (ValueError); below it, inv_scale <= 2 / PROX_MARGIN.  Returns (prox_in,
-    prox_step, inv_scale, prox_out).
+    is c inv_scale - v prox_out in the prox's inner variable v: the factors
+    of `_inner_factors` at input scale ||X||^2 / eta_tilde, step gamma
+    ||X||^2 and output scale eta_tilde / (||X||^2 scale) are prox_in,
+    prox_step and prox_out.  An eta_tilde above (1 - PROX_MARGIN / 2) L
+    leaves too little of the margin for the identity (ValueError); below
+    it, inv_scale <= 2 / PROX_MARGIN.  Returns (prox_in, prox_step,
+    inv_scale, prox_out).
     """
     ratio = eta_tilde / smooth
     if np.any(ratio > 1.0 - 0.5 * PROX_MARGIN):
         raise ValueError(f"eta_tilde exceeds (1 - {PROX_MARGIN:g} / 2) times the sample "
                          "smoothness: the prox identity breaks inside its margin")
     scale = 1.0 - ratio
-    prox_in = xnorm2 / eta_tilde
     step = (smooth - eta_tilde) / (eta_tilde * smooth) * xnorm2  # gamma ||X||^2
-    prox_out = eta_tilde / (xnorm2 * scale)
-    if kind.prox == NEWTON_R:
-        prox_in = 2.0 * labels * prox_in / step
-        step, prox_out = 4.0 / step, 2.0 * labels * prox_out
+    prox_in, step, prox_out = _inner_factors(kind, labels, xnorm2 / eta_tilde, step,
+                                             eta_tilde / (xnorm2 * scale))
     return prox_in, step, 1.0 / scale, prox_out
 
 
@@ -390,17 +402,8 @@ def _tilde_coeff_batch(kind, c_x, labels, prox_in, prox_step, inv_scale, prox_ou
     1D prox solves for its inner variable v and the output is
     c inv_scale - v prox_out.
     """
-    if kind.prox == NEWTON_R:
-        b = c_x * prox_in
-        b += 1.0
-        if b.size >= BATCH_MIN:
-            inner = _logistic_prox_r_batch(b, prox_step)
-        else:
-            inner = np.array(_logistic_prox_r(b.tolist(), prox_step.tolist()))
-    else:
-        inner = _prox_1d_array(kind, c_x * prox_in, labels, prox_step)
     c_out = c_x * inv_scale
-    c_out -= inner * prox_out
+    c_out -= _prox_inner(kind, c_x * prox_in, labels, prox_step) * prox_out
     return c_out
 
 

@@ -197,7 +197,7 @@ def loss_prox_1d(kind, z, label, step):
     if kind is LossKind.ABSOLUTE:  # soft-threshold of z - label
         shifted = z - label
         return float(label + np.sign(shifted) * np.maximum(np.abs(shifted) - step, 0.0))
-    return float(_prox_1d_array(kind, z, label, step))
+    return float(_prox_1d_array(z, label, step))
 
 
 def prox_tilde_fstar(feature, label, kind, x, eta_tilde):
@@ -588,8 +588,8 @@ def libsvm_rows(data):
     return samples, dim
 
 
-def synth_pool_dense(n_samples, d, seed, correlation, loss="logistic", noise=0.1,
-                     feature_scale=1.0):
+def synth_pool_dense(n_samples, d, seed, correlation, noise=0.1, feature_scale=1.0, *,
+                     unit_labels=True):
     """The synthetic pool of `data.synth_pool`, every row made at once."""
     rng = generator("synth", seed)
     w = rng.normal(size=d)
@@ -602,4 +602,4 @@ def synth_pool_dense(n_samples, d, seed, correlation, loss="logistic", noise=0.1
     feats *= feature_scale
     theta = rng.normal(size=d) / np.sqrt(d)
     margins = feats @ theta + noise * rng.normal(size=n_samples)
-    return feats, (np.where(margins >= 0.0, 1.0, -1.0) if loss == "logistic" else margins)
+    return feats, (np.where(margins > 0.0, 1.0, -1.0) if unit_labels else margins)

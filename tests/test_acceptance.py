@@ -142,8 +142,8 @@ def test_criterion_05_single_node_reduction():
 def test_criterion_06_linear_rate():
     start = time.time()
     g = build_topology("grid2d", rows=2, cols=2)
-    per_node = synth_dataset(4, 10, 5, seed=11, correlation=0.2, loss="logistic",
-                             feature_scale=1.4)
+    per_node = synth_dataset(4, 10, 5, seed=11, correlation=0.2, feature_scale=1.4,
+                             unit_labels=True)
     objs = [LocalObjective(fm, lb, 1.0, LossKind.LOGISTIC) for fm, lb in per_node]
     prob = build_augmented(g, objs, tau=5.0)
     flat = pool_objectives(objs)
@@ -263,8 +263,7 @@ def test_criterion_09_ns_adfs():
 def test_criterion_10_figure_analogue():
     start = time.time()
     g = build_topology("grid2d", rows=4, cols=4)
-    per_node = synth_dataset(16, 200, 20, seed=2026, correlation=0.3,
-                             loss="logistic")
+    per_node = synth_dataset(16, 200, 20, seed=2026, correlation=0.3, unit_labels=True)
     objs = [LocalObjective(fm, lb, 1.0, LossKind.LOGISTIC) for fm, lb in per_node]
     prob = build_augmented(g, objs, tau=5.0)
     flat = pool_objectives(objs)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adfs_lab import baselines
+from adfs_lab import baselines, objective
 from adfs_lab.adfs import run_ns_adfs
 from adfs_lab.augmented import build_augmented_ns
 from adfs_lab.baselines import (
@@ -137,7 +137,7 @@ class TestPointSaga:
 
     def test_non_finite_prox_input_names_its_iteration(self, rng, monkeypatch):
         # a NaN prox output at iteration 0 reaches the next prox input
-        monkeypatch.setattr(baselines, "_logistic_prox_r", lambda *args: [float("nan")])
+        monkeypatch.setattr(objective, "_logistic_prox_r", lambda *args: [float("nan")])
         flat = pool_objectives(random_objectives(rng, 2, 3, 2))
         with pytest.raises(ValueError, match="^non-finite prox input at iteration 1$"):
             point_saga(flat, 10, seed=0)
@@ -282,7 +282,7 @@ class TestReferenceOptimum:
         # the gap's target, 1.7e-24 at tol 1e-12, lies below the rounding of
         # the residuals; the solver must raise after its last stage, within
         # its fixed budget of linear solves, not run on
-        feats, labels = synth_pool(12, 3, 0, 0.0, loss="absolute")
+        feats, labels = synth_pool(12, 3, 0, 0.0, unit_labels=False)
         solves = count_solves(monkeypatch)
         with pytest.raises(RuntimeError, match="stalled: duality gap"):
             reference_optimum(FlatProblem(feats, labels, 3.4, LossKind.ABSOLUTE), tol=1e-12)

@@ -3,15 +3,20 @@
 import contextlib
 import hashlib
 import io
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from adfs_lab import harness
-from adfs_lab.data import assign_node_datasets, stack_rows, synth_dataset, synth_pool
+from adfs_lab import data
+from adfs_lab.data import (assign_node_datasets, parse_libsvm, stack_rows, synth_dataset,
+                           synth_pool, unit_signs)
 from adfs_lab.harness import build_instance, cli, load_config
-from adfs_lab.objective import LocalObjective, LossKind
+from adfs_lab.objective import LOSSES, LocalObjective, LossKind
 from adfs_lab.rng import CHUNK
 from oracles import libsvm_record, synth_pool_dense
 
@@ -163,10 +168,11 @@ def test_synthetic_rows_are_the_whole_pools_rows(pool, loss):
     # alone equal the pool made at once, bit for bit (900 x 8 stays below
     # the size at which BLAS splits a product over threads, which rounds the
     # pool's own product by the thread count)
-    args = (pool, 8, 4, 0.3, loss, 0.1, 1.5)
-    whole = synth_pool_dense(*args)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(synth_pool(*args), whole))
-    for made, drawn in zip(synth_dataset(2, pool, 8, 4, 0.3, loss, 0.1, pool, 1.5),
+    args, unit = (pool, 8, 4, 0.3, 0.1, 1.5), LOSSES[loss].unit_labels
+    whole = synth_pool_dense(*args, unit_labels=unit)
+    assert all(a.tobytes() == b.tobytes()
+               for a, b in zip(synth_pool(*args, unit_labels=unit), whole))
+    for made, drawn in zip(synth_dataset(2, pool, 8, 4, 0.3, 0.1, pool, 1.5, unit_labels=unit),
                            assign_node_datasets(*whole, 2, pool, 4)):
         for a, b in zip(made, drawn):
             assert a.tobytes() == b.tobytes() and not a.flags.writeable
@@ -200,3 +206,41 @@ def test_set_up_peaks_at_one_copy_of_the_data():
     assert instance[2].features.shape == (rows, d)
     assert build_peak <= word * (rows * d + 2 * (2 * CHUNK) * d + 16 * rows)
     assert certify_peak <= word * (block * d + 8 * rows)
+
+
+def test_pool_is_the_same_under_one_and_two_blas_threads():
+    # the chunks' products must not round by the BLAS thread count.  Each
+    # pool's last chunk holds 257-511 rows of d >= 36, a product that
+    # OpenBLAS may split over threads; the real-valued labels show every
+    # rounding of the margins.  Each thread count takes a fresh
+    # interpreter, as OpenBLAS reads it when it loads
+    script = ("import hashlib\n"
+              "from adfs_lab.data import synth_pool\n"
+              "for n, d in ((4097, 300), (7201, 64), (767, 40)):\n"
+              "    for a in synth_pool(n, d, 3, 0.3, unit_labels=False):\n"
+              "        print(hashlib.sha256(a.tobytes()).hexdigest())\n")
+    src = os.path.dirname(os.path.dirname(data.__file__))
+    digests = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              check=True, env={**os.environ, "PYTHONPATH": src,
+                                               "OPENBLAS_NUM_THREADS": threads}).stdout
+               for threads in ("1", "2")]
+    assert len(digests[0].split()) == 6 and digests[0] == digests[1]
+
+
+def test_labels_map_to_signs_by_one_rule(tmp_path):
+    # under the logistic loss a label > 0 maps to +1 and any other to -1, 0
+    # and -0.0 among them: LibSVM labels, gen-data's and the helper itself
+    path = tmp_path / "labels.svm"
+    path.write_text("0 1:1\n1 1:2\n-2 1:3\n0.5 1:4\n")
+    cfg = load_config({"topology": {"kind": "line", "n": 1}, "loss": "logistic", "m": 4,
+                       "dataset": {"kind": "libsvm", "path": str(path), "seed": 0},
+                       "algorithms": ["adfs"], "seeds": [0], "iters": 0, "log_every": 1})
+    _, _, problem, _, _ = build_instance(cfg)
+    assert dict(zip(problem.features[:, 0].tolist(), problem.labels.tolist())) == {
+        1.0: -1.0, 2.0: 1.0, 3.0: -1.0, 4.0: 1.0}
+    out = str(tmp_path / "logistic.svm")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli(["gen-data", "--samples", "300", "--d", "3", "--loss", "logistic",
+                    "--out", out]) == 0
+    assert set(parse_libsvm(out).labels.tolist()) == {-1.0, 1.0}
+    assert unit_signs(np.array([0.0, -0.0, 5e-324, -1.0])).tolist() == [-1.0, -1.0, 1.0, -1.0]

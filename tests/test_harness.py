@@ -263,7 +263,7 @@ class TestSyntheticData:
 
     def _ratio(self, correlation):
         per_node = synth_dataset(1, 50, 5, seed=3, correlation=correlation,
-                                 loss="squared")
+                                 unit_labels=False)
         feats, labels = per_node[0]
         obj = LocalObjective(feats, labels, 1e-3, LossKind.SQUARED)
         rep = condition_numbers([obj])
@@ -688,7 +688,7 @@ class TestCli:
         # range; every derived constant is then a normal float, and only the
         # checks that outlive the range rule may fail: the reference's stall
         # and the D~-scaled kernel (sigma) and the eigensolves (topology.weights)
-        feats, labels = synth_pool(12, 2, 3, 0.5, loss=loss, noise=0.0)
+        feats, labels = synth_pool(12, 2, 3, 0.5, noise=0.0, unit_labels=LOSSES[loss].unit_labels)
         mags = np.concatenate([np.linalg.norm(feats, axis=1),
                                [] if loss == "logistic" else np.abs(labels)])
         scale = (RANGE_LO / mags.min() * (1 + 1e-9) if end == "lo" else

@@ -1,3 +1,5 @@
+import os
+import re
 import warnings
 
 import numpy as np
@@ -612,3 +614,17 @@ class TestPrimalOracles:
         theta = np.linalg.solve(feats.T @ feats + np.eye(3), feats.T @ labels)
         g = primal_grad(objs, theta)
         assert np.max(np.abs(g)) <= 1e-8
+
+
+def test_only_objective_knows_the_loss():
+    # no other module compares a loss name or names a prox kind or a prox
+    # kernel, so that a new loss edits `objective` alone
+    pattern = re.compile(r"""(==|!=) *["'](logistic|squared|absolute)["']|NEWTON_R|CLOSED_FORM"""
+                         r"|\bCLIP\b|_logistic_prox_r|_prox_1d_array|LossKind\.")
+    package = os.path.dirname(objective.__file__)
+    found = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "objective.py":
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                found += [f"{name}:{k}" for k, line in enumerate(fh, 1) if pattern.search(line)]
+    assert found == []
