@@ -1,22 +1,24 @@
 """Decentralized stochastic dual solvers on the augmented graph.
 
-Three entry points: the reference recursion (`run_adfs`), the rescaled
-sparse-update form (`run_adfs_efficient`, same trajectories under a shared
-stream), and the sublinear non-smooth variant (`run_ns_adfs`).  The reference
-and non-smooth forms are one pair driver (`_run_pair`) and differ only in
-their momentum schedule: per iteration a 2 x 2 matrix, applied to the
-iterate pair (x, v) held as the two rows of one array, a step size and the
-block step's beta.  Every state is one vector in the layout of
+Two solvers.  The smooth one runs APCG's rescaled two-sequence form, whose
+computation rounds write only the n centers and the n sampled coefficients;
+it has two public names, `run_adfs` and `run_adfs_efficient`, two functions
+that call one body (`_run_rescaled`).  The sublinear non-smooth variant
+(`run_ns_adfs`) is the pair driver `_run_pair` under APCG's convex momentum
+schedule: per iteration a 2 x 2 matrix, applied to the iterate pair (x, v)
+held as the two rows of one array, a step size and the block step's beta.
+The tests' reference recursion of the smooth solver drives the same pair
+driver under a constant schedule.  Both solvers compute a round through
+`_Rounds`.  Every state is one vector in the layout of
 `augmented.split_state`: n center rows, then one coefficient per virtual
-node.  All of them run and log through `records.run_loop`, which charges the
+node.  Both run and log through `records.run_loop`, which charges the
 idealized clock: one time unit per computation round, and the problem's tau,
 which they pass it, per gossip round.  At each log point a solver forms one
-view of its state, a dict of state vectors (x, v and y; the non-smooth form x
-and v; the rescaled form adds its raw z).  The logged value, theta and an
-optional `observe(t, view)` callback read it.
+view of its state, a dict of state vectors (x, v and y, and the smooth
+solver's raw z; the non-smooth form x and v).  The logged value, theta and
+an optional `observe(t, view)` callback read it.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -59,12 +61,6 @@ def _pair(problem):
     forms both, with the (center, coef) views of each row."""
     pair = np.zeros((2, problem.n * problem.d + problem.n_virtual))
     return pair, aug.split_state(problem, pair[0]), aug.split_state(problem, pair[1])
-
-
-def _momentum_map(rho):
-    """M with M @ (x; v) = (y; w): y = (x + rho v) / (1 + rho) and
-    w = (1 - rho) v + rho y, which is (rho x + v) / (1 + rho)."""
-    return np.array([[1.0, rho], [rho, 1.0]]) / (1.0 + rho)
 
 
 class _Rounds:
@@ -139,8 +135,9 @@ def _block_step(problem, rounds, draw, y, w, eta, beta):
 
 
 def _run_pair(problem, iters, seed, token, schedule, view, value, run_args):
-    """The pair recursion of run_adfs and run_ns_adfs, which differ only in
-    their momentum schedule.
+    """The pair recursion of run_ns_adfs and of the smooth solver's
+    reference form, which the tests keep as their oracle; the two differ only
+    in their momentum schedule.
 
     Iteration t takes (M, eta, beta) from the iterator `schedule`, forms
     (y; w) = M (x; v) in one matmul and runs one block step on (y, w), which
@@ -174,38 +171,19 @@ def _run_pair(problem, iters, seed, token, schedule, view, value, run_args):
     return run_loop(iters, step, state, value, *run_args, tau=problem.tau), state()
 
 
-def run_adfs(problem, iters, seed, log_every=100, f_star=None, observe=None,
-             stop_at_subopt=None):
-    """Reference recursion of the smooth solver.
+def _run_rescaled(problem, iters, seed, log_every, f_star, observe, stop_at_subopt):
+    """The smooth solver: APCG's rescaled two-sequence form, with sparse
+    per-iteration updates.
 
+    Keeps (c, U, z) with the momentum component c * U, so a computation round
+    rewrites only the n centers and the n sampled coefficients; c shrinks
+    geometrically and is folded into U when it underflows toward 1e-140.
     The virtual prox runs through the conjugate-side identity with step
     eta * mu_ij^2 / p_ij; the dual step size is eta = rho / (alpha / 2),
     using the certified lower bound on the dual strong convexity.
     """
     if not problem.loss.is_smooth:
-        raise ValueError("run_adfs needs the smooth build; see run_ns_adfs")
-    rho = problem.rho
-
-    def view(x, v):
-        return {"x": x, "v": v, "y": (x + rho * v) / (1.0 + rho)}
-
-    record, final = _run_pair(
-        problem, iters, seed, "adfs", itertools.repeat((_momentum_map(rho), problem.eta, rho)),
-        view, lambda state: _primal_value(problem, state),
-        (log_every, f_star, stop_at_subopt, observe))
-    return RunResult(record, _estimate(problem, final["y"]))
-
-
-def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None, observe=None,
-                       stop_at_subopt=None):
-    """Rescaled two-sequence form with sparse per-iteration updates.
-
-    Keeps (c, U, z) with the momentum component c * U, so a computation round
-    rewrites only the n centers and the n sampled coefficients; c shrinks
-    geometrically and is folded into U when it underflows toward 1e-140.
-    """
-    if not problem.loss.is_smooth:
-        raise ValueError("run_adfs_efficient needs the smooth build")
+        raise ValueError("ADFS needs the smooth build; see run_ns_adfs")
     rho, eta = problem.rho, problem.eta
     phi = (1.0 - rho) / (1.0 + rho)
     # U and z stay two arrays: stacked as one, the rounds measured slower
@@ -259,6 +237,19 @@ def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None, observe
     record = run_loop(iters, step, view, lambda state: _primal_value(problem, state),
                       log_every, f_star, stop_at_subopt, observe, tau=problem.tau)
     return RunResult(record, _estimate(problem, view()["y"]))
+
+
+def run_adfs(problem, iters, seed, log_every=100, f_star=None, observe=None,
+             stop_at_subopt=None):
+    """The smooth solver (`_run_rescaled`), under the algorithm name "adfs"."""
+    return _run_rescaled(problem, iters, seed, log_every, f_star, observe, stop_at_subopt)
+
+
+def run_adfs_efficient(problem, iters, seed, log_every=100, f_star=None, observe=None,
+                       stop_at_subopt=None):
+    """The smooth solver (`_run_rescaled`), under the algorithm name
+    "adfs_efficient"; the same runs as run_adfs."""
+    return _run_rescaled(problem, iters, seed, log_every, f_star, observe, stop_at_subopt)
 
 
 def run_ns_adfs(problem, iters, seed, log_every=100, f_star=None, observe=None,

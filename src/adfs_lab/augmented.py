@@ -321,7 +321,7 @@ G_CENTER, INV_P = range(2)
 # for a run: the gradient weight of the coefficient term, mu_ij^2 / (p_ij L_ij);
 # the label; the four factors of the round's prox, which
 # objective.tilde_prox_factors derives (its input factor, its step, 1 / scale
-# and its output factor); and the efficient form's pair-update factors
+# and its output factor); and the smooth solver's pair-update factors
 # (1 - rho / p_ij) / 2 and (1 + rho / p_ij) / 2.
 G_COEF, LABEL, PROX_IN, PROX_STEP, INV_SCALE, PROX_OUT, PAIR_U, PAIR_Z = range(2, 10)
 # Non-smooth build, whose step changes every round: T_ij label_ij with

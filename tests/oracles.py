@@ -8,7 +8,11 @@ from direct 1D maximization.
 `run_apcg` is the generalized block APCG recursion (arbitrary sampling, both
 convexity regimes) that single-node ADFS must reproduce on its dual; it reads
 no solver path, only the oracles of a `CompositeProblem`.
-The exceptions are `loss_prox_1d`, the scalar primal prox: the library's
+The exceptions are `reference_adfs`, the smooth solver's reference
+recursion: the library's pair driver (`adfs._run_pair`, which also runs the
+non-smooth solver) under the constant momentum schedule
+(`momentum_map(rho)`, eta, rho), against which the rescaled form that the
+library runs is checked; `loss_prox_1d`, the scalar primal prox: the library's
 scalar logistic kernel (in r = label p / 2) and squared-loss closed form
 behind one checked front door, plus the absolute loss's soft-threshold;
 `prox_tilde_fstar`, which reuses it and the library's gradient, one sample
@@ -31,6 +35,7 @@ a chunk of rows at a time (`data.synth_pool`, `data.synth_dataset`) is
 checked.
 """
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -39,9 +44,11 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 
+from adfs_lab.adfs import _estimate, _primal_value, _run_pair
 from adfs_lab.augmented import dual_objective, split_state, zero_state
 from adfs_lab.data import LibsvmData, LibsvmParseError
 from adfs_lab.objective import LossKind, _logistic_prox_r, _prox_1d_array, loss_grad
+from adfs_lab.records import RunResult
 from adfs_lab.rng import generator
 from adfs_lab.topology import symmetric_eigensolve
 from dense import dense_A, dense_sigma_dagger, exact_sigma_a, state_rows
@@ -384,6 +391,36 @@ def lyapunov_value(problem, state, theta_star, f_star):
         for i in np.nonzero(problem.has_psi)[0]:
             fx += problem.psi_value(i, state.x[i])
     return state.b_big * sq + 2.0 * state.a_big * (fx - f_star)
+
+
+def momentum_map(rho):
+    """M with M @ (x; v) = (y; w): y = (x + rho v) / (1 + rho) and
+    w = (1 - rho) v + rho y, which is (rho x + v) / (1 + rho)."""
+    return np.array([[1.0, rho], [rho, 1.0]]) / (1.0 + rho)
+
+
+def reference_adfs(problem, iters, seed, log_every=100, f_star=None, observe=None,
+                   stop_at_subopt=None):
+    """Reference recursion of the smooth solver, with run_adfs's arguments
+    and block stream.
+
+    Every iteration forms (y; w) = momentum_map(rho) (x; v) over the whole
+    state and runs one block step with the problem's (eta, rho); the view is
+    {x, v, y}.  The virtual prox runs through the conjugate-side identity
+    with step eta * mu_ij^2 / p_ij.
+    """
+    if not problem.loss.is_smooth:
+        raise ValueError("reference_adfs needs the smooth build")
+    rho = problem.rho
+
+    def view(x, v):
+        return {"x": x, "v": v, "y": (x + rho * v) / (1.0 + rho)}
+
+    record, final = _run_pair(
+        problem, iters, seed, "adfs", itertools.repeat((momentum_map(rho), problem.eta, rho)),
+        view, lambda state: _primal_value(problem, state),
+        (log_every, f_star, stop_at_subopt, observe))
+    return RunResult(record, _estimate(problem, final["y"]))
 
 
 @dataclass

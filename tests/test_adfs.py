@@ -28,8 +28,8 @@ from adfs_lab.topology import build_topology
 from dense import dense_A, dense_sigma_dagger, observed_run, state_rows
 from instances import random_connected_graph, random_objectives, random_problem
 from oracles import (CompositeProblem, conjugate_prox_oracle, dense_c0_constant,
-                     lift_primal_point, loss_prox_1d, prox_tilde_fstar, run_apcg,
-                     sigma_dagger_rows)
+                     lift_primal_point, loss_prox_1d, momentum_map, prox_tilde_fstar,
+                     reference_adfs, run_apcg, sigma_dagger_rows)
 from test_checks import solver_equivalence
 
 
@@ -73,7 +73,7 @@ def solver_run(name, rng):
     f_star = reference_optimum(flat)[1]
     if name == "point_saga":
         return lambda iters, **kw: point_saga(flat, iters, 0, f_star=f_star, **kw)
-    solver = {"adfs": run_adfs, "adfs_efficient": run_adfs_efficient, "ns_adfs": run_ns_adfs}
+    solver = {"adfs": run_adfs, "ns_adfs": run_ns_adfs}
     return lambda iters, **kw: solver[name](prob, iters, 0, f_star=f_star, **kw)
 
 
@@ -231,7 +231,7 @@ class TestReferenceSolver:
         for t in checkpoints:
             assert np.median(sq[t]) <= c0 * (1 - prob.rho) ** t
 
-    @pytest.mark.parametrize("solver", ["adfs", "adfs_efficient", "ns_adfs", "point_saga"])
+    @pytest.mark.parametrize("solver", ["adfs", "ns_adfs", "point_saga"])
     def test_time_increments_follow_block_kinds(self, rng, solver):
         if solver == "ns_adfs":
             objs = random_objectives(rng, 3, 2, 2, loss=LossKind.ABSOLUTE)
@@ -243,7 +243,7 @@ class TestReferenceSolver:
             res = point_saga(pool_objectives(prob.objectives), 400, 9, log_every=1)
             kinds = {"computation"}
         else:
-            run = {"adfs": run_adfs, "adfs_efficient": run_adfs_efficient, "ns_adfs": run_ns_adfs}
+            run = {"adfs": run_adfs, "ns_adfs": run_ns_adfs}
             res = run[solver](prob, 400, seed=9, log_every=1)
             kinds = {"computation", "communication"}
         rows = res.record.rows
@@ -287,7 +287,7 @@ class TestReferenceSolver:
         res = run_adfs(prob, 3000, seed=0, log_every=1000, f_star=f_star)
         assert res.record.rows[-1].subopt <= 1e-6
 
-    @pytest.mark.parametrize("solver", ["adfs", "adfs_efficient", "ns_adfs", "point_saga"])
+    @pytest.mark.parametrize("solver", ["adfs", "ns_adfs", "point_saga"])
     def test_stop_at_subopt_truncates_rows(self, rng, solver):
         run = solver_run(solver, rng)
         target = 1e-3 if solver == "ns_adfs" else 1e-9  # O(1/t^2) vs linear rate
@@ -298,7 +298,7 @@ class TestReferenceSolver:
         assert rows[-1].iteration < 100_000
         assert rows[-1].subopt <= target < rows[-2].subopt
 
-    @pytest.mark.parametrize("solver", ["adfs", "adfs_efficient", "ns_adfs"])
+    @pytest.mark.parametrize("solver", ["adfs", "ns_adfs"])
     def test_non_finite_state_names_its_iteration(self, rng, monkeypatch, solver):
         # a NaN from gossip (not inf: inf - inf would warn) stops the run at
         # the first communication block
@@ -311,7 +311,7 @@ class TestReferenceSolver:
                            match=f"^non-finite state at iteration {first}$"):
             run(100)
 
-    @pytest.mark.parametrize("solver", ["adfs", "adfs_efficient", "ns_adfs"])
+    @pytest.mark.parametrize("solver", ["adfs", "ns_adfs"])
     def test_observing_changes_nothing(self, rng, solver):
         # an observer on a finer log grid sees every log point and only those,
         # and leaves theta and the shared rows bit for bit as they were
@@ -335,10 +335,27 @@ class TestReferenceSolver:
 
 
 class TestEfficientSolver:
+    def test_public_names_call_one_body(self, monkeypatch):
+        # run_adfs and run_adfs_efficient are two functions, each passing its
+        # arguments to the rescaled body; neither reaches the other's name
+        assert run_adfs is not run_adfs_efficient
+        calls = []
+        monkeypatch.setattr(solver_module, "_run_rescaled", lambda *args: calls.append(args))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a public solver name called another")
+
+        monkeypatch.setattr(solver_module, "run_adfs", refuse)
+        monkeypatch.setattr(solver_module, "run_adfs_efficient", refuse)
+        prob, observe = object(), object()
+        for run in (run_adfs, run_adfs_efficient):
+            run(prob, 7, 3, log_every=5, f_star=1.5, observe=observe, stop_at_subopt=1e-3)
+        assert calls == [(prob, 7, 3, 5, 1.5, observe, 1e-3)] * 2
+
     def test_trajectories_match_reference(self, rng):
         prob = random_problem(rng, n=4, m=3, d=2)
         marks = (1, 2, 3, 50, 250, 500)
-        r1, views1 = observed_run(run_adfs, prob, 500, seed=3, log_every=1)
+        r1, views1 = observed_run(reference_adfs, prob, 500, seed=3, log_every=1)
         r2, views2 = observed_run(run_adfs_efficient, prob, 500, seed=3, log_every=1)
         for t in marks:
             for key in ("x", "v", "y"):
@@ -367,7 +384,7 @@ class TestEfficientSolver:
         marks = (t_fold - 50, t_fold + 50, t_fold + 200)
         iters = marks[-1]
         log_every = math.gcd(*marks, iters)
-        _, views1 = observed_run(run_adfs, prob, iters, seed=8, log_every=log_every)
+        _, views1 = observed_run(reference_adfs, prob, iters, seed=8, log_every=log_every)
         _, views2 = observed_run(run_adfs_efficient, prob, iters, seed=8, log_every=log_every)
         for t in marks:
             for key in ("x", "v", "y"):
@@ -378,7 +395,7 @@ class TestEfficientSolver:
     def test_return_convention_agrees_at_convergence(self, rng):
         prob = random_problem(rng, n=3, m=2, d=2)
         iters = 3000
-        _, views1 = observed_run(run_adfs, prob, iters, seed=6, log_every=iters)
+        _, views1 = observed_run(reference_adfs, prob, iters, seed=6, log_every=iters)
         _, views2 = observed_run(run_adfs_efficient, prob, iters, seed=6, log_every=iters)
         # exact structural equality of the reconstructed v-iterate
         v1, v2 = (state_rows(prob, views[iters]["v"]) for views in (views1, views2))
@@ -544,7 +561,7 @@ class TestRoundTable:
 
     def test_forms_agree_on_mixed_clamped_instance(self):
         prob = clamped_problem(wide=6)
-        r1 = run_adfs(prob, 2000, seed=0, log_every=100)
+        r1 = reference_adfs(prob, 2000, seed=0, log_every=100)
         r2 = run_adfs_efficient(prob, 2000, seed=0, log_every=100)
         assert ([(r.iteration, r.time) for r in r1.record.rows]
                 == [(r.iteration, r.time) for r in r2.record.rows])
@@ -561,7 +578,7 @@ class TestRoundTable:
         monkeypatch.setattr(aug, "draw_block", no_draw)
         # 2 rho = p_min puts eta~ on the prox limit, inside the margin
         for rho in (0.5 * p_min, p_min):
-            for run in (run_adfs, run_adfs_efficient):
+            for run in (reference_adfs, run_adfs):
                 with pytest.raises(ValueError, match="identity breaks inside its margin"):
                     run(replace(prob, rho=rho), 10, seed=0)
 
@@ -639,7 +656,7 @@ class TestMomentumMap:
         size = zero_state(prob).size
         state = rng.normal(size=(2, size)) * 10.0 ** rng.uniform(-3.0, 3.0, size=(2, size))
         out = np.empty_like(state)
-        np.matmul(solver_module._momentum_map(rho), state, out=out)
+        np.matmul(momentum_map(rho), state, out=out)
         x, v = state
         y = (x + rho * v) / (1.0 + rho)
         w = (1.0 - rho) * v + rho * y
@@ -647,8 +664,8 @@ class TestMomentumMap:
             assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_every_block_gets_eta_and_rho(self, monkeypatch):
-        # run_adfs's schedule is constant: each block is given the problem's
-        # (eta, rho), as test_schedule_monotone checks run_ns_adfs's
+        # the reference recursion's schedule is constant: each block is given
+        # the problem's (eta, rho), as test_schedule_monotone checks run_ns_adfs's
         prob = random_problem(generator("adfs-schedule", 0), n=3, m=2, d=2)
         schedule = []
         block_step = solver_module._block_step
@@ -658,7 +675,7 @@ class TestMomentumMap:
             return block_step(problem, rounds, draw, y, w, eta, beta)
 
         monkeypatch.setattr(solver_module, "_block_step", recording_step)
-        run_adfs(prob, 300, seed=0, log_every=300)
+        reference_adfs(prob, 300, seed=0, log_every=300)
         assert schedule == [(prob.eta, prob.rho)] * 300
 
 
@@ -669,7 +686,7 @@ class TestRaggedDatasets:
         assert len(set(prob.m_per_node)) > 1  # genuinely unbalanced
         flat = pool_objectives(prob.objectives)
         _, f_star = reference_optimum(flat)
-        r1 = run_adfs(prob, 2000, seed=2, log_every=500, f_star=f_star)
+        r1 = reference_adfs(prob, 2000, seed=2, log_every=500, f_star=f_star)
         r2 = run_adfs_efficient(prob, 2000, seed=2, log_every=500, f_star=f_star)
         a = [r.objective for r in r1.record.rows]
         b = [r.objective for r in r2.record.rows]

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from adfs_lab import augmented as aug
-from adfs_lab.adfs import run_adfs, run_adfs_efficient
+from adfs_lab.adfs import run_adfs_efficient
 from adfs_lab.data import LibsvmData, parse_libsvm, write_libsvm
 from adfs_lab.harness import build_instance, certify, load_config, run_experiment
 from adfs_lab.objective import condition_numbers
@@ -26,6 +26,7 @@ from adfs_lab.topology import laplacian, symmetric_eigensolve
 from dense import (dense_A, dense_pb_dagger_diag, dense_sigma_dagger, exact_sigma_a, incidence,
                    observed_run, state_rows)
 from instances import random_connected_graph, random_objectives, random_problem
+from oracles import reference_adfs
 
 
 def spectral_lower_bound(problems):
@@ -113,14 +114,14 @@ def operator_shortcuts(problems, rng, count):
 
 
 def solver_equivalence(problems, iters):
-    """The efficient form follows the reference recursion: x, v and y agree
-    at 20 evenly spaced iterations of `iters` (at least 20), relative to
-    1 + max |reference|."""
+    """The smooth solver follows the reference recursion
+    (oracles.reference_adfs): x, v and y agree at 20 evenly spaced
+    iterations of `iters` (at least 20), relative to 1 + max |reference|."""
     marks = range(iters // 20, iters + 1, iters // 20)
     worst = 0.0
     for seed, prob in enumerate(problems):
         log_every = math.gcd(marks.step, iters)
-        _, ref = observed_run(run_adfs, prob, iters, seed=seed, log_every=log_every)
+        _, ref = observed_run(reference_adfs, prob, iters, seed=seed, log_every=log_every)
         _, eff = observed_run(run_adfs_efficient, prob, iters, seed=seed, log_every=log_every)
         for t in marks:
             for key in ("x", "v", "y"):

@@ -37,7 +37,7 @@ from adfs_lab.harness import (ConfigError, ExperimentConfig, build_instance, cli
 from adfs_lab.objective import LOSSES, LocalObjective, LossKind, condition_numbers
 from adfs_lab.records import FIT_MIN_POINTS
 from adfs_lab.rng import generator
-from oracles import libsvm_record, libsvm_rows, parse_libsvm_pairs
+from oracles import libsvm_record, libsvm_rows, parse_libsvm_pairs, reference_adfs
 from test_checks import certified, experiment_determinism, libsvm_roundtrip
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -381,6 +381,21 @@ class TestRunExperiment:
         assert keys == sorted(keys)
         for r in rows:
             assert "e" in r[3] and "e" in r[4]  # %.12e formatting
+
+    def test_smooth_names_write_the_same_rows(self, tmp_path):
+        # "adfs" and "adfs_efficient" name one solver: their rows differ only
+        # in the algorithm column, and both reach stop_at_subopt at one time
+        cfg = load_config(base_config(algorithms=["adfs", "adfs_efficient"], iters=5000,
+                                      stop_at_subopt=1e-8))
+        code, csv_path, meta = run_experiment(cfg, *certified(cfg), str(tmp_path))
+        assert code == 0
+        rows = {"adfs": [], "adfs_efficient": []}
+        for line in open(csv_path).read().splitlines()[1:]:
+            algo, rest = line.split(",", 1)
+            rows[algo].append(rest)
+        assert rows["adfs"] == rows["adfs_efficient"]
+        times = meta["median_time_to_target"]
+        assert times["adfs"] == times["adfs_efficient"] is not None
 
     def test_byte_identical_reruns(self):
         experiment_determinism(base_config())
@@ -985,22 +1000,29 @@ def test_every_config_loads():
 def test_figure_analogue_stops_where_it_did():
     # configs/fig_analogue.json built in-process against the program's
     # reference: the iteration and idealized time at which each run stops at
-    # stop_at_subopt, which pin its trajectories to the last logged digit
+    # stop_at_subopt, which pin its trajectories to the last logged digit.
+    # The reference recursion replays seed 0 beside ADFS: the same log rows,
+    # and objectives within 1e-9 relative
     with open(os.path.join(ROOT, "configs", "fig_analogue.json"), encoding="utf-8") as fh:
-        data = json.load(fh)
-    data["iters"]["adfs_efficient"] = data["iters"]["adfs"]
-    cfg = load_config(dict(data, algorithms=["adfs", "adfs_efficient", "point_saga"]))
+        cfg = load_config(json.load(fh))
     _, _, problem, flat, _ = build_instance(cfg)
     f_star, gap = harness.certify(cfg, flat)
     assert (f_star, gap) == (615.3664396475236, 3.4646903746786867e-22)
 
-    def stop(algo, seed):
-        row = harness._run_cell(algo, seed, cfg, problem, flat, f_star).rows[-1]
-        assert row.subopt <= cfg.stop_at_subopt
-        return row.iteration, row.time
+    def logged(algo, seed):
+        rows = harness._run_cell(algo, seed, cfg, problem, flat, f_star).rows
+        assert rows[-1].subopt <= cfg.stop_at_subopt
+        return rows
 
-    assert [stop("point_saga", seed)[0] for seed in (0, 1, 2)] == [39_200, 40_800, 41_400]
-    assert stop("adfs", 0) == stop("adfs_efficient", 0) == (6_600, 9_040.0)
+    assert [logged("point_saga", seed)[-1].iteration for seed in (0, 1, 2)] == [
+        39_200, 40_800, 41_400]
+    adfs = logged("adfs", 0)
+    assert (adfs[-1].iteration, adfs[-1].time) == (6_600, 9_040.0)
+    ref = reference_adfs(problem, cfg.iters["adfs"], 0, log_every=cfg.log_every, f_star=f_star,
+                         stop_at_subopt=cfg.stop_at_subopt).record.rows
+    assert [(r.iteration, r.time) for r in ref] == [(r.iteration, r.time) for r in adfs]
+    np.testing.assert_allclose([r.objective for r in ref], [r.objective for r in adfs],
+                               rtol=1e-9, atol=0)
 
 
 def test_scaling_line_measures_its_rate(tmp_path):
@@ -1323,16 +1345,41 @@ class TestScripts:
                    for _, _, old, new, _, old_stop, new_stop, match in cells)
 
 
-def test_traced_functions_exist():
-    # perfbench/tracer.py names the functions it wraps; a renamed one would
-    # leave its span silently empty
+def load_tracer():
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", os.path.join(ROOT, "perfbench", "tracer.py"))
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_traced_functions_exist():
+    # perfbench/tracer.py names the functions it wraps; a renamed one would
+    # leave its span silently empty
+    tracer = load_tracer()
     missing = [f"{module}.{name}" for module, name, _ in tracer.SPANS
                if not callable(getattr(importlib.import_module(f"adfs_lab.{module}"), name, None))]
     assert missing == []
+
+
+@pytest.mark.parametrize("name, span, loss", [
+    ("run_adfs", "adfs.adfs", "logistic"),
+    ("run_adfs_efficient", "adfs.adfs_efficient", "logistic"),
+    ("run_ns_adfs", "adfs.ns_adfs", "absolute"),
+])
+def test_traced_solver_counts_its_own_draws(name, span, loss):
+    # perfbench/tracer.py wraps each solver name by identity; a public name
+    # that called (or was) another would nest their spans, and the inner span
+    # would take every draw of the run
+    tracer = load_tracer()
+    algo = "adfs" if loss == "logistic" else "ns_adfs"
+    _, _, problem, _, _ = build_instance(load_config(grid_config(loss=loss, algorithms=[algo],
+                                                                  iters=60)))
+    solvers = importlib.import_module("adfs_lab.adfs")
+    with tracer.Tracer().installed(adfs_lab) as traced:
+        getattr(solvers, name)(problem, 60, 0, log_every=20)
+    assert {s: traced.counts[s + ".iters"] for s in tracer.SOLVER_SPANS} == {
+        s: 60 if s == span else 0 for s in tracer.SOLVER_SPANS}
 
 
 def test_benchmark_reads_resolve():
