@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import glob
 import importlib
 import importlib.util
 import json
@@ -37,7 +36,7 @@ from adfs_lab.harness import (ConfigError, ExperimentConfig, build_instance, cli
 from adfs_lab.objective import LOSSES, LocalObjective, LossKind, condition_numbers
 from adfs_lab.records import FIT_MIN_POINTS
 from adfs_lab.rng import generator
-from oracles import libsvm_record, libsvm_rows, parse_libsvm_pairs, reference_adfs
+from oracles import libsvm_record, libsvm_rows, parse_libsvm_pairs
 from test_checks import certified, experiment_determinism, libsvm_roundtrip
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -989,67 +988,6 @@ def grid_config(**over):
     return data
 
 
-def test_every_config_loads():
-    paths = sorted(glob.glob(os.path.join(ROOT, "configs", "*.json")))
-    assert {"fig_analogue.json", "pcomm_sweep.json"} <= {os.path.basename(p) for p in paths}
-    for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            load_config(json.load(fh))
-
-
-def test_figure_analogue_stops_where_it_did():
-    # configs/fig_analogue.json built in-process against the program's
-    # reference: the iteration and idealized time at which each run stops at
-    # stop_at_subopt, which pin its trajectories to the last logged digit.
-    # The reference recursion replays seed 0 beside ADFS: the same log rows,
-    # and objectives within 1e-9 relative
-    with open(os.path.join(ROOT, "configs", "fig_analogue.json"), encoding="utf-8") as fh:
-        cfg = load_config(json.load(fh))
-    _, _, problem, flat, _ = build_instance(cfg)
-    f_star, gap = harness.certify(cfg, flat)
-    assert (f_star, gap) == (615.3664396475236, 3.4646903746786867e-22)
-
-    def logged(algo, seed):
-        rows = harness._run_cell(algo, seed, cfg, problem, flat, f_star).rows
-        assert rows[-1].subopt <= cfg.stop_at_subopt
-        return rows
-
-    assert [logged("point_saga", seed)[-1].iteration for seed in (0, 1, 2)] == [
-        39_200, 40_800, 41_400]
-    adfs = logged("adfs", 0)
-    assert (adfs[-1].iteration, adfs[-1].time) == (6_600, 9_040.0)
-    ref = reference_adfs(problem, cfg.iters["adfs"], 0, log_every=cfg.log_every, f_star=f_star,
-                         stop_at_subopt=cfg.stop_at_subopt).record.rows
-    assert [(r.iteration, r.time) for r in ref] == [(r.iteration, r.time) for r in adfs]
-    np.testing.assert_allclose([r.objective for r in ref], [r.objective for r in adfs],
-                               rtol=1e-9, atol=0)
-
-
-def test_scaling_line_measures_its_rate(tmp_path):
-    # configs/scaling_line.json at n = 1 and 16, run in-process: the rate
-    # that records.fit_rate measures per cell, its fit points and the
-    # efficiency against the predicted rate; Point-SAGA at n = 1 fits fewer
-    # than FIT_MIN_POINTS rows, so its median is null
-    with open(os.path.join(ROOT, "configs", "scaling_line.json"), encoding="utf-8") as fh:
-        data = json.load(fh)
-    expected = {1: (905, {"adfs_efficient": (379, 67, 0.42), "point_saga": (None, 39, None)}),
-                16: (2276, {"adfs_efficient": (1006, 95, 0.44),
-                            "point_saga": (2765, 428, None)})}
-    for n, (predicted, algos) in expected.items():
-        cfg = load_config(dict(data, topology={"kind": "line", "n": n}))
-        instance = build_instance(cfg)
-        _, _, meta = run_experiment(cfg, instance, harness.certify(cfg, instance[3]),
-                                    str(tmp_path / str(n)))
-        assert meta["derived"]["predicted_time_per_log_eps"] == pytest.approx(predicted, abs=0.5)
-        measured, efficiency = meta["measured_time_per_log_eps"], meta["rate_efficiency"]
-        assert set(measured) == set(efficiency) == set(algos)
-        for algo, (rate, points, ratio) in algos.items():
-            assert measured[algo]["fit_points"] == points
-            assert measured[algo]["median"] == (None if rate is None
-                                                else pytest.approx(rate, abs=0.5))
-            assert efficiency[algo] == (None if ratio is None else pytest.approx(ratio, abs=0.005))
-
-
 def test_rate_window_clears_the_rounding_of_subopt(tmp_path):
     # configs/pcomm_sweep.json run on past convergence, as CI's off-grid run
     # is: from iteration 1 500 on, F - F* reads 0 or one or two ulps of
@@ -1069,24 +1007,6 @@ def test_rate_window_clears_the_rounding_of_subopt(tmp_path):
     assert meta["measured_time_per_log_eps"]["adfs"] == {"median": None, "fit_points": 25}
 
 
-def test_nonsmooth_trajectory_holds():
-    # configs/pcomm_sweep.json with the absolute loss, one ns_adfs run built
-    # in-process: its idealized times, and its dual values to 1e-12
-    with open(os.path.join(ROOT, "configs", "pcomm_sweep.json"), encoding="utf-8") as fh:
-        data = json.load(fh)
-    cfg = load_config(dict(data, loss="absolute", algorithms=["ns_adfs"], tau=5.0, iters=2000,
-                           log_every=200, stop_at_subopt=None))
-    _, _, problem, flat, _ = build_instance(cfg)
-    rows = harness._run_cell("ns_adfs", 0, cfg, problem, flat, None).rows
-    assert [(r.iteration, r.time) for r in rows] == [
-        (0, 0.0), (200, 420.0), (400, 876.0), (600, 1340.0), (800, 1784.0), (1000, 2232.0),
-        (1200, 2644.0), (1400, 3072.0), (1600, 3520.0), (1800, 3948.0), (2000, 4392.0)]
-    np.testing.assert_allclose([r.objective for r in rows], [
-        0.0, -8.857612386411468, -13.635978497619679, -16.93699918563385, -19.128326336326523,
-        -20.51476620411759, -21.426117999386037, -22.033940325203325, -22.45724771746758,
-        -22.76505534381053, -22.993175069381454], rtol=1e-12, atol=0.0)
-
-
 # one committed config per branch of build_augmented: smooth with edges,
 # non-smooth, smooth without edges
 BUILD_BRANCHES = {
@@ -1100,42 +1020,6 @@ def _branch_instance(branch):
     name, over = BUILD_BRANCHES[branch]
     with open(os.path.join(ROOT, "configs", name), encoding="utf-8") as fh:
         return build_instance(load_config(dict(json.load(fh), **over)))
-
-
-@pytest.mark.parametrize("branch, expected", [
-    ("smooth", {
-        "n": 16, "m": 200, "d": 20, "edges": 24, "tau": 5.0, "p_comm": 0.08986458095514958,
-        "alpha": 0.001566283572859527, "gamma": 0.0857864376269049, "sigma_total": 16.0,
-        "loss": "logistic", "kappa_s": 1098.4798717958447, "kappa_b_max": 409.82748553213185,
-        "kappa_comm": 747.9953793519624, "rho": 0.0009623840414784555,
-        "rho_unclamped": 0.0009623840414784555, "s_max_bound": 668.7173715141876,
-        "predicted_time_per_log_eps": 1412.5944168111312,
-        "balanced_p_comm": 0.08986458095514958,
-        "balanced_time_bound_per_log_eps": 1412.594416811131,
-        "rho_comm_branch": 0.0009623840414784555, "rho_comp_branch": 0.0009623840414784557}),
-    ("nonsmooth", {
-        "n": 9, "m": 30, "d": 5, "edges": 12, "tau": 5.0, "p_comm": 0.30901699437494745,
-        "alpha": 0.03225806451612902, "gamma": 0.16666666666666663, "sigma_total": 9.0,
-        "loss": "absolute", "s_squared": 62.832815729997456,
-        "mu2_virtual": 0.03225806451612902}),
-    ("edgeless", {
-        "n": 1, "m": 30, "d": 5, "edges": 0, "tau": 5.0, "p_comm": 0.0, "alpha": 1.0,
-        "gamma": None, "sigma_total": 1.0, "loss": "logistic", "kappa_s": 33.53839864594098,
-        "kappa_b_max": 18.84629287823477, "kappa_comm": None, "rho": 0.011456706809917904,
-        "rho_unclamped": 0.011456706809917904, "s_max_bound": 61.71989847679575,
-        "predicted_time_per_log_eps": 87.28511749417508}),
-], ids=["smooth", "nonsmooth", "edgeless"])
-def test_derived_constants_hold(branch, expected):
-    # every derived constant of each branch of the build: ints, strings and
-    # None exactly, floats to 1e-12
-    _, _, problem, flat, _ = _branch_instance(branch)
-    meta = harness.derived_constants(problem, flat)
-    assert sorted(meta) == sorted(expected)
-    for key, want in expected.items():
-        if isinstance(want, float):
-            assert isinstance(meta[key], float) and meta[key] == pytest.approx(want, rel=1e-12), key
-        else:
-            assert meta[key] == want and type(meta[key]) is type(want), key
 
 
 @pytest.mark.parametrize("branch, calls", [("smooth", 16 + 3), ("nonsmooth", 1),
